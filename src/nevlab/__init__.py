@@ -20,7 +20,6 @@ from .algmap import (
     invariance_census,
     orbit,
     polynomialize,
-    tau_eval,
 )
 from .boundslab import (
     AsymSample,

@@ -78,10 +78,6 @@ class AlgebraicMap:
         return complex(z) + self._shift(self.root(z, branch))
 
 
-def tau_eval(m: AlgebraicMap, z: complex, branch: int | None = None) -> complex:
-    return m(z, branch)
-
-
 def binomial_shift_map(n: int, c: complex, branch: int = 0) -> AlgebraicMap:
     """The map (z^{1/n} + c)^n, written out in powers of the root."""
     c = complex(c)
@@ -147,7 +143,7 @@ def orbit(m: AlgebraicMap, seed: complex, K: int, mode: str = "fixed") -> Orbit:
     cuts = [False]
     prev_w = None
     for _ in range(K):
-        if mode == "fixed" or prev_w is None or self_root_trivial(m):
+        if mode == "fixed" or prev_w is None or m.n == 1:
             w = m.root(z)
             crossed = False
         else:
@@ -170,10 +166,6 @@ def orbit(m: AlgebraicMap, seed: complex, K: int, mode: str = "fixed") -> Orbit:
     return Orbit(seed=complex(seed), points=tuple(points),
                  classification=_classify(tuple(points)),
                  cut_crossed=tuple(cuts))
-
-
-def self_root_trivial(m: AlgebraicMap) -> bool:
-    return m.n == 1
 
 
 def escape_probe(m: AlgebraicMap, seeds, K: int = 40) -> list[tuple[complex, str]]:

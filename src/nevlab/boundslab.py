@@ -48,6 +48,7 @@ from .fnmodel import (
     subtract,
 )
 from .nevanlinna import (
+    _origin_leading_logmod,
     characteristic,
     counting,
     hyperorder_estimate,
@@ -176,11 +177,6 @@ def _origin_order_of(expr: FunctionExpr) -> int:
     return expr.divisor_in_disc(0.5).origin_order
 
 
-def _logmod_at_origin(expr: FunctionExpr) -> float:
-    lm, _ = expr.logmod_eval(0.0)
-    return lm
-
-
 def _origin_normalized(expr: FunctionExpr) -> tuple[FunctionExpr, int]:
     """Strip a zero/pole at the origin: returns (z^-o * f, o)."""
     o = _origin_order_of(expr)
@@ -188,17 +184,6 @@ def _origin_normalized(expr: FunctionExpr) -> tuple[FunctionExpr, int]:
         return expr, 0
     reducer = RationalFromDivisor(1.0, Divisor((), -o))
     return Product(reducer, expr), o
-
-
-def _reduced_logmod_at_origin(expr: FunctionExpr, o: int) -> float:
-    """log of the leading origin coefficient of z^-o f(z), by the mean-value
-    property of log|.| on a tiny circle (the small-circle average is exact
-    for the harmonic part; the grid error is spectrally small)."""
-    eps = 1e-4
-    thetas = np.linspace(0.0, TWO_PI, 128, endpoint=False)
-    z = eps * np.exp(1j * thetas)
-    lm, _ = expr._log_parts(z)
-    return float(np.mean(lm)) - o * math.log(eps)
 
 
 def lemma1_check(expr: FunctionExpr, pair: PolyPair, cfg: BoundConfig,
@@ -210,11 +195,7 @@ def lemma1_check(expr: FunctionExpr, pair: PolyPair, cfg: BoundConfig,
     z^-o f(z)); the report meta records the reduction.
     """
     work, o = _origin_normalized(expr)
-    if o == 0:
-        lm0 = _logmod_at_origin(expr)
-    else:
-        lm0 = _reduced_logmod_at_origin(expr, o)
-    anchor = logplus(np.array(-lm0)).item()
+    anchor = logplus(np.array(-_origin_leading_logmod(expr, o))).item()
     K = k_constant(cfg, pair)
     ratio_expr = Quotient(compose_poly(work, pair.omega), compose_poly(work, pair.phi))
     out = []

@@ -6,9 +6,7 @@ Design rules, enforced everywhere:
   run can be replayed bit-for-bit from what it printed;
 * CSV for tabular data (one `# config ...` comment line, then a header),
   JSON with sorted keys for verdicts; no timestamps, no machine info;
-* exit codes: 0 = pass, 1 = computational error, 2 = verification failure;
-* NEVLAB_THREADS > 1 parallelizes radius sweeps without changing output
-  order.
+* exit codes: 0 = pass, 1 = computational error, 2 = verification failure.
 """
 
 from __future__ import annotations
@@ -18,9 +16,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -33,22 +29,6 @@ from .nevanlinna import characteristic, hyperorder_estimate, log_radii
 EXIT_PASS = 0
 EXIT_ERROR = 1
 EXIT_FAIL = 2
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("NEVLAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    items = list(items)
-    n = _threads()
-    if n == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def _registry():
@@ -139,8 +119,8 @@ def cmd_char(args) -> int:
     radii = _radii_from(args)
     config = {"command": "char", "fn": args.fn, "radii": radii,
               "atol": args.atol, "rtol": args.rtol}
-    samples = _pmap(lambda r: characteristic(expr, r, atol=args.atol, rtol=args.rtol),
-                    radii)
+    samples = [characteristic(expr, r, atol=args.atol, rtol=args.rtol)
+               for r in radii]
     rows = [(s.r, s.m, s.N, s.T, s.quad_err, s.nudged) for s in samples]
     header = ["r", "m", "N", "T", "quad_err", "nudged"]
     text = _write_csv(args.out, config, header, rows)
@@ -155,8 +135,8 @@ def cmd_hyperorder(args) -> int:
     radii = _radii_from(args)
     config = {"command": "hyperorder", "fn": args.fn, "radii": radii,
               "atol": args.atol, "rtol": args.rtol}
-    samples = _pmap(lambda r: characteristic(expr, r, atol=args.atol, rtol=args.rtol),
-                    radii)
+    samples = [characteristic(expr, r, atol=args.atol, rtol=args.rtol)
+               for r in radii]
     est = hyperorder_estimate([s.r for s in samples], [s.T for s in samples])
     _emit({"config": config,
            "estimate": {"varsigma": est.varsigma, "residual": est.residual,
@@ -530,6 +510,8 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i + 1 == len(argv):
+        raise ToolkitError("--config needs a JSON file path")
     path = argv[i + 1]
     argv = argv[:i] + argv[i + 2:]
     with open(path) as fh:
@@ -549,11 +531,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = _apply_config_file(argv)
         args = ap.parse_args(argv)
         return args.func(args)
-    except ToolkitError as exc:
-        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)},
-                         sort_keys=True), file=sys.stderr)
-        return EXIT_ERROR
-    except (OSError, ValueError) as exc:
+    except (ToolkitError, OSError, ValueError) as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)},
                          sort_keys=True), file=sys.stderr)
         return EXIT_ERROR

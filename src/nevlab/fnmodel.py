@@ -342,27 +342,38 @@ def poly_roots(p: Polynomial, tol: float = 1e-10, max_iter: int = 200) -> np.nda
     return roots
 
 
-def cluster_roots(roots: Iterable[complex], rel_tol: float = ROOT_CLUSTER_TOL) -> list[tuple[complex, int]]:
-    """Group near-coincident roots into (centroid, multiplicity) pairs."""
-    pts = sorted(roots, key=lambda w: (abs(w), w.real, w.imag))
-    clusters: list[list[complex]] = []
-    for w in pts:
-        placed = False
+def _cluster(pairs: Iterable[tuple[complex, int]],
+             rel_tol: float) -> list[tuple[complex, int, int]]:
+    """Group near-coincident weighted points into (centroid, count, weight sum).
+
+    Points are visited by (modulus, re, im).  A point joins the latest
+    cluster whose first member lies within ``rel_tol * (1 + |rep|)``; the
+    backward scan stops once the moduli differ by more than the cluster
+    width can bridge.
+    """
+    pts = sorted(pairs, key=lambda e: (abs(e[0]), e[0].real, e[0].imag))
+    clusters: list[list] = []  # [first member, point sum, count, weight sum]
+    for w, m in pts:
+        hit = None
         for cl in reversed(clusters):
             rep = cl[0]
             if abs(w - rep) <= rel_tol * (1.0 + abs(rep)):
-                cl.append(w)
-                placed = True
+                hit = cl
                 break
             if abs(w) - abs(rep) > 2.0 * rel_tol * (1.0 + abs(w)):
                 break
-        if not placed:
-            clusters.append([w])
-    out = []
-    for cl in clusters:
-        centroid = sum(cl) / len(cl)
-        out.append((centroid, len(cl)))
-    return out
+        if hit is None:
+            clusters.append([w, w, 1, m])
+        else:
+            hit[1] += w
+            hit[2] += 1
+            hit[3] += m
+    return [(total / count, count, weight) for _, total, count, weight in clusters]
+
+
+def cluster_roots(roots: Iterable[complex], rel_tol: float = ROOT_CLUSTER_TOL) -> list[tuple[complex, int]]:
+    """Group near-coincident roots into (centroid, multiplicity) pairs."""
+    return [(c, n) for c, n, _ in _cluster(((w, 1) for w in roots), rel_tol)]
 
 
 # ---------------------------------------------------------------------------
@@ -396,27 +407,9 @@ class Divisor:
                 origin += m
             else:
                 pts.append((p, int(m)))
-        pts.sort(key=lambda e: (abs(e[0]), e[0].real, e[0].imag))
-        merged: list[list] = []  # [point_sum, count, mult]
-        for p, m in pts:
-            hit = None
-            for cl in reversed(merged):
-                rep = cl[0] / cl[1]
-                if abs(p - rep) <= merge_tol * (1.0 + abs(rep)):
-                    hit = cl
-                    break
-                if abs(p) - abs(rep) > 4.0 * merge_tol * (1.0 + abs(p)):
-                    break
-            if hit is None:
-                merged.append([p, 1, m])
-            else:
-                hit[0] += p
-                hit[1] += 1
-                hit[2] += m
-        entries = tuple(
-            (cl[0] / cl[1], cl[2]) for cl in merged if cl[2] != 0
-        )
-        entries = tuple(sorted(entries, key=lambda e: (abs(e[0]), e[0].real, e[0].imag)))
+        entries = tuple(sorted(
+            ((p, m) for p, _, m in _cluster(pts, merge_tol) if m != 0),
+            key=lambda e: (abs(e[0]), e[0].real, e[0].imag)))
         return Divisor(entries, origin)
 
     @property
@@ -1018,19 +1011,6 @@ class ExpPolyMinusConst(FunctionExpr):
                 "a": [self.a.real, self.a.imag]}
 
 
-_VARIANTS = {
-    "const": Const,
-    "rational_from_divisor": RationalFromDivisor,
-    "exp_poly": ExpPoly,
-    "exp": Exp,
-    "product": Product,
-    "quotient": Quotient,
-    "difference": Difference,
-    "compose_poly": ComposePoly,
-    "exp_poly_minus_const": ExpPolyMinusConst,
-}
-
-
 def expr_from_json(data: dict) -> FunctionExpr:
     kind = data["variant"]
     if kind == "const":
@@ -1048,7 +1028,8 @@ def expr_from_json(data: dict) -> FunctionExpr:
     if kind in ("product", "quotient", "difference"):
         lhs = expr_from_json(data["children"][0])
         rhs = expr_from_json(data["children"][1])
-        return _VARIANTS[kind](lhs, rhs)
+        binary = {"product": Product, "quotient": Quotient, "difference": Difference}
+        return binary[kind](lhs, rhs)
     raise ValueError(f"unknown variant {kind!r}")
 
 

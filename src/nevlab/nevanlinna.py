@@ -300,20 +300,22 @@ def jensen_lhs_rhs(expr: FunctionExpr, r: float,
 
     div = expr.divisor_in_disc(r)
     rhs = counting(div, r, "zeros") - counting(div, r, "poles")
-    rhs += _origin_leading_logmod(expr, div)
+    rhs += _origin_leading_logmod(expr, div.origin_order)
     return lhs, rhs
 
 
-def _origin_leading_logmod(expr: FunctionExpr, div: Divisor) -> float:
-    """log| lim z^-o f(z) | at the origin, o the origin order of the divisor."""
-    o = div.origin_order
+def _origin_leading_logmod(expr: FunctionExpr, o: int) -> float:
+    """log| lim z^-o f(z) | at the origin, o the origin order of f.
+
+    For ``o != 0`` this is the mean of log|z^-o f| on a tiny circle: the
+    mean-value property makes it exact for the harmonic part, and the grid
+    error is spectrally small.
+    """
     if o == 0:
         lm, _ = expr.logmod_eval(0.0)
         return lm
-    # evaluate z^-o f(z) on a tiny circle and average the log-modulus
     eps = 1e-4
-    thetas = np.linspace(0.0, TWO_PI, 64, endpoint=False)
+    thetas = np.linspace(0.0, TWO_PI, 128, endpoint=False)
     z = eps * np.exp(1j * thetas)
     lm, _ = expr._log_parts(z)
-    vals = lm - o * math.log(eps)
-    return float(np.mean(vals))
+    return float(np.mean(lm)) - o * math.log(eps)

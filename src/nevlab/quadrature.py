@@ -17,7 +17,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .fnmodel import TWO_PI, QuadratureFailure
 
@@ -28,8 +27,7 @@ MIN_WIDTH = 1e-15
 
 @lru_cache(maxsize=None)
 def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = roots_legendre(order)
-    return x, w
+    return np.polynomial.legendre.leggauss(order)
 
 
 @dataclass

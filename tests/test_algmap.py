@@ -18,7 +18,6 @@ from nevlab import (
     left_figure_map,
     orbit,
     polynomialize,
-    tau_eval,
 )
 from nevlab.algmap import _image_hits_value
 from nevlab.fnmodel import BranchAmbiguity, OrderMismatch
@@ -153,11 +152,6 @@ def test_escape_probe_classifies_seeds():
     assert all(tag == "escaped" for _, tag in out)
     with pytest.raises(ValueError):
         escape_probe(m, [4.0], K=5)
-
-
-def test_tau_eval_is_call_alias():
-    m = left_figure_map()
-    assert tau_eval(m, 4.0) == m(4.0)
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,14 @@ def test_missing_config_file_is_an_error(capsys):
     assert "file" in err.lower() or "directory" in err.lower()
 
 
+def test_config_without_path_is_an_error(capsys):
+    code, _, err = run(capsys, "char", "--fn", "exp_z", "--config")
+    assert code == EXIT_ERROR
+    payload = json.loads(err)
+    assert payload == {"error": "ToolkitError",
+                       "detail": "--config needs a JSON file path"}
+
+
 def test_thread_env_does_not_change_bytes():
     cmd = [sys.executable, "-m", "nevlab.cli", "char", "--fn", "exp_z2",
            "--radii", "1,2,4,8"]
@@ -223,6 +231,14 @@ def test_thread_env_does_not_change_bytes():
     r4 = subprocess.run(cmd, capture_output=True, text=True, env=env4)
     assert r1.returncode == r4.returncode == 0
     assert r1.stdout == r4.stdout
+
+
+def test_cli_import_does_not_load_scipy():
+    code = "import sys, nevlab.cli; print('scipy' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
 
 
 def test_console_entry_point_exists():

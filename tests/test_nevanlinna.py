@@ -135,12 +135,13 @@ def test_counting_additive_over_merge():
 
 
 @pytest.mark.parametrize("key", ["rat_zero1_pole2", "rat_zero1_polem1",
-                                 "expz_minus_1", "orbit_left_m6"])
+                                 "expz_minus_1", "expz2_minus_1",
+                                 "orbit_left_m6"])
 def test_jensen_identity(members, key):
     expr = members[key].expr
     for r in (3.0, 6.0):
         lhs, rhs = jensen_lhs_rhs(expr, r)
-        assert lhs == pytest.approx(rhs, abs=5e-7)
+        assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
 def test_fmt_balance_is_bounded_for_rationals(members):
