@@ -340,6 +340,8 @@ def smt_check(expr: FunctionExpr, pair: PolyPair, targets, slack: float,
     recips = [Quotient(Const(1.0), subtract(comp_phi, Const(a))) for a in targets]
 
     grid = np.asarray([float(r) for r in rgrid])
+    if not grid.size:
+        raise ValueError("smt_check needs at least one radius")
     widths = _cell_logwidths(grid)
     reports = []
     exc_measure = 0.0

@@ -47,6 +47,9 @@ MERGE_TOL = 1e-9
 ROOT_CLUSTER_TOL = 1e-5
 
 _LOG_HUGE = 709.0  # log of the largest finite double, rounded down
+# Rows per batched Aberth solve are capped so that its (rows, n, n) array of
+# pairwise root differences stays near 1 MB whatever the branch count.
+_ABERTH_CELLS = 1 << 16
 
 
 class ToolkitError(Exception):
@@ -275,6 +278,71 @@ def parse_complex(text: str) -> complex:
 # ---------------------------------------------------------------------------
 
 
+def _horner(cs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Row k of ``cs`` (lowest degree first) evaluated at the points of row k of ``z``."""
+    v = np.repeat(cs[:, -1:], z.shape[1], axis=1)
+    for j in range(cs.shape[1] - 2, -1, -1):
+        v = v * z + cs[:, j:j + 1]
+    return v
+
+
+def _aberth(cs: np.ndarray, max_iter: int) -> np.ndarray:
+    """Simultaneous (Aberth/Ehrlich) iterates for every row of ``cs``.
+
+    ``cs`` is ``(K, n + 1)``, lowest degree first, with nonzero constant and
+    leading terms.  Each row starts on its own perturbed Cauchy circle and is
+    frozen once its largest relative step drops below 1e-14, so a row comes
+    out exactly as it would if it were solved alone.  Returns ``(K, n)``.
+    """
+    n = cs.shape[1] - 1
+    mon = cs / cs[:, -1:]
+    bound = 1.0 + np.max(np.abs(mon[:, :-1]), axis=1)
+    idx = np.arange(n)
+    angles = TWO_PI * idx / n + 0.39996 / n + 0.5
+    radii = bound[:, None] * (1.0 + 0.06 * np.sin(2.7 * idx + 0.4))
+    z = radii * np.exp(1j * angles)
+    dmon = mon[:, 1:] * np.arange(1, n + 1)
+
+    out = np.empty_like(z)
+    live = np.arange(len(cs))
+    for _ in range(max_iter):
+        dv = _horner(dmon, z)
+        dv = np.where(np.abs(dv) < 1e-300, 1e-300, dv)
+        w = _horner(mon, z) / dv
+        diff = z[:, :, None] - z[:, None, :]
+        diff[:, idx, idx] = np.inf
+        s = np.sum(1.0 / diff, axis=2)
+        denom = 1.0 - w * s
+        denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
+        step = w / denom
+        z = z - step
+        done = np.max(np.abs(step) / (1.0 + np.abs(z)), axis=1) < 1e-14
+        if done.any():
+            out[live[done]] = z[done]
+            keep = ~done
+            live, z, mon, dmon = live[keep], z[keep], mon[keep], dmon[keep]
+            if not live.size:
+                break
+    out[live] = z
+    return out
+
+
+def _sorted_checked(roots: np.ndarray, cs: np.ndarray, tol: float) -> np.ndarray:
+    """Sort each row of ``roots`` by (modulus, re, im) and enforce the residual
+    contract of its polynomial, row ``cs`` (lowest degree first)."""
+    roots = np.take_along_axis(
+        roots, np.lexsort((roots.imag, roots.real, np.abs(roots)), axis=-1), axis=-1)
+    n = cs.shape[1] - 1
+    resid = np.abs(_horner(cs, roots))
+    limit = np.maximum(tol * (1.0 + np.abs(roots)) ** n * np.abs(cs[:, -1:]), 1e-300)
+    if np.any(resid > limit):
+        worst = float(np.max(resid / limit))
+        raise RootFindFailure(
+            f"root residual contract violated (worst ratio {worst:.3g}, degree {n})"
+        )
+    return roots
+
+
 def poly_roots(p: Polynomial, tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:
     """All roots of ``p`` by simultaneous (Aberth/Ehrlich) iteration.
 
@@ -290,55 +358,42 @@ def poly_roots(p: Polynomial, tol: float = 1e-10, max_iter: int = 200) -> np.nda
     if n == 0:
         return np.empty(0, dtype=np.complex128)
 
-    # Exact roots at the origin peel off cheaply and help conditioning.
+    # Exact roots at the origin peel off cheaply and help conditioning; they
+    # occupy the tail until the sort.
     k0 = 0
     while k0 < n and cs[k0] == 0:
         k0 += 1
-    cs = cs[k0:]
-    n_eff = len(cs) - 1
+    roots = np.zeros((1, n), dtype=np.complex128)
+    if k0 < n:
+        roots[:, :n - k0] = _aberth(cs[None, k0:], max_iter)
+    return _sorted_checked(roots, cs[None, :], tol)[0]
 
-    roots = np.zeros(n, dtype=np.complex128)
-    if n_eff > 0:
-        mon = cs / cs[-1]
-        bound = 1.0 + float(np.max(np.abs(mon[:-1]))) if n_eff >= 1 else 1.0
-        idx = np.arange(n_eff)
-        angles = TWO_PI * idx / n_eff + 0.39996 / n_eff + 0.5
-        radii = bound * (1.0 + 0.06 * np.sin(2.7 * idx + 0.4))
-        z = radii * np.exp(1j * angles)
 
-        dmon = mon[1:] * np.arange(1, n_eff + 1)
-        for _ in range(max_iter):
-            pv = np.full(n_eff, mon[-1], dtype=np.complex128)
-            for c in mon[-2::-1]:
-                pv = pv * z + c
-            dv = np.full(n_eff, dmon[-1], dtype=np.complex128)
-            for c in dmon[-2::-1]:
-                dv = dv * z + c
-            small = np.abs(dv) < 1e-300
-            if np.any(small):
-                dv = np.where(small, 1e-300, dv)
-            w = pv / dv
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            s = np.sum(1.0 / diff, axis=1)
-            denom = 1.0 - w * s
-            denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-            step = w / denom
-            z = z - step
-            if np.max(np.abs(step) / (1.0 + np.abs(z))) < 1e-14:
-                break
-        roots[:n_eff] = z
-    # origin roots occupy the tail (zeros already present in `roots`)
-    order = np.lexsort((roots.imag, roots.real, np.abs(roots)))
-    roots = roots[order]
+def roots_of_shifts(p: Polynomial, ws, tol: float = 1e-10,
+                    max_iter: int = 200) -> np.ndarray:
+    """Roots of ``p(z) = w`` for every ``w`` in ``ws``, one row per target.
 
-    resid = np.abs(p(roots))
-    limit = tol * (1.0 + np.abs(roots)) ** p.degree * abs(p.leading)
-    if np.any(resid > np.maximum(limit, 1e-300)):
-        worst = float(np.max(resid / np.maximum(limit, 1e-300)))
-        raise RootFindFailure(
-            f"root residual contract violated (worst ratio {worst:.3g}, degree {p.degree})"
-        )
+    Row ``j`` equals ``poly_roots(p - Polynomial((ws[j],)))`` bit for bit:
+    the rows share one Aberth iteration over a ``(K, degree)`` array, with
+    the same start circle, step test and residual contract, checked per row.
+    Rows whose constant term is exactly 0 go through :func:`poly_roots`,
+    which peels the origin roots.  Returns ``(K, degree)``.
+    """
+    ws = np.asarray(ws, dtype=np.complex128).reshape(-1)
+    # The arithmetic of p - Polynomial((w,)): 0j is added to the upper
+    # coefficients (which can flip a signed zero) and -w to the constant.
+    cs = np.tile(np.asarray(p.coeffs, dtype=np.complex128) + 0j, (len(ws), 1))
+    cs[:, 0] = p.coeffs[0] + (-ws)
+    roots = np.empty((len(ws), p.degree), dtype=np.complex128)
+    at_origin = cs[:, 0] == 0
+    for j in np.flatnonzero(at_origin):
+        roots[j] = poly_roots(p - Polynomial((ws[j],)), tol, max_iter)
+    rest = np.flatnonzero(~at_origin)
+    if p.degree:
+        chunk = max(1, _ABERTH_CELLS // p.degree**2)
+        for i in range(0, rest.size, chunk):
+            rows = rest[i:i + chunk]
+            roots[rows] = _sorted_checked(_aberth(cs[rows], max_iter), cs[rows], tol)
     return roots
 
 
@@ -471,6 +526,22 @@ class Divisor:
 EMPTY_DIVISOR = Divisor()
 
 
+def _divisor_targets(d: Divisor) -> list[tuple[complex, int]]:
+    """(point, multiplicity) for every divisor point, the origin last."""
+    targets = list(d.entries)
+    if d.origin_order:
+        targets.append((0j, d.origin_order))
+    return targets
+
+
+def _pull_back(p: Polynomial, targets: Sequence[tuple[complex, int]], r: float) -> Divisor:
+    """Divisor in |z| <= r of the solutions of p(z) = w, each weighted by
+    its multiplicity times the target's m, over all targets (w, m)."""
+    rows = roots_of_shifts(p, [w for w, _ in targets])
+    return Divisor.build([(root, m * k) for (_, m), row in zip(targets, rows)
+                          for root, k in cluster_roots(row) if abs(root) <= r])
+
+
 # ---------------------------------------------------------------------------
 # expression family
 # ---------------------------------------------------------------------------
@@ -517,14 +588,18 @@ class FunctionExpr:
     def divisor_in_disc(self, r: float) -> Divisor:
         """Divisor restricted to |z| <= r.
 
-        Internally computed on a quantized radius and restricted exactly, so
-        the result is monotone in ``r`` by construction.
+        Internally computed on a quantized radius, the smallest power of two
+        at least ``max(r, 1e-6)``, and restricted exactly, so the result is
+        monotone in ``r`` by construction.
         """
         if not self.is_divisor_transparent:
             raise OpaqueExpr(f"{type(self).__name__} is divisor-opaque")
         if r < 0:
             raise ValueError("disc radius must be nonnegative")
-        rq = 2.0 ** math.ceil(math.log2(max(r, 1e-6)) + 1e-12)
+        if not math.isfinite(r):
+            raise ValueError("disc radius must be finite")
+        mant, exp = math.frexp(max(r, 1e-6))  # r = mant * 2**exp, 0.5 <= mant < 1
+        rq = math.ldexp(1.0, exp - 1 if mant == 0.5 else exp)
         return _divisor_cached(self, rq).restrict(r)
 
     def eval(self, z: complex) -> complex:
@@ -896,20 +971,11 @@ class ComposePoly(FunctionExpr):
         return _carray(self.p.deriv()(z)) * self.child._logderivs(self._inner(z))
 
     def _divisor_impl(self, r):
-        inner_r = self.p.coeff_bound(r)
-        base = self.child.divisor_in_disc(inner_r)
-        pairs: list[tuple[complex, int]] = []
-        targets = list(base.entries)
-        if base.origin_order:
-            targets.append((0j, base.origin_order))
-        for w, m in targets:
-            shifted = self.p - Polynomial((w,))
-            if shifted.is_zero:
-                raise OpaqueExpr("composition inner polynomial is constant at a divisor value")
-            for root, k in cluster_roots(poly_roots(shifted)):
-                if abs(root) <= r:
-                    pairs.append((root, m * k))
-        return Divisor.build(pairs)
+        base = self.child.divisor_in_disc(self.p.coeff_bound(r))
+        targets = _divisor_targets(base)
+        if self.p.degree == 0 and any(w == self.p.coeffs[0] for w, _ in targets):
+            raise OpaqueExpr("composition inner polynomial is constant at a divisor value")
+        return _pull_back(self.p, targets, r)
 
     def to_json(self):
         return {"variant": "compose_poly", "children": [self.child.to_json()],
@@ -991,20 +1057,11 @@ class ExpPolyMinusConst(FunctionExpr):
         la = cmath.log(self.a)  # principal
         bound = self.p.coeff_bound(r)
         kmax = int(math.ceil((bound + abs(la)) / TWO_PI)) + 1
-        pairs: list[tuple[complex, int]] = []
-        for k in range(-kmax, kmax + 1):
-            w = la + TWO_PI * 1j * k
-            if abs(w) > bound + 1e-9:
-                continue
-            shifted = self.p - Polynomial((w,))
-            if shifted.is_zero:
-                raise OpaqueExpr("exp argument is constant and equals log(a)")
-            if shifted.degree == 0:
-                continue
-            for root, m in cluster_roots(poly_roots(shifted)):
-                if abs(root) <= r:
-                    pairs.append((root, m))
-        return Divisor.build(pairs)
+        branches = [(w, 1) for w in (la + TWO_PI * 1j * k for k in range(-kmax, kmax + 1))
+                    if abs(w) <= bound + 1e-9]
+        if self.p.degree == 0 and any(w == self.p.coeffs[0] for w, _ in branches):
+            raise OpaqueExpr("exp argument is constant and equals log(a)")
+        return _pull_back(self.p, branches, r)
 
     def to_json(self):
         return {"variant": "exp_poly_minus_const", "coeffs": self.p.to_json(),
@@ -1146,17 +1203,8 @@ def preimages_in_disc(expr: FunctionExpr, a, r: float,
             return EMPTY_DIVISOR
         return ExpPolyMinusConst(expr.p, target).divisor_in_disc(r).signed("zeros")
     if isinstance(expr, ComposePoly):
-        inner_r = expr.p.coeff_bound(r)
-        base = preimages_in_disc(expr.child, a, inner_r, residual_tol)
-        pairs = []
-        targets = list(base.entries)
-        if base.origin_order:
-            targets.append((0j, base.origin_order))
-        for w, m in targets:
-            for root, k in cluster_roots(poly_roots(expr.p - Polynomial((w,)))):
-                if abs(root) <= r:
-                    pairs.append((root, m * k))
-        return Divisor.build(pairs)
+        base = preimages_in_disc(expr.child, a, expr.p.coeff_bound(r), residual_tol)
+        return _pull_back(expr.p, _divisor_targets(base), r)
     if isinstance(expr, RationalFromDivisor):
         total = sum(abs(m) for _, m in expr.divisor.entries) + abs(expr.divisor.origin_order)
         if total <= 24:

@@ -148,6 +148,8 @@ def log_radii(rmin: float, rmax: float, count: int = 50) -> np.ndarray:
     """Log-spaced radius grid, the default sweep layout."""
     if not (0 < rmin < rmax):
         raise ValueError("need 0 < rmin < rmax")
+    if count < 1:
+        raise ValueError("need a radius count of at least 1")
     return np.exp(np.linspace(math.log(rmin), math.log(rmax), count))
 
 

@@ -230,6 +230,8 @@ def test_smt_rejects_degenerate_targets():
         smt_check(ExpPoly(Z), pair, [1.0], 0.05, [5.0])
     with pytest.raises(ValueError):
         smt_check(ExpPoly(Z), pair, [1.0, 1.0], 0.05, [5.0])
+    with pytest.raises(ValueError):
+        smt_check(ExpPoly(Z), pair, [1.0, -1.0], 0.05, [])
 
 
 def test_smt_passes_on_documented_configuration():

@@ -91,6 +91,33 @@ def test_verify_lemma1_documented_triple(capsys):
     assert payload["summary"]["r0"] == 1.0
 
 
+SMT_C05 = ("verify", "smt", "--fn", "exp_z", "--omega", "z^2+z", "--phi", "z^2",
+           "--targets", "1,-1", "--rmin", "5", "--rmax", "40")
+
+
+def test_verify_smt_c05_grid_passes_deterministically(capsys):
+    code1, out1, _ = run(capsys, *SMT_C05, "--count", "25")
+    code2, out2, _ = run(capsys, *SMT_C05, "--count", "25")
+    assert code1 == code2 == EXIT_PASS
+    assert json.loads(out1)["verdict"] == "pass"
+    assert out1 == out2
+
+
+def test_verify_smt_empty_grid_is_an_error(capsys):
+    code, out, err = run(capsys, *SMT_C05, "--count", "0")
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
+def test_char_empty_grid_is_an_error(capsys):
+    code, out, err = run(capsys, "char", "--fn", "exp_z", "--rmin", "1",
+                         "--rmax", "4", "--count", "0")
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
 def test_verify_borel_single_member(capsys):
     code, out, _ = run(capsys, "verify", "borel", "--fn", "exp_z",
                        "--rmin", "1", "--rmax", "40", "--count", "25")

@@ -26,11 +26,14 @@ from nevlab import (
     preimages_in_disc,
     subtract,
 )
+from nevlab import fnmodel
 from nevlab.fnmodel import (
+    ComposePoly,
     OpaqueExpr,
     PoleSignal,
     RootFindFailure,
     compose_poly,
+    roots_of_shifts,
 )
 
 Z = Polynomial((0j, 1.0))
@@ -139,6 +142,69 @@ def test_poly_roots_residual_contract(cs, lead):
 def test_poly_roots_rejects_zero_polynomial():
     with pytest.raises(RootFindFailure):
         poly_roots(Polynomial((0j,)))
+
+
+def _branch_sets(monkeypatch, r=16.0):
+    """The shifts ExpPolyMinusConst(p, 1) solves for at radius r, per p."""
+    seen = {}
+
+    def spy(p, ws):
+        seen[p] = list(ws)
+        return solve(p, ws)
+
+    solve = fnmodel.roots_of_shifts
+    monkeypatch.setattr(fnmodel, "roots_of_shifts", spy)
+    for text in ("z^2", "z^2+z", "z^3-2z+1"):
+        ExpPolyMinusConst(Polynomial.parse(text), 1.0)._divisor_impl(r)
+    monkeypatch.undo()
+    return list(seen.items())
+
+
+def test_roots_of_shifts_rows_equal_single_solves_bitwise(monkeypatch):
+    sets = _branch_sets(monkeypatch)
+    assert [p.degree for p, _ in sets] == [2, 2, 3]
+    ws = sets[0][1]
+    sets += [(Polynomial((-0.5, 1 + 2j)), ws),
+             (Polynomial((1.0, 0.5 + 0.2j, 0j, -3.0, 0j, 0j, 0j, 0j, 1.0)), ws)]
+    for p, ws in sets:
+        rows = roots_of_shifts(p, ws)
+        assert rows.shape == (len(ws), p.degree)
+        for w, row in zip(ws, rows):
+            single = poly_roots(p - Polynomial((w,)))
+            assert np.array_equal(row.view(np.float64), single.view(np.float64))
+
+
+def test_roots_of_shifts_zero_constant_row_keeps_exact_origin_root():
+    p = Polynomial((0j, 1.0, 1.0))  # z^2 + z
+    rows = roots_of_shifts(p, [0j, 2.0])
+    assert np.sum(rows[0] == 0) == 1
+    assert np.array_equal(rows[0], poly_roots(p))
+    assert abs(rows[0][rows[0] != 0][0] + 1.0) < 1e-12
+
+
+def test_roots_of_shifts_enforces_residual_contract(monkeypatch):
+    p, ws = _branch_sets(monkeypatch)[2]
+    with pytest.raises(RootFindFailure):
+        roots_of_shifts(p, ws, max_iter=1)
+
+
+def test_divisor_radius_quantum_is_the_next_power_of_two(monkeypatch):
+    computed = []
+
+    def spy(self, rq):
+        computed.append(rq)
+        return fnmodel.EMPTY_DIVISOR
+
+    monkeypatch.setattr(Const, "_divisor_impl", spy)
+    radii = [32.0, math.nextafter(32.0, math.inf), 1e-7, 0.5, 0.7, 1.0, 3.0,
+             63.99999, 64.0, 64.0 * (1 + 2.0**-52)]
+    for i, r in enumerate(radii):
+        Const(0.123 + 1e-3j * (i + 1)).divisor_in_disc(r)  # fresh cache key
+    assert computed[:2] == [32.0, 64.0]
+    for r, rq in zip(radii, computed):
+        assert rq >= r
+        assert rq / 2 < max(r, 1e-6)
+        assert math.frexp(rq)[0] == 0.5
 
 
 def test_cluster_roots_merges_multiplicities():
@@ -317,6 +383,25 @@ def test_expr_json_round_trip_over_corpus(members):
 # ---------------------------------------------------------------------------
 # a-point enumeration
 # ---------------------------------------------------------------------------
+
+
+def test_constant_inner_polynomial_at_divisor_value_is_opaque():
+    f = rational([1.0], [3.0])
+    with pytest.raises(OpaqueExpr):
+        ComposePoly(f, Polynomial((1.0,))).divisor_in_disc(2.0)
+    assert ComposePoly(f, Polynomial((2.0,))).divisor_in_disc(2.0).is_empty
+
+
+def test_constant_exp_argument_equal_to_log_a_is_opaque():
+    with pytest.raises(OpaqueExpr):
+        ExpPolyMinusConst(Polynomial((math.log(2.0),)), 2.0).divisor_in_disc(5.0)
+    assert ExpPolyMinusConst(Polynomial((1.0,)), 2.0).divisor_in_disc(5.0).is_empty
+
+
+def test_compose_preimages_with_zero_shift_raise():
+    # e^z = 1 at the origin, and the constant inner polynomial 0 hits it
+    with pytest.raises(RootFindFailure):
+        preimages_in_disc(ComposePoly(ExpPoly(Z), Polynomial((0j,))), 1.0, 3.0)
 
 
 def test_preimages_exp_lattice():

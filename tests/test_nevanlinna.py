@@ -243,3 +243,5 @@ def test_log_radii_shape_and_bounds():
     assert np.all(np.diff(np.log(g)) > 0)
     with pytest.raises(ValueError):
         log_radii(5.0, 2.0)
+    with pytest.raises(ValueError):
+        log_radii(2.0, 32.0, 0)
