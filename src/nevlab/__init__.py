@@ -64,7 +64,6 @@ from .fnmodel import (
     Divisor,
     Exp,
     ExpPoly,
-    ExpPolyMinusConst,
     FunctionExpr,
     GrowthConditionError,
     IdenticalComposition,

@@ -52,6 +52,7 @@ from .nevanlinna import (
     characteristic,
     counting,
     hyperorder_estimate,
+    log_radii,
     proximity,
 )
 from .quadrature import adaptive_circle
@@ -492,9 +493,7 @@ def borel_probe(expr: FunctionExpr, n: int, c: complex, epsilon: float,
     the exceptional cells must stay below the closed-form bound; that
     inequality is theorem-backed, so callers treat it as hard.
     """
-    if rmax <= rmin:
-        raise ValueError("need rmax > rmin")
-    grid = np.exp(np.linspace(math.log(rmin), math.log(rmax), count))
+    grid = log_radii(rmin, rmax, count)
     cmod = abs(complex(c))
 
     def g(r: float) -> float:

@@ -15,7 +15,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from . import boundslab, constructor, nevanlinna
 from .algmap import AlgebraicMap, invariance_census, orbit
 from .boundslab import BoundConfig, PolyPair
-from .fnmodel import Const, Polynomial, ToolkitError, parse_complex, poly_roots
+from .fnmodel import Const, Polynomial, ToolkitError, parse_complex
 from .nevanlinna import characteristic, hyperorder_estimate, log_radii
 
 EXIT_PASS = 0
@@ -98,12 +97,11 @@ def _csv_companion(args, config: dict, header: list[str], rows) -> None:
                  + "\n")
 
 
-def _report_rows(reports, s_key: str | None = None, k_key: str | None = None):
+def _report_rows(reports):
     for rep in reports:
         yield (rep.r, rep.lhs, rep.rhs, rep.margin, rep.passed,
-               rep.meta.get("exceptional", ""),
-               rep.meta.get("s", "") if s_key is None else rep.meta.get(s_key, ""),
-               rep.meta.get("K", "") if k_key is None else rep.meta.get(k_key, ""))
+               rep.meta.get("exceptional", ""), rep.meta.get("s", ""),
+               rep.meta.get("K", ""))
 
 
 REPORT_HEADER = ["r", "lhs", "rhs", "margin", "pass", "exceptional", "s", "K"]
@@ -215,6 +213,9 @@ def _verify_smt(args, config: dict) -> tuple[int, dict, list]:
 
 
 def _verify_borel(args, config: dict) -> tuple[int, dict, list]:
+    if args.radii:
+        raise ToolkitError("verify borel builds its grid from --rmin, --rmax and "
+                           "--count; --radii is not accepted")
     keys = sorted(constructor.corpus()) if args.fn == "all" else [args.fn]
     rows = []
     worst = EXIT_PASS
@@ -251,7 +252,7 @@ def _growth_profile(name: str):
 
 
 def _verify_growth(args, config: dict) -> tuple[int, dict, list]:
-    radii = np.exp(np.linspace(math.log(args.rmin), math.log(args.rmax), args.count))
+    radii = np.array(_radii_from(args))
     if args.profile:
         T = _growth_profile(args.profile)(radii)
     else:
@@ -456,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=parse_complex, default=1.0 + 0j,
                    help="leading coefficient c in g(r)=T(|c|r^n)")
     p.add_argument("--profile", default=None,
-                   help="synthetic growth profile for `growth` (exp_sqrt_r, exp_r)")
+                   help="synthetic growth profile for `growth` (exp_sqrt_r, exp_r, power)")
     p.add_argument("--step-k", dest="step_k", type=float, default=1.0)
     p.add_argument("--mu", type=float, default=0.25)
     p.add_argument("--factor", type=float, default=0.9,

@@ -27,7 +27,6 @@ from .fnmodel import (
     Divisor,
     Exp,
     ExpPoly,
-    ExpPolyMinusConst,
     FunctionExpr,
     OrbitCollision,
     Polynomial,
@@ -283,9 +282,9 @@ def corpus() -> dict[str, CorpusMember]:
         CorpusMember("rat_pole0", RationalFromDivisor(1.0, Divisor((), -1)), 0.0,
                      "reciprocal of the identity"),
         CorpusMember("exp_exp_z", Exp(ExpPoly(_Z)), 1.0, "double exponential tower"),
-        CorpusMember("expz_minus_1", ExpPolyMinusConst(_Z, 1.0), 0.0,
+        CorpusMember("expz_minus_1", ExpPoly(_Z, 1.0), 0.0,
                      "exp(z) - 1, zeros on the imaginary lattice"),
-        CorpusMember("expz2_minus_1", ExpPolyMinusConst(Polynomial((0j, 0j, 1.0)), 1.0),
+        CorpusMember("expz2_minus_1", ExpPoly(Polynomial((0j, 0j, 1.0)), 1.0),
                      0.0, "exp(z^2) - 1"),
         CorpusMember("orbit_left_m6",
                      build_orbit_function(figure_family("left", 6)), 0.0,

@@ -13,11 +13,12 @@ Each variant also knows its zero/pole divisor inside a disc, which is what
 the counting functions and the quadrature panel splitter consume.
 
 The family is deliberately closed: constants, rationals given by their
-divisor, exp of a polynomial, exp of an entire child, products, quotients,
-differences, precomposition with a polynomial, and exp(poly) minus a
-constant.  Smart constructors (`compose_poly`, `subtract`) rewrite
-combinations that have a divisor-transparent normal form, e.g.
-``e^P - e^Q  ->  e^Q * (e^(P-Q) - 1)``.
+divisor, exp of a polynomial minus a constant (``ExpPoly(p, a)``; ``a = 0``
+is plain exp(p)), exp of an entire child, products, quotients, differences
+and precomposition with a polynomial.  Smart constructors (`compose_poly`,
+`subtract`) rewrite combinations that have a divisor-transparent normal
+form, e.g. ``e^P - e^Q  ->  e^Q * (e^(P-Q) - 1)``; the a-points of f are
+the zeros of ``subtract(f, Const(a))``.
 
 All array-shaped internals are numpy-vectorized; the public scalar wrappers
 enforce the pole/overflow signalling contract.
@@ -45,6 +46,9 @@ ORIGIN_SNAP = 1e-10
 MERGE_TOL = 1e-9
 # Relative cluster width when grouping near-coincident polynomial roots.
 ROOT_CLUSTER_TOL = 1e-5
+# Largest rational degree (zeros plus poles, with multiplicity) for which
+# f - a is expanded into a polynomial; f = a is solved by Newton above it.
+MAX_RATIONAL_DEGREE = 24
 
 _LOG_HUGE = 709.0  # log of the largest finite double, rounded down
 # Rows per batched Aberth solve are capped so that its (rows, n, n) array of
@@ -203,8 +207,17 @@ class Polynomial:
         return out
 
     def coeff_bound(self, r: float) -> float:
-        """sum_j |c_j| r^j, an upper bound for |p| on the closed disc."""
-        return float(sum(abs(c) * r**k for k, c in enumerate(self.coeffs)))
+        """sum_j |c_j| r^j, an upper bound for |p| on the closed disc.
+
+        Raises :class:`OverflowSignal` when the bound leaves the double range.
+        """
+        try:
+            bound = float(sum(abs(c) * r**k for k, c in enumerate(self.coeffs)))
+        except OverflowError:
+            bound = math.inf
+        if bound == math.inf:
+            raise OverflowSignal(f"coefficient bound at r={r!r} exceeds the floating range")
+        return bound
 
     @classmethod
     def from_roots(cls, roots: Sequence[complex], leading: complex = 1.0) -> "Polynomial":
@@ -569,7 +582,7 @@ class FunctionExpr:
 
     def _values(self, z: np.ndarray) -> np.ndarray:
         lm, ag = self._log_parts(z)
-        out = np.empty(lm.shape, dtype=np.complex128)
+        out = np.full(lm.shape, np.nan, dtype=np.complex128)  # lm = NaN stays NaN
         finite = np.isfinite(lm)
         safe = finite & (lm < _LOG_HUGE)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -590,7 +603,9 @@ class FunctionExpr:
 
         Internally computed on a quantized radius, the smallest power of two
         at least ``max(r, 1e-6)``, and restricted exactly, so the result is
-        monotone in ``r`` by construction.
+        monotone in ``r`` by construction.  Raises :class:`OverflowSignal`
+        when that radius, or a bound the divisor needs, leaves the double
+        range.
         """
         if not self.is_divisor_transparent:
             raise OpaqueExpr(f"{type(self).__name__} is divisor-opaque")
@@ -599,7 +614,11 @@ class FunctionExpr:
         if not math.isfinite(r):
             raise ValueError("disc radius must be finite")
         mant, exp = math.frexp(max(r, 1e-6))  # r = mant * 2**exp, 0.5 <= mant < 1
-        rq = math.ldexp(1.0, exp - 1 if mant == 0.5 else exp)
+        try:
+            rq = math.ldexp(1.0, exp - 1 if mant == 0.5 else exp)
+        except OverflowError:
+            raise OverflowSignal(
+                f"disc radius {r!r} rounds up past the floating range") from None
         return _divisor_cached(self, rq).restrict(r)
 
     def eval(self, z: complex) -> complex:
@@ -748,9 +767,14 @@ class RationalFromDivisor(FunctionExpr):
 
 @dataclass(frozen=True)
 class ExpPoly(FunctionExpr):
-    """exp(p(z)) for a polynomial p."""
+    """exp(p(z)) - a for a polynomial p, evaluated stably across all
+    magnitude regimes; the default ``a = 0`` is the zero-free exp(p(z))."""
 
     p: Polynomial
+    a: complex = 0j
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", complex(self.a))
 
     @property
     def is_divisor_transparent(self) -> bool:
@@ -760,28 +784,72 @@ class ExpPoly(FunctionExpr):
     def is_entire(self) -> bool:
         return True
 
-    def _log_parts(self, z):
-        w = self.p(z)
-        w = _carray(w)
-        return w.real.copy(), w.imag.copy()
+    def _regimes(self, w):
+        """Masks big, small, mid for the regimes of |e^w| against |a| != 0."""
+        la = math.log(abs(self.a))
+        big = w.real > la + 0.7
+        small = w.real < la - 0.7
+        return big, small, ~(big | small)
 
-    def _values(self, z):
+    def _log_parts(self, z):
         w = _carray(self.p(z))
-        out = np.empty(w.shape, dtype=np.complex128)
-        big = w.real >= _LOG_HUGE
-        with np.errstate(over="ignore"):
-            out[~big] = np.exp(w[~big])
-        out[big] = np.inf
-        return out
+        if self.a == 0:
+            return w.real.copy(), w.imag.copy()
+        big, small, mid = self._regimes(w)
+        lm = np.empty(w.shape)
+        ag = np.empty(w.shape)
+        # |e^p| >> |a|:  log f = p + log(1 - a e^-p)
+        if np.any(big):
+            corr = np.log(1.0 - self.a * np.exp(-w[big]))
+            lm[big] = w[big].real + corr.real
+            ag[big] = w[big].imag + corr.imag
+        # |e^p| << |a|:  log f = log(-a) + log(1 - e^p / a)
+        if np.any(small):
+            corr = np.log(1.0 - np.exp(w[small]) / self.a)
+            base = cmath.log(-self.a)
+            lm[small] = base.real + corr.real
+            ag[small] = base.imag + corr.imag
+        if np.any(mid):
+            v = np.exp(w[mid]) - self.a
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lm[mid] = np.log(np.abs(v))
+                ag[mid] = np.angle(v)
+        return lm, ag
 
     def _logderivs(self, z):
-        return _carray(self.p.deriv()(z))
+        dp = _carray(self.p.deriv()(z))
+        if self.a == 0:
+            return dp
+        w = _carray(self.p(z))
+        big, small, mid = self._regimes(w)
+        out = np.empty(w.shape, dtype=np.complex128)
+        if np.any(big):
+            out[big] = dp[big] / (1.0 - self.a * np.exp(-w[big]))
+        if np.any(small):
+            t = np.exp(w[small]) / self.a
+            out[small] = dp[small] * t / (t - 1.0)
+        if np.any(mid):
+            ew = np.exp(w[mid])
+            out[mid] = dp[mid] * ew / (ew - self.a)
+        return out
 
     def _divisor_impl(self, r):
-        return EMPTY_DIVISOR
+        if self.a == 0:
+            return EMPTY_DIVISOR
+        la = cmath.log(self.a)  # principal
+        bound = self.p.coeff_bound(r)
+        kmax = int(math.ceil((bound + abs(la)) / TWO_PI)) + 1
+        branches = [(w, 1) for w in (la + TWO_PI * 1j * k for k in range(-kmax, kmax + 1))
+                    if abs(w) <= bound + 1e-9]
+        if self.p.degree == 0 and any(w == self.p.coeffs[0] for w, _ in branches):
+            raise OpaqueExpr("exp argument is constant and equals log(a)")
+        return _pull_back(self.p, branches, r)
 
     def to_json(self):
-        return {"variant": "exp_poly", "coeffs": self.p.to_json()}
+        if self.a == 0:
+            return {"variant": "exp_poly", "coeffs": self.p.to_json()}
+        return {"variant": "exp_poly_minus_const", "coeffs": self.p.to_json(),
+                "a": [self.a.real, self.a.imag]}
 
 
 @dataclass(frozen=True)
@@ -819,10 +887,8 @@ class Exp(FunctionExpr):
         return out
 
     def _logderivs(self, z):
-        # (e^u)'/e^u = u'
-        if isinstance(self.child, ExpPoly):
-            return _carray(self.child.p.deriv()(z)) * self.child._values(z)
-        return self.child._values(z) * self.child._logderivs(z)
+        # (e^u)'/e^u = u' = (u'/u) * u
+        return self.child._logderivs(z) * self.child._values(z)
 
     def _divisor_impl(self, r):
         return EMPTY_DIVISOR
@@ -878,7 +944,9 @@ class Quotient(FunctionExpr):
     @property
     def is_entire(self) -> bool:
         # quotients by zero-free entire denominators stay entire
-        return self.lhs.is_entire and isinstance(self.rhs, (ExpPoly, Exp))
+        rhs = self.rhs
+        return self.lhs.is_entire and (
+            isinstance(rhs, Exp) or (isinstance(rhs, ExpPoly) and rhs.a == 0))
 
     def children(self):
         return (self.lhs, self.rhs)
@@ -982,104 +1050,16 @@ class ComposePoly(FunctionExpr):
                 "coeffs": self.p.to_json()}
 
 
-@dataclass(frozen=True)
-class ExpPolyMinusConst(FunctionExpr):
-    """exp(p(z)) - a, evaluated stably across all magnitude regimes."""
-
-    p: Polynomial
-    a: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", complex(self.a))
-
-    @property
-    def is_divisor_transparent(self) -> bool:
-        return True
-
-    @property
-    def is_entire(self) -> bool:
-        return True
-
-    def _split(self, z):
-        """Masks for the three regimes of |e^p| against |a|."""
-        w = _carray(self.p(z))
-        if self.a == 0:
-            return w, None, None, None
-        la = math.log(abs(self.a))
-        big = w.real > la + 0.7
-        small = w.real < la - 0.7
-        mid = ~(big | small)
-        return w, big, small, mid
-
-    def _log_parts(self, z):
-        w, big, small, mid = self._split(z)
-        if big is None:  # a == 0, plain exp
-            return w.real.copy(), w.imag.copy()
-        lm = np.empty(w.shape)
-        ag = np.empty(w.shape)
-        # |e^p| >> |a|:  log f = p + log(1 - a e^-p)
-        if np.any(big):
-            corr = np.log(1.0 - self.a * np.exp(-w[big]))
-            lm[big] = w[big].real + corr.real
-            ag[big] = w[big].imag + corr.imag
-        # |e^p| << |a|:  log f = log(-a) + log(1 - e^p / a)
-        if np.any(small):
-            corr = np.log(1.0 - np.exp(w[small]) / self.a)
-            base = cmath.log(-self.a)
-            lm[small] = base.real + corr.real
-            ag[small] = base.imag + corr.imag
-        if np.any(mid):
-            v = np.exp(w[mid]) - self.a
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lm[mid] = np.log(np.abs(v))
-                ag[mid] = np.angle(v)
-        return lm, ag
-
-    def _logderivs(self, z):
-        w, big, small, mid = self._split(z)
-        dp = _carray(self.p.deriv()(z))
-        if big is None:
-            return dp
-        out = np.empty(w.shape, dtype=np.complex128)
-        if np.any(big):
-            out[big] = dp[big] / (1.0 - self.a * np.exp(-w[big]))
-        if np.any(small):
-            t = np.exp(w[small]) / self.a
-            out[small] = dp[small] * t / (t - 1.0)
-        if np.any(mid):
-            ew = np.exp(w[mid])
-            out[mid] = dp[mid] * ew / (ew - self.a)
-        return out
-
-    def _divisor_impl(self, r):
-        if self.a == 0:
-            return EMPTY_DIVISOR
-        la = cmath.log(self.a)  # principal
-        bound = self.p.coeff_bound(r)
-        kmax = int(math.ceil((bound + abs(la)) / TWO_PI)) + 1
-        branches = [(w, 1) for w in (la + TWO_PI * 1j * k for k in range(-kmax, kmax + 1))
-                    if abs(w) <= bound + 1e-9]
-        if self.p.degree == 0 and any(w == self.p.coeffs[0] for w, _ in branches):
-            raise OpaqueExpr("exp argument is constant and equals log(a)")
-        return _pull_back(self.p, branches, r)
-
-    def to_json(self):
-        return {"variant": "exp_poly_minus_const", "coeffs": self.p.to_json(),
-                "a": [self.a.real, self.a.imag]}
-
-
 def expr_from_json(data: dict) -> FunctionExpr:
     kind = data["variant"]
     if kind == "const":
         return Const(complex(*data["value"]))
     if kind == "rational_from_divisor":
         return RationalFromDivisor(complex(*data["scale"]), Divisor.from_json(data["divisor"]))
-    if kind == "exp_poly":
-        return ExpPoly(Polynomial.from_json(data["coeffs"]))
+    if kind in ("exp_poly", "exp_poly_minus_const"):
+        return ExpPoly(Polynomial.from_json(data["coeffs"]), complex(*data.get("a", (0.0,))))
     if kind == "exp":
         return Exp(expr_from_json(data["children"][0]))
-    if kind == "exp_poly_minus_const":
-        return ExpPolyMinusConst(Polynomial.from_json(data["coeffs"]), complex(*data["a"]))
     if kind == "compose_poly":
         return ComposePoly(expr_from_json(data["children"][0]), Polynomial.from_json(data["coeffs"]))
     if kind in ("product", "quotient", "difference"):
@@ -1102,16 +1082,13 @@ def compose_poly(expr: FunctionExpr, p: Polynomial) -> FunctionExpr:
     if isinstance(expr, Const):
         return expr
     if isinstance(expr, ExpPoly):
-        return ExpPoly(expr.p.compose(p))
-    if isinstance(expr, ExpPolyMinusConst):
-        return ExpPolyMinusConst(expr.p.compose(p), expr.a)
+        return ExpPoly(expr.p.compose(p), expr.a)
     if isinstance(expr, (Product, Quotient)):
         return type(expr)(compose_poly(expr.lhs, p), compose_poly(expr.rhs, p))
     return ComposePoly(expr, p)
 
 
-def subtract(expr: FunctionExpr, other: FunctionExpr,
-             max_rational_degree: int = 24) -> FunctionExpr:
+def subtract(expr: FunctionExpr, other: FunctionExpr) -> FunctionExpr:
     """expr - other, rewritten to a divisor-transparent form when possible."""
     if isinstance(expr, Const) and isinstance(other, Const):
         return Const(expr.value - other.value)
@@ -1120,12 +1097,12 @@ def subtract(expr: FunctionExpr, other: FunctionExpr,
         if a == 0:
             return expr
         if isinstance(expr, ExpPoly):
-            return ExpPolyMinusConst(expr.p, a)
-        if isinstance(expr, ExpPolyMinusConst):
-            return ExpPolyMinusConst(expr.p, expr.a + a)
+            # a alone keeps its signed zeros, which 0j + a would not
+            return ExpPoly(expr.p, a if expr.a == 0 else expr.a + a)
         if isinstance(expr, RationalFromDivisor):
-            return _rational_shift(expr, a, max_rational_degree)
-    if isinstance(expr, ExpPoly) and isinstance(other, ExpPoly):
+            return _rational_shift(expr, a)
+    if (isinstance(expr, ExpPoly) and isinstance(other, ExpPoly)
+            and expr.a == 0 and other.a == 0):
         diff = expr.p - other.p
         if diff.is_zero:
             raise IdenticalComposition("the two exponentials coincide")
@@ -1135,7 +1112,7 @@ def subtract(expr: FunctionExpr, other: FunctionExpr,
                 raise IdenticalComposition("the two exponentials coincide")
             return Product(Const(c), other)
         # e^P - e^Q = e^Q (e^(P-Q) - 1)
-        return Product(other, ExpPolyMinusConst(diff, 1.0))
+        return Product(other, ExpPoly(diff, 1.0))
     return Difference(expr, other)
 
 
@@ -1150,16 +1127,21 @@ def _numerator_denominator(expr: RationalFromDivisor) -> tuple[Polynomial, Polyn
     return Polynomial.from_roots(zeros), Polynomial.from_roots(poles)
 
 
-def _rational_shift(expr: RationalFromDivisor, a: complex,
-                    max_degree: int) -> RationalFromDivisor:
+def _rational_degree(expr: RationalFromDivisor) -> int:
+    """Zeros plus poles of the rational, with multiplicity."""
+    d = expr.divisor
+    return abs(d.origin_order) + sum(abs(m) for _, m in d.entries)
+
+
+def _rational_shift(expr: RationalFromDivisor, a: complex) -> RationalFromDivisor:
     """(f - a) as a fresh rational: roots of s*N - a*D over the same poles."""
-    num, den = _numerator_denominator(expr)
-    total = num.degree + den.degree
-    if total > max_degree:
+    total = _rational_degree(expr)
+    if total > MAX_RATIONAL_DEGREE:
         raise OpaqueExpr(
             f"rational shift needs degree {total} expansion; "
             "use preimages_in_disc for large divisors"
         )
+    num, den = _numerator_denominator(expr)
     shifted = num.scale(expr.scale) - den.scale(a)
     if shifted.is_zero:
         raise ValueError("f is identically equal to a")
@@ -1176,46 +1158,43 @@ def _rational_shift(expr: RationalFromDivisor, a: complex,
 # ---------------------------------------------------------------------------
 
 
-def preimages_in_disc(expr: FunctionExpr, a, r: float,
-                      residual_tol: float = 1e-6) -> Divisor:
+def preimages_in_disc(expr: FunctionExpr, a, r: float) -> Divisor:
     """Divisor of solutions of f(z) = a in |z| <= r.
 
     ``a`` may be 0, a finite complex number, or ``None``/``inf`` for poles.
-    Finite nonzero values are handled per variant: branch enumeration for
-    exponentials, polynomial expansion for small rationals, and a seeded
-    Newton pass (one a-point per stored zero) for large rationals whose
-    numerator degree dominates.
+    A finite nonzero ``a`` is solved as the zeros of ``subtract(f, Const(a))``
+    (branch enumeration for exponentials, polynomial expansion for small
+    rationals), the same rewrite that N(r, 1/(f - a)) counts.  Two variants
+    have no such rewrite: a precomposition pulls back the a-points of its
+    child, and a rational above ``MAX_RATIONAL_DEGREE`` takes a seeded
+    Newton pass (one a-point per stored zero).
     """
     if a is None or (isinstance(a, str) and a == "inf") or a == math.inf:
         return expr.divisor_in_disc(r).signed("poles")
     a = complex(a)
     if a == 0:
         return expr.divisor_in_disc(r).signed("zeros")
-    if isinstance(expr, Const):
-        if expr.value == a:
-            raise ValueError("constant expression equals the target everywhere")
-        return EMPTY_DIVISOR
-    if isinstance(expr, ExpPoly):
-        return ExpPolyMinusConst(expr.p, a).divisor_in_disc(r).signed("zeros")
-    if isinstance(expr, ExpPolyMinusConst):
-        target = a + expr.a
-        if target == 0:
-            return EMPTY_DIVISOR
-        return ExpPolyMinusConst(expr.p, target).divisor_in_disc(r).signed("zeros")
     if isinstance(expr, ComposePoly):
-        base = preimages_in_disc(expr.child, a, expr.p.coeff_bound(r), residual_tol)
+        base = preimages_in_disc(expr.child, a, expr.p.coeff_bound(r))
         return _pull_back(expr.p, _divisor_targets(base), r)
-    if isinstance(expr, RationalFromDivisor):
-        total = sum(abs(m) for _, m in expr.divisor.entries) + abs(expr.divisor.origin_order)
-        if total <= 24:
-            shifted = _rational_shift(expr, a, 24)
-            return shifted.divisor_in_disc(r).signed("zeros")
-        return _rational_preimages_newton(expr, a, r, residual_tol)
-    raise OpaqueExpr(f"cannot solve f = a for variant {type(expr).__name__}")
+    if isinstance(expr, RationalFromDivisor) and _rational_degree(expr) > MAX_RATIONAL_DEGREE:
+        return _rational_preimages_newton(expr, a, r)
+    if isinstance(expr, Const) and expr.value == a:
+        raise ValueError("constant expression equals the target everywhere")
+    shifted = subtract(expr, Const(a))
+    if not shifted.is_divisor_transparent:
+        raise OpaqueExpr(f"cannot solve f = a for variant {type(expr).__name__}")
+    return shifted.divisor_in_disc(r).signed("zeros")
 
 
-def _rational_preimages_newton(expr: RationalFromDivisor, a: complex, r: float,
-                               residual_tol: float, steps: int = 60) -> Divisor:
+# Damped Newton steps per start, and the residual |f - a| / (1 + |a|) a limit
+# must meet to count as an a-point.
+_NEWTON_STEPS = 60
+_NEWTON_RESIDUAL_TOL = 1e-6
+
+
+def _rational_preimages_newton(expr: RationalFromDivisor, a: complex,
+                               r: float) -> Divisor:
     """a-points of a large rational via damped Newton from many starts.
 
     Every stored zero contributes nine starts: one analytic step
@@ -1262,7 +1241,7 @@ def _rational_preimages_newton(expr: RationalFromDivisor, a: complex, r: float,
 
     z = np.asarray(starts, dtype=complex)
     with np.errstate(all="ignore"):
-        for _ in range(steps):
+        for _ in range(_NEWTON_STEPS):
             v = expr._values(z)
             d = expr._logderivs(z)
             step = (v - a) / (v * d)
@@ -1275,7 +1254,7 @@ def _rational_preimages_newton(expr: RationalFromDivisor, a: complex, r: float,
         v = expr._values(z)
         ok = (np.isfinite(z) & np.isfinite(v)
               & (np.abs(z) <= r)
-              & (np.abs(v - a) <= residual_tol * (1.0 + abs(a))))
+              & (np.abs(v - a) <= _NEWTON_RESIDUAL_TOL * (1.0 + abs(a))))
     hits = sorted((complex(q) for q in z[ok]),
                   key=lambda q: (abs(q), q.real, q.imag))
 

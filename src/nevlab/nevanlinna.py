@@ -79,6 +79,21 @@ def _needs_nudge(expr: FunctionExpr, r: float) -> bool:
     return any(abs(abs(p) - r) <= ON_CIRCLE_REL * r for p, _ in div.entries)
 
 
+def _circle_mean(expr: FunctionExpr, r: float, integrand, atol: float,
+                 rtol: float, nudge: bool = True) -> tuple[float, float, float]:
+    """(mean, error estimate, radius used) of ``integrand(z)`` over a circle.
+
+    The circle is |z| = r, moved out by ``NUDGE_FACTOR`` when ``nudge`` is set
+    and a divisor point sits on it; divisor points near it become panel cuts.
+    """
+    r_used = r
+    if nudge and _needs_nudge(expr, r):
+        r_used = r * NUDGE_FACTOR
+    res = adaptive_circle(lambda theta: integrand(r_used * np.exp(1j * theta)),
+                          _split_angles(expr, r_used), atol=atol * TWO_PI, rtol=rtol)
+    return res.value / TWO_PI, res.err_estimate / TWO_PI, r_used
+
+
 def proximity(expr: FunctionExpr, r: float,
               atol: float = 1e-9, rtol: float = 1e-8) -> CharacteristicSample:
     """Circle mean of log+|f| at radius r, packaged with nudge/error metadata.
@@ -88,23 +103,16 @@ def proximity(expr: FunctionExpr, r: float,
     """
     if r <= 0:
         raise ValueError("radius must be positive")
-    r_used, nudged = r, False
-    if _needs_nudge(expr, r):
-        r_used, nudged = r * NUDGE_FACTOR, True
 
-    def integrand(theta: np.ndarray) -> np.ndarray:
-        z = r_used * np.exp(1j * theta)
+    def integrand(z: np.ndarray) -> np.ndarray:
         lm, _ = expr._log_parts(z)
         out = logplus(lm)
         out[lm == -np.inf] = 0.0  # exact zeros contribute nothing to log+
         return out
 
-    res = adaptive_circle(integrand, _split_angles(expr, r_used),
-                          atol=atol * TWO_PI, rtol=rtol)
-    m = res.value / TWO_PI
-    return CharacteristicSample(r=r, m=m, N=0.0, T=m,
-                                quad_err=res.err_estimate / TWO_PI,
-                                nudged=nudged, r_used=r_used)
+    m, err, r_used = _circle_mean(expr, r, integrand, atol, rtol)
+    return CharacteristicSample(r=r, m=m, N=0.0, T=m, quad_err=err,
+                                nudged=r_used != r, r_used=r_used)
 
 
 def counting(divisor: Divisor, r: float, kind: str = "poles") -> float:
@@ -120,8 +128,7 @@ def counting(divisor: Divisor, r: float, kind: str = "poles") -> float:
 
 def n_count(divisor: Divisor, r: float, kind: str = "poles") -> int:
     """Unintegrated count n(r): points in the closed disc, with multiplicity."""
-    d = divisor.signed(kind).restrict(r)
-    return d.origin_order + sum(m for _, m in d.entries)
+    return divisor.restrict(r).total(kind)
 
 
 def characteristic(expr: FunctionExpr, r: float,
@@ -258,17 +265,8 @@ def argument_principle_count(expr: FunctionExpr, r: float,
     signed count.  A residual further than ``integer_tol`` from an integer
     raises :class:`NonIntegerResidual`.
     """
-    r_used = r
-    if _needs_nudge(expr, r):
-        r_used = r * NUDGE_FACTOR
-
-    def integrand(theta: np.ndarray) -> np.ndarray:
-        z = r_used * np.exp(1j * theta)
-        return (z * expr._logderivs(z)).real
-
-    res = adaptive_circle(integrand, _split_angles(expr, r_used),
-                          atol=atol * TWO_PI, rtol=rtol)
-    raw = res.value / TWO_PI
+    raw, _, _ = _circle_mean(expr, r, lambda z: (z * expr._logderivs(z)).real,
+                             atol, rtol)
     nearest = round(raw)
     if abs(raw - nearest) > integer_tol:
         raise NonIntegerResidual(
@@ -291,14 +289,8 @@ def jensen_lhs_rhs(expr: FunctionExpr, r: float,
     where c is the leading coefficient of f at the origin (the first nonzero
     Laurent coefficient) and origin order contributes ``order * log r``.
     """
-    def integrand(theta: np.ndarray) -> np.ndarray:
-        z = r * np.exp(1j * theta)
-        lm, _ = expr._log_parts(z)
-        return lm
-
-    res = adaptive_circle(integrand, _split_angles(expr, r),
-                          atol=atol * TWO_PI, rtol=rtol)
-    lhs = res.value / TWO_PI
+    lhs, _, _ = _circle_mean(expr, r, lambda z: expr._log_parts(z)[0], atol, rtol,
+                             nudge=False)
 
     div = expr.divisor_in_disc(r)
     rhs = counting(div, r, "zeros") - counting(div, r, "poles")

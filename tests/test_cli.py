@@ -118,6 +118,15 @@ def test_char_empty_grid_is_an_error(capsys):
     assert json.loads(err)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("fn, radius", [("exp_z", "1e308"), ("rat_pole0", "1e308"),
+                                        ("expz2_minus_1", "1e200")])
+def test_char_past_the_floating_range_is_an_error(capsys, fn, radius):
+    code, out, err = run(capsys, "char", "--fn", fn, "--radii", radius)
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert json.loads(err)["error"] == "OverflowSignal"
+
+
 def test_verify_borel_single_member(capsys):
     code, out, _ = run(capsys, "verify", "borel", "--fn", "exp_z",
                        "--rmin", "1", "--rmax", "40", "--count", "25")
@@ -134,6 +143,30 @@ def test_verify_growth_synthetic_profile(capsys):
     assert code == EXIT_PASS
     payload = json.loads(out)
     assert payload["summary"]["verdict"].startswith("consistent")
+
+
+def test_verify_growth_runs_on_the_given_radii(capsys):
+    code, out, err = run(capsys, "verify", "growth", "--fn", "exp_z",
+                         "--radii", "3,4,5")
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert "at least 10 samples" in json.loads(err)["detail"]
+
+
+def test_verify_borel_rejects_explicit_radii(capsys):
+    code, out, err = run(capsys, "verify", "borel", "--fn", "exp_z",
+                         "--radii", "2,3")
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert json.loads(err)["error"] == "ToolkitError"
+
+
+@pytest.mark.parametrize("which", ["growth", "borel"])
+def test_verify_grid_commands_reject_an_empty_grid(capsys, which):
+    code, out, err = run(capsys, "verify", which, "--fn", "exp_z", "--count", "0")
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert json.loads(err)["detail"] == "need a radius count of at least 1"
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from nevlab import (
     Divisor,
     Exp,
     ExpPoly,
-    ExpPolyMinusConst,
     Polynomial,
     Product,
     Quotient,
@@ -37,6 +36,7 @@ from nevlab.fnmodel import (
 )
 
 Z = Polynomial((0j, 1.0))
+Z2 = Polynomial((0j, 0j, 1.0))
 
 finite_floats = st.floats(min_value=-5.0, max_value=5.0,
                           allow_nan=False, allow_infinity=False)
@@ -145,7 +145,7 @@ def test_poly_roots_rejects_zero_polynomial():
 
 
 def _branch_sets(monkeypatch, r=16.0):
-    """The shifts ExpPolyMinusConst(p, 1) solves for at radius r, per p."""
+    """The shifts ExpPoly(p, 1) solves for at radius r, per p."""
     seen = {}
 
     def spy(p, ws):
@@ -155,7 +155,7 @@ def _branch_sets(monkeypatch, r=16.0):
     solve = fnmodel.roots_of_shifts
     monkeypatch.setattr(fnmodel, "roots_of_shifts", spy)
     for text in ("z^2", "z^2+z", "z^3-2z+1"):
-        ExpPolyMinusConst(Polynomial.parse(text), 1.0)._divisor_impl(r)
+        ExpPoly(Polynomial.parse(text), 1.0)._divisor_impl(r)
     monkeypatch.undo()
     return list(seen.items())
 
@@ -313,12 +313,20 @@ def test_logplus_scalar_and_array():
 @given(complexes.filter(lambda w: 0.05 < abs(w) < 4.0))
 @settings(max_examples=40, deadline=None)
 def test_log_parts_consistent_with_values(w):
-    f = ExpPolyMinusConst(Z, 1.0)  # e^z - 1
+    f = ExpPoly(Z, 1.0)  # e^z - 1
     lm, ag = f._log_parts(np.asarray([w]))
     v = f._values(np.asarray([w]))[0]
     if math.isfinite(lm[0]):
         assert abs(abs(v) - math.exp(lm[0])) <= 1e-9 * (1.0 + abs(v))
         assert abs(cmath.exp(1j * (ag[0] - cmath.phase(v))) - 1.0) <= 1e-7
+
+
+def test_values_are_nan_where_log_modulus_is_nan():
+    z = np.full(4096, complex(math.nan, math.nan))
+    for f in (ExpPoly(Z2), ExpPoly(Z2, 1.0)):
+        junk = np.full(4096, 7 + 3j)
+        del junk  # a freed block of the size _values allocates
+        assert np.all(np.isnan(f._values(z)))
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +336,34 @@ def test_log_parts_consistent_with_values(w):
 
 def test_subtract_const_from_exppoly():
     g = subtract(ExpPoly(Z), Const(1.0))
-    assert isinstance(g, ExpPolyMinusConst)
+    assert isinstance(g, ExpPoly)
     assert g.a == 1.0
 
 
 def test_subtract_folds_nested_constants():
-    g = subtract(ExpPolyMinusConst(Z, 1.0), Const(2.0))
-    assert isinstance(g, ExpPolyMinusConst) and g.a == 3.0
+    g = subtract(ExpPoly(Z, 1.0), Const(2.0))
+    assert isinstance(g, ExpPoly) and g.a == 3.0
+
+
+def test_subtract_keeps_a_signed_zero_in_a():
+    g = subtract(ExpPoly(Z), Const(complex(-1.0, -0.0)))
+    assert math.copysign(1.0, g.a.imag) == -1.0
+
+
+def test_subtract_exp_exp_rewrite_needs_plain_exponentials():
+    assert isinstance(subtract(ExpPoly(Z2, 1.0), ExpPoly(Z)), Difference)
+    assert isinstance(subtract(ExpPoly(Z2), ExpPoly(Z, 1.0)), Difference)
+    assert subtract(ExpPoly(Z2), ExpPoly(Z)).is_divisor_transparent
+
+
+def test_compose_poly_keeps_the_constant():
+    assert compose_poly(ExpPoly(Z, 2.0), Z2) == ExpPoly(Z2, 2.0)
+
+
+def test_quotient_is_entire_only_over_zero_free_denominators():
+    assert Quotient(Const(1.0), ExpPoly(Z)).is_entire
+    assert Quotient(Const(1.0), Exp(ExpPoly(Z))).is_entire
+    assert not Quotient(Const(1.0), ExpPoly(Z, 1.0)).is_entire
 
 
 def test_subtract_rational_const_moves_zeros():
@@ -380,6 +409,32 @@ def test_expr_json_round_trip_over_corpus(members):
         assert clone.structure_hash() == member.uid, key
 
 
+CORPUS_UIDS = {
+    "exp_z": "1fe55b42ba00",
+    "exp_z2": "369cacf39151",
+    "exp_z3": "e858876c5d88",
+    "rat_zero1_pole2": "d9faa11e946d",
+    "rat_zero1_polem1": "ebb275f8b20e",
+    "rat_pole0": "e6be14a0129e",
+    "exp_exp_z": "8af98e84926b",
+    "expz_minus_1": "602c4bf6eef8",
+    "expz2_minus_1": "529359dafb91",
+    "orbit_left_m6": "a590d2fe9dc4",
+    "orbit_right_m6": "9a5d21a56490",
+}
+
+
+def test_corpus_uids_are_pinned(members):
+    assert {key: m.uid for key, m in members.items()} == CORPUS_UIDS
+
+
+def test_exppoly_json_names_the_variant_by_its_constant():
+    assert ExpPoly(Z).to_json() == {"variant": "exp_poly", "coeffs": Z.to_json()}
+    assert ExpPoly(Z, 0.5).to_json()["variant"] == "exp_poly_minus_const"
+    for f in (ExpPoly(Z), ExpPoly(Z, 0.5 - 2j)):
+        assert expr_from_json(f.to_json()) == f
+
+
 # ---------------------------------------------------------------------------
 # a-point enumeration
 # ---------------------------------------------------------------------------
@@ -394,14 +449,32 @@ def test_constant_inner_polynomial_at_divisor_value_is_opaque():
 
 def test_constant_exp_argument_equal_to_log_a_is_opaque():
     with pytest.raises(OpaqueExpr):
-        ExpPolyMinusConst(Polynomial((math.log(2.0),)), 2.0).divisor_in_disc(5.0)
-    assert ExpPolyMinusConst(Polynomial((1.0,)), 2.0).divisor_in_disc(5.0).is_empty
+        ExpPoly(Polynomial((math.log(2.0),)), 2.0).divisor_in_disc(5.0)
+    assert ExpPoly(Polynomial((1.0,)), 2.0).divisor_in_disc(5.0).is_empty
 
 
 def test_compose_preimages_with_zero_shift_raise():
     # e^z = 1 at the origin, and the constant inner polynomial 0 hits it
     with pytest.raises(RootFindFailure):
         preimages_in_disc(ComposePoly(ExpPoly(Z), Polynomial((0j,))), 1.0, 3.0)
+
+
+def test_preimages_are_the_zeros_of_f_minus_a(members):
+    """The census and N(r, 1/(f - a)) read the same a-points."""
+    for key, member in members.items():
+        f = member.expr
+        if (isinstance(f, RationalFromDivisor)
+                and fnmodel._rational_degree(f) > fnmodel.MAX_RATIONAL_DEGREE):
+            continue  # solved by Newton, not by expansion
+        for a in (1.0, -1.0, 0.3 + 0.2j, 2.5j):
+            shifted = subtract(f, Const(a))
+            for r in (0.7, 3.0, 9.5):
+                if not shifted.is_divisor_transparent:
+                    with pytest.raises(OpaqueExpr):
+                        preimages_in_disc(f, a, r)
+                    continue
+                want = shifted.divisor_in_disc(r).signed("zeros")
+                assert preimages_in_disc(f, a, r) == want, (key, a, r)
 
 
 def test_preimages_exp_lattice():

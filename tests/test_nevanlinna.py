@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from nevlab import (
     Divisor,
     ExpPoly,
-    ExpPolyMinusConst,
     Polynomial,
     RationalFromDivisor,
     argument_principle_count,
@@ -164,7 +163,7 @@ def test_fmt_balance_exp(members):
 
 
 def test_on_circle_zero_is_nudged():
-    f = ExpPolyMinusConst(Z, 1.0)  # zeros at 2 pi i k
+    f = ExpPoly(Z, 1.0)  # zeros at 2 pi i k
     s = characteristic(f, 2.0 * math.pi)
     assert s.nudged
     assert s.r_used > s.r
@@ -172,7 +171,7 @@ def test_on_circle_zero_is_nudged():
 
 
 def test_off_circle_needs_no_nudge():
-    s = characteristic(ExpPolyMinusConst(Z, 1.0), 5.0)
+    s = characteristic(ExpPoly(Z, 1.0), 5.0)
     assert not s.nudged and s.r_used == 5.0
 
 
