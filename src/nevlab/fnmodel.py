@@ -5,12 +5,16 @@ works through three channels defined on a small symbolic expression family:
 
 * ``eval``          -- plain complex value, for tests and orbit work;
 * ``logmod_eval``   -- (log|f(z)|, arg f(z)) computed structurally, so that
-  towers like exp(exp(z)) never leave the floating range;
+  towers like exp(exp(z)) never leave the floating range; its array form
+  ``_log_parts`` has a modulus-only twin ``_log_mod`` for the circle means
+  (proximity, Jensen), which never read arg f;
 * ``logderiv_eval`` -- f'(z)/f(z) by structural recursion (chain/product
   rules on the representation, never by numeric differentiation).
 
 Each variant also knows its zero/pole divisor inside a disc, which is what
-the counting functions and the quadrature panel splitter consume.
+the counting functions and the quadrature panel splitter consume.  A
+rational given by its divisor evaluates every channel with one broadcast
+kernel over (points, nodes) chunks, bit-identical to a loop over its points.
 
 The family is deliberately closed: constants, rationals given by their
 divisor, exp of a polynomial minus a constant (``ExpPoly(p, a)``; ``a = 0``
@@ -54,6 +58,12 @@ _LOG_HUGE = 709.0  # log of the largest finite double, rounded down
 # Rows per batched Aberth solve are capped so that its (rows, n, n) array of
 # pairwise root differences stays near 1 MB whatever the branch count.
 _ABERTH_CELLS = 1 << 16
+# Most log-branches of exp(p) = a one disc may need (2 kmax + 1): e^z - 1
+# reaches r = 2^20 (333,777) and a larger disc raises OverflowSignal.
+_MAX_BRANCHES = 1 << 19
+# Nodes per chunk of a divisor sum are capped so that its (points, nodes)
+# temporaries hold about this many cells (256 kB as complex) each.
+_DIVISOR_CELLS = 1 << 14
 
 
 class ToolkitError(Exception):
@@ -547,6 +557,36 @@ def _divisor_targets(d: Divisor) -> list[tuple[complex, int]]:
     return targets
 
 
+def _divisor_sums(z: np.ndarray, d: Divisor, channels) -> tuple[np.ndarray, ...]:
+    """``start + sum_b term(m_b, z - b)`` at every node, per ``(start, term)``.
+
+    b runs over the divisor points with multiplicity m_b, the origin first and
+    then the entries in order.  Each chunk of nodes forms its ``(points,
+    nodes)`` differences once and sums every channel's terms along the point
+    axis, in that order from ``start``, so each value equals that of a loop
+    over the points bit for bit.
+    """
+    pts = [0j] * bool(d.origin_order) + [p for p, _ in d.entries]
+    mults = [d.origin_order] * bool(d.origin_order) + [m for _, m in d.entries]
+    b = np.array(pts, dtype=np.complex128)[:, None]
+    m = np.array(mults, dtype=np.float64)[:, None]
+    flat = _carray(z).reshape(-1)
+    outs = [np.empty(flat.size, dtype=np.result_type(start)) for start, _ in channels]
+    step = max(2, _DIVISOR_CELLS // max(len(pts), 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(0, flat.size, step):
+            zc = flat[i:i + step]
+            # numpy sums a single column pairwise, so a lone node is doubled;
+            # z - b is taken in place, as numpy is slow when both operands
+            # are broadcast
+            diff = np.tile(np.resize(zc, max(zc.size, 2)), (len(pts), 1))
+            diff -= b
+            for out, (start, term) in zip(outs, channels):
+                out[i:i + zc.size] = np.add.reduce(term(m, diff), axis=0,
+                                                   initial=start)[:zc.size]
+    return tuple(out.reshape(z.shape) for out in outs)
+
+
 def _pull_back(p: Polynomial, targets: Sequence[tuple[complex, int]], r: float) -> Divisor:
     """Divisor in |z| <= r of the solutions of p(z) = w, each weighted by
     its multiplicity times the target's m, over all targets (w, m)."""
@@ -579,6 +619,10 @@ class FunctionExpr:
     def _log_parts(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(log|f|, arg f) with +/-inf sentinels at poles/zeros."""
         raise NotImplementedError
+
+    def _log_mod(self, z: np.ndarray) -> np.ndarray:
+        """log|f| alone, equal to ``_log_parts(z)[0]``, for callers that never read arg f."""
+        return self._log_parts(z)[0]
 
     def _values(self, z: np.ndarray) -> np.ndarray:
         lm, ag = self._log_parts(z)
@@ -732,29 +776,18 @@ class RationalFromDivisor(FunctionExpr):
     def is_entire(self) -> bool:
         return self.divisor.origin_order >= 0 and all(m > 0 for _, m in self.divisor.entries)
 
+    # A pole (negative mult) hit exactly gives +inf through -m * (-inf).
     def _log_parts(self, z):
-        lm = np.full(z.shape, math.log(abs(self.scale)))
-        ag = np.full(z.shape, cmath.phase(self.scale))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if self.divisor.origin_order:
-                o = self.divisor.origin_order
-                lm = lm + o * np.log(np.abs(z))
-                ag = ag + o * np.angle(z)
-            for p, m in self.divisor.entries:
-                d = z - p
-                lm = lm + m * np.log(np.abs(d))
-                ag = ag + m * np.angle(d)
-        # a pole (negative mult) hit exactly produces +inf via -m*(-inf); keep as is
-        return lm, ag
+        return _divisor_sums(z, self.divisor, (
+            (math.log(abs(self.scale)), lambda m, d: m * np.log(np.abs(d))),
+            (cmath.phase(self.scale), lambda m, d: m * np.angle(d))))
+
+    def _log_mod(self, z):
+        return _divisor_sums(z, self.divisor, (
+            (math.log(abs(self.scale)), lambda m, d: m * np.log(np.abs(d))),))[0]
 
     def _logderivs(self, z):
-        out = np.zeros(z.shape, dtype=np.complex128)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if self.divisor.origin_order:
-                out = out + self.divisor.origin_order / z
-            for p, m in self.divisor.entries:
-                out = out + m / (z - p)
-        return out
+        return _divisor_sums(z, self.divisor, ((0j, lambda m, d: m / d),))[0]
 
     def _divisor_impl(self, r):
         return self.divisor.restrict(r)
@@ -839,6 +872,10 @@ class ExpPoly(FunctionExpr):
         la = cmath.log(self.a)  # principal
         bound = self.p.coeff_bound(r)
         kmax = int(math.ceil((bound + abs(la)) / TWO_PI)) + 1
+        if 2 * kmax + 1 > _MAX_BRANCHES:
+            raise OverflowSignal(
+                f"exp(p) = a has up to {2 * kmax + 1} log-branches in |z| <= {r!r}, "
+                f"more than {_MAX_BRANCHES}")
         branches = [(w, 1) for w in (la + TWO_PI * 1j * k for k in range(-kmax, kmax + 1))
                     if abs(w) <= bound + 1e-9]
         if self.p.degree == 0 and any(w == self.p.coeffs[0] for w, _ in branches):
@@ -875,6 +912,9 @@ class Exp(FunctionExpr):
 
     def _log_parts(self, z):
         w = self.child._values(z)
+        if not np.all(np.isfinite(w)):
+            raise OverflowSignal("the exponent of exp(child) is not finite here: "
+                                 "log|f| leaves the floating range")
         return w.real.copy(), w.imag.copy()
 
     def _values(self, z):
@@ -922,6 +962,9 @@ class Product(FunctionExpr):
         lb, ab = self.rhs._log_parts(z)
         return la + lb, aa + ab
 
+    def _log_mod(self, z):
+        return self.lhs._log_mod(z) + self.rhs._log_mod(z)
+
     def _logderivs(self, z):
         return self.lhs._logderivs(z) + self.rhs._logderivs(z)
 
@@ -955,6 +998,9 @@ class Quotient(FunctionExpr):
         la, aa = self.lhs._log_parts(z)
         lb, ab = self.rhs._log_parts(z)
         return la - lb, aa - ab
+
+    def _log_mod(self, z):
+        return self.lhs._log_mod(z) - self.rhs._log_mod(z)
 
     def _logderivs(self, z):
         return self.lhs._logderivs(z) - self.rhs._logderivs(z)
@@ -1031,6 +1077,9 @@ class ComposePoly(FunctionExpr):
 
     def _log_parts(self, z):
         return self.child._log_parts(self._inner(z))
+
+    def _log_mod(self, z):
+        return self.child._log_mod(self._inner(z))
 
     def _values(self, z):
         return self.child._values(self._inner(z))

@@ -105,7 +105,7 @@ def proximity(expr: FunctionExpr, r: float,
         raise ValueError("radius must be positive")
 
     def integrand(z: np.ndarray) -> np.ndarray:
-        lm, _ = expr._log_parts(z)
+        lm = expr._log_mod(z)
         out = logplus(lm)
         out[lm == -np.inf] = 0.0  # exact zeros contribute nothing to log+
         return out
@@ -289,8 +289,7 @@ def jensen_lhs_rhs(expr: FunctionExpr, r: float,
     where c is the leading coefficient of f at the origin (the first nonzero
     Laurent coefficient) and origin order contributes ``order * log r``.
     """
-    lhs, _, _ = _circle_mean(expr, r, lambda z: expr._log_parts(z)[0], atol, rtol,
-                             nudge=False)
+    lhs, _, _ = _circle_mean(expr, r, expr._log_mod, atol, rtol, nudge=False)
 
     div = expr.divisor_in_disc(r)
     rhs = counting(div, r, "zeros") - counting(div, r, "poles")
@@ -311,5 +310,4 @@ def _origin_leading_logmod(expr: FunctionExpr, o: int) -> float:
     eps = 1e-4
     thetas = np.linspace(0.0, TWO_PI, 128, endpoint=False)
     z = eps * np.exp(1j * thetas)
-    lm, _ = expr._log_parts(z)
-    return float(np.mean(lm)) - o * math.log(eps)
+    return float(np.mean(expr._log_mod(z))) - o * math.log(eps)

@@ -119,7 +119,7 @@ def test_char_empty_grid_is_an_error(capsys):
 
 
 @pytest.mark.parametrize("fn, radius", [("exp_z", "1e308"), ("rat_pole0", "1e308"),
-                                        ("expz2_minus_1", "1e200")])
+                                        ("expz2_minus_1", "1e200"), ("exp_exp_z", "800")])
 def test_char_past_the_floating_range_is_an_error(capsys, fn, radius):
     code, out, err = run(capsys, "char", "--fn", fn, "--radii", radius)
     assert code == EXIT_ERROR

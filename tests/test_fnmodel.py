@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from nevlab import (
     Product,
     Quotient,
     RationalFromDivisor,
+    build_orbit_function,
     cluster_roots,
     expr_from_json,
+    figure_family,
     logplus,
     parse_complex,
     poly_roots,
@@ -329,6 +332,105 @@ def test_values_are_nan_where_log_modulus_is_nan():
         assert np.all(np.isnan(f._values(z)))
 
 
+def _loop_reference(f: RationalFromDivisor, z):
+    """log|f|, arg f and f'/f of a rational by one pass per divisor point."""
+    lm = np.full(z.shape, math.log(abs(f.scale)))
+    ag = np.full(z.shape, cmath.phase(f.scale))
+    ld = np.zeros(z.shape, dtype=np.complex128)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if f.divisor.origin_order:
+            o = f.divisor.origin_order
+            lm = lm + o * np.log(np.abs(z))
+            ag = ag + o * np.angle(z)
+            ld = ld + o / z
+        for p, m in f.divisor.entries:
+            d = z - p
+            lm = lm + m * np.log(np.abs(d))
+            ag = ag + m * np.angle(d)
+            ld = ld + m / (z - p)
+    return lm, ag, ld
+
+
+@pytest.fixture(scope="module")
+def reference_rationals(members):
+    out = {key: m.expr for key, m in members.items()
+           if isinstance(m.expr, RationalFromDivisor)}
+    out["orbit_left_30"] = build_orbit_function(figure_family("left", 30))
+    out["orbit_right_60"] = build_orbit_function(figure_family("right", 60))
+    out["constant"] = RationalFromDivisor(-2.5, Divisor())
+    # At x - 0j right of its zeros every arg term is -0.0, and so is the
+    # phase: a sum started from 0 instead of the phase would give +0.0.
+    out["signed_zero_phase"] = RationalFromDivisor(
+        complex(2.0, -0.0), Divisor.build([(-1.0, 1), (-0.5, 2)], 1))
+    return out
+
+
+def _reference_nodes(f: RationalFromDivisor):
+    thetas = {n: np.linspace(0.0, 2 * math.pi, n, endpoint=False) + 0.1
+              for n in (1, 2, 7, 64, 1525)}
+    for r in (0.3, 1.0, 2.5, 20.0, 1e3, 1e6, 1e11):
+        for t in thetas.values():
+            yield r * np.exp(1j * t)
+    exact = np.array([0j] + [p for p, _ in f.divisor.entries])
+    yield exact
+    yield exact[:1]
+    yield np.array([complex(x, y) for x in (3.0, 4.0) for y in (0.0, -0.0)])
+    yield np.full((3, 4), 1.5 - 0.25j)  # not 1-D
+
+
+def test_divisor_channels_equal_the_loop_bit_for_bit(reference_rationals):
+    for key, f in reference_rationals.items():
+        for z in _reference_nodes(f):
+            lm, ag, ld = _loop_reference(f, z)
+            got_lm, got_ag = f._log_parts(z)
+            for want, got in ((lm, got_lm), (ag, got_ag), (lm, f._log_mod(z)),
+                              (ld, f._logderivs(z))):
+                assert got.shape == want.shape, key
+                for part in (np.real, np.imag):  # signed zeros too
+                    assert np.array_equal(np.signbit(part(got)), np.signbit(part(want))), key
+                assert np.array_equal(got, want, equal_nan=True), (key, z.size)
+
+
+def test_divisor_channels_keep_the_sentinels(reference_rationals):
+    f = reference_rationals["orbit_right_60"]
+    zeros = np.array([p for p, m in f.divisor.entries if m > 0])
+    poles = np.array([p for p, m in f.divisor.entries if m < 0])
+    assert zeros.size and poles.size
+    assert np.all(f._log_mod(zeros) == -np.inf)
+    assert np.all(f._log_mod(poles) == np.inf)
+    g = reference_rationals["rat_pole0"]
+    assert g._log_mod(np.zeros(1, dtype=complex))[0] == np.inf
+
+
+def test_log_mod_is_the_modulus_of_log_parts_through_the_tree(reference_rationals):
+    left = reference_rationals["orbit_left_m6"]
+    right = reference_rationals["orbit_right_m6"]
+    exprs = [Product(left, right), Quotient(Const(1.0), right),
+             ComposePoly(left, Polynomial((0.5, 0j, 1.0))),
+             Product(ExpPoly(Z2, 1.0), Quotient(Const(1), ComposePoly(right, Z2)))]
+    z = np.concatenate([r * np.exp(1j * np.linspace(0.1, 6.3, 64))
+                        for r in (0.3, 2.0, 9.0)])
+    z = np.concatenate([z, [0j], [p for p, _ in right.divisor.entries]])
+    for f in exprs:
+        assert np.array_equal(f._log_mod(z), f._log_parts(z)[0], equal_nan=True)
+
+
+def test_divisor_sums_stay_chunked():
+    f = build_orbit_function(figure_family("right", 6))
+    n_points = len(f.divisor.entries) + bool(f.divisor.origin_order)
+    z = 7.0 * np.exp(1j * np.linspace(0.0, 2 * math.pi, 200_000))
+    tracemalloc.start()
+    try:
+        f._log_parts(z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    unchunked = n_points * z.size * 16  # one complex (points, nodes) array
+    outputs = 2 * z.size * 8
+    assert peak < outputs + 4 * 1024 * 1024
+    assert peak < unchunked / 10
+
+
 # ---------------------------------------------------------------------------
 # structural rewrites
 # ---------------------------------------------------------------------------
@@ -438,6 +540,19 @@ def test_exppoly_json_names_the_variant_by_its_constant():
 # ---------------------------------------------------------------------------
 # a-point enumeration
 # ---------------------------------------------------------------------------
+
+
+def test_exp_branch_count_is_capped(monkeypatch):
+    solved = []
+    monkeypatch.setattr(fnmodel, "_pull_back",
+                        lambda p, targets, r: solved.append(len(targets)) or Divisor())
+    f = ExpPoly(Z, 1.0)
+    f._divisor_impl(2.0**20)  # r = 1e6 rounds up to 2^20
+    assert solved == [2 * math.floor(2.0**20 / (2 * math.pi)) + 1]
+    assert fnmodel._MAX_BRANCHES >= 100 * 1304  # far above the largest smt batch
+    with pytest.raises(fnmodel.OverflowSignal, match="log-branches"):
+        f._divisor_impl(2.0**21)
+    assert len(solved) == 1
 
 
 def test_constant_inner_polynomial_at_divisor_value_is_opaque():
