@@ -70,10 +70,6 @@ class AlgebraicMap:
             acc = acc * w + a
         return acc
 
-    def apply_to_root(self, w: complex) -> complex:
-        """tau expressed through w: w^n + sum alphas[k] w^k."""
-        return w**self.n + self._shift(w)
-
     def __call__(self, z: complex, branch: int | None = None) -> complex:
         return complex(z) + self._shift(self.root(z, branch))
 
@@ -241,12 +237,12 @@ def invariance_census(expr: FunctionExpr, m: AlgebraicMap, values, R: float,
     greedily match the rest to the nearest unconsumed multiset point.  A
     match requires distance <= tol * (1 + |image|).
 
-    An unmatched in-disc image is not condemned on distance alone: the
-    multiset may be an incomplete enumeration (generic values of a large
-    rational are found by iteration, and basins can hide solutions).  The
-    image q is re-tried by value, and counts as matched when f(q) = a holds
-    to ``value_tol``; only value-refuted images are violations.  Verdict is
-    true when no in-disc image ends up refuted.
+    The multiset is complete (:func:`preimages_in_disc` returns every
+    solution in the disc or raises), but tau can carry a computed point
+    further than ``tol`` from the solution it maps to, so an unmatched
+    in-disc image q is re-tried by value: it counts as matched when f(q) = a
+    holds to ``value_tol``.  Only value-refuted images are violations, and
+    the verdict is true when no in-disc image ends up refuted.
     """
     reports = []
     for a in values:

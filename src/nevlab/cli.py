@@ -531,6 +531,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _apply_config_file(argv)
         args = ap.parse_args(argv)
+        # argparse before Python 3.12 parses "--name=--" as the value []
+        empty = [name for name, value in vars(args).items() if value == []]
+        if empty:
+            raise ToolkitError(f"--{empty[0].replace('_', '-')} needs a value")
         return args.func(args)
     except (ToolkitError, OSError, ValueError) as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)},

@@ -22,7 +22,9 @@ is plain exp(p)), exp of an entire child, products, quotients, differences
 and precomposition with a polynomial.  Smart constructors (`compose_poly`,
 `subtract`) rewrite combinations that have a divisor-transparent normal
 form, e.g. ``e^P - e^Q  ->  e^Q * (e^(P-Q) - 1)``; the a-points of f are
-the zeros of ``subtract(f, Const(a))``.
+the zeros of ``subtract(f, Const(a))``.  A rational too large to expand
+solves f = a in product form instead, by an Ehrlich-Aberth iteration whose
+roots are certified complete by inclusion discs, or it raises.
 
 All array-shaped internals are numpy-vectorized; the public scalar wrappers
 enforce the pole/overflow signalling contract.
@@ -35,7 +37,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -51,7 +53,8 @@ MERGE_TOL = 1e-9
 # Relative cluster width when grouping near-coincident polynomial roots.
 ROOT_CLUSTER_TOL = 1e-5
 # Largest rational degree (zeros plus poles, with multiplicity) for which
-# f - a is expanded into a polynomial; f = a is solved by Newton above it.
+# f - a is expanded into a polynomial; above it f = a is solved in product
+# form by a certified Ehrlich-Aberth iteration.
 MAX_RATIONAL_DEGREE = 24
 
 _LOG_HUGE = 709.0  # log of the largest finite double, rounded down
@@ -518,8 +521,14 @@ class Divisor:
             raise ValueError(f"kind must be 'zeros' or 'poles', got {kind!r}")
         return Divisor(ent, org)
 
-    def points(self) -> np.ndarray:
-        return np.array([p for p, _ in self.entries], dtype=np.complex128)
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only point and multiplicity columns for :func:`_divisor_sums`."""
+        pairs = [(0j, self.origin_order)] * bool(self.origin_order) + list(self.entries)
+        b = np.array([p for p, _ in pairs], dtype=np.complex128).reshape(-1, 1)
+        m = np.array([k for _, k in pairs], dtype=np.float64).reshape(-1, 1)
+        b.flags.writeable = m.flags.writeable = False
+        return b, m
 
     def multiset(self) -> list[complex]:
         """Entries (origin included) repeated by |multiplicity|."""
@@ -566,25 +575,34 @@ def _divisor_sums(z: np.ndarray, d: Divisor, channels) -> tuple[np.ndarray, ...]
     axis, in that order from ``start``, so each value equals that of a loop
     over the points bit for bit.
     """
-    pts = [0j] * bool(d.origin_order) + [p for p, _ in d.entries]
-    mults = [d.origin_order] * bool(d.origin_order) + [m for _, m in d.entries]
-    b = np.array(pts, dtype=np.complex128)[:, None]
-    m = np.array(mults, dtype=np.float64)[:, None]
+    b, m = d._columns
     flat = _carray(z).reshape(-1)
     outs = [np.empty(flat.size, dtype=np.result_type(start)) for start, _ in channels]
-    step = max(2, _DIVISOR_CELLS // max(len(pts), 1))
+    step = max(2, _DIVISOR_CELLS // max(len(b), 1))
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(0, flat.size, step):
             zc = flat[i:i + step]
             # numpy sums a single column pairwise, so a lone node is doubled;
             # z - b is taken in place, as numpy is slow when both operands
             # are broadcast
-            diff = np.tile(np.resize(zc, max(zc.size, 2)), (len(pts), 1))
+            diff = np.tile(np.resize(zc, max(zc.size, 2)), (len(b), 1))
             diff -= b
             for out, (start, term) in zip(outs, channels):
                 out[i:i + zc.size] = np.add.reduce(term(m, diff), axis=0,
                                                    initial=start)[:zc.size]
     return tuple(out.reshape(z.shape) for out in outs)
+
+
+def _log_term(m, d):
+    return m * np.log(np.abs(d))
+
+
+def _arg_term(m, d):
+    return m * np.angle(d)
+
+
+def _inv_term(m, d):
+    return m / d
 
 
 def _pull_back(p: Polynomial, targets: Sequence[tuple[complex, int]], r: float) -> Divisor:
@@ -778,16 +796,14 @@ class RationalFromDivisor(FunctionExpr):
 
     # A pole (negative mult) hit exactly gives +inf through -m * (-inf).
     def _log_parts(self, z):
-        return _divisor_sums(z, self.divisor, (
-            (math.log(abs(self.scale)), lambda m, d: m * np.log(np.abs(d))),
-            (cmath.phase(self.scale), lambda m, d: m * np.angle(d))))
+        return _divisor_sums(z, self.divisor, ((math.log(abs(self.scale)), _log_term),
+                                               (cmath.phase(self.scale), _arg_term)))
 
     def _log_mod(self, z):
-        return _divisor_sums(z, self.divisor, (
-            (math.log(abs(self.scale)), lambda m, d: m * np.log(np.abs(d))),))[0]
+        return _divisor_sums(z, self.divisor, ((math.log(abs(self.scale)), _log_term),))[0]
 
     def _logderivs(self, z):
-        return _divisor_sums(z, self.divisor, ((0j, lambda m, d: m / d),))[0]
+        return _divisor_sums(z, self.divisor, ((0j, _inv_term),))[0]
 
     def _divisor_impl(self, r):
         return self.divisor.restrict(r)
@@ -1165,21 +1181,9 @@ def subtract(expr: FunctionExpr, other: FunctionExpr) -> FunctionExpr:
     return Difference(expr, other)
 
 
-def _numerator_denominator(expr: RationalFromDivisor) -> tuple[Polynomial, Polynomial]:
-    zeros, poles = [], []
-    if expr.divisor.origin_order > 0:
-        zeros.extend([0j] * expr.divisor.origin_order)
-    elif expr.divisor.origin_order < 0:
-        poles.extend([0j] * (-expr.divisor.origin_order))
-    for p, m in expr.divisor.entries:
-        (zeros if m > 0 else poles).extend([p] * abs(m))
-    return Polynomial.from_roots(zeros), Polynomial.from_roots(poles)
-
-
 def _rational_degree(expr: RationalFromDivisor) -> int:
     """Zeros plus poles of the rational, with multiplicity."""
-    d = expr.divisor
-    return abs(d.origin_order) + sum(abs(m) for _, m in d.entries)
+    return expr.divisor.total("zeros") + expr.divisor.total("poles")
 
 
 def _rational_shift(expr: RationalFromDivisor, a: complex) -> RationalFromDivisor:
@@ -1190,15 +1194,14 @@ def _rational_shift(expr: RationalFromDivisor, a: complex) -> RationalFromDiviso
             f"rational shift needs degree {total} expansion; "
             "use preimages_in_disc for large divisors"
         )
-    num, den = _numerator_denominator(expr)
+    num, den = (Polynomial.from_roots(expr.divisor.signed(kind).multiset())
+                for kind in ("zeros", "poles"))
     shifted = num.scale(expr.scale) - den.scale(a)
     if shifted.is_zero:
         raise ValueError("f is identically equal to a")
-    zeros = cluster_roots(poly_roots(shifted))
-    pairs = [(p, m) for p, m in zeros]
-    pairs += [(p, -m) for p, m in expr.divisor.signed("poles").entries]
-    org = -expr.divisor.signed("poles").origin_order
-    div = Divisor.build(pairs, org)
+    poles = expr.divisor.signed("poles").negate()
+    div = Divisor.build(cluster_roots(poly_roots(shifted)) + list(poles.entries),
+                        poles.origin_order)
     return RationalFromDivisor(shifted.leading, div)
 
 
@@ -1210,24 +1213,26 @@ def _rational_shift(expr: RationalFromDivisor, a: complex) -> RationalFromDiviso
 def preimages_in_disc(expr: FunctionExpr, a, r: float) -> Divisor:
     """Divisor of solutions of f(z) = a in |z| <= r.
 
-    ``a`` may be 0, a finite complex number, or ``None``/``inf`` for poles.
-    A finite nonzero ``a`` is solved as the zeros of ``subtract(f, Const(a))``
-    (branch enumeration for exponentials, polynomial expansion for small
-    rationals), the same rewrite that N(r, 1/(f - a)) counts.  Two variants
-    have no such rewrite: a precomposition pulls back the a-points of its
-    child, and a rational above ``MAX_RATIONAL_DEGREE`` takes a seeded
-    Newton pass (one a-point per stored zero).
+    ``a`` may be 0, a finite complex number, or ``None``/``"inf"``/``inf``
+    for poles; any other non-finite ``a`` raises ValueError.  A finite
+    nonzero ``a`` is solved as the zeros of ``subtract(f, Const(a))``, the
+    same rewrite that N(r, 1/(f - a)) counts.  Two variants have no such
+    rewrite: a precomposition pulls back the a-points of its child, and a
+    rational above ``MAX_RATIONAL_DEGREE`` returns all of its a-points,
+    certified by inclusion discs, or raises RootFindFailure.
     """
     if a is None or (isinstance(a, str) and a == "inf") or a == math.inf:
         return expr.divisor_in_disc(r).signed("poles")
     a = complex(a)
+    if not cmath.isfinite(a):
+        raise ValueError(f"target value {a!r} is not finite")
     if a == 0:
         return expr.divisor_in_disc(r).signed("zeros")
     if isinstance(expr, ComposePoly):
         base = preimages_in_disc(expr.child, a, expr.p.coeff_bound(r))
         return _pull_back(expr.p, _divisor_targets(base), r)
     if isinstance(expr, RationalFromDivisor) and _rational_degree(expr) > MAX_RATIONAL_DEGREE:
-        return _rational_preimages_newton(expr, a, r)
+        return _rational_preimages(expr, a, r)
     if isinstance(expr, Const) and expr.value == a:
         raise ValueError("constant expression equals the target everywhere")
     shifted = subtract(expr, Const(a))
@@ -1236,84 +1241,78 @@ def preimages_in_disc(expr: FunctionExpr, a, r: float) -> Divisor:
     return shifted.divisor_in_disc(r).signed("zeros")
 
 
-# Damped Newton steps per start, and the residual |f - a| / (1 + |a|) a limit
-# must meet to count as an a-point.
-_NEWTON_STEPS = 60
-_NEWTON_RESIDUAL_TOL = 1e-6
+# The residual |f - a| / (1 + |a|) every certified a-point in the disc meets.
+_PREIMAGE_RESIDUAL_TOL = 1e-6
 
 
-def _rational_preimages_newton(expr: RationalFromDivisor, a: complex,
-                               r: float) -> Divisor:
-    """a-points of a large rational via damped Newton from many starts.
+def _pair_reduce(z: np.ndarray, rows: np.ndarray, diag: float, reduce) -> np.ndarray:
+    """``reduce(d)`` per row of ``d[k, j] = z[rows[k]] - z[j]``, ``diag`` at
+    ``j = rows[k]``, built in row chunks of at most ``_DIVISOR_CELLS`` cells."""
+    step = max(1, _DIVISOR_CELLS // z.size)
+    parts = []
+    for i in range(0, rows.size, step):
+        idx = rows[i:i + step]
+        d = z[idx, None] - z
+        d[np.arange(idx.size), idx] = diag
+        parts.append(reduce(d))
+    return np.concatenate(parts)
 
-    Every stored zero contributes nine starts: one analytic step
-    z0 + a/f'(z0) (exact in the well-separated regime) and eight points on a
-    ring scaled to the local divisor spacing.  Steps are damped to a quarter
-    of the local scale so iterates cannot tunnel between basins, and every
-    limit is residual-checked before it counts.  The result is a *sound*
-    subset of the solution set, not always a complete one; callers that need
-    complete multisets (the invariant values 0 and infinity) never reach
-    this path.
+
+def _rational_preimages(expr: RationalFromDivisor, a: complex, r: float) -> Divisor:
+    """Every a-point in |z| <= r of a rational, certified, or RootFindFailure.
+
+    They are the roots of N = Q (f - a), Q the monic pole polynomial, of
+    degree n = the number of zeros of f.  An Ehrlich-Aberth iteration (Bini
+    and Fiorentino, 2000) starts next to the zeros and takes N'/N = f'/(f - a)
+    + Q'/Q from the divisor channels; each root freezes at a relative step
+    below 1e-14.  Root z_i gets the disc of radius n |W_i|, W_i = N(z_i) /
+    (lead prod_{j != i} (z_i - z_j)), |N| bounded with its rounding; disjoint
+    such discs hold one root each (Braess and Hadeler, 1973).  The roots in
+    |z| <= r are returned if no two discs meet, none crosses |z| = r and
+    each root meets the residual bound.
     """
-    zeros_div = expr.divisor.signed("zeros")
-    poles_div = expr.divisor.signed("poles")
-    nz = zeros_div.origin_order + sum(m for _, m in zeros_div.entries)
-    npole = poles_div.origin_order + sum(m for _, m in poles_div.entries)
-    if nz < npole:
-        raise RootFindFailure(
-            "pre-image Newton pass needs numerator degree >= denominator degree"
-        )
-    seeds = np.asarray(zeros_div.multiset(), dtype=complex)
-    if seeds.size == 0:
-        return EMPTY_DIVISOR
-    allpts = np.asarray(expr.divisor.multiset(), dtype=complex)
-
-    starts: list[complex] = []
-    for z0 in seeds:
-        gaps = np.abs(allpts - z0)
-        dmin = float(np.min(gaps[gaps > 1e-12 * (1.0 + abs(z0))], initial=np.inf))
-        if not np.isfinite(dmin):
-            dmin = 1.0 + abs(z0)
-        log_fp = cmath.log(expr.scale) if expr.scale != 1 else 0j
-        for p, m in expr.divisor.entries:
-            if z0 != p:
-                log_fp += m * cmath.log(z0 - p)
-        if expr.divisor.origin_order and z0 != 0:
-            log_fp += expr.divisor.origin_order * cmath.log(z0)
-        if log_fp.real <= 700.0:
-            first = a * cmath.exp(-log_fp)
-            if abs(first) <= 0.5 * dmin:
-                starts.append(complex(z0) + first)
-        for j in range(8):
-            starts.append(complex(z0)
-                          + 0.35 * dmin * cmath.exp(1j * TWO_PI * (j + 0.5) / 8))
-
-    z = np.asarray(starts, dtype=complex)
+    poles = expr.divisor.signed("poles")
+    n, n_poles = expr.divisor.total("zeros"), expr.divisor.total("poles")
+    if n < n_poles or (n == n_poles and expr.scale == a):
+        raise RootFindFailure(f"f - a has fewer than {n} finite roots, one per zero of f")
+    lead = expr.scale if n > n_poles else expr.scale - a
+    zs = np.asarray(expr.divisor.signed("zeros").multiset(), dtype=np.complex128)
+    live = k = np.arange(n)
+    z = zs + 1e-3 * (1.0 + np.abs(zs)) * np.exp(1j * (2.7 * k + 0.4))
+    log_f = ((math.log(abs(expr.scale)), _log_term), (cmath.phase(expr.scale), _arg_term))
     with np.errstate(all="ignore"):
-        for _ in range(_NEWTON_STEPS):
-            v = expr._values(z)
-            d = expr._logderivs(z)
-            step = (v - a) / (v * d)
-            bad = ~np.isfinite(step)
-            step[bad] = 0.0
-            cap = 0.25 * (1.0 + np.abs(z))
-            big = np.abs(step) > cap
-            step[big] *= (cap[big] / np.abs(step[big]))
-            z = z - step
-        v = expr._values(z)
-        ok = (np.isfinite(z) & np.isfinite(v)
-              & (np.abs(z) <= r)
-              & (np.abs(v - a) <= _NEWTON_RESIDUAL_TOL * (1.0 + abs(a))))
-    hits = sorted((complex(q) for q in z[ok]),
-                  key=lambda q: (abs(q), q.real, q.imag))
-
-    found: list[complex] = []
-    for q in hits:
-        if not any(abs(q - p) <= 1e-8 * (1.0 + abs(q)) for p in found):
-            found.append(q)
-    if not found and np.any(np.abs(seeds) <= r):
-        raise RootFindFailure(
-            "no solution of f = a is separable from the zeros of f in double "
-            "precision at this scale"
-        )
-    return Divisor.build([(q, 1) for q in found], merge_tol=1e-13)
+        for _ in range(200):
+            zl = z[live]
+            lm, ag, dl = _divisor_sums(zl, expr.divisor, log_f + ((0j, _inv_term),))
+            dq, = _divisor_sums(zl, poles, ((0j, _inv_term),))
+            corr = dl / (1.0 - a * np.exp(-(lm + 1j * ag))) + dq
+            step = 1.0 / (corr - _pair_reduce(z, live, np.inf,
+                                              lambda d: np.sum(1.0 / d, axis=1)))
+            step[~np.isfinite(step)] = 0.0  # left to the certificate
+            z[live] = zl - step
+            live = live[np.abs(step) >= 1e-14 * (1.0 + np.abs(z[live]))]
+            if not live.size:
+                break
+        # log f sums k rounded terms: f is off by a relative err <= (k + 2) eps
+        # sum(|term| + 7), and 1 - a/f by (1 + |a/f|) (err + 4 eps)
+        lm, ag, spread = _divisor_sums(z, expr.divisor, log_f + ((
+            abs(math.log(abs(expr.scale))) + 7.0,
+            lambda m, d: np.abs(m) * (np.abs(np.log(np.abs(d))) + 7.0)),))
+        log_q, = _divisor_sums(z, poles, ((0.0, _log_term),))
+        err = (len(expr.divisor._columns[0]) + 2) * 2.0**-52 * spread
+        t = a * np.exp(-(lm + 1j * ag))
+        log_n = log_q + lm + err + np.log(np.abs(1.0 - t) + (1.0 + np.abs(t)) * (err + 2.0**-50))
+        rad = n * np.exp(log_n - math.log(abs(lead)) - _pair_reduce(
+            z, k, 1.0, lambda d: np.sum(np.log(np.abs(d)), axis=1)))
+        gap = _pair_reduce(z, k, np.inf, lambda d: np.min(np.abs(d) - rad, axis=1))
+        mod = np.abs(z)
+        inside = mod <= r
+        resid = np.abs(np.exp(lm[inside] + 1j * ag[inside]) - a)
+    for ok, why in (
+            (resid <= _PREIMAGE_RESIDUAL_TOL * (1.0 + abs(a)), "in the disc misses the "
+             "residual bound: double precision cannot separate it from the divisor"),
+            (gap > rad, "has an inclusion disc that meets another"),
+            ((mod + rad <= r) | (mod - rad > r), f"has an inclusion disc across |z| = {r!r}")):
+        if not np.all(ok):
+            raise RootFindFailure(f"a solution of f = a {why}")
+    return Divisor.build([(q, 1) for q in z[inside]], merge_tol=0.0)

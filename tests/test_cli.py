@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nevlab.cli import EXIT_ERROR, EXIT_FAIL, EXIT_PASS, main
 
@@ -211,6 +212,45 @@ def test_census_fails_generic_value(capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "fail"
     assert payload["reports"][0]["n_violations"] > 0
+
+
+@pytest.mark.parametrize("value", ["1e400+1i", "nan"])
+def test_census_non_finite_value_is_an_error(capsys, value):
+    code, out, err = run(capsys, "census", "--figure1", "left",
+                         "--generations", "12", "--values", value)
+    assert code == EXIT_ERROR and out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("argv", [("char", "--fn=--", "--radii", "1"),
+                                  ("census", "--figure1", "left", "--values=--")])
+def test_option_given_a_bare_double_dash_is_an_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_ERROR and out == ""
+    assert json.loads(err)["detail"].endswith("needs a value")
+
+
+census_tokens = st.one_of(
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+    .map(lambda c: f"{c.real:.6g}{c.imag:+.6g}i"),
+    st.sampled_from(["1e400", "-1e400i", "1e400+1i", "1e308", "1e-320", "1e300",
+                     "nan", "NaN", "nan+1i", "inf", "oo", "INF", "-inf", "1", "0", "--"]),
+    st.text(alphabet="0123456789.+-eijnaf() ,", max_size=8),
+)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(token=census_tokens)
+def test_census_values_end_in_an_exit_code_never_a_traceback(capsys, token):
+    code, out, err = run(capsys, "census", "--figure1", "left",
+                         "--generations", "6", f"--values={token}")
+    assert code in (EXIT_PASS, EXIT_FAIL, EXIT_ERROR)
+    if code == EXIT_ERROR:
+        assert out == ""
+        assert set(json.loads(err)) == {"error", "detail"}
+    else:
+        assert json.loads(out)["config"]["values"] == token.split(",")
 
 
 def test_counterexample_verdict(capsys):

@@ -37,6 +37,7 @@ from nevlab.fnmodel import (
     compose_poly,
     roots_of_shifts,
 )
+from nevlab.quadrature import adaptive_circle
 
 Z = Polynomial((0j, 1.0))
 Z2 = Polynomial((0j, 0j, 1.0))
@@ -580,7 +581,7 @@ def test_preimages_are_the_zeros_of_f_minus_a(members):
         f = member.expr
         if (isinstance(f, RationalFromDivisor)
                 and fnmodel._rational_degree(f) > fnmodel.MAX_RATIONAL_DEGREE):
-            continue  # solved by Newton, not by expansion
+            continue  # solved in product form, not by expansion
         for a in (1.0, -1.0, 0.3 + 0.2j, 2.5j):
             shifted = subtract(f, Const(a))
             for r in (0.7, 3.0, 9.5):
@@ -644,3 +645,136 @@ def test_preimages_unresolvable_raises():
     f = build_orbit_function(figure_family("right", 20))
     with pytest.raises(RootFindFailure):
         preimages_in_disc(f, 0.3 + 0.2j, figure_family("right", 20).census_radius())
+
+
+LEFT_VALUES = (0.9 + 0.8j, -1.1 + 0.4j, 0.3 + 0.2j, 1.5, -2j)
+
+
+def _a_point_count(f: RationalFromDivisor, a: complex, r: float) -> int:
+    """a-points in |z| < r by the argument principle on f - a: the mean of
+    Re z f'/(f - a) over the circle counts them minus the poles inside."""
+    def integrand(theta):
+        z = r * np.exp(1j * theta)
+        lm, ag = f._log_parts(z)
+        return (z * f._logderivs(z) / (1.0 - a * np.exp(-(lm + 1j * ag)))).real
+
+    mean = adaptive_circle(integrand, atol=1e-6).value / (2 * math.pi)
+    assert abs(mean - round(mean)) < 1e-3
+    return round(mean) + f.divisor_in_disc(r).total("poles")
+
+
+@pytest.fixture(scope="module")
+def left_a_points():
+    out = {}
+    for gen in (8, 12, 30):
+        fam = figure_family("left", gen)
+        f, r = build_orbit_function(fam), fam.census_radius()
+        out[gen] = f, r, {a: preimages_in_disc(f, a, r) for a in LEFT_VALUES}
+    return out
+
+
+def test_large_rational_preimages_are_complete(left_a_points):
+    for gen, (f, r, found) in left_a_points.items():
+        for a, d in found.items():
+            assert d.origin_order == 0
+            assert all(m == 1 for _, m in d.entries)
+            assert len(d.entries) == _a_point_count(f, a, r), (gen, a)
+    # -2i has one a-point fewer in the disc at both generations
+    assert [len(d.entries) for d in left_a_points[30][2].values()] == [152] * 4 + [151]
+    assert [len(d.entries) for d in left_a_points[12][2].values()] == [49] * 4 + [48]
+
+
+def test_large_rational_preimages_are_distinct_solutions(left_a_points):
+    for gen, (f, r, found) in left_a_points.items():
+        for a, d in found.items():
+            pts = np.array([p for p, _ in d.entries])
+            assert np.all(np.abs(pts) <= r)
+            lm, ag = f._log_parts(pts)
+            resid = np.abs(np.exp(lm + 1j * ag) - a)
+            assert np.all(resid <= fnmodel._PREIMAGE_RESIDUAL_TOL * (1.0 + abs(a))), (gen, a)
+            gaps = np.abs(pts[:, None] - pts[None, :])
+            np.fill_diagonal(gaps, np.inf)
+            assert gaps.min() > 1e-8 * (1.0 + np.abs(pts).max()), (gen, a)
+
+
+def test_large_rational_preimages_refuse_a_disc_through_a_solution(left_a_points):
+    f, _, found = left_a_points[12]
+    q = found[1.5].entries[-1][0]
+    with pytest.raises(RootFindFailure):
+        preimages_in_disc(f, 1.5, abs(q))
+
+
+def _roots_over_unit_roots(n=26):
+    """z^n / (z^n - 1), whose a-points solve z^n = a / (a - 1)."""
+    poles = [(cmath.exp(2j * math.pi * k / n), -1) for k in range(n)]
+    return RationalFromDivisor(1.0, Divisor.build(poles, n))
+
+
+def test_large_rational_preimages_match_a_closed_form():
+    f = _roots_over_unit_roots()
+    for a in (1.5, -2j, 1.0 + 1e-8):
+        c = (a / (a - 1)) ** (1 / 26)
+        exact = c * np.exp(2j * np.pi * np.arange(26) / 26)
+        pts = np.array(preimages_in_disc(f, a, 2 * abs(c)).multiset())
+        assert pts.size == 26
+        err = np.abs(pts[:, None] - exact[None, :]).min(axis=1)
+        assert err.max() < 1e-6 * abs(c), a
+    # at a = 1 + 1e-12 the rounding of f moves the computed a-points by
+    # about 1e-3, so the discs, widened by that rounding, must overlap
+    with pytest.raises(RootFindFailure):
+        preimages_in_disc(f, 1.0 + 1e-12, 10.0)
+
+
+def test_large_rational_preimages_refuse_a_double_solution():
+    # (z^2 - 1)^13 = -1 has a double root at 0 and 24 simple ones
+    f = RationalFromDivisor(1.0, Divisor.build([(1.0, 13), (-1.0, 13)]))
+    assert len(preimages_in_disc(f, -0.999, 2.0).multiset()) == 26
+    with pytest.raises(RootFindFailure):
+        preimages_in_disc(f, -1.0, 2.0)
+
+
+def test_large_rational_preimages_enforce_the_residual_bound(monkeypatch):
+    f = build_orbit_function(figure_family("left", 8))
+    monkeypatch.setattr(fnmodel, "_PREIMAGE_RESIDUAL_TOL", 1e-20)
+    with pytest.raises(RootFindFailure):
+        preimages_in_disc(f, 1.5, 9.0)
+
+
+def test_preimages_reject_non_finite_targets():
+    f = build_orbit_function(figure_family("left", 6))
+    for a in (complex(math.inf, 1.0), complex(math.nan, 0.0), math.nan, -math.inf):
+        with pytest.raises(ValueError):
+            preimages_in_disc(f, a, 5.0)
+    assert preimages_in_disc(f, math.inf, 5.0) == preimages_in_disc(f, None, 5.0)
+
+
+def test_preimages_unresolvable_at_sixty_generations_raise():
+    fam = figure_family("right", 60)
+    with pytest.raises(RootFindFailure):
+        preimages_in_disc(build_orbit_function(fam), 0.3 + 0.2j, fam.census_radius())
+
+
+def test_divisor_columns_are_cached_and_read_only():
+    d = build_orbit_function(figure_family("left", 6)).divisor
+    b, m = d._columns
+    assert d._columns[0] is b
+    assert b.shape == m.shape == (len(d.entries) + bool(d.origin_order), 1)
+    with pytest.raises(ValueError):
+        b[0, 0] = 0.0
+
+
+def test_pair_reduce_chunks_rows_without_changing_them():
+    rng = np.random.default_rng(5)
+    z = rng.normal(size=300) + 1j * rng.normal(size=300)
+    rows = np.arange(3, 300, 2)
+    sizes = []
+
+    def inverse_sums(d):
+        sizes.append(d.size)
+        return np.sum(1.0 / d, axis=1)
+
+    got = fnmodel._pair_reduce(z, rows, np.inf, inverse_sums)
+    full = z[rows, None] - z
+    full[np.arange(rows.size), rows] = np.inf
+    assert len(sizes) > 1 and max(sizes) <= fnmodel._DIVISOR_CELLS
+    assert np.array_equal(got, np.sum(1.0 / full, axis=1))
