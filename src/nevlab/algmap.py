@@ -129,7 +129,10 @@ def orbit(m: AlgebraicMap, seed: complex, K: int, mode: str = "fixed") -> Orbit:
     ``mode='track'`` picks, at each step, the n-th root nearest the previous
     step's root, flagging steps where that choice left the principal branch;
     an exact tie between candidate roots raises :class:`BranchAmbiguity`.
+    A non-finite seed raises ValueError.
     """
+    if not cmath.isfinite(seed):
+        raise ValueError(f"orbit seed {seed!r} is not finite")
     if K < 0:
         raise ValueError("iteration count must be nonnegative")
     if mode not in ("fixed", "track"):

@@ -16,6 +16,14 @@ the counting functions and the quadrature panel splitter consume.  A
 rational given by its divisor evaluates every channel with one broadcast
 kernel over (points, nodes) chunks, bit-identical to a loop over its points.
 
+The circle means read ``_log_mod`` (proximity, Jensen) and ``_logderivs``
+(argument-principle counts) of ``expr.near_circle(r)``, a form valid on
+|z| = r only.  For a rational given by its divisor it folds the points with
+|b| <= r/2 or |b| >= 2r into Laurent series in z/r, each cut where its tail
+is at most 2^-54, whenever a group has more points than its series has
+terms; the points in between still go through the broadcast kernel.  Every
+other expression is its own circle form.
+
 The family is deliberately closed: constants, rationals given by their
 divisor, exp of a polynomial minus a constant (``ExpPoly(p, a)``; ``a = 0``
 is plain exp(p)), exp of an entire child, products, quotients, differences
@@ -67,6 +75,11 @@ _MAX_BRANCHES = 1 << 19
 # Nodes per chunk of a divisor sum are capped so that its (points, nodes)
 # temporaries hold about this many cells (256 kB as complex) each.
 _DIVISOR_CELLS = 1 << 14
+# A circle mean of a rational folds its divisor points with |b| <= rho r or
+# |b| >= r / rho into truncated series, each cut where its tail is at most
+# _FOLD_TOL (absolute, in log|f| and in z f'/f).
+_FOLD_RATIO = 0.5
+_FOLD_TOL = 2.0**-54
 
 
 class ToolkitError(Exception):
@@ -656,6 +669,13 @@ class FunctionExpr:
     def _logderivs(self, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def near_circle(self, r: float):
+        """A form whose ``_log_mod`` and ``_logderivs`` agree with this
+        expression's, to rounding, at every z with |z| = r: the circle means
+        evaluate through it.  The expression itself unless a cheaper form
+        exists."""
+        return self
+
     def _divisor_impl(self, r: float) -> Divisor:
         raise OpaqueExpr(f"{type(self).__name__} does not expose a divisor")
 
@@ -805,6 +825,10 @@ class RationalFromDivisor(FunctionExpr):
     def _logderivs(self, z):
         return _divisor_sums(z, self.divisor, ((0j, _inv_term),))[0]
 
+    def near_circle(self, r):
+        fold = _CircleFold(self, r)
+        return fold if fold.folded else self
+
     def _divisor_impl(self, r):
         return self.divisor.restrict(r)
 
@@ -812,6 +836,123 @@ class RationalFromDivisor(FunctionExpr):
         return {"variant": "rational_from_divisor",
                 "scale": [self.scale.real, self.scale.imag],
                 "divisor": self.divisor.to_json()}
+
+
+def _series_terms(weight: float, q: float, log: bool) -> int:
+    """Fewest terms K of a folded series whose tail is at most _FOLD_TOL.
+
+    For points of total |multiplicity| ``weight`` with |u| <= q < 1, the
+    tail past the w^K term is at most weight q^(K+1) / (1 - q) in z f'/f,
+    and that over K + 1 in log|f|.
+    """
+    k = 0
+    while weight * q ** (k + 1) / ((k + 1 if log else 1) * (1.0 - q)) > _FOLD_TOL:
+        k += 1
+    return k
+
+
+def _power_sums(u: np.ndarray, m: np.ndarray, k: int) -> np.ndarray:
+    """``C_j = sum m u^j`` for j = 1..k; u^j is formed by doubling."""
+    powers = np.empty((k, u.size), dtype=np.complex128)
+    powers[:1] = u
+    h = 1
+    while h < k:
+        np.multiply(powers[:min(h, k - h)], powers[h - 1], out=powers[h:2 * h])
+        h *= 2
+    powers *= m
+    return np.add.reduce(powers, axis=1)
+
+
+def _power_series(w: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``sum_k c[k - 1] w^k`` at every w, by Horner's rule in place."""
+    acc = np.full(w.shape, c[-1], dtype=np.complex128)
+    for ck in c[-2::-1]:
+        acc *= w
+        acc += ck
+    acc *= w
+    return acc
+
+
+class _CircleFold:
+    """log|f| and f'/f of a rational on the circle |z| = r alone, with the
+    divisor points far from it folded into series in w = z/r.
+
+    With u = b/r for an inner point (|b| <= rho r) and u = r/b for an outer
+    one (|b| >= r/rho), C_k = sum m u^k over a group and M = sum m over the
+    inner one, on |w| = 1 (where r/z = conj w):
+
+        inner: sum m log|z - b| = M log|z| - Re sum_k (C_k / k) (r/z)^k
+               sum m / (z - b)  = (M + sum_k C_k (r/z)^k) / z
+        outer: sum m log|z - b| = sum m log|b| - Re sum_k (C_k / k) (z/r)^k
+               sum m / (z - b)  = -(sum_k C_k (z/r)^k) / z
+
+    Each channel cuts a group's series at the fewest terms K that
+    :func:`_series_terms` allows, and folds the group only if it has more
+    points than K.  The origin, the points near the circle and the groups
+    left unfolded, with M added to the origin order when the inner group
+    folds, go through :func:`_divisor_sums` as before.
+    """
+
+    def __init__(self, f: RationalFromDivisor, r: float):
+        self.r = r
+        d = f.divisor
+        b, m = (col[bool(d.origin_order):, 0] for col in d._columns)
+        mod = np.abs(b)
+        groups = []  # (inner?, mask, C_k, K per channel or None where unfolded)
+        for inner, mask in ((True, mod <= _FOLD_RATIO * r),
+                            (False, mod >= r / _FOLD_RATIO)):
+            n = int(np.count_nonzero(mask))
+            if not n:
+                continue
+            u = b[mask] / r if inner else r / b[mask]
+            q, weight = float(np.max(np.abs(u))), float(np.sum(np.abs(m[mask])))
+            ks = [_series_terms(weight, q, log) for log in (True, False)]
+            ks = [k if n > k else None for k in ks]
+            top = max((k for k in ks if k is not None), default=0)
+            groups.append((inner, mask, _power_sums(u, m[mask], top), ks))
+
+        def plan(channel: int, start):
+            """(direct divisor, start, series per folded group: (inner?, coeffs))"""
+            keep, origin, series = np.ones(b.size, dtype=bool), d.origin_order, []
+            for inner, mask, c, ks in groups:
+                k = ks[channel]
+                if k is None:
+                    continue
+                keep &= ~mask
+                if inner:
+                    origin += int(np.sum(m[mask]))
+                elif channel == 0:  # summed exactly: these logs cancel
+                    start += math.fsum(m[mask] * np.log(mod[mask]))
+                if k:
+                    series.append((inner, c[:k] / np.arange(1, k + 1) if channel == 0 else c[:k]))
+            div = d if keep.all() else Divisor(
+                tuple(d.entries[i] for i in np.flatnonzero(keep).tolist()), origin)
+            return div, start, series
+
+        div, start, series = plan(0, math.log(abs(f.scale)))
+        # Re P(conj w) = Re P*(w), P* with conjugate coefficients: one series
+        coeffs = np.zeros(max((c.size for _, c in series), default=0), dtype=np.complex128)
+        for inner, c in series:
+            coeffs[:c.size] += np.conj(c) if inner else c
+        self._log = div, start, coeffs
+        self._der = plan(1, 0j)
+        self.folded = div is not d or self._der[0] is not d
+
+    def _log_mod(self, z):
+        div, start, coeffs = self._log
+        lm = _divisor_sums(z, div, ((start, _log_term),))[0]
+        if coeffs.size:
+            lm -= _power_series(_carray(z) / self.r, coeffs).real
+        return lm
+
+    def _logderivs(self, z):
+        div, _, series = self._der
+        ld = _divisor_sums(z, div, ((0j, _inv_term),))[0]
+        z = _carray(z)
+        w = z / self.r
+        for inner, c in series:
+            ld += (_power_series(np.conj(w), c) if inner else -_power_series(w, c)) / z
+        return ld
 
 
 @dataclass(frozen=True)

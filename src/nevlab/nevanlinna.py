@@ -16,7 +16,7 @@ contour count used as an independent cross-check on divisor bookkeeping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .fnmodel import (
     logplus,
     subtract,
 )
-from .quadrature import adaptive_circle
+from .quadrature import QuadratureResult, adaptive_circle
 
 # nudge applied when a divisor point sits essentially on the contour
 NUDGE_FACTOR = 1.0 + 1e-7
@@ -44,7 +44,8 @@ SPLIT_BAND = 0.1
 @dataclass(frozen=True)
 class CharacteristicSample:
     """One radius worth of growth data.  ``r_used`` differs from ``r`` only
-    when the contour had to be nudged off a divisor point."""
+    when the contour had to be nudged off a divisor point; ``panels`` and
+    ``evaluations`` are the quadrature's counts for the proximity mean."""
 
     r: float
     m: float
@@ -53,6 +54,8 @@ class CharacteristicSample:
     quad_err: float
     nudged: bool
     r_used: float
+    panels: int
+    evaluations: int
 
     def as_row(self) -> dict:
         return {
@@ -80,18 +83,25 @@ def _needs_nudge(expr: FunctionExpr, r: float) -> bool:
 
 
 def _circle_mean(expr: FunctionExpr, r: float, integrand, atol: float,
-                 rtol: float, nudge: bool = True) -> tuple[float, float, float]:
-    """(mean, error estimate, radius used) of ``integrand(z)`` over a circle.
+                 rtol: float, nudge: bool = True) -> tuple[QuadratureResult, float]:
+    """Mean of ``integrand(g, z)`` over a circle, and the radius used.
 
     The circle is |z| = r, moved out by ``NUDGE_FACTOR`` when ``nudge`` is set
     and a divisor point sits on it; divisor points near it become panel cuts.
+    ``g = expr.near_circle(r_used)``, built once here, is the form the
+    integrand reads its channel from: for a rational given by its divisor,
+    the points far from the circle folded into series.  The panel cuts and
+    the nudge still read the full divisor.  The result's value and error
+    estimate are means, its counts those of the quadrature.
     """
     r_used = r
     if nudge and _needs_nudge(expr, r):
         r_used = r * NUDGE_FACTOR
-    res = adaptive_circle(lambda theta: integrand(r_used * np.exp(1j * theta)),
+    g = expr.near_circle(r_used)
+    res = adaptive_circle(lambda theta: integrand(g, r_used * np.exp(1j * theta)),
                           _split_angles(expr, r_used), atol=atol * TWO_PI, rtol=rtol)
-    return res.value / TWO_PI, res.err_estimate / TWO_PI, r_used
+    return replace(res, value=res.value / TWO_PI,
+                   err_estimate=res.err_estimate / TWO_PI), r_used
 
 
 def proximity(expr: FunctionExpr, r: float,
@@ -104,15 +114,17 @@ def proximity(expr: FunctionExpr, r: float,
     if r <= 0:
         raise ValueError("radius must be positive")
 
-    def integrand(z: np.ndarray) -> np.ndarray:
-        lm = expr._log_mod(z)
+    def integrand(g, z: np.ndarray) -> np.ndarray:
+        lm = g._log_mod(z)
         out = logplus(lm)
         out[lm == -np.inf] = 0.0  # exact zeros contribute nothing to log+
         return out
 
-    m, err, r_used = _circle_mean(expr, r, integrand, atol, rtol)
-    return CharacteristicSample(r=r, m=m, N=0.0, T=m, quad_err=err,
-                                nudged=r_used != r, r_used=r_used)
+    res, r_used = _circle_mean(expr, r, integrand, atol, rtol)
+    return CharacteristicSample(r=r, m=res.value, N=0.0, T=res.value,
+                                quad_err=res.err_estimate, nudged=r_used != r,
+                                r_used=r_used, panels=res.panels,
+                                evaluations=res.evaluations)
 
 
 def counting(divisor: Divisor, r: float, kind: str = "poles") -> float:
@@ -141,9 +153,7 @@ def characteristic(expr: FunctionExpr, r: float,
         N = 0.0 if expr.is_entire else math.nan
         if math.isnan(N):
             raise ValueError("characteristic of a divisor-opaque non-entire expression")
-    return CharacteristicSample(r=sample.r, m=sample.m, N=N, T=sample.m + N,
-                                quad_err=sample.quad_err, nudged=sample.nudged,
-                                r_used=sample.r_used)
+    return replace(sample, N=N, T=sample.m + N)
 
 
 def characteristic_sweep(expr: FunctionExpr, radii,
@@ -265,8 +275,8 @@ def argument_principle_count(expr: FunctionExpr, r: float,
     signed count.  A residual further than ``integer_tol`` from an integer
     raises :class:`NonIntegerResidual`.
     """
-    raw, _, _ = _circle_mean(expr, r, lambda z: (z * expr._logderivs(z)).real,
-                             atol, rtol)
+    raw = _circle_mean(expr, r, lambda g, z: (z * g._logderivs(z)).real,
+                       atol, rtol)[0].value
     nearest = round(raw)
     if abs(raw - nearest) > integer_tol:
         raise NonIntegerResidual(
@@ -289,7 +299,8 @@ def jensen_lhs_rhs(expr: FunctionExpr, r: float,
     where c is the leading coefficient of f at the origin (the first nonzero
     Laurent coefficient) and origin order contributes ``order * log r``.
     """
-    lhs, _, _ = _circle_mean(expr, r, expr._log_mod, atol, rtol, nudge=False)
+    lhs = _circle_mean(expr, r, lambda g, z: g._log_mod(z), atol, rtol,
+                       nudge=False)[0].value
 
     div = expr.divisor_in_disc(r)
     rhs = counting(div, r, "zeros") - counting(div, r, "poles")

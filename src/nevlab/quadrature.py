@@ -65,8 +65,13 @@ def adaptive_circle(f: Callable[[np.ndarray], np.ndarray],
     remaining panel is already inside the global budget.  The global check
     matters near contour-touching zeros: cancellation noise in the integrand
     puts a floor under per-panel errors that a width-proportional share of
-    the budget would chase forever.
+    the budget would chase forever.  ``atol`` and ``rtol`` must be finite
+    and nonnegative, and not both zero, or ValueError is raised before any
+    evaluation.
     """
+    if not (0.0 <= atol < math.inf and 0.0 <= rtol < math.inf) or atol == rtol == 0.0:
+        raise ValueError("quadrature tolerances must be finite and nonnegative, "
+                         "and not both zero")
     cuts = {0.0, TWO_PI}
     for a in singular_angles:
         a = float(a) % TWO_PI

@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from nevlab.cli import EXIT_ERROR, EXIT_FAIL, EXIT_PASS, main
 
@@ -251,6 +251,71 @@ def test_census_values_end_in_an_exit_code_never_a_traceback(capsys, token):
         assert set(json.loads(err)) == {"error", "detail"}
     else:
         assert json.loads(out)["config"]["values"] == token.split(",")
+
+
+@pytest.mark.parametrize("tols", [("--atol", "nan"), ("--atol", "0", "--rtol", "0"),
+                                  ("--atol=-1",)])
+def test_char_bad_tolerances_are_an_error(capsys, tols):
+    code, out, err = run(capsys, "char", "--fn", "exp_z", "--radii", "2", *tols)
+    assert code == EXIT_ERROR and out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("seed", ["1e400", "nan+1i"])
+def test_orbit_non_finite_seed_is_an_error(capsys, seed):
+    code, out, err = run(capsys, "orbit", "--figure1", "left", f"--seed={seed}",
+                         "--k", "2")
+    assert code == EXIT_ERROR and out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
+number_tokens = st.one_of(
+    st.floats().map(repr),  # finite, huge, tiny, negative, zero, nan and inf
+    st.sampled_from(["1e400", "-1e400", "nan", "inf", "-inf", "0", "-0", "1e-320",
+                     "1e308", "-1", "--", "", "1e", "abc", "1+1i", "nan+1i"]),
+    st.text(alphabet="0123456789.+-eijnaf ", max_size=8),
+)
+
+
+def run_to_exit(capsys, *argv):
+    """Exit code and output of a CLI run, argparse's usage exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def assert_clean_exit(code, out, err, header):
+    assert code in (EXIT_PASS, EXIT_ERROR, 2)
+    if code == EXIT_PASS:
+        lines = out.splitlines()
+        assert lines[0].startswith("# config ") and lines[1] == header
+    elif code == EXIT_ERROR:
+        assert out == "" and set(json.loads(err)) == {"error", "detail"}
+    else:
+        assert out == "" and "error:" in err  # argparse's usage message
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(atol=number_tokens, rtol=number_tokens,
+       radii=st.lists(number_tokens, min_size=1, max_size=3).map(",".join))
+def test_char_tokens_end_in_an_exit_code_never_a_traceback(capsys, atol, rtol, radii):
+    assume(radii)  # an empty --radii falls back to the 50-radius default grid
+    code, out, err = run_to_exit(capsys, "char", "--fn", "exp_z", f"--atol={atol}",
+                                 f"--rtol={rtol}", f"--radii={radii}")
+    assert_clean_exit(code, out, err, "r,m,N,T,quad_err,nudged")
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=number_tokens)
+def test_orbit_seeds_end_in_an_exit_code_never_a_traceback(capsys, seed):
+    code, out, err = run_to_exit(capsys, "orbit", "--figure1", "left",
+                                 f"--seed={seed}", "--k", "2")
+    assert_clean_exit(code, out, err, "seed_re,seed_im,k,z_re,z_im,modulus,cut_crossed")
 
 
 def test_counterexample_verdict(capsys):

@@ -1,6 +1,7 @@
 """Expression layer: polynomials, root finding, divisors, log-channel eval."""
 
 import cmath
+import decimal
 import math
 import tracemalloc
 
@@ -430,6 +431,139 @@ def test_divisor_sums_stay_chunked():
     outputs = 2 * z.size * 8
     assert peak < outputs + 4 * 1024 * 1024
     assert peak < unchunked / 10
+
+
+# ---------------------------------------------------------------------------
+# circle fold of divisor rationals
+# ---------------------------------------------------------------------------
+
+FOLD_RADII = {"orbit_left_30": (3.0, 20.0, 50.0, 300.0),
+              "orbit_right_60": (10.0, 1e4, 1e8, 1e11)}
+# the radius ranges the benchmark's sweep draws from
+SWEEP_RANGES = {"orbit_left_30": (1.0, 3e3), "orbit_right_60": (1.0, 1e12)}
+
+
+def _circle(r, n):
+    return r * np.exp(1j * (np.linspace(0.0, 2 * math.pi, n, endpoint=False) + 0.3))
+
+
+def _exact_channels(f: RationalFromDivisor, z):
+    """log|f| and z f'/f at each z, from the divisor in 40-digit decimals."""
+    D = decimal.Decimal
+    lms, zlds = [], []
+    with decimal.localcontext(decimal.Context(prec=40)):
+        for zz in z:
+            x, y = D(zz.real), D(zz.imag)
+            # |f|^2 as one product, so that a single logarithm is taken
+            mod2 = ((D(f.scale.real) ** 2 + D(f.scale.imag) ** 2)
+                    * (x * x + y * y) ** f.divisor.origin_order)
+            zld_re, zld_im = D(f.divisor.origin_order), D(0)
+            for p, m in f.divisor.entries:
+                dx, dy = x - D(p.real), y - D(p.imag)
+                s = dx * dx + dy * dy
+                mod2 *= s ** m
+                zld_re += m * (x * dx + y * dy) / s  # m z conj(z - b) / |z - b|^2
+                zld_im += m * (y * dx - x * dy) / s
+            lms.append(float(mod2.ln() / 2))
+            zlds.append(complex(float(zld_re), float(zld_im)))
+    return np.array(lms), np.array(zlds)
+
+
+def test_circle_fold_matches_a_40_digit_sum(reference_rationals):
+    for key, radii in FOLD_RADII.items():
+        f = reference_rationals[key]
+        for r in radii:
+            g = f.near_circle(r)
+            assert g is not f, (key, r)
+            z = _circle(r, 7)
+            want_lm, want_zld = _exact_channels(f, z)
+            for got, want in ((g._log_mod(z), want_lm), (z * g._logderivs(z), want_zld)):
+                assert np.all(np.abs(got - want) <= 1e-14 * (1 + np.abs(want))), (key, r)
+
+
+def test_circle_fold_agrees_with_the_direct_sum(reference_rationals):
+    for key, (lo, hi) in SWEEP_RANGES.items():
+        f = reference_rationals[key]
+        for r in np.geomspace(lo, hi, 40):
+            g = f.near_circle(r)
+            z = _circle(r, 64)
+            for got, want in ((g._log_mod(z), f._log_mod(z)),
+                              (z * g._logderivs(z), z * f._logderivs(z))):
+                assert np.all(np.abs(got - want) <= 1e-13 * (1 + np.abs(want))), (key, r)
+
+
+def _fold_terms(weight, q, log):
+    """Fewest series terms K with weight q^(K+1) / ((K+1 if log) (1-q)) <= 2^-54."""
+    k = 0
+    while weight * q ** (k + 1) / ((k + 1 if log else 1) * (1 - q)) > 2.0**-54:
+        k += 1
+    return k
+
+
+def test_circle_fold_splits_at_half_and_twice_the_radius(reference_rationals):
+    folded = 0
+    for key, (lo, hi) in SWEEP_RANGES.items():
+        f = reference_rationals[key]
+        entries = f.divisor.entries
+        for r in np.geomspace(lo, hi, 40):
+            g = f.near_circle(r)
+            groups = {True: [e for e in entries if abs(e[0]) <= r / 2],
+                      False: [e for e in entries if abs(e[0]) >= 2 * r]}
+            plans = (g._log, g._der) if g is not f else ((f.divisor, 0.0, ()),) * 2
+            for (div, _, series), log in zip(plans, (True, False)):
+                direct = {e for e in entries if r / 2 < abs(e[0]) < 2 * r}
+                origin, terms = f.divisor.origin_order, {}
+                for inner, group in groups.items():
+                    if not group:
+                        continue
+                    q = max(abs(p) / r if inner else r / abs(p) for p, _ in group)
+                    k = _fold_terms(sum(abs(m) for _, m in group), q, log)
+                    if len(group) > k:
+                        terms[inner] = k
+                        origin += inner * sum(m for _, m in group)
+                    else:
+                        direct |= set(group)
+                assert set(div.entries) == direct and div.origin_order == origin, (key, r)
+                if log:
+                    assert len(series) == max(terms.values(), default=0), (key, r)
+                else:
+                    assert [(i, c.size) for i, c in series] == [
+                        (i, k) for i, k in terms.items() if k], (key, r)
+                folded += bool(terms)
+    assert folded > 100
+
+
+def test_fold_series_helpers_keep_every_term():
+    rng = np.random.default_rng(5)
+    c = rng.normal(size=9) + 1j * rng.normal(size=9)
+    w = np.exp(1j * rng.uniform(0.0, 2 * math.pi, 50))
+    want = sum(ck * w ** (k + 1) for k, ck in enumerate(c))
+    assert np.max(np.abs(fnmodel._power_series(w, c) - want)) < 1e-13
+    u = 0.5 * rng.uniform(size=30) * np.exp(1j * rng.uniform(0.0, 2 * math.pi, 30))
+    m = rng.integers(-3, 4, 30).astype(float)
+    want = [np.sum(m * u**j) for j in range(1, 12)]
+    assert np.max(np.abs(fnmodel._power_sums(u, m, 11) - want)) < 1e-13
+
+
+def test_circle_fold_memory_stays_a_few_node_arrays(reference_rationals):
+    f = reference_rationals["orbit_right_60"]
+    g = f.near_circle(1e4)
+    z = _circle(1e4, 50_000)
+    tracemalloc.start()
+    try:
+        g._log_mod(z)
+        g._logderivs(z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * z.nbytes  # one (terms, nodes) array would be over 50 z.nbytes
+
+
+def test_near_circle_of_small_or_transcendental_functions_is_itself(members):
+    for key in ("rat_pole0", "rat_zero1_pole2", "exp_z", "exp_exp_z"):
+        expr = members[key].expr
+        for r in (0.5, 3.0, 1e3):
+            assert expr.near_circle(r) is expr, (key, r)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ from nevlab import (
     Polynomial,
     RationalFromDivisor,
     argument_principle_count,
+    build_orbit_function,
     characteristic,
     characteristic_sweep,
     counting,
+    figure_family,
     fmt_delta,
     hyperorder_estimate,
     jensen_lhs_rhs,
@@ -22,6 +24,7 @@ from nevlab import (
     n_count,
     proximity,
 )
+from nevlab import nevanlinna
 from nevlab.fnmodel import InsufficientGrowth, NonMonotone
 
 Z = Polynomial((0j, 1.0))
@@ -234,6 +237,36 @@ def test_argument_principle_matches_divisor(members):
             d = expr.divisor_in_disc(r)
             want = d.total("zeros") - d.total("poles")
             assert argument_principle_count(expr, r) == want, (key, r)
+
+
+# the contour-count radii of the benchmark's sweep on seed 3
+SWEEP_COUNT_RADII = {
+    ("left", 30): (2.4637809487369093, 7.105909920517207, 10.078659295099346,
+                   38.9656314178639, 64.20141667812175, 176.26106157566622,
+                   524.6512578025684, 2941.357634676381),
+    ("right", 60): (6.403868601299425, 646.8603902201833, 5396.727593856682,
+                    272639.4065702617, 13596473.972298713, 273665737.1212176,
+                    6015715801.214959, 361600593566.87164),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SWEEP_COUNT_RADII))
+def test_argument_principle_through_the_fold_matches_divisor(family):
+    expr = build_orbit_function(figure_family(*family))
+    for r in SWEEP_COUNT_RADII[family]:
+        assert expr.near_circle(r) is not expr
+        d = expr.divisor_in_disc(r)
+        assert argument_principle_count(expr, r) == d.total("zeros") - d.total("poles"), r
+
+
+def test_samples_keep_the_quadrature_counts(monkeypatch):
+    seen, quad = [], nevanlinna.adaptive_circle
+    monkeypatch.setattr(nevanlinna, "adaptive_circle",
+                        lambda *a, **k: seen.append(quad(*a, **k)) or seen[-1])
+    s = characteristic(EXP_Z2, 3.0)
+    assert (s.panels, s.evaluations) == (seen[0].panels, seen[0].evaluations)
+    assert s.evaluations > 0 and s.panels > 0
+    assert list(s.as_row()) == ["r", "m", "N", "T", "quad_err", "nudged"]
 
 
 def test_log_radii_shape_and_bounds():

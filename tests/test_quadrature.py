@@ -75,3 +75,13 @@ def test_split_angles_are_normalized():
     res = adaptive_circle(lambda t: np.ones_like(t),
                           singular_angles=[0.0, TWO_PI, -math.pi, math.pi, math.pi])
     assert res.value == pytest.approx(TWO_PI, rel=1e-13)
+
+
+@pytest.mark.parametrize("atol, rtol", [(math.nan, 1e-8), (1e-9, math.nan),
+                                        (math.inf, 1e-8), (1e-9, math.inf),
+                                        (-1.0, 1e-8), (1e-9, -1e-3), (0.0, 0.0)])
+def test_bad_tolerances_raise_before_any_evaluation(atol, rtol):
+    calls = []
+    with pytest.raises(ValueError):
+        adaptive_circle(lambda t: calls.append(t) or np.ones_like(t), atol=atol, rtol=rtol)
+    assert not calls
