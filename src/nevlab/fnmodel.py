@@ -44,6 +44,7 @@ import cmath
 import hashlib
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
@@ -510,8 +511,26 @@ class Divisor:
     def is_empty(self) -> bool:
         return not self.entries and self.origin_order == 0
 
+    @cached_property
+    def _moduli(self) -> list[float]:
+        """|p| of each entry: nondecreasing, so a radius query is a bisect."""
+        return [abs(p) for p, _ in self.entries]
+
     def restrict(self, r: float) -> "Divisor":
-        return Divisor(tuple(e for e in self.entries if abs(e[0]) <= r), self.origin_order)
+        k = 0 if math.isnan(r) else bisect_right(self._moduli, r)  # NaN admits none
+        out = Divisor(self.entries[:k], self.origin_order)
+        out.__dict__["_moduli"] = self._moduli[:k]  # sorted prefix: spares a scan
+        return out
+
+    def band(self, r: float, rel: float) -> list[tuple[complex, int]]:
+        """Entries with ||p| - r| <= rel * r, in entry order, for rel < 1/2.
+
+        Rounding is monotone, so every entry the test admits lies between
+        the bisect bounds; the test itself decides on those in between.
+        """
+        mod = self._moduli
+        lo, hi = bisect_left(mod, r - rel * r), bisect_right(mod, r + rel * r)
+        return [e for e, a in zip(self.entries[lo:hi], mod[lo:hi]) if abs(a - r) <= rel * r]
 
     def negate(self) -> "Divisor":
         return Divisor(tuple((p, -m) for p, m in self.entries), -self.origin_order)

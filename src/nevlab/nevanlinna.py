@@ -16,6 +16,7 @@ contour count used as an independent cross-check on divisor bookkeeping.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -68,18 +69,14 @@ def _split_angles(expr: FunctionExpr, r: float) -> list[float]:
     if not expr.is_divisor_transparent:
         return []
     div = expr.divisor_in_disc(r * (1.0 + SPLIT_BAND))
-    out = []
-    for p, _ in div.entries:
-        if abs(abs(p) - r) <= SPLIT_BAND * r:
-            out.append(math.atan2(p.imag, p.real) % TWO_PI)
-    return out
+    return [math.atan2(p.imag, p.real) % TWO_PI for p, _ in div.band(r, SPLIT_BAND)]
 
 
 def _needs_nudge(expr: FunctionExpr, r: float) -> bool:
     if not expr.is_divisor_transparent:
         return False
     div = expr.divisor_in_disc(r * (1.0 + 2.0 * ON_CIRCLE_REL))
-    return any(abs(abs(p) - r) <= ON_CIRCLE_REL * r for p, _ in div.entries)
+    return bool(div.band(r, ON_CIRCLE_REL))
 
 
 def _circle_mean(expr: FunctionExpr, r: float, integrand, atol: float,
@@ -98,8 +95,10 @@ def _circle_mean(expr: FunctionExpr, r: float, integrand, atol: float,
     if nudge and _needs_nudge(expr, r):
         r_used = r * NUDGE_FACTOR
     g = expr.near_circle(r_used)
+    # a finite atol stays finite when scaled; inf and NaN reach the check as given
+    scaled_atol = min(atol * TWO_PI, sys.float_info.max) if math.isfinite(atol) else atol
     res = adaptive_circle(lambda theta: integrand(g, r_used * np.exp(1j * theta)),
-                          _split_angles(expr, r_used), atol=atol * TWO_PI, rtol=rtol)
+                          _split_angles(expr, r_used), atol=scaled_atol, rtol=rtol)
     return replace(res, value=res.value / TWO_PI,
                    err_estimate=res.err_estimate / TWO_PI), r_used
 
@@ -131,7 +130,7 @@ def counting(divisor: Divisor, r: float, kind: str = "poles") -> float:
     """Integrated counting function N(r) for the requested divisor sign."""
     if r <= 0:
         raise ValueError("radius must be positive")
-    d = divisor.signed(kind).restrict(r)
+    d = divisor.restrict(r).signed(kind)
     total = d.origin_order * math.log(r) if d.origin_order else 0.0
     for p, m in d.entries:
         total += m * math.log(r / abs(p))

@@ -6,7 +6,10 @@ the known singular angles up front, makes them panel endpoints, pre-refines
 dyadically toward them, and then drives a plain split-and-compare loop: a
 panel is accepted when the difference between its one-panel value and the
 sum over its two halves is below the width-proportional share of the error
-budget.
+budget.  Each round calls the integrand once, on the nodes of both halves
+of every active panel (the first round adds the seed panels' own nodes),
+and forms the panel values with one gemv per block (coarse, left, right):
+one gemv over the stacked blocks would move last bits.
 """
 
 from __future__ import annotations
@@ -38,17 +41,6 @@ class QuadratureResult:
     evaluations: int
 
 
-def _panel_values(f: Callable[[np.ndarray], np.ndarray],
-                  lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre value of f over each [lo_i, hi_i], batched."""
-    x, w = _gl_nodes(PANEL_ORDER)
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    theta = mid[:, None] + half[:, None] * x[None, :]
-    vals = f(theta.ravel()).reshape(theta.shape)
-    return half * (vals @ w)
-
-
 def adaptive_circle(f: Callable[[np.ndarray], np.ndarray],
                     singular_angles=(),
                     atol: float = 1e-10,
@@ -57,9 +49,13 @@ def adaptive_circle(f: Callable[[np.ndarray], np.ndarray],
                     max_panels: int = 20000) -> QuadratureResult:
     """Integrate ``f`` over [0, 2pi) with singular-aware panel refinement.
 
-    ``f`` must accept a 1-D angle array and return values of matching shape;
-    non-finite values at a quadrature node get one nudge retry, after which
-    :class:`QuadratureFailure` is raised.  The error control accepts a panel
+    ``f`` must accept a 1-D angle array and return real values of matching
+    shape.  It is called once per refinement round, on the nodes of both
+    halves of every active panel (the first round adds the seed panels'
+    nodes).  Each block of panels -- coarse, left, right -- gets its own
+    gemv, so the values match separate calls per block bit for bit.  A
+    panel whose value is non-finite gets one nudge retry, one more call per
+    block, after which :class:`QuadratureFailure` is raised.  The error control accepts a panel
     when ``|coarse - fine| <= max(atol, rtol*|total|) * width / 2pi``, and
     the whole run finishes early once the summed error estimate over every
     remaining panel is already inside the global budget.  The global check
@@ -72,11 +68,7 @@ def adaptive_circle(f: Callable[[np.ndarray], np.ndarray],
     if not (0.0 <= atol < math.inf and 0.0 <= rtol < math.inf) or atol == rtol == 0.0:
         raise ValueError("quadrature tolerances must be finite and nonnegative, "
                          "and not both zero")
-    cuts = {0.0, TWO_PI}
-    for a in singular_angles:
-        a = float(a) % TWO_PI
-        cuts.add(a)
-    pts = sorted(cuts)
+    pts = sorted({0.0, TWO_PI} | {float(a) % TWO_PI for a in singular_angles})
     merged = [pts[0]]
     for a in pts[1:]:
         if a - merged[-1] > 1e-12:
@@ -95,73 +87,76 @@ def adaptive_circle(f: Callable[[np.ndarray], np.ndarray],
             knots.append(b - width * 0.5**k)
         knots.append(b)
         knots = sorted(set(knots))
-        for u, v in zip(knots[:-1], knots[1:]):
-            lo_list.append(u)
-            hi_list.append(v)
+        lo_list += knots[:-1]
+        hi_list += knots[1:]
 
-    lo = np.array(lo_list)
-    hi = np.array(hi_list)
+    lo, hi = np.array(lo_list), np.array(hi_list)
+    x, w = _gl_nodes(PANEL_ORDER)
     evaluations = 0
 
-    def safe_values(lo_arr, hi_arr):
+    def panel_values(lo_b, hi_b, retry=True):
+        """Gauss-Legendre values of f over the panels [lo_b, hi_b], given
+        as (blocks, panels) arrays, from one call to f; ``retry`` allows
+        the nudge retry of the panels whose value is non-finite."""
         nonlocal evaluations
-        evaluations += lo_arr.size * PANEL_ORDER
-        vals = _panel_values(f, lo_arr, hi_arr)
-        bad = ~np.isfinite(vals)
-        if np.any(bad):
-            # nudge the offending panels inward once; a singular endpoint is
-            # legal, a singular interior node means the split angles missed it
-            shrink = 1e-9 * (hi_arr[bad] - lo_arr[bad])
-            vals2 = _panel_values(f, lo_arr[bad] + shrink, hi_arr[bad] - shrink)
-            evaluations += int(np.sum(bad)) * PANEL_ORDER
-            if np.any(~np.isfinite(vals2)):
-                raise QuadratureFailure(
-                    "integrand is non-finite inside a panel after a nudge retry"
-                )
-            vals = vals.copy()
-            vals[bad] = vals2
-        return vals
+        half = 0.5 * (hi_b - lo_b)
+        theta = (0.5 * (hi_b + lo_b))[..., None] + half[..., None] * x
+        vals = f(theta.ravel()).reshape(theta.shape)
+        evaluations += theta.size
+        out = np.empty(half.shape)
+        for k, block in enumerate(vals):
+            out[k] = block @ w  # one gemv per block: a stacked gemv moves last bits
+        out *= half
+        if np.isfinite(out).all():
+            return out
+        if not retry:
+            raise QuadratureFailure(
+                "integrand is non-finite inside a panel after a nudge retry"
+            )
+        for k, bad in enumerate(~np.isfinite(out)):
+            if bad.any():
+                # nudge the offending panels inward once; a singular endpoint is
+                # legal, a singular interior node means the split angles missed it
+                a, b = lo_b[k, bad], hi_b[k, bad]
+                shrink = 1e-9 * (b - a)
+                out[k, bad] = panel_values((a + shrink)[None], (b - shrink)[None], False)[0]
+        return out
 
-    coarse = safe_values(lo, hi)
-
-    accepted_val = 0.0
-    accepted_err = 0.0
-    accepted_cnt = 0
+    accepted_val, accepted_err, accepted_cnt = 0.0, 0.0, 0
+    coarse = None
 
     for _ in range(max_rounds):
-        if lo.size == 0:
-            break
-        mid = 0.5 * (lo + hi)
-        left = safe_values(lo, mid)
-        right = safe_values(mid, hi)
+        edges = np.array((lo, 0.5 * (lo + hi), hi))
+        if coarse is None:  # the seed panels' own values ride in the first call
+            coarse, left, right = blocks = panel_values(edges[[0, 0, 1]], edges[[2, 1, 2]])
+        else:
+            left, right = blocks = panel_values(edges[:2], edges[1:])
         fine = left + right
         err = np.abs(coarse - fine)
 
-        total_now = accepted_val + float(np.sum(fine))
+        total_now = accepted_val + float(fine.sum())
         etol = max(atol, rtol * abs(total_now))
 
-        residual = accepted_err + float(np.sum(err))
+        residual = accepted_err + float(err.sum())
         if residual <= etol:
             accepted_val = total_now
             accepted_err = residual
-            accepted_cnt += int(lo.size)
-            lo = np.empty(0)
+            accepted_cnt += lo.size
             break
 
-        budget = etol * (hi - lo) / TWO_PI
-        done = (err <= budget) | (hi - lo <= MIN_WIDTH)
-
-        accepted_val += float(np.sum(fine[done]))
-        accepted_err += float(np.sum(err[done]))
-        accepted_cnt += int(np.sum(done))
-
+        width = hi - lo
+        done = (err <= etol * width / TWO_PI) | (width <= MIN_WIDTH)
+        n_done = int(np.count_nonzero(done))
+        if n_done:
+            accepted_val += float(fine[done].sum())
+            accepted_err += float(err[done].sum())
+            accepted_cnt += n_done
+        if n_done == lo.size:
+            break
         keep = ~done
-        if not np.any(keep):
-            lo = np.empty(0)
-            break
-        lo = np.concatenate([lo[keep], mid[keep]])
-        hi = np.concatenate([mid[keep], hi[keep]])
-        coarse = np.concatenate([left[keep], right[keep]])
+        edges = edges[:, keep]
+        lo, hi = edges[:2].ravel(), edges[1:].ravel()
+        coarse = blocks[-2:, keep].ravel()
         if lo.size + accepted_cnt > max_panels:
             raise QuadratureFailure(
                 f"panel count exceeded {max_panels} before reaching tolerance"
@@ -172,9 +167,5 @@ def adaptive_circle(f: Callable[[np.ndarray], np.ndarray],
             f"({lo.size} panels still active)"
         )
 
-    return QuadratureResult(
-        value=accepted_val,
-        err_estimate=accepted_err,
-        panels=accepted_cnt,
-        evaluations=evaluations,
-    )
+    return QuadratureResult(value=accepted_val, err_estimate=accepted_err,
+                            panels=accepted_cnt, evaluations=evaluations)

@@ -253,12 +253,22 @@ def test_census_values_end_in_an_exit_code_never_a_traceback(capsys, token):
         assert json.loads(out)["config"]["values"] == token.split(",")
 
 
-@pytest.mark.parametrize("tols", [("--atol", "nan"), ("--atol", "0", "--rtol", "0"),
-                                  ("--atol=-1",)])
+@pytest.mark.parametrize("tols", [("--atol", "nan"), ("--atol", "inf"),
+                                  ("--atol", "0", "--rtol", "0"), ("--atol=-1",)])
 def test_char_bad_tolerances_are_an_error(capsys, tols):
     code, out, err = run(capsys, "char", "--fn", "exp_z", "--radii", "2", *tols)
     assert code == EXIT_ERROR and out == ""
     assert json.loads(err)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("atol", ["1e308", "1.7976931348623157e308"])
+def test_char_huge_finite_atol_is_not_a_tolerance_error(capsys, atol):
+    # the circle means scale atol by 2 pi; a finite value must stay finite
+    code, out, err = run(capsys, "char", "--fn", "exp_z", "--radii", "2", "--atol", atol)
+    assert code == EXIT_PASS and err == ""
+    header, row = out.splitlines()[1:]
+    assert header == "r,m,N,T,quad_err,nudged"
+    assert float(row.split(",")[1]) == pytest.approx(2.0 / math.pi, rel=1e-6)
 
 
 @pytest.mark.parametrize("seed", ["1e400", "nan+1i"])

@@ -34,10 +34,12 @@ from nevlab.fnmodel import (
     ComposePoly,
     OpaqueExpr,
     PoleSignal,
+    TWO_PI,
     RootFindFailure,
     compose_poly,
     roots_of_shifts,
 )
+from nevlab.nevanlinna import ON_CIRCLE_REL, SPLIT_BAND
 from nevlab.quadrature import adaptive_circle
 
 Z = Polynomial((0j, 1.0))
@@ -260,6 +262,48 @@ def test_divisor_restrict_is_monotone(pairs, r1, dr):
     outer = {p for p, _ in big.entries}
     assert inner <= outer
     assert small.signed("zeros").total("zeros") <= big.signed("zeros").total("zeros")
+
+
+def _ulp_walk(x, steps=3):
+    out = [x]
+    for toward in (-math.inf, math.inf):
+        y = x
+        for _ in range(steps):
+            y = math.nextafter(y, toward)
+            out.append(y)
+    return out
+
+
+def test_divisor_radius_queries_equal_the_linear_scan():
+    """restrict and band bisect on the sorted moduli; the scans they replace
+    test every entry.  Queries sit at |p| itself, at 0, -1, inf and NaN, and
+    within a few ulps of the radii that put |p| exactly on a band edge,
+    (1 -+ rel) r = |p|."""
+    rng = np.random.default_rng(11)
+    edges_hit = set()
+    for _ in range(12):
+        n = int(rng.integers(1, 40))
+        mods = np.exp(rng.uniform(-4.0, 6.0, n))
+        mods[: n // 3] = mods[0]  # a shell of points at one modulus
+        pts = mods * np.exp(1j * rng.uniform(0.0, TWO_PI, n))
+        pts[0] = complex(mods[0], 0.0)  # |p| exact
+        d = Divisor.build([(complex(p), int(rng.choice([-2, -1, 1, 3]))) for p in pts])
+        for entry in d.entries[:: max(1, len(d.entries) // 6)]:
+            a = abs(entry[0])
+            queries = [a, 0.0, -1.0, math.inf, math.nan]
+            for rel in (SPLIT_BAND, ON_CIRCLE_REL):
+                queries += _ulp_walk(a / (1.0 - rel)) + _ulp_walk(a / (1.0 + rel))
+            for q in queries:
+                kept = d.restrict(q)
+                assert kept.entries == tuple(e for e in d.entries if abs(e[0]) <= q)
+                assert kept._moduli == [abs(e[0]) for e in kept.entries]
+                for rel in (SPLIT_BAND, ON_CIRCLE_REL, 0.0):
+                    want = [e for e in d.entries if abs(abs(e[0]) - q) <= rel * q]
+                    assert d.band(q, rel) == want
+                    assert kept.band(q, rel) == [e for e in want if e in kept.entries]
+                    if q != a and rel and math.isfinite(q) and q > 0:
+                        edges_hit.add((rel, entry in want))
+    assert len(edges_hit) == 4  # each band edge seen both admitting p and not
 
 
 def test_divisor_json_round_trip():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from nevlab.fnmodel import QuadratureFailure, TWO_PI
-from nevlab.quadrature import adaptive_circle
+from nevlab.quadrature import (MIN_WIDTH, PANEL_ORDER, SEED_LEVELS, QuadratureResult,
+                               adaptive_circle)
 
 # reference values computed with mpmath.quad at 30 digits
 EXP_SIN_INTEGRAL = 7.9549265210128452745       # = 2 pi I_0(1)
@@ -85,3 +86,164 @@ def test_bad_tolerances_raise_before_any_evaluation(atol, rtol):
     with pytest.raises(ValueError):
         adaptive_circle(lambda t: calls.append(t) or np.ones_like(t), atol=atol, rtol=rtol)
     assert not calls
+
+
+# ---------------------------------------------------------------------------
+# the split-and-compare loop as it stood before each round became one call
+# ---------------------------------------------------------------------------
+
+
+def _reference_adaptive_circle(f, singular_angles=(), atol=1e-10, rtol=1e-8,
+                               max_rounds=60, max_panels=20000):
+    """Three integrand calls in the first round, two in each later one."""
+    x, w = np.polynomial.legendre.leggauss(PANEL_ORDER)
+
+    def panel_values(lo, hi):
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (hi + lo)
+        theta = mid[:, None] + half[:, None] * x[None, :]
+        return half * (f(theta.ravel()).reshape(theta.shape) @ w)
+
+    cuts = sorted({0.0, TWO_PI} | {float(a) % TWO_PI for a in singular_angles})
+    merged = [cuts[0]]
+    for a in cuts[1:]:
+        if a - merged[-1] > 1e-12:
+            merged.append(a)
+    if merged[-1] < TWO_PI - 1e-12:
+        merged.append(TWO_PI)
+    lo_list, hi_list = [], []
+    for a, b in zip(merged[:-1], merged[1:]):
+        knots = [a] + [a + (b - a) * 0.5**k for k in range(SEED_LEVELS, 0, -1)]
+        knots += [b - (b - a) * 0.5**k for k in range(1, SEED_LEVELS + 1)] + [b]
+        knots = sorted(set(knots))
+        lo_list += knots[:-1]
+        hi_list += knots[1:]
+    lo, hi = np.array(lo_list), np.array(hi_list)
+    evaluations = 0
+
+    def safe_values(lo_arr, hi_arr):
+        nonlocal evaluations
+        evaluations += lo_arr.size * PANEL_ORDER
+        vals = panel_values(lo_arr, hi_arr)
+        bad = ~np.isfinite(vals)
+        if np.any(bad):
+            shrink = 1e-9 * (hi_arr[bad] - lo_arr[bad])
+            vals2 = panel_values(lo_arr[bad] + shrink, hi_arr[bad] - shrink)
+            evaluations += int(np.sum(bad)) * PANEL_ORDER
+            if np.any(~np.isfinite(vals2)):
+                raise QuadratureFailure("non-finite after a nudge retry")
+            vals = vals.copy()
+            vals[bad] = vals2
+        return vals
+
+    coarse = safe_values(lo, hi)
+    acc_val, acc_err, acc_cnt = 0.0, 0.0, 0
+    for _ in range(max_rounds):
+        mid = 0.5 * (lo + hi)
+        left, right = safe_values(lo, mid), safe_values(mid, hi)
+        fine = left + right
+        err = np.abs(coarse - fine)
+        total_now = acc_val + float(np.sum(fine))
+        etol = max(atol, rtol * abs(total_now))
+        residual = acc_err + float(np.sum(err))
+        if residual <= etol:
+            return QuadratureResult(total_now, residual, acc_cnt + int(lo.size), evaluations)
+        done = (err <= etol * (hi - lo) / TWO_PI) | (hi - lo <= MIN_WIDTH)
+        acc_val += float(np.sum(fine[done]))
+        acc_err += float(np.sum(err[done]))
+        acc_cnt += int(np.sum(done))
+        keep = ~done
+        if not np.any(keep):
+            return QuadratureResult(acc_val, acc_err, acc_cnt, evaluations)
+        lo = np.concatenate([lo[keep], mid[keep]])
+        hi = np.concatenate([mid[keep], hi[keep]])
+        coarse = np.concatenate([left[keep], right[keep]])
+        if lo.size + acc_cnt > max_panels:
+            raise QuadratureFailure("panel count exceeded")
+    raise QuadratureFailure("tolerance not reached")
+
+
+def _counted(f):
+    calls = []
+
+    def g(t):
+        calls.append(t.size)
+        return f(t)
+    return g, calls
+
+
+def _log_abs_z2_minus_1(t):
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(np.exp(2j * t) - 1.0))
+
+
+def _neg_power_z2_minus_1(t):
+    with np.errstate(divide="ignore"):
+        return np.exp(-0.45 * np.log(np.abs(np.exp(2j * t) - 1.0)))
+
+
+def _nan_at_a_seed_node(t):
+    """exp(sin t), NaN at one node of a seed panel: the nudge retry repairs it."""
+    out = np.exp(np.sin(t))
+    out[t == _SEED_NODE] = np.nan
+    return out
+
+
+# node 5 of the seed panel [pi/2, pi], formed as the quadrature forms it
+_LO, _HI = 0.25 * TWO_PI, 0.5 * TWO_PI
+_X5 = np.polynomial.legendre.leggauss(PANEL_ORDER)[0][5]
+_SEED_NODE = 0.5 * (_HI + _LO) + 0.5 * (_HI - _LO) * _X5
+
+REFERENCE_CASES = {
+    "smooth": (lambda t: np.exp(np.sin(3.0 * t)), {"atol": 1e-13, "rtol": 1e-13}),
+    "split angles": (_neg_power_z2_minus_1, {"singular_angles": [0.0, math.pi],
+                                            "atol": 1e-8, "rtol": 1e-7}),
+    "nudged node": (_nan_at_a_seed_node, {}),
+    "global exit": (_log_abs_z2_minus_1, {"singular_angles": [0.0, math.pi],
+                                         "atol": 1e-9, "rtol": 1e-8}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_one_call_per_round_equals_the_reference_loop(case):
+    f, kwargs = REFERENCE_CASES[case]
+    f_ref, ref_calls = _counted(f)
+    f_new, new_calls = _counted(f)
+    want = _reference_adaptive_circle(f_ref, **kwargs)
+    got = adaptive_circle(f_new, **kwargs)
+    assert got == want
+    assert type(got.panels) is type(got.evaluations) is int
+    assert sum(new_calls) == sum(ref_calls) == got.evaluations
+    if case == "nudged node":
+        assert got.evaluations > adaptive_circle(lambda t: np.exp(np.sin(t))).evaluations
+    else:  # the reference calls f once for the seed panels, then twice a round
+        assert len(new_calls) == (len(ref_calls) - 1) // 2
+
+
+def _nan_inside(t):
+    out = np.sin(t)
+    out[(t > 1.0) & (t < 1.2)] = np.nan
+    return out
+
+
+@pytest.mark.parametrize("f, kwargs", [
+    (_nan_inside, {}),
+    (_log_abs_z2_minus_1, {"singular_angles": [0.0, math.pi], "atol": 1e-14,
+                           "rtol": 1e-14, "max_panels": 60}),
+    (lambda t: np.exp(np.sin(t)), {"atol": 1e-300, "rtol": 1e-300, "max_rounds": 2}),
+], ids=["interior NaN", "max_panels", "max_rounds"])
+def test_failures_match_the_reference_loop(f, kwargs):
+    with pytest.raises(QuadratureFailure):
+        _reference_adaptive_circle(f, **kwargs)
+    with pytest.raises(QuadratureFailure) as info:
+        adaptive_circle(f, **kwargs)
+    assert ("panel count" in str(info.value)) == ("max_panels" in kwargs)
+    assert ("refinement rounds" in str(info.value)) == ("max_rounds" in kwargs)
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 5])
+def test_the_integrand_is_called_once_per_round(rounds):
+    f, calls = _counted(lambda t: np.exp(np.sin(t)))
+    with pytest.raises(QuadratureFailure, match=f"after {rounds} refinement rounds"):
+        adaptive_circle(f, atol=1e-300, rtol=1e-300, max_rounds=rounds)
+    assert len(calls) == rounds
