@@ -141,8 +141,9 @@ def pestimate_check(p: Polynomial, gamma: float, r: float,
 
     lhs: integral over [0, 2pi) of |p(r e^{i theta})|^{-gamma/deg p};
     rhs: 2pi / ((1-gamma) |lead|^{gamma/deg p} r^gamma), valid for every
-    r > 0.  Root angles near the contour become quadrature panel cuts; the
-    singularities are integrable because gamma < 1.
+    r > 0.  Roots near the contour become quadrature panel cuts, each with
+    its distance |log(|w|/r)| off the circle; the singularities are
+    integrable because gamma < 1.
     """
     if not 0 < gamma < 1:
         raise ValueError("gamma must lie in (0,1)")
@@ -152,15 +153,15 @@ def pestimate_check(p: Polynomial, gamma: float, r: float,
         raise ValueError("polynomial must be nonconstant")
     expo = gamma / p.degree
     roots = poly_roots(p)
-    split = [math.atan2(w.imag, w.real) % TWO_PI
-             for w in roots if abs(abs(w) - r) <= 0.1 * r]
+    cuts = [(math.atan2(w.imag, w.real) % TWO_PI, abs(math.log(abs(w) / r)))
+            for w in roots if abs(abs(w) - r) <= 0.1 * r]
 
     def integrand(theta: np.ndarray) -> np.ndarray:
         z = r * np.exp(1j * theta)
         with np.errstate(divide="ignore"):
             return np.exp(-expo * np.log(np.abs(p(z))))
 
-    res = adaptive_circle(integrand, split, atol=atol, rtol=rtol)
+    res = adaptive_circle(integrand, cuts, atol=atol, rtol=rtol)
     rhs = TWO_PI / ((1.0 - gamma) * abs(p.leading) ** expo * r**gamma)
     margin = rhs - res.value
     return BoundReport(r=r, lhs=res.value, rhs=rhs, margin=margin,

@@ -41,7 +41,6 @@ enforce the pole/overflow signalling contract.
 from __future__ import annotations
 
 import cmath
-import hashlib
 import json
 import math
 from bisect import bisect_left, bisect_right
@@ -65,6 +64,9 @@ ROOT_CLUSTER_TOL = 1e-5
 # f - a is expanded into a polynomial; above it f = a is solved in product
 # form by a certified Ehrlich-Aberth iteration.
 MAX_RATIONAL_DEGREE = 24
+# Most panels one circle quadrature may hold; a closed-form level set with
+# more angles than this is not solved for panel cuts.
+MAX_PANELS = 20000
 
 _LOG_HUGE = 709.0  # log of the largest finite double, rounded down
 # Rows per batched Aberth solve are capped so that its (rows, n, n) array of
@@ -695,6 +697,13 @@ class FunctionExpr:
         exists."""
         return self
 
+    def level_angles(self, r: float) -> np.ndarray:
+        """Sorted angles in [0, 2pi) at which |f(r e^{i theta})| = 1, for the
+        variants that have that level set in closed form: there log+|f| has
+        its kinks, and the circle means of log+|f| cut their panels.  Empty
+        for every other expression."""
+        return _NO_ANGLES
+
     def _divisor_impl(self, r: float) -> Divisor:
         raise OpaqueExpr(f"{type(self).__name__} does not expose a divisor")
 
@@ -769,8 +778,57 @@ class FunctionExpr:
         raise NotImplementedError
 
     def structure_hash(self) -> str:
+        import hashlib  # loads OpenSSL (about 3.5 MB resident): only when hashing
+
         blob = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha1(blob.encode()).hexdigest()[:12]
+
+
+_NO_ANGLES = np.empty(0)
+
+
+def _im_level_angles(p: Polynomial, r: float, shifts) -> np.ndarray:
+    """Sorted angles theta in [0, 2pi) with Im p(r e^{i theta}) = s, for
+    every shift s (Re p = Im(ip) takes the same path).
+
+    With c_j = p_j r^j and u = e^{i theta}, the equation times 2i u^d is
+    the degree-2d polynomial sum c_j u^{d+j} - sum conj(c_j) u^{d-j}
+    - 2is u^d, whose unimodular roots are wanted.  The shifts differ in the
+    u^d coefficient only, so their companion matrices are stacked into one
+    eigenvalue call.  A root is kept where the residual at its angle is
+    within 1e-9 of the equation's scale, which only a root on (or within
+    about 1e-9 of) the unit circle meets, and polished by one Newton step
+    in theta.  The few roots per shift are handled as Python complex
+    numbers, which costs less than numpy calls on arrays this small.
+    """
+    d, n = p.degree, 2 * p.degree
+    try:
+        c = [a * float(r)**k for k, a in enumerate(p.coeffs)]
+    except OverflowError:
+        return _NO_ANGLES
+    if d < 1 or not len(shifts) or not all(map(cmath.isfinite, c)):
+        return _NO_ANGLES
+    lead = c[-1]
+    # companion matrices: first row minus the coefficients of u^(n-1), ...,
+    # u^0 over c_d, ones below the diagonal; built as lists, one array call
+    head = [-x / lead for x in c[-2:0:-1]]
+    tail = [x.conjugate() / lead for x in c[1:]]
+    below = [[float(k == i) for k in range(n)] for i in range(n - 1)]
+    roots = np.linalg.eigvals(np.array(
+        [[head + [2j * (s - c[0].imag) / lead] + tail] + below for s in shifts])).tolist()
+    tol = 1e-9 * sum(map(abs, c))
+    angles = []
+    for s, row_roots in zip(shifts, roots):
+        for u in row_roots:
+            theta = cmath.phase(u)
+            w = cmath.exp(1j * theta)
+            v = dv = 0j  # sum c_j w^j and sum j c_j w^j, by Horner
+            for j in range(d, -1, -1):
+                v, dv = v * w + c[j], dv * w + j * c[j]
+            g = v.imag - s  # Im p(r e^{i theta}) - s; its theta-derivative is Re dv
+            if abs(g) <= tol + 1e-9 * abs(s):
+                angles.append((theta - g / dv.real if dv.real else theta) % TWO_PI)
+    return np.array(sorted(angles))
 
 
 @lru_cache(maxsize=4096)
@@ -1042,6 +1100,12 @@ class ExpPoly(FunctionExpr):
             out[mid] = dp[mid] * ew / (ew - self.a)
         return out
 
+    def level_angles(self, r):
+        # |e^p| = 1 where Re p = 0; exp(p) - a has no closed form for it
+        if self.a != 0:
+            return _NO_ANGLES
+        return _im_level_angles(self.p.scale(1j), r, [0.0])  # Re p = Im(ip)
+
     def _divisor_impl(self, r):
         if self.a == 0:
             return EMPTY_DIVISOR
@@ -1108,6 +1172,18 @@ class Exp(FunctionExpr):
 
     def _divisor_impl(self, r):
         return EMPTY_DIVISOR
+
+    def level_angles(self, r):
+        # for a child e^p, |f| = 1 where Re e^p = 0: Im p = pi/2 + k pi, |Im p| <= bound
+        child = self.child
+        if not (isinstance(child, ExpPoly) and child.a == 0):
+            return _NO_ANGLES
+        bound = child.p.coeff_bound(r)
+        k_lo = math.ceil(-bound / math.pi - 0.5)
+        k_hi = math.floor(bound / math.pi - 0.5)
+        if 2 * child.p.degree * (k_hi - k_lo + 1) > MAX_PANELS:
+            return _NO_ANGLES
+        return _im_level_angles(child.p, r, [math.pi * (k + 0.5) for k in range(k_lo, k_hi + 1)])
 
     def to_json(self):
         return {"variant": "exp", "children": [self.child.to_json()]}

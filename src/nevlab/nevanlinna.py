@@ -65,11 +65,17 @@ class CharacteristicSample:
         }
 
 
-def _split_angles(expr: FunctionExpr, r: float) -> list[float]:
+def _split_angles(expr: FunctionExpr, r: float) -> list[tuple[float, float]]:
+    """Panel cuts at the divisor points b within ``SPLIT_BAND`` of |z| = r:
+    each angle of b with its distance |log(|b|/r)| off the real axis of
+    angles, where log|z - b| is singular as a function of theta."""
     if not expr.is_divisor_transparent:
         return []
-    div = expr.divisor_in_disc(r * (1.0 + SPLIT_BAND))
-    return [math.atan2(p.imag, p.real) % TWO_PI for p, _ in div.band(r, SPLIT_BAND)]
+    band = expr.divisor_in_disc(r * (1.0 + SPLIT_BAND)).band(r, SPLIT_BAND)
+    if not band:
+        return []
+    b = np.array([p for p, _ in band])  # one pass of numpy beats a loop over many points
+    return list(zip((np.angle(b) % TWO_PI).tolist(), np.abs(np.log(np.abs(b) / r)).tolist()))
 
 
 def _needs_nudge(expr: FunctionExpr, r: float) -> bool:
@@ -80,11 +86,14 @@ def _needs_nudge(expr: FunctionExpr, r: float) -> bool:
 
 
 def _circle_mean(expr: FunctionExpr, r: float, integrand, atol: float,
-                 rtol: float, nudge: bool = True) -> tuple[QuadratureResult, float]:
+                 rtol: float, nudge: bool = True,
+                 level_cuts: bool = False) -> tuple[QuadratureResult, float]:
     """Mean of ``integrand(g, z)`` over a circle, and the radius used.
 
     The circle is |z| = r, moved out by ``NUDGE_FACTOR`` when ``nudge`` is set
-    and a divisor point sits on it; divisor points near it become panel cuts.
+    and a divisor point sits on it; divisor points near it become panel cuts
+    graded by their distance, and with ``level_cuts`` the angles where
+    |f| = 1 (the kinks of log+|f|) become plain cuts.
     ``g = expr.near_circle(r_used)``, built once here, is the form the
     integrand reads its channel from: for a rational given by its divisor,
     the points far from the circle folded into series.  The panel cuts and
@@ -97,8 +106,11 @@ def _circle_mean(expr: FunctionExpr, r: float, integrand, atol: float,
     g = expr.near_circle(r_used)
     # a finite atol stays finite when scaled; inf and NaN reach the check as given
     scaled_atol = min(atol * TWO_PI, sys.float_info.max) if math.isfinite(atol) else atol
+    cuts = _split_angles(expr, r_used)
+    if level_cuts:
+        cuts += [(a, math.inf) for a in expr.level_angles(r_used).tolist()]
     res = adaptive_circle(lambda theta: integrand(g, r_used * np.exp(1j * theta)),
-                          _split_angles(expr, r_used), atol=scaled_atol, rtol=rtol)
+                          cuts, atol=scaled_atol, rtol=rtol)
     return replace(res, value=res.value / TWO_PI,
                    err_estimate=res.err_estimate / TWO_PI), r_used
 
@@ -119,7 +131,7 @@ def proximity(expr: FunctionExpr, r: float,
         out[lm == -np.inf] = 0.0  # exact zeros contribute nothing to log+
         return out
 
-    res, r_used = _circle_mean(expr, r, integrand, atol, rtol)
+    res, r_used = _circle_mean(expr, r, integrand, atol, rtol, level_cuts=True)
     return CharacteristicSample(r=r, m=res.value, N=0.0, T=res.value,
                                 quad_err=res.err_estimate, nudged=r_used != r,
                                 r_used=r_used, panels=res.panels,

@@ -1,31 +1,43 @@
 """Adaptive Gauss-Legendre quadrature on the unit circle of angles.
 
 Circle averages of log-type integrands have integrable singularities where
-a zero or pole sits on (or near) the contour.  The splitter therefore takes
-the known singular angles up front, makes them panel endpoints, pre-refines
-dyadically toward them, and then drives a plain split-and-compare loop: a
-panel is accepted when the difference between its one-panel value and the
-sum over its two halves is below the width-proportional share of the error
-budget.  Each round calls the integrand once, on the nodes of both halves
-of every active panel (the first round adds the seed panels' own nodes),
-and forms the panel values with one gemv per block (coarse, left, right):
-one gemv over the stacked blocks would move last bits.
+a zero or pole sits on (or near) the contour, and kinks where log+|f| meets
+|f| = 1.  The caller hands these over as cuts, (angle, distance) pairs: the
+angle becomes a panel edge, and the distance -- how far the singularity
+sits off the real axis of angles, 0 on the circle, infinite for a plain
+edge such as a kink -- sets how many dyadic levels the seed refines toward
+that edge.  Gauss-Legendre on a panel converges at a rate set by how far
+the nearest singularity lies off the panel relative to its width
+(Trefethen, SIAM Review 50, 2008), so a base panel of width w is cut toward
+an edge at distance d until its end panel is no wider than 2d, at most
+``SEED_LEVELS`` times.  The ends 0 and 2pi are plain edges.  Cuts are
+hints: a missing one costs refinement rounds, a spurious one a panel.
+
+A plain split-and-compare loop then drives the refinement: a panel is
+accepted when the difference between its one-panel value and the sum over
+its two halves is below the width-proportional share of the error budget.
+Each round calls the integrand once, on the nodes of both halves of every
+active panel (the first round adds the seed panels' own nodes), and forms
+the panel values with one gemv per block (coarse, left, right): one gemv
+over the stacked blocks would move last bits.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .fnmodel import TWO_PI, QuadratureFailure
+from .fnmodel import MAX_PANELS, TWO_PI, QuadratureFailure
 
 PANEL_ORDER = 16
 SEED_LEVELS = 3
 MIN_WIDTH = 1e-15
+MERGE_GAP = 1e-12  # cuts closer than this share one edge
 
 
 @lru_cache(maxsize=None)
@@ -41,13 +53,59 @@ class QuadratureResult:
     evaluations: int
 
 
+# clip(ceil(log2(w / (2d))), 0, SEED_LEVELS) counts the ratios below w / d
+_LEVEL_RATIOS = tuple(2.0 ** (k + 1) for k in range(SEED_LEVELS))
+# the dyadic knots of L levels, as fractions of the width off the edge
+_KNOT_STEPS = tuple(tuple(0.5**k for k in range(1, L + 1)) for L in range(SEED_LEVELS + 1))
+
+
+def _seed_levels(width: float, distance: float) -> int:
+    """clip(ceil(log2(width / (2 distance))), 0, SEED_LEVELS): the dyadic
+    levels that make the end panel no wider than twice the distance."""
+    return bisect_left(_LEVEL_RATIOS, width / distance) if distance else SEED_LEVELS
+
+
+def _seed_panels(cuts) -> tuple[np.ndarray, np.ndarray]:
+    """Seed panel edges from (angle, distance) cuts: the angles, taken mod
+    2pi and merged within ``MERGE_GAP`` (keeping the smaller distance), cut
+    [0, 2pi] into base panels, each refined toward both edges."""
+    cuts = sorted(map(tuple, cuts))
+    if cuts and not 0.0 <= cuts[0][0] <= cuts[-1][0] < TWO_PI:
+        cuts = sorted((a % TWO_PI, d) for a, d in cuts)
+    edges = [[0.0, math.inf]]
+    last = edges[0]
+    for a, d in cuts:
+        if a - last[0] > MERGE_GAP:
+            last = [a, d]
+            edges.append(last)
+        elif d < last[1]:
+            last[1] = d
+    if TWO_PI - last[0] <= MERGE_GAP:
+        edges[0][1] = min(edges[0][1], edges.pop()[1])  # 2pi is the angle 0
+    edges.append([TWO_PI, edges[0][1]])
+
+    knots = [TWO_PI]
+    for (a, da), (b, db) in zip(edges, edges[1:]):
+        w = b - a
+        knots.append(a)
+        knots += [a + w * h for h in _KNOT_STEPS[_seed_levels(w, da)]]
+        knots += [b - w * h for h in _KNOT_STEPS[_seed_levels(w, db)]]
+    knots = sorted(set(knots))
+    return np.array(knots[:-1]), np.array(knots[1:])
+
+
 def adaptive_circle(f: Callable[[np.ndarray], np.ndarray],
-                    singular_angles=(),
+                    cuts=(),
                     atol: float = 1e-10,
                     rtol: float = 1e-8,
                     max_rounds: int = 60,
-                    max_panels: int = 20000) -> QuadratureResult:
-    """Integrate ``f`` over [0, 2pi) with singular-aware panel refinement.
+                    max_panels: int = MAX_PANELS) -> QuadratureResult:
+    """Integrate ``f`` over [0, 2pi) with panels seeded from ``cuts``.
+
+    ``cuts`` holds (angle, distance) pairs: each angle becomes a panel edge,
+    refined toward by the number of dyadic levels its distance calls for
+    (see the module docstring); distance 0 marks a singularity on the
+    circle, ``math.inf`` a plain edge.
 
     ``f`` must accept a 1-D angle array and return real values of matching
     shape.  It is called once per refinement round, on the nodes of both
@@ -68,29 +126,7 @@ def adaptive_circle(f: Callable[[np.ndarray], np.ndarray],
     if not (0.0 <= atol < math.inf and 0.0 <= rtol < math.inf) or atol == rtol == 0.0:
         raise ValueError("quadrature tolerances must be finite and nonnegative, "
                          "and not both zero")
-    pts = sorted({0.0, TWO_PI} | {float(a) % TWO_PI for a in singular_angles})
-    merged = [pts[0]]
-    for a in pts[1:]:
-        if a - merged[-1] > 1e-12:
-            merged.append(a)
-    if merged[-1] < TWO_PI - 1e-12:
-        merged.append(TWO_PI)
-
-    lo_list, hi_list = [], []
-    for a, b in zip(merged[:-1], merged[1:]):
-        # geometric pre-refinement toward both endpoints of each base panel
-        width = b - a
-        knots = [a]
-        for k in range(SEED_LEVELS, 0, -1):
-            knots.append(a + width * 0.5**k)
-        for k in range(1, SEED_LEVELS + 1):
-            knots.append(b - width * 0.5**k)
-        knots.append(b)
-        knots = sorted(set(knots))
-        lo_list += knots[:-1]
-        hi_list += knots[1:]
-
-    lo, hi = np.array(lo_list), np.array(hi_list)
+    lo, hi = _seed_panels(cuts)
     x, w = _gl_nodes(PANEL_ORDER)
     evaluations = 0
 

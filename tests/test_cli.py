@@ -416,6 +416,15 @@ def test_cli_import_does_not_load_scipy():
     assert r.stdout.strip() == "False"
 
 
+def test_import_loads_hashlib_only_when_hashing():
+    # hashlib pulls in OpenSSL, about 3.5 MB resident; only structure_hash needs it
+    code = ("import sys, nevlab.cli; print('hashlib' in sys.modules); "
+            "nevlab.corpus()['exp_z'].uid; print('hashlib' in sys.modules)")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["False", "True"]
+
+
 def test_console_entry_point_exists():
     r = subprocess.run([sys.executable, "-m", "nevlab.cli", "--help"],
                        capture_output=True, text=True)

@@ -717,6 +717,82 @@ def test_exppoly_json_names_the_variant_by_its_constant():
 
 
 # ---------------------------------------------------------------------------
+# level angles |f| = 1, the kinks of log+|f|
+# ---------------------------------------------------------------------------
+
+GENERIC_P = Polynomial((0.3 - 0.2j, 1.0 + 0.5j, -0.4j))
+
+
+def _sign_changes(f, r, n=400_000):
+    """Angles of the sign changes of log|f| on a fine uniform grid."""
+    theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    lm = f._log_mod(r * np.exp(1j * theta))
+    i = np.nonzero(np.sign(lm) != np.sign(np.roll(lm, -1)))[0]
+    return theta[i]
+
+
+@pytest.mark.parametrize("f, radii", [
+    (ExpPoly(Z), (0.7, 3.0, 7.0, 13.0, 30.0)),
+    (ExpPoly(Polynomial((0j, 0j, 1.0))), (0.7, 3.0, 7.0, 13.0, 30.0)),
+    (ExpPoly(Polynomial((0j, 0j, 0j, 1.0))), (0.7, 3.0, 7.0, 13.0, 30.0)),
+    (ExpPoly(GENERIC_P), (0.7, 3.0, 7.0, 13.0)),
+    (Exp(ExpPoly(Z)), (2.0, 3.0, 7.0, 10.0)),
+    (Exp(ExpPoly(GENERIC_P)), (0.7, 1.5, 3.0)),
+], ids=["exp_z", "exp_z2", "exp_z3", "exp_p", "exp_exp_z", "exp_exp_p"])
+def test_level_angles_are_the_kinks_of_log_plus(f, radii):
+    for r in radii:
+        angles = f.level_angles(r)
+        assert np.all(np.diff(angles) > 0) and np.all((angles >= 0) & (angles < TWO_PI))
+        # after the Newton polish every angle sits on |f| = 1 ...
+        assert np.abs(f._log_mod(r * np.exp(1j * angles))).max(initial=0.0) <= 1e-10, r
+        # ... and every sign change of log|f| has its angle
+        changes = _sign_changes(f, r)
+        assert changes.size == angles.size, r
+        gap = np.abs((changes[:, None] - angles + math.pi) % TWO_PI - math.pi)
+        assert gap.min(axis=1, initial=math.inf).max(initial=0.0) <= 2.0 * TWO_PI / 400_000, r
+    if f == ExpPoly(Z):
+        assert f.level_angles(3.0) == pytest.approx([math.pi / 2, 3 * math.pi / 2], rel=1e-15)
+
+
+@pytest.mark.parametrize("r", [13.0, 20.0, 24.123900982041413, 28.0])
+def test_level_angles_of_exp_exp_z_are_exact_to_rounding(r):
+    # log|f| = |e^z| cos(r sin theta): rounding theta alone moves it by about
+    # |e^z| r 2^-53, so the level set is met relative to |e^z|
+    f = Exp(ExpPoly(Z))
+    angles = f.level_angles(r)
+    z = r * np.exp(1j * angles)
+    assert np.all(np.abs(f._log_mod(z)) <= 1e-10 * np.exp(z.real))
+    kmax = math.floor(r / math.pi - 0.5)
+    assert angles.size == 2 * (2 * kmax + 2)  # r sin theta = pi/2 + k pi, |k + 1/2| <= r / pi
+
+
+@pytest.mark.parametrize("f", [
+    ExpPoly(Z, 1.0), ExpPoly(Polynomial((2.0,))), Exp(ExpPoly(Z, 1.0)),
+    Exp(ExpPoly(Polynomial((2.0,)))), Exp(Exp(ExpPoly(Z))), Const(3.0),
+    RationalFromDivisor(2.0, Divisor(((1.5, 1), (-2.0, -1)))),
+    Quotient(Const(1.0), ExpPoly(Z, 0.5)), Product(ExpPoly(Z), ExpPoly(Z)),
+    ComposePoly(Exp(ExpPoly(Z)), Polynomial((1.0, 1.0, 1.0))),
+])
+def test_level_angles_are_empty_without_a_closed_form(f):
+    assert f.level_angles(3.0).size == 0
+
+
+def test_level_set_solve_is_bounded_by_the_panel_limit(monkeypatch):
+    # exp(e^z): 2 deg p angles for each shift pi/2 + k pi with |pi/2 + k pi| <= r
+    f = Exp(ExpPoly(Z))
+    assert f.level_angles(5000 * math.pi).size == 2 * 10_000 == fnmodel.MAX_PANELS
+    solves = []
+    monkeypatch.setattr(fnmodel, "_im_level_angles",
+                        lambda *args: solves.append(args) or np.empty(0))
+    for g, r in ((f, 5001 * math.pi),  # 10,002 shifts
+                 (Exp(ExpPoly(Polynomial((0j, 0j, 1.0)))), math.sqrt(2501 * math.pi))):
+        assert g.level_angles(r).size == 0
+    assert not solves
+    Exp(ExpPoly(Polynomial((0j, 0j, 1.0)))).level_angles(math.sqrt(2500 * math.pi))
+    assert len(solves) == 1  # 5,000 shifts of degree 4: exactly the limit
+
+
+# ---------------------------------------------------------------------------
 # a-point enumeration
 # ---------------------------------------------------------------------------
 

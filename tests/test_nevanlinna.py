@@ -30,6 +30,7 @@ from nevlab.fnmodel import InsufficientGrowth, NonMonotone
 Z = Polynomial((0j, 1.0))
 EXP_Z = ExpPoly(Z)
 EXP_Z2 = ExpPoly(Polynomial((0j, 0j, 1.0)))
+EXP_Z3 = ExpPoly(Polynomial((0j, 0j, 0j, 1.0)))
 INV_Z = RationalFromDivisor(1.0, Divisor((), -1))
 
 
@@ -38,16 +39,28 @@ INV_Z = RationalFromDivisor(1.0, Divisor((), -1))
 # ---------------------------------------------------------------------------
 
 
+# m(r, e^{z^d}) = r^d / pi: log+|f| = max(r^d cos(d theta), 0), whose kinks
+# are the level cuts, so each panel integrates an entire function
+CLOSED_FORM_RADII = (0.7, 3.0, 7.0, 13.0, 30.0)
+
+
 def test_proximity_of_exp_is_r_over_pi():
-    for r in (1.0, math.pi, 7.5):
+    for r in (1.0, math.pi, 7.5) + CLOSED_FORM_RADII:
         s = proximity(EXP_Z, r)
-        assert s.m == pytest.approx(r / math.pi, abs=1e-9)
+        assert s.m == pytest.approx(r / math.pi, rel=1e-13, abs=0)
 
 
 def test_characteristic_of_exp_square():
-    for r in (2.0, 3.0):
+    for r in (2.0,) + CLOSED_FORM_RADII:
         s = characteristic(EXP_Z2, r)
-        assert s.T == pytest.approx(r * r / math.pi, abs=1e-8)
+        assert s.T == pytest.approx(r * r / math.pi, rel=1e-13, abs=0)
+        assert s.N == 0.0
+
+
+def test_characteristic_of_exp_cube():
+    for r in CLOSED_FORM_RADII:
+        s = characteristic(EXP_Z3, r)
+        assert s.T == pytest.approx(r**3 / math.pi, rel=1e-13, abs=0)
         assert s.N == 0.0
 
 
@@ -80,14 +93,27 @@ def _m_exp_exp_reference(r: float):
         return float(integral / two_pi)
 
 
-@pytest.mark.parametrize("r", [2.0, 3.0, 5.0, 7.0, 8.0] + [
-    pytest.param(r, marks=pytest.mark.xfail(
-        strict=True, reason="the dyadic splits miss the kinks of log+|f|: the error "
-        "is 34x (r = 10) and about 3x (r = 15, 20) the requested tolerance"))
-    for r in (10.0, 15.0, 20.0)])
+# the last two are the sweep radii (Sweep.generate, seeds 3 and 7) where
+# uniform seeding without level cuts missed by 132x and 596x the tolerance
+@pytest.mark.parametrize("r", [2.0, 3.0, 5.0, 7.0, 8.0, 10.0, 15.0, 20.0, 25.0, 28.0,
+                               24.169538390665046, 24.123900982041413])
 def test_proximity_of_exp_exp_z_against_mpmath(members, r):
     s = proximity(members["exp_exp_z"].expr, r)
     assert abs(s.m - _m_exp_exp_reference(r)) <= max(1e-9, 1e-8 * s.m)
+
+
+@pytest.mark.parametrize("r", [10.0, 24.123900982041413])
+def test_level_cuts_are_only_hints(members, monkeypatch, r):
+    # a missing kink costs refinement rounds, a spurious one a panel: with
+    # any one level angle dropped, or one added, the mean meets its tolerance
+    expr = members["exp_exp_z"].expr
+    angles = expr.level_angles(r)
+    ref = _m_exp_exp_reference(r)
+    for edited in [np.delete(angles, i) for i in range(angles.size)] + [
+            np.sort(np.append(angles, 1.234))]:
+        monkeypatch.setattr(type(expr), "level_angles", lambda self, radius: edited)
+        s = proximity(expr, r)
+        assert abs(s.m - ref) <= max(1e-9, 1e-8 * s.m)
 
 
 def test_proximity_of_identity_function_is_log_r():
@@ -192,6 +218,16 @@ def test_fmt_balance_exp(members):
 # ---------------------------------------------------------------------------
 # contour nudging
 # ---------------------------------------------------------------------------
+
+
+def test_divisor_cuts_carry_their_distance_off_the_circle():
+    # the points within 10% of |z| = 4 become cuts at their angles, each with
+    # |log(|b|/r)|; the point at 1.2 r is left to the quadrature
+    r = 4.0
+    pts = [(0.95 * r * np.exp(1j), 1), (1.05 * r * np.exp(2j), -2), (1.2 * r * 1j, 1)]
+    cuts = nevanlinna._split_angles(RationalFromDivisor(1.0, Divisor.build(pts)), r)
+    want = [[1.0, -math.log(0.95)], [2.0, math.log(1.05)]]
+    assert np.array(sorted(cuts)) == pytest.approx(np.array(want), rel=1e-12)
 
 
 def test_on_circle_zero_is_nudged():

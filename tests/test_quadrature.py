@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from nevlab.fnmodel import QuadratureFailure, TWO_PI
-from nevlab.quadrature import (MIN_WIDTH, PANEL_ORDER, SEED_LEVELS, QuadratureResult,
-                               adaptive_circle)
+from nevlab.quadrature import (MERGE_GAP, MIN_WIDTH, PANEL_ORDER, SEED_LEVELS,
+                               QuadratureResult, adaptive_circle)
 
 # reference values computed with mpmath.quad at 30 digits
 EXP_SIN_INTEGRAL = 7.9549265210128452745       # = 2 pi I_0(1)
 NEG_POWER_ON_CIRCLE = 7.1283328107215635462    # integral of |e^{2it}-1|^{-0.45}
 OFF_CIRCLE_NEG_SQRT = 4.5202281879712915817    # integral of |2e^{it}-1|^{-1/2}
+ON_CIRCLE = [(0.0, 0.0), (math.pi, 0.0)]       # cuts at the singularities of e^{2it} - 1
 
 
 def test_constant_integrand():
@@ -45,7 +46,7 @@ def test_singularity_on_circle_with_split_angles():
         with np.errstate(divide="ignore"):
             return np.exp(-0.45 * np.log(np.abs(np.exp(2j * t) - 1.0)))
 
-    res = adaptive_circle(f, singular_angles=[0.0, math.pi], atol=1e-8, rtol=1e-7)
+    res = adaptive_circle(f, cuts=ON_CIRCLE, atol=1e-8, rtol=1e-7)
     assert res.value == pytest.approx(NEG_POWER_ON_CIRCLE, rel=1e-6)
 
 
@@ -56,7 +57,7 @@ def test_log_singularity_cancels_to_zero():
         with np.errstate(divide="ignore"):
             return np.log(np.abs(np.exp(2j * t) - 1.0))
 
-    res = adaptive_circle(f, singular_angles=[0.0, math.pi], atol=1e-9, rtol=1e-8)
+    res = adaptive_circle(f, cuts=ON_CIRCLE, atol=1e-9, rtol=1e-8)
     assert abs(res.value) < 1e-8
     assert res.panels < 20000
 
@@ -72,10 +73,19 @@ def test_interior_nan_raises():
 
 
 def test_split_angles_are_normalized():
-    # duplicated and out-of-range cuts must not break panel construction
-    res = adaptive_circle(lambda t: np.ones_like(t),
-                          singular_angles=[0.0, TWO_PI, -math.pi, math.pi, math.pi])
+    # duplicated and out-of-range cuts must not break panel construction; a
+    # merged cut keeps the smaller distance, and 2pi is the angle 0
+    cuts = [(0.0, math.inf), (TWO_PI, 0.0), (-math.pi, math.inf), (math.pi, 0.5),
+            (math.pi, 0.0), (TWO_PI - 0.1 * MERGE_GAP, math.inf)]
+    res = adaptive_circle(lambda t: np.ones_like(t), cuts=cuts)
     assert res.value == pytest.approx(TWO_PI, rel=1e-13)
+    assert res == adaptive_circle(lambda t: np.ones_like(t), cuts=ON_CIRCLE)
+    # a negative angle is the same edge as its value mod 2pi
+    f, calls = _counted(lambda t: np.ones_like(t))
+    adaptive_circle(f, cuts=[(-math.pi / 2, 0.0)])
+    g, want = _counted(lambda t: np.ones_like(t))
+    adaptive_circle(g, cuts=[(1.5 * math.pi, 0.0)])
+    assert calls == want == [3 * PANEL_ORDER * 2 * (1 + SEED_LEVELS)]
 
 
 @pytest.mark.parametrize("atol, rtol", [(math.nan, 1e-8), (1e-9, math.nan),
@@ -89,11 +99,21 @@ def test_bad_tolerances_raise_before_any_evaluation(atol, rtol):
 
 
 # ---------------------------------------------------------------------------
-# the split-and-compare loop as it stood before each round became one call
+# the split-and-compare loop as it stood before each round became one call,
+# seeded by distance-graded cuts
 # ---------------------------------------------------------------------------
 
 
-def _reference_adaptive_circle(f, singular_angles=(), atol=1e-10, rtol=1e-8,
+def _reference_levels(width, distance):
+    """clip(ceil(log2(width / (2 distance))), 0, SEED_LEVELS), spelled out."""
+    if distance == 0:
+        return SEED_LEVELS
+    if distance == math.inf:
+        return 0
+    return min(max(math.ceil(math.log2(width / (2.0 * distance))), 0), SEED_LEVELS)
+
+
+def _reference_adaptive_circle(f, cuts=(), atol=1e-10, rtol=1e-8,
                                max_rounds=60, max_panels=20000):
     """Three integrand calls in the first round, two in each later one."""
     x, w = np.polynomial.legendre.leggauss(PANEL_ORDER)
@@ -104,17 +124,24 @@ def _reference_adaptive_circle(f, singular_angles=(), atol=1e-10, rtol=1e-8,
         theta = mid[:, None] + half[:, None] * x[None, :]
         return half * (f(theta.ravel()).reshape(theta.shape) @ w)
 
-    cuts = sorted({0.0, TWO_PI} | {float(a) % TWO_PI for a in singular_angles})
-    merged = [cuts[0]]
-    for a in cuts[1:]:
-        if a - merged[-1] > 1e-12:
-            merged.append(a)
-    if merged[-1] < TWO_PI - 1e-12:
-        merged.append(TWO_PI)
+    # one distance per edge: the smallest among the cuts merged into it,
+    # with 0 and 2pi one edge
+    angles, dist = [0.0], {0.0: math.inf}
+    for a, d in sorted((float(a) % TWO_PI, float(d)) for a, d in cuts):
+        if a - angles[-1] > MERGE_GAP:
+            angles.append(a)
+            dist[a] = d
+        else:
+            dist[angles[-1]] = min(dist[angles[-1]], d)
+    if angles[-1] >= TWO_PI - MERGE_GAP:
+        dist[0.0] = min(dist[0.0], dist.pop(angles.pop()))
+    angles.append(TWO_PI)
+    dist[TWO_PI] = dist[0.0]
     lo_list, hi_list = [], []
-    for a, b in zip(merged[:-1], merged[1:]):
-        knots = [a] + [a + (b - a) * 0.5**k for k in range(SEED_LEVELS, 0, -1)]
-        knots += [b - (b - a) * 0.5**k for k in range(1, SEED_LEVELS + 1)] + [b]
+    for a, b in zip(angles[:-1], angles[1:]):
+        la, lb = _reference_levels(b - a, dist[a]), _reference_levels(b - a, dist[b])
+        knots = [a] + [a + (b - a) * 0.5**k for k in range(la, 0, -1)]
+        knots += [b - (b - a) * 0.5**k for k in range(1, lb + 1)] + [b]
         knots = sorted(set(knots))
         lo_list += knots[:-1]
         hi_list += knots[1:]
@@ -189,18 +216,32 @@ def _nan_at_a_seed_node(t):
     return out
 
 
-# node 5 of the seed panel [pi/2, pi], formed as the quadrature forms it
-_LO, _HI = 0.25 * TWO_PI, 0.5 * TWO_PI
+# node 5 of the seed panel [0, 2pi] (no cuts), formed as the quadrature forms it
+_LO, _HI = 0.0, TWO_PI
 _X5 = np.polynomial.legendre.leggauss(PANEL_ORDER)[0][5]
 _SEED_NODE = 0.5 * (_HI + _LO) + 0.5 * (_HI - _LO) * _X5
 
+def _log_abs_near_point(t):
+    """log|e^{it} - 1.3 e^{i}|: a log singularity log 1.3 off the axis at t = 1,
+    seeded 1 level on [0, 1] and 3 (clipped from 5) on [1, 2pi]."""
+    return np.log(np.abs(np.exp(1j * t) - 1.3 * np.exp(1j)))
+
+
+def _plus_part_of_cos3(t):
+    """max(cos 3t, 0): kinks at pi/6 + k pi/3."""
+    return np.maximum(np.cos(3.0 * t), 0.0)
+
+
 REFERENCE_CASES = {
     "smooth": (lambda t: np.exp(np.sin(3.0 * t)), {"atol": 1e-13, "rtol": 1e-13}),
-    "split angles": (_neg_power_z2_minus_1, {"singular_angles": [0.0, math.pi],
-                                            "atol": 1e-8, "rtol": 1e-7}),
+    "split angles": (_neg_power_z2_minus_1, {"cuts": ON_CIRCLE, "atol": 1e-8, "rtol": 1e-7}),
     "nudged node": (_nan_at_a_seed_node, {}),
-    "global exit": (_log_abs_z2_minus_1, {"singular_angles": [0.0, math.pi],
-                                         "atol": 1e-9, "rtol": 1e-8}),
+    "global exit": (_log_abs_z2_minus_1, {"cuts": ON_CIRCLE, "atol": 1e-9, "rtol": 1e-8}),
+    "graded cut": (_log_abs_near_point, {"cuts": [(1.0, math.log(1.3))],
+                                         "atol": 1e-12, "rtol": 1e-12}),
+    "plain cuts": (_plus_part_of_cos3, {"cuts": [(math.pi / 6 + k * math.pi / 3, math.inf)
+                                                 for k in range(6)],
+                                        "atol": 1e-13, "rtol": 1e-13}),
 }
 
 
@@ -220,6 +261,17 @@ def test_one_call_per_round_equals_the_reference_loop(case):
         assert len(new_calls) == (len(ref_calls) - 1) // 2
 
 
+@pytest.mark.parametrize("distance, levels", [(0.0, SEED_LEVELS), (math.inf, 0), (1e-300, 3),
+                                             (0.3, 3), (0.5, 2), (1.0, 1), (2.0, 0)])
+def test_seed_levels_follow_the_distance(distance, levels):
+    # a cut at pi splits [0, 2pi] into two panels of width pi, each refined
+    # ceil(log2(pi / (2 distance))) levels toward pi only, clipped to [0, 3]
+    f, calls = _counted(lambda t: np.exp(np.sin(t)))
+    adaptive_circle(f, cuts=[(math.pi, distance)])
+    seed_panels = 2 * (1 + levels)
+    assert calls[0] == 3 * PANEL_ORDER * seed_panels  # coarse, left and right halves
+
+
 def _nan_inside(t):
     out = np.sin(t)
     out[(t > 1.0) & (t < 1.2)] = np.nan
@@ -228,8 +280,8 @@ def _nan_inside(t):
 
 @pytest.mark.parametrize("f, kwargs", [
     (_nan_inside, {}),
-    (_log_abs_z2_minus_1, {"singular_angles": [0.0, math.pi], "atol": 1e-14,
-                           "rtol": 1e-14, "max_panels": 60}),
+    (_log_abs_z2_minus_1, {"cuts": ON_CIRCLE, "atol": 1e-14, "rtol": 1e-14,
+                           "max_panels": 60}),
     (lambda t: np.exp(np.sin(t)), {"atol": 1e-300, "rtol": 1e-300, "max_rounds": 2}),
 ], ids=["interior NaN", "max_panels", "max_rounds"])
 def test_failures_match_the_reference_loop(f, kwargs):
