@@ -41,6 +41,7 @@ enforce the pole/overflow signalling contract.
 from __future__ import annotations
 
 import cmath
+import hashlib
 import json
 import math
 from bisect import bisect_left, bisect_right
@@ -697,12 +698,14 @@ class FunctionExpr:
         exists."""
         return self
 
-    def level_angles(self, r: float) -> np.ndarray:
+    def level_angles(self, r: float) -> np.ndarray | None:
         """Sorted angles in [0, 2pi) at which |f(r e^{i theta})| = 1, for the
         variants that have that level set in closed form: there log+|f| has
-        its kinks, and the circle means of log+|f| cut their panels.  Empty
-        for every other expression."""
-        return _NO_ANGLES
+        its kinks, and the circle means of log+|f| cut their panels.  None
+        where the level set is not known: for every other expression, and
+        where the coefficients over- or underflow at ``r`` or the angles
+        would exceed ``MAX_PANELS``."""
+        return None
 
     def _divisor_impl(self, r: float) -> Divisor:
         raise OpaqueExpr(f"{type(self).__name__} does not expose a divisor")
@@ -778,8 +781,6 @@ class FunctionExpr:
         raise NotImplementedError
 
     def structure_hash(self) -> str:
-        import hashlib  # loads OpenSSL (about 3.5 MB resident): only when hashing
-
         blob = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha1(blob.encode()).hexdigest()[:12]
 
@@ -787,12 +788,15 @@ class FunctionExpr:
 _NO_ANGLES = np.empty(0)
 
 
-def _im_level_angles(p: Polynomial, r: float, shifts) -> np.ndarray:
+def _im_level_angles(p: Polynomial, r: float, shifts) -> np.ndarray | None:
     """Sorted angles theta in [0, 2pi) with Im p(r e^{i theta}) = s, for
-    every shift s (Re p = Im(ip) takes the same path).
+    every shift s (Re p = Im(ip) takes the same path); None where the
+    coefficients p_j r^j over- or underflow.
 
-    With c_j = p_j r^j and u = e^{i theta}, the equation times 2i u^d is
-    the degree-2d polynomial sum c_j u^{d+j} - sum conj(c_j) u^{d-j}
+    With c_j = p_j r^j and u = e^{i theta}: where c_0 and c_d are the only
+    nonzero coefficients, the equation is |c_d| sin(d theta + arg c_d) =
+    s - Im c_0, solved by arcsin.  Otherwise, times 2i u^d, it is the
+    degree-2d polynomial sum c_j u^{d+j} - sum conj(c_j) u^{d-j}
     - 2is u^d, whose unimodular roots are wanted.  The shifts differ in the
     u^d coefficient only, so their companion matrices are stacked into one
     eigenvalue call.  A root is kept where the residual at its angle is
@@ -802,20 +806,35 @@ def _im_level_angles(p: Polynomial, r: float, shifts) -> np.ndarray:
     numbers, which costs less than numpy calls on arrays this small.
     """
     d, n = p.degree, 2 * p.degree
+    if d < 1 or not len(shifts):
+        return _NO_ANGLES
     try:
         c = [a * float(r)**k for k, a in enumerate(p.coeffs)]
     except OverflowError:
-        return _NO_ANGLES
-    if d < 1 or not len(shifts) or not all(map(cmath.isfinite, c)):
-        return _NO_ANGLES
+        return None
     lead = c[-1]
+    if not lead or not all(map(cmath.isfinite, c)):
+        return None
+    if not any(c[1:-1]):
+        scale, phase, angles = abs(lead), cmath.phase(lead), set()
+        for s in shifts:
+            x = (s - c[0].imag) / scale
+            if abs(x) <= 1.0:
+                a = math.asin(x)
+                for b in (a, math.pi - a):
+                    for m in range(d):
+                        t = (b - phase + TWO_PI * m) / d % TWO_PI
+                        angles.add(t if t < TWO_PI else 0.0)  # % can round up to 2pi
+        return np.array(sorted(angles))
     # companion matrices: first row minus the coefficients of u^(n-1), ...,
     # u^0 over c_d, ones below the diagonal; built as lists, one array call
     head = [-x / lead for x in c[-2:0:-1]]
     tail = [x.conjugate() / lead for x in c[1:]]
     below = [[float(k == i) for k in range(n)] for i in range(n - 1)]
-    roots = np.linalg.eigvals(np.array(
-        [[head + [2j * (s - c[0].imag) / lead] + tail] + below for s in shifts])).tolist()
+    mats = np.array([[head + [2j * (s - c[0].imag) / lead] + tail] + below for s in shifts])
+    if not np.isfinite(mats).all():  # a subnormal c_d
+        return None
+    roots = np.linalg.eigvals(mats).tolist()
     tol = 1e-9 * sum(map(abs, c))
     angles = []
     for s, row_roots in zip(shifts, roots):
@@ -864,6 +883,9 @@ class Const(FunctionExpr):
     def _logderivs(self, z):
         return np.zeros(z.shape, dtype=np.complex128)
 
+    def level_angles(self, r):
+        return _NO_ANGLES  # |f| is constant: log+|f| has no kinks
+
     def _divisor_impl(self, r):
         return EMPTY_DIVISOR
 
@@ -905,6 +927,10 @@ class RationalFromDivisor(FunctionExpr):
     def near_circle(self, r):
         fold = _CircleFold(self, r)
         return fold if fold.folded else self
+
+    def level_angles(self, r):
+        # scale * z^k has |f| constant on the circle; other level sets have no closed form
+        return None if self.divisor.entries else _NO_ANGLES
 
     def _divisor_impl(self, r):
         return self.divisor.restrict(r)
@@ -1103,7 +1129,7 @@ class ExpPoly(FunctionExpr):
     def level_angles(self, r):
         # |e^p| = 1 where Re p = 0; exp(p) - a has no closed form for it
         if self.a != 0:
-            return _NO_ANGLES
+            return None
         return _im_level_angles(self.p.scale(1j), r, [0.0])  # Re p = Im(ip)
 
     def _divisor_impl(self, r):
@@ -1177,12 +1203,12 @@ class Exp(FunctionExpr):
         # for a child e^p, |f| = 1 where Re e^p = 0: Im p = pi/2 + k pi, |Im p| <= bound
         child = self.child
         if not (isinstance(child, ExpPoly) and child.a == 0):
-            return _NO_ANGLES
+            return None
         bound = child.p.coeff_bound(r)
         k_lo = math.ceil(-bound / math.pi - 0.5)
         k_hi = math.floor(bound / math.pi - 0.5)
         if 2 * child.p.degree * (k_hi - k_lo + 1) > MAX_PANELS:
-            return _NO_ANGLES
+            return None
         return _im_level_angles(child.p, r, [math.pi * (k + 0.5) for k in range(k_lo, k_hi + 1)])
 
     def to_json(self):

@@ -93,7 +93,11 @@ def _circle_mean(expr: FunctionExpr, r: float, integrand, atol: float,
     The circle is |z| = r, moved out by ``NUDGE_FACTOR`` when ``nudge`` is set
     and a divisor point sits on it; divisor points near it become panel cuts
     graded by their distance, and with ``level_cuts`` the angles where
-    |f| = 1 (the kinks of log+|f|) become plain cuts.
+    |f| = 1 (the kinks of log+|f|) become plain cuts.  Where those angles
+    are not known, the ends 0 and 2pi are cut as a singularity on the
+    circle and seeded ``SEED_LEVELS`` deep, as uniform seeding did (six
+    panels with no divisor point near), so that the seed panels are narrow
+    enough for the split-and-compare test to see the unknown kinks.
     ``g = expr.near_circle(r_used)``, built once here, is the form the
     integrand reads its channel from: for a rational given by its divisor,
     the points far from the circle folded into series.  The panel cuts and
@@ -108,7 +112,8 @@ def _circle_mean(expr: FunctionExpr, r: float, integrand, atol: float,
     scaled_atol = min(atol * TWO_PI, sys.float_info.max) if math.isfinite(atol) else atol
     cuts = _split_angles(expr, r_used)
     if level_cuts:
-        cuts += [(a, math.inf) for a in expr.level_angles(r_used).tolist()]
+        angles = expr.level_angles(r_used)
+        cuts += [(0.0, 0.0)] if angles is None else [(a, math.inf) for a in angles.tolist()]
     res = adaptive_circle(lambda theta: integrand(g, r_used * np.exp(1j * theta)),
                           cuts, atol=scaled_atol, rtol=rtol)
     return replace(res, value=res.value / TWO_PI,

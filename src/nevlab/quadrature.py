@@ -10,8 +10,13 @@ that edge.  Gauss-Legendre on a panel converges at a rate set by how far
 the nearest singularity lies off the panel relative to its width
 (Trefethen, SIAM Review 50, 2008), so a base panel of width w is cut toward
 an edge at distance d until its end panel is no wider than 2d, at most
-``SEED_LEVELS`` times.  The ends 0 and 2pi are plain edges.  Cuts are
-hints: a missing one costs refinement rounds, a spurious one a panel.
+``SEED_LEVELS`` times.  The ends 0 and 2pi are plain edges unless a cut
+at angle 0 gives them a distance: the proximity means cut there at
+distance 0 when the kinks of log+|f| are not known, so that the seed
+panels bracket them as uniform seeding did.  Cuts are hints: a missing one
+costs refinement rounds, and at a kink it can cost accuracy, since the
+split-and-compare estimate sees a kink only in a narrow enough panel; a
+spurious cut costs a panel.
 
 A plain split-and-compare loop then drives the refinement: a panel is
 accepted when the difference between its one-panel value and the sum over
@@ -28,6 +33,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -57,39 +63,39 @@ class QuadratureResult:
 _LEVEL_RATIOS = tuple(2.0 ** (k + 1) for k in range(SEED_LEVELS))
 # the dyadic knots of L levels, as fractions of the width off the edge
 _KNOT_STEPS = tuple(tuple(0.5**k for k in range(1, L + 1)) for L in range(SEED_LEVELS + 1))
-
-
-def _seed_levels(width: float, distance: float) -> int:
-    """clip(ceil(log2(width / (2 distance))), 0, SEED_LEVELS): the dyadic
-    levels that make the end panel no wider than twice the distance."""
-    return bisect_left(_LEVEL_RATIOS, width / distance) if distance else SEED_LEVELS
+_first = itemgetter(0)  # cuts sort by angle alone: tuples compare slower
 
 
 def _seed_panels(cuts) -> tuple[np.ndarray, np.ndarray]:
     """Seed panel edges from (angle, distance) cuts: the angles, taken mod
     2pi and merged within ``MERGE_GAP`` (keeping the smaller distance), cut
-    [0, 2pi] into base panels, each refined toward both edges."""
-    cuts = sorted(map(tuple, cuts))
+    [0, 2pi] into base panels, each refined toward an edge at distance d by
+    clip(ceil(log2(w / (2d))), 0, SEED_LEVELS) levels, the levels that make
+    the end panel no wider than twice the distance."""
+    cuts = sorted(cuts, key=_first)
     if cuts and not 0.0 <= cuts[0][0] <= cuts[-1][0] < TWO_PI:
-        cuts = sorted((a % TWO_PI, d) for a, d in cuts)
-    edges = [[0.0, math.inf]]
-    last = edges[0]
+        cuts = sorted(((a % TWO_PI, d) for a, d in cuts), key=_first)
+    angle, dist = [0.0], [math.inf]
     for a, d in cuts:
-        if a - last[0] > MERGE_GAP:
-            last = [a, d]
-            edges.append(last)
-        elif d < last[1]:
-            last[1] = d
-    if TWO_PI - last[0] <= MERGE_GAP:
-        edges[0][1] = min(edges[0][1], edges.pop()[1])  # 2pi is the angle 0
-    edges.append([TWO_PI, edges[0][1]])
+        if a - angle[-1] > MERGE_GAP:
+            angle.append(a)
+            dist.append(d)
+        elif d < dist[-1]:
+            dist[-1] = d
+    if TWO_PI - angle[-1] <= MERGE_GAP:  # 2pi is the angle 0
+        angle.pop()
+        dist[0] = min(dist[0], dist.pop())
+    angle.append(TWO_PI)
+    dist.append(dist[0])
 
     knots = [TWO_PI]
-    for (a, da), (b, db) in zip(edges, edges[1:]):
+    for a, b, da, db in zip(angle, angle[1:], dist, dist[1:]):
         w = b - a
+        la = bisect_left(_LEVEL_RATIOS, w / da) if da else SEED_LEVELS
+        lb = bisect_left(_LEVEL_RATIOS, w / db) if db else SEED_LEVELS
         knots.append(a)
-        knots += [a + w * h for h in _KNOT_STEPS[_seed_levels(w, da)]]
-        knots += [b - w * h for h in _KNOT_STEPS[_seed_levels(w, db)]]
+        knots += [a + w * h for h in _KNOT_STEPS[la]]
+        knots += [b - w * h for h in _KNOT_STEPS[lb]]
     knots = sorted(set(knots))
     return np.array(knots[:-1]), np.array(knots[1:])
 

@@ -738,7 +738,11 @@ def _sign_changes(f, r, n=400_000):
     (ExpPoly(GENERIC_P), (0.7, 3.0, 7.0, 13.0)),
     (Exp(ExpPoly(Z)), (2.0, 3.0, 7.0, 10.0)),
     (Exp(ExpPoly(GENERIC_P)), (0.7, 1.5, 3.0)),
-], ids=["exp_z", "exp_z2", "exp_z3", "exp_p", "exp_exp_z", "exp_exp_p"])
+    # c_0 + c_d z^d: solved by arcsin, not by eigenvalues
+    (ExpPoly(Polynomial((0.3 - 0.2j, 0j, 0j, 1.0 - 2.0j))), (0.7, 3.0, 7.0)),
+    (Exp(ExpPoly(Polynomial((0.5 + 0.4j, 0j, 2.0j)))), (1.2, 2.0)),
+], ids=["exp_z", "exp_z2", "exp_z3", "exp_p", "exp_exp_z", "exp_exp_p",
+        "exp_binomial", "exp_exp_binomial"])
 def test_level_angles_are_the_kinks_of_log_plus(f, radii):
     for r in radii:
         angles = f.level_angles(r)
@@ -754,6 +758,13 @@ def test_level_angles_are_the_kinks_of_log_plus(f, radii):
         assert f.level_angles(3.0) == pytest.approx([math.pi / 2, 3 * math.pi / 2], rel=1e-15)
 
 
+def test_level_angles_stay_below_two_pi():
+    # Im p = pi/2 at theta = -1e-300, which mod 2pi rounds up to 2pi: it comes back as 0
+    f = Exp(ExpPoly(Polynomial((0.5j * math.pi, complex(1.0, 1e-300)))))
+    angles = f.level_angles(3.0)
+    assert angles[0] == 0.0 and angles.max() < TWO_PI and np.all(np.diff(angles) > 0)
+
+
 @pytest.mark.parametrize("r", [13.0, 20.0, 24.123900982041413, 28.0])
 def test_level_angles_of_exp_exp_z_are_exact_to_rounding(r):
     # log|f| = |e^z| cos(r sin theta): rounding theta alone moves it by about
@@ -767,14 +778,32 @@ def test_level_angles_of_exp_exp_z_are_exact_to_rounding(r):
 
 
 @pytest.mark.parametrize("f", [
-    ExpPoly(Z, 1.0), ExpPoly(Polynomial((2.0,))), Exp(ExpPoly(Z, 1.0)),
-    Exp(ExpPoly(Polynomial((2.0,)))), Exp(Exp(ExpPoly(Z))), Const(3.0),
+    ExpPoly(Z, 1.0), Exp(ExpPoly(Z, 1.0)), Exp(Exp(ExpPoly(Z))),
     RationalFromDivisor(2.0, Divisor(((1.5, 1), (-2.0, -1)))),
     Quotient(Const(1.0), ExpPoly(Z, 0.5)), Product(ExpPoly(Z), ExpPoly(Z)),
     ComposePoly(Exp(ExpPoly(Z)), Polynomial((1.0, 1.0, 1.0))),
 ])
-def test_level_angles_are_empty_without_a_closed_form(f):
-    assert f.level_angles(3.0).size == 0
+def test_level_angles_are_unknown_without_a_closed_form(f):
+    assert f.level_angles(3.0) is None
+
+
+@pytest.mark.parametrize("f", [ExpPoly(Polynomial((2.0,))), Exp(ExpPoly(Polynomial((2.0,)))),
+                               Exp(ExpPoly(Z)), Exp(ExpPoly(Polynomial((0j, 0j, 1.0)))),
+                               Const(3.0), RationalFromDivisor(2.0, Divisor((), -1)),
+                               RationalFromDivisor(1.0, Divisor((), 2))])
+def test_level_angles_are_empty_where_log_plus_has_no_kink(f):
+    # |e^2|, e^{e^2} and, for |Im p| < pi/2 on the circle, e^{Re e^p} exceed 1;
+    # |3|, |2/z| and |z^2| are constant on the circle, |z^2| = 1 on all of it
+    assert f.level_angles(1.0).size == 0
+
+
+@pytest.mark.parametrize("f, r", [
+    (ExpPoly(Polynomial((0j, 0j, 1.0))), 1e-200),  # r^2 underflows to 0
+    (ExpPoly(Polynomial((0j, 0j, 0j, 1.0))), 1e-110),
+    (ExpPoly(GENERIC_P), 1e-160),  # a subnormal lead: the companion matrix overflows
+])
+def test_level_angles_are_unknown_where_the_coefficients_underflow(f, r):
+    assert f.level_angles(r) is None
 
 
 def test_level_set_solve_is_bounded_by_the_panel_limit(monkeypatch):
@@ -786,7 +815,7 @@ def test_level_set_solve_is_bounded_by_the_panel_limit(monkeypatch):
                         lambda *args: solves.append(args) or np.empty(0))
     for g, r in ((f, 5001 * math.pi),  # 10,002 shifts
                  (Exp(ExpPoly(Polynomial((0j, 0j, 1.0)))), math.sqrt(2501 * math.pi))):
-        assert g.level_angles(r).size == 0
+        assert g.level_angles(r) is None
     assert not solves
     Exp(ExpPoly(Polynomial((0j, 0j, 1.0)))).level_angles(math.sqrt(2500 * math.pi))
     assert len(solves) == 1  # 5,000 shifts of degree 4: exactly the limit

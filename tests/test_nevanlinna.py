@@ -220,6 +220,27 @@ def test_fmt_balance_exp(members):
 # ---------------------------------------------------------------------------
 
 
+# radii of log_radii(0.5, 40, 120) where expz2_minus_1 missed a 1000x tighter
+# run by 1.2x-10x when its ends were plain edges
+@pytest.mark.parametrize("r", [1.0834513468817937, 2.026186474430008,
+                               2.102189026760176, 2.181042445994056])
+def test_unknown_kinks_keep_the_ends_seeded(members, monkeypatch, r):
+    # |e^{z^2} - 1| = 1 has no closed form, so the ends are cut as a
+    # singularity on the circle, and the mean meets its tolerance
+    f = members["expz2_minus_1"].expr
+    orig, seen = nevanlinna.adaptive_circle, []
+
+    def spy(g, cuts, **kw):
+        seen.append(list(cuts))
+        return orig(g, cuts, **kw)
+
+    monkeypatch.setattr(nevanlinna, "adaptive_circle", spy)
+    s = proximity(f, r)
+    assert (0.0, 0.0) in seen[0]
+    t = proximity(f, r, atol=1e-12, rtol=1e-11)
+    assert abs(s.m - t.m) <= max(1e-9, 1e-8 * t.m)
+
+
 def test_divisor_cuts_carry_their_distance_off_the_circle():
     # the points within 10% of |z| = 4 become cuts at their angles, each with
     # |log(|b|/r)|; the point at 1.2 r is left to the quadrature

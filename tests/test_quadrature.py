@@ -223,7 +223,7 @@ _SEED_NODE = 0.5 * (_HI + _LO) + 0.5 * (_HI - _LO) * _X5
 
 def _log_abs_near_point(t):
     """log|e^{it} - 1.3 e^{i}|: a log singularity log 1.3 off the axis at t = 1,
-    seeded 1 level on [0, 1] and 3 (clipped from 5) on [1, 2pi]."""
+    seeded 1 level on [0, 1] and 3 (clipped from 4) on [1, 2pi]."""
     return np.log(np.abs(np.exp(1j * t) - 1.3 * np.exp(1j)))
 
 
