@@ -41,7 +41,6 @@ enforce the pole/overflow signalling contract.
 from __future__ import annotations
 
 import cmath
-import hashlib
 import json
 import math
 from bisect import bisect_left, bisect_right
@@ -781,6 +780,8 @@ class FunctionExpr:
         raise NotImplementedError
 
     def structure_hash(self) -> str:
+        import hashlib  # on first use: only corpus uids hash, and it slows startup
+
         blob = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha1(blob.encode()).hexdigest()[:12]
 
