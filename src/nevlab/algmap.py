@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,11 +25,13 @@ from .fnmodel import (
     OrderMismatch,
     Polynomial,
     TWO_PI,
+    field,
     preimages_in_disc,
+    record,
 )
 
 
-@dataclass(frozen=True)
+@record
 class AlgebraicMap:
     """tau(z) = z + sum_k alphas[k] * w^k with w a fixed n-th root branch."""
 
@@ -94,7 +95,7 @@ def polynomialize(m: AlgebraicMap, n: int) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Orbit:
     seed: complex
     points: tuple[complex, ...]
@@ -179,7 +180,7 @@ def escape_probe(m: AlgebraicMap, seeds, K: int = 40) -> list[tuple[complex, str
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class InvarianceReport:
     value: complex | None  # None encodes the pole set
     verdict: bool

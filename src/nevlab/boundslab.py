@@ -25,7 +25,6 @@ The harnesses:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,8 +42,10 @@ from .fnmodel import (
     RationalFromDivisor,
     TWO_PI,
     compose_poly,
+    field,
     logplus,
     poly_roots,
+    record,
     subtract,
 )
 from .nevanlinna import (
@@ -58,7 +59,7 @@ from .nevanlinna import (
 from .quadrature import adaptive_circle
 
 
-@dataclass(frozen=True)
+@record
 class BoundConfig:
     alpha: float = 2.0
     delta: float = 0.5
@@ -74,7 +75,7 @@ class BoundConfig:
             raise ValueError("epsilon must be positive")
 
 
-@dataclass(frozen=True)
+@record
 class PolyPair:
     """Two polynomials sharing degree and leading coefficient exactly."""
 
@@ -109,7 +110,7 @@ class PolyPair:
         return 0.5 * (cfg.alpha + 1.0) * total
 
 
-@dataclass(frozen=True)
+@record
 class BoundReport:
     r: float
     lhs: float
@@ -235,7 +236,7 @@ def first_stable_radius(reports: list[BoundReport]) -> float | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class AsymSample:
     r: float
     ratio: float
@@ -278,7 +279,7 @@ def asym_ratio(expr: FunctionExpr, omega: Polynomial, rgrid,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SmtResult:
     reports: list[BoundReport]
     exceptional_logmeasure: float
@@ -377,7 +378,7 @@ def smt_check(expr: FunctionExpr, pair: PolyPair, targets, slack: float,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class GrowthProbe:
     radii: tuple[float, ...]
     step_K: float
@@ -468,7 +469,7 @@ def growth_lemma_probe(radii, T_values, step_K: float, step_mu: float,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class BorelResult:
     measured_logmeasure: float
     closed_form_bound: float

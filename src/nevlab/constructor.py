@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .fnmodel import (
     OrbitCollision,
     Polynomial,
     RationalFromDivisor,
+    record,
 )
 
 _Z = Polynomial((0j, 1.0 + 0j))
@@ -41,7 +41,7 @@ _Z = Polynomial((0j, 1.0 + 0j))
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class OrbitFamily:
     map: AlgebraicMap
     seeds_zero: tuple[complex, ...]
@@ -183,7 +183,7 @@ def figure_family(side: str, generations: int | None = None) -> OrbitFamily:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class CounterexampleKit:
     k: int
     g: FunctionExpr
@@ -252,7 +252,7 @@ def counterexample_preimages(kit: CounterexampleKit, j: int, count: int) -> list
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class CorpusMember:
     key: str
     expr: FunctionExpr

@@ -44,8 +44,8 @@ import cmath
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -145,6 +145,140 @@ class GrowthConditionError(ToolkitError):
     """A hyper-order smallness precondition failed."""
 
 
+# ---------------------------------------------------------------------------
+# frozen records
+# ---------------------------------------------------------------------------
+
+_MISSING = object()
+
+
+class field:
+    """A :func:`record` field's default (a value or a factory called per
+    instance) and whether ``repr`` shows it."""
+
+    __slots__ = ("default", "default_factory", "repr")
+
+    def __init__(self, *, default=_MISSING, default_factory=None, repr=True):
+        self.default, self.default_factory, self.repr = default, default_factory, repr
+
+
+_set = object.__setattr__  # stores past the frozen __setattr__, as dataclasses do
+
+
+def _no_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _no_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def record(cls):
+    """Make ``cls`` a frozen record of its annotated fields, in order, as
+    ``dataclass(frozen=True)`` does, without generating source: ``__init__``
+    (positional or keyword, then ``__post_init__`` if defined), ``__repr__``,
+    ``__eq__`` between instances of the same class, ``__hash__`` equal to
+    the hash of the field tuple, assignment that raises ``AttributeError``,
+    and ``replace(**changes)``, a copy through ``__init__``.  A field's
+    class-level value is its default, or a :class:`field`.  Instances keep
+    a ``__dict__``, so ``cached_property`` works on them."""
+    names = tuple(vars(cls).get("__annotations__", ()))
+    n, qual = len(names), cls.__qualname__
+    defaults, factories, shown = {}, {}, []
+    for name in names:
+        spec = vars(cls).get(name, _MISSING)
+        if not isinstance(spec, field):
+            spec = field(default=spec)
+        if spec.default_factory is not None:
+            factories[name] = spec.default_factory
+        elif spec.default is not _MISSING:
+            defaults[name] = spec.default
+        if name in defaults:  # the class attribute is the default, as in a dataclass
+            setattr(cls, name, spec.default)
+        elif name in vars(cls):
+            delattr(cls, name)
+        if spec.repr:
+            shown.append(name)
+    post = hasattr(cls, "__post_init__")
+    slots = tuple(enumerate(names))  # cheaper to walk than zip(names, args)
+    lead = n  # fields from names[lead:] on all have plain defaults
+    while lead and names[lead - 1] in defaults:
+        lead -= 1
+    tail = tuple(defaults[name] for name in names[lead:])
+    pick = itemgetter(*names)
+
+    def bind(args, kwargs):
+        if len(args) > n:
+            raise TypeError(f"{qual}() takes {n} positional arguments but {len(args)} were given")
+        if not kwargs and len(args) >= lead:
+            return args + tail[len(args) - lead:]
+        if not args and len(kwargs) == n > 1:
+            try:
+                return pick(kwargs)
+            except KeyError:
+                pass  # an unknown name among them, reported below
+        values = list(args)
+        for name in names[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in defaults:
+                values.append(defaults[name])
+            elif name in factories:
+                values.append(factories[name]())
+            else:
+                raise TypeError(f"{qual}() missing argument {name!r}")
+        for name in kwargs:  # left over: unknown, or also given by position
+            what = "multiple values for" if name in names else "an unexpected keyword"
+            raise TypeError(f"{qual}() got {what} argument {name!r}")
+        return values
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != n:
+            args = bind(args, kwargs)
+        for i, name in slots:
+            _set(self, name, args[i])
+        if post:
+            self.__post_init__()
+
+    if n == 1:  # attrgetter of one name returns the value, not a 1-tuple
+        get = attrgetter(names[0])
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return (get(self),) == (get(other),)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash((get(self),))
+    else:
+        key = attrgetter(*names)
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(key(self))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{k}={getattr(self, k)!r}' for k in shown)})"
+
+    def replace(self, **changes):
+        for name in names:
+            if name not in changes:
+                changes[name] = getattr(self, name)
+        return type(self)(**changes)
+
+    methods = {"__init__": __init__, "__eq__": __eq__, "__hash__": __hash__,
+               "__repr__": __repr__, "replace": replace,
+               "__setattr__": _no_setattr, "__delattr__": _no_delattr}
+    for name, fn in methods.items():
+        if name not in vars(cls):  # a method the class defines itself stays
+            setattr(cls, name, fn)
+    return cls
+
+
 def _carray(z) -> np.ndarray:
     return np.asarray(z, dtype=np.complex128)
 
@@ -159,7 +293,7 @@ def logplus(x):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Polynomial:
     """Dense polynomial, coefficients lowest degree first.
 
@@ -478,7 +612,7 @@ def cluster_roots(roots: Iterable[complex], rel_tol: float = ROOT_CLUSTER_TOL) -
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Divisor:
     """Multiset of zeros (positive multiplicity) and poles (negative).
 
@@ -653,7 +787,8 @@ def _pull_back(p: Polynomial, targets: Sequence[tuple[complex, int]], r: float) 
 
 
 class FunctionExpr:
-    """Base class; subclasses are frozen dataclasses, hence hashable."""
+    """Base class; every variant is a frozen :func:`record`, hence hashable
+    (``_divisor_cached`` keys on it)."""
 
     # -- structural capabilities -------------------------------------------------
     @property
@@ -856,7 +991,7 @@ def _divisor_cached(expr: FunctionExpr, rq: float) -> Divisor:
     return expr._divisor_impl(rq)
 
 
-@dataclass(frozen=True)
+@record
 class Const(FunctionExpr):
     value: complex
 
@@ -894,7 +1029,7 @@ class Const(FunctionExpr):
         return {"variant": "const", "value": [self.value.real, self.value.imag]}
 
 
-@dataclass(frozen=True)
+@record
 class RationalFromDivisor(FunctionExpr):
     """scale * z^origin_order * prod (z - p)^mult over divisor entries."""
 
@@ -1059,7 +1194,7 @@ class _CircleFold:
         return ld
 
 
-@dataclass(frozen=True)
+@record
 class ExpPoly(FunctionExpr):
     """exp(p(z)) - a for a polynomial p, evaluated stably across all
     magnitude regimes; the default ``a = 0`` is the zero-free exp(p(z))."""
@@ -1156,7 +1291,7 @@ class ExpPoly(FunctionExpr):
                 "a": [self.a.real, self.a.imag]}
 
 
-@dataclass(frozen=True)
+@record
 class Exp(FunctionExpr):
     """exp(child(z)); the child must be entire, checked at construction."""
 
@@ -1220,7 +1355,7 @@ def _binary_json(name, lhs, rhs):
     return {"variant": name, "children": [lhs.to_json(), rhs.to_json()]}
 
 
-@dataclass(frozen=True)
+@record
 class Product(FunctionExpr):
     lhs: FunctionExpr
     rhs: FunctionExpr
@@ -1254,7 +1389,7 @@ class Product(FunctionExpr):
         return _binary_json("product", self.lhs, self.rhs)
 
 
-@dataclass(frozen=True)
+@record
 class Quotient(FunctionExpr):
     lhs: FunctionExpr
     rhs: FunctionExpr
@@ -1291,7 +1426,7 @@ class Quotient(FunctionExpr):
         return _binary_json("quotient", self.lhs, self.rhs)
 
 
-@dataclass(frozen=True)
+@record
 class Difference(FunctionExpr):
     """lhs - rhs with no structural normal form; divisor-opaque.
 
@@ -1333,7 +1468,7 @@ class Difference(FunctionExpr):
         return _binary_json("difference", self.lhs, self.rhs)
 
 
-@dataclass(frozen=True)
+@record
 class ComposePoly(FunctionExpr):
     """child(p(z)): precomposition with a polynomial."""
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .fnmodel import (
     Const,
     TWO_PI,
     logplus,
+    record,
     subtract,
 )
 from .quadrature import QuadratureResult, adaptive_circle
@@ -42,7 +42,7 @@ ON_CIRCLE_REL = 1e-9
 SPLIT_BAND = 0.1
 
 
-@dataclass(frozen=True)
+@record
 class CharacteristicSample:
     """One radius worth of growth data.  ``r_used`` differs from ``r`` only
     when the contour had to be nudged off a divisor point; ``panels`` and
@@ -116,8 +116,8 @@ def _circle_mean(expr: FunctionExpr, r: float, integrand, atol: float,
         cuts += [(0.0, 0.0)] if angles is None else [(a, math.inf) for a in angles.tolist()]
     res = adaptive_circle(lambda theta: integrand(g, r_used * np.exp(1j * theta)),
                           cuts, atol=scaled_atol, rtol=rtol)
-    return replace(res, value=res.value / TWO_PI,
-                   err_estimate=res.err_estimate / TWO_PI), r_used
+    return res.replace(value=res.value / TWO_PI,
+                       err_estimate=res.err_estimate / TWO_PI), r_used
 
 
 def proximity(expr: FunctionExpr, r: float,
@@ -169,7 +169,7 @@ def characteristic(expr: FunctionExpr, r: float,
         N = 0.0 if expr.is_entire else math.nan
         if math.isnan(N):
             raise ValueError("characteristic of a divisor-opaque non-entire expression")
-    return replace(sample, N=N, T=sample.m + N)
+    return sample.replace(N=N, T=sample.m + N)
 
 
 def characteristic_sweep(expr: FunctionExpr, radii,
@@ -191,7 +191,7 @@ def log_radii(rmin: float, rmax: float, count: int = 50) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class BalanceSample:
     r: float
     T_f: float
@@ -221,7 +221,7 @@ def fmt_delta(expr: FunctionExpr, a: complex, r: float,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class HyperOrderEstimate:
     varsigma: float
     fit_window: tuple[float, float]

@@ -31,14 +31,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 from typing import Callable
 
 import numpy as np
 
-from .fnmodel import MAX_PANELS, TWO_PI, QuadratureFailure
+from .fnmodel import MAX_PANELS, TWO_PI, QuadratureFailure, record
 
 PANEL_ORDER = 16
 SEED_LEVELS = 3
@@ -51,7 +50,7 @@ def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
 
 
-@dataclass
+@record
 class QuadratureResult:
     value: float
     err_estimate: float
