@@ -1221,7 +1221,12 @@ class ExpPoly(FunctionExpr):
         return big, small, ~(big | small)
 
     def _log_parts(self, z):
-        w = _carray(self.p(z))
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = _carray(self.p(z))
+        finite = np.isfinite(w)
+        if not finite.all() and np.isfinite(z[~finite]).any():  # a NaN z gives NaN
+            raise OverflowSignal("the exponent of exp(p) is not finite here: "
+                                 "log|f| leaves the floating range")
         if self.a == 0:
             return w.real.copy(), w.imag.copy()
         big, small, mid = self._regimes(w)

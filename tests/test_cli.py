@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -134,6 +135,32 @@ def test_char_at_a_radius_whose_power_underflows(capsys, fn, radius):
     code, out, _ = run(capsys, "char", "--fn", fn, "--radii", radius)
     assert code == EXIT_PASS
     assert out.splitlines()[2].split(",")[1:4] == ["0.0", "0.0", "0.0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("char", "--fn", "exp_z2", "--radii", "1e200"),
+    ("char", "--fn", "exp_z3", "--radii", "1e103"),
+    ("hyperorder", "--fn", "exp_z2", "--rmin", "1", "--rmax", "1e200", "--count", "12"),
+    ("verify", "growth", "--fn", "exp_z2", "--rmin", "1", "--rmax", "1e200", "--count", "12"),
+])
+def test_exponent_past_the_floating_range_is_an_error(capsys, argv):
+    # p(z) of exp(p) overflows on the circle: not m = T = 0, not a
+    # QuadratureFailure, and no numpy overflow warning on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert json.loads(err)["error"] == "OverflowSignal"
+
+
+def test_exponent_just_inside_the_floating_range_still_computes(capsys):
+    # (1e102)^3 = 1e306 is finite: m(r, e^{z^3}) = r^3 / pi
+    code, out, _ = run(capsys, "char", "--fn", "exp_z3", "--radii", "1e102")
+    assert code == EXIT_PASS
+    _, m, N, T = out.splitlines()[2].split(",")[:4]
+    assert float(m) == float(T) == pytest.approx(1e306 / math.pi, rel=1e-13)
+    assert float(N) == 0.0
 
 
 def test_verify_borel_single_member(capsys):
@@ -422,6 +449,25 @@ def test_cli_import_does_not_load_scipy():
                        text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "False"
+
+
+def test_cli_run_leaves_dataclasses_and_hashlib_unimported():
+    # the records build their methods without dataclasses, and hashlib loads
+    # on first structure_hash; every layer module stays imported up front,
+    # where the benchmark's clock and tracer look for them after import
+    code = ("import contextlib, io, json, sys\n"
+            "import nevlab.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['char', '--fn', 'exp_z', '--radii', '2'])\n"
+            "print(json.dumps([code, sorted(sys.modules)]))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    code, modules = json.loads(r.stdout)
+    assert code == EXIT_PASS
+    assert "dataclasses" not in modules
+    assert "hashlib" not in modules
+    for name in ("fnmodel", "quadrature", "nevanlinna", "boundslab", "algmap", "constructor"):
+        assert "nevlab." + name in modules
 
 
 def test_console_entry_point_exists():

@@ -39,8 +39,10 @@ from nevlab.fnmodel import (
     compose_poly,
     roots_of_shifts,
 )
-from nevlab.nevanlinna import ON_CIRCLE_REL, SPLIT_BAND
-from nevlab.quadrature import adaptive_circle
+from nevlab.algmap import InvarianceReport
+from nevlab.boundslab import AsymSample, BoundConfig, BoundReport
+from nevlab.nevanlinna import ON_CIRCLE_REL, SPLIT_BAND, BalanceSample, CharacteristicSample
+from nevlab.quadrature import QuadratureResult, adaptive_circle
 
 Z = Polynomial((0j, 1.0))
 Z2 = Polynomial((0j, 0j, 1.0))
@@ -1061,3 +1063,136 @@ def test_pair_reduce_chunks_rows_without_changing_them():
     full[np.arange(rows.size), rows] = np.inf
     assert len(sizes) > 1 and max(sizes) <= fnmodel._DIVISOR_CELLS
     assert np.array_equal(got, np.sum(1.0 / full, axis=1))
+
+
+# ---------------------------------------------------------------------------
+# frozen records
+# ---------------------------------------------------------------------------
+
+# (record, its field tuple, its repr as the dataclass implementation printed it)
+RECORDS = [
+    (Const(2), (2 + 0j,), "Const(value=(2+0j))"),
+    (ExpPoly(Polynomial((0, 1)), 1 + 1j), (Polynomial((0j, 1 + 0j)), 1 + 1j),
+     "ExpPoly(p=Polynomial(coeffs=(0j, (1+0j))), a=(1+1j))"),
+    (ExpPoly(Polynomial((0.5, 0, 2j))), (Polynomial((0.5, 0, 2j)), 0j),
+     "ExpPoly(p=Polynomial(coeffs=((0.5+0j), 0j, 2j)), a=0j)"),
+    (Divisor.build([(1, 2), (-2j, -1)], origin_order=-1), (((1 + 0j, 2), (-2j, -1)), -1),
+     "Divisor(entries=(((1+0j), 2), ((-0-2j), -1)), origin_order=-1)"),
+    (InvarianceReport(None, True, 3, 3, 0, 0, 1e-12, False, n_value_matched=1,
+                      matched=((1j, 1j, 1j, 0.0),)),
+     (None, True, 3, 3, 0, 0, 1e-12, False, 1, ((1j, 1j, 1j, 0.0),), ()),
+     "InvarianceReport(value=None, verdict=True, n_points=3, n_matched=3, "
+     "n_boundary_leaks=0, n_violations=0, max_matched_distance=1e-12, "
+     "assignment_ambiguous=False, n_value_matched=1, violations=())"),
+    (BoundReport(2.0, 1.5, 2.5, 1.0, False, meta={"n": 3}), (2.0, 1.5, 2.5, 1.0, False, {"n": 3}),
+     "BoundReport(r=2.0, lhs=1.5, rhs=2.5, margin=1.0, passed=False, meta={'n': 3})"),
+    (CharacteristicSample(r=2.0, m=0.5, N=0.0, T=0.5, quad_err=1e-16, nudged=False,
+                          r_used=2.0, panels=4, evaluations=128),
+     (2.0, 0.5, 0.0, 0.5, 1e-16, False, 2.0, 4, 128),
+     "CharacteristicSample(r=2.0, m=0.5, N=0.0, T=0.5, quad_err=1e-16, nudged=False, "
+     "r_used=2.0, panels=4, evaluations=128)"),
+    (QuadratureResult(1.25, 3e-17, 6, 192), (1.25, 3e-17, 6, 192),
+     "QuadratureResult(value=1.25, err_estimate=3e-17, panels=6, evaluations=192)"),
+]
+
+
+@pytest.mark.parametrize("rec, fields, text", RECORDS)
+def test_record_hash_equality_and_repr_follow_the_field_tuple(rec, fields, text):
+    assert repr(rec) == text
+    twin = type(rec)(*fields)
+    assert twin == rec and twin is not rec and not twin != rec
+    if isinstance(rec, BoundReport):  # a dict field: unhashable, as before
+        with pytest.raises(TypeError):
+            hash(rec)
+    else:
+        assert hash(rec) == hash(twin) == hash(fields)
+    assert rec != fields and rec != object()
+
+
+def test_records_of_different_classes_with_equal_fields_differ():
+    a, b = Const(2.0), Const(-1j)
+    pairs = [(Product(a, b), Quotient(a, b)), (Quotient(a, b), Difference(a, b)),
+             (AsymSample(1.0, 2.0, 3.0, 4.0), BalanceSample(1.0, 2.0, 3.0, 4.0))]
+    for x, y in pairs:
+        assert hash(x) == hash(y)  # the same field tuple
+        assert x != y and y != x and not x == y
+        assert len({x, y}) == 2
+
+
+@pytest.mark.parametrize("rec, fields, text", RECORDS)
+def test_records_are_frozen(rec, fields, text):
+    name = repr(rec).split("(", 1)[1].split("=", 1)[0]
+    value = getattr(rec, name)
+    with pytest.raises(AttributeError):
+        setattr(rec, name, value)
+    with pytest.raises(AttributeError):
+        delattr(rec, name)
+    with pytest.raises(AttributeError):
+        rec.not_a_field = 1
+    assert getattr(rec, name) is value
+
+
+def test_record_construction_by_position_keyword_and_default():
+    assert ExpPoly(Z, 1) == ExpPoly(p=Z, a=1) == ExpPoly(Z, a=1 + 0j)
+    assert ExpPoly(Z) == ExpPoly(Z, 0) and ExpPoly(Z).a == 0j
+    assert Divisor() == Divisor((), 0) and Divisor().entries == ()
+    rep = InvarianceReport(0.5, True, 3, 3, 0, 0, 0.0, False)
+    assert (rep.n_value_matched, rep.matched, rep.violations) == (0, (), ())
+    assert InvarianceReport.matched == () and " matched=" not in repr(rep)  # repr=False
+    with pytest.raises(TypeError):
+        Const()
+    with pytest.raises(TypeError):
+        Const(1, 2)
+    with pytest.raises(TypeError):
+        Const(1, value=2)
+    with pytest.raises(TypeError):
+        ExpPoly(Z, b=1)
+    with pytest.raises(TypeError):
+        QuadratureResult(value=1.0, err_estimate=0.0, panels=1, evals=2)
+
+
+def test_record_default_factory_gives_a_fresh_dict():
+    a, b = BoundReport(1.0, 0.0, 1.0, 1.0, True), BoundReport(1.0, 0.0, 1.0, 1.0, True)
+    assert a.meta == b.meta == {} and a.meta is not b.meta
+    assert a == b
+    assert repr(a) == "BoundReport(r=1.0, lhs=0.0, rhs=1.0, margin=1.0, passed=True, meta={})"
+    assert not hasattr(BoundReport, "meta")
+
+
+def test_record_replace_builds_a_new_record_through_init():
+    q = QuadratureResult(1.25, 3e-17, 6, 192)
+    r = q.replace(value=2.0)
+    assert r == QuadratureResult(2.0, 3e-17, 6, 192) and q.value == 1.25
+    c = Const(2).replace(value=3)
+    assert c == Const(3) and type(c.value) is complex  # __post_init__ ran
+    with pytest.raises(ValueError):
+        BoundConfig().replace(alpha=1.0)
+    with pytest.raises(TypeError):
+        q.replace(evals=1)
+
+
+def test_record_post_init_normalises_and_rejects():
+    assert type(Const(2).value) is complex
+    assert Polynomial((1, 0, 0)).coeffs == (1 + 0j,)
+    with pytest.raises(ValueError):
+        BoundConfig(alpha=1)
+    with pytest.raises(ValueError):
+        RationalFromDivisor(0, Divisor())
+
+
+def test_divisor_cache_hits_on_a_rebuilt_equal_expression():
+    f = ExpPoly(Polynomial((0, 0, 1)), 1.0)
+    f.divisor_in_disc(3.0)
+    before = fnmodel._divisor_cached.cache_info()
+    g = ExpPoly(Polynomial((0j, 0j, 1 + 0j)), 1)
+    assert g == f and g is not f and g.p is not f.p
+    assert g.divisor_in_disc(3.0) == f.divisor_in_disc(3.0)
+    after = fnmodel._divisor_cached.cache_info()
+    assert after.misses == before.misses and after.hits == before.hits + 2
+
+
+def test_divisor_cached_properties_live_on_the_instance():
+    d = Divisor.build([(1, 1), (2j, -1), (-3, 2)])
+    assert d._moduli == [1.0, 2.0, 3.0] and "_moduli" in vars(d)
+    assert d.restrict(2.5)._moduli == [1.0, 2.0]
+    assert d == Divisor(d.entries, 0)  # cached values take no part in equality
