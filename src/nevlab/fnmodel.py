@@ -191,12 +191,10 @@ def record(cls):
             spec = field(default=spec)
         if spec.default_factory is not None:
             factories[name] = spec.default_factory
-        elif spec.default is not _MISSING:
-            defaults[name] = spec.default
-        if name in defaults:  # the class attribute is the default, as in a dataclass
-            setattr(cls, name, spec.default)
-        elif name in vars(cls):
             delattr(cls, name)
+        elif spec.default is not _MISSING:  # the class attribute is the default
+            defaults[name] = spec.default
+            setattr(cls, name, spec.default)
         if spec.repr:
             shown.append(name)
     post = hasattr(cls, "__post_init__")
