@@ -57,7 +57,8 @@ class AlgebraicMap:
         if z == 0:
             return 0j
         mag = abs(z) ** (1.0 / self.n)
-        ang = (cmath.phase(z) + TWO_PI * b) / self.n
+        # cmath.phase raises OverflowError where the angle underflows (2 + 5e-324j)
+        ang = (math.atan2(z.imag, z.real) + TWO_PI * b) / self.n
         return mag * cmath.exp(1j * ang)
 
     def _shift(self, w: complex) -> complex:

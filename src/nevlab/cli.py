@@ -85,16 +85,19 @@ def _emit(payload: dict, args) -> None:
     print(text)
 
 
-def _csv_companion(args, config: dict, header: list[str], rows) -> None:
-    """Mirror a table command's output as JSON when --json-out asks for it."""
-    out = getattr(args, "json_out", None)
-    if not out:
-        return
-    payload = {"config": config, "header": header,
-               "rows": [list(row) for row in rows]}
-    with open(out, "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2, default=_fmt)
-                 + "\n")
+def _emit_table(args, config: dict, header: list[str], rows) -> int:
+    """A table command's CSV, to --out or else stdout, mirrored as JSON
+    when --json-out asks for it."""
+    text = _write_csv(args.out, config, header, rows)
+    if args.json_out:
+        payload = {"config": config, "header": header,
+                   "rows": [list(row) for row in rows]}
+        with open(args.json_out, "w") as fh:
+            fh.write(json.dumps(payload, sort_keys=True, indent=2, default=_fmt)
+                     + "\n")
+    if not args.out:
+        sys.stdout.write(text)
+    return EXIT_PASS
 
 
 def _report_rows(reports):
@@ -121,11 +124,7 @@ def cmd_char(args) -> int:
                for r in radii]
     rows = [(s.r, s.m, s.N, s.T, s.quad_err, s.nudged) for s in samples]
     header = ["r", "m", "N", "T", "quad_err", "nudged"]
-    text = _write_csv(args.out, config, header, rows)
-    _csv_companion(args, config, header, rows)
-    if not args.out:
-        sys.stdout.write(text)
-    return EXIT_PASS
+    return _emit_table(args, config, header, rows)
 
 
 def cmd_hyperorder(args) -> int:
@@ -312,11 +311,7 @@ def cmd_orbit(args) -> int:
             for k, (z, cut) in enumerate(zip(orb.points, orb.cut_crossed))]
     header = ["seed_re", "seed_im", "k", "z_re", "z_im", "modulus",
               "cut_crossed"]
-    text = _write_csv(args.out, config, header, rows)
-    _csv_companion(args, config, header, rows)
-    if not args.out:
-        sys.stdout.write(text)
-    return EXIT_PASS
+    return _emit_table(args, config, header, rows)
 
 
 def cmd_construct(args) -> int:
@@ -325,11 +320,7 @@ def cmd_construct(args) -> int:
               "generations": family.generations}
     rows = constructor.divisor_cloud(family)
     header = ["set", "generation", "re", "im"]
-    text = _write_csv(args.out, config, header, rows)
-    _csv_companion(args, config, header, rows)
-    if not args.out:
-        sys.stdout.write(text)
-    return EXIT_PASS
+    return _emit_table(args, config, header, rows)
 
 
 def cmd_census(args) -> int:

@@ -30,9 +30,10 @@ is plain exp(p)), exp of an entire child, products, quotients, differences
 and precomposition with a polynomial.  Smart constructors (`compose_poly`,
 `subtract`) rewrite combinations that have a divisor-transparent normal
 form, e.g. ``e^P - e^Q  ->  e^Q * (e^(P-Q) - 1)``; the a-points of f are
-the zeros of ``subtract(f, Const(a))``.  A rational too large to expand
-solves f = a in product form instead, by an Ehrlich-Aberth iteration whose
-roots are certified complete by inclusion discs, or it raises.
+the zeros of ``subtract(f, Const(a))``.  A rational of any degree solves
+f = a in product form, with no coefficient expanded, by an Ehrlich-Aberth
+iteration whose roots are certified complete by inclusion discs, or it
+raises.
 
 All array-shaped internals are numpy-vectorized; the public scalar wrappers
 enforce the pole/overflow signalling contract.
@@ -60,10 +61,6 @@ ORIGIN_SNAP = 1e-10
 MERGE_TOL = 1e-9
 # Relative cluster width when grouping near-coincident polynomial roots.
 ROOT_CLUSTER_TOL = 1e-5
-# Largest rational degree (zeros plus poles, with multiplicity) for which
-# f - a is expanded into a polynomial; above it f = a is solved in product
-# form by a certified Ehrlich-Aberth iteration.
-MAX_RATIONAL_DEGREE = 24
 # Most panels one circle quadrature may hold; a closed-form level set with
 # more angles than this is not solved for panel cuts.
 MAX_PANELS = 20000
@@ -797,9 +794,6 @@ class FunctionExpr:
     def is_entire(self) -> bool:
         raise NotImplementedError
 
-    def children(self) -> tuple["FunctionExpr", ...]:
-        return ()
-
     # -- vectorized channels (numpy arrays in/out) --------------------------------
     def _log_parts(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(log|f|, arg f) with +/-inf sentinels at poles/zeros."""
@@ -1312,9 +1306,6 @@ class Exp(FunctionExpr):
     def is_entire(self) -> bool:
         return True
 
-    def children(self):
-        return (self.child,)
-
     def _log_parts(self, z):
         w = self.child._values(z)
         if not np.all(np.isfinite(w)):
@@ -1371,9 +1362,6 @@ class Product(FunctionExpr):
     def is_entire(self) -> bool:
         return self.lhs.is_entire and self.rhs.is_entire
 
-    def children(self):
-        return (self.lhs, self.rhs)
-
     def _log_parts(self, z):
         la, aa = self.lhs._log_parts(z)
         lb, ab = self.rhs._log_parts(z)
@@ -1407,9 +1395,6 @@ class Quotient(FunctionExpr):
         rhs = self.rhs
         return self.lhs.is_entire and (
             isinstance(rhs, Exp) or (isinstance(rhs, ExpPoly) and rhs.a == 0))
-
-    def children(self):
-        return (self.lhs, self.rhs)
 
     def _log_parts(self, z):
         la, aa = self.lhs._log_parts(z)
@@ -1449,9 +1434,6 @@ class Difference(FunctionExpr):
     def is_entire(self) -> bool:
         return self.lhs.is_entire and self.rhs.is_entire
 
-    def children(self):
-        return (self.lhs, self.rhs)
-
     def _log_parts(self, z):
         v = self.lhs._values(z) - self.rhs._values(z)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -1485,9 +1467,6 @@ class ComposePoly(FunctionExpr):
     @property
     def is_entire(self) -> bool:
         return self.child.is_entire
-
-    def children(self):
-        return (self.child,)
 
     def _inner(self, z):
         return _carray(self.p(z))
@@ -1566,7 +1545,11 @@ def subtract(expr: FunctionExpr, other: FunctionExpr) -> FunctionExpr:
             # a alone keeps its signed zeros, which 0j + a would not
             return ExpPoly(expr.p, a if expr.a == 0 else expr.a + a)
         if isinstance(expr, RationalFromDivisor):
-            return _rational_shift(expr, a)
+            lead, points = _rational_preimages(expr, a, math.inf)
+            poles = expr.divisor.signed("poles").negate()
+            return RationalFromDivisor(lead, Divisor.build(
+                [(q, 1) for q in points] + list(poles.entries), poles.origin_order,
+                merge_tol=0.0))
     if (isinstance(expr, ExpPoly) and isinstance(other, ExpPoly)
             and expr.a == 0 and other.a == 0):
         diff = expr.p - other.p
@@ -1582,30 +1565,6 @@ def subtract(expr: FunctionExpr, other: FunctionExpr) -> FunctionExpr:
     return Difference(expr, other)
 
 
-def _rational_degree(expr: RationalFromDivisor) -> int:
-    """Zeros plus poles of the rational, with multiplicity."""
-    return expr.divisor.total("zeros") + expr.divisor.total("poles")
-
-
-def _rational_shift(expr: RationalFromDivisor, a: complex) -> RationalFromDivisor:
-    """(f - a) as a fresh rational: roots of s*N - a*D over the same poles."""
-    total = _rational_degree(expr)
-    if total > MAX_RATIONAL_DEGREE:
-        raise OpaqueExpr(
-            f"rational shift needs degree {total} expansion; "
-            "use preimages_in_disc for large divisors"
-        )
-    num, den = (Polynomial.from_roots(expr.divisor.signed(kind).multiset())
-                for kind in ("zeros", "poles"))
-    shifted = num.scale(expr.scale) - den.scale(a)
-    if shifted.is_zero:
-        raise ValueError("f is identically equal to a")
-    poles = expr.divisor.signed("poles").negate()
-    div = Divisor.build(cluster_roots(poly_roots(shifted)) + list(poles.entries),
-                        poles.origin_order)
-    return RationalFromDivisor(shifted.leading, div)
-
-
 # ---------------------------------------------------------------------------
 # pre-images of a finite value
 # ---------------------------------------------------------------------------
@@ -1617,10 +1576,10 @@ def preimages_in_disc(expr: FunctionExpr, a, r: float) -> Divisor:
     ``a`` may be 0, a finite complex number, or ``None``/``"inf"``/``inf``
     for poles; any other non-finite ``a`` raises ValueError.  A finite
     nonzero ``a`` is solved as the zeros of ``subtract(f, Const(a))``, the
-    same rewrite that N(r, 1/(f - a)) counts.  Two variants have no such
-    rewrite: a precomposition pulls back the a-points of its child, and a
-    rational above ``MAX_RATIONAL_DEGREE`` returns all of its a-points,
-    certified by inclusion discs, or raises RootFindFailure.
+    same set that N(r, 1/(f - a)) counts.  A precomposition pulls back the
+    a-points of its child, and a rational runs the certified solver of
+    ``subtract`` on this disc alone: all of its a-points in the disc, or
+    RootFindFailure.
     """
     if a is None or (isinstance(a, str) and a == "inf") or a == math.inf:
         return expr.divisor_in_disc(r).signed("poles")
@@ -1632,8 +1591,9 @@ def preimages_in_disc(expr: FunctionExpr, a, r: float) -> Divisor:
     if isinstance(expr, ComposePoly):
         base = preimages_in_disc(expr.child, a, expr.p.coeff_bound(r))
         return _pull_back(expr.p, _divisor_targets(base), r)
-    if isinstance(expr, RationalFromDivisor) and _rational_degree(expr) > MAX_RATIONAL_DEGREE:
-        return _rational_preimages(expr, a, r)
+    if isinstance(expr, RationalFromDivisor):
+        return Divisor.build([(q, 1) for q in _rational_preimages(expr, a, r)[1]],
+                             merge_tol=0.0)
     if isinstance(expr, Const) and expr.value == a:
         raise ValueError("constant expression equals the target everywhere")
     shifted = subtract(expr, Const(a))
@@ -1659,26 +1619,56 @@ def _pair_reduce(z: np.ndarray, rows: np.ndarray, diag: float, reduce) -> np.nda
     return np.concatenate(parts)
 
 
-def _rational_preimages(expr: RationalFromDivisor, a: complex, r: float) -> Divisor:
-    """Every a-point in |z| <= r of a rational, certified, or RootFindFailure.
+def _dropped_lead(zeros: Divisor, poles: Divisor, a: complex) -> tuple[complex, int]:
+    """Lead coefficient and degree of N = a (Z - Q), Z and Q the monic zero
+    and pole polynomials of equal degree n.  By Newton's identities the top
+    k - 1 coefficients cancel where the power sums sum p^j of the poles and
+    of the zeros agree for j < k, and the next is a (sum p^k - sum z^k) / k.
+    Sums that agree to their rounding count as equal."""
+    n = zeros.total("zeros")
+    (bz, mz), (bp, mp) = zeros._columns, poles._columns
+    wz, wp = bz, bp
+    for k in range(1, n + 1):
+        gap = np.sum(mp * wp) - np.sum(mz * wz)
+        size = np.sum(mp * np.abs(wp)) + np.sum(mz * np.abs(wz))
+        if abs(gap) > (k + len(bz) + len(bp)) * 2.0**-50 * size:
+            return a * complex(gap) / k, n - k
+        wz, wp = wz * bz, wp * bp
+    raise ValueError("f is identically equal to a")
 
-    They are the roots of N = Q (f - a), Q the monic pole polynomial, of
-    degree n = the number of zeros of f.  An Ehrlich-Aberth iteration (Bini
-    and Fiorentino, 2000) starts next to the zeros and takes N'/N = f'/(f - a)
+
+def _rational_preimages(expr: RationalFromDivisor, a: complex,
+                        r: float) -> tuple[complex, np.ndarray]:
+    """Lead coefficient of N = Q (f - a), Q the monic pole polynomial, and
+    every root of N in |z| <= r, certified, or RootFindFailure.
+
+    N has degree n = the number of zeros of f and lead ``scale`` if f has
+    more zeros than poles, degree n_poles and lead -a if it has fewer, and
+    with as many of each lead ``scale - a``, unless a = ``scale``, where the
+    degree drops (:func:`_dropped_lead`).  An Ehrlich-Aberth iteration (Bini
+    and Fiorentino, 2000) starts next to the first ``deg`` zeros of f, or
+    next to its poles when those set the degree, and takes N'/N = f'/(f - a)
     + Q'/Q from the divisor channels; each root freezes at a relative step
-    below 1e-14.  Root z_i gets the disc of radius n |W_i|, W_i = N(z_i) /
+    below 1e-14.  Root z_i gets the disc of radius deg |W_i|, W_i = N(z_i) /
     (lead prod_{j != i} (z_i - z_j)), |N| bounded with its rounding; disjoint
     such discs hold one root each (Braess and Hadeler, 1973).  The roots in
     |z| <= r are returned if no two discs meet, none crosses |z| = r and
     each root meets the residual bound.
     """
-    poles = expr.divisor.signed("poles")
+    zeros, poles = expr.divisor.signed("zeros"), expr.divisor.signed("poles")
     n, n_poles = expr.divisor.total("zeros"), expr.divisor.total("poles")
-    if n < n_poles or (n == n_poles and expr.scale == a):
-        raise RootFindFailure(f"f - a has fewer than {n} finite roots, one per zero of f")
-    lead = expr.scale if n > n_poles else expr.scale - a
-    zs = np.asarray(expr.divisor.signed("zeros").multiset(), dtype=np.complex128)
-    live = k = np.arange(n)
+    if n < n_poles:
+        lead, deg, near = -a, n_poles, poles
+    elif n > n_poles:
+        lead, deg, near = expr.scale, n, zeros
+    elif expr.scale != a:
+        lead, deg, near = expr.scale - a, n, zeros
+    else:
+        (lead, deg), near = _dropped_lead(zeros, poles, a), zeros
+    if not deg:
+        return lead, np.empty(0, dtype=np.complex128)
+    zs = np.asarray(near.multiset()[:deg], dtype=np.complex128)
+    live = k = np.arange(deg)
     z = zs + 1e-3 * (1.0 + np.abs(zs)) * np.exp(1j * (2.7 * k + 0.4))
     log_f = ((math.log(abs(expr.scale)), _log_term), (cmath.phase(expr.scale), _arg_term))
     with np.errstate(all="ignore"):
@@ -1703,7 +1693,7 @@ def _rational_preimages(expr: RationalFromDivisor, a: complex, r: float) -> Divi
         err = (len(expr.divisor._columns[0]) + 2) * 2.0**-52 * spread
         t = a * np.exp(-(lm + 1j * ag))
         log_n = log_q + lm + err + np.log(np.abs(1.0 - t) + (1.0 + np.abs(t)) * (err + 2.0**-50))
-        rad = n * np.exp(log_n - math.log(abs(lead)) - _pair_reduce(
+        rad = deg * np.exp(log_n - math.log(abs(lead)) - _pair_reduce(
             z, k, 1.0, lambda d: np.sum(np.log(np.abs(d)), axis=1)))
         gap = _pair_reduce(z, k, np.inf, lambda d: np.min(np.abs(d) - rad, axis=1))
         mod = np.abs(z)
@@ -1716,4 +1706,4 @@ def _rational_preimages(expr: RationalFromDivisor, a: complex, r: float) -> Divi
             ((mod + rad <= r) | (mod - rad > r), f"has an inclusion disc across |z| = {r!r}")):
         if not np.all(ok):
             raise RootFindFailure(f"a solution of f = a {why}")
-    return Divisor.build([(q, 1) for q in z[inside]], merge_tol=0.0)
+    return lead, z[inside]

@@ -165,10 +165,10 @@ def characteristic(expr: FunctionExpr, r: float,
     sample = proximity(expr, r, atol=atol, rtol=rtol)
     if expr.is_divisor_transparent:
         N = counting(expr.divisor_in_disc(sample.r_used), sample.r_used, "poles")
+    elif expr.is_entire:
+        N = 0.0
     else:
-        N = 0.0 if expr.is_entire else math.nan
-        if math.isnan(N):
-            raise ValueError("characteristic of a divisor-opaque non-entire expression")
+        raise ValueError("characteristic of a divisor-opaque non-entire expression")
     return sample.replace(N=N, T=sample.m + N)
 
 

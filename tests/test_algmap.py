@@ -4,7 +4,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nevlab import (
     AlgebraicMap,
@@ -47,6 +47,7 @@ def test_map_validation():
 
 
 @given(nonzero, st.integers(min_value=1, max_value=5))
+@example(z=2 + 5e-324j, n=2)  # its angle underflows
 @settings(max_examples=60, deadline=None)
 def test_root_branches_are_nth_roots(z, n):
     m = AlgebraicMap(n=n, alphas=(0j,) * n)

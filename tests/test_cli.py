@@ -249,6 +249,15 @@ def test_census_fails_generic_value(capsys):
     assert payload["reports"][0]["n_violations"] > 0
 
 
+def test_census_at_the_scale_of_the_left_family_fails(capsys):
+    # f - 1 drops a degree there; its 49 a-points in the disc are certified
+    code, out, err = run(capsys, "census", "--figure1", "left",
+                         "--generations", "12", "--values", "1")
+    assert code == EXIT_FAIL and err == ""
+    rep, = json.loads(out)["reports"]
+    assert rep["verdict"] is False and rep["n_points"] == 49
+
+
 @pytest.mark.parametrize("value", ["1e400+1i", "nan"])
 def test_census_non_finite_value_is_an_error(capsys, value):
     code, out, err = run(capsys, "census", "--figure1", "left",
@@ -312,6 +321,16 @@ def test_orbit_non_finite_seed_is_an_error(capsys, seed):
                          "--k", "2")
     assert code == EXIT_ERROR and out == ""
     assert json.loads(err)["error"] == "ValueError"
+
+
+def test_orbit_seed_whose_angle_underflows(capsys):
+    # atan2(5e-324, 2) underflows, which cmath.phase turns into OverflowError
+    code, out, err = run(capsys, "orbit", "--figure1", "left", "--seed", "2+5e-324i",
+                         "--k", "2")
+    assert code == EXIT_PASS and err == ""
+    rows = [ln.split(",") for ln in out.splitlines()[2:]]
+    assert len(rows) == 3 and rows[0][3:5] == ["2.0", "5e-324"]
+    assert all(math.isfinite(float(v)) for row in rows for v in row[3:6])
 
 
 number_tokens = st.one_of(

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nevlab import (
+    Const,
+    Difference,
     Divisor,
     ExpPoly,
     Polynomial,
@@ -23,6 +25,7 @@ from nevlab import (
     log_radii,
     n_count,
     proximity,
+    subtract,
 )
 from nevlab import nevanlinna
 from nevlab.fnmodel import InsufficientGrowth, NonMonotone
@@ -213,6 +216,23 @@ def test_fmt_balance_is_bounded_for_rationals(members):
 def test_fmt_balance_exp(members):
     d = fmt_delta(members["exp_z"].expr, 1.0, 10.0)
     assert d.delta < 1.0  # bounded gap, not growing with T(r) ~ 3.18
+
+
+def test_fmt_balance_of_a_large_rational_meets_jensen(members):
+    # f - a, with 36 a-points solved in product form, obeys Jensen's formula
+    # T(r, 1/(f - a)) = T(r, f - a) - log|f(0) - a|
+    f, a = members["orbit_left_m6"].expr, 0.3 + 0.2j
+    shifted = subtract(f, Const(a))
+    for r in (2.0, 10.0, 40.0):
+        got = fmt_delta(f, a, r).T_shifted
+        want = characteristic(shifted, r).T - math.log(abs(f.eval(0.0) - a))
+        assert got == pytest.approx(want, abs=1e-8), r
+
+
+def test_characteristic_of_an_opaque_meromorphic_expression_raises():
+    f = Difference(EXP_Z, RationalFromDivisor(1.0, Divisor(((2.0, -1),))))
+    with pytest.raises(ValueError, match="divisor-opaque non-entire"):
+        characteristic(f, 3.0)
 
 
 # ---------------------------------------------------------------------------
