@@ -568,14 +568,15 @@ def roots_of_shifts(p: Polynomial, ws, tol: float = 1e-10,
     return roots
 
 
-def _cluster(pairs: Iterable[tuple[complex, int]],
-             rel_tol: float) -> list[tuple[complex, int, int]]:
+def _greedy_cluster(pairs: Iterable[tuple[complex, int]],
+                    rel_tol: float) -> list[tuple[complex, int, int]]:
     """Group near-coincident weighted points into (centroid, count, weight sum).
 
     Points are visited by (modulus, re, im).  A point joins the latest
     cluster whose first member lies within ``rel_tol * (1 + |rep|)``; the
     backward scan stops once the moduli differ by more than the cluster
-    width can bridge.
+    width can bridge.  This loop is the reference; :func:`_screen` spares
+    it wherever it would leave every point a cluster of its own.
     """
     pts = sorted(pairs, key=lambda e: (abs(e[0]), e[0].real, e[0].imag))
     clusters: list[list] = []  # [first member, point sum, count, weight sum]
@@ -597,9 +598,54 @@ def _cluster(pairs: Iterable[tuple[complex, int]],
     return [(total / count, count, weight) for _, total, count, weight in clusters]
 
 
+def _screen(z: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Visit order, sorted moduli and "left alone" flag of each row of ``z``.
+
+    ``order`` sorts every row by (|z|, re, im), stably, as the greedy loop
+    of :func:`_greedy_cluster` does; ``mod`` holds the sorted moduli, from
+    ``np.hypot``, which rounds as Python's ``abs`` does (``np.abs`` of a
+    complex array does not).  ``alone[k]`` says that the loop would leave
+    every point of row k a cluster of its own: no pair i < j that its
+    backward scan reaches, ``|z_j| - |z_i| <= 2 rel_tol (1 + |z_j|)``, lies
+    within ``rel_tol (1 + |z_i|)``, both computed as the loop computes them.
+    A row with a point that is not finite is never left alone.  The pairs
+    are tested one offset j - i at a time, in all rows at once; a pair
+    leaves the scan where it leaves the window, as the loop's backward scan
+    breaks, so the work is the number of pairs the loop would test.
+    """
+    z = np.atleast_2d(z)
+    mod = np.hypot(z.real, z.imag)
+    order = np.lexsort((z, mod), axis=-1)  # complex keys sort by (re, im)
+    mod = np.take_along_axis(mod, order, -1)
+    n = z.shape[1]
+    alone = np.isfinite(mod).all(axis=1)
+    z = np.take_along_axis(z, order, -1).ravel()
+    re, im, flat = z.real, z.imag, mod.ravel()
+    reach, width = 2.0 * rel_tol * (1.0 + flat), rel_tol * (1.0 + flat)
+    j = np.flatnonzero(np.arange(flat.size) % max(n, 1))  # every point but its row's first
+    for d in range(1, n):
+        j = j[j % n >= d]
+        j = j[flat[j] - flat[j - d] <= reach[j]]
+        if not j.size:
+            break
+        i = j - d
+        alone[j[np.hypot(re[j] - re[i], im[j] - im[i]) <= width[i]] // n] = False
+    return order, mod, alone
+
+
 def cluster_roots(roots: Iterable[complex], rel_tol: float = ROOT_CLUSTER_TOL) -> list[tuple[complex, int]]:
-    """Group near-coincident roots into (centroid, multiplicity) pairs."""
-    return [(c, n) for c, n, _ in _cluster(((w, 1) for w in roots), rel_tol)]
+    """Group near-coincident roots into (centroid, multiplicity) pairs.
+
+    The greedy loop of :func:`_greedy_cluster` runs only if :func:`_screen`
+    finds a close pair; otherwise each root is its own cluster, in the
+    loop's order, with the loop's centroid ``w / 1`` (which clears signed
+    zeros: ``complex(-0.0, 1) / 1`` is ``1j``).
+    """
+    roots = list(roots)
+    order, _, alone = _screen(np.array(roots, dtype=np.complex128), rel_tol)
+    if alone[0]:
+        return [(roots[k] / 1, 1) for k in order[0].tolist()]
+    return [(c, n) for c, n, _ in _greedy_cluster(((w, 1) for w in roots), rel_tol)]
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +659,14 @@ class Divisor:
 
     ``entries`` excludes the origin, which is carried by ``origin_order``
     (again signed: +k means a zero of order k at 0).  Entries are sorted by
-    modulus, then real, then imaginary part, and no two entries sit within
-    merge tolerance of each other.
+    modulus, then real, then imaginary part.  :meth:`build` merges points
+    by the greedy rule of :func:`_greedy_cluster`: visited in that order, a
+    point joins the latest group whose first member lies within
+    ``merge_tol * (1 + |first|)``, and each group becomes one entry at its
+    centroid.  So two entries can sit closer than the tolerance (1 and
+    1 + 0.99 t merge at 1 + 0.495 t, and 1 + 1.0100001 t, past t = 2e-9 from
+    the first member, stays apart), and building the entries again can
+    merge them.
     """
 
     entries: tuple[tuple[complex, int], ...] = ()
@@ -623,20 +675,45 @@ class Divisor:
     @staticmethod
     def build(pairs: Iterable[tuple[complex, int]], origin_order: int = 0,
               merge_tol: float = MERGE_TOL) -> "Divisor":
+        """Divisor of the points ``p`` with multiplicities ``m``: pairs with
+        m == 0 are dropped, points with |p| < ORIGIN_SNAP add m to the
+        origin order, and the rest (m truncated to int) are merged by the
+        greedy rule and sorted."""
+        pairs = list(pairs)
+        z = np.array([p for p, _ in pairs], dtype=np.complex128)
+        raw = [m for _, m in pairs]
+        m = np.array(raw)
+        live = m != 0
+        snap = live & (np.hypot(z.real, z.imag) < ORIGIN_SNAP)
         origin = origin_order
-        pts: list[tuple[complex, int]] = []
-        for p, m in pairs:
-            if m == 0:
-                continue
-            p = complex(p)
-            if abs(p) < ORIGIN_SNAP:
-                origin += m
-            else:
-                pts.append((p, int(m)))
-        entries = tuple(sorted(
-            ((p, m) for p, _, m in _cluster(pts, merge_tol) if m != 0),
-            key=lambda e: (abs(e[0]), e[0].real, e[0].imag)))
-        return Divisor(entries, origin)
+        for k in np.flatnonzero(snap).tolist():
+            origin += raw[k]  # as given, so a float or numpy m keeps its type
+        keep = live & ~snap
+        m = m[keep]
+        if m.dtype.kind not in "biu":
+            m = [int(x) for x in m.tolist()]
+        return Divisor._from_arrays(z[keep], np.array(m, dtype=np.int64), origin, merge_tol)
+
+    @staticmethod
+    def _from_arrays(z: np.ndarray, m: np.ndarray, origin: int, merge_tol: float) -> "Divisor":
+        """Divisor of points ``z`` (none near the origin) with int
+        multiplicities ``m``, merged by :func:`_greedy_cluster`, which runs
+        only if :func:`_screen` finds a close pair; otherwise the entries
+        are the points with m != 0 in the screen's order, already sorted."""
+        order, mod, alone = _screen(z, merge_tol)
+        if not alone[0]:
+            entries = tuple(sorted(
+                ((p, w) for p, _, w in _greedy_cluster(zip(z.tolist(), m.tolist()), merge_tol)
+                 if w != 0),
+                key=lambda e: (abs(e[0]), e[0].real, e[0].imag)))
+            return Divisor(entries, origin)
+        order, mod = order[0], mod[0]
+        m = m[order]
+        nz = m != 0
+        # w / 1 is the greedy loop's centroid of a lone point
+        out = Divisor(tuple(zip((z[order[nz]] / 1).tolist(), m[nz].tolist())), origin)
+        out.__dict__["_moduli"] = mod[nz].tolist()  # |w / 1| = |w|
+        return out
 
     @property
     def is_empty(self) -> bool:
@@ -770,10 +847,35 @@ def _inv_term(m, d):
 
 def _pull_back(p: Polynomial, targets: Sequence[tuple[complex, int]], r: float) -> Divisor:
     """Divisor in |z| <= r of the solutions of p(z) = w, each weighted by
-    its multiplicity times the target's m, over all targets (w, m)."""
+    its multiplicity times the target's m, over all targets (w, m).
+
+    The rows of :func:`roots_of_shifts` are screened in one pass
+    (:func:`_screen`); only a row with a close pair, such as the double
+    root of z^2 = 0, goes through :func:`cluster_roots`.  The points reach
+    :meth:`Divisor.build`'s merge in the order and with the values that
+    clustering every row would give.
+    """
     rows = roots_of_shifts(p, [w for w, _ in targets])
-    return Divisor.build([(root, m * k) for (_, m), row in zip(targets, rows)
-                          for root, k in cluster_roots(row) if abs(root) <= r])
+    m = np.array([m for _, m in targets], dtype=np.int64)
+    order, mod, alone = _screen(rows, ROOT_CLUSTER_TOL)
+    z = (np.take_along_axis(rows, order, -1) / 1).reshape(-1)  # the loop's centroid of a lone root
+    w, mod = np.repeat(m, rows.shape[1]), mod.reshape(-1)
+    if not alone.all():
+        # each close row's clusters take the place of its roots, in order
+        n, parts, start = rows.shape[1], [], 0
+        for k in np.flatnonzero(~alone).tolist():
+            c = cluster_roots(rows[k])
+            parts += [(z[start:k * n], w[start:k * n]),
+                      (np.array([x for x, _ in c]), m[k] * np.array([j for _, j in c]))]
+            start = (k + 1) * n
+        parts.append((z[start:], w[start:]))
+        z, w = (np.concatenate(a) for a in zip(*parts))
+        mod = np.hypot(z.real, z.imag)
+    inside = mod <= r
+    z, w, mod = z[inside], w[inside], mod[inside]
+    snap = mod < ORIGIN_SNAP
+    keep = ~snap & (w != 0)
+    return Divisor._from_arrays(z[keep], w[keep], int(w[snap].sum()), MERGE_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -944,7 +1046,7 @@ def _im_level_angles(p: Polynomial, r: float, shifts) -> np.ndarray | None:
     if not lead or not all(map(cmath.isfinite, c)):
         return None
     if not any(c[1:-1]):
-        scale, phase, angles = abs(lead), cmath.phase(lead), set()
+        scale, phase, angles = abs(lead), math.atan2(lead.imag, lead.real), set()
         for s in shifts:
             x = (s - c[0].imag) / scale
             if abs(x) <= 1.0:
@@ -967,7 +1069,7 @@ def _im_level_angles(p: Polynomial, r: float, shifts) -> np.ndarray | None:
     angles = []
     for s, row_roots in zip(shifts, roots):
         for u in row_roots:
-            theta = cmath.phase(u)
+            theta = math.atan2(u.imag, u.real)
             w = cmath.exp(1j * theta)
             v = dv = 0j  # sum c_j w^j and sum j c_j w^j, by Horner
             for j in range(d, -1, -1):
@@ -1002,8 +1104,9 @@ class Const(FunctionExpr):
         shape = z.shape
         if self.value == 0:
             return np.full(shape, -np.inf), np.zeros(shape)
-        return (np.full(shape, math.log(abs(self.value))),
-                np.full(shape, cmath.phase(self.value)))
+        # math.atan2, not cmath.phase, which raises where the angle underflows
+        v = self.value
+        return np.full(shape, math.log(abs(v))), np.full(shape, math.atan2(v.imag, v.real))
 
     def _values(self, z):
         return np.full(z.shape, self.value, dtype=np.complex128)
@@ -1043,8 +1146,9 @@ class RationalFromDivisor(FunctionExpr):
 
     # A pole (negative mult) hit exactly gives +inf through -m * (-inf).
     def _log_parts(self, z):
-        return _divisor_sums(z, self.divisor, ((math.log(abs(self.scale)), _log_term),
-                                               (cmath.phase(self.scale), _arg_term)))
+        s = self.scale
+        return _divisor_sums(z, self.divisor, ((math.log(abs(s)), _log_term),
+                                               (math.atan2(s.imag, s.real), _arg_term)))
 
     def _log_mod(self, z):
         return _divisor_sums(z, self.divisor, ((math.log(abs(self.scale)), _log_term),))[0]
@@ -1670,7 +1774,8 @@ def _rational_preimages(expr: RationalFromDivisor, a: complex,
     zs = np.asarray(near.multiset()[:deg], dtype=np.complex128)
     live = k = np.arange(deg)
     z = zs + 1e-3 * (1.0 + np.abs(zs)) * np.exp(1j * (2.7 * k + 0.4))
-    log_f = ((math.log(abs(expr.scale)), _log_term), (cmath.phase(expr.scale), _arg_term))
+    s = expr.scale
+    log_f = ((math.log(abs(s)), _log_term), (math.atan2(s.imag, s.real), _arg_term))
     with np.errstate(all="ignore"):
         for _ in range(200):
             zl = z[live]

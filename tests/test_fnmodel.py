@@ -16,6 +16,7 @@ from nevlab import (
     Exp,
     ExpPoly,
     Polynomial,
+    PolyPair,
     Product,
     Quotient,
     RationalFromDivisor,
@@ -313,6 +314,153 @@ def test_divisor_json_round_trip():
     assert Divisor.from_json(d.to_json()) == d
 
 
+def test_divisor_build_merges_by_the_greedy_rule_not_by_distance():
+    """The docstring's example: the first group's centroid ends 0.515
+    tolerances from the next entry, and building the entries again merges
+    them."""
+    t = 2e-9  # MERGE_TOL * (1 + |1|)
+    d = Divisor.build([(1.0, 1), (1 + 0.99 * t, 1), (1 + 1.0100001 * t, 1)])
+    assert repr(d.entries) == "(((1.00000000099+0j), 2), ((1.0000000020200002+0j), 1))"
+    gap = abs(d.entries[1][0] - d.entries[0][0])
+    assert 0.515 * t < gap < 0.516 * t
+    assert repr(Divisor.build(d.entries).entries) == "(((1.0000000015050001+0j), 3),)"
+
+
+def _greedy_build(pairs, origin_order=0, merge_tol=fnmodel.MERGE_TOL):
+    """(entries, origin order) of Divisor.build with the greedy loop run on
+    every point: the reference the screen must reproduce."""
+    origin, pts = origin_order, []
+    for p, m in pairs:
+        if m == 0:
+            continue
+        p = complex(p)
+        if abs(p) < fnmodel.ORIGIN_SNAP:
+            origin += m
+        else:
+            pts.append((p, int(m)))
+    entries = tuple(sorted(
+        ((p, m) for p, _, m in fnmodel._greedy_cluster(pts, merge_tol) if m != 0),
+        key=lambda e: (abs(e[0]), e[0].real, e[0].imag)))
+    return entries, origin
+
+
+_MULTS = (1, -1, 2, -3, 0, 1.0, -2.0, 2.5, 0.5, np.int64(2), np.int32(-1), np.int64(0))
+
+
+def _edge_points(rng, tol):
+    """A shuffled point set on the screen's edges.  Each feature comes with
+    probability 1/2, so some sets have no close pair and some do: a shell of
+    one modulus with a conjugate, a negative and an exact duplicate; a pair
+    within 4 ulps of the merge distance and one of the scan window; parts
+    equal to -0.0 and points below ORIGIN_SNAP."""
+    pts = list(np.exp(rng.uniform(-5.0, 5.0, 4) + 1j * rng.uniform(0.0, TWO_PI, 4)))
+    if rng.random() < 0.5:
+        shell = np.exp(rng.uniform(-3.0, 4.0)) * np.exp(1j * rng.uniform(0.0, TWO_PI, 5))
+        pts += list(shell) + [shell[0].conjugate(), -shell[1]]
+        if rng.random() < 0.5:
+            pts.append(shell[2])
+    if rng.random() < 0.5:
+        # b on an axis and w = b + x off it, so |w - b| is x exactly: x is
+        # within 4 ulps of the merge distance tol (1 + |b|)
+        a = float(np.exp(rng.uniform(-2.0, 2.0)))
+        x = tol * (1.0 + a)
+        for _ in range(abs(k := int(rng.integers(-4, 5)))):
+            x = math.nextafter(x, math.copysign(math.inf, k))
+        pts += [complex(a, 0.0), complex(a, x)] if rng.random() < 0.5 else [
+            complex(0.0, -a), complex(x, -a)]
+    if rng.random() < 0.5:  # moduli within 4 ulps of the scan window's edge
+        b = complex(3.0 * rng.standard_normal(), 3.0 * rng.standard_normal())
+        x = b.real + 2.0 * tol * (1.0 + abs(b))
+        for _ in range(abs(k := int(rng.integers(-4, 5)))):
+            x = math.nextafter(x, math.copysign(math.inf, k))
+        pts += [b, complex(x, b.imag)]
+    if rng.random() < 0.5:
+        y = float(rng.standard_normal())
+        pts += [complex(-0.0, y), complex(y, -0.0), complex(-0.0, -0.0)]
+        if rng.random() < 0.5:
+            pts.append(complex(0.0, y))
+    if rng.random() < 0.5:
+        pts += list(1e-11 * (rng.standard_normal(2) + 1j * rng.standard_normal(2)))
+    return [pts[k] for k in rng.permutation(len(pts))]
+
+
+@pytest.mark.parametrize("tol", [fnmodel.MERGE_TOL, fnmodel.ROOT_CLUSTER_TOL, 1e-13, 0.0])
+def test_screened_clustering_equals_the_greedy_loop(tol):
+    """Divisor.build and cluster_roots give what the greedy loop over every
+    point gives, signed zeros, value types and origin order included."""
+    rng = np.random.default_rng(13)
+    paths = set()
+    for _ in range(150):
+        pts = _edge_points(rng, tol)
+        pairs = [(p, _MULTS[int(rng.integers(len(_MULTS)))]) for p in pts]
+        entries, origin = _greedy_build(pairs, 2, tol)
+        d = Divisor.build(pairs, 2, merge_tol=tol)
+        assert repr(d.entries) == repr(entries)
+        assert repr(d.origin_order) == repr(origin)
+        assert d._moduli == [abs(p) for p, _ in d.entries]
+        for roots in (pts, np.array(pts)):
+            want = [(c, n) for c, n, _ in fnmodel._greedy_cluster(((w, 1) for w in roots), tol)]
+            assert repr(cluster_roots(roots, tol)) == repr(want)
+        paths.add(bool(fnmodel._screen(np.array(pts), tol)[2][0]))
+    assert paths == {True, False}  # both the screen and the loop were taken
+
+
+def test_screen_pairs_points_within_a_row_only():
+    """3j ends the first row and, after -3 on its shell, sits in the second:
+    no close pair.  The last row has a double root."""
+    rows = np.array([[2.0, 1.0, 3j], [3j, -3.0, 5.0], [7.0, 4.0 + 1e-7, 4.0]])
+    order, mod, alone = fnmodel._screen(rows, fnmodel.ROOT_CLUSTER_TOL)
+    assert alone.tolist() == [True, True, False]
+    assert order.tolist() == [[1, 0, 2], [1, 0, 2], [2, 1, 0]]
+    assert mod.tolist() == [[1.0, 2.0, 3.0], [3.0, 3.0, 5.0], [4.0, 4.0 + 1e-7, 7.0]]
+
+
+@pytest.mark.parametrize("coeffs, double_roots", [
+    ((0j, 0j, 1.0), 1), ((0j, -3.0, 0j, 1.0), 2), ((1.0, -2.0, 1.0), 1), ((0j, 1.0, 1.0), 0)])
+def test_pull_back_equals_clustering_every_row(coeffs, double_roots):
+    """Only rows with a close pair go through cluster_roots; the result is
+    that of clustering every row.  The targets 0, 2 and -2 give the double
+    roots of z^2 = 0, z^3 - 3z = -+2 and (z - 1)^2 = 0."""
+    p = Polynomial(coeffs)
+    rng = np.random.default_rng(5)
+    ws = [0j, 2.0, -2.0] + list(3.0 * (rng.standard_normal(12) + 1j * rng.standard_normal(12)))
+    targets = [(w, int(rng.choice([1, -1, 2, -3]))) for w in ws]
+    rows = roots_of_shifts(p, ws)
+    assert np.sum(~fnmodel._screen(rows, fnmodel.ROOT_CLUSTER_TOL)[2]) == double_roots
+    for r in (0.5, 1.0, 1.5, 2.0, 10.0):
+        pairs = [(root, m * k) for (_, m), row in zip(targets, rows)
+                 for root, k, _ in fnmodel._greedy_cluster(((w, 1) for w in row),
+                                                           fnmodel.ROOT_CLUSTER_TOL)
+                 if abs(root) <= r]
+        entries, origin = _greedy_build(pairs)
+        d = fnmodel._pull_back(p, targets, r)
+        assert repr(d.entries) == repr(entries) and repr(d.origin_order) == repr(origin)
+
+
+def test_c05_divisors_merge_without_the_greedy_loop(monkeypatch):
+    """On the divisors c05 reads at rq = 8 ... 64, the screen leaves the
+    greedy loop only the w = 0 row of z^2 = w, which has a double root; no
+    Divisor merge runs it."""
+    greedy, calls = fnmodel._greedy_cluster, []
+
+    def counted(pairs, rel_tol):
+        pairs = list(pairs)
+        calls.append((rel_tol, [w for w, _ in pairs]))
+        return greedy(pairs, rel_tol)
+
+    monkeypatch.setattr(fnmodel, "_greedy_cluster", counted)
+    f, pair = ExpPoly(Z), PolyPair.build(Polynomial((0j, 1.0, 1.0)), Z2)
+    phi = compose_poly(f, pair.phi)
+    exprs = [subtract(compose_poly(f, pair.omega), phi)] + [
+        Quotient(Const(1.0), subtract(phi, Const(a))) for a in (1.0, -1.0)]
+    fnmodel._divisor_cached.cache_clear()
+    sizes = [len(e.divisor_in_disc(rq).entries) for rq in (8.0, 16.0, 32.0, 64.0) for e in exprs]
+    assert min(sizes) > 0 and max(sizes) > 2000
+    assert [tol for tol, _ in calls] == [fnmodel.ROOT_CLUSTER_TOL] * 4
+    for _, row in calls:
+        assert len(row) == 2 and abs(row[0]) < 1e-7 and abs(row[1]) < 1e-7
+
+
 # ---------------------------------------------------------------------------
 # expression evaluation
 # ---------------------------------------------------------------------------
@@ -448,6 +596,23 @@ def test_divisor_channels_keep_the_sentinels(reference_rationals):
     assert np.all(f._log_mod(poles) == np.inf)
     g = reference_rationals["rat_pole0"]
     assert g._log_mod(np.zeros(1, dtype=complex))[0] == np.inf
+
+
+def test_angles_survive_an_underflowing_phase():
+    """cmath.phase raises OverflowError where the angle underflows, as for
+    2 + 5e-324j; math.atan2 gives 0.0, and the bits of cmath.phase on
+    normal values."""
+    z = np.array([0.5j, 3.0, -2.0 + 1.0j])
+    lm, ag = Const(2 + 5e-324j)._log_parts(z)
+    assert np.all(lm == math.log(2.0)) and np.all(ag == 0.0)
+    f = RationalFromDivisor(2 + 5e-324j, Divisor.build([(1.0, 1)]))
+    want = RationalFromDivisor(2.0, f.divisor)._log_parts(z)
+    assert all(np.array_equal(a, b) for a, b in zip(f._log_parts(z), want))
+    assert subtract(f, Const(1.0)).divisor.entries == ((1.5 + 0j, 1),)  # 2 (z - 1) = 1
+    # Re((5e-324 - 2i) e^{it}) = 0 has the lead 2 + 5e-324j in the arcsin path
+    assert np.allclose(ExpPoly(Polynomial((0j, 5e-324 - 2j))).level_angles(1.0), [0.0, math.pi])
+    for v in (complex(-1.0, 0.0), complex(-1.0, -0.0), 1j, complex(3.0, -4.0), complex(-0.0, -2.0)):
+        assert repr(float(Const(v)._log_parts(z)[1][0])) == repr(cmath.phase(v))
 
 
 def test_log_mod_is_the_modulus_of_log_parts_through_the_tree(reference_rationals):
