@@ -9,11 +9,15 @@ leaves the principal sheet.
 The census operation checks forward invariance of solution multisets: every
 point of f^{-1}(a) inside a disc should map under tau onto another point of
 the same multiset, up to matching tolerance, unless the image escapes the
-disc (counted separately, not a violation).
+disc (counted separately, not a violation).  Each image is matched by
+bisecting a window of the multiset sorted by real part, since only points
+within 11 match tolerances of it can change the result, and the images left
+unmatched are re-checked by value in one batched evaluation per value.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 
@@ -211,26 +215,74 @@ def format_complex(v: complex) -> str:
     return f"{v.real:g}{v.imag:+g}i"
 
 
-def _image_hits_value(expr: FunctionExpr, q: complex, a: complex | None,
-                      vtol: float) -> bool:
-    """Overflow-safe test of |f(q) - a| <= vtol * (1 + |a|).
+def _image_hits_value(expr: FunctionExpr, q, a: complex | None, vtol: float):
+    """Overflow-safe test of |f(q) - a| <= vtol * (1 + |a|), elementwise.
 
-    Works through the log channel so poles and astronomically large values
-    never overflow; ``a=None`` stands for the pole set.
+    ``q`` is one point or an array of them; the result is a bool or a bool
+    array of its shape, from one ``_log_parts`` call.  Works through the log
+    channel so poles and astronomically large values never overflow;
+    ``a=None`` stands for the pole set.  A NaN image never hits.
     """
-    lm, ag = expr._log_parts(np.asarray([complex(q)], dtype=complex))
-    lm = float(lm[0])
+    qs = np.asarray(q, dtype=complex)
+    lm, ag = expr._log_parts(qs.reshape(-1))
+    lv = math.log(vtol) if vtol > 0 else -math.inf
     if a is None:
-        return lm >= -math.log(vtol)
-    if a == 0:
-        return lm <= math.log(vtol)
-    la = math.log(abs(a))
-    if lm - la > 40.0:  # |f(q)| dwarfs |a|: refuted without exponentiating
-        return False
-    if la - lm > 40.0:  # |f(q)| negligible next to |a|
-        return abs(a) <= vtol * (1.0 + abs(a))
-    v = cmath.exp(complex(lm, float(ag[0])))
-    return abs(v - a) <= vtol * (1.0 + abs(a))
+        hit = lm >= -lv
+    elif a == 0:
+        hit = lm <= lv
+    else:
+        la, bound = math.log(abs(a)), vtol * (1.0 + abs(a))
+        dwarfs = lm - la > 40.0  # |f(q)| dwarfs |a|: refuted without exponentiating
+        tiny = la - lm > 40.0  # |f(q)| negligible next to |a|
+        hit = tiny & (abs(a) <= bound)
+        for k in np.flatnonzero(~(dwarfs | tiny)).tolist():
+            v = cmath.exp(complex(float(lm[k]), float(ag[k])))
+            hit[k] = abs(v - a) <= bound
+    return hit.reshape(qs.shape)[()]
+
+
+def _match_images(images, pts, R: float, tol: float):
+    """Greedy nearest-point matching of in-disc images, in the images' order.
+
+    Each image q with |q| <= R takes the unconsumed point t with the
+    smallest ``(abs(q - t), index in pts)`` when that distance is at most
+    limit = tol * (1 + |q|); it is ambiguous when another unconsumed point
+    lies within 10 * limit of the best.  So only points within 11 * limit
+    of q can decide either test, and the search bisects the points, sorted
+    by real part, on a window of half-width 16 * limit.  Rounding is
+    monotone, so a point outside it has |Re(q - t)| > 16 * limit before
+    and >= 16 * limit after rounding, hence a computed distance of at least
+    16 * limit: it can neither match nor come within 10 * limit of a match.
+    A NaN image has a NaN limit and matches nothing.
+
+    Returns ``(matched, unmatched, leaks, ambiguous)``: matched
+    ``(p, q, t, distance)`` tuples, unmatched in-disc ``(p, q)`` pairs and
+    the count of images outside the disc.
+    """
+    order = sorted(range(len(pts)), key=lambda i: pts[i].real)
+    keys = [pts[i].real for i in order]
+    matched, unmatched = [], []
+    leaks = 0
+    ambiguous = False
+    for p, q in images:
+        aq = abs(q)
+        if aq > R:
+            leaks += 1
+            continue
+        limit = tol * (1.0 + aq)
+        reach = 16.0 * limit
+        lo = bisect.bisect_left(keys, q.real - reach)
+        hi = bisect.bisect_right(keys, q.real + reach, lo)
+        near = sorted((abs(q - pts[i]), i, k) for k, i in enumerate(order[lo:hi], lo))
+        if near and near[0][0] <= limit:
+            d, i, k = near[0]
+            if len(near) > 1 and near[1][0] - d <= 10.0 * limit:
+                ambiguous = True
+            matched.append((p, q, pts[i], d))
+            del keys[k], order[k]
+        else:
+            unmatched.append((p, q))
+    return matched, unmatched, leaks, ambiguous
 
 
 def invariance_census(expr: FunctionExpr, m: AlgebraicMap, values, R: float,
@@ -239,16 +291,32 @@ def invariance_census(expr: FunctionExpr, m: AlgebraicMap, values, R: float,
 
     For each value: collect the solution multiset in |z| <= R, push every
     point through tau, drop images leaving the disc (boundary leaks), and
-    greedily match the rest to the nearest unconsumed multiset point.  A
-    match requires distance <= tol * (1 + |image|).
+    greedily match the rest, in order of modulus, to the nearest unconsumed
+    multiset point.  A match requires distance <= limit = tol * (1 +
+    |image|), and a second point within 10 * limit of the nearest marks the
+    assignment ambiguous; only points within 11 * limit of an image can
+    matter, so :func:`_match_images` searches a window of the multiset
+    bisected on the real part, not the whole multiset.
 
     The multiset is complete (:func:`preimages_in_disc` returns every
     solution in the disc or raises), but tau can carry a computed point
     further than ``tol`` from the solution it maps to, so an unmatched
     in-disc image q is re-tried by value: it counts as matched when f(q) = a
-    holds to ``value_tol``.  Only value-refuted images are violations, and
-    the verdict is true when no in-disc image ends up refuted.
+    holds to ``value_tol``.  A value check consumes no point, so the
+    unmatched images of a value are checked after its matching, in one
+    :func:`_image_hits_value` call.  Only value-refuted images are
+    violations, and the verdict is true when no in-disc image ends up
+    refuted.
+
+    ``R`` must be finite and positive (a census of an empty disc proves
+    nothing), and ``tol`` and ``value_tol`` finite and nonnegative; anything
+    else raises ValueError.
     """
+    if not (math.isfinite(R) and R > 0):
+        raise ValueError(f"census radius {R!r} must be finite and positive")
+    for name, t in (("tol", tol), ("value_tol", value_tol)):
+        if not (math.isfinite(t) and t >= 0):
+            raise ValueError(f"census {name} {t!r} must be finite and nonnegative")
     reports = []
     for a in values:
         is_inf = a is None or (isinstance(a, str) and a.lower() in ("inf", "oo"))
@@ -260,31 +328,11 @@ def invariance_census(expr: FunctionExpr, m: AlgebraicMap, values, R: float,
             images.append((p, m(p)))
         # sort images for deterministic greedy order
         images.sort(key=lambda pq: (abs(pq[1]), pq[1].real, pq[1].imag))
-        available = list(pts)
-        matched = []
+        matched, unmatched, leaks, ambiguous = _match_images(images, pts, R, tol)
         violations = []
-        leaks = 0
-        by_value = 0
-        ambiguous = False
-        for p, q in images:
-            if abs(q) > R:
-                leaks += 1
-                continue
-            j = -1
-            if available:
-                dists = [abs(q - t) for t in available]
-                j = int(np.argmin(dists))
-            limit = tol * (1.0 + abs(q))
-            if j >= 0 and dists[j] <= limit:
-                near = sorted(dists)
-                if len(near) > 1 and near[1] - near[0] <= 10.0 * limit:
-                    ambiguous = True
-                matched.append((p, q, available[j], dists[j]))
-                available.pop(j)
-            elif _image_hits_value(expr, q, aval, value_tol):
-                by_value += 1
-            else:
-                violations.append((p, q))
+        if unmatched:
+            hits = _image_hits_value(expr, [q for _, q in unmatched], aval, value_tol)
+            violations = [pq for pq, hit in zip(unmatched, hits.tolist()) if not hit]
         verdict = not violations
         reports.append(InvarianceReport(
             value=aval,
@@ -295,7 +343,7 @@ def invariance_census(expr: FunctionExpr, m: AlgebraicMap, values, R: float,
             n_violations=len(violations),
             max_matched_distance=max((d for *_, d in matched), default=0.0),
             assignment_ambiguous=ambiguous,
-            n_value_matched=by_value,
+            n_value_matched=len(unmatched) - len(violations),
             matched=tuple(matched),
             violations=tuple(violations),
         ))

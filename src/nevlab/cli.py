@@ -328,7 +328,7 @@ def cmd_census(args) -> int:
     expr = constructor.build_orbit_function(family)
     values = [tok for tok in args.values.split(",")]
     parsed = [None if v.lower() in ("inf", "oo") else parse_complex(v) for v in values]
-    R = args.radius if args.radius else family.census_radius()
+    R = args.radius if args.radius is not None else family.census_radius()
     config = {"command": "census", "figure1": args.figure1,
               "generations": family.generations, "values": values,
               "radius": R, "tol": args.tol}

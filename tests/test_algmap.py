@@ -2,7 +2,10 @@
 
 import cmath
 import math
+import random
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -10,6 +13,7 @@ from nevlab import (
     AlgebraicMap,
     Divisor,
     ExpPoly,
+    InvarianceReport,
     Polynomial,
     RationalFromDivisor,
     binomial_shift_map,
@@ -20,7 +24,7 @@ from nevlab import (
     polynomialize,
 )
 from nevlab.algmap import _image_hits_value
-from nevlab.fnmodel import BranchAmbiguity, OrderMismatch
+from nevlab.fnmodel import BranchAmbiguity, OrderMismatch, preimages_in_disc
 
 Z = Polynomial((0j, 1.0))
 
@@ -229,3 +233,201 @@ def test_image_hits_value_finite_target():
     assert not _image_hits_value(f, 0.1, 1.0, 1e-6)
     # huge |f| against a moderate target: decided in the log domain
     assert not _image_hits_value(f, 800.0, 1.0, 1e-6)
+
+
+# batched value check and windowed matching, against the scalar and quadratic
+# forms they replace --------------------------------------------------------
+
+
+def _scalar_hits_value(expr, q, a, vtol):
+    """The one-image value check, as it was before batching."""
+    lm, ag = expr._log_parts(np.asarray([complex(q)], dtype=complex))
+    lm = float(lm[0])
+    if a is None:
+        return lm >= -math.log(vtol)
+    if a == 0:
+        return lm <= math.log(vtol)
+    la = math.log(abs(a))
+    if lm - la > 40.0:
+        return False
+    if la - lm > 40.0:
+        return abs(a) <= vtol * (1.0 + abs(a))
+    v = cmath.exp(complex(lm, float(ag[0])))
+    return abs(v - a) <= vtol * (1.0 + abs(a))
+
+
+def _quadratic_census(expr, m, values, R, tol=1e-9, value_tol=1e-6):
+    """The census with the full scan over unconsumed points per image and a
+    value check per unmatched image, as it was before the window."""
+    reports = []
+    for a in values:
+        is_inf = a is None or (isinstance(a, str) and a.lower() in ("inf", "oo"))
+        aval = None if is_inf else complex(a)
+        pts = preimages_in_disc(expr, aval, R).multiset()
+        images = [(p, m(p)) for p in pts]
+        images.sort(key=lambda pq: (abs(pq[1]), pq[1].real, pq[1].imag))
+        available = list(pts)
+        matched, violations = [], []
+        leaks = by_value = 0
+        ambiguous = False
+        for p, q in images:
+            if abs(q) > R:
+                leaks += 1
+                continue
+            j = -1
+            if available:
+                dists = [abs(q - t) for t in available]
+                j = int(np.argmin(dists))
+            limit = tol * (1.0 + abs(q))
+            if j >= 0 and dists[j] <= limit:
+                near = sorted(dists)
+                if len(near) > 1 and near[1] - near[0] <= 10.0 * limit:
+                    ambiguous = True
+                matched.append((p, q, available[j], dists[j]))
+                available.pop(j)
+            elif _scalar_hits_value(expr, q, aval, value_tol):
+                by_value += 1
+            else:
+                violations.append((p, q))
+        reports.append(InvarianceReport(
+            value=aval, verdict=not violations, n_points=len(pts),
+            n_matched=len(matched), n_boundary_leaks=leaks,
+            n_violations=len(violations),
+            max_matched_distance=max((d for *_, d in matched), default=0.0),
+            assignment_ambiguous=ambiguous, n_value_matched=by_value,
+            matched=tuple(matched), violations=tuple(violations)))
+    return reports
+
+
+def _fields(rep):
+    # repr, not ==: a NaN image in the violations is unequal to itself
+    return repr(tuple(getattr(rep, name) for name in InvarianceReport.__annotations__))
+
+
+def _ulps(x, k):
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def _designed_set(rng, tol, side):
+    """Points on one side of the imaginary axis, each group placed about a
+    dyadic anchor q: an exact duplicate, three points at one exact distance
+    (a tie), a point within a few ulps of limit = tol * (1 + |q|), or a
+    match with a runner-up a few ulps either side of 10 * limit farther."""
+    points, anchors = [], []
+    for _ in range(rng.randint(0, 12)):
+        q = complex(side * rng.randint(4, 40) / 8, rng.randint(-40, 40) / 8)
+        limit = tol * (1.0 + abs(q))
+        kind = rng.choice(("dup", "tie", "limit", "runner-up", "far"))
+        if kind == "dup":
+            points += [q] * rng.randint(2, 3)
+        elif kind == "tie":
+            h = 2.0 ** -rng.randint(3, 40)
+            points += [q + h, q - h, q + 1j * h]
+        elif kind == "limit":
+            points.append(complex(_ulps(q.real + limit, rng.randint(-3, 3)), q.imag))
+        elif kind == "runner-up":
+            d0 = rng.choice((0.0, 0.5 * limit, limit))
+            points.append(complex(q.real + d0, q.imag))
+            points.append(complex(q.real - _ulps(d0 + 10.0 * limit, rng.randint(-3, 3)),
+                                  q.imag))
+        else:
+            points.append(q + rng.uniform(-0.5, 0.5) + 1j * rng.uniform(-0.5, 0.5))
+        anchors.append(q)
+    return points, anchors
+
+
+def _designed_census(seed, tol):
+    """A rational with the designed zeros and poles and a table map sending
+    each point to an anchor, a point, an image outside the disc or on its
+    circle, a NaN or a free point."""
+    rng = random.Random(seed)
+    R = 8.0
+    zeros, zero_anchors = _designed_set(rng, tol, 1)
+    poles, pole_anchors = _designed_set(rng, tol, -1)
+    pool = zero_anchors + pole_anchors + zeros + poles
+    table = {}
+    for p in zeros + poles:
+        kind = rng.random()
+        if pool and kind < 0.7:
+            table[p] = rng.choice(pool)
+        elif kind < 0.75:
+            table[p] = complex(R * 2, 1.0)
+        elif kind < 0.8:
+            table[p] = complex(0.0, R)  # on the circle: in the disc
+        elif kind < 0.85:
+            table[p] = complex(math.nan, 1.0)
+        else:
+            table[p] = complex(rng.uniform(-R, R), rng.uniform(-R, R)) / 2
+    pairs = [(p, 1) for p in zeros] + [(p, -1) for p in poles]
+    expr = RationalFromDivisor(1.0, Divisor.build(pairs, merge_tol=0.0))
+    return expr, table.__getitem__, R  # the map: a table lookup
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3, 1e-16, 0.0, 1e6])
+def test_windowed_matching_equals_the_quadratic_loop(tol):
+    # 1e-16 puts limit within a few ulps of the anchors, and 1e6 makes the
+    # window span every point
+    seen = Counter()
+    for seed in range(60):
+        expr, m, R = _designed_census(seed, tol)
+        want = _quadratic_census(expr, m, [0.0, "inf"], R, tol=tol)
+        got = invariance_census(expr, m, [0.0, "inf"], R, tol=tol)
+        assert [_fields(r) for r in got] == [_fields(r) for r in want]
+        for rep in got:
+            seen["points"] += rep.n_points
+            seen["matched"] += rep.n_matched
+            seen["ambiguous"] += rep.assignment_ambiguous
+            seen["by value"] += rep.n_value_matched
+            seen["violations"] += rep.n_violations
+            seen["leaks"] += rep.n_boundary_leaks
+            seen["empty"] += rep.n_points == 0
+            seen["nan"] += any(math.isnan(q.real) for _, q in rep.violations)
+    if tol > 1.0:  # every finite in-disc image finds a point while any is left
+        del seen["by value"]
+    assert min(seen.values()) > 0, seen
+
+
+def test_census_of_an_empty_multiset():
+    f = RationalFromDivisor(1.0, Divisor.build([(5.0, -1)]))  # no zeros
+    rep, = invariance_census(f, left_figure_map(), [0.0], R=10.0)
+    assert (rep.n_points, rep.n_matched, rep.verdict) == (0, 0, True)
+    assert _fields(rep) == _fields(_quadratic_census(f, left_figure_map(), [0.0], 10.0)[0])
+
+
+def test_batched_image_hits_value_equals_scalar_calls():
+    nan = complex(math.nan, 0.0)
+    cases = [
+        # z - 1 at 0: a hit, a refutation, the exact zero, a NaN
+        (RationalFromDivisor(1.0, Divisor.build([(1.0, 1)])), 0.0,
+         [1.0 + 1e-9, 1.1, 1.0, nan]),
+        # 1/z at the pole set: near the pole, far from it, on it, a NaN
+        (RationalFromDivisor(1.0, Divisor((), -1)), None, [1e-12, 1.0, 0.0, nan]),
+        # e^z at 1: hits on the lattice, a refutation, |f| >> |a|, |f| << |a|
+        (ExpPoly(Z), 1.0, [0.0, 2j * math.pi, 0.1, 800.0, -800.0, nan]),
+        # e^z at a tiny a: |f| << |a| is then a hit and |f| ~ 1 dwarfs a
+        (ExpPoly(Z), 1e-30, [-800.0, 0.0, -69.0, nan]),
+        (ExpPoly(Z), 2j, [math.log(2) + 0.5j * math.pi, 1.0, 100.0, -100.0]),
+    ]
+    for f, a, qs in cases:
+        want = [_scalar_hits_value(f, q, a, 1e-6) for q in qs]
+        got = _image_hits_value(f, np.array(qs, dtype=complex), a, 1e-6)
+        assert got.dtype == bool and got.shape == (len(qs),)
+        assert got.tolist() == want == [bool(_image_hits_value(f, q, a, 1e-6)) for q in qs]
+        assert True in want and False in want
+    # a value tolerance of 0 asks for the exact zero or pole
+    zero_pole = RationalFromDivisor(1.0, Divisor.build([(1.0, 1), (2.0, -1)]))
+    assert _image_hits_value(zero_pole, [1.0, 1.0 + 1e-15], 0.0, 0.0).tolist() == [True, False]
+    assert _image_hits_value(zero_pole, [2.0, 2.0 + 1e-15], None, 0.0).tolist() == [True, False]
+
+
+@pytest.mark.parametrize("kwargs", [{"R": 0.0}, {"R": -1.0}, {"R": math.inf},
+                                    {"R": math.nan}, {"tol": math.inf},
+                                    {"tol": math.nan}, {"tol": -1.0},
+                                    {"value_tol": math.inf}, {"value_tol": -1e-6}])
+def test_census_rejects_bad_radius_and_tolerances(kwargs):
+    f, shift = lattice_exp()
+    args = {"R": 20.0} | kwargs
+    with pytest.raises(ValueError):
+        invariance_census(f, shift, [1.0], **args)

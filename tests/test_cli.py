@@ -266,6 +266,25 @@ def test_census_non_finite_value_is_an_error(capsys, value):
     assert json.loads(err)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_census_bad_tolerance_is_an_error(capsys, tol):
+    # an infinite tol would match every image and pass the generic value 0.3
+    code, out, err = run(capsys, "census", "--figure1", "left", "--generations", "6",
+                         "--values", "0,inf,0.3", f"--tol={tol}")
+    assert code == EXIT_ERROR and out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
+def test_census_radius_zero_is_an_error_not_the_default(capsys):
+    code, out, err = run(capsys, "census", "--figure1", "left", "--generations", "6",
+                         "--radius", "0")
+    assert code == EXIT_ERROR and out == ""
+    assert json.loads(err)["error"] == "ValueError"
+    code, out, _ = run(capsys, "census", "--figure1", "left", "--generations", "6",
+                       "--radius", "3")
+    assert code == EXIT_PASS and json.loads(out)["config"]["radius"] == 3.0
+
+
 @pytest.mark.parametrize("argv", [("char", "--fn=--", "--radii", "1"),
                                   ("census", "--figure1", "left", "--values=--")])
 def test_option_given_a_bare_double_dash_is_an_error(capsys, argv):
