@@ -246,10 +246,11 @@ def _match_images(images, pts, R: float, tol: float):
 
     Each image q with |q| <= R takes the unconsumed point t with the
     smallest ``(abs(q - t), index in pts)`` when that distance is at most
-    limit = tol * (1 + |q|); it is ambiguous when another unconsumed point
-    lies within 10 * limit of the best.  So only points within 11 * limit
-    of q can decide either test, and the search bisects the points, sorted
-    by real part, on a window of half-width 16 * limit.  Rounding is
+    limit = tol * (1 + |q|); it is ambiguous when an unconsumed point other
+    than the best (not a copy of it) lies within 10 * limit of the best.
+    So only points within 11 * limit of q can decide either test, and the
+    search bisects the points, sorted by real part, on a window of
+    half-width 16 * limit.  Rounding is
     monotone, so a point outside it has |Re(q - t)| > 16 * limit before
     and >= 16 * limit after rounding, hence a computed distance of at least
     16 * limit: it can neither match nor come within 10 * limit of a match.
@@ -276,8 +277,12 @@ def _match_images(images, pts, R: float, tol: float):
         near = sorted((abs(q - pts[i]), i, k) for k, i in enumerate(order[lo:hi], lo))
         if near and near[0][0] <= limit:
             d, i, k = near[0]
-            if len(near) > 1 and near[1][0] - d <= 10.0 * limit:
-                ambiguous = True
+            if len(near) > 1 and not ambiguous:
+                # the nearest other point, not a copy of this one: copies of a
+                # multiple point give the same assignment
+                t = pts[i]
+                e = next((e for e, j, _ in near if pts[j] != t), None)
+                ambiguous = e is not None and e - d <= 10.0 * limit
             matched.append((p, q, pts[i], d))
             del keys[k], order[k]
         else:
@@ -293,10 +298,11 @@ def invariance_census(expr: FunctionExpr, m: AlgebraicMap, values, R: float,
     point through tau, drop images leaving the disc (boundary leaks), and
     greedily match the rest, in order of modulus, to the nearest unconsumed
     multiset point.  A match requires distance <= limit = tol * (1 +
-    |image|), and a second point within 10 * limit of the nearest marks the
-    assignment ambiguous; only points within 11 * limit of an image can
-    matter, so :func:`_match_images` searches a window of the multiset
-    bisected on the real part, not the whole multiset.
+    |image|), and a different point within 10 * limit of the nearest (not
+    a copy of a multiple point) marks the assignment ambiguous; only points
+    within 11 * limit of an image can matter, so :func:`_match_images`
+    searches a window of the multiset bisected on the real part, not the
+    whole multiset.
 
     The multiset is complete (:func:`preimages_in_disc` returns every
     solution in the disc or raises), but tau can carry a computed point

@@ -80,6 +80,14 @@ _DIVISOR_CELLS = 1 << 14
 # _FOLD_TOL (absolute, in log|f| and in z f'/f).
 _FOLD_RATIO = 0.5
 _FOLD_TOL = 2.0**-54
+# The |f| = 1 search of a rational's circle mean samples log|f| on this
+# many equispaced angles and at the divisor points within _SCAN_BAND of the
+# circle, and polishes each crossing by at most _SEARCH_STEPS steps, frozen
+# once a step is below _SEARCH_TOL (in radians).
+_SCAN_POINTS = 64
+_SCAN_BAND = 0.1
+_SEARCH_STEPS = 6
+_SEARCH_TOL = 1e-10
 
 
 class ToolkitError(Exception):
@@ -170,12 +178,23 @@ def _no_delattr(self, name):
     raise AttributeError(f"cannot delete field {name!r}")
 
 
+# a record's hash, cached in its __dict__ on first use; not pickled, since
+# strings hash differently in each process
+_HASH = "_record_hash"
+
+
+def _unhashed_state(self):
+    state = self.__dict__
+    return {k: v for k, v in state.items() if k != _HASH} if _HASH in state else state
+
+
 def record(cls):
     """Make ``cls`` a frozen record of its annotated fields, in order, as
     ``dataclass(frozen=True)`` does, without generating source: ``__init__``
     (positional or keyword, then ``__post_init__`` if defined), ``__repr__``,
     ``__eq__`` between instances of the same class, ``__hash__`` equal to
-    the hash of the field tuple, assignment that raises ``AttributeError``,
+    the hash of the field tuple (cached on first use, and left out of a
+    pickle), assignment that raises ``AttributeError``,
     and ``replace(**changes)``, a copy through ``__init__``.  A field's
     class-level value is its default, or a :class:`field`.  Instances keep
     a ``__dict__``, so ``cached_property`` works on them."""
@@ -238,23 +257,21 @@ def record(cls):
     if n == 1:  # attrgetter of one name returns the value, not a 1-tuple
         get = attrgetter(names[0])
 
-        def __eq__(self, other):
-            if other.__class__ is self.__class__:
-                return (get(self),) == (get(other),)
-            return NotImplemented
-
-        def __hash__(self):
-            return hash((get(self),))
+        def key(self):
+            return (get(self),)
     else:
         key = attrgetter(*names)
 
-        def __eq__(self, other):
-            if other.__class__ is self.__class__:
-                return key(self) == key(other)
-            return NotImplemented
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
 
-        def __hash__(self):
-            return hash(key(self))
+    def __hash__(self):
+        cache = self.__dict__
+        if _HASH not in cache:
+            cache[_HASH] = hash(key(self))
+        return cache[_HASH]
 
     def __repr__(self):
         return f"{type(self).__qualname__}({', '.join(f'{k}={getattr(self, k)!r}' for k in shown)})"
@@ -266,7 +283,7 @@ def record(cls):
         return type(self)(**changes)
 
     methods = {"__init__": __init__, "__eq__": __eq__, "__hash__": __hash__,
-               "__repr__": __repr__, "replace": replace,
+               "__getstate__": _unhashed_state, "__repr__": __repr__, "replace": replace,
                "__setattr__": _no_setattr, "__delattr__": _no_delattr}
     for name, fn in methods.items():
         if name not in vars(cls):  # a method the class defines itself stays
@@ -927,13 +944,21 @@ class FunctionExpr:
         return self
 
     def level_angles(self, r: float) -> np.ndarray | None:
-        """Sorted angles in [0, 2pi) at which |f(r e^{i theta})| = 1, for the
-        variants that have that level set in closed form: there log+|f| has
-        its kinks, and the circle means of log+|f| cut their panels.  None
-        where the level set is not known: for every other expression, and
-        where the coefficients over- or underflow at ``r`` or the angles
-        would exceed ``MAX_PANELS``."""
+        """Sorted angles in [0, 2pi) at which |f(r e^{i theta})| = 1: there
+        log+|f| has its kinks, and the circle means of log+|f| cut their
+        panels.  Closed forms give them for exp(p) and exp(exp(p)) (see
+        :func:`_im_level_angles`), and a rational given by its divisor
+        searches for them (:func:`_level_search`).  None where the level
+        set is not known: for every other expression (exp(p) - a with a !=
+        0, quotients, products, ...), where the coefficients over- or
+        underflow at ``r`` or the angles would exceed ``MAX_PANELS``, and
+        where a rational's search finds no crossing."""
         return None
+
+    def level_cuts(self, r: float, g) -> tuple[np.ndarray | None, int]:
+        """:meth:`level_angles` for a circle mean, with the evaluations of
+        ``g = near_circle(r)`` spent finding them: none for a closed form."""
+        return self.level_angles(r), 0
 
     def _divisor_impl(self, r: float) -> Divisor:
         raise OpaqueExpr(f"{type(self).__name__} does not expose a divisor")
@@ -1016,6 +1041,7 @@ class FunctionExpr:
 
 
 _NO_ANGLES = np.empty(0)
+_SCAN_GRID = np.arange(_SCAN_POINTS) * (TWO_PI / _SCAN_POINTS)
 
 
 def _im_level_angles(p: Polynomial, r: float, shifts) -> np.ndarray | None:
@@ -1161,8 +1187,12 @@ class RationalFromDivisor(FunctionExpr):
         return fold if fold.folded else self
 
     def level_angles(self, r):
-        # scale * z^k has |f| constant on the circle; other level sets have no closed form
-        return None if self.divisor.entries else _NO_ANGLES
+        return self.level_cuts(r, self.near_circle(r))[0]
+
+    def level_cuts(self, r, g):
+        if not self.divisor.entries:  # scale * z^k: |f| is constant on the circle
+            return _NO_ANGLES, 0
+        return _level_search(self, g, r)
 
     def _divisor_impl(self, r):
         return self.divisor.restrict(r)
@@ -1171,6 +1201,79 @@ class RationalFromDivisor(FunctionExpr):
         return {"variant": "rational_from_divisor",
                 "scale": [self.scale.real, self.scale.imag],
                 "divisor": self.divisor.to_json()}
+
+
+def _level_search(f: RationalFromDivisor, g, r: float) -> tuple[np.ndarray | None, int]:
+    """The angles where |f| = 1 on |z| = r, and the evaluations spent
+    finding them; None where none is found.  ``g`` is the circle form of
+    ``f`` (:meth:`FunctionExpr.near_circle`).
+
+    Each log|z - b| lies in [log||b| - r|, log(|b| + r)], so the divisor
+    bounds log|f| on the circle at no evaluation; where the bound keeps it
+    off 0 there is nothing to find.  Otherwise ``g`` samples log|f| at
+    ``_SCAN_POINTS`` equispaced angles and at the angles of the divisor
+    points within ``_SCAN_BAND`` of the circle, near which log|f| can cross
+    0 twice between two grid angles.  Every sign change between neighbouring
+    samples brackets a crossing.  The brackets are polished together by at
+    most ``_SEARCH_STEPS`` safeguarded Newton steps in theta, where
+    d/dtheta log|f| = -Im(z f'/f): a step that leaves its bracket bisects
+    it, and a bracket is frozen once its step is below ``_SEARCH_TOL``.
+    The steps read log|f| and f'/f of the divisor directly, in one
+    :func:`_divisor_sums` call each: on a few nodes that costs less than
+    the series of ``g``, which take two numpy calls per term whatever the
+    node count.  A pair of crossings closer than the grid spacing with no
+    divisor point near is missed, and an unconverged angle is kept as it
+    stands: the angles are panel cuts, which the quadrature takes as hints.
+    """
+    d = f.divisor
+    b, m = (col[:, 0] for col in d._columns)
+    mod = np.abs(b)
+    with np.errstate(divide="ignore"):
+        near, far = np.log(np.abs(mod - r)), np.log(mod + r)
+    start = math.log(abs(f.scale))
+    up = m > 0
+    if (start + float(np.sum(np.where(up, m * near, m * far))) > 0.0
+            or start + float(np.sum(np.where(up, m * far, m * near))) < 0.0):
+        return None, 0
+    theta = _SCAN_GRID
+    band = d.band(r, _SCAN_BAND)
+    if band:
+        theta = np.sort(np.concatenate([theta, np.angle([p for p, _ in band]) % TWO_PI]))
+    lm = g._log_mod(r * np.exp(1j * theta))
+    spent = theta.size
+    pos = lm > 0.0
+    i = np.flatnonzero(pos != np.roll(pos, -1))
+    if not i.size:
+        return None, spent
+    j = (i + 1) % theta.size
+    lo, hi, fhi = theta[i], theta[j] + TWO_PI * (j == 0), lm[j]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        x = _inside(hi - fhi * (hi - lo) / (fhi - lm[i]), lo, hi)  # regula falsi
+    out, live = x.copy(), np.arange(i.size)
+    channels = ((start, _log_term), (0j, _inv_term))
+    for _ in range(_SEARCH_STEPS):
+        z = r * np.exp(1j * x)
+        fx, ld = _divisor_sums(z, d, channels)
+        spent += x.size
+        below = (fx > 0.0) == (fhi > 0.0)  # the crossing lies between lo and x
+        lo, hi, fhi = np.where(below, lo, x), np.where(below, x, hi), np.where(below, fx, fhi)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            step = fx / (z * ld).imag  # -log|f| over its theta-derivative
+        going = ~(np.abs(step) <= _SEARCH_TOL)  # a NaN step goes on, bisecting
+        # a converged step may cross a bracket end that x itself has become
+        out[live] = x = np.where(going, _inside(x + step, lo, hi), x + step)
+        if not going.all():
+            live, x, lo, hi, fhi = live[going], x[going], lo[going], hi[going], fhi[going]
+            if not live.size:
+                break
+    out %= TWO_PI
+    return np.sort(np.where(out < TWO_PI, out, 0.0)), spent  # % can round up to 2pi
+
+
+def _inside(x, lo, hi):
+    """``x`` where it lies strictly between ``lo`` and ``hi``, else (NaN
+    included) the midpoint."""
+    return np.where((x - lo) * (x - hi) < 0.0, x, 0.5 * (lo + hi))
 
 
 def _series_terms(weight: float, q: float, log: bool) -> int:
@@ -1225,15 +1328,17 @@ class _CircleFold:
     :func:`_series_terms` allows, and folds the group only if it has more
     points than K.  The origin, the points near the circle and the groups
     left unfolded, with M added to the origin order when the inner group
-    folds, go through :func:`_divisor_sums` as before.
+    folds, go through :func:`_divisor_sums` as before.  A channel is planned
+    when it is first read, with powers formed up to its own K only: a
+    proximity mean reads log|f| alone, a contour count z f'/f alone.
     """
 
     def __init__(self, f: RationalFromDivisor, r: float):
-        self.r = r
+        self.r, self._f = r, f
         d = f.divisor
         b, m = (col[bool(d.origin_order):, 0] for col in d._columns)
         mod = np.abs(b)
-        groups = []  # (inner?, mask, C_k, K per channel or None where unfolded)
+        groups = []  # (inner?, mask, u, K per channel or None where unfolded)
         for inner, mask in ((True, mod <= _FOLD_RATIO * r),
                             (False, mod >= r / _FOLD_RATIO)):
             n = int(np.count_nonzero(mask))
@@ -1242,36 +1347,43 @@ class _CircleFold:
             u = b[mask] / r if inner else r / b[mask]
             q, weight = float(np.max(np.abs(u))), float(np.sum(np.abs(m[mask])))
             ks = [_series_terms(weight, q, log) for log in (True, False)]
-            ks = [k if n > k else None for k in ks]
-            top = max((k for k in ks if k is not None), default=0)
-            groups.append((inner, mask, _power_sums(u, m[mask], top), ks))
+            groups.append((inner, mask, u, [k if n > k else None for k in ks]))
+        self._groups, self._b, self._m, self._mod = groups, b, m, mod
+        self.folded = any(k is not None for *_, ks in groups for k in ks)
 
-        def plan(channel: int, start):
-            """(direct divisor, start, series per folded group: (inner?, coeffs))"""
-            keep, origin, series = np.ones(b.size, dtype=bool), d.origin_order, []
-            for inner, mask, c, ks in groups:
-                k = ks[channel]
-                if k is None:
-                    continue
-                keep &= ~mask
-                if inner:
-                    origin += int(np.sum(m[mask]))
-                elif channel == 0:  # summed exactly: these logs cancel
-                    start += math.fsum(m[mask] * np.log(mod[mask]))
-                if k:
-                    series.append((inner, c[:k] / np.arange(1, k + 1) if channel == 0 else c[:k]))
-            div = d if keep.all() else Divisor(
-                tuple(d.entries[i] for i in np.flatnonzero(keep).tolist()), origin)
-            return div, start, series
+    def _plan(self, channel: int, start):
+        """(direct divisor, start, series per folded group: (inner?, coeffs))
+        of one channel, its power sums formed up to that channel's K only."""
+        d, m = self._f.divisor, self._m
+        keep, origin, series = np.ones(self._b.size, dtype=bool), d.origin_order, []
+        for inner, mask, u, ks in self._groups:
+            k = ks[channel]
+            if k is None:
+                continue
+            keep &= ~mask
+            if inner:
+                origin += int(np.sum(m[mask]))
+            elif channel == 0:  # summed exactly: these logs cancel
+                start += math.fsum(m[mask] * np.log(self._mod[mask]))
+            if k:
+                c = _power_sums(u, m[mask], k)
+                series.append((inner, c / np.arange(1, k + 1) if channel == 0 else c))
+        div = d if keep.all() else Divisor(
+            tuple(d.entries[i] for i in np.flatnonzero(keep).tolist()), origin)
+        return div, start, series
 
-        div, start, series = plan(0, math.log(abs(f.scale)))
+    @cached_property
+    def _log(self):
+        div, start, series = self._plan(0, math.log(abs(self._f.scale)))
         # Re P(conj w) = Re P*(w), P* with conjugate coefficients: one series
         coeffs = np.zeros(max((c.size for _, c in series), default=0), dtype=np.complex128)
         for inner, c in series:
             coeffs[:c.size] += np.conj(c) if inner else c
-        self._log = div, start, coeffs
-        self._der = plan(1, 0j)
-        self.folded = div is not d or self._der[0] is not d
+        return div, start, coeffs
+
+    @cached_property
+    def _der(self):
+        return self._plan(1, 0j)
 
     def _log_mod(self, z):
         div, start, coeffs = self._log

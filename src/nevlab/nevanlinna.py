@@ -93,11 +93,16 @@ def _circle_mean(expr: FunctionExpr, r: float, integrand, atol: float,
     The circle is |z| = r, moved out by ``NUDGE_FACTOR`` when ``nudge`` is set
     and a divisor point sits on it; divisor points near it become panel cuts
     graded by their distance, and with ``level_cuts`` the angles where
-    |f| = 1 (the kinks of log+|f|) become plain cuts.  Where those angles
-    are not known, the ends 0 and 2pi are cut as a singularity on the
-    circle and seeded ``SEED_LEVELS`` deep, as uniform seeding did (six
-    panels with no divisor point near), so that the seed panels are narrow
-    enough for the split-and-compare test to see the unknown kinks.
+    |f| = 1 (the kinks of log+|f|) become plain cuts: closed forms for
+    exp(p) and exp(exp(p)), and for a rational given by its divisor a
+    search through ``g`` whose evaluations the result counts
+    (:meth:`FunctionExpr.level_cuts`).  Where those angles are not known
+    (exp(p) - a with a != 0, quotients and the other compound expressions,
+    and a rational whose search finds no crossing), the ends 0 and 2pi
+    are cut as a singularity on the circle and seeded ``SEED_LEVELS``
+    deep, as uniform seeding did (six panels with no divisor point near),
+    so that the seed panels are narrow enough for the split-and-compare
+    test to see the unknown kinks.
     ``g = expr.near_circle(r_used)``, built once here, is the form the
     integrand reads its channel from: for a rational given by its divisor,
     the points far from the circle folded into series.  The panel cuts and
@@ -111,11 +116,12 @@ def _circle_mean(expr: FunctionExpr, r: float, integrand, atol: float,
     # a finite atol stays finite when scaled; inf and NaN reach the check as given
     scaled_atol = min(atol * TWO_PI, sys.float_info.max) if math.isfinite(atol) else atol
     cuts = _split_angles(expr, r_used)
+    spent = 0
     if level_cuts:
-        angles = expr.level_angles(r_used)
+        angles, spent = expr.level_cuts(r_used, g)
         cuts += [(0.0, 0.0)] if angles is None else [(a, math.inf) for a in angles.tolist()]
     res = adaptive_circle(lambda theta: integrand(g, r_used * np.exp(1j * theta)),
-                          cuts, atol=scaled_atol, rtol=rtol)
+                          cuts, atol=scaled_atol, rtol=rtol, evaluations=spent)
     return res.replace(value=res.value / TWO_PI,
                        err_estimate=res.err_estimate / TWO_PI), r_used
 

@@ -11,12 +11,16 @@ the nearest singularity lies off the panel relative to its width
 (Trefethen, SIAM Review 50, 2008), so a base panel of width w is cut toward
 an edge at distance d until its end panel is no wider than 2d, at most
 ``SEED_LEVELS`` times.  The ends 0 and 2pi are plain edges unless a cut
-at angle 0 gives them a distance: the proximity means cut there at
-distance 0 when the kinks of log+|f| are not known, so that the seed
-panels bracket them as uniform seeding did.  Cuts are hints: a missing one
-costs refinement rounds, and at a kink it can cost accuracy, since the
-split-and-compare estimate sees a kink only in a narrow enough panel; a
-spurious cut costs a panel.
+at angle 0 gives them a distance.  The proximity means cut at the kinks
+of log+|f| where they are known: in closed form for exp(p) and
+exp(exp(p)), and by a search of log|f| (``fnmodel._level_search``) for a
+rational given by its divisor.  Where they are not known -- exp(p) - a
+with a != 0, quotients, products, the other compositions, and a rational
+whose search finds no crossing -- they cut at angle 0 at distance 0, so
+that the seed panels bracket the kinks as uniform seeding did.  Cuts are
+hints: a missing one costs refinement rounds, and at a kink it can cost
+accuracy, since the split-and-compare estimate sees a kink only in a
+narrow enough panel; a spurious cut costs a panel.
 
 A plain split-and-compare loop then drives the refinement: a panel is
 accepted when the difference between its one-panel value and the sum over
@@ -104,7 +108,8 @@ def adaptive_circle(f: Callable[[np.ndarray], np.ndarray],
                     atol: float = 1e-10,
                     rtol: float = 1e-8,
                     max_rounds: int = 60,
-                    max_panels: int = MAX_PANELS) -> QuadratureResult:
+                    max_panels: int = MAX_PANELS,
+                    evaluations: int = 0) -> QuadratureResult:
     """Integrate ``f`` over [0, 2pi) with panels seeded from ``cuts``.
 
     ``cuts`` holds (angle, distance) pairs: each angle becomes a panel edge,
@@ -126,14 +131,15 @@ def adaptive_circle(f: Callable[[np.ndarray], np.ndarray],
     puts a floor under per-panel errors that a width-proportional share of
     the budget would chase forever.  ``atol`` and ``rtol`` must be finite
     and nonnegative, and not both zero, or ValueError is raised before any
-    evaluation.
+    evaluation.  ``evaluations`` counts those already spent on the
+    integrand's structure, such as a search for the cuts; the result's
+    count starts from it.
     """
     if not (0.0 <= atol < math.inf and 0.0 <= rtol < math.inf) or atol == rtol == 0.0:
         raise ValueError("quadrature tolerances must be finite and nonnegative, "
                          "and not both zero")
     lo, hi = _seed_panels(cuts)
     x, w = _gl_nodes(PANEL_ORDER)
-    evaluations = 0
 
     def panel_values(lo_b, hi_b, retry=True):
         """Gauss-Legendre values of f over the panels [lo_b, hi_b], given

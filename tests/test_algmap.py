@@ -258,7 +258,8 @@ def _scalar_hits_value(expr, q, a, vtol):
 
 def _quadratic_census(expr, m, values, R, tol=1e-9, value_tol=1e-6):
     """The census with the full scan over unconsumed points per image and a
-    value check per unmatched image, as it was before the window."""
+    value check per unmatched image, as it was before the window (with the
+    ambiguity test counting only a runner-up that is a different point)."""
     reports = []
     for a in values:
         is_inf = a is None or (isinstance(a, str) and a.lower() in ("inf", "oo"))
@@ -280,8 +281,9 @@ def _quadratic_census(expr, m, values, R, tol=1e-9, value_tol=1e-6):
                 j = int(np.argmin(dists))
             limit = tol * (1.0 + abs(q))
             if j >= 0 and dists[j] <= limit:
-                near = sorted(dists)
-                if len(near) > 1 and near[1] - near[0] <= 10.0 * limit:
+                # a runner-up counts only as a different point, not a copy
+                rest = [d for t, d in zip(available, dists) if t != available[j]]
+                if rest and min(rest) - dists[j] <= 10.0 * limit:
                     ambiguous = True
                 matched.append((p, q, available[j], dists[j]))
                 available.pop(j)
@@ -386,7 +388,34 @@ def test_windowed_matching_equals_the_quadratic_loop(tol):
             seen["nan"] += any(math.isnan(q.real) for _, q in rep.violations)
     if tol > 1.0:  # every finite in-disc image finds a point while any is left
         del seen["by value"]
+    if tol == 0.0:  # only copies of one point lie 0 apart, and copies are no tie
+        del seen["ambiguous"]
     assert min(seen.values()) > 0, seen
+
+
+def test_copies_of_a_multiple_point_are_not_an_ambiguous_assignment():
+    # tau(z) = 2z sends both copies of the double zero 1 onto the double zero
+    # 2, whose two copies sit at the same distance from the image
+    f = RationalFromDivisor(1.0, Divisor.build([(1.0, 2), (2.0, 2)]))
+    rep, = invariance_census(f, AlgebraicMap(n=1, alphas=(1.0,)), [0.0], R=2.5)
+    assert (rep.n_matched, rep.n_boundary_leaks, rep.assignment_ambiguous) == (2, 2, False)
+
+
+def test_a_near_tie_between_two_points_is_ambiguous():
+    # tau is the identity: the image of 1 - 1e-12 is the point itself, and
+    # 1 + 1e-12 is 2e-12 further off, inside 10 * limit = 2e-8
+    f = RationalFromDivisor(1.0, Divisor.build([(1.0 + 1e-12, 1), (1.0 - 1e-12, 1)],
+                                               merge_tol=0.0))
+    rep, = invariance_census(f, AlgebraicMap(n=1, alphas=(0.0,)), [0.0], R=2.5)
+    assert (rep.n_matched, rep.assignment_ambiguous) == (2, True)
+    # the bound itself: at tol 2^-30 the image 1 has limit 2^-29, and the
+    # other point lies exactly 10 * limit off, then one ulp further
+    for ulp, ambiguous in ((0.0, True), (2.0**-52, False)):
+        f = RationalFromDivisor(1.0, Divisor.build([(1.0, 1), (1.0 + 10 * 2.0**-29 + ulp, 1)],
+                                                   merge_tol=0.0))
+        rep, = invariance_census(f, AlgebraicMap(n=1, alphas=(0.0,)), [0.0], R=2.5,
+                                 tol=2.0**-30)
+        assert (rep.n_matched, rep.assignment_ambiguous) == (2, ambiguous)
 
 
 def test_census_of_an_empty_multiset():

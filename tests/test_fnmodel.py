@@ -3,6 +3,11 @@
 import cmath
 import decimal
 import math
+import os
+import pathlib
+import pickle
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -42,7 +47,8 @@ from nevlab.fnmodel import (
 )
 from nevlab.algmap import InvarianceReport
 from nevlab.boundslab import AsymSample, BoundConfig, BoundReport
-from nevlab.nevanlinna import ON_CIRCLE_REL, SPLIT_BAND, BalanceSample, CharacteristicSample
+from nevlab.nevanlinna import (ON_CIRCLE_REL, SPLIT_BAND, BalanceSample,
+                               CharacteristicSample, proximity)
 from nevlab.quadrature import QuadratureResult, adaptive_circle
 
 Z = Polynomial((0j, 1.0))
@@ -756,6 +762,72 @@ def test_fold_series_helpers_keep_every_term():
     assert np.max(np.abs(fnmodel._power_sums(u, m, 11) - want)) < 1e-13
 
 
+def _eager_fold_plans(f, r):
+    """The fold's two channel plans as they were built before each channel
+    was planned on first use: every group's powers formed up to the longer
+    series of the two, and each channel's coefficients sliced from them."""
+    d = f.divisor
+    b, m = (col[bool(d.origin_order):, 0] for col in d._columns)
+    mod = np.abs(b)
+    groups = []
+    for inner, mask in ((True, mod <= 0.5 * r), (False, mod >= r / 0.5)):
+        n = int(np.count_nonzero(mask))
+        if not n:
+            continue
+        u = b[mask] / r if inner else r / b[mask]
+        q, weight = float(np.max(np.abs(u))), float(np.sum(np.abs(m[mask])))
+        ks = [fnmodel._series_terms(weight, q, log) for log in (True, False)]
+        ks = [k if n > k else None for k in ks]
+        top = max((k for k in ks if k is not None), default=0)
+        groups.append((inner, mask, fnmodel._power_sums(u, m[mask], top), ks))
+    plans = []
+    for channel, start in ((0, math.log(abs(f.scale))), (1, 0j)):
+        keep, origin, series = np.ones(b.size, dtype=bool), d.origin_order, []
+        for inner, mask, c, ks in groups:
+            k = ks[channel]
+            if k is None:
+                continue
+            keep &= ~mask
+            if inner:
+                origin += int(np.sum(m[mask]))
+            elif channel == 0:
+                start += math.fsum(m[mask] * np.log(mod[mask]))
+            if k:
+                series.append((inner, c[:k] / np.arange(1, k + 1) if channel == 0 else c[:k]))
+        div = d if keep.all() else Divisor(
+            tuple(d.entries[i] for i in np.flatnonzero(keep).tolist()), origin)
+        plans.append((div, start, series))
+    (div, start, series), der = plans
+    coeffs = np.zeros(max((c.size for _, c in series), default=0), dtype=np.complex128)
+    for inner, c in series:
+        coeffs[:c.size] += np.conj(c) if inner else c
+    return (div, start, coeffs), der
+
+
+def test_circle_fold_channels_planned_on_first_use_equal_the_eager_build(reference_rationals):
+    # the sweep's functions over its radius ranges, 32 and 64 radii as it runs them
+    for key, count in (("orbit_left_30", 32), ("orbit_right_60", 64)):
+        f = reference_rationals[key]
+        lo, hi = SWEEP_RANGES[key]
+        for r in np.geomspace(lo, hi, count):
+            g = f.near_circle(r)
+            if g is f:
+                continue
+            (div, start, coeffs), der = _eager_fold_plans(f, r)
+            z = _circle(r, 64)
+            lm = g._log_mod(z)
+            assert "_der" not in vars(g), (key, r)  # log|f| alone plans one channel
+            assert g._log[0] == div and g._log[1] == start, (key, r)
+            assert np.array_equal(g._log[2], coeffs), (key, r)
+            assert g._der[:2] == der[:2] and len(g._der[2]) == len(der[2]), (key, r)
+            for (inner, c), (inner_e, c_e) in zip(g._der[2], der[2]):
+                assert inner == inner_e and np.array_equal(c, c_e), (key, r)
+            eager = fnmodel._CircleFold(f, r)
+            eager.__dict__.update(_log=(div, start, coeffs), _der=der)
+            assert np.array_equal(lm, eager._log_mod(z)), (key, r)
+            assert np.array_equal(g._logderivs(z), eager._logderivs(z)), (key, r)
+
+
 def test_circle_fold_memory_stays_a_few_node_arrays(reference_rationals):
     f = reference_rationals["orbit_right_60"]
     g = f.near_circle(1e4)
@@ -945,8 +1017,7 @@ def test_level_angles_of_exp_exp_z_are_exact_to_rounding(r):
 
 
 @pytest.mark.parametrize("f", [
-    ExpPoly(Z, 1.0), Exp(ExpPoly(Z, 1.0)), Exp(Exp(ExpPoly(Z))),
-    RationalFromDivisor(2.0, Divisor(((1.5, 1), (-2.0, -1)))),
+    ExpPoly(Z, 1.0), Exp(ExpPoly(Z, 1.0)), Exp(Exp(ExpPoly(Z))), ExpPoly(Z2, 1.0),
     Quotient(Const(1.0), ExpPoly(Z, 0.5)), Product(ExpPoly(Z), ExpPoly(Z)),
     ComposePoly(Exp(ExpPoly(Z)), Polynomial((1.0, 1.0, 1.0))),
 ])
@@ -986,6 +1057,59 @@ def test_level_set_solve_is_bounded_by_the_panel_limit(monkeypatch):
     assert not solves
     Exp(ExpPoly(Polynomial((0j, 0j, 1.0)))).level_angles(math.sqrt(2500 * math.pi))
     assert len(solves) == 1  # 5,000 shifts of degree 4: exactly the limit
+
+
+# r = 22.64... holds the closest crossing pair of sweep seed 5 (0.0038 rad
+# apart, near a divisor point) and 4.40... lies inside the orbit's cloud
+@pytest.mark.parametrize("key, radii", [
+    ("rat_zero1_pole2", (1.7, 2.262853668568036, 3.78921641565047, 10.0, 30.0)),
+    ("orbit_left_m6", (1.5, 2.6, 8.0, 13.749337077019009, 30.0)),
+    ("orbit_left_30", (22.640683396050477, 4.400682804935932)),
+])
+def test_level_search_finds_one_angle_per_sign_change(reference_rationals, key, radii):
+    f = reference_rationals[key]
+    for r in radii:
+        g = f.near_circle(r)
+        angles, spent = f.level_cuts(r, g)
+        assert np.all(np.diff(angles) > 0) and np.all((angles >= 0) & (angles < TWO_PI))
+        assert np.array_equal(f.level_angles(r), angles)
+        assert np.abs(f._log_mod(r * np.exp(1j * angles))).max() <= 1e-10, (key, r)
+        changes = _sign_changes(f, r)
+        assert changes.size == angles.size, (key, r)
+        gap = np.abs((changes[:, None] - angles + math.pi) % TWO_PI - math.pi)
+        assert gap.min(axis=1).max() <= 2.0 * TWO_PI / 400_000, (key, r)
+        # the scan's samples, then at most _SEARCH_STEPS steps per crossing
+        band = len(f.divisor.band(r, fnmodel._SCAN_BAND))
+        assert fnmodel._SCAN_POINTS + band < spent
+        assert spent <= fnmodel._SCAN_POINTS + band + fnmodel._SEARCH_STEPS * angles.size
+
+
+def test_level_search_misses_a_shallow_pair_between_its_samples(reference_rationals):
+    # near theta = 2, orbit_left_m6 at this radius rises to log|f| = 0.028 for
+    # 0.036 rad, between two samples 0.098 apart with no divisor angle in
+    # between: of the 480 circles of four rationals at 120 radii in [0.5, 40],
+    # the only one on which the search misses a crossing.  The mean without
+    # the pair's cuts still meets its tolerance against a 1000x tighter run.
+    f = reference_rationals["orbit_left_m6"]
+    r = 8.21086325832621
+    angles, changes = f.level_angles(r), _sign_changes(f, r)
+    assert (angles.size, changes.size) == (8, 10)
+    gap = np.abs((changes[:, None] - angles + math.pi) % TWO_PI - math.pi).min(axis=1)
+    assert np.all(np.abs(changes[gap > 1e-4] - 2.0) < 0.03)
+    s, tight = proximity(f, r), proximity(f, r, atol=1e-12, rtol=1e-11)
+    assert abs(s.m - tight.m) <= max(1e-9, 1e-8 * s.m)
+
+
+def test_level_search_gives_up_where_log_f_keeps_one_sign(reference_rationals):
+    # the divisor bound alone keeps log|f| of orbit_right_60 above 0 at r = 1e4
+    f = reference_rationals["orbit_right_60"]
+    assert f.level_cuts(1e4, f.near_circle(1e4)) == (None, 0)
+    assert f.level_angles(1e4) is None
+    # inside the m6 orbit's cloud the bound allows a crossing, the scan finds none
+    f = reference_rationals["orbit_left_m6"]
+    angles, spent = f.level_cuts(0.7, f.near_circle(0.7))
+    assert angles is None and spent >= fnmodel._SCAN_POINTS
+    assert _sign_changes(f, 0.7).size == 0
 
 
 # ---------------------------------------------------------------------------
@@ -1344,6 +1468,28 @@ def test_record_hash_equality_and_repr_follow_the_field_tuple(rec, fields, text)
     else:
         assert hash(rec) == hash(twin) == hash(fields)
     assert rec != fields and rec != object()
+
+
+def test_record_hash_is_cached_and_left_out_of_a_pickle(members):
+    f = members["orbit_left_m6"].expr
+    twin = RationalFromDivisor(f.scale, Divisor(f.divisor.entries, f.divisor.origin_order))
+    assert twin == f and twin is not f
+    assert hash(f) == hash(twin) == hash((f.scale, f.divisor)) == hash(f)  # the last cached
+    copy = pickle.loads(pickle.dumps(f))
+    assert fnmodel._HASH in vars(f) and fnmodel._HASH not in vars(copy)
+    assert fnmodel._HASH not in vars(copy.divisor) and copy == f and hash(copy) == hash(f)
+    # strings hash differently in another process: a record with a string
+    # field, hashed here, hashes there as its field tuple does there
+    member = members["rat_zero1_pole2"]
+    hash(member)
+    blob = pickle.dumps(member).hex()
+    src = str(pathlib.Path(fnmodel.__file__).parents[1])
+    code = ("import pickle, sys; m = pickle.loads(bytes.fromhex(sys.argv[1])); "
+            "print(hash(m) == hash((m.key, m.expr, m.hyper_tag, m.note)))")
+    out = subprocess.run([sys.executable, "-c", code, blob], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "12345"},
+                         check=True)
+    assert out.stdout.strip() == "True"
 
 
 def test_records_of_different_classes_with_equal_fields_differ():

@@ -105,18 +105,74 @@ def test_proximity_of_exp_exp_z_against_mpmath(members, r):
     assert abs(s.m - _m_exp_exp_reference(r)) <= max(1e-9, 1e-8 * s.m)
 
 
-@pytest.mark.parametrize("r", [10.0, 24.123900982041413])
-def test_level_cuts_are_only_hints(members, monkeypatch, r):
+def _m_rat_zero1_pole2_reference(r: float):
+    """m(r, (z - 1)/(z - 2)) at 30 digits: log|f| > 0 where Re z > 3/2, so
+    the mean of log|z - 1| - log|z - 2| over |theta| < arccos(3/(2r)),
+    integrated by mpmath between those kinks and the angle 0 of both
+    divisor points."""
+    mpmath = pytest.importorskip("mpmath")
+    if r <= 1.5:
+        return 0.0
+    with mpmath.workdps(30):
+        r = mpmath.mpf(r)
+        a = mpmath.acos(mpmath.mpf(3) / (2 * r))
+
+        def logf(t):
+            z = r * mpmath.expj(t)
+            return mpmath.log(abs(z - 1)) - mpmath.log(abs(z - 2))
+
+        return float(mpmath.quad(logf, [-a, 0, a]) / (2 * mpmath.pi))
+
+
+# the third radius is where the mean, with its ends seeded in place of the
+# searched cuts, missed by 15.9x its tolerance against a 1000x tighter run
+@pytest.mark.parametrize("r", [1.2, 1.6, 3.78921641565047, 2.262853668568036, 10.0, 39.0])
+def test_proximity_of_rat_zero1_pole2_against_mpmath(members, r):
+    s = proximity(members["rat_zero1_pole2"].expr, r)
+    assert abs(s.m - _m_rat_zero1_pole2_reference(r)) <= max(1e-9, 1e-8 * s.m)
+
+
+_ORACLES = {"exp_exp_z": _m_exp_exp_reference, "rat_zero1_pole2": _m_rat_zero1_pole2_reference}
+
+
+@pytest.mark.parametrize("key, r", [
+    pytest.param("exp_exp_z", 10.0, id="10.0"),
+    pytest.param("exp_exp_z", 24.123900982041413, id="24.123900982041413"),
+    pytest.param("rat_zero1_pole2", 3.78921641565047, id="rat_zero1_pole2-3.78921641565047"),
+])
+def test_level_cuts_are_only_hints(members, monkeypatch, key, r):
     # a missing kink costs refinement rounds, a spurious one a panel: with
     # any one level angle dropped, or one added, the mean meets its tolerance
-    expr = members["exp_exp_z"].expr
+    expr = members[key].expr
     angles = expr.level_angles(r)
-    ref = _m_exp_exp_reference(r)
+    ref = _ORACLES[key](r)
     for edited in [np.delete(angles, i) for i in range(angles.size)] + [
             np.sort(np.append(angles, 1.234))]:
-        monkeypatch.setattr(type(expr), "level_angles", lambda self, radius: edited)
+        # level_cuts, not level_angles: a rational's circle mean reads its
+        # searched cuts from there (the closed forms reach it through level_angles)
+        monkeypatch.setattr(type(expr), "level_cuts", lambda self, radius, g: (edited, 0))
         s = proximity(expr, r)
         assert abs(s.m - ref) <= max(1e-9, 1e-8 * s.m)
+
+
+def test_proximity_counts_the_search_and_keeps_seeded_ends_without_a_crossing(
+        members, monkeypatch):
+    # with crossings: the searched angles as cuts, the search's evaluations
+    # counted on top of the quadrature's; without: the ends seeded as for an
+    # unknown level set, and the scan's evaluations counted on top
+    f, g = members["rat_zero1_pole2"].expr, members["orbit_left_m6"].expr
+    for expr, r, found in ((f, 3.78921641565047, True), (g, 0.7, False)):
+        angles, spent = expr.level_cuts(r, expr.near_circle(r))
+        assert (angles is not None) == found and spent > 0
+        searched = proximity(expr, r)
+        with monkeypatch.context() as patch:
+            patch.setattr(RationalFromDivisor, "level_cuts", lambda self, radius, g: (angles, 0))
+            given = proximity(expr, r)
+        assert searched.m == given.m and searched.evaluations == given.evaluations + spent
+    # plain cuts at the two kinks and no seeded ends: with the angle 0 they
+    # make three panels, each accepted in the first round (48 nodes each)
+    s = proximity(f, 3.78921641565047)
+    assert s.panels == 3 and s.evaluations == 3 * 48 + f.level_cuts(s.r_used, f)[1]
 
 
 def test_proximity_of_identity_function_is_log_r():
