@@ -81,11 +81,9 @@ from .fnmodel import (
     Quotient,
     RationalFromDivisor,
     RootFindFailure,
-    SingularSignal,
     ToolkitError,
     cluster_roots,
     compose_poly,
-    expr_from_json,
     logplus,
     parse_complex,
     poly_roots,

@@ -107,10 +107,6 @@ class Orbit:
     classification: str  # escaped | bounded | undecided
     cut_crossed: tuple[bool, ...]
 
-    @property
-    def escape_flag(self) -> bool:
-        return self.classification == "escaped"
-
 
 def _classify(points: tuple[complex, ...]) -> str:
     mods = np.abs(np.asarray(points))

@@ -24,6 +24,7 @@ The harnesses:
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -58,12 +59,18 @@ from .nevanlinna import (
 )
 from .quadrature import adaptive_circle
 
+# fixed settings of asym_ratio (margin below 1/n^2) and growth_lemma_probe
+# (hyper-slope tolerance, tail-Cauchy threshold, window count)
+ASYM_SLOPE_MARGIN = 0.0
+GROWTH_FIT_TOL = 0.1
+GROWTH_CAUCHY_TOL = 0.01
+GROWTH_WINDOWS = 10
+
 
 @record
 class BoundConfig:
     alpha: float = 2.0
     delta: float = 0.5
-    epsilon: float = 1.0
     tol: float = 1e-9
 
     def __post_init__(self):
@@ -71,8 +78,6 @@ class BoundConfig:
             raise ValueError("alpha must exceed 1")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0,1)")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
 
 
 @record
@@ -245,13 +250,12 @@ class AsymSample:
 
 
 def asym_ratio(expr: FunctionExpr, omega: Polynomial, rgrid,
-               atol: float = 1e-9, rtol: float = 1e-8,
-               slope_limit_margin: float = 0.0) -> list[AsymSample]:
+               atol: float = 1e-9, rtol: float = 1e-8) -> list[AsymSample]:
     """T(r, f(omega)) / T(|c| r^n, f) over the grid.
 
-    Precondition: the growth of f must be slow enough for the asymptotic to
-    apply; the hyper-order estimated from the base characteristic samples
-    must stay below 1/n^2, else :class:`GrowthConditionError` is raised.
+    Precondition: f must grow slowly enough for the asymptotic to apply;
+    the hyper-order estimated from the base samples must stay below
+    1/n^2 - ``ASYM_SLOPE_MARGIN``, else it raises :class:`GrowthConditionError`.
     """
     n = omega.degree
     if n < 1:
@@ -261,7 +265,7 @@ def asym_ratio(expr: FunctionExpr, omega: Polynomial, rgrid,
     base_radii = [c * float(r) ** n for r in rgrid]
     T_base = [characteristic(expr, rr, atol=atol, rtol=rtol).T for rr in base_radii]
     est = hyperorder_estimate(base_radii, T_base)
-    limit = 1.0 / n**2 - slope_limit_margin
+    limit = 1.0 / n**2 - ASYM_SLOPE_MARGIN
     if est.varsigma >= limit:
         raise GrowthConditionError(
             f"hyper-order estimate {est.varsigma:.3f} >= 1/n^2 = {limit:.3f}; "
@@ -327,8 +331,11 @@ def smt_check(expr: FunctionExpr, pair: PolyPair, targets, slack: float,
     their grid cells' logarithmic measure is accumulated.
     """
     targets = [complex(a) for a in targets]
-    if len(targets) < 2 or len(set(targets)) != len(targets):
+    if (len(targets) < 2 or len(set(targets)) != len(targets)
+            or not all(map(cmath.isfinite, targets))):
         raise ValueError("need at least two distinct finite targets")
+    if not math.isfinite(slack):
+        raise ValueError("slack must be finite")
     comp_phi = compose_poly(expr, pair.phi)
     comp_omega = compose_poly(expr, pair.omega)
     if _compositions_identical(comp_omega, comp_phi):
@@ -393,16 +400,16 @@ class GrowthProbe:
 
 
 def growth_lemma_probe(radii, T_values, step_K: float, step_mu: float,
-                       alpha: float, fit_tol: float = 0.1,
-                       cauchy_tol: float = 0.01, windows: int = 10) -> GrowthProbe:
+                       alpha: float) -> GrowthProbe:
     """Dichotomy probe: either the fast-growth set has small tail measure or
     the growth is fast everywhere and the hyper-slope accounts for it.
 
     F is the set of grid radii r with T(r) <= alpha * T(r + K r^mu), alpha
     in (0,1); T between samples is interpolated log-log linearly.  The probe
-    reports F's logarithmic measure in expanding windows, the tail-Cauchy
-    flag (last window increment below ``cauchy_tol``), the difference-based
-    hyper-slope, and a combined verdict.
+    reports F's logarithmic measure in ``GROWTH_WINDOWS`` expanding windows,
+    the tail-Cauchy flag (last window increment below ``GROWTH_CAUCHY_TOL``),
+    the difference-based hyper-slope, and a combined verdict (a slope of
+    (1 - mu)(1 - ``GROWTH_FIT_TOL``) or more is consistent).
     """
     r = np.asarray(radii, dtype=float)
     T = np.asarray(T_values, dtype=float)
@@ -416,6 +423,8 @@ def growth_lemma_probe(radii, T_values, step_K: float, step_mu: float,
         raise ValueError("alpha must lie in (0,1)")
     if not 0 <= step_mu < 1:
         raise ValueError("mu must lie in [0,1)")
+    if not 0 < step_K < math.inf:
+        raise ValueError("K must be positive and finite")
 
     keep = T >= math.e
     if int(np.sum(keep)) < 10:
@@ -439,20 +448,20 @@ def growth_lemma_probe(radii, T_values, step_K: float, step_mu: float,
     widths = _cell_logwidths(r)
     measure_F = float(np.sum(widths[cond]))
 
-    edges = np.linspace(u[0], u[-1], windows + 1)
+    edges = np.linspace(u[0], u[-1], GROWTH_WINDOWS + 1)
     cumulative = []
     for edge in edges[1:]:
         sel = cond & (u <= edge)
         cumulative.append(float(np.sum(widths[sel])))
     increments = tuple(np.diff([0.0] + cumulative))
-    tail_cauchy = bool(increments[-1] < cauchy_tol)
+    tail_cauchy = bool(increments[-1] < GROWTH_CAUCHY_TOL)
 
     est = hyperorder_estimate(r, T)
     slope = est.varsigma
 
     if tail_cauchy:
         verdict = "consistent-finite-measure"
-    elif slope >= (1.0 - step_mu) * (1.0 - fit_tol):
+    elif slope >= (1.0 - step_mu) * (1.0 - GROWTH_FIT_TOL):
         verdict = "consistent-hyper-slope"
     else:
         verdict = "inconsistent"
@@ -495,6 +504,8 @@ def borel_probe(expr: FunctionExpr, n: int, c: complex, epsilon: float,
     the exceptional cells must stay below the closed-form bound; that
     inequality is theorem-backed, so callers treat it as hard.
     """
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     grid = log_radii(rmin, rmax, count)
     cmod = abs(complex(c))
 

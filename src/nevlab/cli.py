@@ -23,21 +23,16 @@ from . import boundslab, constructor, nevanlinna
 from .algmap import AlgebraicMap, invariance_census, orbit
 from .boundslab import BoundConfig, PolyPair
 from .fnmodel import Const, Polynomial, ToolkitError, parse_complex
-from .nevanlinna import characteristic, hyperorder_estimate, log_radii
+from .nevanlinna import characteristic_sweep, hyperorder_estimate, log_radii
 
 EXIT_PASS = 0
 EXIT_ERROR = 1
 EXIT_FAIL = 2
 
 
-def _registry():
+def _lookup_fn(key: str):
     reg = {k: m.expr for k, m in constructor.corpus().items()}
     reg["const_5"] = Const(5.0)
-    return reg
-
-
-def _lookup_fn(key: str):
-    reg = _registry()
     if key not in reg:
         raise ToolkitError(
             f"unknown function id {key!r}; known: {', '.join(sorted(reg))}"
@@ -76,13 +71,17 @@ def _write_csv(path: str | None, config: dict, header: list[str], rows) -> str:
     return text
 
 
-def _emit(payload: dict, args) -> None:
+def _write_json(payload: dict, path: str | None) -> str:
+    """The payload as sorted, indented JSON, also written to ``path`` if given."""
     text = json.dumps(payload, sort_keys=True, indent=2, default=_fmt)
-    out = getattr(args, "json_out", None)
-    if out:
-        with open(out, "w") as fh:
+    if path:
+        with open(path, "w") as fh:
             fh.write(text + "\n")
-    print(text)
+    return text
+
+
+def _emit(payload: dict, args) -> None:
+    print(_write_json(payload, getattr(args, "json_out", None)))
 
 
 def _emit_table(args, config: dict, header: list[str], rows) -> int:
@@ -90,11 +89,8 @@ def _emit_table(args, config: dict, header: list[str], rows) -> int:
     when --json-out asks for it."""
     text = _write_csv(args.out, config, header, rows)
     if args.json_out:
-        payload = {"config": config, "header": header,
-                   "rows": [list(row) for row in rows]}
-        with open(args.json_out, "w") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, indent=2, default=_fmt)
-                     + "\n")
+        _write_json({"config": config, "header": header,
+                     "rows": [list(row) for row in rows]}, args.json_out)
     if not args.out:
         sys.stdout.write(text)
     return EXIT_PASS
@@ -120,8 +116,7 @@ def cmd_char(args) -> int:
     radii = _radii_from(args)
     config = {"command": "char", "fn": args.fn, "radii": radii,
               "atol": args.atol, "rtol": args.rtol}
-    samples = [characteristic(expr, r, atol=args.atol, rtol=args.rtol)
-               for r in radii]
+    samples = characteristic_sweep(expr, radii, atol=args.atol, rtol=args.rtol)
     rows = [(s.r, s.m, s.N, s.T, s.quad_err, s.nudged) for s in samples]
     header = ["r", "m", "N", "T", "quad_err", "nudged"]
     return _emit_table(args, config, header, rows)
@@ -132,8 +127,7 @@ def cmd_hyperorder(args) -> int:
     radii = _radii_from(args)
     config = {"command": "hyperorder", "fn": args.fn, "radii": radii,
               "atol": args.atol, "rtol": args.rtol}
-    samples = [characteristic(expr, r, atol=args.atol, rtol=args.rtol)
-               for r in radii]
+    samples = characteristic_sweep(expr, radii, atol=args.atol, rtol=args.rtol)
     est = hyperorder_estimate([s.r for s in samples], [s.T for s in samples])
     _emit({"config": config,
            "estimate": {"varsigma": est.varsigma, "residual": est.residual,
@@ -215,13 +209,15 @@ def _verify_borel(args, config: dict) -> tuple[int, dict, list]:
     if args.radii:
         raise ToolkitError("verify borel builds its grid from --rmin, --rmax and "
                            "--count; --radii is not accepted")
-    keys = sorted(constructor.corpus()) if args.fn == "all" else [args.fn]
+    if args.fn == "all":  # one corpus build serves every member
+        exprs = {k: m.expr for k, m in constructor.corpus().items()}
+    else:
+        exprs = {args.fn: _lookup_fn(args.fn)}
     rows = []
     worst = EXIT_PASS
     details = {}
-    for key in keys:
-        expr = _lookup_fn(key)
-        res = boundslab.borel_probe(expr, n=args.order, c=args.scale,
+    for key in sorted(exprs):
+        res = boundslab.borel_probe(exprs[key], n=args.order, c=args.scale,
                                     epsilon=args.epsilon, rmax=args.rmax,
                                     rmin=args.rmin, count=args.count,
                                     atol=args.atol, rtol=args.rtol)
@@ -256,8 +252,8 @@ def _verify_growth(args, config: dict) -> tuple[int, dict, list]:
         T = _growth_profile(args.profile)(radii)
     else:
         expr = _lookup_fn(args.fn)
-        T = np.array([characteristic(expr, float(r), atol=args.atol,
-                                     rtol=args.rtol).T for r in radii])
+        sweep = characteristic_sweep(expr, radii, atol=args.atol, rtol=args.rtol)
+        T = np.array([s.T for s in sweep])
     probe = boundslab.growth_lemma_probe(radii, T, step_K=args.step_k,
                                          step_mu=args.mu, alpha=args.factor)
     summary = {"verdict": probe.verdict, "logmeasure_F": probe.logmeasure_F,

@@ -259,10 +259,6 @@ class CorpusMember:
     hyper_tag: float | None  # expected hyper-order; None = growth untagged
     note: str
 
-    @property
-    def uid(self) -> str:
-        return self.expr.structure_hash()
-
 
 def _small_rational(zeros, poles) -> RationalFromDivisor:
     pairs = [(z, 1) for z in zeros] + [(p, -1) for p in poles]

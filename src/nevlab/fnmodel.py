@@ -8,8 +8,8 @@ works through three channels defined on a small symbolic expression family:
   towers like exp(exp(z)) never leave the floating range; its array form
   ``_log_parts`` has a modulus-only twin ``_log_mod`` for the circle means
   (proximity, Jensen), which never read arg f;
-* ``logderiv_eval`` -- f'(z)/f(z) by structural recursion (chain/product
-  rules on the representation, never by numeric differentiation).
+* ``_logderivs``    -- f'(z)/f(z) on arrays by structural recursion (chain/
+  product rules, never by numeric differentiation), for contour counts.
 
 Each variant also knows its zero/pole divisor inside a disc, which is what
 the counting functions and the quadrature panel splitter consume.  A
@@ -42,7 +42,6 @@ enforce the pole/overflow signalling contract.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from bisect import bisect_left, bisect_right
 from functools import cached_property, lru_cache
@@ -100,10 +99,6 @@ class PoleSignal(ToolkitError):
 
 class OverflowSignal(ToolkitError):
     """|f(z)| exceeds the floating range and no log-channel fallback applies."""
-
-
-class SingularSignal(ToolkitError):
-    """Logarithmic derivative requested within tolerance of a zero or pole."""
 
 
 class OpaqueExpr(ToolkitError):
@@ -441,13 +436,6 @@ class Polynomial:
             coeffs[power] = coeffs.get(power, 0j) + c
         n = max(coeffs) + 1
         return cls(tuple(coeffs.get(k, 0j) for k in range(n)))
-
-    def to_json(self) -> list[list[float]]:
-        return [[c.real, c.imag] for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, data) -> "Polynomial":
-        return cls(tuple(complex(re, im) for re, im in data))
 
 
 def parse_complex(text: str) -> complex:
@@ -798,19 +786,6 @@ class Divisor:
         d = self.signed(kind)
         return d.origin_order + sum(m for _, m in d.entries)
 
-    def to_json(self) -> dict:
-        return {
-            "origin_order": self.origin_order,
-            "points": [{"point": [p.real, p.imag], "mult": m} for p, m in self.entries],
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "Divisor":
-        return cls.build(
-            [(complex(e["point"][0], e["point"][1]), int(e["mult"])) for e in data["points"]],
-            int(data.get("origin_order", 0)),
-        )
-
 
 EMPTY_DIVISOR = Divisor()
 
@@ -1014,31 +989,6 @@ class FunctionExpr:
         a = float(ag[0]) % TWO_PI if np.isfinite(ag[0]) else 0.0
         return float(lm[0]), a
 
-    def logderiv_eval(self, z: complex) -> complex:
-        z = complex(z)
-        tol = POLE_TOL * (1.0 + abs(z))
-        if self.is_divisor_transparent:
-            div = self.divisor_in_disc(abs(z) + 1.0)
-            for p, _ in div.entries:
-                if abs(z - p) <= tol:
-                    raise SingularSignal(f"z={z} is within tolerance of divisor point {p}")
-            if div.origin_order != 0 and abs(z) <= tol:
-                raise SingularSignal(f"z={z} is within tolerance of the origin divisor point")
-        v = self._logderivs(_carray([z]))[0]
-        if not np.isfinite(v.real) or not np.isfinite(v.imag):
-            raise SingularSignal(f"logarithmic derivative is singular at z={z}")
-        return complex(v)
-
-    # -- serialization ---------------------------------------------------------------
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
-    def structure_hash(self) -> str:
-        import hashlib  # on first use: only corpus uids hash, and it slows startup
-
-        blob = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha1(blob.encode()).hexdigest()[:12]
-
 
 _NO_ANGLES = np.empty(0)
 _SCAN_GRID = np.arange(_SCAN_POINTS) * (TWO_PI / _SCAN_POINTS)
@@ -1146,9 +1096,6 @@ class Const(FunctionExpr):
     def _divisor_impl(self, r):
         return EMPTY_DIVISOR
 
-    def to_json(self):
-        return {"variant": "const", "value": [self.value.real, self.value.imag]}
-
 
 @record
 class RationalFromDivisor(FunctionExpr):
@@ -1196,11 +1143,6 @@ class RationalFromDivisor(FunctionExpr):
 
     def _divisor_impl(self, r):
         return self.divisor.restrict(r)
-
-    def to_json(self):
-        return {"variant": "rational_from_divisor",
-                "scale": [self.scale.real, self.scale.imag],
-                "divisor": self.divisor.to_json()}
 
 
 def _level_search(f: RationalFromDivisor, g, r: float) -> tuple[np.ndarray | None, int]:
@@ -1497,12 +1439,6 @@ class ExpPoly(FunctionExpr):
             raise OpaqueExpr("exp argument is constant and equals log(a)")
         return _pull_back(self.p, branches, r)
 
-    def to_json(self):
-        if self.a == 0:
-            return {"variant": "exp_poly", "coeffs": self.p.to_json()}
-        return {"variant": "exp_poly_minus_const", "coeffs": self.p.to_json(),
-                "a": [self.a.real, self.a.imag]}
-
 
 @record
 class Exp(FunctionExpr):
@@ -1557,13 +1493,6 @@ class Exp(FunctionExpr):
             return None
         return _im_level_angles(child.p, r, [math.pi * (k + 0.5) for k in range(k_lo, k_hi + 1)])
 
-    def to_json(self):
-        return {"variant": "exp", "children": [self.child.to_json()]}
-
-
-def _binary_json(name, lhs, rhs):
-    return {"variant": name, "children": [lhs.to_json(), rhs.to_json()]}
-
 
 @record
 class Product(FunctionExpr):
@@ -1591,9 +1520,6 @@ class Product(FunctionExpr):
 
     def _divisor_impl(self, r):
         return self.lhs.divisor_in_disc(r).merge(self.rhs.divisor_in_disc(r))
-
-    def to_json(self):
-        return _binary_json("product", self.lhs, self.rhs)
 
 
 @record
@@ -1625,9 +1551,6 @@ class Quotient(FunctionExpr):
 
     def _divisor_impl(self, r):
         return self.lhs.divisor_in_disc(r).merge(self.rhs.divisor_in_disc(r).negate())
-
-    def to_json(self):
-        return _binary_json("quotient", self.lhs, self.rhs)
 
 
 @record
@@ -1664,9 +1587,6 @@ class Difference(FunctionExpr):
         da = va * self.lhs._logderivs(z)
         db = vb * self.rhs._logderivs(z)
         return (da - db) / (va - vb)
-
-    def to_json(self):
-        return _binary_json("difference", self.lhs, self.rhs)
 
 
 @record
@@ -1705,30 +1625,6 @@ class ComposePoly(FunctionExpr):
         if self.p.degree == 0 and any(w == self.p.coeffs[0] for w, _ in targets):
             raise OpaqueExpr("composition inner polynomial is constant at a divisor value")
         return _pull_back(self.p, targets, r)
-
-    def to_json(self):
-        return {"variant": "compose_poly", "children": [self.child.to_json()],
-                "coeffs": self.p.to_json()}
-
-
-def expr_from_json(data: dict) -> FunctionExpr:
-    kind = data["variant"]
-    if kind == "const":
-        return Const(complex(*data["value"]))
-    if kind == "rational_from_divisor":
-        return RationalFromDivisor(complex(*data["scale"]), Divisor.from_json(data["divisor"]))
-    if kind in ("exp_poly", "exp_poly_minus_const"):
-        return ExpPoly(Polynomial.from_json(data["coeffs"]), complex(*data.get("a", (0.0,))))
-    if kind == "exp":
-        return Exp(expr_from_json(data["children"][0]))
-    if kind == "compose_poly":
-        return ComposePoly(expr_from_json(data["children"][0]), Polynomial.from_json(data["coeffs"]))
-    if kind in ("product", "quotient", "difference"):
-        lhs = expr_from_json(data["children"][0])
-        rhs = expr_from_json(data["children"][1])
-        binary = {"product": Product, "quotient": Quotient, "difference": Difference}
-        return binary[kind](lhs, rhs)
-    raise ValueError(f"unknown variant {kind!r}")
 
 
 # ---------------------------------------------------------------------------

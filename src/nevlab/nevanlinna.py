@@ -40,6 +40,10 @@ NUDGE_FACTOR = 1.0 + 1e-7
 ON_CIRCLE_REL = 1e-9
 # divisor points within this relative band of the contour become panel cuts
 SPLIT_BAND = 0.1
+# share of a sweep's smallest radii that the hyper-order fit discards
+HYPERORDER_DROP = 0.2
+# farthest a contour count may land from an integer
+COUNT_INTEGER_TOL = 0.1
 
 
 @record
@@ -57,12 +61,6 @@ class CharacteristicSample:
     r_used: float
     panels: int
     evaluations: int
-
-    def as_row(self) -> dict:
-        return {
-            "r": self.r, "m": self.m, "N": self.N, "T": self.T,
-            "quad_err": self.quad_err, "nudged": self.nudged,
-        }
 
 
 def _split_angles(expr: FunctionExpr, r: float) -> list[tuple[float, float]]:
@@ -236,7 +234,7 @@ class HyperOrderEstimate:
     points_used: int
 
 
-def hyperorder_estimate(radii, T_values, drop_fraction: float = 0.2) -> HyperOrderEstimate:
+def hyperorder_estimate(radii, T_values) -> HyperOrderEstimate:
     """Hyper-order from a sweep of (r, T(r)) samples.
 
     Works on first differences: for genuinely fast growth,
@@ -244,7 +242,7 @@ def hyperorder_estimate(radii, T_values, drop_fraction: float = 0.2) -> HyperOrd
     varying factors, so the least-squares slope of the log-increments of
     ``log T`` against log-midpoint radii estimates the hyper-order while
     cancelling additive constants that poison a direct double-log fit.  The
-    smallest radii (a ``drop_fraction`` share) are discarded as transient.
+    smallest radii (a ``HYPERORDER_DROP`` share) are discarded as transient.
     Functions of finite order produce a slope near or below zero, clamped to
     zero and flagged.
     """
@@ -257,7 +255,7 @@ def hyperorder_estimate(radii, T_values, drop_fraction: float = 0.2) -> HyperOrd
     if np.any(T <= 0):
         raise InsufficientGrowth("characteristic samples must be positive")
 
-    k0 = int(math.floor(drop_fraction * r.size))
+    k0 = int(math.floor(HYPERORDER_DROP * r.size))
     r, T = r[k0:], T[k0:]
     if T[-1] < math.e:
         raise InsufficientGrowth(
@@ -289,20 +287,19 @@ def hyperorder_estimate(radii, T_values, drop_fraction: float = 0.2) -> HyperOrd
 
 
 def argument_principle_count(expr: FunctionExpr, r: float,
-                             atol: float = 1e-7, rtol: float = 1e-7,
-                             integer_tol: float = 0.1) -> int:
+                             atol: float = 1e-7, rtol: float = 1e-7) -> int:
     """Zeros minus poles inside |z| < r via the contour integral of z f'/f.
 
     The real part of the mean of ``z f'(z)/f(z)`` over the circle equals the
-    signed count.  A residual further than ``integer_tol`` from an integer
+    signed count.  A residual further than ``COUNT_INTEGER_TOL`` from an integer
     raises :class:`NonIntegerResidual`.
     """
     raw = _circle_mean(expr, r, lambda g, z: (z * g._logderivs(z)).real,
                        atol, rtol)[0].value
     nearest = round(raw)
-    if abs(raw - nearest) > integer_tol:
+    if abs(raw - nearest) > COUNT_INTEGER_TOL:
         raise NonIntegerResidual(
-            f"contour count {raw:.6f} is not within {integer_tol} of an integer"
+            f"contour count {raw:.6f} is not within {COUNT_INTEGER_TOL} of an integer"
         )
     return int(nearest)
 

@@ -118,7 +118,6 @@ def test_orbit_classification_and_flags():
     m = left_figure_map()
     orb = orbit(m, 4.0, 40)
     assert orb.classification == "escaped"
-    assert orb.escape_flag
     assert orb.cut_crossed == (False,) * 41
 
     still = AlgebraicMap(n=1, alphas=(0j,))     # identity map

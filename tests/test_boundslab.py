@@ -56,8 +56,6 @@ def test_config_validation():
         BoundConfig(delta=0.0)
     with pytest.raises(ValueError):
         BoundConfig(delta=1.0)
-    with pytest.raises(ValueError):
-        BoundConfig(epsilon=-1.0)
 
 
 def test_polypair_build_rules():
@@ -330,3 +328,6 @@ def test_borel_probe_needs_growth():
 def test_borel_probe_validation():
     with pytest.raises(ValueError):
         borel_probe(ExpPoly(Z), n=1, c=1.0, epsilon=1.0, rmax=1.0, rmin=2.0)
+    for eps in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            borel_probe(ExpPoly(Z), n=1, c=1.0, epsilon=eps, rmax=60.0)

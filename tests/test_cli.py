@@ -205,6 +205,21 @@ def test_verify_grid_commands_reject_an_empty_grid(capsys, which):
     assert json.loads(err)["detail"] == "need a radius count of at least 1"
 
 
+@pytest.mark.parametrize("argv, named", [
+    (("borel", "--epsilon", "0"), "epsilon"), (("borel", "--epsilon", "-1"), "epsilon"),
+    (("borel", "--epsilon", "inf"), "epsilon"), (("borel", "--epsilon", "nan"), "epsilon"),
+    (("growth", "--profile", "exp_r", "--step-k", "nan"), "K must"),
+    (("growth", "--profile", "exp_r", "--step-k", "-5"), "K must"),
+    (("smt", "--slack", "nan"), "slack"), (("smt", "--targets", "1,nan"), "finite targets"),
+])
+def test_verify_malformed_harness_inputs_are_errors(capsys, argv, named):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == EXIT_ERROR
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "ValueError" and named in error["detail"]
+
+
 # ---------------------------------------------------------------------------
 # orbit / construct / census / counterexample
 # ---------------------------------------------------------------------------
@@ -490,8 +505,8 @@ def test_cli_import_does_not_load_scipy():
 
 
 def test_cli_run_leaves_dataclasses_and_hashlib_unimported():
-    # the records build their methods without dataclasses, and hashlib loads
-    # on first structure_hash; every layer module stays imported up front,
+    # the records build their methods without dataclasses, and nothing in
+    # nevlab imports hashlib; every layer module stays imported up front,
     # where the benchmark's clock and tracer look for them after import
     code = ("import contextlib, io, json, sys\n"
             "import nevlab.cli as cli\n"

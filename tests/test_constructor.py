@@ -8,6 +8,7 @@ import pytest
 from nevlab import (
     build_orbit_family,
     build_orbit_function,
+    corpus,
     counterexample_kit,
     counterexample_preimages,
     divisor_cloud,
@@ -171,15 +172,7 @@ def test_corpus_is_stable(members):
     }
     for key, m in members.items():
         assert m.key == key
-        assert len(m.uid) == 12
-
-
-def test_corpus_uids_are_reproducible(members):
-    from nevlab import corpus
-
-    again = corpus()
-    for key in members:
-        assert again[key].uid == members[key].uid
+    assert corpus() == members  # a second build gives equal records
 
 
 def test_corpus_growth_tags(members):

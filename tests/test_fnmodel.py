@@ -27,7 +27,6 @@ from nevlab import (
     RationalFromDivisor,
     build_orbit_function,
     cluster_roots,
-    expr_from_json,
     figure_family,
     logplus,
     parse_complex,
@@ -313,11 +312,6 @@ def test_divisor_radius_queries_equal_the_linear_scan():
                     if q != a and rel and math.isfinite(q) and q > 0:
                         edges_hit.add((rel, entry in want))
     assert len(edges_hit) == 4  # each band edge seen both admitting p and not
-
-
-def test_divisor_json_round_trip():
-    d = Divisor.build([(1.0 + 2.0j, 2), (-0.5j, -1)], origin_order=3)
-    assert Divisor.from_json(d.to_json()) == d
 
 
 def test_divisor_build_merges_by_the_greedy_rule_not_by_distance():
@@ -921,38 +915,6 @@ def test_compose_poly_evaluates_as_composition():
     z = 0.3 - 0.4j
     want = f.eval(w(z))
     assert abs(g.eval(z) - want) <= 1e-11 * (1.0 + abs(want))
-
-
-def test_expr_json_round_trip_over_corpus(members):
-    for key, member in members.items():
-        clone = expr_from_json(member.expr.to_json())
-        assert clone.structure_hash() == member.uid, key
-
-
-CORPUS_UIDS = {
-    "exp_z": "1fe55b42ba00",
-    "exp_z2": "369cacf39151",
-    "exp_z3": "e858876c5d88",
-    "rat_zero1_pole2": "d9faa11e946d",
-    "rat_zero1_polem1": "ebb275f8b20e",
-    "rat_pole0": "e6be14a0129e",
-    "exp_exp_z": "8af98e84926b",
-    "expz_minus_1": "602c4bf6eef8",
-    "expz2_minus_1": "529359dafb91",
-    "orbit_left_m6": "a590d2fe9dc4",
-    "orbit_right_m6": "9a5d21a56490",
-}
-
-
-def test_corpus_uids_are_pinned(members):
-    assert {key: m.uid for key, m in members.items()} == CORPUS_UIDS
-
-
-def test_exppoly_json_names_the_variant_by_its_constant():
-    assert ExpPoly(Z).to_json() == {"variant": "exp_poly", "coeffs": Z.to_json()}
-    assert ExpPoly(Z, 0.5).to_json()["variant"] == "exp_poly_minus_const"
-    for f in (ExpPoly(Z), ExpPoly(Z, 0.5 - 2j)):
-        assert expr_from_json(f.to_json()) == f
 
 
 # ---------------------------------------------------------------------------

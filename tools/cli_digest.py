@@ -1,0 +1,94 @@
+"""Digest of the nevlab CLI's byte contract, one line per command.
+
+Runs every command of ``COMMANDS`` and every demo in a fresh interpreter on
+the ``src/`` tree of a checkout, and prints per command the exit code, the
+sha256 of stdout, the sha256 of stderr and the argv.  Two checkouts print the
+same lines exactly when every command gives them the same bytes, so a change
+is checked against its parent with
+
+    python3 tools/cli_digest.py > change.txt
+    python3 tools/cli_digest.py /path/to/parent/checkout > parent.txt
+    diff parent.txt change.txt
+
+The only argument is the checkout to run; it defaults to the one that holds
+this script.  Only stdout, stderr and the exit code are compared, so no
+listed command writes a file (``--out``, ``--json-out``).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import pathlib
+import subprocess
+import sys
+
+CORPUS = ("exp_z", "exp_z2", "exp_z3", "rat_zero1_pole2", "rat_zero1_polem1",
+          "rat_pole0", "exp_exp_z", "expz_minus_1", "expz2_minus_1",
+          "orbit_left_m6", "orbit_right_m6")
+# the census workload's ops, with the generic values of its seed 7
+CENSUS_VALUES = "0,inf,-0.5751455743105502-0.8005678919708082i,-1.3261093622013884-0.6489961228488729i"
+
+COMMANDS = [
+    *(["char", "--fn", key] for key in CORPUS),
+    *(["char", "--fn", key, "--radii", "1e-200,1e-8"] for key in CORPUS),
+    *(["char", "--fn", key, "--radii", "1e8,1e200"] for key in CORPUS),
+    ["char", "--fn", "orbit_left_m6", "--rmin", "0.5", "--rmax", "40", "--count", "12"],
+    ["char", "--fn", "const_5", "--radii", "1,2"],
+    ["char", "--fn", "nope", "--radii", "1"],
+    ["hyperorder", "--fn", "exp_z"],
+    ["hyperorder", "--fn", "exp_exp_z", "--rmin", "1", "--rmax", "3", "--count", "12"],
+    ["hyperorder", "--fn", "orbit_right_m6"],
+    ["hyperorder", "--fn", "rat_pole0"],
+    ["verify", "pest"],
+    ["verify", "lemma1"],
+    ["verify", "asym", "--fn", "exp_z", "--omega", "z^2+z"],
+    ["verify", "smt"],
+    ["verify", "smt", "--fn", "exp_z", "--omega", "z^2+z", "--phi", "z^2",
+     "--targets", "1,-1", "--rmin", "5", "--rmax", "40", "--count", "25"],
+    ["verify", "borel", "--fn", "exp_z"],
+    ["verify", "borel", "--fn", "all", "--rmax", "20", "--count", "20"],
+    ["verify", "growth", "--profile", "exp_sqrt_r", "--rmin", "1", "--rmax", "100000",
+     "--count", "150"],
+    ["verify", "growth", "--profile", "exp_r"],
+    ["verify", "growth", "--profile", "power"],
+    ["verify", "growth", "--fn", "exp_exp_z", "--rmin", "1", "--rmax", "3"],
+    # malformed harness inputs
+    ["verify", "borel", "--epsilon", "0"],
+    ["verify", "borel", "--epsilon", "-1"],
+    ["verify", "borel", "--epsilon", "inf"],
+    ["verify", "growth", "--profile", "exp_r", "--step-k", "nan"],
+    ["verify", "growth", "--profile", "exp_r", "--step-k", "-5"],
+    ["verify", "smt", "--slack", "nan"],
+    ["verify", "smt", "--targets", "1,nan"],
+    ["orbit", "--figure1", "left", "--seed", "4", "--k", "10"],
+    ["orbit", "--figure1", "right", "--seed", "1", "--k", "10", "--mode", "track"],
+    ["orbit", "--figure1", "left", "--seed", "1e400", "--k", "2"],
+    ["construct", "--figure1", "left"],
+    ["construct", "--figure1", "right", "--generations", "6"],
+    ["census", "--figure1", "left", "--generations", "30", "--values", CENSUS_VALUES],
+    ["census", "--figure1", "right", "--generations", "60", "--values", "0,inf"],
+    ["census", "--figure1", "left"],
+    ["census", "--figure1", "right", "--generations", "6", "--values", "0,inf,1"],
+    ["census", "--figure1", "left", "--generations", "6", "--radius", "3"],
+    ["census", "--figure1", "left", "--generations", "6", "--tol", "inf"],
+    ["counterexample"],
+    ["counterexample", "--k", "3", "--probes", "20"],
+]
+
+
+def main(argv: list[str]) -> int:
+    root = pathlib.Path(argv[0] if argv else pathlib.Path(__file__).parents[1]).resolve()
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    runs = [(cmd, [sys.executable, "-m", "nevlab.cli", *cmd]) for cmd in COMMANDS]
+    runs += [([f"demos/{demo.name}"], [sys.executable, str(demo)])
+             for demo in sorted((root / "demos").glob("*.py"))]
+    for label, run in runs:
+        done = subprocess.run(run, capture_output=True, env=env, cwd=root)
+        print(done.returncode, hashlib.sha256(done.stdout).hexdigest(),
+              hashlib.sha256(done.stderr).hexdigest(), *label, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
