@@ -27,11 +27,13 @@ from .fnmodel import (
     BranchAmbiguity,
     FunctionExpr,
     OrderMismatch,
+    PREIMAGE_RESIDUAL_TOL,
     Polynomial,
     TWO_PI,
     field,
     preimages_in_disc,
     record,
+    target_value,
 )
 
 
@@ -287,7 +289,8 @@ def _match_images(images, pts, R: float, tol: float):
 
 
 def invariance_census(expr: FunctionExpr, m: AlgebraicMap, values, R: float,
-                      tol: float = 1e-9, value_tol: float = 1e-6) -> list[InvarianceReport]:
+                      tol: float = 1e-9,
+                      value_tol: float = PREIMAGE_RESIDUAL_TOL) -> list[InvarianceReport]:
     """Check tau(f^{-1}(a)) stays inside f^{-1}(a) for each requested value.
 
     For each value: collect the solution multiset in |z| <= R, push every
@@ -310,9 +313,10 @@ def invariance_census(expr: FunctionExpr, m: AlgebraicMap, values, R: float,
     violations, and the verdict is true when no in-disc image ends up
     refuted.
 
-    ``R`` must be finite and positive (a census of an empty disc proves
-    nothing), and ``tol`` and ``value_tol`` finite and nonnegative; anything
-    else raises ValueError.
+    Each value is read by :func:`target_value` (None or +inf census the
+    poles).  ``R`` must be finite and positive (a census of an empty disc
+    proves nothing), and ``tol`` and ``value_tol`` finite and nonnegative;
+    anything else raises ValueError before any solve.
     """
     if not (math.isfinite(R) and R > 0):
         raise ValueError(f"census radius {R!r} must be finite and positive")
@@ -320,9 +324,7 @@ def invariance_census(expr: FunctionExpr, m: AlgebraicMap, values, R: float,
         if not (math.isfinite(t) and t >= 0):
             raise ValueError(f"census {name} {t!r} must be finite and nonnegative")
     reports = []
-    for a in values:
-        is_inf = a is None or (isinstance(a, str) and a.lower() in ("inf", "oo"))
-        aval = None if is_inf else complex(a)
+    for aval in [target_value(a) for a in values]:
         div = preimages_in_disc(expr, aval, R)
         pts = div.multiset()
         images = []

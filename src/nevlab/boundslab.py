@@ -59,6 +59,8 @@ from .nevanlinna import (
 )
 from .quadrature import adaptive_circle
 
+# a bound check passes where its margin (rhs - lhs) is at least -PASS_TOL
+PASS_TOL = 1e-9
 # fixed settings of asym_ratio (margin below 1/n^2) and growth_lemma_probe
 # (hyper-slope tolerance, tail-Cauchy threshold, window count)
 ASYM_SLOPE_MARGIN = 0.0
@@ -71,7 +73,6 @@ GROWTH_WINDOWS = 10
 class BoundConfig:
     alpha: float = 2.0
     delta: float = 0.5
-    tol: float = 1e-9
 
     def __post_init__(self):
         if not self.alpha > 1:
@@ -140,8 +141,7 @@ def k_constant(cfg: BoundConfig, pair: PolyPair) -> float:
 
 
 def pestimate_check(p: Polynomial, gamma: float, r: float,
-                    atol: float = 1e-10, rtol: float = 1e-8,
-                    tol: float = 1e-9) -> BoundReport:
+                    atol: float = 1e-10, rtol: float = 1e-8) -> BoundReport:
     """Check the closed-form bound on the circle integral of a negative
     fractional power of |p|.
 
@@ -171,7 +171,7 @@ def pestimate_check(p: Polynomial, gamma: float, r: float,
     rhs = TWO_PI / ((1.0 - gamma) * abs(p.leading) ** expo * r**gamma)
     margin = rhs - res.value
     return BoundReport(r=r, lhs=res.value, rhs=rhs, margin=margin,
-                       passed=margin >= -tol,
+                       passed=margin >= -PASS_TOL,
                        meta={"quad_err": res.err_estimate, "gamma": gamma,
                              "degree": p.degree})
 
@@ -216,7 +216,7 @@ def lemma1_check(expr: FunctionExpr, pair: PolyPair, cfg: BoundConfig,
         margin = rhs - prox.m
         out.append(BoundReport(
             r=r, lhs=prox.m, rhs=rhs, margin=margin,
-            passed=margin >= -cfg.tol,
+            passed=margin >= -PASS_TOL,
             meta={"s": pair.pushout_radius(cfg, r), "K": K,
                   "origin_reduced": o, "nudged": prox.nudged,
                   "T_pushed": T_big},
@@ -320,8 +320,7 @@ def _cell_logwidths(rgrid: np.ndarray) -> np.ndarray:
 
 
 def smt_check(expr: FunctionExpr, pair: PolyPair, targets, slack: float,
-              rgrid, atol: float = 1e-8, rtol: float = 1e-7,
-              tol: float = 1e-9) -> SmtResult:
+              rgrid, atol: float = 1e-8, rtol: float = 1e-7) -> SmtResult:
     """Deficiency-sum inequality for f(phi) with the composition correction.
 
     lhs: m(r, f(phi)) + sum over targets a of m(r, 1/(f(phi) - a)).
@@ -367,7 +366,7 @@ def smt_check(expr: FunctionExpr, pair: PolyPair, targets, slack: float,
                   + counting(div_diff, r_used, "zeros"))
         rhs = 2.0 * phi_sample.T - N_corr + slack * phi_sample.T
         margin = rhs - m_sum
-        passed = margin >= -tol
+        passed = margin >= -PASS_TOL
         if not passed:
             exc_measure += float(w)
         reports.append(BoundReport(
@@ -396,7 +395,6 @@ class GrowthProbe:
     window_increments: tuple[float, ...]
     tail_cauchy: bool
     verdict: str
-    degenerate: bool
 
 
 def growth_lemma_probe(radii, T_values, step_K: float, step_mu: float,
@@ -431,7 +429,7 @@ def growth_lemma_probe(radii, T_values, step_K: float, step_mu: float,
         return GrowthProbe(
             radii=tuple(r), step_K=step_K, step_mu=step_mu, alpha=alpha,
             logmeasure_F=0.0, hyper_slope=0.0, window_increments=(),
-            tail_cauchy=False, verdict="degenerate", degenerate=True,
+            tail_cauchy=False, verdict="degenerate",
         )
     r, T = r[keep], T[keep]
     u = np.log(r)
@@ -469,7 +467,7 @@ def growth_lemma_probe(radii, T_values, step_K: float, step_mu: float,
         radii=tuple(float(x) for x in r), step_K=step_K, step_mu=step_mu,
         alpha=alpha, logmeasure_F=measure_F, hyper_slope=slope,
         window_increments=increments, tail_cauchy=tail_cauchy,
-        verdict=verdict, degenerate=False,
+        verdict=verdict,
     )
 
 
@@ -488,10 +486,11 @@ class BorelResult:
 
 
 def borel_closed_form(epsilon: float, g_top: float) -> float:
-    """1/xi(e) + (1/(eps log 2)) (1 - (log g_top)^-eps), xi(x)=(log x)^{1+eps}."""
+    """1/xi(e) + (1/(eps log 2)) (1 - (log g_top)^-eps), xi(x)=(log x)^{1+eps};
+    the difference is taken by expm1, as it cancels for small eps."""
     if g_top < math.e:
         raise InsufficientGrowth("top growth sample below e")
-    return 1.0 + (1.0 - math.log(g_top) ** (-epsilon)) / (epsilon * math.log(2.0))
+    return 1.0 - math.expm1(-epsilon * math.log(math.log(g_top))) / (epsilon * math.log(2.0))
 
 
 def borel_probe(expr: FunctionExpr, n: int, c: complex, epsilon: float,

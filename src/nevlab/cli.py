@@ -322,13 +322,12 @@ def cmd_construct(args) -> int:
 def cmd_census(args) -> int:
     family = constructor.figure_family(args.figure1, args.generations)
     expr = constructor.build_orbit_function(family)
-    values = [tok for tok in args.values.split(",")]
-    parsed = [None if v.lower() in ("inf", "oo") else parse_complex(v) for v in values]
+    values = args.values.split(",")
     R = args.radius if args.radius is not None else family.census_radius()
     config = {"command": "census", "figure1": args.figure1,
               "generations": family.generations, "values": values,
               "radius": R, "tol": args.tol}
-    reports = invariance_census(expr, family.map, parsed, R, tol=args.tol)
+    reports = invariance_census(expr, family.map, values, R, tol=args.tol)
     payload = []
     for raw, rep in zip(values, reports):
         payload.append({

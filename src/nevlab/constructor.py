@@ -23,6 +23,7 @@ import numpy as np
 
 from .algmap import AlgebraicMap, Orbit, binomial_shift_map, orbit
 from .fnmodel import (
+    MERGE_TOL,
     Divisor,
     Exp,
     ExpPoly,
@@ -30,6 +31,8 @@ from .fnmodel import (
     OrbitCollision,
     Polynomial,
     RationalFromDivisor,
+    _greedy_cluster,
+    _screen,
     record,
 )
 
@@ -107,15 +110,10 @@ def build_orbit_family(m: AlgebraicMap, seeds_zero, seeds_pole,
     pp, npole = truncate(seeds_pole)
 
     flat = [p for orb in pz + pp for p in orb]
-    arr = np.asarray(flat)
-    for i in range(len(flat)):
-        d = np.abs(arr - arr[i])
-        d[i] = np.inf
-        j = int(np.argmin(d))
-        if d[j] <= 1e-9 * (1.0 + abs(arr[i])):
-            raise OrbitCollision(
-                f"orbit points {arr[i]} and {arr[j]} coincide within tolerance"
-            )
+    if not _screen(np.array(flat), MERGE_TOL)[2][0]:
+        c = next(c for c, count, _ in _greedy_cluster(((p, 1) for p in flat), MERGE_TOL)
+                 if count > 1)
+        raise OrbitCollision(f"two orbit points coincide within tolerance at {c}")
     return OrbitFamily(map=m, seeds_zero=seeds_zero, seeds_pole=seeds_pole,
                        generations=generations, points_zero=pz, points_pole=pp,
                        next_zero=nz, next_pole=npole)

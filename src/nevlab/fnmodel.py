@@ -33,7 +33,8 @@ form, e.g. ``e^P - e^Q  ->  e^Q * (e^(P-Q) - 1)``; the a-points of f are
 the zeros of ``subtract(f, Const(a))``.  A rational of any degree solves
 f = a in product form, with no coefficient expanded, by an Ehrlich-Aberth
 iteration whose roots are certified complete by inclusion discs, or it
-raises.
+raises.  Every a-point query reads a through ``target_value``, in which
+None, "inf", "oo" and +inf all mean the poles.
 
 All array-shaped internals are numpy-vectorized; the public scalar wrappers
 enforce the pole/overflow signalling contract.
@@ -918,22 +919,18 @@ class FunctionExpr:
         exists."""
         return self
 
-    def level_angles(self, r: float) -> np.ndarray | None:
-        """Sorted angles in [0, 2pi) at which |f(r e^{i theta})| = 1: there
-        log+|f| has its kinks, and the circle means of log+|f| cut their
-        panels.  Closed forms give them for exp(p) and exp(exp(p)) (see
-        :func:`_im_level_angles`), and a rational given by its divisor
-        searches for them (:func:`_level_search`).  None where the level
-        set is not known: for every other expression (exp(p) - a with a !=
-        0, quotients, products, ...), where the coefficients over- or
-        underflow at ``r`` or the angles would exceed ``MAX_PANELS``, and
-        where a rational's search finds no crossing."""
-        return None
-
     def level_cuts(self, r: float, g) -> tuple[np.ndarray | None, int]:
-        """:meth:`level_angles` for a circle mean, with the evaluations of
-        ``g = near_circle(r)`` spent finding them: none for a closed form."""
-        return self.level_angles(r), 0
+        """Sorted angles in [0, 2pi) at which |f(r e^{i theta})| = 1, where
+        log+|f| has its kinks and its circle means cut their panels, and the
+        evaluations of ``g = near_circle(r)`` spent finding them.  Closed
+        forms give them at no evaluation for constants (none), exp(p) and
+        exp(exp(p)) (:func:`_im_level_angles`), and a rational given by its
+        divisor searches through ``g`` (:func:`_level_search`).  The angles
+        are None where the level set is not known: for every other
+        expression (exp(p) - a with a != 0, quotients, products, ...), where
+        the coefficients over- or underflow at ``r`` or the angles would
+        exceed ``MAX_PANELS``, and where a rational's search finds no crossing."""
+        return None, 0
 
     def _divisor_impl(self, r: float) -> Divisor:
         raise OpaqueExpr(f"{type(self).__name__} does not expose a divisor")
@@ -1090,8 +1087,8 @@ class Const(FunctionExpr):
     def _logderivs(self, z):
         return np.zeros(z.shape, dtype=np.complex128)
 
-    def level_angles(self, r):
-        return _NO_ANGLES  # |f| is constant: log+|f| has no kinks
+    def level_cuts(self, r, g):
+        return _NO_ANGLES, 0  # |f| is constant: log+|f| has no kinks
 
     def _divisor_impl(self, r):
         return EMPTY_DIVISOR
@@ -1132,9 +1129,6 @@ class RationalFromDivisor(FunctionExpr):
     def near_circle(self, r):
         fold = _CircleFold(self, r)
         return fold if fold.folded else self
-
-    def level_angles(self, r):
-        return self.level_cuts(r, self.near_circle(r))[0]
 
     def level_cuts(self, r, g):
         if not self.divisor.entries:  # scale * z^k: |f| is constant on the circle
@@ -1417,11 +1411,11 @@ class ExpPoly(FunctionExpr):
             out[mid] = dp[mid] * ew / (ew - self.a)
         return out
 
-    def level_angles(self, r):
+    def level_cuts(self, r, g):
         # |e^p| = 1 where Re p = 0; exp(p) - a has no closed form for it
         if self.a != 0:
-            return None
-        return _im_level_angles(self.p.scale(1j), r, [0.0])  # Re p = Im(ip)
+            return None, 0
+        return _im_level_angles(self.p.scale(1j), r, [0.0]), 0  # Re p = Im(ip)
 
     def _divisor_impl(self, r):
         if self.a == 0:
@@ -1481,17 +1475,18 @@ class Exp(FunctionExpr):
     def _divisor_impl(self, r):
         return EMPTY_DIVISOR
 
-    def level_angles(self, r):
+    def level_cuts(self, r, g):
         # for a child e^p, |f| = 1 where Re e^p = 0: Im p = pi/2 + k pi, |Im p| <= bound
         child = self.child
         if not (isinstance(child, ExpPoly) and child.a == 0):
-            return None
+            return None, 0
         bound = child.p.coeff_bound(r)
         k_lo = math.ceil(-bound / math.pi - 0.5)
         k_hi = math.floor(bound / math.pi - 0.5)
         if 2 * child.p.degree * (k_hi - k_lo + 1) > MAX_PANELS:
-            return None
-        return _im_level_angles(child.p, r, [math.pi * (k + 0.5) for k in range(k_lo, k_hi + 1)])
+            return None, 0
+        shifts = [math.pi * (k + 0.5) for k in range(k_lo, k_hi + 1)]
+        return _im_level_angles(child.p, r, shifts), 0
 
 
 @record
@@ -1682,22 +1677,33 @@ def subtract(expr: FunctionExpr, other: FunctionExpr) -> FunctionExpr:
 # ---------------------------------------------------------------------------
 
 
+def target_value(a) -> complex | None:
+    """The value a of an equation f = a, or None for the poles: None,
+    "inf" or "oo" in any case, or any value equal to +inf.  Strings go
+    through :func:`parse_complex`; other non-finite values raise ValueError."""
+    if a is None or (isinstance(a, str) and a.lower() in ("inf", "oo")):
+        return None
+    a = parse_complex(a) if isinstance(a, str) else complex(a)
+    if a == math.inf:
+        return None
+    if not cmath.isfinite(a):
+        raise ValueError(f"target value {a!r} is not finite")
+    return a
+
+
 def preimages_in_disc(expr: FunctionExpr, a, r: float) -> Divisor:
     """Divisor of solutions of f(z) = a in |z| <= r.
 
-    ``a`` may be 0, a finite complex number, or ``None``/``"inf"``/``inf``
-    for poles; any other non-finite ``a`` raises ValueError.  A finite
-    nonzero ``a`` is solved as the zeros of ``subtract(f, Const(a))``, the
-    same set that N(r, 1/(f - a)) counts.  A precomposition pulls back the
-    a-points of its child, and a rational runs the certified solver of
-    ``subtract`` on this disc alone: all of its a-points in the disc, or
-    RootFindFailure.
+    ``a`` is read by :func:`target_value`: the poles for None, ``"inf"``
+    and the other spellings of infinity.  A finite nonzero ``a`` is solved
+    as the zeros of ``subtract(f, Const(a))``, the same set that
+    N(r, 1/(f - a)) counts.  A precomposition pulls back the a-points of
+    its child, and a rational runs the certified solver of ``subtract`` on
+    this disc alone: all of its a-points in the disc, or RootFindFailure.
     """
-    if a is None or (isinstance(a, str) and a == "inf") or a == math.inf:
+    a = target_value(a)
+    if a is None:
         return expr.divisor_in_disc(r).signed("poles")
-    a = complex(a)
-    if not cmath.isfinite(a):
-        raise ValueError(f"target value {a!r} is not finite")
     if a == 0:
         return expr.divisor_in_disc(r).signed("zeros")
     if isinstance(expr, ComposePoly):
@@ -1714,8 +1720,9 @@ def preimages_in_disc(expr: FunctionExpr, a, r: float) -> Divisor:
     return shifted.divisor_in_disc(r).signed("zeros")
 
 
-# The residual |f - a| / (1 + |a|) every certified a-point in the disc meets.
-_PREIMAGE_RESIDUAL_TOL = 1e-6
+# The residual |f - a| / (1 + |a|) every certified a-point in the disc meets;
+# the census re-tests unmatched images against the same bound.
+PREIMAGE_RESIDUAL_TOL = 1e-6
 
 
 def _pair_reduce(z: np.ndarray, rows: np.ndarray, diag: float, reduce) -> np.ndarray:
@@ -1813,7 +1820,7 @@ def _rational_preimages(expr: RationalFromDivisor, a: complex,
         inside = mod <= r
         resid = np.abs(np.exp(lm[inside] + 1j * ag[inside]) - a)
     for ok, why in (
-            (resid <= _PREIMAGE_RESIDUAL_TOL * (1.0 + abs(a)), "in the disc misses the "
+            (resid <= PREIMAGE_RESIDUAL_TOL * (1.0 + abs(a)), "in the disc misses the "
              "residual bound: double precision cannot separate it from the divisor"),
             (gap > rad, "has an inclusion disc that meets another"),
             ((mod + rad <= r) | (mod - rad > r), f"has an inclusion disc across |z| = {r!r}")):

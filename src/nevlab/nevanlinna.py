@@ -91,12 +91,9 @@ def _circle_mean(expr: FunctionExpr, r: float, integrand, atol: float,
     The circle is |z| = r, moved out by ``NUDGE_FACTOR`` when ``nudge`` is set
     and a divisor point sits on it; divisor points near it become panel cuts
     graded by their distance, and with ``level_cuts`` the angles where
-    |f| = 1 (the kinks of log+|f|) become plain cuts: closed forms for
-    exp(p) and exp(exp(p)), and for a rational given by its divisor a
-    search through ``g`` whose evaluations the result counts
-    (:meth:`FunctionExpr.level_cuts`).  Where those angles are not known
-    (exp(p) - a with a != 0, quotients and the other compound expressions,
-    and a rational whose search finds no crossing), the ends 0 and 2pi
+    |f| = 1 (the kinks of log+|f|) that :meth:`FunctionExpr.level_cuts`
+    returns become plain cuts, and the evaluations it spent count in the
+    result.  Where those angles are not known (None), the ends 0 and 2pi
     are cut as a singularity on the circle and seeded ``SEED_LEVELS``
     deep, as uniform seeding did (six panels with no divisor point near),
     so that the seed panels are narrow enough for the split-and-compare

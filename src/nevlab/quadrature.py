@@ -11,16 +11,10 @@ the nearest singularity lies off the panel relative to its width
 (Trefethen, SIAM Review 50, 2008), so a base panel of width w is cut toward
 an edge at distance d until its end panel is no wider than 2d, at most
 ``SEED_LEVELS`` times.  The ends 0 and 2pi are plain edges unless a cut
-at angle 0 gives them a distance.  The proximity means cut at the kinks
-of log+|f| where they are known: in closed form for exp(p) and
-exp(exp(p)), and by a search of log|f| (``fnmodel._level_search``) for a
-rational given by its divisor.  Where they are not known -- exp(p) - a
-with a != 0, quotients, products, the other compositions, and a rational
-whose search finds no crossing -- they cut at angle 0 at distance 0, so
-that the seed panels bracket the kinks as uniform seeding did.  Cuts are
-hints: a missing one costs refinement rounds, and at a kink it can cost
-accuracy, since the split-and-compare estimate sees a kink only in a
-narrow enough panel; a spurious cut costs a panel.
+at angle 0 gives them a distance.  Cuts are hints: a missing one costs
+refinement rounds, and at a kink it can cost accuracy, since the
+split-and-compare estimate sees a kink only in a narrow enough panel; a
+spurious cut costs a panel.
 
 A plain split-and-compare loop then drives the refinement: a panel is
 accepted when the difference between its one-panel value and the sum over

@@ -17,7 +17,9 @@ from nevlab import (
     Polynomial,
     RationalFromDivisor,
     binomial_shift_map,
+    build_orbit_function,
     escape_probe,
+    figure_family,
     invariance_census,
     left_figure_map,
     orbit,
@@ -202,6 +204,37 @@ def test_census_pole_set():
     rep, = invariance_census(f, m, ["inf"], R=50.0)
     assert rep.value is None
     assert not rep.verdict   # single pole cannot be invariant under motion
+
+
+POLE_SPELLINGS = [None, "inf", "INF", "oo", math.inf, complex(math.inf, 0.0), "1e400"]
+NOT_FINITE = [-math.inf, math.nan, complex(0.0, math.inf)]
+
+
+def test_census_of_the_poles_is_one_census_whatever_the_spelling():
+    # a wrong map moves every pole of the left m6 family off the pole set,
+    # and math.inf must not turn the census into a value check against inf
+    fam = figure_family("left", 6)
+    f, R = build_orbit_function(fam), fam.census_radius()
+    wrong = AlgebraicMap(2, (0.0, 0.5 - 0.2j))
+    want, = invariance_census(f, wrong, [None], R)
+    assert want.value is None and not want.verdict and want.n_violations == 16
+    for a in POLE_SPELLINGS:
+        assert invariance_census(f, wrong, [a], R) == [want], a
+
+
+def test_preimages_and_census_read_the_value_alike():
+    fam = figure_family("left", 6)
+    f, R = build_orbit_function(fam), fam.census_radius()
+    poles = preimages_in_disc(f, None, R)
+    for a in POLE_SPELLINGS:
+        assert preimages_in_disc(f, a, R) == poles, a
+        assert invariance_census(f, fam.map, [a], R)[0].n_points == len(poles.multiset()), a
+    for a in NOT_FINITE:
+        with pytest.raises(ValueError, match="is not finite") as solve:
+            preimages_in_disc(f, a, R)
+        with pytest.raises(ValueError, match="is not finite") as census:
+            invariance_census(f, fam.map, [0.0, a], R)
+        assert str(solve.value) == str(census.value), a
 
 
 def test_census_describe_mentions_verdict():

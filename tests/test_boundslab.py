@@ -279,7 +279,7 @@ def test_growth_probe_degenerate_below_e():
     r = grid(1.0, 10.0, 20)
     probe = growth_lemma_probe(r, np.full_like(r, 2.0), step_K=1.0,
                                step_mu=0.25, alpha=0.9)
-    assert probe.degenerate and probe.verdict == "degenerate"
+    assert probe.verdict == "degenerate"
 
 
 def test_growth_probe_validation():
@@ -309,6 +309,14 @@ def test_borel_closed_form_limits():
     assert borel_closed_form(1.0, 1e12) > v
     with pytest.raises(InsufficientGrowth):
         borel_closed_form(1.0, 2.0)
+
+
+@pytest.mark.parametrize("epsilon", [1e-12, 1e-16, 1e-300])
+def test_borel_closed_form_keeps_its_digits_for_small_epsilon(epsilon):
+    # 1 - (log g)^-eps cancels as a difference; the bound tends to
+    # 1 + log(log g) / log 2 as eps -> 0
+    limit = 1.0 + math.log(math.log(1e6)) / math.log(2.0)
+    assert borel_closed_form(epsilon, 1e6) == pytest.approx(limit, rel=1e-11)
 
 
 def test_borel_probe_smooth_growth_has_empty_exceptional_set():

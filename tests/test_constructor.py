@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import pytest
 
@@ -72,6 +73,13 @@ def test_family_validation():
     with pytest.raises(ValueError):
         # a fixed point of tau never escapes: shift vanishes at 0
         build_orbit_family(m, [0.0], [4j], 3)
+
+
+def test_orbit_collision_names_the_point():
+    # the pole seed is generation 1 of the zero orbit
+    m = left_figure_map()
+    with pytest.raises(OrbitCollision, match=re.escape(f"at {m(4.0)}")):
+        build_orbit_family(m, [4.0], [m(4.0)], 3)
 
 
 def test_census_radius_excludes_next_generation():

@@ -610,7 +610,8 @@ def test_angles_survive_an_underflowing_phase():
     assert all(np.array_equal(a, b) for a, b in zip(f._log_parts(z), want))
     assert subtract(f, Const(1.0)).divisor.entries == ((1.5 + 0j, 1),)  # 2 (z - 1) = 1
     # Re((5e-324 - 2i) e^{it}) = 0 has the lead 2 + 5e-324j in the arcsin path
-    assert np.allclose(ExpPoly(Polynomial((0j, 5e-324 - 2j))).level_angles(1.0), [0.0, math.pi])
+    assert np.allclose(_closed_form_angles(ExpPoly(Polynomial((0j, 5e-324 - 2j))), 1.0),
+                       [0.0, math.pi])
     for v in (complex(-1.0, 0.0), complex(-1.0, -0.0), 1j, complex(3.0, -4.0), complex(-0.0, -2.0)):
         assert repr(float(Const(v)._log_parts(z)[1][0])) == repr(cmath.phase(v))
 
@@ -932,6 +933,14 @@ def _sign_changes(f, r, n=400_000):
     return theta[i]
 
 
+def _closed_form_angles(f, r):
+    """The angles of ``f.level_cuts`` on |z| = r, which a closed form finds
+    at no evaluation."""
+    angles, spent = f.level_cuts(r, f.near_circle(r))
+    assert spent == 0
+    return angles
+
+
 @pytest.mark.parametrize("f, radii", [
     (ExpPoly(Z), (0.7, 3.0, 7.0, 13.0, 30.0)),
     (ExpPoly(Polynomial((0j, 0j, 1.0))), (0.7, 3.0, 7.0, 13.0, 30.0)),
@@ -946,7 +955,7 @@ def _sign_changes(f, r, n=400_000):
         "exp_binomial", "exp_exp_binomial"])
 def test_level_angles_are_the_kinks_of_log_plus(f, radii):
     for r in radii:
-        angles = f.level_angles(r)
+        angles = _closed_form_angles(f, r)
         assert np.all(np.diff(angles) > 0) and np.all((angles >= 0) & (angles < TWO_PI))
         # after the Newton polish every angle sits on |f| = 1 ...
         assert np.abs(f._log_mod(r * np.exp(1j * angles))).max(initial=0.0) <= 1e-10, r
@@ -956,13 +965,14 @@ def test_level_angles_are_the_kinks_of_log_plus(f, radii):
         gap = np.abs((changes[:, None] - angles + math.pi) % TWO_PI - math.pi)
         assert gap.min(axis=1, initial=math.inf).max(initial=0.0) <= 2.0 * TWO_PI / 400_000, r
     if f == ExpPoly(Z):
-        assert f.level_angles(3.0) == pytest.approx([math.pi / 2, 3 * math.pi / 2], rel=1e-15)
+        assert _closed_form_angles(f, 3.0) == pytest.approx([math.pi / 2, 3 * math.pi / 2],
+                                                           rel=1e-15)
 
 
 def test_level_angles_stay_below_two_pi():
     # Im p = pi/2 at theta = -1e-300, which mod 2pi rounds up to 2pi: it comes back as 0
     f = Exp(ExpPoly(Polynomial((0.5j * math.pi, complex(1.0, 1e-300)))))
-    angles = f.level_angles(3.0)
+    angles = _closed_form_angles(f, 3.0)
     assert angles[0] == 0.0 and angles.max() < TWO_PI and np.all(np.diff(angles) > 0)
 
 
@@ -971,7 +981,7 @@ def test_level_angles_of_exp_exp_z_are_exact_to_rounding(r):
     # log|f| = |e^z| cos(r sin theta): rounding theta alone moves it by about
     # |e^z| r 2^-53, so the level set is met relative to |e^z|
     f = Exp(ExpPoly(Z))
-    angles = f.level_angles(r)
+    angles = _closed_form_angles(f, r)
     z = r * np.exp(1j * angles)
     assert np.all(np.abs(f._log_mod(z)) <= 1e-10 * np.exp(z.real))
     kmax = math.floor(r / math.pi - 0.5)
@@ -984,7 +994,7 @@ def test_level_angles_of_exp_exp_z_are_exact_to_rounding(r):
     ComposePoly(Exp(ExpPoly(Z)), Polynomial((1.0, 1.0, 1.0))),
 ])
 def test_level_angles_are_unknown_without_a_closed_form(f):
-    assert f.level_angles(3.0) is None
+    assert _closed_form_angles(f, 3.0) is None
 
 
 @pytest.mark.parametrize("f", [ExpPoly(Polynomial((2.0,))), Exp(ExpPoly(Polynomial((2.0,)))),
@@ -994,7 +1004,7 @@ def test_level_angles_are_unknown_without_a_closed_form(f):
 def test_level_angles_are_empty_where_log_plus_has_no_kink(f):
     # |e^2|, e^{e^2} and, for |Im p| < pi/2 on the circle, e^{Re e^p} exceed 1;
     # |3|, |2/z| and |z^2| are constant on the circle, |z^2| = 1 on all of it
-    assert f.level_angles(1.0).size == 0
+    assert _closed_form_angles(f, 1.0).size == 0
 
 
 @pytest.mark.parametrize("f, r", [
@@ -1003,21 +1013,21 @@ def test_level_angles_are_empty_where_log_plus_has_no_kink(f):
     (ExpPoly(GENERIC_P), 1e-160),  # a subnormal lead: the companion matrix overflows
 ])
 def test_level_angles_are_unknown_where_the_coefficients_underflow(f, r):
-    assert f.level_angles(r) is None
+    assert _closed_form_angles(f, r) is None
 
 
 def test_level_set_solve_is_bounded_by_the_panel_limit(monkeypatch):
     # exp(e^z): 2 deg p angles for each shift pi/2 + k pi with |pi/2 + k pi| <= r
     f = Exp(ExpPoly(Z))
-    assert f.level_angles(5000 * math.pi).size == 2 * 10_000 == fnmodel.MAX_PANELS
+    assert _closed_form_angles(f, 5000 * math.pi).size == 2 * 10_000 == fnmodel.MAX_PANELS
     solves = []
     monkeypatch.setattr(fnmodel, "_im_level_angles",
                         lambda *args: solves.append(args) or np.empty(0))
     for g, r in ((f, 5001 * math.pi),  # 10,002 shifts
                  (Exp(ExpPoly(Polynomial((0j, 0j, 1.0)))), math.sqrt(2501 * math.pi))):
-        assert g.level_angles(r) is None
+        assert _closed_form_angles(g, r) is None
     assert not solves
-    Exp(ExpPoly(Polynomial((0j, 0j, 1.0)))).level_angles(math.sqrt(2500 * math.pi))
+    _closed_form_angles(Exp(ExpPoly(Polynomial((0j, 0j, 1.0)))), math.sqrt(2500 * math.pi))
     assert len(solves) == 1  # 5,000 shifts of degree 4: exactly the limit
 
 
@@ -1034,7 +1044,6 @@ def test_level_search_finds_one_angle_per_sign_change(reference_rationals, key, 
         g = f.near_circle(r)
         angles, spent = f.level_cuts(r, g)
         assert np.all(np.diff(angles) > 0) and np.all((angles >= 0) & (angles < TWO_PI))
-        assert np.array_equal(f.level_angles(r), angles)
         assert np.abs(f._log_mod(r * np.exp(1j * angles))).max() <= 1e-10, (key, r)
         changes = _sign_changes(f, r)
         assert changes.size == angles.size, (key, r)
@@ -1054,7 +1063,7 @@ def test_level_search_misses_a_shallow_pair_between_its_samples(reference_ration
     # the pair's cuts still meets its tolerance against a 1000x tighter run.
     f = reference_rationals["orbit_left_m6"]
     r = 8.21086325832621
-    angles, changes = f.level_angles(r), _sign_changes(f, r)
+    angles, changes = f.level_cuts(r, f.near_circle(r))[0], _sign_changes(f, r)
     assert (angles.size, changes.size) == (8, 10)
     gap = np.abs((changes[:, None] - angles + math.pi) % TWO_PI - math.pi).min(axis=1)
     assert np.all(np.abs(changes[gap > 1e-4] - 2.0) < 0.03)
@@ -1066,7 +1075,6 @@ def test_level_search_gives_up_where_log_f_keeps_one_sign(reference_rationals):
     # the divisor bound alone keeps log|f| of orbit_right_60 above 0 at r = 1e4
     f = reference_rationals["orbit_right_60"]
     assert f.level_cuts(1e4, f.near_circle(1e4)) == (None, 0)
-    assert f.level_angles(1e4) is None
     # inside the m6 orbit's cloud the bound allows a crossing, the scan finds none
     f = reference_rationals["orbit_left_m6"]
     angles, spent = f.level_cuts(0.7, f.near_circle(0.7))
@@ -1234,7 +1242,7 @@ def test_large_rational_preimages_are_distinct_solutions(left_a_points):
             assert np.all(np.abs(pts) <= r)
             lm, ag = f._log_parts(pts)
             resid = np.abs(np.exp(lm + 1j * ag) - a)
-            assert np.all(resid <= fnmodel._PREIMAGE_RESIDUAL_TOL * (1.0 + abs(a))), (gen, a)
+            assert np.all(resid <= fnmodel.PREIMAGE_RESIDUAL_TOL * (1.0 + abs(a))), (gen, a)
             gaps = np.abs(pts[:, None] - pts[None, :])
             np.fill_diagonal(gaps, np.inf)
             assert gaps.min() > 1e-8 * (1.0 + np.abs(pts).max()), (gen, a)
@@ -1278,7 +1286,7 @@ def test_large_rational_preimages_refuse_a_double_solution():
 
 def test_large_rational_preimages_enforce_the_residual_bound(monkeypatch):
     f = build_orbit_function(figure_family("left", 8))
-    monkeypatch.setattr(fnmodel, "_PREIMAGE_RESIDUAL_TOL", 1e-20)
+    monkeypatch.setattr(fnmodel, "PREIMAGE_RESIDUAL_TOL", 1e-20)
     with pytest.raises(RootFindFailure):
         preimages_in_disc(f, 1.5, 9.0)
 
@@ -1300,7 +1308,7 @@ def test_rational_a_points_where_the_degree_drops_by_one(left_a_points, gen, cou
     assert len(d.entries) == _a_point_count(f, 1.0, r) == count
     pts = np.array([p for p, _ in d.entries])
     lm, ag = f._log_parts(pts)
-    assert np.all(np.abs(np.exp(lm + 1j * ag) - 1.0) <= 2 * fnmodel._PREIMAGE_RESIDUAL_TOL)
+    assert np.all(np.abs(np.exp(lm + 1j * ag) - 1.0) <= 2 * fnmodel.PREIMAGE_RESIDUAL_TOL)
     g = subtract(f, Const(1.0))
     assert g.divisor.total("zeros") == f.divisor.total("zeros") - 1
     _assert_is_f_minus_a(g, f, 1.0)

@@ -144,12 +144,10 @@ def test_level_cuts_are_only_hints(members, monkeypatch, key, r):
     # a missing kink costs refinement rounds, a spurious one a panel: with
     # any one level angle dropped, or one added, the mean meets its tolerance
     expr = members[key].expr
-    angles = expr.level_angles(r)
+    angles, _ = expr.level_cuts(r, expr.near_circle(r))
     ref = _ORACLES[key](r)
     for edited in [np.delete(angles, i) for i in range(angles.size)] + [
             np.sort(np.append(angles, 1.234))]:
-        # level_cuts, not level_angles: a rational's circle mean reads its
-        # searched cuts from there (the closed forms reach it through level_angles)
         monkeypatch.setattr(type(expr), "level_cuts", lambda self, radius, g: (edited, 0))
         s = proximity(expr, r)
         assert abs(s.m - ref) <= max(1e-9, 1e-8 * s.m)

@@ -47,6 +47,7 @@ COMMANDS = [
     ["verify", "smt", "--fn", "exp_z", "--omega", "z^2+z", "--phi", "z^2",
      "--targets", "1,-1", "--rmin", "5", "--rmax", "40", "--count", "25"],
     ["verify", "borel", "--fn", "exp_z"],
+    ["verify", "borel", "--fn", "exp_z", "--epsilon", "1e-12"],
     ["verify", "borel", "--fn", "all", "--rmax", "20", "--count", "20"],
     ["verify", "growth", "--profile", "exp_sqrt_r", "--rmin", "1", "--rmax", "100000",
      "--count", "150"],
@@ -72,6 +73,10 @@ COMMANDS = [
     ["census", "--figure1", "right", "--generations", "6", "--values", "0,inf,1"],
     ["census", "--figure1", "left", "--generations", "6", "--radius", "3"],
     ["census", "--figure1", "left", "--generations", "6", "--tol", "inf"],
+    # spellings of the pole value and non-finite values
+    ["census", "--figure1", "left", "--generations", "6", "--values", "0,INF,oo"],
+    ["census", "--figure1", "left", "--generations", "6", "--values", "0,1e400"],
+    ["census", "--figure1", "left", "--generations", "6", "--values", "0,nan"],
     ["counterexample"],
     ["counterexample", "--k", "3", "--probes", "20"],
 ]
