@@ -30,6 +30,7 @@ import math
 import numpy as np
 
 from .fnmodel import (
+    CIRCLE_BAND,
     Const,
     Divisor,
     FunctionExpr,
@@ -160,7 +161,7 @@ def pestimate_check(p: Polynomial, gamma: float, r: float,
     expo = gamma / p.degree
     roots = poly_roots(p)
     cuts = [(math.atan2(w.imag, w.real) % TWO_PI, abs(math.log(abs(w) / r)))
-            for w in roots if abs(abs(w) - r) <= 0.1 * r]
+            for w in roots if abs(abs(w) - r) <= CIRCLE_BAND * r]
 
     def integrand(theta: np.ndarray) -> np.ndarray:
         z = r * np.exp(1j * theta)

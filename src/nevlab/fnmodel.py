@@ -26,11 +26,14 @@ other expression is its own circle form.
 
 The family is deliberately closed: constants, rationals given by their
 divisor, exp of a polynomial minus a constant (``ExpPoly(p, a)``; ``a = 0``
-is plain exp(p)), exp of an entire child, products, quotients, differences
-and precomposition with a polynomial.  Smart constructors (`compose_poly`,
-`subtract`) rewrite combinations that have a divisor-transparent normal
-form, e.g. ``e^P - e^Q  ->  e^Q * (e^(P-Q) - 1)``; the a-points of f are
-the zeros of ``subtract(f, Const(a))``.  A rational of any degree solves
+is plain exp(p)), exp of an entire child, products, quotients and
+differences.  Smart constructors rewrite combinations into it.
+`compose_poly` takes every member to its precomposition with a nonconstant
+polynomial, a rational to the rational of its pulled-back divisor, so f(p)
+evaluates, folds, cuts its kinks and solves its a-points as the family
+does.  `subtract` rewrites the differences that have a divisor-transparent
+normal form, e.g. ``e^P - e^Q  ->  e^Q * (e^(P-Q) - 1)``; the a-points of f
+are the zeros of ``subtract(f, Const(a))``.  A rational of any degree solves
 f = a in product form, with no coefficient expanded, by an Ehrlich-Aberth
 iteration whose roots are certified complete by inclusion discs, or it
 raises.  Every a-point query reads a through ``target_value``, in which
@@ -64,6 +67,9 @@ ROOT_CLUSTER_TOL = 1e-5
 # Most panels one circle quadrature may hold; a closed-form level set with
 # more angles than this is not solved for panel cuts.
 MAX_PANELS = 20000
+# Divisor points b with ||b| - r| <= CIRCLE_BAND r are near the circle |z| = r:
+# circle means cut their panels at them, and the |f| = 1 search samples there.
+CIRCLE_BAND = 0.1
 
 _LOG_HUGE = 709.0  # log of the largest finite double, rounded down
 # Rows per batched Aberth solve are capped so that its (rows, n, n) array of
@@ -81,11 +87,10 @@ _DIVISOR_CELLS = 1 << 14
 _FOLD_RATIO = 0.5
 _FOLD_TOL = 2.0**-54
 # The |f| = 1 search of a rational's circle mean samples log|f| on this
-# many equispaced angles and at the divisor points within _SCAN_BAND of the
-# circle, and polishes each crossing by at most _SEARCH_STEPS steps, frozen
-# once a step is below _SEARCH_TOL (in radians).
+# many equispaced angles and at the divisor points near the circle, and
+# polishes each crossing by at most _SEARCH_STEPS steps, frozen once a step
+# is below _SEARCH_TOL (in radians).
 _SCAN_POINTS = 64
-_SCAN_BAND = 0.1
 _SEARCH_STEPS = 6
 _SEARCH_TOL = 1e-10
 
@@ -791,14 +796,6 @@ class Divisor:
 EMPTY_DIVISOR = Divisor()
 
 
-def _divisor_targets(d: Divisor) -> list[tuple[complex, int]]:
-    """(point, multiplicity) for every divisor point, the origin last."""
-    targets = list(d.entries)
-    if d.origin_order:
-        targets.append((0j, d.origin_order))
-    return targets
-
-
 def _divisor_sums(z: np.ndarray, d: Divisor, channels) -> tuple[np.ndarray, ...]:
     """``start + sum_b term(m_b, z - b)`` at every node, per ``(start, term)``.
 
@@ -1148,7 +1145,7 @@ def _level_search(f: RationalFromDivisor, g, r: float) -> tuple[np.ndarray | Non
     bounds log|f| on the circle at no evaluation; where the bound keeps it
     off 0 there is nothing to find.  Otherwise ``g`` samples log|f| at
     ``_SCAN_POINTS`` equispaced angles and at the angles of the divisor
-    points within ``_SCAN_BAND`` of the circle, near which log|f| can cross
+    points within ``CIRCLE_BAND`` of the circle, near which log|f| can cross
     0 twice between two grid angles.  Every sign change between neighbouring
     samples brackets a crossing.  The brackets are polished together by at
     most ``_SEARCH_STEPS`` safeguarded Newton steps in theta, where
@@ -1172,7 +1169,7 @@ def _level_search(f: RationalFromDivisor, g, r: float) -> tuple[np.ndarray | Non
             or start + float(np.sum(np.where(up, m * far, m * near))) < 0.0):
         return None, 0
     theta = _SCAN_GRID
-    band = d.band(r, _SCAN_BAND)
+    band = d.band(r, CIRCLE_BAND)
     if band:
         theta = np.sort(np.concatenate([theta, np.angle([p for p, _ in band]) % TWO_PI]))
     lm = g._log_mod(r * np.exp(1j * theta))
@@ -1584,60 +1581,41 @@ class Difference(FunctionExpr):
         return (da - db) / (va - vb)
 
 
-@record
-class ComposePoly(FunctionExpr):
-    """child(p(z)): precomposition with a polynomial."""
-
-    child: FunctionExpr
-    p: Polynomial
-
-    @property
-    def is_divisor_transparent(self) -> bool:
-        return self.child.is_divisor_transparent
-
-    @property
-    def is_entire(self) -> bool:
-        return self.child.is_entire
-
-    def _inner(self, z):
-        return _carray(self.p(z))
-
-    def _log_parts(self, z):
-        return self.child._log_parts(self._inner(z))
-
-    def _log_mod(self, z):
-        return self.child._log_mod(self._inner(z))
-
-    def _values(self, z):
-        return self.child._values(self._inner(z))
-
-    def _logderivs(self, z):
-        return _carray(self.p.deriv()(z)) * self.child._logderivs(self._inner(z))
-
-    def _divisor_impl(self, r):
-        base = self.child.divisor_in_disc(self.p.coeff_bound(r))
-        targets = _divisor_targets(base)
-        if self.p.degree == 0 and any(w == self.p.coeffs[0] for w, _ in targets):
-            raise OpaqueExpr("composition inner polynomial is constant at a divisor value")
-        return _pull_back(self.p, targets, r)
-
-
 # ---------------------------------------------------------------------------
 # smart constructors
 # ---------------------------------------------------------------------------
 
 
 def compose_poly(expr: FunctionExpr, p: Polynomial) -> FunctionExpr:
-    """expr(p(z)), simplified where the family has a closed form."""
+    """expr(p(z)) for a nonconstant polynomial p, rewritten into the family:
+    exp(q) - a becomes exp(q(p)) - a, exp(u) becomes exp(u(p)), products,
+    quotients and differences compose each side, and a rational s w^o
+    prod (w - b)^m becomes the rational of the pulled-back points, since
+    p(z) - b = lead prod_j (z - z_j(b)) gives it the scale s lead^(o + sum m).
+    A constant p raises ValueError, and a scale that leaves the double range
+    raises :class:`OverflowSignal`."""
+    if p.degree < 1:
+        raise ValueError("the inner polynomial of a composition must be nonconstant")
     if p.degree == 1 and p.coeffs[0] == 0 and p.coeffs[1] == 1:
         return expr
     if isinstance(expr, Const):
         return expr
     if isinstance(expr, ExpPoly):
         return ExpPoly(expr.p.compose(p), expr.a)
-    if isinstance(expr, (Product, Quotient)):
+    if isinstance(expr, Exp):
+        return Exp(compose_poly(expr.child, p))
+    if isinstance(expr, (Product, Quotient, Difference)):
         return type(expr)(compose_poly(expr.lhs, p), compose_poly(expr.rhs, p))
-    return ComposePoly(expr, p)
+    d = expr.divisor
+    try:
+        scale = expr.scale * p.leading ** (d.origin_order + sum(m for _, m in d.entries))
+    except (OverflowError, ZeroDivisionError):  # a power past the range either way
+        scale = math.inf
+    if scale == 0 or not cmath.isfinite(scale):
+        raise OverflowSignal(f"the scale of a composed rational, {scale!r}, "
+                             "leaves the floating range")
+    targets = list(d.entries) + [(0j, d.origin_order)] * bool(d.origin_order)
+    return RationalFromDivisor(scale, _pull_back(p, targets, math.inf))
 
 
 def subtract(expr: FunctionExpr, other: FunctionExpr) -> FunctionExpr:
@@ -1679,11 +1657,15 @@ def subtract(expr: FunctionExpr, other: FunctionExpr) -> FunctionExpr:
 
 def target_value(a) -> complex | None:
     """The value a of an equation f = a, or None for the poles: None,
-    "inf" or "oo" in any case, or any value equal to +inf.  Strings go
-    through :func:`parse_complex`; other non-finite values raise ValueError."""
-    if a is None or (isinstance(a, str) and a.lower() in ("inf", "oo")):
+    "inf" or "oo" in any case and with blanks around, or any value equal
+    to +inf.  Other strings go through :func:`parse_complex`; one it cannot
+    read, and other non-finite values, raise ValueError."""
+    if a is None or (isinstance(a, str) and a.strip().lower() in ("inf", "oo")):
         return None
-    a = parse_complex(a) if isinstance(a, str) else complex(a)
+    try:
+        a = parse_complex(a) if isinstance(a, str) else complex(a)
+    except ValueError:
+        raise ValueError(f"cannot read the target value {a!r}") from None
     if a == math.inf:
         return None
     if not cmath.isfinite(a):
@@ -1697,18 +1679,15 @@ def preimages_in_disc(expr: FunctionExpr, a, r: float) -> Divisor:
     ``a`` is read by :func:`target_value`: the poles for None, ``"inf"``
     and the other spellings of infinity.  A finite nonzero ``a`` is solved
     as the zeros of ``subtract(f, Const(a))``, the same set that
-    N(r, 1/(f - a)) counts.  A precomposition pulls back the a-points of
-    its child, and a rational runs the certified solver of ``subtract`` on
-    this disc alone: all of its a-points in the disc, or RootFindFailure.
+    N(r, 1/(f - a)) counts; a rational, composed or not, runs the
+    certified solver of ``subtract`` on this disc alone: all of its
+    a-points in the disc, or RootFindFailure.
     """
     a = target_value(a)
     if a is None:
         return expr.divisor_in_disc(r).signed("poles")
     if a == 0:
         return expr.divisor_in_disc(r).signed("zeros")
-    if isinstance(expr, ComposePoly):
-        base = preimages_in_disc(expr.child, a, expr.p.coeff_bound(r))
-        return _pull_back(expr.p, _divisor_targets(base), r)
     if isinstance(expr, RationalFromDivisor):
         return Divisor.build([(q, 1) for q in _rational_preimages(expr, a, r)[1]],
                              merge_tol=0.0)

@@ -21,6 +21,7 @@ import sys
 import numpy as np
 
 from .fnmodel import (
+    CIRCLE_BAND,
     Divisor,
     FunctionExpr,
     InsufficientGrowth,
@@ -38,8 +39,6 @@ from .quadrature import QuadratureResult, adaptive_circle
 # nudge applied when a divisor point sits essentially on the contour
 NUDGE_FACTOR = 1.0 + 1e-7
 ON_CIRCLE_REL = 1e-9
-# divisor points within this relative band of the contour become panel cuts
-SPLIT_BAND = 0.1
 # share of a sweep's smallest radii that the hyper-order fit discards
 HYPERORDER_DROP = 0.2
 # farthest a contour count may land from an integer
@@ -64,12 +63,12 @@ class CharacteristicSample:
 
 
 def _split_angles(expr: FunctionExpr, r: float) -> list[tuple[float, float]]:
-    """Panel cuts at the divisor points b within ``SPLIT_BAND`` of |z| = r:
+    """Panel cuts at the divisor points b within ``CIRCLE_BAND`` of |z| = r:
     each angle of b with its distance |log(|b|/r)| off the real axis of
     angles, where log|z - b| is singular as a function of theta."""
     if not expr.is_divisor_transparent:
         return []
-    band = expr.divisor_in_disc(r * (1.0 + SPLIT_BAND)).band(r, SPLIT_BAND)
+    band = expr.divisor_in_disc(r * (1.0 + CIRCLE_BAND)).band(r, CIRCLE_BAND)
     if not band:
         return []
     b = np.array([p for p, _ in band])  # one pass of numpy beats a loop over many points

@@ -281,6 +281,21 @@ def test_census_non_finite_value_is_an_error(capsys, value):
     assert json.loads(err)["error"] == "ValueError"
 
 
+def test_census_values_may_carry_blanks_and_a_bad_one_is_named(capsys):
+    reports = []
+    for values in ("0,inf", "0, inf"):
+        code, out, _ = run(capsys, "census", "--figure1", "left", "--generations", "6",
+                           "--values", values)
+        assert code == EXIT_PASS
+        reports.append(json.loads(out)["reports"])
+    assert reports[1][1].pop("value") == " inf" and reports[0][1].pop("value") == "inf"
+    assert reports[0] == reports[1]  # " inf" is the poles, as "inf" is
+    code, out, err = run(capsys, "census", "--figure1", "left", "--generations", "6",
+                         "--values", "0,xyz")
+    assert code == EXIT_ERROR and out == ""
+    assert "'xyz'" in json.loads(err)["detail"]
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
 def test_census_bad_tolerance_is_an_error(capsys, tol):
     # an infinite tol would match every image and pass the generic value 0.3

@@ -36,8 +36,9 @@ from nevlab import (
 )
 from nevlab import fnmodel
 from nevlab.fnmodel import (
-    ComposePoly,
+    CIRCLE_BAND,
     OpaqueExpr,
+    OverflowSignal,
     PoleSignal,
     TWO_PI,
     RootFindFailure,
@@ -46,8 +47,8 @@ from nevlab.fnmodel import (
 )
 from nevlab.algmap import InvarianceReport
 from nevlab.boundslab import AsymSample, BoundConfig, BoundReport
-from nevlab.nevanlinna import (ON_CIRCLE_REL, SPLIT_BAND, BalanceSample,
-                               CharacteristicSample, proximity)
+from nevlab.nevanlinna import (ON_CIRCLE_REL, BalanceSample, CharacteristicSample,
+                               proximity)
 from nevlab.quadrature import QuadratureResult, adaptive_circle
 
 Z = Polynomial((0j, 1.0))
@@ -299,13 +300,13 @@ def test_divisor_radius_queries_equal_the_linear_scan():
         for entry in d.entries[:: max(1, len(d.entries) // 6)]:
             a = abs(entry[0])
             queries = [a, 0.0, -1.0, math.inf, math.nan]
-            for rel in (SPLIT_BAND, ON_CIRCLE_REL):
+            for rel in (CIRCLE_BAND, ON_CIRCLE_REL):
                 queries += _ulp_walk(a / (1.0 - rel)) + _ulp_walk(a / (1.0 + rel))
             for q in queries:
                 kept = d.restrict(q)
                 assert kept.entries == tuple(e for e in d.entries if abs(e[0]) <= q)
                 assert kept._moduli == [abs(e[0]) for e in kept.entries]
-                for rel in (SPLIT_BAND, ON_CIRCLE_REL, 0.0):
+                for rel in (CIRCLE_BAND, ON_CIRCLE_REL, 0.0):
                     want = [e for e in d.entries if abs(abs(e[0]) - q) <= rel * q]
                     assert d.band(q, rel) == want
                     assert kept.band(q, rel) == [e for e in want if e in kept.entries]
@@ -620,8 +621,8 @@ def test_log_mod_is_the_modulus_of_log_parts_through_the_tree(reference_rational
     left = reference_rationals["orbit_left_m6"]
     right = reference_rationals["orbit_right_m6"]
     exprs = [Product(left, right), Quotient(Const(1.0), right),
-             ComposePoly(left, Polynomial((0.5, 0j, 1.0))),
-             Product(ExpPoly(Z2, 1.0), Quotient(Const(1), ComposePoly(right, Z2)))]
+             compose_poly(left, Polynomial((0.5, 0j, 1.0))),
+             Product(ExpPoly(Z2, 1.0), Quotient(Const(1), compose_poly(right, Z2)))]
     z = np.concatenate([r * np.exp(1j * np.linspace(0.1, 6.3, 64))
                         for r in (0.3, 2.0, 9.0)])
     z = np.concatenate([z, [0j], [p for p, _ in right.divisor.entries]])
@@ -910,12 +911,53 @@ def test_generic_difference_stays_opaque():
 
 
 def test_compose_poly_evaluates_as_composition():
-    f = rational([1.0], [-1.0])
     w = Polynomial((0j, 1.0, 1.0))  # z^2 + z
-    g = compose_poly(f, w)
-    z = 0.3 - 0.4j
-    want = f.eval(w(z))
-    assert abs(g.eval(z) - want) <= 1e-11 * (1.0 + abs(want))
+    # 2 (z - 3) / z^2 at a p with lead 3 - i: the scale takes lead^(1 - 2)
+    p = Polynomial((1.0, 0.5, 3.0 - 1.0j))
+    cases = [(rational([1.0], [-1.0]), w),
+             (RationalFromDivisor(2.0, Divisor.build([(3.0, 1)], -2)), p),
+             (Exp(ExpPoly(Z, 0.5)), p), (Difference(ExpPoly(Z), rational([1.0], [])), p)]
+    for f, q in cases:
+        g = compose_poly(f, q)
+        assert type(g) is type(f)
+        for z in (0.3 - 0.4j, 1.1 + 0.2j):
+            want = f.eval(q(z))
+            assert abs(g.eval(z) - want) <= 1e-11 * (1.0 + abs(want))
+    assert compose_poly(cases[1][0], p).scale == pytest.approx(2.0 / (3.0 - 1.0j), rel=1e-15)
+
+
+COMPOSE_P = {"z+1": Polynomial((1.0, 1.0)), "z^2+z": Polynomial((0j, 1.0, 1.0)),
+             "0.5+z^2": Polynomial((0.5, 0j, 1.0))}
+
+
+@pytest.mark.parametrize("p", COMPOSE_P.values(), ids=COMPOSE_P.keys())
+@pytest.mark.parametrize("key", ["rat_zero1_pole2", "rat_pole0", "orbit_left_m6",
+                                 "orbit_right_m6"])
+def test_composed_rational_channels_are_the_child_channels_at_p(members, key, p):
+    """f(p) is the rational of the pulled-back divisor: its log|f| is that of
+    f at p(z), and its f'/f is p'(z) (f'/f)(p(z)), to rounding."""
+    f = members[key].expr
+    g = compose_poly(f, p)
+    assert isinstance(g, RationalFromDivisor)
+    z = np.concatenate([r * np.exp(1j * np.linspace(0.1, 6.3, 64)) for r in (0.3, 2.0, 9.0)])
+    for got, want in ((g._log_mod(z), f._log_mod(p(z))),
+                      (g._logderivs(z), p.deriv()(z) * f._logderivs(p(z)))):
+        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+
+def test_compose_poly_rejects_a_constant_and_an_overflowing_scale():
+    f = rational([1.0], [3.0])
+    for p in (Polynomial((1.0,)), Polynomial((0j,))):
+        with pytest.raises(ValueError, match="nonconstant"):
+            compose_poly(f, p)
+    # the scale lead^(zeros - poles) leaves the range either way
+    big = Polynomial((0j, 1e200))
+    for g in (rational([1.0, 2.0], []), rational([], [1.0, 2.0])):
+        with pytest.raises(OverflowSignal, match="scale"):
+            compose_poly(g, big)
+    with pytest.raises(OverflowSignal, match="scale"):
+        compose_poly(rational([1.0, 2.0], []), Polynomial((0j, 1e-200)))
+    assert compose_poly(rational([1.0], [2.0]), big).scale == 1.0  # lead^0
 
 
 # ---------------------------------------------------------------------------
@@ -988,10 +1030,25 @@ def test_level_angles_of_exp_exp_z_are_exact_to_rounding(r):
     assert angles.size == 2 * (2 * kmax + 2)  # r sin theta = pi/2 + k pi, |k + 1/2| <= r / pi
 
 
+@pytest.mark.parametrize("r", [1.5, 2.0, 3.0, 4.5])
+def test_level_angles_of_a_composed_exp_exp_are_exact_to_rounding(r):
+    # exp(e^z) at z^2 + z + 1 is exp(e^(z^2 + z + 1)), whose kinks have a
+    # closed form; log|f| = e^Re p cos(Im p), so rounding theta moves it by
+    # about e^Re p |p'| r 2^-53
+    p = Polynomial((1.0, 1.0, 1.0))
+    f = compose_poly(Exp(ExpPoly(Z)), p)
+    angles = _closed_form_angles(f, r)
+    z = r * np.exp(1j * angles)
+    assert np.all(np.abs(f._log_mod(z)) <= 1e-14 * np.exp(p(z).real) * np.abs(p.deriv()(z)) * r)
+    changes = _sign_changes(f, r)
+    assert changes.size == angles.size > 0, r
+    gap = np.abs((changes[:, None] - angles + math.pi) % TWO_PI - math.pi)
+    assert gap.min(axis=1).max() <= 2.0 * TWO_PI / 400_000, r
+
+
 @pytest.mark.parametrize("f", [
     ExpPoly(Z, 1.0), Exp(ExpPoly(Z, 1.0)), Exp(Exp(ExpPoly(Z))), ExpPoly(Z2, 1.0),
     Quotient(Const(1.0), ExpPoly(Z, 0.5)), Product(ExpPoly(Z), ExpPoly(Z)),
-    ComposePoly(Exp(ExpPoly(Z)), Polynomial((1.0, 1.0, 1.0))),
 ])
 def test_level_angles_are_unknown_without_a_closed_form(f):
     assert _closed_form_angles(f, 3.0) is None
@@ -1050,7 +1107,7 @@ def test_level_search_finds_one_angle_per_sign_change(reference_rationals, key, 
         gap = np.abs((changes[:, None] - angles + math.pi) % TWO_PI - math.pi)
         assert gap.min(axis=1).max() <= 2.0 * TWO_PI / 400_000, (key, r)
         # the scan's samples, then at most _SEARCH_STEPS steps per crossing
-        band = len(f.divisor.band(r, fnmodel._SCAN_BAND))
+        band = len(f.divisor.band(r, CIRCLE_BAND))
         assert fnmodel._SCAN_POINTS + band < spent
         assert spent <= fnmodel._SCAN_POINTS + band + fnmodel._SEARCH_STEPS * angles.size
 
@@ -1100,23 +1157,10 @@ def test_exp_branch_count_is_capped(monkeypatch):
     assert len(solved) == 1
 
 
-def test_constant_inner_polynomial_at_divisor_value_is_opaque():
-    f = rational([1.0], [3.0])
-    with pytest.raises(OpaqueExpr):
-        ComposePoly(f, Polynomial((1.0,))).divisor_in_disc(2.0)
-    assert ComposePoly(f, Polynomial((2.0,))).divisor_in_disc(2.0).is_empty
-
-
 def test_constant_exp_argument_equal_to_log_a_is_opaque():
     with pytest.raises(OpaqueExpr):
         ExpPoly(Polynomial((math.log(2.0),)), 2.0).divisor_in_disc(5.0)
     assert ExpPoly(Polynomial((1.0,)), 2.0).divisor_in_disc(5.0).is_empty
-
-
-def test_compose_preimages_with_zero_shift_raise():
-    # e^z = 1 at the origin, and the constant inner polynomial 0 hits it
-    with pytest.raises(RootFindFailure):
-        preimages_in_disc(ComposePoly(ExpPoly(Z), Polynomial((0j,))), 1.0, 3.0)
 
 
 def test_preimages_are_the_zeros_of_f_minus_a(members):
@@ -1142,6 +1186,24 @@ def test_preimages_are_the_zeros_of_f_minus_a(members):
                 assert preimages_in_disc(f, a, r) == want, (key, a, r)
     # its a-points lie closer to its zeros than double precision can tell
     assert refused == {"orbit_right_m6"}
+
+
+@pytest.mark.parametrize("a", [0.5, 2j])
+@pytest.mark.parametrize("key", ["rat_zero1_pole2", "orbit_left_m6"])
+def test_preimages_of_a_composed_rational_are_the_pulled_back_a_points(members, key, a):
+    """The certified solver on f(p) finds the pull-back of f's a-points."""
+    f = members[key].expr
+    for p in COMPOSE_P.values():
+        g = compose_poly(f, p)
+        for r in (0.8, 2.5, 6.0):
+            base = preimages_in_disc(f, a, p.coeff_bound(r))  # rat_zero1_pole2 = 0.5 at 0
+            targets = list(base.entries) + [(0j, base.origin_order)] * bool(base.origin_order)
+            want = fnmodel._pull_back(p, targets, r).multiset()
+            got = preimages_in_disc(g, a, r).multiset()
+            assert len(got) == len(want), (key, a, r)
+            if got:
+                gap = np.abs(np.subtract.outer(got, want))
+                assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-9, (key, a, r)
 
 
 def test_preimages_exp_lattice():

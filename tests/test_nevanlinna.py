@@ -17,6 +17,7 @@ from nevlab import (
     build_orbit_function,
     characteristic,
     characteristic_sweep,
+    compose_poly,
     counting,
     figure_family,
     fmt_delta,
@@ -130,6 +131,37 @@ def _m_rat_zero1_pole2_reference(r: float):
 def test_proximity_of_rat_zero1_pole2_against_mpmath(members, r):
     s = proximity(members["rat_zero1_pole2"].expr, r)
     assert abs(s.m - _m_rat_zero1_pole2_reference(r)) <= max(1e-9, 1e-8 * s.m)
+
+
+def _m_rat_zero1_pole2_at_z2_plus_z_reference(r: float):
+    """m(r, (w - 1)/(w - 2)) at w = z^2 + z, at 30 digits: log|f| > 0 where
+    Re w = r^2 (2 cos^2 t - 1) + r cos t > 3/2, so its kinks are the angles
+    whose cosine solves 2 r^2 c^2 + r c - r^2 - 3/2 = 0; mpmath integrates
+    log+|f| between them and 0, pi and 2pi."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        r, two_pi = mpmath.mpf(r), 2 * mpmath.pi
+        cuts = {mpmath.mpf(0), mpmath.pi, two_pi}
+        root = mpmath.sqrt(r**2 + 8 * r**2 * (r**2 + mpmath.mpf(3) / 2))
+        for c in ((-r + root) / (4 * r**2), (-r - root) / (4 * r**2)):
+            if abs(c) <= 1:
+                cuts |= {mpmath.acos(c), two_pi - mpmath.acos(c)}
+
+        def logplus_f(t):
+            z = r * mpmath.expj(t)
+            w = z * z + z
+            return max(mpmath.log(abs(w - 1)) - mpmath.log(abs(w - 2)), 0)
+
+        return float(mpmath.quad(logplus_f, sorted(cuts)) / two_pi)
+
+
+# the second radius is where the precomposition node, which had neither the
+# circle fold nor the kink search, missed by 67.5x its tolerance
+@pytest.mark.parametrize("r", [1.1, 10.315273952952696, 25.0])
+def test_proximity_of_a_composed_rational_against_mpmath(members, r):
+    f = compose_poly(members["rat_zero1_pole2"].expr, Polynomial((0j, 1.0, 1.0)))
+    s = proximity(f, r)
+    assert abs(s.m - _m_rat_zero1_pole2_at_z2_plus_z_reference(r)) <= max(1e-9, 1e-8 * s.m)
 
 
 _ORACLES = {"exp_exp_z": _m_exp_exp_reference, "rat_zero1_pole2": _m_rat_zero1_pole2_reference}

@@ -43,6 +43,10 @@ COMMANDS = [
     ["verify", "pest"],
     ["verify", "lemma1"],
     ["verify", "asym", "--fn", "exp_z", "--omega", "z^2+z"],
+    # compositions of a rational
+    ["verify", "lemma1", "--fn", "orbit_left_m6", "--count", "12"],
+    ["verify", "asym", "--fn", "orbit_left_m6", "--omega", "z+1", "--count", "12"],
+    ["verify", "asym", "--fn", "orbit_left_m6", "--omega", "z^2+z", "--count", "12"],
     ["verify", "smt"],
     ["verify", "smt", "--fn", "exp_z", "--omega", "z^2+z", "--phi", "z^2",
      "--targets", "1,-1", "--rmin", "5", "--rmax", "40", "--count", "25"],
@@ -77,6 +81,7 @@ COMMANDS = [
     ["census", "--figure1", "left", "--generations", "6", "--values", "0,INF,oo"],
     ["census", "--figure1", "left", "--generations", "6", "--values", "0,1e400"],
     ["census", "--figure1", "left", "--generations", "6", "--values", "0,nan"],
+    ["census", "--figure1", "left", "--generations", "6", "--values", "0, inf"],
     ["counterexample"],
     ["counterexample", "--k", "3", "--probes", "20"],
 ]
