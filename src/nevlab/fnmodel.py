@@ -16,7 +16,12 @@ the counting functions and the quadrature panel splitter consume.  A
 rational given by its divisor evaluates every channel with one broadcast
 kernel over (points, nodes) chunks, bit-identical to a loop over its points.
 
-The circle means read ``_log_mod`` (proximity, Jensen) and ``_logderivs``
+The proximity mean of a rational given by its divisor and of exp(p) has a
+closed form (``FunctionExpr.closed_proximity``): Jensen's formula where the
+divisor alone decides the sign of log|f|, else the exact integrals between
+the certified |f| = 1 angles, by the dilogarithm (``_dilog``) for a rational
+and by a trigonometric antiderivative for exp(p).  The quadrature's circle
+means read ``_log_mod`` (proximity, Jensen) and ``_logderivs``
 (argument-principle counts) of ``expr.near_circle(r)``, a form valid on
 |z| = r only.  For a rational given by its divisor it folds the points with
 |b| <= r/2 or |b| >= 2r into Laurent series in z/r, each cut where its tail
@@ -93,6 +98,11 @@ _FOLD_TOL = 2.0**-54
 _SCAN_POINTS = 64
 _SEARCH_STEPS = 6
 _SEARCH_TOL = 1e-10
+# The search certifies its crossings by bisecting the scan intervals at most
+# _CERTIFY_ROUNDS times, on at most _CERTIFY_NODES new angles in all.
+_CERTIFY_ROUNDS = 16
+_CERTIFY_NODES = 1024
+_EPS = 2.0**-52
 
 
 class ToolkitError(Exception):
@@ -808,19 +818,24 @@ def _divisor_sums(z: np.ndarray, d: Divisor, channels) -> tuple[np.ndarray, ...]
     b, m = d._columns
     flat = _carray(z).reshape(-1)
     outs = [np.empty(flat.size, dtype=np.result_type(start)) for start, _ in channels]
-    step = max(2, _DIVISOR_CELLS // max(len(b), 1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(0, flat.size, step):
-            zc = flat[i:i + step]
+        for c in _node_chunks(flat.size, len(b)):
+            zc = flat[c]
             # numpy sums a single column pairwise, so a lone node is doubled;
             # z - b is taken in place, as numpy is slow when both operands
             # are broadcast
             diff = np.tile(np.resize(zc, max(zc.size, 2)), (len(b), 1))
             diff -= b
             for out, (start, term) in zip(outs, channels):
-                out[i:i + zc.size] = np.add.reduce(term(m, diff), axis=0,
-                                                   initial=start)[:zc.size]
+                out[c] = np.add.reduce(term(m, diff), axis=0, initial=start)[:zc.size]
     return tuple(out.reshape(z.shape) for out in outs)
+
+
+def _node_chunks(n: int, points: int) -> list[slice]:
+    """Slices of n nodes whose (points, nodes) blocks hold about
+    ``_DIVISOR_CELLS`` cells."""
+    step = max(2, _DIVISOR_CELLS // max(points, 1))
+    return [slice(i, i + step) for i in range(0, n, step)]
 
 
 def _log_term(m, d):
@@ -918,16 +933,30 @@ class FunctionExpr:
 
     def level_cuts(self, r: float, g) -> tuple[np.ndarray | None, int]:
         """Sorted angles in [0, 2pi) at which |f(r e^{i theta})| = 1, where
-        log+|f| has its kinks and its circle means cut their panels, and the
-        evaluations of ``g = near_circle(r)`` spent finding them.  Closed
-        forms give them at no evaluation for constants (none), exp(p) and
-        exp(exp(p)) (:func:`_im_level_angles`), and a rational given by its
-        divisor searches through ``g`` (:func:`_level_search`).  The angles
-        are None where the level set is not known: for every other
-        expression (exp(p) - a with a != 0, quotients, products, ...), where
-        the coefficients over- or underflow at ``r`` or the angles would
-        exceed ``MAX_PANELS``, and where a rational's search finds no crossing."""
+        log+|f| has its kinks, and the evaluations of ``g = near_circle(r)``
+        spent finding them.  Closed forms give them at no evaluation for
+        constants (none), exp(p) and exp(exp(p)) (:func:`_im_level_angles`),
+        and a rational given by its divisor searches through ``g`` and
+        certifies what it finds (:func:`_level_search`).  For exp(p) and
+        the rationals, :meth:`closed_proximity` integrates between these
+        kinks in closed form, so the quadrature cuts its panels at them
+        only for the other expressions and where a rational's certificate
+        fails.  The angles are None where the level set is not known: for
+        every other expression (exp(p) - a with a != 0, quotients,
+        products, ...), where the coefficients over- or underflow at ``r``
+        or the angles would exceed ``MAX_PANELS``, where the divisor bound
+        keeps a rational's log|f| off 0, and where its search finds no
+        crossing."""
         return None, 0
+
+    def closed_proximity(self, r: float) -> tuple[float, float, int] | None:
+        """m(r, f) in closed form: (the mean of log+|f| on |z| = r, its
+        rounding bound, the evaluations spent), or None where the circle
+        mean must come from quadrature.  A rational given by its divisor
+        answers by Jensen's formula or the dilogarithm arcs between its
+        certified kinks, exp(p) by its trigonometric arcs; every other
+        expression answers None."""
+        return None
 
     def _divisor_impl(self, r: float) -> Divisor:
         raise OpaqueExpr(f"{type(self).__name__} does not expose a divisor")
@@ -1130,68 +1159,172 @@ class RationalFromDivisor(FunctionExpr):
     def level_cuts(self, r, g):
         if not self.divisor.entries:  # scale * z^k: |f| is constant on the circle
             return _NO_ANGLES, 0
-        return _level_search(self, g, r)
+        if _divisor_sign(self, r):
+            return None, 0
+        angles, spent, _ = _level_search(self, g, r)
+        return (angles if angles.size else None), spent
+
+    def closed_proximity(self, r):
+        sign = _divisor_sign(self, r) if self.divisor.entries else 1  # |scale z^k| is constant
+        if sign < 0:
+            return 0.0, 0.0, 0
+        g, angles, spent = self, _NO_ANGLES, 0  # Jensen
+        if not sign:
+            g = self.near_circle(r)
+            angles, spent, certified = _level_search(self, g, r)
+            if not certified:
+                return None
+        return (*_arc_mean(angles, *_log_antiderivative(g._log, r, angles)), spent)
+
+    @property
+    def _log(self):
+        """log|f| as a circle form reads it (:attr:`_CircleFold._log`): no series."""
+        return self.divisor, math.log(abs(self.scale)), _NO_SERIES
 
     def _divisor_impl(self, r):
         return self.divisor.restrict(r)
 
 
-def _level_search(f: RationalFromDivisor, g, r: float) -> tuple[np.ndarray | None, int]:
-    """The angles where |f| = 1 on |z| = r, and the evaluations spent
-    finding them; None where none is found.  ``g`` is the circle form of
-    ``f`` (:meth:`FunctionExpr.near_circle`).
-
-    Each log|z - b| lies in [log||b| - r|, log(|b| + r)], so the divisor
-    bounds log|f| on the circle at no evaluation; where the bound keeps it
-    off 0 there is nothing to find.  Otherwise ``g`` samples log|f| at
-    ``_SCAN_POINTS`` equispaced angles and at the angles of the divisor
-    points within ``CIRCLE_BAND`` of the circle, near which log|f| can cross
-    0 twice between two grid angles.  Every sign change between neighbouring
-    samples brackets a crossing.  The brackets are polished together by at
-    most ``_SEARCH_STEPS`` safeguarded Newton steps in theta, where
-    d/dtheta log|f| = -Im(z f'/f): a step that leaves its bracket bisects
-    it, and a bracket is frozen once its step is below ``_SEARCH_TOL``.
-    The steps read log|f| and f'/f of the divisor directly, in one
-    :func:`_divisor_sums` call each: on a few nodes that costs less than
-    the series of ``g``, which take two numpy calls per term whatever the
-    node count.  A pair of crossings closer than the grid spacing with no
-    divisor point near is missed, and an unconverged angle is kept as it
-    stands: the angles are panel cuts, which the quadrature takes as hints.
-    """
-    d = f.divisor
-    b, m = (col[:, 0] for col in d._columns)
+def _divisor_sign(f: RationalFromDivisor, r: float) -> int:
+    """1 or -1 where the divisor alone keeps log|f| above or below 0 on
+    |z| = r, else 0: each log|z - b| lies in [log||b| - r|, log(|b| + r)]."""
+    b, m = (col[:, 0] for col in f.divisor._columns)
     mod = np.abs(b)
     with np.errstate(divide="ignore"):
         near, far = np.log(np.abs(mod - r)), np.log(mod + r)
     start = math.log(abs(f.scale))
     up = m > 0
-    if (start + float(np.sum(np.where(up, m * near, m * far))) > 0.0
-            or start + float(np.sum(np.where(up, m * far, m * near))) < 0.0):
-        return None, 0
+    if start + float(np.sum(np.where(up, m * near, m * far))) > 0.0:
+        return 1
+    return -1 if start + float(np.sum(np.where(up, m * far, m * near))) < 0.0 else 0
+
+
+_NO_SERIES = np.empty(0, dtype=np.complex128)
+
+
+def _unit_powers(theta: np.ndarray, k: int) -> np.ndarray:
+    """e^{ij theta} for j = 1..k, a row per angle: a folded series at few
+    angles is one product with this matrix, not a Horner loop."""
+    return np.exp(1j * np.multiply.outer(theta, np.arange(1, k + 1)))
+
+
+def _log_slope(form, r: float, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log|f| and its theta-derivative -Im(z f'/f) at z = r e^{i theta}."""
+    div, start, a = form
+    z = r * np.exp(1j * theta)
+    lm, ld = _divisor_sums(z, div, ((start, _log_term), (0j, _inv_term)))
+    slope = -(z * ld).imag
+    if a.size:
+        s = _unit_powers(theta, a.size) @ np.column_stack((a, a * np.arange(1, a.size + 1)))
+        lm -= s[:, 0].real
+        slope += s[:, 1].imag
+    return lm, slope
+
+
+def _slope_bounds(form, r: float):
+    """The bounds on |d/dtheta log|f|| and |d^2/dtheta^2 log|f|| over the
+    arcs [lo, hi] of |z| = r, as a function of (lo, hi): a term
+    m log|z - b| contributes |m| r / dist and |m| r |b| / dist^2, dist the
+    distance from b to the arc, and a series term a_k e^{ik theta}
+    k |a_k| and k^2 |a_k|."""
+    div, _, a = form
+    k = np.arange(1, a.size + 1)
+    ka = k * np.abs(a)
+    l1, l2 = float(ka.sum()), float((k * ka).sum())
+    b, m = (col[bool(div.origin_order):, 0, None] for col in div._columns)
+    mod, w = np.abs(b), np.abs(m) * r
+    phi, gap2, cross, w2 = np.angle(b) % TWO_PI, (mod - r) ** 2, 4.0 * r * mod, w * mod
+
+    def bounds(lo, hi):
+        out = np.empty((2, lo.size))
+        for c in _node_chunks(lo.size, b.size):
+            t = (phi - lo[c]) % TWO_PI  # from lo to b, counterclockwise
+            gap = np.maximum(np.minimum(t - (hi[c] - lo[c]), TWO_PI - t), 0.0)  # b to the arc
+            d2 = gap2 + cross * np.sin(0.5 * gap) ** 2  # dist^2
+            out[0, c], out[1, c] = np.sum(w / np.sqrt(d2), axis=0), np.sum(w2 / d2, axis=0)
+        return l1 + out[0], l2 + out[1]
+
+    return bounds
+
+
+def _level_search(f: RationalFromDivisor, g, r: float) -> tuple[np.ndarray, int, bool]:
+    """The angles where |f| = 1 on |z| = r, the evaluations spent finding
+    them, and whether they are certified to be all the crossings.  ``g``
+    is the circle form of ``f`` (:meth:`FunctionExpr.near_circle`); its
+    log|f| (``g._log``) is read through :func:`_log_slope`, the folded
+    series with one product per call.
+
+    log|f| and its theta-derivative are sampled at ``_SCAN_POINTS``
+    equispaced angles and at the angles of the divisor points within
+    ``CIRCLE_BAND`` of the circle.  Each interval between neighbouring
+    samples is then certified by a Lipschitz argument (Moore, Kearfott and
+    Cloud, *Introduction to Interval Analysis*, 2009) with the bounds of
+    :func:`_slope_bounds`: it holds no crossing where its end values share
+    a sign and exceed the first bound times its width, and log|f| is
+    monotone on it, so it holds exactly one crossing where its end values
+    differ in sign and none where they agree, where its end slopes share a
+    sign and exceed the second bound times its width.  Both tests leave a
+    margin for the rounding of the sums.  An interval that passes neither
+    is bisected, at most ``_CERTIFY_ROUNDS`` times and on at most
+    ``_CERTIFY_NODES`` angles in all; past that the angles found are
+    returned uncertified.  Every interval whose ends differ in sign is a
+    bracket, polished together with the others by at most
+    ``_SEARCH_STEPS`` safeguarded Newton steps in theta: a step that leaves
+    its bracket bisects it, and a bracket is frozen once its step is below
+    ``_SEARCH_TOL``.
+    """
+    form = g._log
     theta = _SCAN_GRID
-    band = d.band(r, CIRCLE_BAND)
+    band = f.divisor.band(r, CIRCLE_BAND)
     if band:
         theta = np.sort(np.concatenate([theta, np.angle([p for p, _ in band]) % TWO_PI]))
-    lm = g._log_mod(r * np.exp(1j * theta))
+    lm, dl = _log_slope(form, r, theta)
     spent = theta.size
-    pos = lm > 0.0
-    i = np.flatnonzero(pos != np.roll(pos, -1))
-    if not i.size:
-        return None, spent
-    j = (i + 1) % theta.size
-    lo, hi, fhi = theta[i], theta[j] + TWO_PI * (j == 0), lm[j]
+    # the rounding of a value's and a slope's sums, a share of their terms
+    b, m = (col[:, 0] for col in f.divisor._columns)
+    rel = (b.size + 2) * _EPS
+    slack = rel * (abs(form[1]) + float(np.sum(np.abs(m) * (np.abs(np.log(np.abs(b) + r)) + 1.0))))
+    lo, hi = theta, np.append(theta[1:], theta[0] + TWO_PI)
+    ends = [lm, np.roll(lm, -1), dl, np.roll(dl, -1)]
+    brackets, certified, budget = [], False, _CERTIFY_NODES
+    bounds = _slope_bounds(form, r)
+    for rounds_left in range(_CERTIFY_ROUNDS, -1, -1):
+        flo, fhi, dlo, dhi = ends
+        l1, l2 = bounds(lo, hi)
+        h = hi - lo
+        with np.errstate(invalid="ignore"):
+            ok = (((flo * fhi > 0.0) & (np.abs(flo) + np.abs(fhi) > l1 * h + 2.0 * slack))
+                  | ((dlo * dhi > 0.0) & (np.abs(dlo) + np.abs(dhi) > l2 * h + 2.0 * rel * l1)))
+        open_ = ~ok
+        n_open = int(np.count_nonzero(open_))
+        certified = not n_open
+        if certified or not rounds_left or n_open > budget:
+            brackets.append((lo, hi, flo, fhi))
+            break
+        brackets.append((lo[ok], hi[ok], flo[ok], fhi[ok]))
+        lo, hi = lo[open_], hi[open_]
+        flo, fhi, dlo, dhi = (e[open_] for e in ends)
+        mid = 0.5 * (lo + hi)
+        fm, dm = _log_slope(form, r, mid)
+        spent += n_open
+        budget -= n_open
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        ends = [np.concatenate(p) for p in ((flo, fm), (fm, fhi), (dlo, dm), (dm, dhi))]
+    lo, hi, flo, fhi = (np.concatenate(c) for c in zip(*brackets))
+    change = (flo > 0.0) != (fhi > 0.0)
+    if not change.any():
+        return _NO_ANGLES, spent, certified
+    lo, hi, flo, fhi = lo[change], hi[change], flo[change], fhi[change]
     with np.errstate(invalid="ignore", divide="ignore"):
-        x = _inside(hi - fhi * (hi - lo) / (fhi - lm[i]), lo, hi)  # regula falsi
-    out, live = x.copy(), np.arange(i.size)
-    channels = ((start, _log_term), (0j, _inv_term))
+        x = _inside(hi - fhi * (hi - lo) / (fhi - flo), lo, hi)  # regula falsi
+    out, live = x.copy(), np.arange(x.size)
     for _ in range(_SEARCH_STEPS):
-        z = r * np.exp(1j * x)
-        fx, ld = _divisor_sums(z, d, channels)
+        fx, dx = _log_slope(form, r, x)
         spent += x.size
         below = (fx > 0.0) == (fhi > 0.0)  # the crossing lies between lo and x
         lo, hi, fhi = np.where(below, lo, x), np.where(below, x, hi), np.where(below, fx, fhi)
         with np.errstate(invalid="ignore", divide="ignore"):
-            step = fx / (z * ld).imag  # -log|f| over its theta-derivative
+            step = -fx / dx
         going = ~(np.abs(step) <= _SEARCH_TOL)  # a NaN step goes on, bisecting
         # a converged step may cross a bracket end that x itself has become
         out[live] = x = np.where(going, _inside(x + step, lo, hi), x + step)
@@ -1200,7 +1333,81 @@ def _level_search(f: RationalFromDivisor, g, r: float) -> tuple[np.ndarray | Non
             if not live.size:
                 break
     out %= TWO_PI
-    return np.sort(np.where(out < TWO_PI, out, 0.0)), spent  # % can round up to 2pi
+    return np.sort(np.where(out < TWO_PI, out, 0.0)), spent, certified  # % can round up to 2pi
+
+
+def _log_antiderivative(form, r: float, theta: np.ndarray):
+    """(C, G, err) with log|f(r e^{i theta})| = C + G'(theta), G given at
+    the angles ``theta``, and err a rounding bound on C and each G.
+
+    C is Jensen's mean start + sum m log max(r, |b|) over the direct
+    divisor, summed by ``math.fsum``.  A direct point contributes
+    m Im Li2(b/r e^{-i theta}) to G for |b| <= r and -m Im Li2(r/b e^{i theta})
+    otherwise, both on the closed unit disc (Lewin, *Polylogarithms and
+    Associated Functions*, 1981), and the folded series
+    -Im sum_k (a_k / k) e^{ik theta}.
+    """
+    div, start, a = form
+    b, m = (col[:, 0] for col in div._columns)
+    mod = np.abs(b)
+    t = m * np.log(np.maximum(mod, r))
+    mean = math.fsum([start] + t.tolist())
+    a = a / np.arange(1, a.size + 1)
+    err = 2.0 * _EPS * (abs(start) + float(np.sum(np.abs(t)) + 2.0 * np.sum(np.abs(m))
+                                           + np.sum(np.abs(a))))
+    if not theta.size:
+        return mean, _NO_ANGLES, err
+    inner = mod <= r
+    u = np.empty_like(b)
+    u[inner], u[~inner] = b[inner] / r, r / b[~inner]
+    g = -(_unit_powers(theta, a.size) @ a).imag
+    for c in _node_chunks(theta.size, b.size):
+        e = np.exp(1j * theta[c])
+        g[c] += np.where(inner, m, -m) @ _dilog(u[:, None] * np.where(inner[:, None], e.conj(), e)).imag
+    return mean, g, err
+
+
+def _arc_mean(theta: np.ndarray, mean: float, g: np.ndarray, err: float) -> tuple[float, float]:
+    """(m, its rounding bound) for h = mean + G'(theta), whose sign changes
+    at the sorted angles ``theta`` alone, G given there with rounding
+    ``err``: 1/2pi times the sum of G(hi) - G(lo) + mean (hi - lo) over the
+    arcs between neighbouring angles where it is positive, the last arc
+    wrapping round to the first, or max(mean, 0) without angles."""
+    if not theta.size:
+        return max(mean, 0.0), err * (mean > -err)
+    arcs = mean * np.diff(theta, append=theta[0] + TWO_PI) + np.diff(g, append=g[0])
+    return math.fsum(arcs[arcs > 0.0].tolist()) / TWO_PI, err * (1 + theta.size)
+
+
+# B_2n / (2n + 1)! for n = 1..10, the series of Li2 in w = -log(1 - x)
+_DILOG_SERIES = tuple(c / math.factorial(2 * n + 1) for n, c in enumerate(
+    (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
+     43867 / 798, -174611 / 330), 1))
+
+
+def _dilog(x) -> np.ndarray:
+    """Li2(x) = sum_k x^k / k^2 on the closed unit disc, elementwise.
+
+    Where Re x > 1/2 the reflection Li2(x) = pi^2/6 - log x log(1 - x)
+    - Li2(1 - x) moves the argument to 1 - x, inside the disc with real
+    part below 1/2.  There w = -log(1 - x) has |w| <= pi/3, and
+    Li2 = w - w^2/4 + sum_n B_2n w^(2n+1) / (2n+1)!, whose terms fall like
+    (|w| / 2pi)^2n (Zagier, "The dilogarithm function", 2007).
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    refl = x.real > 0.5
+    w = -np.log(1.0 - np.where(refl, 1.0 - x, x))
+    w2 = w * w
+    s = 0.0
+    for c in _DILOG_SERIES[::-1]:
+        s = s * w2 + c
+    out = w - 0.25 * w2 + w * w2 * s
+    if refl.any():
+        xr = x[refl]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.log(xr) * np.log(1.0 - xr)
+        out[refl] = math.pi**2 / 6.0 - np.where(xr == 1.0, 0.0, t) - out[refl]
+    return out
 
 
 def _inside(x, lo, hi):
@@ -1413,6 +1620,18 @@ class ExpPoly(FunctionExpr):
         if self.a != 0:
             return None, 0
         return _im_level_angles(self.p.scale(1j), r, [0.0]), 0  # Re p = Im(ip)
+
+    def closed_proximity(self, r):
+        # log|e^p| = Re p = Re c_0 + Re sum c_j e^{ij theta}, c_j = p_j r^j,
+        # integrated exactly between its zeros: Im(c_j e^{ij theta}) / j
+        angles = self.level_cuts(r, self)[0]
+        if angles is None:
+            return None
+        c = np.array([p_k * float(r)**k for k, p_k in enumerate(self.p.coeffs)])
+        a = c[1:] / np.arange(1, c.size)
+        g = (_unit_powers(angles, a.size) @ a).imag
+        mean = float(c[0].real)
+        return (*_arc_mean(angles, mean, g, 2.0 * _EPS * (abs(mean) + float(np.sum(np.abs(a))))), 0)
 
     def _divisor_impl(self, r):
         if self.a == 0:

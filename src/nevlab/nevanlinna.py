@@ -34,7 +34,7 @@ from .fnmodel import (
     record,
     subtract,
 )
-from .quadrature import QuadratureResult, adaptive_circle
+from .quadrature import QuadratureResult, adaptive_circle, check_tolerances
 
 # nudge applied when a divisor point sits essentially on the contour
 NUDGE_FACTOR = 1.0 + 1e-7
@@ -48,8 +48,13 @@ COUNT_INTEGER_TOL = 0.1
 @record
 class CharacteristicSample:
     """One radius worth of growth data.  ``r_used`` differs from ``r`` only
-    when the contour had to be nudged off a divisor point; ``panels`` and
-    ``evaluations`` are the quadrature's counts for the proximity mean."""
+    when the contour had to be nudged off a divisor point.  ``quad_err``,
+    ``panels`` and ``evaluations`` describe how the proximity mean was
+    found: by quadrature, its error estimate and counts (the kink search's
+    evaluations included); in closed form (see :func:`proximity`), the
+    rounding bound, 0 panels, and the evaluations of the kink search and
+    its certificate, where Jensen's formula is part of the computation and
+    mpmath and tighter quadrature are the independent checks."""
 
     r: float
     m: float
@@ -75,17 +80,18 @@ def _split_angles(expr: FunctionExpr, r: float) -> list[tuple[float, float]]:
     return list(zip((np.angle(b) % TWO_PI).tolist(), np.abs(np.log(np.abs(b) / r)).tolist()))
 
 
-def _needs_nudge(expr: FunctionExpr, r: float) -> bool:
+def _nudged(expr: FunctionExpr, r: float) -> float:
+    """r, or r moved out by ``NUDGE_FACTOR`` where a divisor point sits on |z| = r."""
     if not expr.is_divisor_transparent:
-        return False
+        return r
     div = expr.divisor_in_disc(r * (1.0 + 2.0 * ON_CIRCLE_REL))
-    return bool(div.band(r, ON_CIRCLE_REL))
+    return r * NUDGE_FACTOR if div.band(r, ON_CIRCLE_REL) else r
 
 
 def _circle_mean(expr: FunctionExpr, r: float, integrand, atol: float,
                  rtol: float, nudge: bool = True,
                  level_cuts: bool = False) -> tuple[QuadratureResult, float]:
-    """Mean of ``integrand(g, z)`` over a circle, and the radius used.
+    """Mean of ``integrand(g, z)`` over a circle by quadrature, and the radius used.
 
     The circle is |z| = r, moved out by ``NUDGE_FACTOR`` when ``nudge`` is set
     and a divisor point sits on it; divisor points near it become panel cuts
@@ -103,9 +109,7 @@ def _circle_mean(expr: FunctionExpr, r: float, integrand, atol: float,
     the nudge still read the full divisor.  The result's value and error
     estimate are means, its counts those of the quadrature.
     """
-    r_used = r
-    if nudge and _needs_nudge(expr, r):
-        r_used = r * NUDGE_FACTOR
+    r_used = _nudged(expr, r) if nudge else r
     g = expr.near_circle(r_used)
     # a finite atol stays finite when scaled; inf and NaN reach the check as given
     scaled_atol = min(atol * TWO_PI, sys.float_info.max) if math.isfinite(atol) else atol
@@ -120,27 +124,48 @@ def _circle_mean(expr: FunctionExpr, r: float, integrand, atol: float,
                        err_estimate=res.err_estimate / TWO_PI), r_used
 
 
+def _logplus(g, z: np.ndarray) -> np.ndarray:
+    """log+|f| at ``z`` through the circle form ``g``: the proximity integrand."""
+    lm = g._log_mod(z)
+    out = logplus(lm)
+    out[lm == -np.inf] = 0.0  # exact zeros contribute nothing to log+
+    return out
+
+
 def proximity(expr: FunctionExpr, r: float,
               atol: float = 1e-9, rtol: float = 1e-8) -> CharacteristicSample:
     """Circle mean of log+|f| at radius r, packaged with nudge/error metadata.
+
+    The tolerances are checked first (:func:`check_tolerances`) and the
+    radius nudged off any divisor point on the circle.  Then
+    :meth:`FunctionExpr.closed_proximity` answers where it can: for a
+    rational given by its divisor, Jensen's formula where the divisor alone
+    decides the sign of log|f|, else the dilogarithm arcs between its
+    certified kinks; for exp(p), the trigonometric arcs between its zeros
+    of Re p.  Such a sample has ``panels == 0``, the search's and the
+    certificate's evaluations, and the rounding bound as ``quad_err``.
+    Jensen's formula is then part of the computation, not a check of it:
+    the independent checks of these means are mpmath integrals and
+    quadrature at tighter tolerances (``_circle_mean``).  Every other
+    circle, and a rational whose kinks are not certified, runs the
+    quadrature with its kinks as cuts.
 
     The returned sample has ``N = 0`` and ``T = m``; callers wanting the full
     characteristic should use :func:`characteristic`.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
-
-    def integrand(g, z: np.ndarray) -> np.ndarray:
-        lm = g._log_mod(z)
-        out = logplus(lm)
-        out[lm == -np.inf] = 0.0  # exact zeros contribute nothing to log+
-        return out
-
-    res, r_used = _circle_mean(expr, r, integrand, atol, rtol, level_cuts=True)
-    return CharacteristicSample(r=r, m=res.value, N=0.0, T=res.value,
-                                quad_err=res.err_estimate, nudged=r_used != r,
-                                r_used=r_used, panels=res.panels,
-                                evaluations=res.evaluations)
+    check_tolerances(atol, rtol)
+    r_used = _nudged(expr, r)
+    closed = expr.closed_proximity(r_used)
+    if closed is not None:
+        m, err, spent = closed
+        panels = 0
+    else:
+        res = _circle_mean(expr, r_used, _logplus, atol, rtol, nudge=False, level_cuts=True)[0]
+        m, err, spent, panels = res.value, res.err_estimate, res.evaluations, res.panels
+    return CharacteristicSample(r=r, m=m, N=0.0, T=m, quad_err=err, nudged=r_used != r,
+                                r_used=r_used, panels=panels, evaluations=spent)
 
 
 def counting(divisor: Divisor, r: float, kind: str = "poles") -> float:

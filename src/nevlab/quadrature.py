@@ -1,5 +1,13 @@
 """Adaptive Gauss-Legendre quadrature on the unit circle of angles.
 
+It computes every circle mean that has no closed form: the proximity of
+exp towers, of exp(p) - a with a != 0, of products and quotients, of a
+rational whose kinks could not be certified, and every contour count.  For
+a rational given by its divisor and for exp(p), ``nevanlinna.proximity``
+takes the closed form instead (``FunctionExpr.closed_proximity``), so
+Jensen's formula is part of that computation; its independent checks are
+mpmath integrals and this quadrature run at tighter tolerances.
+
 Circle averages of log-type integrands have integrable singularities where
 a zero or pole sits on (or near) the contour, and kinks where log+|f| meets
 |f| = 1.  The caller hands these over as cuts, (angle, distance) pairs: the
@@ -97,6 +105,14 @@ def _seed_panels(cuts) -> tuple[np.ndarray, np.ndarray]:
     return np.array(knots[:-1]), np.array(knots[1:])
 
 
+def check_tolerances(atol: float, rtol: float) -> None:
+    """Raise ValueError unless ``atol`` and ``rtol`` are finite and
+    nonnegative, and not both zero."""
+    if not (0.0 <= atol < math.inf and 0.0 <= rtol < math.inf) or atol == rtol == 0.0:
+        raise ValueError("quadrature tolerances must be finite and nonnegative, "
+                         "and not both zero")
+
+
 def adaptive_circle(f: Callable[[np.ndarray], np.ndarray],
                     cuts=(),
                     atol: float = 1e-10,
@@ -123,15 +139,12 @@ def adaptive_circle(f: Callable[[np.ndarray], np.ndarray],
     remaining panel is already inside the global budget.  The global check
     matters near contour-touching zeros: cancellation noise in the integrand
     puts a floor under per-panel errors that a width-proportional share of
-    the budget would chase forever.  ``atol`` and ``rtol`` must be finite
-    and nonnegative, and not both zero, or ValueError is raised before any
-    evaluation.  ``evaluations`` counts those already spent on the
-    integrand's structure, such as a search for the cuts; the result's
-    count starts from it.
+    the budget would chase forever.  The tolerances go through
+    :func:`check_tolerances` before any evaluation.  ``evaluations`` counts
+    those already spent on the integrand's structure, such as a search for
+    the cuts; the result's count starts from it.
     """
-    if not (0.0 <= atol < math.inf and 0.0 <= rtol < math.inf) or atol == rtol == 0.0:
-        raise ValueError("quadrature tolerances must be finite and nonnegative, "
-                         "and not both zero")
+    check_tolerances(atol, rtol)
     lo, hi = _seed_panels(cuts)
     x, w = _gl_nodes(PANEL_ORDER)
 

@@ -48,7 +48,7 @@ from nevlab.fnmodel import (
 from nevlab.algmap import InvarianceReport
 from nevlab.boundslab import AsymSample, BoundConfig, BoundReport
 from nevlab.nevanlinna import (ON_CIRCLE_REL, BalanceSample, CharacteristicSample,
-                               proximity)
+                               _circle_mean, _logplus, proximity)
 from nevlab.quadrature import QuadratureResult, adaptive_circle
 
 Z = Polynomial((0j, 1.0))
@@ -1088,6 +1088,22 @@ def test_level_set_solve_is_bounded_by_the_panel_limit(monkeypatch):
     assert len(solves) == 1  # 5,000 shifts of degree 4: exactly the limit
 
 
+def test_dilog_meets_mpmath_on_the_closed_unit_disc():
+    # the disc's interior, its boundary, and the approach to the
+    # logarithmic point x = 1 from inside and along the circle
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(11)
+    rho = np.concatenate([np.sqrt(rng.uniform(size=150)), np.ones(80),
+                          1.0 - 10.0 ** -rng.uniform(1.0, 15.0, 40)])
+    x = np.concatenate([rho * np.exp(1j * rng.uniform(-math.pi, math.pi, rho.size)),
+                        [0.0, 0.5, -1.0, 1.0, 1.0 - 1e-12, 1.0 - 1e-300,
+                         np.exp(1e-8j), np.exp(-1e-15j), np.exp(1j * math.pi / 3),
+                         0.5 + 0.5j, 0.5000000001 + 0.8660254j]])
+    with mpmath.workdps(30):
+        want = np.array([complex(mpmath.polylog(2, mpmath.mpc(v.real, v.imag))) for v in x])
+    assert np.abs(fnmodel._dilog(x) - want).max() <= 1e-15
+
+
 # r = 22.64... holds the closest crossing pair of sweep seed 5 (0.0038 rad
 # apart, near a divisor point) and 4.40... lies inside the orbit's cloud
 @pytest.mark.parametrize("key, radii", [
@@ -1106,26 +1122,32 @@ def test_level_search_finds_one_angle_per_sign_change(reference_rationals, key, 
         assert changes.size == angles.size, (key, r)
         gap = np.abs((changes[:, None] - angles + math.pi) % TWO_PI - math.pi)
         assert gap.min(axis=1).max() <= 2.0 * TWO_PI / 400_000, (key, r)
-        # the scan's samples, then at most _SEARCH_STEPS steps per crossing
+        # the scan's samples, the certificate's bisections, then at most
+        # _SEARCH_STEPS steps per crossing
         band = len(f.divisor.band(r, CIRCLE_BAND))
         assert fnmodel._SCAN_POINTS + band < spent
-        assert spent <= fnmodel._SCAN_POINTS + band + fnmodel._SEARCH_STEPS * angles.size
+        assert spent <= (fnmodel._SCAN_POINTS + band + fnmodel._CERTIFY_NODES
+                         + fnmodel._SEARCH_STEPS * angles.size)
+        assert fnmodel._level_search(f, g, r)[2], (key, r)
 
 
-def test_level_search_misses_a_shallow_pair_between_its_samples(reference_rationals):
+def test_level_search_certifies_a_shallow_pair_between_its_samples(reference_rationals):
     # near theta = 2, orbit_left_m6 at this radius rises to log|f| = 0.028 for
-    # 0.036 rad, between two samples 0.098 apart with no divisor angle in
-    # between: of the 480 circles of four rationals at 120 radii in [0.5, 40],
-    # the only one on which the search misses a crossing.  The mean without
-    # the pair's cuts still meets its tolerance against a 1000x tighter run.
+    # 0.036 rad, between two scan samples 0.098 apart with no divisor angle in
+    # between: the scan alone misses the pair, and the certificate's
+    # bisections find it, so the closed-form mean integrates that arc too
     f = reference_rationals["orbit_left_m6"]
     r = 8.21086325832621
-    angles, changes = f.level_cuts(r, f.near_circle(r))[0], _sign_changes(f, r)
-    assert (angles.size, changes.size) == (8, 10)
+    angles, spent, certified = fnmodel._level_search(f, f.near_circle(r), r)
+    changes = _sign_changes(f, r)
+    assert certified and angles.size == changes.size == 10
     gap = np.abs((changes[:, None] - angles + math.pi) % TWO_PI - math.pi).min(axis=1)
-    assert np.all(np.abs(changes[gap > 1e-4] - 2.0) < 0.03)
-    s, tight = proximity(f, r), proximity(f, r, atol=1e-12, rtol=1e-11)
-    assert abs(s.m - tight.m) <= max(1e-9, 1e-8 * s.m)
+    assert gap.max() <= 2.0 * TWO_PI / 400_000
+    assert spent > fnmodel._SCAN_POINTS + len(f.divisor.band(r, CIRCLE_BAND)) + 6 * 10
+    s = proximity(f, r)
+    tight = _circle_mean(f, r, _logplus, atol=1e-12, rtol=1e-11, level_cuts=True)[0]
+    assert s.panels == 0 and s.evaluations == spent
+    assert abs(s.m - tight.value) <= 0.01 * max(1e-9, 1e-8 * s.m)
 
 
 def test_level_search_gives_up_where_log_f_keeps_one_sign(reference_rationals):

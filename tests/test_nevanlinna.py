@@ -28,8 +28,9 @@ from nevlab import (
     proximity,
     subtract,
 )
-from nevlab import nevanlinna
+from nevlab import fnmodel, nevanlinna
 from nevlab.fnmodel import InsufficientGrowth, NonMonotone
+from nevlab.nevanlinna import _circle_mean, _logplus
 
 Z = Polynomial((0j, 1.0))
 EXP_Z = ExpPoly(Z)
@@ -181,28 +182,114 @@ def test_level_cuts_are_only_hints(members, monkeypatch, key, r):
     for edited in [np.delete(angles, i) for i in range(angles.size)] + [
             np.sort(np.append(angles, 1.234))]:
         monkeypatch.setattr(type(expr), "level_cuts", lambda self, radius, g: (edited, 0))
-        s = proximity(expr, r)
-        assert abs(s.m - ref) <= max(1e-9, 1e-8 * s.m)
+        m = _circle_mean(expr, r, _logplus, 1e-9, 1e-8, level_cuts=True)[0].value
+        assert abs(m - ref) <= max(1e-9, 1e-8 * m)
 
 
 def test_proximity_counts_the_search_and_keeps_seeded_ends_without_a_crossing(
         members, monkeypatch):
-    # with crossings: the searched angles as cuts, the search's evaluations
-    # counted on top of the quadrature's; without: the ends seeded as for an
-    # unknown level set, and the scan's evaluations counted on top
+    # the quadrature of a rational's mean, its fallback: with crossings, the
+    # searched angles as cuts, the search's evaluations counted on top of
+    # the quadrature's; without, the ends seeded as for an unknown level
+    # set, and the scan's evaluations counted on top
     f, g = members["rat_zero1_pole2"].expr, members["orbit_left_m6"].expr
+
+    def quad(expr, r):
+        return _circle_mean(expr, r, _logplus, 1e-9, 1e-8, level_cuts=True)[0]
+
     for expr, r, found in ((f, 3.78921641565047, True), (g, 0.7, False)):
         angles, spent = expr.level_cuts(r, expr.near_circle(r))
         assert (angles is not None) == found and spent > 0
-        searched = proximity(expr, r)
+        searched = quad(expr, r)
         with monkeypatch.context() as patch:
             patch.setattr(RationalFromDivisor, "level_cuts", lambda self, radius, g: (angles, 0))
-            given = proximity(expr, r)
-        assert searched.m == given.m and searched.evaluations == given.evaluations + spent
+            given = quad(expr, r)
+        assert searched.value == given.value
+        assert searched.evaluations == given.evaluations + spent
     # plain cuts at the two kinks and no seeded ends: with the angle 0 they
     # make three panels, each accepted in the first round (48 nodes each)
-    s = proximity(f, 3.78921641565047)
-    assert s.panels == 3 and s.evaluations == 3 * 48 + f.level_cuts(s.r_used, f)[1]
+    res = quad(f, 3.78921641565047)
+    assert res.panels == 3 and res.evaluations == 3 * 48 + f.level_cuts(3.78921641565047, f)[1]
+
+
+def test_closed_form_samples_count_the_search_and_plan_no_fold_for_jensen(
+        members, monkeypatch):
+    # a closed-form mean has no panels, the search's and the certificate's
+    # nodes as its evaluations, and a quad_err at the rounding level; a
+    # circle whose sign the divisor bound decides, or on which |f| is
+    # constant, evaluates nothing and plans no fold
+    nodes, folds = [], []
+    slope, fold = fnmodel._log_slope, fnmodel._CircleFold.__init__
+    monkeypatch.setattr(fnmodel, "_log_slope",
+                        lambda form, r, theta: nodes.append(theta.size) or slope(form, r, theta))
+    monkeypatch.setattr(fnmodel._CircleFold, "__init__",
+                        lambda self, f, r: folds.append(r) or fold(self, f, r))
+    cases = [("rat_zero1_pole2", 3.78921641565047, True), ("orbit_left_m6", 8.21086325832621, True),
+             ("orbit_right_m6", 5.0, False), ("rat_pole0", 0.5, False),
+             ("exp_z3", 7.0, False), ("exp_z2", 3.0, False)]
+    for key, r, searched in cases:
+        nodes.clear()
+        folds.clear()
+        s = proximity(members[key].expr, r)
+        assert s.panels == 0 and s.evaluations == sum(nodes), key
+        assert type(s.m) is float and type(s.quad_err) is float, key  # the CLI prints repr
+        assert (s.evaluations > 0) == searched and (bool(folds) <= searched), key
+        assert 0.0 <= s.quad_err <= 1e-11 * (1.0 + s.m), key  # rounding, not tolerance
+    assert proximity(members["orbit_right_m6"].expr, 5.0).quad_err > 0.0
+
+
+@pytest.mark.parametrize("atol, rtol", [(math.nan, 1e-8), (math.inf, 1e-8), (0.0, 0.0), (-1.0, 1e-8)])
+def test_tolerances_are_checked_before_a_closed_form(members, atol, rtol):
+    for key in ("exp_z", "orbit_right_m6", "rat_pole0"):
+        with pytest.raises(ValueError, match="tolerances"):
+            proximity(members[key].expr, 2.0, atol=atol, rtol=rtol)
+
+
+P_EIGEN = Polynomial((3.0, 1.0 - 2.0j, 1.0))  # z^2 + (1 - 2i) z + 3
+
+
+@pytest.mark.parametrize("r", [2.5, 4.0, 6.0])
+def test_proximity_of_exp_of_a_nonmonomial_against_mpmath(r):
+    # Re p on the circle is a trigonometric polynomial whose zeros come from
+    # eigenvalues; mpmath finds them from its own sign scan and integrates
+    # max(Re p, 0) between them
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        rr = mpmath.mpf(r)
+
+        def re_p(t):
+            z = rr * mpmath.expj(t)
+            return mpmath.re(z * z + mpmath.mpc(1, -2) * z + 3)
+
+        grid = [2 * mpmath.pi * k / 96 for k in range(97)]
+        cuts = [grid[0], grid[-1]] + [mpmath.findroot(re_p, (a, b), solver="anderson")
+                                      for a, b in zip(grid, grid[1:]) if re_p(a) * re_p(b) < 0]
+        ref = float(mpmath.quad(lambda t: max(re_p(t), 0), sorted(cuts)) / (2 * mpmath.pi))
+    assert len(cuts) > 2
+    s = proximity(ExpPoly(P_EIGEN), r)
+    assert s.panels == 0 and s.evaluations == 0
+    assert abs(s.m - ref) <= 1e-3 * max(1e-9, 1e-8 * ref)
+
+
+def test_proximity_of_a_sign_decided_orbit_circle_against_mpmath(members):
+    # the divisor bound keeps log|f| of orbit_right_m6 above 0 on |z| = 5, so
+    # the mean is Jensen's; mpmath integrates log|f| over the circle itself
+    mpmath = pytest.importorskip("mpmath")
+    f, r = members["orbit_right_m6"].expr, 5.0
+    assert fnmodel._divisor_sign(f, r) == 1
+    with mpmath.workdps(20):
+        pts = [(mpmath.mpc(p.real, p.imag), m) for p, m in f.divisor.entries]
+        start = mpmath.log(abs(mpmath.mpc(f.scale.real, f.scale.imag)))
+        o = f.divisor.origin_order
+
+        def log_f(t):
+            z = r * mpmath.expj(t)
+            return start + o * mpmath.log(r) + mpmath.fsum(m * mpmath.log(abs(z - p)) for p, m in pts)
+
+        ref = float(mpmath.quad(log_f, mpmath.linspace(0, 2 * mpmath.pi, 5)) / (2 * mpmath.pi))
+    s = proximity(f, r)
+    assert s.panels == 0 and s.evaluations == 0
+    assert abs(s.m - ref) <= 1e-3 * max(1e-9, 1e-8 * ref)
 
 
 def test_proximity_of_identity_function_is_log_r():
@@ -451,11 +538,12 @@ def test_argument_principle_through_the_fold_matches_divisor(family):
         assert argument_principle_count(expr, r) == d.total("zeros") - d.total("poles"), r
 
 
-def test_samples_keep_the_quadrature_counts(monkeypatch):
+def test_samples_keep_the_quadrature_counts(members, monkeypatch):
+    # exp(z) - 1 has no closed-form mean: its sample carries the quadrature's counts
     seen, quad = [], nevanlinna.adaptive_circle
     monkeypatch.setattr(nevanlinna, "adaptive_circle",
                         lambda *a, **k: seen.append(quad(*a, **k)) or seen[-1])
-    s = characteristic(EXP_Z2, 3.0)
+    s = characteristic(members["expz_minus_1"].expr, 3.0)
     assert (s.panels, s.evaluations) == (seen[0].panels, seen[0].evaluations)
     assert s.evaluations > 0 and s.panels > 0
 

@@ -34,6 +34,9 @@ COMMANDS = [
     *(["char", "--fn", key, "--radii", "1e-200,1e-8"] for key in CORPUS),
     *(["char", "--fn", key, "--radii", "1e8,1e200"] for key in CORPUS),
     ["char", "--fn", "orbit_left_m6", "--rmin", "0.5", "--rmax", "40", "--count", "12"],
+    # a crossing pair between two scan samples, and circles the divisor bound decides
+    ["char", "--fn", "orbit_left_m6", "--radii", "8.21086325832621"],
+    ["char", "--fn", "orbit_right_m6", "--rmin", "1", "--rmax", "1e6", "--count", "12"],
     ["char", "--fn", "const_5", "--radii", "1,2"],
     ["char", "--fn", "nope", "--radii", "1"],
     ["hyperorder", "--fn", "exp_z"],
