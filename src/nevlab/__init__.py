@@ -103,6 +103,7 @@ from .nevanlinna import (
     jensen_lhs_rhs,
     log_radii,
     n_count,
+    proximities,
     proximity,
 )
 

@@ -52,11 +52,11 @@ from .fnmodel import (
 )
 from .nevanlinna import (
     _origin_leading_logmod,
-    characteristic,
+    characteristic_sweep,
     counting,
     hyperorder_estimate,
     log_radii,
-    proximity,
+    proximities,
 )
 from .quadrature import adaptive_circle
 
@@ -207,12 +207,12 @@ def lemma1_check(expr: FunctionExpr, pair: PolyPair, cfg: BoundConfig,
     anchor = logplus(np.array(-_origin_leading_logmod(expr, o))).item()
     K = k_constant(cfg, pair)
     ratio_expr = Quotient(compose_poly(work, pair.omega), compose_poly(work, pair.phi))
+    radii = [float(r) for r in rgrid]
+    bigs = characteristic_sweep(work, [cfg.alpha * abs(pair.c) * r**pair.n for r in radii],
+                                atol=atol, rtol=rtol)
     out = []
-    for r in rgrid:
-        r = float(r)
-        prox = proximity(ratio_expr, r, atol=atol, rtol=rtol)
-        big_r = cfg.alpha * abs(pair.c) * r**pair.n
-        T_big = characteristic(work, big_r, atol=atol, rtol=rtol).T
+    for r, prox, big in zip(radii, proximities(ratio_expr, radii, atol=atol, rtol=rtol), bigs):
+        T_big = big.T
         rhs = K / r ** (cfg.delta / pair.n) * (T_big + anchor)
         margin = rhs - prox.m
         out.append(BoundReport(
@@ -264,7 +264,7 @@ def asym_ratio(expr: FunctionExpr, omega: Polynomial, rgrid,
     c = abs(omega.leading)
     composed = compose_poly(expr, omega)
     base_radii = [c * float(r) ** n for r in rgrid]
-    T_base = [characteristic(expr, rr, atol=atol, rtol=rtol).T for rr in base_radii]
+    T_base = [s.T for s in characteristic_sweep(expr, base_radii, atol=atol, rtol=rtol)]
     est = hyperorder_estimate(base_radii, T_base)
     limit = 1.0 / n**2 - ASYM_SLOPE_MARGIN
     if est.varsigma >= limit:
@@ -272,10 +272,10 @@ def asym_ratio(expr: FunctionExpr, omega: Polynomial, rgrid,
             f"hyper-order estimate {est.varsigma:.3f} >= 1/n^2 = {limit:.3f}; "
             "the ratio asymptotic does not apply"
         )
+    composed_T = characteristic_sweep(composed, rgrid, atol=atol, rtol=rtol)
     out = []
-    for r, Tb in zip(rgrid, T_base):
-        Tc = characteristic(composed, float(r), atol=atol, rtol=rtol).T
-        out.append(AsymSample(r=float(r), ratio=Tc / Tb, T_composed=Tc, T_base=Tb))
+    for r, Tb, s in zip(rgrid, T_base, composed_T):
+        out.append(AsymSample(r=float(r), ratio=s.T / Tb, T_composed=s.T, T_base=Tb))
     return out
 
 
@@ -330,6 +330,10 @@ def smt_check(expr: FunctionExpr, pair: PolyPair, targets, slack: float,
     Radii violating the inequality are flagged as exceptional candidates and
     their grid cells' logarithmic measure is accumulated.
     """
+    grid = np.asarray([float(r) for r in rgrid])
+    if not (grid.size and np.isfinite(grid).all() and grid[0] > 0 and (np.diff(grid) > 0).all()):
+        raise ValueError("smt_check needs one or more finite positive radii, "
+                         "strictly increasing")
     targets = [complex(a) for a in targets]
     if (len(targets) < 2 or len(set(targets)) != len(targets)
             or not all(map(cmath.isfinite, targets))):
@@ -349,17 +353,15 @@ def smt_check(expr: FunctionExpr, pair: PolyPair, targets, slack: float,
         )
     recips = [Quotient(Const(1.0), subtract(comp_phi, Const(a))) for a in targets]
 
-    grid = np.asarray([float(r) for r in rgrid])
-    if not grid.size:
-        raise ValueError("smt_check needs at least one radius")
     widths = _cell_logwidths(grid)
+    phi_samples = characteristic_sweep(comp_phi, grid, atol=atol, rtol=rtol)
+    recip_means = [proximities(q, grid, atol=atol, rtol=rtol) for q in recips]
     reports = []
     exc_measure = 0.0
-    for r, w in zip(grid, widths):
-        phi_sample = characteristic(comp_phi, r, atol=atol, rtol=rtol)
+    for k, (r, w, phi_sample) in enumerate(zip(grid, widths, phi_samples)):
         m_sum = phi_sample.m
-        for q in recips:
-            m_sum += proximity(q, r, atol=atol, rtol=rtol).m
+        for means in recip_means:
+            m_sum += means[k].m
         r_used = phi_sample.r_used
         div_diff = diff.divisor_in_disc(r_used)
         N_corr = (2.0 * counting(comp_phi.divisor_in_disc(r_used), r_used, "poles")
@@ -509,10 +511,11 @@ def borel_probe(expr: FunctionExpr, n: int, c: complex, epsilon: float,
     grid = log_radii(rmin, rmax, count)
     cmod = abs(complex(c))
 
-    def g(r: float) -> float:
-        return characteristic(expr, cmod * r**n, atol=atol, rtol=rtol).T
+    def g(radii) -> np.ndarray:  # T(|c| r^n, f) over a grid
+        return np.array([s.T for s in characteristic_sweep(
+            expr, [cmod * r**n for r in radii], atol=atol, rtol=rtol)])
 
-    gvals = np.array([g(r) for r in grid])
+    gvals = g(grid)
     above = np.nonzero(gvals >= math.e)[0]
     if above.size == 0:
         raise InsufficientGrowth("growth never reaches e on the grid")
@@ -520,10 +523,9 @@ def borel_probe(expr: FunctionExpr, n: int, c: complex, epsilon: float,
     widths = _cell_logwidths(grid)
     measured = 0.0
     n_exc = 0
-    for i in range(i0, grid.size):
-        gr = gvals[i]
-        beta = 1.0 + 1.0 / math.log(gr) ** (1.0 + epsilon)
-        if g(beta * grid[i]) > 2.0 * gr * (1.0 + 1e-9):
+    betas = [1.0 + 1.0 / math.log(gr) ** (1.0 + epsilon) for gr in gvals[i0:]]
+    for i, gr, g_beta in zip(range(i0, grid.size), gvals[i0:], g(betas * grid[i0:])):
+        if g_beta > 2.0 * gr * (1.0 + 1e-9):
             measured += float(widths[i])
             n_exc += 1
     bound = borel_closed_form(epsilon, float(gvals[-1]))

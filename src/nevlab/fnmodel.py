@@ -765,10 +765,15 @@ class Divisor:
         return Divisor(tuple((p, -m) for p, m in self.entries), -self.origin_order)
 
     def merge(self, other: "Divisor") -> "Divisor":
-        return Divisor.build(
-            list(self.entries) + list(other.entries),
-            self.origin_order + other.origin_order,
-        )
+        """Both sides' points, as :meth:`build` merges them; one side's columns
+        go straight to :meth:`_from_arrays` where the other has no entries."""
+        origin = self.origin_order + other.origin_order
+        if not (self.entries and other.entries):
+            one = self if self.entries else other
+            z, m = (col[bool(one.origin_order):, 0] for col in one._columns)
+            if not (np.hypot(z.real, z.imag) < ORIGIN_SNAP).any():  # else build snaps them
+                return Divisor._from_arrays(z, m.astype(np.int64), origin, MERGE_TOL)
+        return Divisor.build(list(self.entries) + list(other.entries), origin)
 
     def signed(self, kind: str) -> "Divisor":
         """Restrict to zeros (``kind='zeros'``) or poles, multiplicities made positive."""
@@ -1569,6 +1574,13 @@ class ExpPoly(FunctionExpr):
         return big, small, ~(big | small)
 
     def _log_parts(self, z):
+        return self._logs(z, True)
+
+    def _log_mod(self, z):
+        return self._logs(z, False)[0]
+
+    def _logs(self, z, with_arg: bool):
+        """(log|f|, arg f or None): log f = base + log t in each regime."""
         with np.errstate(over="ignore", invalid="ignore"):
             w = _carray(self.p(z))
         finite = np.isfinite(w)
@@ -1576,26 +1588,21 @@ class ExpPoly(FunctionExpr):
             raise OverflowSignal("the exponent of exp(p) is not finite here: "
                                  "log|f| leaves the floating range")
         if self.a == 0:
-            return w.real.copy(), w.imag.copy()
+            return w.real.copy(), w.imag.copy() if with_arg else None
         big, small, mid = self._regimes(w)
-        lm = np.empty(w.shape)
-        ag = np.empty(w.shape)
-        # |e^p| >> |a|:  log f = p + log(1 - a e^-p)
-        if np.any(big):
-            corr = np.log(1.0 - self.a * np.exp(-w[big]))
-            lm[big] = w[big].real + corr.real
-            ag[big] = w[big].imag + corr.imag
-        # |e^p| << |a|:  log f = log(-a) + log(1 - e^p / a)
-        if np.any(small):
-            corr = np.log(1.0 - np.exp(w[small]) / self.a)
-            base = cmath.log(-self.a)
-            lm[small] = base.real + corr.real
-            ag[small] = base.imag + corr.imag
+        parts = []  # (mask, t, base)
+        if np.any(big):  # |e^p| >> |a|:  log f = p + log(1 - a e^-p)
+            parts.append((big, 1.0 - self.a * np.exp(-w[big]), w[big]))
+        if np.any(small):  # |e^p| << |a|:  log f = log(-a) + log(1 - e^p / a)
+            parts.append((small, 1.0 - np.exp(w[small]) / self.a, cmath.log(-self.a)))
         if np.any(mid):
-            v = np.exp(w[mid]) - self.a
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lm[mid] = np.log(np.abs(v))
-                ag[mid] = np.angle(v)
+            parts.append((mid, np.exp(w[mid]) - self.a, None))
+        lm, ag = np.empty(w.shape), np.empty(w.shape) if with_arg else None
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for mask, t, base in parts:
+                lm[mask] = np.log(np.abs(t)) if base is None else base.real + np.log(np.abs(t))
+                if with_arg:
+                    ag[mask] = np.angle(t) if base is None else base.imag + np.angle(t)
         return lm, ag
 
     def _logderivs(self, z):

@@ -34,7 +34,7 @@ from .fnmodel import (
     record,
     subtract,
 )
-from .quadrature import QuadratureResult, adaptive_circle, check_tolerances
+from .quadrature import QuadratureResult, adaptive_circle, adaptive_circles, check_tolerances
 
 # nudge applied when a divisor point sits essentially on the contour
 NUDGE_FACTOR = 1.0 + 1e-7
@@ -88,40 +88,51 @@ def _nudged(expr: FunctionExpr, r: float) -> float:
     return r * NUDGE_FACTOR if div.band(r, ON_CIRCLE_REL) else r
 
 
-def _circle_mean(expr: FunctionExpr, r: float, integrand, atol: float,
-                 rtol: float, nudge: bool = True,
-                 level_cuts: bool = False) -> tuple[QuadratureResult, float]:
-    """Mean of ``integrand(g, z)`` over a circle by quadrature, and the radius used.
+def _circle_means(expr: FunctionExpr, radii, integrand, atol: float, rtol: float,
+                  nudge: bool = True,
+                  level_cuts: bool = False) -> list[tuple[QuadratureResult, float]]:
+    """Means of ``integrand(g, z)`` over circles by quadrature, each with the radius used.
 
-    The circle is |z| = r, moved out by ``NUDGE_FACTOR`` when ``nudge`` is set
-    and a divisor point sits on it; divisor points near it become panel cuts
-    graded by their distance, and with ``level_cuts`` the angles where
+    Each circle is |z| = r, moved out by ``NUDGE_FACTOR`` when ``nudge`` is
+    set and a divisor point sits on it; divisor points near it become panel
+    cuts graded by their distance, and with ``level_cuts`` the angles where
     |f| = 1 (the kinks of log+|f|) that :meth:`FunctionExpr.level_cuts`
     returns become plain cuts, and the evaluations it spent count in the
     result.  Where those angles are not known (None), the ends 0 and 2pi
     are cut as a singularity on the circle and seeded ``SEED_LEVELS``
     deep, as uniform seeding did (six panels with no divisor point near),
     so that the seed panels are narrow enough for the split-and-compare
-    test to see the unknown kinks.
-    ``g = expr.near_circle(r_used)``, built once here, is the form the
-    integrand reads its channel from: for a rational given by its divisor,
-    the points far from the circle folded into series.  The panel cuts and
-    the nudge still read the full divisor.  The result's value and error
-    estimate are means, its counts those of the quadrature.
+    test to see the unknown kinks.  ``g = expr.near_circle(r_used)`` is the
+    form the integrand reads: for a rational given by its divisor, the
+    points far from the circle folded into series; the cuts and the nudge
+    still read the full divisor.  The circles where ``g`` is ``expr`` run in
+    lockstep (:func:`adaptive_circles`), any other circle alone.  The
+    values and error estimates are means, the counts the quadrature's.
     """
-    r_used = _nudged(expr, r) if nudge else r
-    g = expr.near_circle(r_used)
     # a finite atol stays finite when scaled; inf and NaN reach the check as given
     scaled_atol = min(atol * TWO_PI, sys.float_info.max) if math.isfinite(atol) else atol
-    cuts = _split_angles(expr, r_used)
-    spent = 0
-    if level_cuts:
-        angles, spent = expr.level_cuts(r_used, g)
-        cuts += [(0.0, 0.0)] if angles is None else [(a, math.inf) for a in angles.tolist()]
-    res = adaptive_circle(lambda theta: integrand(g, r_used * np.exp(1j * theta)),
-                          cuts, atol=scaled_atol, rtol=rtol, evaluations=spent)
-    return res.replace(value=res.value / TWO_PI,
-                       err_estimate=res.err_estimate / TWO_PI), r_used
+    out, shared = {}, []  # shared: (index, radius used, cuts, spent) of the lockstep circles
+    for k, r in enumerate(radii):
+        r_used = _nudged(expr, r) if nudge else r
+        g = expr.near_circle(r_used)
+        cuts = _split_angles(expr, r_used)
+        spent = 0
+        if level_cuts:
+            angles, spent = expr.level_cuts(r_used, g)
+            cuts += [(0.0, 0.0)] if angles is None else [(a, math.inf) for a in angles.tolist()]
+        if g is expr and len(radii) > 1:  # one circle: adaptive_circle, which bench/ wraps
+            shared.append((k, r_used, cuts, spent))
+        else:
+            out[k] = adaptive_circle(lambda theta: integrand(g, r_used * np.exp(1j * theta)),
+                                     cuts, atol=scaled_atol, rtol=rtol, evaluations=spent), r_used
+    if shared:
+        index, used, cuts, spent = zip(*shared)
+        r_of = np.array(used)
+        out.update(zip(index, zip(adaptive_circles(
+            lambda theta, c: integrand(expr, r_of[c] * np.exp(1j * theta)),
+            cuts, atol=scaled_atol, rtol=rtol, evaluations=spent), used)))
+    return [(res.replace(value=res.value / TWO_PI, err_estimate=res.err_estimate / TWO_PI), r_used)
+            for res, r_used in map(out.get, range(len(radii)))]
 
 
 def _logplus(g, z: np.ndarray) -> np.ndarray:
@@ -132,12 +143,13 @@ def _logplus(g, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def proximity(expr: FunctionExpr, r: float,
-              atol: float = 1e-9, rtol: float = 1e-8) -> CharacteristicSample:
-    """Circle mean of log+|f| at radius r, packaged with nudge/error metadata.
+def proximities(expr: FunctionExpr, radii,
+                atol: float = 1e-9, rtol: float = 1e-8) -> list[CharacteristicSample]:
+    """Circle means of log+|f| at each radius, packaged with nudge/error metadata.
 
-    The tolerances are checked first (:func:`check_tolerances`) and the
-    radius nudged off any divisor point on the circle.  Then
+    The radii must be positive, and the tolerances pass
+    :func:`check_tolerances`, before anything is evaluated.  Each radius is
+    nudged off any divisor point on its circle.  Then
     :meth:`FunctionExpr.closed_proximity` answers where it can: for a
     rational given by its divisor, Jensen's formula where the divisor alone
     decides the sign of log|f|, else the dilogarithm arcs between its
@@ -146,26 +158,34 @@ def proximity(expr: FunctionExpr, r: float,
     certificate's evaluations, and the rounding bound as ``quad_err``.
     Jensen's formula is then part of the computation, not a check of it:
     the independent checks of these means are mpmath integrals and
-    quadrature at tighter tolerances (``_circle_mean``).  Every other
-    circle, and a rational whose kinks are not certified, runs the
-    quadrature with its kinks as cuts.
-
-    The returned sample has ``N = 0`` and ``T = m``; callers wanting the full
-    characteristic should use :func:`characteristic`.
+    quadrature at tighter tolerances (``_circle_means``).  The other
+    circles, a rational's uncertified ones included, run the quadrature
+    with their kinks as cuts, in lockstep where the integrand reads the
+    expression itself: exp(p) - a, exp towers, quotients and products.
+    The samples have ``N = 0``; :func:`characteristic_sweep` adds N.
     """
-    if r <= 0:
+    if any(r <= 0 for r in radii):
         raise ValueError("radius must be positive")
     check_tolerances(atol, rtol)
-    r_used = _nudged(expr, r)
-    closed = expr.closed_proximity(r_used)
-    if closed is not None:
-        m, err, spent = closed
-        panels = 0
-    else:
-        res = _circle_mean(expr, r_used, _logplus, atol, rtol, nudge=False, level_cuts=True)[0]
-        m, err, spent, panels = res.value, res.err_estimate, res.evaluations, res.panels
-    return CharacteristicSample(r=r, m=m, N=0.0, T=m, quad_err=err, nudged=r_used != r,
-                                r_used=r_used, panels=panels, evaluations=spent)
+    used = [_nudged(expr, r) for r in radii]
+    closed = [expr.closed_proximity(r_used) for r_used in used]
+    rest = [r_used for r_used, c in zip(used, closed) if c is None]
+    means = iter(rest and _circle_means(expr, rest, _logplus, atol, rtol,
+                                        nudge=False, level_cuts=True))
+    samples = []
+    for r, r_used, c in zip(radii, used, closed):
+        res = next(means)[0] if c is None else None
+        m, err, spent = c or (res.value, res.err_estimate, res.evaluations)
+        samples.append(CharacteristicSample(r=r, m=m, N=0.0, T=m, quad_err=err,
+                                            nudged=r_used != r, r_used=r_used,
+                                            panels=res.panels if res else 0, evaluations=spent))
+    return samples
+
+
+def proximity(expr: FunctionExpr, r: float,
+              atol: float = 1e-9, rtol: float = 1e-8) -> CharacteristicSample:
+    """The circle mean of log+|f| at radius r: :func:`proximities` at one radius."""
+    return proximities(expr, [r], atol=atol, rtol=rtol)[0]
 
 
 def counting(divisor: Divisor, r: float, kind: str = "poles") -> float:
@@ -184,10 +204,8 @@ def n_count(divisor: Divisor, r: float, kind: str = "poles") -> int:
     return divisor.restrict(r).total(kind)
 
 
-def characteristic(expr: FunctionExpr, r: float,
-                   atol: float = 1e-9, rtol: float = 1e-8) -> CharacteristicSample:
-    """T(r) = m(r) + N(r) for the expression's poles."""
-    sample = proximity(expr, r, atol=atol, rtol=rtol)
+def _with_poles(expr: FunctionExpr, sample: CharacteristicSample) -> CharacteristicSample:
+    """The sample with N(r) of the expression's poles, and T = m + N."""
     if expr.is_divisor_transparent:
         N = counting(expr.divisor_in_disc(sample.r_used), sample.r_used, "poles")
     elif expr.is_entire:
@@ -197,9 +215,17 @@ def characteristic(expr: FunctionExpr, r: float,
     return sample.replace(N=N, T=sample.m + N)
 
 
+def characteristic(expr: FunctionExpr, r: float,
+                   atol: float = 1e-9, rtol: float = 1e-8) -> CharacteristicSample:
+    """T(r) = m(r) + N(r) for the expression's poles."""
+    return _with_poles(expr, proximity(expr, r, atol=atol, rtol=rtol))
+
+
 def characteristic_sweep(expr: FunctionExpr, radii,
                          atol: float = 1e-9, rtol: float = 1e-8) -> list[CharacteristicSample]:
-    return [characteristic(expr, float(r), atol=atol, rtol=rtol) for r in radii]
+    """T(r) at every radius, from one :func:`proximities` run."""
+    return [_with_poles(expr, s)
+            for s in proximities(expr, [float(r) for r in radii], atol=atol, rtol=rtol)]
 
 
 def log_radii(rmin: float, rmax: float, count: int = 50) -> np.ndarray:
@@ -315,8 +341,8 @@ def argument_principle_count(expr: FunctionExpr, r: float,
     signed count.  A residual further than ``COUNT_INTEGER_TOL`` from an integer
     raises :class:`NonIntegerResidual`.
     """
-    raw = _circle_mean(expr, r, lambda g, z: (z * g._logderivs(z)).real,
-                       atol, rtol)[0].value
+    raw = _circle_means(expr, [r], lambda g, z: (z * g._logderivs(z)).real,
+                        atol, rtol)[0][0].value
     nearest = round(raw)
     if abs(raw - nearest) > COUNT_INTEGER_TOL:
         raise NonIntegerResidual(
@@ -339,8 +365,8 @@ def jensen_lhs_rhs(expr: FunctionExpr, r: float,
     where c is the leading coefficient of f at the origin (the first nonzero
     Laurent coefficient) and origin order contributes ``order * log r``.
     """
-    lhs = _circle_mean(expr, r, lambda g, z: g._log_mod(z), atol, rtol,
-                       nudge=False)[0].value
+    lhs = _circle_means(expr, [r], lambda g, z: g._log_mod(z), atol, rtol,
+                        nudge=False)[0][0].value
 
     div = expr.divisor_in_disc(r)
     rhs = counting(div, r, "zeros") - counting(div, r, "poles")

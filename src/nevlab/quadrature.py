@@ -27,10 +27,12 @@ spurious cut costs a panel.
 A plain split-and-compare loop then drives the refinement: a panel is
 accepted when the difference between its one-panel value and the sum over
 its two halves is below the width-proportional share of the error budget.
-Each round calls the integrand once, on the nodes of both halves of every
-active panel (the first round adds the seed panels' own nodes), and forms
-the panel values with one gemv per block (coarse, left, right): one gemv
-over the stacked blocks would move last bits.
+It runs many circles in lockstep, each with its own budget and exit
+(Shampine, J. Comput. Appl. Math. 211, 2008, as in quadgk): each round
+calls the integrand for all of them, on both halves of every active panel
+(the first round adds the seed panels), in calls of at most
+``MAX_CALL_NODES`` nodes, with one gemv per block (coarse, left, right):
+one gemv over the stacked blocks would move last bits.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .fnmodel import MAX_PANELS, TWO_PI, QuadratureFailure, record
 
 PANEL_ORDER = 16
 SEED_LEVELS = 3
+MAX_CALL_NODES = 4096  # nodes per integrand call: bounds the integrand's temporaries
 MIN_WIDTH = 1e-15
 MERGE_GAP = 1e-12  # cuts closer than this share one edge
 
@@ -120,46 +123,66 @@ def adaptive_circle(f: Callable[[np.ndarray], np.ndarray],
                     max_rounds: int = 60,
                     max_panels: int = MAX_PANELS,
                     evaluations: int = 0) -> QuadratureResult:
-    """Integrate ``f`` over [0, 2pi) with panels seeded from ``cuts``.
+    """Integrate ``f`` over [0, 2pi) with panels seeded from ``cuts``: the
+    one-circle case of :func:`adaptive_circles`, for an ``f`` of the angles.
 
     ``cuts`` holds (angle, distance) pairs: each angle becomes a panel edge,
     refined toward by the number of dyadic levels its distance calls for
     (see the module docstring); distance 0 marks a singularity on the
-    circle, ``math.inf`` a plain edge.
+    circle, ``math.inf`` a plain edge.  ``evaluations`` counts those already
+    spent on the integrand's structure, such as a search for the cuts; the
+    result's count starts from it.
+    """
+    return adaptive_circles(lambda theta, _: f(theta), [cuts], atol, rtol, max_rounds,
+                            max_panels, [evaluations])[0]
 
-    ``f`` must accept a 1-D angle array and return real values of matching
-    shape.  It is called once per refinement round, on the nodes of both
-    halves of every active panel (the first round adds the seed panels'
-    nodes).  Each block of panels -- coarse, left, right -- gets its own
-    gemv, so the values match separate calls per block bit for bit.  A
-    panel whose value is non-finite gets one nudge retry, one more call per
-    block, after which :class:`QuadratureFailure` is raised.  The error control accepts a panel
-    when ``|coarse - fine| <= max(atol, rtol*|total|) * width / 2pi``, and
-    the whole run finishes early once the summed error estimate over every
-    remaining panel is already inside the global budget.  The global check
-    matters near contour-touching zeros: cancellation noise in the integrand
-    puts a floor under per-panel errors that a width-proportional share of
-    the budget would chase forever.  The tolerances go through
-    :func:`check_tolerances` before any evaluation.  ``evaluations`` counts
-    those already spent on the integrand's structure, such as a search for
-    the cuts; the result's count starts from it.
+
+def adaptive_circles(f: Callable[[np.ndarray, np.ndarray], np.ndarray], cuts_per_circle,
+                     atol: float = 1e-10, rtol: float = 1e-8, max_rounds: int = 60,
+                     max_panels: int = MAX_PANELS, evaluations=()) -> list[QuadratureResult]:
+    """Integrate over [0, 2pi) on many circles in lockstep, circle c with
+    panels seeded from ``cuts_per_circle[c]`` (see :func:`adaptive_circle`).
+
+    ``f(theta, circle)`` takes angles and the circle index of each, and
+    returns real values of matching shape.  Each round calls it on both
+    halves of every active panel of the unfinished circles (the first round
+    adds the seed panels), at most ``MAX_CALL_NODES`` nodes a call, with one
+    gemv per block of panels -- coarse, left, right -- as separate calls
+    would have.  A non-finite panel gets one nudge retry, then
+    :class:`QuadratureFailure`.  The rest is each circle's own, as in a lone
+    run: a panel is accepted when ``|coarse - fine| <= max(atol,
+    rtol*|total|) * width / 2pi``; the circle ends once its summed error
+    estimate is inside the global budget, which cancellation noise near
+    contour-touching zeros needs; ``max_panels``, ``max_rounds`` and the
+    evaluation count, from ``evaluations[c]`` (0 if not given).  A circle
+    keeps its panels in a lone run's order and sums its own slice, so a
+    lone circle runs bit for bit as before.  The tolerances go through
+    :func:`check_tolerances` before any evaluation.
     """
     check_tolerances(atol, rtol)
-    lo, hi = _seed_panels(cuts)
+    seeds = [_seed_panels(cuts) for cuts in cuts_per_circle]
+    n = len(seeds)
+    lo, hi = (np.concatenate(ends) for ends in zip(*seeds))
+    live, counts = list(range(n)), [s[0].size for s in seeds]  # unfinished circles, panels
+    circle = np.repeat(live, counts)  # of each panel
+    spent = list(evaluations) if evaluations else [0] * n
     x, w = _gl_nodes(PANEL_ORDER)
 
-    def panel_values(lo_b, hi_b, retry=True):
+    def panel_values(lo_b, hi_b, circle, retry=True):
         """Gauss-Legendre values of f over the panels [lo_b, hi_b], given
-        as (blocks, panels) arrays, from one call to f; ``retry`` allows
-        the nudge retry of the panels whose value is non-finite."""
-        nonlocal evaluations
+        as (blocks, panels) arrays of the circles ``circle``; ``retry``
+        allows the nudge retry of the panels whose value is non-finite."""
         half = 0.5 * (hi_b - lo_b)
-        theta = (0.5 * (hi_b + lo_b))[..., None] + half[..., None] * x
-        vals = f(theta.ravel()).reshape(theta.shape)
-        evaluations += theta.size
+        mid, of = (0.5 * (hi_b + lo_b)).ravel(), np.concatenate((circle,) * len(half))
         out = np.empty(half.shape)
-        for k, block in enumerate(vals):
-            out[k] = block @ w  # one gemv per block: a stacked gemv moves last bits
+        flat, per_block, per_call = out.ravel(), half.shape[1], MAX_CALL_NODES // PANEL_ORDER
+        for a in range(0, flat.size, per_call):  # the panels of one call
+            end = min(a + per_call, flat.size)
+            theta = mid[a:end, None] + half.ravel()[a:end, None] * x
+            vals = f(theta.ravel(), np.repeat(of[a:end], PANEL_ORDER)).reshape(theta.shape)
+            for u in range(a - a % per_block, end, per_block):  # one gemv per block:
+                b0, b1 = max(u, a), min(u + per_block, end)  # a stacked gemv moves last bits
+                flat[b0:b1] = vals[b0 - a:b1 - a] @ w
         out *= half
         if np.isfinite(out).all():
             return out
@@ -173,53 +196,72 @@ def adaptive_circle(f: Callable[[np.ndarray], np.ndarray],
                 # legal, a singular interior node means the split angles missed it
                 a, b = lo_b[k, bad], hi_b[k, bad]
                 shrink = 1e-9 * (b - a)
-                out[k, bad] = panel_values((a + shrink)[None], (b - shrink)[None], False)[0]
+                for c in circle[bad].tolist():
+                    spent[c] += PANEL_ORDER
+                out[k, bad] = panel_values((a + shrink)[None], (b - shrink)[None],
+                                           circle[bad], False)[0]
         return out
 
-    accepted_val, accepted_err, accepted_cnt = 0.0, 0.0, 0
+    accepted_val, accepted_err, accepted_cnt = [0.0] * n, [0.0] * n, [0] * n
     coarse = None
 
     for _ in range(max_rounds):
         edges = np.array((lo, 0.5 * (lo + hi), hi))
         if coarse is None:  # the seed panels' own values ride in the first call
-            coarse, left, right = blocks = panel_values(edges[[0, 0, 1]], edges[[2, 1, 2]])
+            coarse, left, right = blocks = panel_values(edges[[0, 0, 1]], edges[[2, 1, 2]], circle)
         else:
-            left, right = blocks = panel_values(edges[:2], edges[1:])
+            left, right = blocks = panel_values(edges[:2], edges[1:], circle)
         fine = left + right
         err = np.abs(coarse - fine)
-
-        total_now = accepted_val + float(fine.sum())
-        etol = max(atol, rtol * abs(total_now))
-
-        residual = accepted_err + float(err.sum())
-        if residual <= etol:
-            accepted_val = total_now
-            accepted_err = residual
-            accepted_cnt += lo.size
+        etol, ended, a = [], [], 0
+        for c, m in zip(live, counts):
+            spent[c] += len(blocks) * PANEL_ORDER * m
+            total_now = accepted_val[c] + float(fine[a:a + m].sum())
+            etol.append(max(atol, rtol * abs(total_now)))
+            residual = accepted_err[c] + float(err[a:a + m].sum())
+            ended.append(residual <= etol[-1])
+            if ended[-1]:  # inside its global budget: the circle is done
+                accepted_val[c], accepted_err[c] = total_now, residual
+                accepted_cnt[c] += m
+            a += m
+        if all(ended):
             break
-
         width = hi - lo
-        done = (err <= etol * width / TWO_PI) | (width <= MIN_WIDTH)
-        n_done = int(np.count_nonzero(done))
-        if n_done:
-            accepted_val += float(fine[done].sum())
-            accepted_err += float(err[done].sum())
-            accepted_cnt += n_done
-        if n_done == lo.size:
+        done = (err <= np.repeat(etol, counts) * width / TWO_PI) | (width <= MIN_WIDTH)
+        kept, a = [], 0
+        for c, m, end in zip(live, counts, ended):
+            s, a = slice(a, a + m), a + m
+            if end:
+                done[s] = True
+                kept.append(0)
+                continue
+            took = done[s]
+            n_done = int(np.count_nonzero(took))
+            if n_done:
+                accepted_val[c] += float(fine[s][took].sum())
+                accepted_err[c] += float(err[s][took].sum())
+                accepted_cnt[c] += n_done
+            kept.append(m - n_done)
+        live, counts = [c for c, k in zip(live, kept) if k], [2 * k for k in kept if k]
+        if not live:
             break
         keep = ~done
         edges = edges[:, keep]
         lo, hi = edges[:2].ravel(), edges[1:].ravel()
         coarse = blocks[-2:, keep].ravel()
-        if lo.size + accepted_cnt > max_panels:
+        if len(live) > 1:  # each circle's left halves, then its right halves
+            order = np.argsort(np.concatenate((circle[keep], circle[keep])), kind="stable")
+            lo, hi, coarse = lo[order], hi[order], coarse[order]
+        circle = np.repeat(live, counts)
+        if any(m + accepted_cnt[c] > max_panels for c, m in zip(live, counts)):
             raise QuadratureFailure(
                 f"panel count exceeded {max_panels} before reaching tolerance"
             )
     else:
         raise QuadratureFailure(
             f"tolerance not reached after {max_rounds} refinement rounds "
-            f"({lo.size} panels still active)"
+            f"({counts[0]} panels still active)"
         )
 
-    return QuadratureResult(value=accepted_val, err_estimate=accepted_err,
-                            panels=accepted_cnt, evaluations=evaluations)
+    return [QuadratureResult(value=v, err_estimate=e, panels=p, evaluations=k)
+            for v, e, p, k in zip(accepted_val, accepted_err, accepted_cnt, spent)]

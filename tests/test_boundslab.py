@@ -24,6 +24,7 @@ from nevlab import (
     pestimate_check,
     smt_check,
 )
+from nevlab import boundslab
 from nevlab.boundslab import BoundReport
 from nevlab.fnmodel import (
     GrowthConditionError,
@@ -230,6 +231,17 @@ def test_smt_rejects_degenerate_targets():
         smt_check(ExpPoly(Z), pair, [1.0, 1.0], 0.05, [5.0])
     with pytest.raises(ValueError):
         smt_check(ExpPoly(Z), pair, [1.0, -1.0], 0.05, [])
+
+
+@pytest.mark.parametrize("rgrid", [[40.0, 10.0], [10.0, 10.0], [10.0, -5.0], [0.0, 5.0],
+                                   [5.0, math.nan], [5.0, math.inf]])
+def test_smt_rejects_a_bad_grid_before_evaluating(monkeypatch, rgrid):
+    def no_composition(*args):
+        raise AssertionError("evaluated before the grid check")
+
+    monkeypatch.setattr(boundslab, "compose_poly", no_composition)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        smt_check(ExpPoly(Z), PolyPair.build(Z2_PLUS_Z, Z2), [1.0, -1.0], 0.05, rgrid)
 
 
 def test_smt_passes_on_documented_configuration():

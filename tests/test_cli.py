@@ -112,6 +112,28 @@ def test_verify_smt_empty_grid_is_an_error(capsys):
     assert json.loads(err)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("grid, slack, code", [
+    (("--radii", "10"), "0.05", EXIT_PASS), (("--count", "1"), "0.05", EXIT_PASS),
+    (("--radii", "10"), "-3", EXIT_FAIL)])
+def test_verify_smt_one_radius_passes_where_its_radius_passed(capsys, grid, slack, code):
+    got, out, err = run(capsys, *SMT_C05, *grid, "--slack", slack)
+    payload = json.loads(out)
+    assert got == code and err == ""
+    assert payload["verdict"] == ("pass" if code == EXIT_PASS else "fail")
+    assert payload["summary"]["n_exceptional"] == (code != EXIT_PASS)
+    assert payload["summary"]["total_logmeasure"] == 0.0
+
+
+@pytest.mark.parametrize("radii", ["40,10", "10,10", "10,-5", "10,nan"])
+def test_verify_smt_rejects_a_grid_that_is_not_increasing(capsys, radii):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would reach stderr
+        code, out, err = run(capsys, *SMT_C05, "--radii", radii)
+    assert code == EXIT_ERROR and out == ""
+    assert json.loads(err) == {"error": "ValueError", "detail": (
+        "smt_check needs one or more finite positive radii, strictly increasing")}
+
+
 def test_char_empty_grid_is_an_error(capsys):
     code, out, err = run(capsys, "char", "--fn", "exp_z", "--rmin", "1",
                          "--rmax", "4", "--count", "0")

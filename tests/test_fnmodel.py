@@ -48,7 +48,7 @@ from nevlab.fnmodel import (
 from nevlab.algmap import InvarianceReport
 from nevlab.boundslab import AsymSample, BoundConfig, BoundReport
 from nevlab.nevanlinna import (ON_CIRCLE_REL, BalanceSample, CharacteristicSample,
-                               _circle_mean, _logplus, proximity)
+                               _circle_means, _logplus, proximity)
 from nevlab.quadrature import QuadratureResult, adaptive_circle
 
 Z = Polynomial((0j, 1.0))
@@ -325,6 +325,28 @@ def test_divisor_build_merges_by_the_greedy_rule_not_by_distance():
     gap = abs(d.entries[1][0] - d.entries[0][0])
     assert 0.515 * t < gap < 0.516 * t
     assert repr(Divisor.build(d.entries).entries) == "(((1.0000000015050001+0j), 3),)"
+
+
+def _merge_state(d):
+    return d.entries, d.origin_order, d._moduli
+
+
+@pytest.mark.parametrize("other", [
+    Divisor.build([(2.0, 1), (3j, -2), (-1.5 + 0.5j, 3)], origin_order=2),
+    Divisor.build([(1.0, 1), (1 + 0.99 * 2e-9, 1), (1 + 1.0100001 * 2e-9, 1)]),  # a close pair
+    Divisor(((1e-12, 1), (2.0, 1))),  # an entry that build snaps into the origin
+    Divisor((), -3),
+], ids=["plain", "close pair", "near origin", "origin only"])
+def test_merge_with_an_empty_side_equals_build(other):
+    """With one side's entries empty, merge reads the other's columns; the
+    result is build's: entries, origin, moduli, and a close pair re-merged."""
+    for empty in (Divisor(), Divisor((), 1)):
+        for a, b in ((empty, other), (other, empty), (empty, other.negate())):
+            want = Divisor.build(list(a.entries) + list(b.entries),
+                                 a.origin_order + b.origin_order)
+            assert repr(_merge_state(a.merge(b))) == repr(_merge_state(want))
+    if len(other.entries) == 2 and abs(other.entries[0][0] - 1.0) < 1e-8:
+        assert len(Divisor().merge(other).entries) == 1  # the pair merges again
 
 
 def _greedy_build(pairs, origin_order=0, merge_tol=fnmodel.MERGE_TOL):
@@ -1145,7 +1167,7 @@ def test_level_search_certifies_a_shallow_pair_between_its_samples(reference_rat
     assert gap.max() <= 2.0 * TWO_PI / 400_000
     assert spent > fnmodel._SCAN_POINTS + len(f.divisor.band(r, CIRCLE_BAND)) + 6 * 10
     s = proximity(f, r)
-    tight = _circle_mean(f, r, _logplus, atol=1e-12, rtol=1e-11, level_cuts=True)[0]
+    tight = _circle_means(f, [r], _logplus, atol=1e-12, rtol=1e-11, level_cuts=True)[0][0]
     assert s.panels == 0 and s.evaluations == spent
     assert abs(s.m - tight.value) <= 0.01 * max(1e-9, 1e-8 * s.m)
 

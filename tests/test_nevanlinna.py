@@ -12,6 +12,7 @@ from nevlab import (
     Divisor,
     ExpPoly,
     Polynomial,
+    Quotient,
     RationalFromDivisor,
     argument_principle_count,
     build_orbit_function,
@@ -30,7 +31,7 @@ from nevlab import (
 )
 from nevlab import fnmodel, nevanlinna
 from nevlab.fnmodel import InsufficientGrowth, NonMonotone
-from nevlab.nevanlinna import _circle_mean, _logplus
+from nevlab.nevanlinna import _circle_means, _logplus
 
 Z = Polynomial((0j, 1.0))
 EXP_Z = ExpPoly(Z)
@@ -182,7 +183,7 @@ def test_level_cuts_are_only_hints(members, monkeypatch, key, r):
     for edited in [np.delete(angles, i) for i in range(angles.size)] + [
             np.sort(np.append(angles, 1.234))]:
         monkeypatch.setattr(type(expr), "level_cuts", lambda self, radius, g: (edited, 0))
-        m = _circle_mean(expr, r, _logplus, 1e-9, 1e-8, level_cuts=True)[0].value
+        m = _circle_means(expr, [r], _logplus, 1e-9, 1e-8, level_cuts=True)[0][0].value
         assert abs(m - ref) <= max(1e-9, 1e-8 * m)
 
 
@@ -195,7 +196,7 @@ def test_proximity_counts_the_search_and_keeps_seeded_ends_without_a_crossing(
     f, g = members["rat_zero1_pole2"].expr, members["orbit_left_m6"].expr
 
     def quad(expr, r):
-        return _circle_mean(expr, r, _logplus, 1e-9, 1e-8, level_cuts=True)[0]
+        return _circle_means(expr, [r], _logplus, 1e-9, 1e-8, level_cuts=True)[0][0]
 
     for expr, r, found in ((f, 3.78921641565047, True), (g, 0.7, False)):
         angles, spent = expr.level_cuts(r, expr.near_circle(r))
@@ -546,6 +547,42 @@ def test_samples_keep_the_quadrature_counts(members, monkeypatch):
     s = characteristic(members["expz_minus_1"].expr, 3.0)
     assert (s.panels, s.evaluations) == (seen[0].panels, seen[0].evaluations)
     assert s.evaluations > 0 and s.panels > 0
+
+
+# the smt workload's means 1/(e^{z^2} -+ 1) at its tolerances, and a char sweep
+LOCKSTEP_SWEEPS = {
+    "smt 1": (lambda m: Quotient(Const(1.0), subtract(EXP_Z2, Const(1.0))), 1e-8, 1e-7),
+    "smt -1": (lambda m: Quotient(Const(1.0), subtract(EXP_Z2, Const(-1.0))), 1e-8, 1e-7),
+    "char expz2_minus_1": (lambda m: m["expz2_minus_1"].expr, 1e-9, 1e-8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOCKSTEP_SWEEPS))
+def test_proximities_match_per_radius_runs(members, monkeypatch, case):
+    """The lockstep run over a grid gives each circle's mean within 1e-3 of
+    its tolerance of a lone run, with the same panels and evaluations."""
+    make, atol, rtol = LOCKSTEP_SWEEPS[case]
+    expr, radii = make(members), [float(r) for r in log_radii(5.0, 40.0, 25)]
+    runs, lockstep = [], nevanlinna.adaptive_circles
+    monkeypatch.setattr(nevanlinna, "adaptive_circles",
+                        lambda *a, **k: runs.append(len(a[1])) or lockstep(*a, **k))
+    batch = nevanlinna.proximities(expr, radii, atol=atol, rtol=rtol)
+    assert runs == [len(radii)]  # every circle in one lockstep run
+    for r, s in zip(radii, batch):
+        lone = proximity(expr, r, atol=atol, rtol=rtol)
+        assert abs(s.m - lone.m) <= 1e-3 * max(atol, rtol * abs(lone.m)), r
+        assert (s.panels, s.evaluations, s.r_used) == (lone.panels, lone.evaluations, lone.r_used)
+    if case.startswith("char"):
+        sweep = characteristic_sweep(expr, radii, atol=atol, rtol=rtol)
+        assert [s.m for s in sweep] == [s.m for s in batch]
+
+
+def test_proximities_check_every_radius_first(members, monkeypatch):
+    nudged = []
+    monkeypatch.setattr(nevanlinna, "_nudged", lambda e, r: nudged.append(r) or r)
+    with pytest.raises(ValueError, match="positive"):
+        nevanlinna.proximities(members["expz_minus_1"].expr, [2.0, 3.0, -1.0])
+    assert not nudged
 
 
 def test_log_radii_shape_and_bounds():

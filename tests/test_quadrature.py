@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from nevlab import quadrature
 from nevlab.fnmodel import QuadratureFailure, TWO_PI
 from nevlab.quadrature import (MERGE_GAP, MIN_WIDTH, PANEL_ORDER, SEED_LEVELS,
-                               QuadratureResult, adaptive_circle)
+                               QuadratureResult, adaptive_circle, adaptive_circles)
 
 # reference values computed with mpmath.quad at 30 digits
 EXP_SIN_INTEGRAL = 7.9549265210128452745       # = 2 pi I_0(1)
@@ -299,3 +300,94 @@ def test_the_integrand_is_called_once_per_round(rounds):
     with pytest.raises(QuadratureFailure, match=f"after {rounds} refinement rounds"):
         adaptive_circle(f, atol=1e-300, rtol=1e-300, max_rounds=rounds)
     assert len(calls) == rounds
+
+
+# ---------------------------------------------------------------------------
+# many circles in lockstep
+# ---------------------------------------------------------------------------
+
+
+# one integrand per circle, with its cuts and tolerances as a lone run takes them
+LOCKSTEP_CIRCLES = [
+    (lambda t: np.exp(np.sin(3.0 * t)), []),
+    (_log_abs_z2_minus_1, ON_CIRCLE),
+    (_log_abs_near_point, [(1.0, math.log(1.3))]),
+    (_plus_part_of_cos3, [(math.pi / 6 + k * math.pi / 3, math.inf) for k in range(6)]),
+    (lambda t: np.ones_like(t), []),
+]
+
+
+def _by_circle(fs):
+    """f(theta, circle) that evaluates circle c's nodes through fs[c], and the
+    list of (nodes, circles) of every call."""
+    calls = []
+
+    def f(theta, circle):
+        calls.append((theta.size, np.unique(circle).tolist()))
+        out = np.empty(theta.size)
+        for c in np.unique(circle).tolist():
+            out[circle == c] = fs[c](theta[circle == c])
+        return out
+    return f, calls
+
+
+def test_lockstep_circles_match_lone_runs():
+    fs, cuts = zip(*LOCKSTEP_CIRCLES)
+    f, calls = _by_circle(fs)
+    got = adaptive_circles(f, cuts, atol=1e-11, rtol=1e-10, evaluations=[0, 5, 0, 7, 0])
+    for c, (g, cut) in enumerate(LOCKSTEP_CIRCLES):
+        lone = adaptive_circle(g, cut, atol=1e-11, rtol=1e-10, evaluations=[0, 5, 0, 7, 0][c])
+        assert abs(got[c].value - lone.value) <= 1e-3 * max(1e-11, 1e-10 * abs(lone.value))
+        assert (got[c].panels, got[c].evaluations) == (lone.panels, lone.evaluations)
+    rounds = max(len(lone_calls) for lone_calls in [
+        _counted_run(g, cut) for g, cut in LOCKSTEP_CIRCLES])
+    assert len(calls) == rounds  # one call a round for all circles
+    assert sum(n for n, _ in calls) == sum(r.evaluations for r in got) - 12
+
+
+def _counted_run(g, cut):
+    h, calls = _counted(g)
+    adaptive_circle(h, cut, atol=1e-11, rtol=1e-10)
+    return calls
+
+
+def test_a_finished_circle_gets_no_more_nodes():
+    fs, cuts = zip(*LOCKSTEP_CIRCLES)
+    f, calls = _by_circle(fs)
+    got = adaptive_circles(f, cuts, atol=1e-11, rtol=1e-10)
+    for c in range(len(fs)):
+        seen = [c in circles for _, circles in calls]
+        assert seen == sorted(seen, reverse=True)  # a prefix of the calls
+        assert sum(seen) == len(_counted_run(fs[c], cuts[c]))
+    assert got[-1].evaluations == 3 * PANEL_ORDER  # the constant ends after one round
+
+
+@pytest.mark.parametrize("cap", [16, 48, 64, 1000])
+def test_no_call_exceeds_the_node_cap(monkeypatch, cap):
+    """Rounds split into calls of at most MAX_CALL_NODES nodes, across block
+    and circle boundaries, with the same panels and evaluations."""
+    fs, cuts = zip(*LOCKSTEP_CIRCLES)
+    want = adaptive_circles(_by_circle(fs)[0], cuts, atol=1e-11, rtol=1e-10)
+    monkeypatch.setattr(quadrature, "MAX_CALL_NODES", cap)
+    f, calls = _by_circle(fs)
+    got = adaptive_circles(f, cuts, atol=1e-11, rtol=1e-10)
+    assert max(n for n, _ in calls) <= cap
+    assert sum(n for n, _ in calls) == sum(r.evaluations for r in got)
+    for g, w in zip(got, want):
+        assert (g.panels, g.evaluations) == (w.panels, w.evaluations)
+        assert abs(g.value - w.value) <= 1e-3 * max(1e-11, 1e-10 * abs(w.value))
+
+
+@pytest.mark.parametrize("bad, kwargs", [
+    (_nan_inside, {}),
+    (_log_abs_z2_minus_1, {"cuts": ON_CIRCLE, "atol": 1e-14, "rtol": 1e-14, "max_panels": 60}),
+    (lambda t: np.exp(np.sin(t)), {"atol": 1e-300, "rtol": 1e-300, "max_rounds": 2}),
+], ids=["interior NaN", "max_panels", "max_rounds"])
+def test_a_failing_circle_raises_its_own_failure(bad, kwargs):
+    cuts = kwargs.pop("cuts", [])
+    with pytest.raises(QuadratureFailure) as lone:
+        adaptive_circle(bad, cuts, **kwargs)
+    f, _ = _by_circle([lambda t: np.ones_like(t), bad, lambda t: np.ones_like(t)])
+    with pytest.raises(QuadratureFailure) as batch:
+        adaptive_circles(f, [[], cuts, []], **kwargs)
+    assert str(batch.value) == str(lone.value)

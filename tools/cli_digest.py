@@ -67,6 +67,12 @@ COMMANDS = [
     ["verify", "borel", "--epsilon", "inf"],
     ["verify", "growth", "--profile", "exp_r", "--step-k", "nan"],
     ["verify", "growth", "--profile", "exp_r", "--step-k", "-5"],
+    # one-radius and decreasing grids, and a lockstep sweep of exp(z^2) - 1
+    ["verify", "smt", "--fn", "exp_z", "--omega", "z^2+z", "--phi", "z^2",
+     "--targets", "1,-1", "--radii", "10"],
+    ["verify", "smt", "--fn", "exp_z", "--omega", "z^2+z", "--phi", "z^2",
+     "--targets", "1,-1", "--radii", "40,10"],
+    ["char", "--fn", "expz2_minus_1", "--rmin", "5", "--rmax", "40", "--count", "25"],
     ["verify", "smt", "--slack", "nan"],
     ["verify", "smt", "--targets", "1,nan"],
     ["orbit", "--figure1", "left", "--seed", "4", "--k", "10"],
