@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_left, bisect_right
 from functools import cached_property, lru_cache
 from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
@@ -65,7 +64,7 @@ TWO_PI = 2.0 * math.pi
 POLE_TOL = 1e-12
 # Points closer to 0 than this are folded into the divisor's origin order.
 ORIGIN_SNAP = 1e-10
-# Relative tolerance for merging near-coincident divisor entries.
+# Relative tolerance for merging near-coincident divisor points.
 MERGE_TOL = 1e-9
 # Relative cluster width when grouping near-coincident polynomial roots.
 ROOT_CLUSTER_TOL = 1e-5
@@ -619,27 +618,27 @@ def _greedy_cluster(pairs: Iterable[tuple[complex, int]],
     return [(total / count, count, weight) for _, total, count, weight in clusters]
 
 
-def _screen(z: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Visit order, sorted moduli and "left alone" flag of each row of ``z``.
+def _close_points(z: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Visit order, sorted moduli and "close" flag of each point of each row of ``z``.
 
     ``order`` sorts every row by (|z|, re, im), stably, as the greedy loop
     of :func:`_greedy_cluster` does; ``mod`` holds the sorted moduli, from
     ``np.hypot``, which rounds as Python's ``abs`` does (``np.abs`` of a
-    complex array does not).  ``alone[k]`` says that the loop would leave
-    every point of row k a cluster of its own: no pair i < j that its
-    backward scan reaches, ``|z_j| - |z_i| <= 2 rel_tol (1 + |z_j|)``, lies
-    within ``rel_tol (1 + |z_i|)``, both computed as the loop computes them.
-    A row with a point that is not finite is never left alone.  The pairs
-    are tested one offset j - i at a time, in all rows at once; a pair
-    leaves the scan where it leaves the window, as the loop's backward scan
-    breaks, so the work is the number of pairs the loop would test.
+    complex array does not).  ``close[k, j]`` flags the j-th sorted point
+    of row k if a point i < j that the loop's backward scan reaches,
+    ``|z_j| - |z_i| <= 2 rel_tol (1 + |z_j|)``, lies within ``rel_tol (1 +
+    |z_i|)``, both computed as the loop computes them, or if it is not
+    finite.  The pairs are tested one offset j - i at a time, in all rows
+    at once; a pair leaves the scan where it leaves the window, as the
+    loop's backward scan breaks, so the work is the pairs the loop tests.
     """
     z = np.atleast_2d(z)
     mod = np.hypot(z.real, z.imag)
     order = np.lexsort((z, mod), axis=-1)  # complex keys sort by (re, im)
     mod = np.take_along_axis(mod, order, -1)
     n = z.shape[1]
-    alone = np.isfinite(mod).all(axis=1)
+    close = ~np.isfinite(mod)
+    flags = close.reshape(-1)  # a view: flagging it flags ``close``
     z = np.take_along_axis(z, order, -1).ravel()
     re, im, flat = z.real, z.imag, mod.ravel()
     reach, width = 2.0 * rel_tol * (1.0 + flat), rel_tol * (1.0 + flat)
@@ -650,22 +649,20 @@ def _screen(z: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray, np.n
         if not j.size:
             break
         i = j - d
-        alone[j[np.hypot(re[j] - re[i], im[j] - im[i]) <= width[i]] // n] = False
-    return order, mod, alone
+        flags[j[np.hypot(re[j] - re[i], im[j] - im[i]) <= width[i]]] = True
+    return order, mod, close
+
+
+def _screen(z: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_close_points` with, per row, whether the greedy loop would
+    leave every point of it a cluster of its own: no point flagged."""
+    order, mod, close = _close_points(z, rel_tol)
+    return order, mod, ~close.any(axis=-1)
 
 
 def cluster_roots(roots: Iterable[complex], rel_tol: float = ROOT_CLUSTER_TOL) -> list[tuple[complex, int]]:
-    """Group near-coincident roots into (centroid, multiplicity) pairs.
-
-    The greedy loop of :func:`_greedy_cluster` runs only if :func:`_screen`
-    finds a close pair; otherwise each root is its own cluster, in the
-    loop's order, with the loop's centroid ``w / 1`` (which clears signed
-    zeros: ``complex(-0.0, 1) / 1`` is ``1j``).
-    """
-    roots = list(roots)
-    order, _, alone = _screen(np.array(roots, dtype=np.complex128), rel_tol)
-    if alone[0]:
-        return [(roots[k] / 1, 1) for k in order[0].tolist()]
+    """Group near-coincident roots into (centroid, multiplicity) pairs by the
+    greedy loop of :func:`_greedy_cluster`."""
     return [(c, n) for c, n, _ in _greedy_cluster(((w, 1) for w in roots), rel_tol)]
 
 
@@ -674,24 +671,41 @@ def cluster_roots(roots: Iterable[complex], rel_tol: float = ROOT_CLUSTER_TOL) -
 # ---------------------------------------------------------------------------
 
 
-@record
 class Divisor:
     """Multiset of zeros (positive multiplicity) and poles (negative).
 
-    ``entries`` excludes the origin, which is carried by ``origin_order``
-    (again signed: +k means a zero of order k at 0).  Entries are sorted by
-    modulus, then real, then imaginary part.  :meth:`build` merges points
-    by the greedy rule of :func:`_greedy_cluster`: visited in that order, a
-    point joins the latest group whose first member lies within
-    ``merge_tol * (1 + |first|)``, and each group becomes one entry at its
-    centroid.  So two entries can sit closer than the tolerance (1 and
-    1 + 0.99 t merge at 1 + 0.495 t, and 1 + 1.0100001 t, past t = 2e-9 from
-    the first member, stays apart), and building the entries again can
-    merge them.
+    A divisor is its read-only columns ``points`` (complex), ``mults``
+    (int64) and ``moduli`` (|p| by ``np.hypot``, which rounds as ``abs``
+    does), sorted by modulus, then real, then imaginary part, and
+    ``origin_order``, the signed order at 0 (+k is a zero of order k),
+    which no point carries.  Each operation slices or masks the columns;
+    ``entries``, the (point, multiplicity) pairs, is derived on first read,
+    and equal divisors hash as ``(entries, origin_order)``.
+    ``Divisor(entries, origin_order)`` sorts the pairs but does not merge
+    them.  :meth:`build` merges points by the greedy rule of
+    :func:`_greedy_cluster`: visited in that order, a point joins the
+    latest group whose first member lies within ``merge_tol * (1 +
+    |first|)``, and each group becomes one point at its centroid.  So two
+    points can sit closer than the tolerance (1 and 1 + 0.99 t merge at
+    1 + 0.495 t, and 1 + 1.0100001 t, past t = 2e-9 from the first member,
+    stays apart), and building the entries again can merge them.
     """
 
-    entries: tuple[tuple[complex, int], ...] = ()
-    origin_order: int = 0
+    def __init__(self, entries: Iterable[tuple[complex, int]] = (), origin_order: int = 0):
+        pairs = sorted(entries, key=lambda e: (abs(e[0]), e[0].real, e[0].imag))
+        z = np.array([p for p, _ in pairs], dtype=np.complex128)
+        m = np.array([k for _, k in pairs], dtype=np.int64)
+        vars(self).update(vars(Divisor._of(z, m, np.hypot(z.real, z.imag), origin_order)))
+
+    @staticmethod
+    def _of(points: np.ndarray, mults: np.ndarray, moduli: np.ndarray,
+            origin_order: int) -> "Divisor":
+        """The divisor of columns that are already sorted, taken as they are."""
+        d = object.__new__(Divisor)
+        for col in (points, mults, moduli):
+            col.setflags(write=False)
+        vars(d).update(points=points, mults=mults, moduli=moduli, origin_order=origin_order)
+        return d
 
     @staticmethod
     def build(pairs: Iterable[tuple[complex, int]], origin_order: int = 0,
@@ -700,112 +714,116 @@ class Divisor:
         m == 0 are dropped, points with |p| < ORIGIN_SNAP add m to the
         origin order, and the rest (m truncated to int) are merged by the
         greedy rule and sorted."""
-        pairs = list(pairs)
+        pairs = [(p, m) for p, m in pairs if m != 0]
         z = np.array([p for p, _ in pairs], dtype=np.complex128)
-        raw = [m for _, m in pairs]
-        m = np.array(raw)
-        live = m != 0
-        snap = live & (np.hypot(z.real, z.imag) < ORIGIN_SNAP)
-        origin = origin_order
+        snap = np.hypot(z.real, z.imag) < ORIGIN_SNAP
         for k in np.flatnonzero(snap).tolist():
-            origin += raw[k]  # as given, so a float or numpy m keeps its type
-        keep = live & ~snap
-        m = m[keep]
-        if m.dtype.kind not in "biu":
-            m = [int(x) for x in m.tolist()]
-        return Divisor._from_arrays(z[keep], np.array(m, dtype=np.int64), origin, merge_tol)
+            origin_order += pairs[k][1]  # as given, so a float or numpy m keeps its type
+        m = np.array([int(m) for _, m in pairs], dtype=np.int64)
+        return Divisor._from_arrays(z[~snap], m[~snap], origin_order, merge_tol)
 
     @staticmethod
     def _from_arrays(z: np.ndarray, m: np.ndarray, origin: int, merge_tol: float) -> "Divisor":
-        """Divisor of points ``z`` (none near the origin) with int
-        multiplicities ``m``, merged by :func:`_greedy_cluster`, which runs
-        only if :func:`_screen` finds a close pair; otherwise the entries
-        are the points with m != 0 in the screen's order, already sorted."""
-        order, mod, alone = _screen(z, merge_tol)
-        if not alone[0]:
-            entries = tuple(sorted(
-                ((p, w) for p, _, w in _greedy_cluster(zip(z.tolist(), m.tolist()), merge_tol)
-                 if w != 0),
-                key=lambda e: (abs(e[0]), e[0].real, e[0].imag)))
-            return Divisor(entries, origin)
-        order, mod = order[0], mod[0]
-        m = m[order]
-        nz = m != 0
-        # w / 1 is the greedy loop's centroid of a lone point
-        out = Divisor(tuple(zip((z[order[nz]] / 1).tolist(), m[nz].tolist())), origin)
-        out.__dict__["_moduli"] = mod[nz].tolist()  # |w / 1| = |w|
-        return out
+        """Divisor of points ``z`` with int multiplicities ``m``: points with
+        |z| < ORIGIN_SNAP add to the origin order; the rest are merged by the
+        greedy rule (a zero m takes part), groups of total 0 dropped, sorted.
+        The loop runs only on the runs of sorted points that hold a point
+        :func:`_close_points` flags, a run ending where the moduli step past
+        the loop's scan window, which its backward scan cannot cross; every
+        other point is a group of its own, at the loop's centroid ``w / 1``.
+        """
+        snap = np.hypot(z.real, z.imag) < ORIGIN_SNAP
+        origin, z, m = origin + int(m[snap].sum()), z[~snap], m[~snap]
+        order, mod, close = (a[0] for a in _close_points(z, merge_tol))
+        z, m = z[order], m[order]
+        if not close.any():
+            nz = m != 0
+            return Divisor._of(z[nz] / 1, m[nz], mod[nz], origin)
+        run = np.cumsum(np.diff(mod, prepend=mod[:1]) > 2.0 * merge_tol * (1.0 + mod))
+        loop = np.isin(run, run[close])
+        found = [(c, w) for c, _, w in _greedy_cluster(zip(z[loop].tolist(), m[loop].tolist()),
+                                                       merge_tol) if w != 0]
+        alone = ~loop & (m != 0)
+        z = np.concatenate((z[alone] / 1, np.array([c for c, _ in found], dtype=np.complex128)))
+        m = np.concatenate((m[alone], np.array([w for _, w in found], dtype=np.int64)))
+        mod = np.hypot(z.real, z.imag)
+        order = np.lexsort((z, mod))
+        return Divisor._of(z[order], m[order], mod[order], origin)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[complex, int], ...]:
+        """(point, multiplicity) pairs in column order, derived on first read."""
+        return tuple(zip(self.points.tolist(), self.mults.tolist()))
+
+    def __eq__(self, other):
+        if other.__class__ is not Divisor:
+            return NotImplemented
+        return bool(self.origin_order == other.origin_order and np.array_equal(
+            self.mults, other.mults) and np.array_equal(self.points, other.points))
+
+    def __hash__(self):  # a record holding the divisor caches its own hash
+        return hash((self.entries, self.origin_order))
+
+    def __repr__(self):
+        return f"Divisor(entries={self.entries!r}, origin_order={self.origin_order!r})"
+
+    def __reduce__(self):
+        return Divisor, (self.entries, self.origin_order)
+
+    __setattr__, __delattr__ = _no_setattr, _no_delattr
 
     @property
     def is_empty(self) -> bool:
-        return not self.entries and self.origin_order == 0
+        return not self.points.size and self.origin_order == 0
 
     @cached_property
-    def _moduli(self) -> list[float]:
-        """|p| of each entry: nondecreasing, so a radius query is a bisect."""
-        return [abs(p) for p, _ in self.entries]
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Points and float multiplicities for the kernels that take the
+        origin as a point at 0: its row first where its order is nonzero."""
+        b, m = self.points, self.mults.astype(np.float64)
+        if self.origin_order:
+            b, m = np.append(0j, b), np.append(np.float64(self.origin_order), m)
+        b.setflags(write=False)
+        m.setflags(write=False)
+        return b, m
 
     def restrict(self, r: float) -> "Divisor":
-        k = 0 if math.isnan(r) else bisect_right(self._moduli, r)  # NaN admits none
-        out = Divisor(self.entries[:k], self.origin_order)
-        out.__dict__["_moduli"] = self._moduli[:k]  # sorted prefix: spares a scan
-        return out
+        """The points with |p| <= r, a prefix of the columns; none for NaN."""
+        k = 0 if math.isnan(r) else int(self.moduli.searchsorted(r, "right"))
+        if k == self.points.size:
+            return self
+        return Divisor._of(self.points[:k], self.mults[:k], self.moduli[:k], self.origin_order)
 
-    def band(self, r: float, rel: float) -> list[tuple[complex, int]]:
-        """Entries with ||p| - r| <= rel * r, in entry order, for rel < 1/2.
-
-        Rounding is monotone, so every entry the test admits lies between
-        the bisect bounds; the test itself decides on those in between.
-        """
-        mod = self._moduli
-        lo, hi = bisect_left(mod, r - rel * r), bisect_right(mod, r + rel * r)
-        return [e for e, a in zip(self.entries[lo:hi], mod[lo:hi]) if abs(a - r) <= rel * r]
+    def band(self, r: float, rel: float) -> np.ndarray:
+        """The points with ||p| - r| <= rel * r, in column order."""
+        return self.points[np.abs(self.moduli - r) <= rel * r]
 
     def negate(self) -> "Divisor":
-        return Divisor(tuple((p, -m) for p, m in self.entries), -self.origin_order)
+        return Divisor._of(self.points, -self.mults, self.moduli, -self.origin_order)
 
     def merge(self, other: "Divisor") -> "Divisor":
-        """Both sides' points, as :meth:`build` merges them; one side's columns
-        go straight to :meth:`_from_arrays` where the other has no entries."""
-        origin = self.origin_order + other.origin_order
-        if not (self.entries and other.entries):
-            one = self if self.entries else other
-            z, m = (col[bool(one.origin_order):, 0] for col in one._columns)
-            if not (np.hypot(z.real, z.imag) < ORIGIN_SNAP).any():  # else build snaps them
-                return Divisor._from_arrays(z, m.astype(np.int64), origin, MERGE_TOL)
-        return Divisor.build(list(self.entries) + list(other.entries), origin)
+        """Both sides' points, merged as :meth:`build` merges them."""
+        return Divisor._from_arrays(np.concatenate((self.points, other.points)),
+                                    np.concatenate((self.mults, other.mults)),
+                                    self.origin_order + other.origin_order, MERGE_TOL)
 
     def signed(self, kind: str) -> "Divisor":
         """Restrict to zeros (``kind='zeros'``) or poles, multiplicities made positive."""
         if kind == "zeros":
-            ent = tuple((p, m) for p, m in self.entries if m > 0)
-            org = max(self.origin_order, 0)
+            keep, org = self.mults > 0, max(self.origin_order, 0)
         elif kind == "poles":
-            ent = tuple((p, -m) for p, m in self.entries if m < 0)
-            org = max(-self.origin_order, 0)
+            keep, org = self.mults < 0, max(-self.origin_order, 0)
         else:
             raise ValueError(f"kind must be 'zeros' or 'poles', got {kind!r}")
-        return Divisor(ent, org)
-
-    @cached_property
-    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only point and multiplicity columns for :func:`_divisor_sums`."""
-        pairs = [(0j, self.origin_order)] * bool(self.origin_order) + list(self.entries)
-        b = np.array([p for p, _ in pairs], dtype=np.complex128).reshape(-1, 1)
-        m = np.array([k for _, k in pairs], dtype=np.float64).reshape(-1, 1)
-        b.flags.writeable = m.flags.writeable = False
-        return b, m
+        return Divisor._of(self.points[keep], np.abs(self.mults[keep]), self.moduli[keep], org)
 
     def multiset(self) -> list[complex]:
-        """Entries (origin included) repeated by |multiplicity|."""
-        out = [0j] * abs(self.origin_order)
-        for p, m in self.entries:
-            out.extend([p] * abs(m))
-        return out
+        """Points (origin included) repeated by |multiplicity|."""
+        return [0j] * abs(self.origin_order) + np.repeat(self.points, np.abs(self.mults)).tolist()
 
     def total(self, kind: str) -> int:
         d = self.signed(kind)
-        return d.origin_order + sum(m for _, m in d.entries)
+        return d.origin_order + int(d.mults.sum())
 
 
 EMPTY_DIVISOR = Divisor()
@@ -815,12 +833,12 @@ def _divisor_sums(z: np.ndarray, d: Divisor, channels) -> tuple[np.ndarray, ...]
     """``start + sum_b term(m_b, z - b)`` at every node, per ``(start, term)``.
 
     b runs over the divisor points with multiplicity m_b, the origin first and
-    then the entries in order.  Each chunk of nodes forms its ``(points,
-    nodes)`` differences once and sums every channel's terms along the point
-    axis, in that order from ``start``, so each value equals that of a loop
-    over the points bit for bit.
+    then the points in order (``Divisor._rows``).  Each chunk of nodes forms
+    its ``(points, nodes)`` differences once and sums every channel's terms
+    along the point axis, in that order from ``start``, so each value equals
+    that of a loop over the points bit for bit.
     """
-    b, m = d._columns
+    b, m = (col[:, None] for col in d._rows)
     flat = _carray(z).reshape(-1)
     outs = [np.empty(flat.size, dtype=np.result_type(start)) for start, _ in channels]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -861,31 +879,20 @@ def _pull_back(p: Polynomial, targets: Sequence[tuple[complex, int]], r: float) 
 
     The rows of :func:`roots_of_shifts` are screened in one pass
     (:func:`_screen`); only a row with a close pair, such as the double
-    root of z^2 = 0, goes through :func:`cluster_roots`.  The points reach
-    :meth:`Divisor.build`'s merge in the order and with the values that
-    clustering every row would give.
+    root of z^2 = 0, goes through :func:`cluster_roots`, and a lone root
+    is the loop's centroid ``w / 1``.  The merge of
+    :meth:`Divisor._from_arrays` sorts the points: their order does not matter.
     """
     rows = roots_of_shifts(p, [w for w, _ in targets])
     m = np.array([m for _, m in targets], dtype=np.int64)
-    order, mod, alone = _screen(rows, ROOT_CLUSTER_TOL)
-    z = (np.take_along_axis(rows, order, -1) / 1).reshape(-1)  # the loop's centroid of a lone root
-    w, mod = np.repeat(m, rows.shape[1]), mod.reshape(-1)
-    if not alone.all():
-        # each close row's clusters take the place of its roots, in order
-        n, parts, start = rows.shape[1], [], 0
-        for k in np.flatnonzero(~alone).tolist():
-            c = cluster_roots(rows[k])
-            parts += [(z[start:k * n], w[start:k * n]),
-                      (np.array([x for x, _ in c]), m[k] * np.array([j for _, j in c]))]
-            start = (k + 1) * n
-        parts.append((z[start:], w[start:]))
-        z, w = (np.concatenate(a) for a in zip(*parts))
-        mod = np.hypot(z.real, z.imag)
-    inside = mod <= r
-    z, w, mod = z[inside], w[inside], mod[inside]
-    snap = mod < ORIGIN_SNAP
-    keep = ~snap & (w != 0)
-    return Divisor._from_arrays(z[keep], w[keep], int(w[snap].sum()), MERGE_TOL)
+    alone = _screen(rows, ROOT_CLUSTER_TOL)[2]
+    parts = [(rows[alone].ravel() / 1, np.repeat(m[alone], rows.shape[1]))]
+    for k in np.flatnonzero(~alone).tolist():
+        c = cluster_roots(rows[k])
+        parts.append((np.array([x for x, _ in c]), m[k] * np.array([j for _, j in c])))
+    z, w = (np.concatenate(a) for a in zip(*parts))
+    inside = np.hypot(z.real, z.imag) <= r
+    return Divisor._from_arrays(z[inside], w[inside], 0, MERGE_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -996,9 +1003,10 @@ class FunctionExpr:
         tol = POLE_TOL * (1.0 + abs(z))
         if self.is_divisor_transparent:
             div = self.divisor_in_disc(abs(z) + 1.0)
-            for p, m in div.entries:
-                if m < 0 and abs(z - p) <= tol:
-                    raise PoleSignal(f"z={z} is within {tol:.2e} of a pole at {p}")
+            poles = div.points[div.mults < 0]
+            near = poles[np.hypot((z - poles).real, (z - poles).imag) <= tol]
+            if near.size:
+                raise PoleSignal(f"z={z} is within {tol:.2e} of a pole at {near[0].item()}")
             if div.origin_order < 0 and abs(z) <= tol:
                 raise PoleSignal(f"z={z} is within {tol:.2e} of the pole at 0")
         v = self._values(_carray([z]))[0]
@@ -1127,7 +1135,7 @@ class Const(FunctionExpr):
 
 @record
 class RationalFromDivisor(FunctionExpr):
-    """scale * z^origin_order * prod (z - p)^mult over divisor entries."""
+    """scale * z^origin_order * prod (z - p)^mult over the divisor's points."""
 
     scale: complex
     divisor: Divisor
@@ -1143,7 +1151,7 @@ class RationalFromDivisor(FunctionExpr):
 
     @property
     def is_entire(self) -> bool:
-        return self.divisor.origin_order >= 0 and all(m > 0 for _, m in self.divisor.entries)
+        return self.divisor.origin_order >= 0 and bool((self.divisor.mults > 0).all())
 
     # A pole (negative mult) hit exactly gives +inf through -m * (-inf).
     def _log_parts(self, z):
@@ -1162,7 +1170,7 @@ class RationalFromDivisor(FunctionExpr):
         return fold if fold.folded else self
 
     def level_cuts(self, r, g):
-        if not self.divisor.entries:  # scale * z^k: |f| is constant on the circle
+        if not self.divisor.points.size:  # scale * z^k: |f| is constant on the circle
             return _NO_ANGLES, 0
         if _divisor_sign(self, r):
             return None, 0
@@ -1170,7 +1178,7 @@ class RationalFromDivisor(FunctionExpr):
         return (angles if angles.size else None), spent
 
     def closed_proximity(self, r):
-        sign = _divisor_sign(self, r) if self.divisor.entries else 1  # |scale z^k| is constant
+        sign = _divisor_sign(self, r) if self.divisor.points.size else 1  # |scale z^k| is constant
         if sign < 0:
             return 0.0, 0.0, 0
         g, angles, spent = self, _NO_ANGLES, 0  # Jensen
@@ -1193,7 +1201,7 @@ class RationalFromDivisor(FunctionExpr):
 def _divisor_sign(f: RationalFromDivisor, r: float) -> int:
     """1 or -1 where the divisor alone keeps log|f| above or below 0 on
     |z| = r, else 0: each log|z - b| lies in [log||b| - r|, log(|b| + r)]."""
-    b, m = (col[:, 0] for col in f.divisor._columns)
+    b, m = f.divisor._rows
     mod = np.abs(b)
     with np.errstate(divide="ignore"):
         near, far = np.log(np.abs(mod - r)), np.log(mod + r)
@@ -1236,7 +1244,7 @@ def _slope_bounds(form, r: float):
     k = np.arange(1, a.size + 1)
     ka = k * np.abs(a)
     l1, l2 = float(ka.sum()), float((k * ka).sum())
-    b, m = (col[bool(div.origin_order):, 0, None] for col in div._columns)
+    b, m = div.points[:, None], div.mults[:, None]
     mod, w = np.abs(b), np.abs(m) * r
     phi, gap2, cross, w2 = np.angle(b) % TWO_PI, (mod - r) ** 2, 4.0 * r * mod, w * mod
 
@@ -1279,14 +1287,11 @@ def _level_search(f: RationalFromDivisor, g, r: float) -> tuple[np.ndarray, int,
     ``_SEARCH_TOL``.
     """
     form = g._log
-    theta = _SCAN_GRID
-    band = f.divisor.band(r, CIRCLE_BAND)
-    if band:
-        theta = np.sort(np.concatenate([theta, np.angle([p for p, _ in band]) % TWO_PI]))
+    theta = np.sort(np.concatenate([_SCAN_GRID, np.angle(f.divisor.band(r, CIRCLE_BAND)) % TWO_PI]))
     lm, dl = _log_slope(form, r, theta)
     spent = theta.size
     # the rounding of a value's and a slope's sums, a share of their terms
-    b, m = (col[:, 0] for col in f.divisor._columns)
+    b, m = f.divisor._rows
     rel = (b.size + 2) * _EPS
     slack = rel * (abs(form[1]) + float(np.sum(np.abs(m) * (np.abs(np.log(np.abs(b) + r)) + 1.0))))
     lo, hi = theta, np.append(theta[1:], theta[0] + TWO_PI)
@@ -1353,7 +1358,7 @@ def _log_antiderivative(form, r: float, theta: np.ndarray):
     -Im sum_k (a_k / k) e^{ik theta}.
     """
     div, start, a = form
-    b, m = (col[:, 0] for col in div._columns)
+    b, m = div._rows
     mod = np.abs(b)
     t = m * np.log(np.maximum(mod, r))
     mean = math.fsum([start] + t.tolist())
@@ -1480,8 +1485,7 @@ class _CircleFold:
 
     def __init__(self, f: RationalFromDivisor, r: float):
         self.r, self._f = r, f
-        d = f.divisor
-        b, m = (col[bool(d.origin_order):, 0] for col in d._columns)
+        b, m = f.divisor.points, f.divisor.mults
         mod = np.abs(b)
         groups = []  # (inner?, mask, u, K per channel or None where unfolded)
         for inner, mask in ((True, mod <= _FOLD_RATIO * r),
@@ -1493,14 +1497,14 @@ class _CircleFold:
             q, weight = float(np.max(np.abs(u))), float(np.sum(np.abs(m[mask])))
             ks = [_series_terms(weight, q, log) for log in (True, False)]
             groups.append((inner, mask, u, [k if n > k else None for k in ks]))
-        self._groups, self._b, self._m, self._mod = groups, b, m, mod
+        self._groups, self._mod = groups, mod
         self.folded = any(k is not None for *_, ks in groups for k in ks)
 
     def _plan(self, channel: int, start):
         """(direct divisor, start, series per folded group: (inner?, coeffs))
         of one channel, its power sums formed up to that channel's K only."""
-        d, m = self._f.divisor, self._m
-        keep, origin, series = np.ones(self._b.size, dtype=bool), d.origin_order, []
+        d, series = self._f.divisor, []
+        m, keep, origin = d.mults, np.ones(d.points.size, dtype=bool), d.origin_order
         for inner, mask, u, ks in self._groups:
             k = ks[channel]
             if k is None:
@@ -1513,8 +1517,7 @@ class _CircleFold:
             if k:
                 c = _power_sums(u, m[mask], k)
                 series.append((inner, c / np.arange(1, k + 1) if channel == 0 else c))
-        div = d if keep.all() else Divisor(
-            tuple(d.entries[i] for i in np.flatnonzero(keep).tolist()), origin)
+        div = d if keep.all() else Divisor._of(d.points[keep], m[keep], d.moduli[keep], origin)
         return div, start, series
 
     @cached_property
@@ -1834,13 +1837,14 @@ def compose_poly(expr: FunctionExpr, p: Polynomial) -> FunctionExpr:
         return type(expr)(compose_poly(expr.lhs, p), compose_poly(expr.rhs, p))
     d = expr.divisor
     try:
-        scale = expr.scale * p.leading ** (d.origin_order + sum(m for _, m in d.entries))
+        scale = expr.scale * p.leading ** (d.origin_order + int(d.mults.sum()))
     except (OverflowError, ZeroDivisionError):  # a power past the range either way
         scale = math.inf
     if scale == 0 or not cmath.isfinite(scale):
         raise OverflowSignal(f"the scale of a composed rational, {scale!r}, "
                              "leaves the floating range")
-    targets = list(d.entries) + [(0j, d.origin_order)] * bool(d.origin_order)
+    targets = list(zip(d.points.tolist(), d.mults.tolist()))
+    targets += [(0j, d.origin_order)] * bool(d.origin_order)
     return RationalFromDivisor(scale, _pull_back(p, targets, math.inf))
 
 
@@ -1858,9 +1862,10 @@ def subtract(expr: FunctionExpr, other: FunctionExpr) -> FunctionExpr:
         if isinstance(expr, RationalFromDivisor):
             lead, points = _rational_preimages(expr, a, math.inf)
             poles = expr.divisor.signed("poles").negate()
-            return RationalFromDivisor(lead, Divisor.build(
-                [(q, 1) for q in points] + list(poles.entries), poles.origin_order,
-                merge_tol=0.0))
+            return RationalFromDivisor(lead, Divisor._from_arrays(
+                np.concatenate((points, poles.points)),
+                np.concatenate((np.ones(points.size, dtype=np.int64), poles.mults)),
+                poles.origin_order, 0.0))
     if (isinstance(expr, ExpPoly) and isinstance(other, ExpPoly)
             and expr.a == 0 and other.a == 0):
         diff = expr.p - other.p
@@ -1915,8 +1920,8 @@ def preimages_in_disc(expr: FunctionExpr, a, r: float) -> Divisor:
     if a == 0:
         return expr.divisor_in_disc(r).signed("zeros")
     if isinstance(expr, RationalFromDivisor):
-        return Divisor.build([(q, 1) for q in _rational_preimages(expr, a, r)[1]],
-                             merge_tol=0.0)
+        points = _rational_preimages(expr, a, r)[1]
+        return Divisor._from_arrays(points, np.ones(points.size, dtype=np.int64), 0, 0.0)
     if isinstance(expr, Const) and expr.value == a:
         raise ValueError("constant expression equals the target everywhere")
     shifted = subtract(expr, Const(a))
@@ -1950,7 +1955,7 @@ def _dropped_lead(zeros: Divisor, poles: Divisor, a: complex) -> tuple[complex, 
     of the zeros agree for j < k, and the next is a (sum p^k - sum z^k) / k.
     Sums that agree to their rounding count as equal."""
     n = zeros.total("zeros")
-    (bz, mz), (bp, mp) = zeros._columns, poles._columns
+    (bz, mz), (bp, mp) = zeros._rows, poles._rows
     wz, wp = bz, bp
     for k in range(1, n + 1):
         gap = np.sum(mp * wp) - np.sum(mz * wz)
@@ -2015,7 +2020,7 @@ def _rational_preimages(expr: RationalFromDivisor, a: complex,
             abs(math.log(abs(expr.scale))) + 7.0,
             lambda m, d: np.abs(m) * (np.abs(np.log(np.abs(d))) + 7.0)),))
         log_q, = _divisor_sums(z, poles, ((0.0, _log_term),))
-        err = (len(expr.divisor._columns[0]) + 2) * 2.0**-52 * spread
+        err = (len(expr.divisor._rows[0]) + 2) * 2.0**-52 * spread
         t = a * np.exp(-(lm + 1j * ag))
         log_n = log_q + lm + err + np.log(np.abs(1.0 - t) + (1.0 + np.abs(t)) * (err + 2.0**-50))
         rad = deg * np.exp(log_n - math.log(abs(lead)) - _pair_reduce(

@@ -16,7 +16,9 @@ contour count used as an independent cross-check on divisor bookkeeping.
 from __future__ import annotations
 
 import math
+import operator
 import sys
+from functools import reduce
 
 import numpy as np
 
@@ -73,10 +75,7 @@ def _split_angles(expr: FunctionExpr, r: float) -> list[tuple[float, float]]:
     angles, where log|z - b| is singular as a function of theta."""
     if not expr.is_divisor_transparent:
         return []
-    band = expr.divisor_in_disc(r * (1.0 + CIRCLE_BAND)).band(r, CIRCLE_BAND)
-    if not band:
-        return []
-    b = np.array([p for p, _ in band])  # one pass of numpy beats a loop over many points
+    b = expr.divisor_in_disc(r * (1.0 + CIRCLE_BAND)).band(r, CIRCLE_BAND)
     return list(zip((np.angle(b) % TWO_PI).tolist(), np.abs(np.log(np.abs(b) / r)).tolist()))
 
 
@@ -85,7 +84,7 @@ def _nudged(expr: FunctionExpr, r: float) -> float:
     if not expr.is_divisor_transparent:
         return r
     div = expr.divisor_in_disc(r * (1.0 + 2.0 * ON_CIRCLE_REL))
-    return r * NUDGE_FACTOR if div.band(r, ON_CIRCLE_REL) else r
+    return r * NUDGE_FACTOR if div.band(r, ON_CIRCLE_REL).size else r
 
 
 def _circle_means(expr: FunctionExpr, radii, integrand, atol: float, rtol: float,
@@ -189,18 +188,21 @@ def proximity(expr: FunctionExpr, r: float,
 
 
 def counting(divisor: Divisor, r: float, kind: str = "poles") -> float:
-    """Integrated counting function N(r) for the requested divisor sign."""
-    if r <= 0:
+    """Integrated counting function N(r) for the requested divisor sign: the
+    origin's term, then m log(r/|b|) in column order, summed left to right,
+    with ``math.log`` (``np.log`` can differ from it in the last bit)."""
+    if not r > 0:  # NaN included
         raise ValueError("radius must be positive")
     d = divisor.restrict(r).signed(kind)
-    total = d.origin_order * math.log(r) if d.origin_order else 0.0
-    for p, m in d.entries:
-        total += m * math.log(r / abs(p))
-    return total
+    start = d.origin_order * math.log(r) if d.origin_order else 0.0
+    terms = map(operator.mul, d.mults.tolist(), map(math.log, (r / d.moduli).tolist()))
+    return reduce(operator.add, terms, start)
 
 
 def n_count(divisor: Divisor, r: float, kind: str = "poles") -> int:
     """Unintegrated count n(r): points in the closed disc, with multiplicity."""
+    if math.isnan(r):
+        raise ValueError("radius must be a number")
     return divisor.restrict(r).total(kind)
 
 

@@ -143,8 +143,9 @@ def adaptive_circles(f: Callable[[np.ndarray, np.ndarray], np.ndarray], cuts_per
     """Integrate over [0, 2pi) on many circles in lockstep, circle c with
     panels seeded from ``cuts_per_circle[c]`` (see :func:`adaptive_circle`).
 
-    ``f(theta, circle)`` takes angles and the circle index of each, and
-    returns real values of matching shape.  Each round calls it on both
+    ``f(theta, circle)`` takes angles and the circle index of each, one
+    index where a call's angles all lie on one circle, and returns real
+    values of matching shape.  Each round calls it on both
     halves of every active panel of the unfinished circles (the first round
     adds the seed panels), at most ``MAX_CALL_NODES`` nodes a call, with one
     gemv per block of panels -- coarse, left, right -- as separate calls
@@ -172,14 +173,16 @@ def adaptive_circles(f: Callable[[np.ndarray, np.ndarray], np.ndarray], cuts_per
         """Gauss-Legendre values of f over the panels [lo_b, hi_b], given
         as (blocks, panels) arrays of the circles ``circle``; ``retry``
         allows the nudge retry of the panels whose value is non-finite."""
-        half = 0.5 * (hi_b - lo_b)
-        mid, of = (0.5 * (hi_b + lo_b)).ravel(), np.concatenate((circle,) * len(half))
+        half, mid = 0.5 * (hi_b - lo_b), (0.5 * (hi_b + lo_b)).ravel()
+        lone = circle[0] == circle[-1]  # one circle: its index, a scalar, serves every node
+        of = circle[0] if lone else np.concatenate((circle,) * len(half))
         out = np.empty(half.shape)
         flat, per_block, per_call = out.ravel(), half.shape[1], MAX_CALL_NODES // PANEL_ORDER
         for a in range(0, flat.size, per_call):  # the panels of one call
             end = min(a + per_call, flat.size)
             theta = mid[a:end, None] + half.ravel()[a:end, None] * x
-            vals = f(theta.ravel(), np.repeat(of[a:end], PANEL_ORDER)).reshape(theta.shape)
+            vals = f(theta.ravel(), of if lone else np.repeat(of[a:end], PANEL_ORDER))
+            vals = vals.reshape(theta.shape)
             for u in range(a - a % per_block, end, per_block):  # one gemv per block:
                 b0, b1 = max(u, a), min(u + per_block, end)  # a stacked gemv moves last bits
                 flat[b0:b1] = vals[b0 - a:b1 - a] @ w

@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nevlab import (
     Const,
@@ -48,7 +48,7 @@ from nevlab.fnmodel import (
 from nevlab.algmap import InvarianceReport
 from nevlab.boundslab import AsymSample, BoundConfig, BoundReport
 from nevlab.nevanlinna import (ON_CIRCLE_REL, BalanceSample, CharacteristicSample,
-                               _circle_means, _logplus, proximity)
+                               _circle_means, _logplus, counting, proximity)
 from nevlab.quadrature import QuadratureResult, adaptive_circle
 
 Z = Polynomial((0j, 1.0))
@@ -284,7 +284,7 @@ def _ulp_walk(x, steps=3):
 
 
 def test_divisor_radius_queries_equal_the_linear_scan():
-    """restrict and band bisect on the sorted moduli; the scans they replace
+    """restrict and band read the sorted moduli column; the reference scans
     test every entry.  Queries sit at |p| itself, at 0, -1, inf and NaN, and
     within a few ulps of the radii that put |p| exactly on a band edge,
     (1 -+ rel) r = |p|."""
@@ -305,11 +305,12 @@ def test_divisor_radius_queries_equal_the_linear_scan():
             for q in queries:
                 kept = d.restrict(q)
                 assert kept.entries == tuple(e for e in d.entries if abs(e[0]) <= q)
-                assert kept._moduli == [abs(e[0]) for e in kept.entries]
+                assert kept.moduli.tolist() == [abs(e[0]) for e in kept.entries]
                 for rel in (CIRCLE_BAND, ON_CIRCLE_REL, 0.0):
                     want = [e for e in d.entries if abs(abs(e[0]) - q) <= rel * q]
-                    assert d.band(q, rel) == want
-                    assert kept.band(q, rel) == [e for e in want if e in kept.entries]
+                    assert d.band(q, rel).tolist() == [p for p, _ in want]
+                    assert kept.band(q, rel).tolist() == [p for p, m in want
+                                                          if (p, m) in kept.entries]
                     if q != a and rel and math.isfinite(q) and q > 0:
                         edges_hit.add((rel, entry in want))
     assert len(edges_hit) == 4  # each band edge seen both admitting p and not
@@ -328,7 +329,7 @@ def test_divisor_build_merges_by_the_greedy_rule_not_by_distance():
 
 
 def _merge_state(d):
-    return d.entries, d.origin_order, d._moduli
+    return d.entries, d.origin_order, d.moduli.tolist()
 
 
 @pytest.mark.parametrize("other", [
@@ -407,6 +408,80 @@ def _edge_points(rng, tol):
     return [pts[k] for k in rng.permutation(len(pts))]
 
 
+# shells of one modulus, signed zeros, pairs around the merge distance, and
+# points below ORIGIN_SNAP
+_BASE_POINTS = (1.0, -1.0, 1j, complex(-0.0, 1.0), complex(2.0, -0.0), 2j, -2.0, 1 + 1j, 0.5j)
+_DIVISOR_POINTS = st.one_of(
+    st.sampled_from(_BASE_POINTS),
+    st.builds(lambda b, k: b + k * 1e-9, st.sampled_from(_BASE_POINTS), st.integers(-3, 3)),
+    st.builds(complex, st.floats(-1e-10, 1e-10), st.floats(-1e-10, 1e-10)),
+    complexes)
+_DIVISOR_PAIRS = st.lists(st.tuples(_DIVISOR_POINTS, st.integers(-3, 3)), max_size=12)
+
+
+def _pair_counting(entries, origin, r, kind):
+    """N(r) by the loop over (point, multiplicity) pairs."""
+    sign = 1 if kind == "zeros" else -1
+    order = max(sign * origin, 0)
+    total = order * math.log(r) if order else 0.0
+    for p, m in entries:
+        if abs(p) <= r and sign * m > 0:
+            total += sign * m * math.log(r / abs(p))
+    return total
+
+
+_REMERGE = [(1.0, 1), (1 + 0.99 * 2e-9, 1), (1 + 1.0100001 * 2e-9, 1)]  # the Divisor docstring's
+
+
+@given(_DIVISOR_PAIRS, st.integers(-2, 2), _DIVISOR_PAIRS, st.floats(0.05, 5.0))
+@example(_REMERGE, 0, [], 1.0)
+@example([], 0, _REMERGE, 1.0)
+@settings(max_examples=150, deadline=None)
+def test_divisor_columns_equal_the_pair_reference(pairs, origin, others, r):
+    """Every operation on the columns against plain Python over the
+    (point, multiplicity) pairs, at radii on the points too."""
+    entries, org = _greedy_build(pairs, origin)
+    d = Divisor.build(pairs, origin)
+    assert repr((d.entries, d.origin_order)) == repr((entries, org))
+    twin = Divisor([(complex(p.real or 0.0, p.imag or 0.0), m) for p, m in entries], org)
+    assert d == twin and hash(d) == hash(twin) == hash((entries, org))  # -0.0 == 0.0
+    for q in [r] + [abs(p) for p, _ in entries]:
+        assert d.restrict(q).entries == tuple(e for e in entries if abs(e[0]) <= q)
+        for rel in (CIRCLE_BAND, ON_CIRCLE_REL, 0.0):
+            want = [p for p, _ in entries if abs(abs(p) - q) <= rel * q]
+            assert d.band(q, rel).tolist() == want
+        for kind in ("zeros", "poles"):
+            assert counting(d, q, kind) == _pair_counting(entries, org, q, kind)
+    for kind, sign in (("zeros", 1), ("poles", -1)):
+        part = d.signed(kind)
+        want = tuple((p, sign * m) for p, m in entries if sign * m > 0)
+        assert (part.entries, part.origin_order) == (want, max(sign * org, 0))
+        assert d.total(kind) == max(sign * org, 0) + sum(m for _, m in want)
+    neg = d.negate()
+    assert (neg.entries, neg.origin_order) == (tuple((p, -m) for p, m in entries), -org)
+    assert d.multiset() == [0j] * abs(org) + [p for p, m in entries for _ in range(abs(m))]
+    other = Divisor.build(others)
+    want = _greedy_build(list(entries) + list(other.entries), org + other.origin_order)
+    merged = d.merge(other)
+    assert repr((merged.entries, merged.origin_order)) == repr(want)
+
+
+def test_divisor_merge_loops_only_over_the_runs_with_a_close_pair(monkeypatch):
+    """The pole of 1/(z - 10 pi i) sits on a zero of exp(z) - 1: the two
+    cancel, and of the lattice only the shell |z| = 10 pi that holds them
+    goes through the greedy loop, with the divisor that the loop over the
+    whole set gives."""
+    lattice, pole = ExpPoly(Z, 1).divisor_in_disc(2e4), Divisor.build([(10j * math.pi, -1)])
+    want = _greedy_build(list(lattice.entries) + list(pole.entries), lattice.origin_order)
+    looped, greedy = [], fnmodel._greedy_cluster
+    monkeypatch.setattr(fnmodel, "_greedy_cluster",
+                        lambda pairs, tol: greedy(looped.append(list(pairs)) or looped[-1], tol))
+    d = Product(ExpPoly(Z, 1), RationalFromDivisor(1, pole))._divisor_impl(2e4)
+    assert repr((d.entries, d.origin_order)) == repr(want)
+    assert len(d.entries) == len(lattice.entries) - 1
+    assert [len(run) for run in looped] == [3]
+
+
 @pytest.mark.parametrize("tol", [fnmodel.MERGE_TOL, fnmodel.ROOT_CLUSTER_TOL, 1e-13, 0.0])
 def test_screened_clustering_equals_the_greedy_loop(tol):
     """Divisor.build and cluster_roots give what the greedy loop over every
@@ -420,7 +495,7 @@ def test_screened_clustering_equals_the_greedy_loop(tol):
         d = Divisor.build(pairs, 2, merge_tol=tol)
         assert repr(d.entries) == repr(entries)
         assert repr(d.origin_order) == repr(origin)
-        assert d._moduli == [abs(p) for p, _ in d.entries]
+        assert d.moduli.tolist() == [abs(p) for p, _ in d.entries]
         for roots in (pts, np.array(pts)):
             want = [(c, n) for c, n, _ in fnmodel._greedy_cluster(((w, 1) for w in roots), tol)]
             assert repr(cluster_roots(roots, tol)) == repr(want)
@@ -785,7 +860,7 @@ def _eager_fold_plans(f, r):
     was planned on first use: every group's powers formed up to the longer
     series of the two, and each channel's coefficients sliced from them."""
     d = f.divisor
-    b, m = (col[bool(d.origin_order):, 0] for col in d._columns)
+    b, m = d.points, d.mults
     mod = np.abs(b)
     groups = []
     for inner, mask in ((True, mod <= 0.5 * r), (False, mod >= r / 0.5)):
@@ -1478,11 +1553,12 @@ def test_preimages_unresolvable_at_sixty_generations_raise():
 
 def test_divisor_columns_are_cached_and_read_only():
     d = build_orbit_function(figure_family("left", 6)).divisor
-    b, m = d._columns
-    assert d._columns[0] is b
-    assert b.shape == m.shape == (len(d.entries) + bool(d.origin_order), 1)
-    with pytest.raises(ValueError):
-        b[0, 0] = 0.0
+    b, m = d._rows
+    assert d._rows[0] is b
+    assert b.shape == m.shape == (len(d.entries) + bool(d.origin_order),)
+    for col in (b, m, d.points, d.mults, d.moduli):
+        with pytest.raises(ValueError):
+            col[0] = 0.0
 
 
 def test_pair_reduce_chunks_rows_without_changing_them():
@@ -1652,6 +1728,6 @@ def test_divisor_cache_hits_on_a_rebuilt_equal_expression():
 
 def test_divisor_cached_properties_live_on_the_instance():
     d = Divisor.build([(1, 1), (2j, -1), (-3, 2)])
-    assert d._moduli == [1.0, 2.0, 3.0] and "_moduli" in vars(d)
-    assert d.restrict(2.5)._moduli == [1.0, 2.0]
+    assert d.moduli.tolist() == [1.0, 2.0, 3.0] and "moduli" in vars(d)
+    assert d.restrict(2.5).moduli.tolist() == [1.0, 2.0]
     assert d == Divisor(d.entries, 0)  # cached values take no part in equality

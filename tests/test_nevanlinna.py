@@ -313,6 +313,13 @@ def test_radius_must_be_positive():
         counting(Divisor((), 1), -1.0)
 
 
+def test_counting_and_n_count_reject_a_nan_radius():
+    d = Divisor.build([(1, 1), (2, -1)], 1)
+    for count in (counting, n_count):
+        with pytest.raises(ValueError):
+            count(d, math.nan)
+
+
 # ---------------------------------------------------------------------------
 # counting function
 # ---------------------------------------------------------------------------

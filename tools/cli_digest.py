@@ -37,6 +37,11 @@ COMMANDS = [
     # a crossing pair between two scan samples, and circles the divisor bound decides
     ["char", "--fn", "orbit_left_m6", "--radii", "8.21086325832621"],
     ["char", "--fn", "orbit_right_m6", "--rmin", "1", "--rmax", "1e6", "--count", "12"],
+    # radii on divisor points: the nudge, the band and the closed disc of restrict
+    ["char", "--fn", "rat_zero1_pole2", "--radii", "1,2"],
+    ["char", "--fn", "orbit_right_m6", "--radii", "1,56.25968530461196,15122.494343117332"],
+    ["char", "--fn", "orbit_left_m6", "--radii", "4,6.272714415569453"],
+    ["census", "--figure1", "left", "--generations", "6", "--radius", "4"],
     ["char", "--fn", "const_5", "--radii", "1,2"],
     ["char", "--fn", "nope", "--radii", "1"],
     ["hyperorder", "--fn", "exp_z"],
