@@ -292,11 +292,23 @@ def _figure_map(args) -> AlgebraicMap:
                 else constructor.right_figure_map())
     if args.map_json:
         with open(args.map_json) as fh:
-            data = json.load(fh)
-        return AlgebraicMap(n=int(data["n"]),
-                            alphas=tuple(complex(re, im) for re, im in data["alphas"]),
-                            branch=int(data.get("branch", 0)))
+            return _map_from_json(json.load(fh))
     raise ToolkitError("need --figure1 or --map-json to pick a map")
+
+
+def _map_from_json(data) -> AlgebraicMap:
+    """The map of a ``--map-json`` file: {"n": int, "alphas": [[re, im], ...]}
+    with an optional integer "branch"; AlgebraicMap checks their values."""
+    if not (isinstance(data, dict) and "n" in data and "alphas" in data):
+        raise ToolkitError('--map-json needs a JSON object with "n" and "alphas"')
+    n, pairs, branch = data["n"], data["alphas"], data.get("branch", 0)
+    for key, val in (("n", n), ("branch", branch)):
+        if type(val) is not int:  # JSON true and false are bools, 2.0 a float
+            raise ToolkitError(f'--map-json "{key}" must be an integer, not {val!r}')
+    if not (isinstance(pairs, list) and all(isinstance(p, list) and len(p) == 2 and all(
+            type(x) in (int, float) and abs(x) <= sys.float_info.max for x in p) for p in pairs)):
+        raise ToolkitError('--map-json "alphas" must be a list of finite [re, im] pairs')
+    return AlgebraicMap(n=n, alphas=tuple(complex(re, im) for re, im in pairs), branch=branch)
 
 
 def cmd_orbit(args) -> int:
@@ -505,6 +517,8 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     argv = argv[:i] + argv[i + 2:]
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ToolkitError("--config needs a JSON object of flag values")
     extra: list[str] = []
     for key, val in sorted(data.items()):
         flag = "--" + str(key).replace("_", "-")

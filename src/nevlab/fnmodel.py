@@ -943,32 +943,27 @@ class FunctionExpr:
         exists."""
         return self
 
-    def level_cuts(self, r: float, g) -> tuple[np.ndarray | None, int]:
-        """Sorted angles in [0, 2pi) at which |f(r e^{i theta})| = 1, where
-        log+|f| has its kinks, and the evaluations of ``g = near_circle(r)``
-        spent finding them.  Closed forms give them at no evaluation for
-        constants (none), exp(p) and exp(exp(p)) (:func:`_im_level_angles`),
-        and a rational given by its divisor searches through ``g`` and
-        certifies what it finds (:func:`_level_search`).  For exp(p) and
-        the rationals, :meth:`closed_proximity` integrates between these
-        kinks in closed form, so the quadrature cuts its panels at them
-        only for the other expressions and where a rational's certificate
-        fails.  The angles are None where the level set is not known: for
+    def closed_proximity(self, r: float) -> tuple[tuple[float, float] | None,
+                                                   np.ndarray | None, int]:
+        """(mean, kinks, spent): the one question a circle mean on |z| = r
+        asks of the expression.
+
+        ``mean`` is (m(r, f), its rounding bound) in closed form, or None
+        where the quadrature must find it: Jensen's formula for a rational
+        given by its divisor where the divisor bound keeps log|f| off 0,
+        else the dilogarithm arcs between its certified kinks, and the
+        trigonometric arcs of exp(p).  ``kinks`` are the sorted angles in
+        [0, 2pi) where |f| = 1, at which the quadrature cuts its panels,
+        found at no evaluation for constants (none), exp(p) and exp(exp(p))
+        (:func:`_im_level_angles`), and for a rational by a certified search
+        through ``near_circle(r)`` (:func:`_level_search`), whose
+        evaluations ``spent`` counts.  They are None where not known: for
         every other expression (exp(p) - a with a != 0, quotients,
         products, ...), where the coefficients over- or underflow at ``r``
         or the angles would exceed ``MAX_PANELS``, where the divisor bound
         keeps a rational's log|f| off 0, and where its search finds no
         crossing."""
-        return None, 0
-
-    def closed_proximity(self, r: float) -> tuple[float, float, int] | None:
-        """m(r, f) in closed form: (the mean of log+|f| on |z| = r, its
-        rounding bound, the evaluations spent), or None where the circle
-        mean must come from quadrature.  A rational given by its divisor
-        answers by Jensen's formula or the dilogarithm arcs between its
-        certified kinks, exp(p) by its trigonometric arcs; every other
-        expression answers None."""
-        return None
+        return None, None, 0
 
     def _divisor_impl(self, r: float) -> Divisor:
         raise OpaqueExpr(f"{type(self).__name__} does not expose a divisor")
@@ -1126,8 +1121,8 @@ class Const(FunctionExpr):
     def _logderivs(self, z):
         return np.zeros(z.shape, dtype=np.complex128)
 
-    def level_cuts(self, r, g):
-        return _NO_ANGLES, 0  # |f| is constant: log+|f| has no kinks
+    def closed_proximity(self, r):
+        return None, _NO_ANGLES, 0  # |f| is constant: log+|f| has no kinks
 
     def _divisor_impl(self, r):
         return EMPTY_DIVISOR
@@ -1169,25 +1164,18 @@ class RationalFromDivisor(FunctionExpr):
         fold = _CircleFold(self, r)
         return fold if fold.folded else self
 
-    def level_cuts(self, r, g):
-        if not self.divisor.points.size:  # scale * z^k: |f| is constant on the circle
-            return _NO_ANGLES, 0
-        if _divisor_sign(self, r):
-            return None, 0
-        angles, spent, _ = _level_search(self, g, r)
-        return (angles if angles.size else None), spent
-
     def closed_proximity(self, r):
-        sign = _divisor_sign(self, r) if self.divisor.points.size else 1  # |scale z^k| is constant
+        kinks = None if self.divisor.points.size else _NO_ANGLES  # |scale z^k| is constant
+        sign = 1 if kinks is _NO_ANGLES else _divisor_sign(self, r)
         if sign < 0:
-            return 0.0, 0.0, 0
-        g, angles, spent = self, _NO_ANGLES, 0  # Jensen
+            return (0.0, 0.0), kinks, 0
+        g, angles, spent, certified = self, _NO_ANGLES, 0, True  # Jensen
         if not sign:
             g = self.near_circle(r)
             angles, spent, certified = _level_search(self, g, r)
-            if not certified:
-                return None
-        return (*_arc_mean(angles, *_log_antiderivative(g._log, r, angles)), spent)
+            kinks = angles if angles.size else None
+        mean = _arc_mean(angles, *_log_antiderivative(g._log, r, angles)) if certified else None
+        return mean, kinks, spent
 
     @property
     def _log(self):
@@ -1625,23 +1613,19 @@ class ExpPoly(FunctionExpr):
             out[mid] = dp[mid] * ew / (ew - self.a)
         return out
 
-    def level_cuts(self, r, g):
-        # |e^p| = 1 where Re p = 0; exp(p) - a has no closed form for it
-        if self.a != 0:
-            return None, 0
-        return _im_level_angles(self.p.scale(1j), r, [0.0]), 0  # Re p = Im(ip)
-
     def closed_proximity(self, r):
+        # |e^p| = 1 where Re p = 0 (Re p = Im(ip)); exp(p) - a has no closed form for it
+        angles = None if self.a != 0 else _im_level_angles(self.p.scale(1j), r, [0.0])
+        if angles is None:
+            return None, None, 0
         # log|e^p| = Re p = Re c_0 + Re sum c_j e^{ij theta}, c_j = p_j r^j,
         # integrated exactly between its zeros: Im(c_j e^{ij theta}) / j
-        angles = self.level_cuts(r, self)[0]
-        if angles is None:
-            return None
         c = np.array([p_k * float(r)**k for k, p_k in enumerate(self.p.coeffs)])
         a = c[1:] / np.arange(1, c.size)
         g = (_unit_powers(angles, a.size) @ a).imag
         mean = float(c[0].real)
-        return (*_arc_mean(angles, mean, g, 2.0 * _EPS * (abs(mean) + float(np.sum(np.abs(a))))), 0)
+        err = 2.0 * _EPS * (abs(mean) + float(np.sum(np.abs(a))))
+        return _arc_mean(angles, mean, g, err), angles, 0
 
     def _divisor_impl(self, r):
         if self.a == 0:
@@ -1701,18 +1685,18 @@ class Exp(FunctionExpr):
     def _divisor_impl(self, r):
         return EMPTY_DIVISOR
 
-    def level_cuts(self, r, g):
+    def closed_proximity(self, r):
         # for a child e^p, |f| = 1 where Re e^p = 0: Im p = pi/2 + k pi, |Im p| <= bound
         child = self.child
         if not (isinstance(child, ExpPoly) and child.a == 0):
-            return None, 0
+            return None, None, 0
         bound = child.p.coeff_bound(r)
         k_lo = math.ceil(-bound / math.pi - 0.5)
         k_hi = math.floor(bound / math.pi - 0.5)
         if 2 * child.p.degree * (k_hi - k_lo + 1) > MAX_PANELS:
-            return None, 0
+            return None, None, 0
         shifts = [math.pi * (k + 0.5) for k in range(k_lo, k_hi + 1)]
-        return _im_level_angles(child.p, r, shifts), 0
+        return None, _im_level_angles(child.p, r, shifts), 0
 
 
 @record

@@ -32,6 +32,7 @@ from .fnmodel import (
     Quotient,
     Const,
     TWO_PI,
+    _NO_ANGLES,
     logplus,
     record,
     subtract,
@@ -87,51 +88,44 @@ def _nudged(expr: FunctionExpr, r: float) -> float:
     return r * NUDGE_FACTOR if div.band(r, ON_CIRCLE_REL).size else r
 
 
-def _circle_means(expr: FunctionExpr, radii, integrand, atol: float, rtol: float,
-                  nudge: bool = True,
-                  level_cuts: bool = False) -> list[tuple[QuadratureResult, float]]:
-    """Means of ``integrand(g, z)`` over circles by quadrature, each with the radius used.
+def _circle_means(expr: FunctionExpr, circles, integrand, atol: float,
+                  rtol: float) -> list[QuadratureResult]:
+    """Means of ``integrand(g, z)`` over circles |z| = r by quadrature.
 
-    Each circle is |z| = r, moved out by ``NUDGE_FACTOR`` when ``nudge`` is
-    set and a divisor point sits on it; divisor points near it become panel
-    cuts graded by their distance, and with ``level_cuts`` the angles where
-    |f| = 1 (the kinks of log+|f|) that :meth:`FunctionExpr.level_cuts`
-    returns become plain cuts, and the evaluations it spent count in the
-    result.  Where those angles are not known (None), the ends 0 and 2pi
-    are cut as a singularity on the circle and seeded ``SEED_LEVELS``
-    deep, as uniform seeding did (six panels with no divisor point near),
-    so that the seed panels are narrow enough for the split-and-compare
-    test to see the unknown kinks.  ``g = expr.near_circle(r_used)`` is the
-    form the integrand reads: for a rational given by its divisor, the
-    points far from the circle folded into series; the cuts and the nudge
-    still read the full divisor.  The circles where ``g`` is ``expr`` run in
-    lockstep (:func:`adaptive_circles`), any other circle alone.  The
-    values and error estimates are means, the counts the quadrature's.
+    Each circle is ``(r, kinks, spent)``, the kinks and evaluations as
+    :meth:`FunctionExpr.closed_proximity` returns them; ``spent`` counts in
+    the result.  Divisor points near the circle become panel cuts graded by
+    their distance, and the kinks plain cuts (``_NO_ANGLES`` adds none).
+    Unknown kinks (None) cut the ends 0 and 2pi as a singularity on the
+    circle, seeded ``SEED_LEVELS`` deep, as uniform seeding did (six panels
+    with no divisor point near), so that the seed panels are narrow enough
+    for the split-and-compare test to see them.  ``g = expr.near_circle(r)``
+    is the form the integrand reads: for a rational given by its divisor,
+    the points far from the circle folded into series; the cuts still read
+    the full divisor.  The circles where ``g`` is ``expr`` run in lockstep
+    (:func:`adaptive_circles`), any other circle alone.  The values and
+    error estimates are means, the counts the quadrature's.
     """
     # a finite atol stays finite when scaled; inf and NaN reach the check as given
     scaled_atol = min(atol * TWO_PI, sys.float_info.max) if math.isfinite(atol) else atol
-    out, shared = {}, []  # shared: (index, radius used, cuts, spent) of the lockstep circles
-    for k, r in enumerate(radii):
-        r_used = _nudged(expr, r) if nudge else r
-        g = expr.near_circle(r_used)
-        cuts = _split_angles(expr, r_used)
-        spent = 0
-        if level_cuts:
-            angles, spent = expr.level_cuts(r_used, g)
-            cuts += [(0.0, 0.0)] if angles is None else [(a, math.inf) for a in angles.tolist()]
-        if g is expr and len(radii) > 1:  # one circle: adaptive_circle, which bench/ wraps
-            shared.append((k, r_used, cuts, spent))
+    out, shared = {}, []  # shared: (index, radius, cuts, spent) of the lockstep circles
+    for k, (r, kinks, spent) in enumerate(circles):
+        g = expr.near_circle(r)
+        cuts = _split_angles(expr, r)
+        cuts += [(0.0, 0.0)] if kinks is None else [(a, math.inf) for a in kinks.tolist()]
+        if g is expr and len(circles) > 1:  # one circle: adaptive_circle, which bench/ wraps
+            shared.append((k, r, cuts, spent))
         else:
-            out[k] = adaptive_circle(lambda theta: integrand(g, r_used * np.exp(1j * theta)),
-                                     cuts, atol=scaled_atol, rtol=rtol, evaluations=spent), r_used
+            out[k] = adaptive_circle(lambda theta: integrand(g, r * np.exp(1j * theta)),
+                                     cuts, atol=scaled_atol, rtol=rtol, evaluations=spent)
     if shared:
-        index, used, cuts, spent = zip(*shared)
-        r_of = np.array(used)
-        out.update(zip(index, zip(adaptive_circles(
+        index, radii, cuts, spent = zip(*shared)
+        r_of = np.array(radii)
+        out.update(zip(index, adaptive_circles(
             lambda theta, c: integrand(expr, r_of[c] * np.exp(1j * theta)),
-            cuts, atol=scaled_atol, rtol=rtol, evaluations=spent), used)))
-    return [(res.replace(value=res.value / TWO_PI, err_estimate=res.err_estimate / TWO_PI), r_used)
-            for res, r_used in map(out.get, range(len(radii)))]
+            cuts, atol=scaled_atol, rtol=rtol, evaluations=spent)))
+    return [res.replace(value=res.value / TWO_PI, err_estimate=res.err_estimate / TWO_PI)
+            for res in map(out.get, range(len(circles)))]
 
 
 def _logplus(g, z: np.ndarray) -> np.ndarray:
@@ -159,8 +153,9 @@ def proximities(expr: FunctionExpr, radii,
     the independent checks of these means are mpmath integrals and
     quadrature at tighter tolerances (``_circle_means``).  The other
     circles, a rational's uncertified ones included, run the quadrature
-    with their kinks as cuts, in lockstep where the integrand reads the
-    expression itself: exp(p) - a, exp towers, quotients and products.
+    with the kinks of that same answer as cuts, in lockstep where the
+    integrand reads the expression itself: exp(p) - a, exp towers,
+    quotients and products.
     The samples have ``N = 0``; :func:`characteristic_sweep` adds N.
     """
     if any(r <= 0 for r in radii):
@@ -168,16 +163,16 @@ def proximities(expr: FunctionExpr, radii,
     check_tolerances(atol, rtol)
     used = [_nudged(expr, r) for r in radii]
     closed = [expr.closed_proximity(r_used) for r_used in used]
-    rest = [r_used for r_used, c in zip(used, closed) if c is None]
-    means = iter(rest and _circle_means(expr, rest, _logplus, atol, rtol,
-                                        nudge=False, level_cuts=True))
+    rest = [(u, kinks, spent) for u, (mean, kinks, spent) in zip(used, closed) if mean is None]
+    means = iter(rest and _circle_means(expr, rest, _logplus, atol, rtol))
     samples = []
-    for r, r_used, c in zip(radii, used, closed):
-        res = next(means)[0] if c is None else None
-        m, err, spent = c or (res.value, res.err_estimate, res.evaluations)
+    for r, r_used, (mean, _, spent) in zip(radii, used, closed):
+        res = next(means) if mean is None else None
+        m, err = mean or (res.value, res.err_estimate)
         samples.append(CharacteristicSample(r=r, m=m, N=0.0, T=m, quad_err=err,
                                             nudged=r_used != r, r_used=r_used,
-                                            panels=res.panels if res else 0, evaluations=spent))
+                                            panels=res.panels if res else 0,
+                                            evaluations=res.evaluations if res else spent))
     return samples
 
 
@@ -207,11 +202,12 @@ def n_count(divisor: Divisor, r: float, kind: str = "poles") -> int:
 
 
 def _with_poles(expr: FunctionExpr, sample: CharacteristicSample) -> CharacteristicSample:
-    """The sample with N(r) of the expression's poles, and T = m + N."""
-    if expr.is_divisor_transparent:
-        N = counting(expr.divisor_in_disc(sample.r_used), sample.r_used, "poles")
-    elif expr.is_entire:
+    """The sample with N(r) of the expression's poles, and T = m + N: no
+    divisor is read for an entire expression, which has no poles."""
+    if expr.is_entire:
         N = 0.0
+    elif expr.is_divisor_transparent:
+        N = counting(expr.divisor_in_disc(sample.r_used), sample.r_used, "poles")
     else:
         raise ValueError("characteristic of a divisor-opaque non-entire expression")
     return sample.replace(N=N, T=sample.m + N)
@@ -343,8 +339,8 @@ def argument_principle_count(expr: FunctionExpr, r: float,
     signed count.  A residual further than ``COUNT_INTEGER_TOL`` from an integer
     raises :class:`NonIntegerResidual`.
     """
-    raw = _circle_means(expr, [r], lambda g, z: (z * g._logderivs(z)).real,
-                        atol, rtol)[0][0].value
+    raw = _circle_means(expr, [(_nudged(expr, r), _NO_ANGLES, 0)],
+                        lambda g, z: (z * g._logderivs(z)).real, atol, rtol)[0].value
     nearest = round(raw)
     if abs(raw - nearest) > COUNT_INTEGER_TOL:
         raise NonIntegerResidual(
@@ -367,8 +363,8 @@ def jensen_lhs_rhs(expr: FunctionExpr, r: float,
     where c is the leading coefficient of f at the origin (the first nonzero
     Laurent coefficient) and origin order contributes ``order * log r``.
     """
-    lhs = _circle_means(expr, [r], lambda g, z: g._log_mod(z), atol, rtol,
-                        nudge=False)[0][0].value
+    lhs = _circle_means(expr, [(r, _NO_ANGLES, 0)], lambda g, z: g._log_mod(z),
+                        atol, rtol)[0].value
 
     div = expr.divisor_in_disc(r)
     rhs = counting(div, r, "zeros") - counting(div, r, "poles")

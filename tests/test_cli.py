@@ -84,6 +84,19 @@ def test_verify_pest_small(capsys):
     assert payload["verdict"] == "pass"
 
 
+def test_verify_pest_writes_its_reports(capsys, tmp_path):
+    dest = tmp_path / "pest.csv"
+    code, out, _ = run(capsys, "verify", "pest", "--trials", "8", "--seed", "3",
+                       "--out", str(dest))
+    assert code == EXIT_PASS
+    lines = dest.read_text().splitlines()
+    assert json.loads(lines[0][len("# config "):]) == json.loads(out)["config"]
+    assert lines[1] == "r,lhs,rhs,margin,pass,exceptional,s,K"
+    rows = [line.split(",") for line in lines[2:]]
+    assert len(rows) == 8 and all(row[4] == "1" and row[5:] == ["", "", ""] for row in rows)
+    assert all(float(row[1]) <= float(row[2]) for row in rows)
+
+
 def test_verify_lemma1_documented_triple(capsys):
     code, out, _ = run(capsys, "verify", "lemma1", "--fn", "exp_z",
                        "--omega", "z+1", "--phi", "z", "--radii", "1,4,16")
@@ -256,6 +269,36 @@ def test_orbit_csv_matches_hand_oracle(capsys):
     assert float(rows[1][3]) == 5.0 and float(rows[1][4]) == 0.4
     assert float(rows[2][3]) == pytest.approx(6.101052360167807, abs=1e-12)
     assert float(rows[2][4]) == pytest.approx(0.8922563354910713, abs=1e-12)
+
+
+def test_orbit_map_json_gives_the_rows_of_its_figure_map(capsys, tmp_path):
+    # the left figure's map tau(z) = z + 0.5 + 0.2i w, w the root of z
+    dest = tmp_path / "map.json"
+    dest.write_text(json.dumps({"n": 2, "alphas": [[0, 0], [0.5, 0.2]], "branch": 0}))
+    rows = []
+    for pick in (("--map-json", str(dest)), ("--figure1", "left")):
+        code, out, _ = run(capsys, "orbit", *pick, "--seed", "4", "--k", "5")
+        assert code == EXIT_PASS
+        rows.append(out.splitlines()[1:])
+    assert len(rows[0]) == 7 and rows[0] == rows[1]
+
+
+@pytest.mark.parametrize("text, detail", [
+    ('{"n": 2}', '--map-json needs a JSON object with "n" and "alphas"'),
+    ("[1]", '--map-json needs a JSON object with "n" and "alphas"'),
+    ('{"n": 2, "alphas": [1, 2]}', '--map-json "alphas" must be a list of finite [re, im] pairs'),
+    ('{"n": null, "alphas": [[0, 0], [0.5, 0.2]]}', '--map-json "n" must be an integer, not None'),
+    ('{"n": 2, "alphas": [["a", 0], [0.5, 0.2]]}',
+     '--map-json "alphas" must be a list of finite [re, im] pairs'),
+    ('{"n": 2, "alphas": [[0, 0], [0.5, 0.2]], "branch": 1.5}',
+     '--map-json "branch" must be an integer, not 1.5'),
+], ids=["no_alphas", "a_list", "bare_alphas", "null_n", "string_alpha", "float_branch"])
+def test_malformed_map_json_is_an_error(capsys, tmp_path, text, detail):
+    dest = tmp_path / "map.json"
+    dest.write_text(text)
+    code, out, err = run(capsys, "orbit", "--map-json", str(dest), "--seed", "4", "--k", "3")
+    assert code == EXIT_ERROR and out == ""
+    assert json.loads(err) == {"error": "ToolkitError", "detail": detail}
 
 
 def test_construct_cloud_row_count(capsys, tmp_path):
@@ -512,6 +555,15 @@ def test_missing_config_file_is_an_error(capsys):
                        "--fn", "exp_z")
     assert code == EXIT_ERROR
     assert "file" in err.lower() or "directory" in err.lower()
+
+
+def test_config_file_that_is_not_an_object_is_an_error(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text("[1, 2]")
+    code, out, err = run(capsys, "char", "--fn", "exp_z", "--radii", "2", "--config", str(cfg))
+    assert code == EXIT_ERROR and out == ""
+    assert json.loads(err) == {"error": "ToolkitError",
+                               "detail": "--config needs a JSON object of flag values"}
 
 
 def test_config_without_path_is_an_error(capsys):

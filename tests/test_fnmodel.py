@@ -584,6 +584,20 @@ def test_rational_eval_raises_at_pole():
         f.eval(2.0)
 
 
+def test_scalar_eval_signals_poles_and_overflow(members):
+    pole0 = members["rat_pole0"].expr  # 1/z
+    for z in (0.0, 1e-13):  # on the pole, and within POLE_TOL of it
+        with pytest.raises(PoleSignal):
+            pole0.eval(z)
+    for key, z in (("exp_z", 800.0), ("exp_exp_z", 10.0)):
+        with pytest.raises(OverflowSignal):
+            members[key].expr.eval(z)
+    for f, z in ((pole0, 0.0), (rational([1.0], [2.0]), 2.0)):
+        with pytest.raises(PoleSignal):
+            f.logmod_eval(z)
+    assert Const(0.0).logmod_eval(1.0) == (-math.inf, 0.0)
+
+
 def test_quotient_and_product_agree_with_parts():
     a = ExpPoly(Z)
     b = rational([1.0], [])
@@ -1073,9 +1087,9 @@ def _sign_changes(f, r, n=400_000):
 
 
 def _closed_form_angles(f, r):
-    """The angles of ``f.level_cuts`` on |z| = r, which a closed form finds
-    at no evaluation."""
-    angles, spent = f.level_cuts(r, f.near_circle(r))
+    """The kinks of ``f.closed_proximity`` on |z| = r, which a closed form
+    finds at no evaluation."""
+    _, angles, spent = f.closed_proximity(r)
     assert spent == 0
     return angles
 
@@ -1212,7 +1226,7 @@ def test_level_search_finds_one_angle_per_sign_change(reference_rationals, key, 
     f = reference_rationals[key]
     for r in radii:
         g = f.near_circle(r)
-        angles, spent = f.level_cuts(r, g)
+        _, angles, spent = f.closed_proximity(r)
         assert np.all(np.diff(angles) > 0) and np.all((angles >= 0) & (angles < TWO_PI))
         assert np.abs(f._log_mod(r * np.exp(1j * angles))).max() <= 1e-10, (key, r)
         changes = _sign_changes(f, r)
@@ -1242,7 +1256,7 @@ def test_level_search_certifies_a_shallow_pair_between_its_samples(reference_rat
     assert gap.max() <= 2.0 * TWO_PI / 400_000
     assert spent > fnmodel._SCAN_POINTS + len(f.divisor.band(r, CIRCLE_BAND)) + 6 * 10
     s = proximity(f, r)
-    tight = _circle_means(f, [r], _logplus, atol=1e-12, rtol=1e-11, level_cuts=True)[0][0]
+    tight = _circle_means(f, [(r, angles, spent)], _logplus, atol=1e-12, rtol=1e-11)[0]
     assert s.panels == 0 and s.evaluations == spent
     assert abs(s.m - tight.value) <= 0.01 * max(1e-9, 1e-8 * s.m)
 
@@ -1250,10 +1264,10 @@ def test_level_search_certifies_a_shallow_pair_between_its_samples(reference_rat
 def test_level_search_gives_up_where_log_f_keeps_one_sign(reference_rationals):
     # the divisor bound alone keeps log|f| of orbit_right_60 above 0 at r = 1e4
     f = reference_rationals["orbit_right_60"]
-    assert f.level_cuts(1e4, f.near_circle(1e4)) == (None, 0)
+    assert f.closed_proximity(1e4)[1:] == (None, 0)
     # inside the m6 orbit's cloud the bound allows a crossing, the scan finds none
     f = reference_rationals["orbit_left_m6"]
-    angles, spent = f.level_cuts(0.7, f.near_circle(0.7))
+    _, angles, spent = f.closed_proximity(0.7)
     assert angles is None and spent >= fnmodel._SCAN_POINTS
     assert _sign_changes(f, 0.7).size == 0
 

@@ -12,6 +12,7 @@ from nevlab import (
     Divisor,
     ExpPoly,
     Polynomial,
+    Product,
     Quotient,
     RationalFromDivisor,
     argument_principle_count,
@@ -174,43 +175,60 @@ _ORACLES = {"exp_exp_z": _m_exp_exp_reference, "rat_zero1_pole2": _m_rat_zero1_p
     pytest.param("exp_exp_z", 24.123900982041413, id="24.123900982041413"),
     pytest.param("rat_zero1_pole2", 3.78921641565047, id="rat_zero1_pole2-3.78921641565047"),
 ])
-def test_level_cuts_are_only_hints(members, monkeypatch, key, r):
+def test_level_cuts_are_only_hints(members, key, r):
     # a missing kink costs refinement rounds, a spurious one a panel: with
     # any one level angle dropped, or one added, the mean meets its tolerance
     expr = members[key].expr
-    angles, _ = expr.level_cuts(r, expr.near_circle(r))
+    _, angles, _ = expr.closed_proximity(r)
     ref = _ORACLES[key](r)
     for edited in [np.delete(angles, i) for i in range(angles.size)] + [
             np.sort(np.append(angles, 1.234))]:
-        monkeypatch.setattr(type(expr), "level_cuts", lambda self, radius, g: (edited, 0))
-        m = _circle_means(expr, [r], _logplus, 1e-9, 1e-8, level_cuts=True)[0][0].value
+        m = _circle_means(expr, [(r, edited, 0)], _logplus, 1e-9, 1e-8)[0].value
         assert abs(m - ref) <= max(1e-9, 1e-8 * m)
 
 
-def test_proximity_counts_the_search_and_keeps_seeded_ends_without_a_crossing(
-        members, monkeypatch):
+def test_proximity_counts_the_search_and_keeps_seeded_ends_without_a_crossing(members):
     # the quadrature of a rational's mean, its fallback: with crossings, the
     # searched angles as cuts, the search's evaluations counted on top of
     # the quadrature's; without, the ends seeded as for an unknown level
     # set, and the scan's evaluations counted on top
     f, g = members["rat_zero1_pole2"].expr, members["orbit_left_m6"].expr
 
-    def quad(expr, r):
-        return _circle_means(expr, [r], _logplus, 1e-9, 1e-8, level_cuts=True)[0][0]
+    def quad(expr, r, kinks, spent):
+        return _circle_means(expr, [(r, kinks, spent)], _logplus, 1e-9, 1e-8)[0]
 
     for expr, r, found in ((f, 3.78921641565047, True), (g, 0.7, False)):
-        angles, spent = expr.level_cuts(r, expr.near_circle(r))
+        _, angles, spent = expr.closed_proximity(r)
         assert (angles is not None) == found and spent > 0
-        searched = quad(expr, r)
-        with monkeypatch.context() as patch:
-            patch.setattr(RationalFromDivisor, "level_cuts", lambda self, radius, g: (angles, 0))
-            given = quad(expr, r)
+        searched = quad(expr, r, angles, spent)
+        given = quad(expr, r, angles, 0)
         assert searched.value == given.value
         assert searched.evaluations == given.evaluations + spent
     # plain cuts at the two kinks and no seeded ends: with the angle 0 they
     # make three panels, each accepted in the first round (48 nodes each)
-    res = quad(f, 3.78921641565047)
-    assert res.panels == 3 and res.evaluations == 3 * 48 + f.level_cuts(3.78921641565047, f)[1]
+    _, angles, spent = f.closed_proximity(3.78921641565047)
+    res = quad(f, 3.78921641565047, angles, spent)
+    assert res.panels == 3 and res.evaluations == 3 * 48 + spent
+
+
+def test_an_uncertified_circle_searches_once(members, monkeypatch):
+    # with no bisection allowed the certificate fails on this circle (a
+    # crossing pair between two scan samples), and the quadrature runs with
+    # the one search's kinks as cuts and its evaluations counted
+    f, r = members["orbit_left_m6"].expr, 8.21086325832621
+    calls, search = [], fnmodel._level_search
+    monkeypatch.setattr(fnmodel, "_CERTIFY_ROUNDS", 0)
+    monkeypatch.setattr(fnmodel, "_level_search",
+                        lambda *args: calls.append(args) or search(*args))
+    s = proximity(f, r)
+    assert len(calls) == 1
+    assert (s.panels, s.evaluations) == (54, 2792)
+    mean, angles, spent = f.closed_proximity(r)
+    assert mean is None and angles.size
+    res = _circle_means(f, [(r, angles, spent)], _logplus, 1e-9, 1e-8)[0]
+    assert (s.m, s.quad_err, s.evaluations) == (res.value, res.err_estimate, res.evaluations)
+    monkeypatch.undo()
+    assert abs(s.m - proximity(f, r).m) <= max(1e-9, 1e-8 * s.m)
 
 
 def test_closed_form_samples_count_the_search_and_plan_no_fold_for_jensen(
@@ -416,6 +434,21 @@ def test_characteristic_of_an_opaque_meromorphic_expression_raises():
         characteristic(f, 3.0)
 
 
+def test_characteristic_of_an_entire_expression_reads_no_divisor(members, monkeypatch):
+    # an entire expression has no poles: N = 0.0, what counting gives, bit for bit
+    keys, radii = ("exp_z3", "exp_exp_z", "expz_minus_1"), (0.5, 3.0, 7.0)
+    for key in keys:
+        for r in radii:
+            N = counting(members[key].expr.divisor_in_disc(r), r, "poles")
+            assert type(N) is float and N == 0.0 and math.copysign(1.0, N) == 1.0
+    monkeypatch.setattr(nevanlinna, "counting", lambda *args: pytest.fail("counting called"))
+    for key in keys:
+        for r in radii:
+            s = characteristic(members[key].expr, r)
+            assert type(s.N) is float and math.copysign(1.0, s.N) == 1.0
+            assert s.N == 0.0 and s.T == s.m
+
+
 # ---------------------------------------------------------------------------
 # contour nudging
 # ---------------------------------------------------------------------------
@@ -524,6 +557,16 @@ def test_argument_principle_matches_divisor(members):
             d = expr.divisor_in_disc(r)
             want = d.total("zeros") - d.total("poles")
             assert argument_principle_count(expr, r) == want, (key, r)
+
+
+def test_argument_principle_through_compound_expressions():
+    # e^z - 1 has the zeros 2 pi i k: 1, 3 and 7 of them in |z| < 3, 7 and 20
+    one, em1 = Const(1.0), ExpPoly(Z, 1.0)
+    for r, count in ((3.0, 1), (7.0, 3), (20.0, 7)):
+        assert argument_principle_count(em1, r) == count
+        assert argument_principle_count(Quotient(one, em1), r) == -count  # 1/(e^z - 1)
+        assert argument_principle_count(Product(EXP_Z2, em1), r) == count  # e^{z^2} (e^z - 1)
+        assert argument_principle_count(Difference(EXP_Z, one), r) == count  # no normal form
 
 
 # the contour-count radii of the benchmark's sweep on seed 3
