@@ -31,13 +31,13 @@ EXIT_FAIL = 2
 
 
 def _lookup_fn(key: str):
-    reg = {k: m.expr for k, m in constructor.corpus().items()}
-    reg["const_5"] = Const(5.0)
-    if key not in reg:
-        raise ToolkitError(
-            f"unknown function id {key!r}; known: {', '.join(sorted(reg))}"
-        )
-    return reg[key]
+    """The named function, built alone: a corpus member or ``const_5``."""
+    if key == "const_5":
+        return Const(5.0)
+    if key not in constructor.CORPUS_TABLE:
+        known = sorted([*constructor.CORPUS_TABLE, "const_5"])
+        raise ToolkitError(f"unknown function id {key!r}; known: {', '.join(known)}")
+    return constructor.CORPUS_TABLE[key][0]()
 
 
 def _radii_from(args) -> list[float]:

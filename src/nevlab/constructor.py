@@ -263,28 +263,30 @@ def _small_rational(zeros, poles) -> RationalFromDivisor:
     return RationalFromDivisor(1.0, Divisor.build(pairs))
 
 
+# key -> (builder, hyper_tag, note): corpus() builds every member, the CLI
+# only the one it is asked for
+CORPUS_TABLE = {
+    "exp_z": (lambda: ExpPoly(_Z), 0.0, "order-1 entire"),
+    "exp_z2": (lambda: ExpPoly(Polynomial((0j, 0j, 1.0))), 0.0, "order-2 entire"),
+    "exp_z3": (lambda: ExpPoly(Polynomial((0j, 0j, 0j, 1.0))), 0.0, "order-3 entire"),
+    "rat_zero1_pole2": (lambda: _small_rational([1.0], [2.0]), 0.0,
+                        "degree-1 rational, zero at 1, pole at 2"),
+    "rat_zero1_polem1": (lambda: _small_rational([1.0], [-1.0]), 0.0,
+                         "degree-1 rational, zero at 1, pole at -1"),
+    "rat_pole0": (lambda: RationalFromDivisor(1.0, Divisor((), -1)), 0.0,
+                  "reciprocal of the identity"),
+    "exp_exp_z": (lambda: Exp(ExpPoly(_Z)), 1.0, "double exponential tower"),
+    "expz_minus_1": (lambda: ExpPoly(_Z, 1.0), 0.0,
+                     "exp(z) - 1, zeros on the imaginary lattice"),
+    "expz2_minus_1": (lambda: ExpPoly(Polynomial((0j, 0j, 1.0)), 1.0), 0.0, "exp(z^2) - 1"),
+    "orbit_left_m6": (lambda: build_orbit_function(figure_family("left", 6)), 0.0,
+                      "orbit rational, left configuration, 6 generations"),
+    "orbit_right_m6": (lambda: build_orbit_function(figure_family("right", 6)), 0.0,
+                       "orbit rational, right configuration, 6 generations"),
+}
+
+
 def corpus() -> dict[str, CorpusMember]:
     """Deterministic registry of named test functions."""
-    members = [
-        CorpusMember("exp_z", ExpPoly(_Z), 0.0, "order-1 entire"),
-        CorpusMember("exp_z2", ExpPoly(Polynomial((0j, 0j, 1.0))), 0.0, "order-2 entire"),
-        CorpusMember("exp_z3", ExpPoly(Polynomial((0j, 0j, 0j, 1.0))), 0.0, "order-3 entire"),
-        CorpusMember("rat_zero1_pole2", _small_rational([1.0], [2.0]), 0.0,
-                     "degree-1 rational, zero at 1, pole at 2"),
-        CorpusMember("rat_zero1_polem1", _small_rational([1.0], [-1.0]), 0.0,
-                     "degree-1 rational, zero at 1, pole at -1"),
-        CorpusMember("rat_pole0", RationalFromDivisor(1.0, Divisor((), -1)), 0.0,
-                     "reciprocal of the identity"),
-        CorpusMember("exp_exp_z", Exp(ExpPoly(_Z)), 1.0, "double exponential tower"),
-        CorpusMember("expz_minus_1", ExpPoly(_Z, 1.0), 0.0,
-                     "exp(z) - 1, zeros on the imaginary lattice"),
-        CorpusMember("expz2_minus_1", ExpPoly(Polynomial((0j, 0j, 1.0)), 1.0),
-                     0.0, "exp(z^2) - 1"),
-        CorpusMember("orbit_left_m6",
-                     build_orbit_function(figure_family("left", 6)), 0.0,
-                     "orbit rational, left configuration, 6 generations"),
-        CorpusMember("orbit_right_m6",
-                     build_orbit_function(figure_family("right", 6)), 0.0,
-                     "orbit rational, right configuration, 6 generations"),
-    ]
-    return {m.key: m for m in members}
+    return {key: CorpusMember(key, build(), tag, note)
+            for key, (build, tag, note) in CORPUS_TABLE.items()}

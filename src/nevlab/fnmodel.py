@@ -481,9 +481,10 @@ def _aberth(cs: np.ndarray, max_iter: int) -> np.ndarray:
     """Simultaneous (Aberth/Ehrlich) iterates for every row of ``cs``.
 
     ``cs`` is ``(K, n + 1)``, lowest degree first, with nonzero constant and
-    leading terms.  Each row starts on its own perturbed Cauchy circle and is
-    frozen once its largest relative step drops below 1e-14, so a row comes
-    out exactly as it would if it were solved alone.  Returns ``(K, n)``.
+    leading terms; :func:`_solve_rows` sends it the rows of degree 3 and up.
+    Each row starts on its own perturbed Cauchy circle and is frozen once its
+    largest relative step drops below 1e-14, so a row comes out exactly as it
+    would if it were solved alone.  Returns ``(K, n)``.
     """
     n = cs.shape[1] - 1
     mon = cs / cs[:, -1:]
@@ -518,16 +519,61 @@ def _aberth(cs: np.ndarray, max_iter: int) -> np.ndarray:
     return out
 
 
+def _quadratic(cs: np.ndarray) -> np.ndarray:
+    """Both roots of every row of the ``(K, 3)`` array ``cs``.
+
+    A row is brought to the monic form z^2 + 2hz + g and scaled by t, the
+    least power of two above max(|h|, sqrt|g|), so that neither the
+    discriminant nor a root overflows.  The root -t (h/t + s), with the sign
+    of s = sqrt(h^2/t^2 - g/t^2) that adds to h/t, has no cancellation; the
+    other is g over it (Vieta), or -t (h/t - s) where that has none either.
+    """
+    h = cs[:, 1] / (2.0 * cs[:, 2])
+    g = cs[:, 0] / cs[:, 2]
+    # scaling by a power of two is exact
+    t = np.ldexp(1.0, np.frexp(np.maximum(np.abs(h), np.sqrt(np.abs(g))))[1])
+    hs, gs = h / t, g / t / t
+    s = np.sqrt(hs * hs - gs)
+    s = np.where(hs.real * s.real + hs.imag * s.imag < 0, -s, s)
+    z1 = -t * (hs + s)
+    # -t (h/t - s) is the other root, cancellation-free where |h/t| <= |s| / 2
+    z2 = np.where(2.0 * np.abs(hs) <= np.abs(s), -t * (hs - s), g / z1)
+    return np.stack((z1, z2), axis=1)
+
+
+def _solve_rows(cs: np.ndarray, max_iter: int) -> np.ndarray:
+    """Roots of every row of ``cs`` (``(K, n + 1)``, lowest degree first,
+    nonzero constant and leading terms), unsorted: degree 1 as -c0 / c1,
+    degree 2 by :func:`_quadratic`, higher degrees by :func:`_aberth`."""
+    n = cs.shape[1] - 1
+    if n == 1:
+        return -cs[:, :1] / cs[:, 1:]
+    if n == 2:
+        return _quadratic(cs)
+    return _aberth(cs, max_iter)
+
+
 def _sorted_checked(roots: np.ndarray, cs: np.ndarray, tol: float) -> np.ndarray:
     """Sort each row of ``roots`` by (modulus, re, im) and enforce the residual
-    contract of its polynomial, row ``cs`` (lowest degree first)."""
+    contract of its polynomial, row ``cs`` (lowest degree first).
+
+    The contract |p(z)| <= tol (1 + |z|)^n |leading| is tested divided by
+    (1 + |z|)^n, so that it holds for every finite root, however large; a
+    non-finite root or residual fails it.
+    """
     roots = np.take_along_axis(
         roots, np.lexsort((roots.imag, roots.real, np.abs(roots)), axis=-1), axis=-1)
     n = cs.shape[1] - 1
-    resid = np.abs(_horner(cs, roots))
-    limit = np.maximum(tol * (1.0 + np.abs(roots)) ** n * np.abs(cs[:, -1:]), 1e-300)
-    if np.any(resid > limit):
-        worst = float(np.max(resid / limit))
+    rho = 1.0 / (1.0 + np.abs(roots))
+    zeta, power = roots * rho, rho
+    v = np.repeat(cs[:, -1:], roots.shape[1], axis=1)
+    for j in range(n - 1, -1, -1):  # Horner on p(z) / (1 + |z|)^n
+        v = v * zeta + cs[:, j:j + 1] * power
+        power = power * rho
+    resid = np.abs(v)
+    limit = np.maximum(tol * np.abs(cs[:, -1:]), 1e-300)
+    if not np.all(resid <= limit):
+        worst = float(np.max(np.nan_to_num(resid / limit, nan=np.inf)))
         raise RootFindFailure(
             f"root residual contract violated (worst ratio {worst:.3g}, degree {n})"
         )
@@ -535,11 +581,14 @@ def _sorted_checked(roots: np.ndarray, cs: np.ndarray, tol: float) -> np.ndarray
 
 
 def poly_roots(p: Polynomial, tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:
-    """All roots of ``p`` by simultaneous (Aberth/Ehrlich) iteration.
+    """All roots of ``p``: in closed form up to degree 2, by simultaneous
+    (Aberth/Ehrlich) iteration above.
 
-    Initial guesses sit on a deterministically perturbed circle whose radius
-    is the Cauchy bound ``1 + max|c_j / c_deg|``.  Residuals are checked
-    against ``tol * (1 + |root|)^degree * |leading|``; a violation raises
+    Roots at the origin are peeled off exactly first, and the rest solved by
+    :func:`_solve_rows`: degree 1 as -c0 / c1, degree 2 by a scaled,
+    cancellation-free quadratic formula, higher degrees by :func:`_aberth`.
+    Residuals are checked against ``tol * (1 + |root|)^degree * |leading|``;
+    a violation, or a root or residual that is not finite, raises
     :class:`RootFindFailure`.
     """
     cs = np.asarray(p.coeffs, dtype=np.complex128)
@@ -556,7 +605,7 @@ def poly_roots(p: Polynomial, tol: float = 1e-10, max_iter: int = 200) -> np.nda
         k0 += 1
     roots = np.zeros((1, n), dtype=np.complex128)
     if k0 < n:
-        roots[:, :n - k0] = _aberth(cs[None, k0:], max_iter)
+        roots[:, :n - k0] = _solve_rows(cs[None, k0:], max_iter)
     return _sorted_checked(roots, cs[None, :], tol)[0]
 
 
@@ -565,10 +614,11 @@ def roots_of_shifts(p: Polynomial, ws, tol: float = 1e-10,
     """Roots of ``p(z) = w`` for every ``w`` in ``ws``, one row per target.
 
     Row ``j`` equals ``poly_roots(p - Polynomial((ws[j],)))`` bit for bit:
-    the rows share one Aberth iteration over a ``(K, degree)`` array, with
-    the same start circle, step test and residual contract, checked per row.
-    Rows whose constant term is exactly 0 go through :func:`poly_roots`,
-    which peels the origin roots.  Returns ``(K, degree)``.
+    the rows go through the same row solver, :func:`_solve_rows` (closed
+    form up to degree 2, one Aberth iteration over a ``(K, degree)`` array
+    above), with the same residual contract, checked per row.  Rows whose
+    constant term is exactly 0 go through :func:`poly_roots`, which peels the
+    origin roots.  Returns ``(K, degree)``.
     """
     ws = np.asarray(ws, dtype=np.complex128).reshape(-1)
     # The arithmetic of p - Polynomial((w,)): 0j is added to the upper
@@ -584,7 +634,7 @@ def roots_of_shifts(p: Polynomial, ws, tol: float = 1e-10,
         chunk = max(1, _ABERTH_CELLS // p.degree**2)
         for i in range(0, rest.size, chunk):
             rows = rest[i:i + chunk]
-            roots[rows] = _sorted_checked(_aberth(cs[rows], max_iter), cs[rows], tol)
+            roots[rows] = _sorted_checked(_solve_rows(cs[rows], max_iter), cs[rows], tol)
     return roots
 
 

@@ -62,6 +62,44 @@ def test_unknown_function_is_a_usage_error(capsys):
     assert "nope" in err
 
 
+def _count_builds(monkeypatch):
+    """Count the builds of every corpus member and the calls of corpus()."""
+    from nevlab import constructor
+    builds = {"corpus()": 0}
+    for key, (build, tag, note) in constructor.CORPUS_TABLE.items():
+        def counted(key=key, build=build):
+            builds[key] = builds.get(key, 0) + 1
+            return build()
+        monkeypatch.setitem(constructor.CORPUS_TABLE, key, (counted, tag, note))
+    corpus = constructor.corpus
+
+    def counted_corpus():
+        builds["corpus()"] += 1
+        return corpus()
+    monkeypatch.setattr(constructor, "corpus", counted_corpus)
+    return builds
+
+
+def test_fn_lookup_builds_only_the_requested_member(capsys, monkeypatch):
+    builds = _count_builds(monkeypatch)
+    assert run(capsys, "char", "--fn", "exp_z", "--radii", "1")[0] == EXIT_PASS
+    assert run(capsys, "char", "--fn", "const_5", "--radii", "1")[0] == EXIT_PASS
+    assert builds == {"corpus()": 0, "exp_z": 1}
+    code, _, err = run(capsys, "char", "--fn", "nope", "--radii", "1")
+    assert code == EXIT_ERROR and builds == {"corpus()": 0, "exp_z": 1}
+    assert json.loads(err)["detail"] == (
+        "unknown function id 'nope'; known: const_5, exp_exp_z, exp_z, exp_z2, exp_z3, "
+        "expz2_minus_1, expz_minus_1, orbit_left_m6, orbit_right_m6, rat_pole0, "
+        "rat_zero1_pole2, rat_zero1_polem1")
+
+
+def test_verify_borel_all_builds_the_corpus_once(capsys, monkeypatch):
+    builds = _count_builds(monkeypatch)
+    run(capsys, "verify", "borel", "--fn", "all", "--rmax", "20", "--count", "20")
+    assert builds.pop("corpus()") == 1
+    assert len(builds) == 11 and set(builds.values()) == {1}
+
+
 def test_hyperorder_json(capsys):
     code, out, _ = run(capsys, "hyperorder", "--fn", "exp_exp_z",
                        "--rmin", "5", "--rmax", "30", "--count", "25")

@@ -34,7 +34,7 @@ from nevlab import (
     preimages_in_disc,
     subtract,
 )
-from nevlab import fnmodel
+from nevlab import cli, fnmodel
 from nevlab.fnmodel import (
     CIRCLE_BAND,
     OpaqueExpr,
@@ -158,6 +158,76 @@ def test_poly_roots_residual_contract(cs, lead):
 def test_poly_roots_rejects_zero_polynomial():
     with pytest.raises(RootFindFailure):
         poly_roots(Polynomial((0j,)))
+
+
+def test_closed_form_roots_of_degree_one_and_two():
+    assert np.array_equal(poly_roots(Polynomial((-3.0, 2.0))), [1.5])
+    assert np.array_equal(poly_roots(Polynomial((-4.0, 0j, 1.0))), [-2.0, 2.0])
+    assert np.array_equal(poly_roots(Polynomial((2.0, -3.0, 1.0))), [1.0, 2.0])
+    # z^2 + z after peeling its origin root: z + 1
+    assert np.array_equal(poly_roots(Polynomial((0j, 1.0, 1.0))), [0.0, -1.0])
+
+
+def test_scaled_quadratic_keeps_roots_far_apart_in_range():
+    """No intermediate of the scaled formula overflows: the roots of
+    z^2 + 1e200 z + 1 and z^2 + 1e200 z - w are finite and sharp."""
+    roots = poly_roots(Polynomial((1.0, 1e200, 1.0)))
+    assert roots == pytest.approx([-1e-200, -1e200], rel=1e-15)
+    rows = roots_of_shifts(Polynomial((0j, 1e200, 1.0)), [1.0, 2.0])
+    assert rows == pytest.approx(np.array([[1e-200, -1e200], [2e-200, -1e200]]), rel=1e-15)
+
+
+@pytest.mark.parametrize("coeffs", [(1.0, 1e200, 0j, 1.0), (1.0, 1e308, 1e-308)])
+def test_non_finite_roots_raise(coeffs):
+    """The Aberth iterates of the cubic and the scaled quadratic of the
+    second polynomial (whose large root is out of range) are not finite."""
+    with np.errstate(all="ignore"), pytest.raises(RootFindFailure):
+        poly_roots(Polynomial(coeffs))
+
+
+def test_non_finite_roots_of_shifts_raise():
+    with np.errstate(all="ignore"), pytest.raises(RootFindFailure):
+        roots_of_shifts(Polynomial((0j, 1e308, 1e-308)), [1.0, 2.0])
+
+
+@pytest.mark.parametrize("text", ["z^2+z", "z^2"])
+def test_closed_form_roots_of_branch_shifts_match_mpmath(text):
+    """The shifts smt's branches solve, w = i pi k for |k| <= 500 and 200
+    random w of scale 30: every root within 2 ulps of 40-digit roots."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(23)
+    ws = [1j * np.pi * k for k in range(-500, 501)]
+    ws += list(30.0 * (rng.standard_normal(200) + 1j * rng.standard_normal(200)))
+    p = Polynomial.parse(text)
+    rows = roots_of_shifts(p, ws)
+    worst = 0.0
+    with mpmath.workdps(40):
+        c1 = mpmath.mpc(p.coeffs[1])
+        for w, row in zip(ws, rows):
+            d = mpmath.sqrt(c1 * c1 + 4 * mpmath.mpc(w))
+            ref = ((d - c1) / 2, (-d - c1) / 2)
+            for z in row:
+                err = min(abs(mpmath.mpc(z) - x) for x in ref)
+                scale = abs(min(ref, key=lambda x: abs(mpmath.mpc(z) - x)))
+                worst = max(worst, float(err / scale) if scale else float(err))
+    assert worst <= 2 * 2.0**-52
+
+
+def test_smt_solves_its_pull_backs_without_aberth(monkeypatch, capsys):
+    """Every divisor of smt's c05 grid is a pull-back through a polynomial
+    of degree 2 (or 1 at the origin rows): none reaches the iteration."""
+    degrees = {"_solve_rows": [], "_aberth": []}
+    for name, degree_list in degrees.items():
+        def spy(cs, max_iter, solve=getattr(fnmodel, name), seen=degree_list):
+            seen.append(cs.shape[1] - 1)
+            return solve(cs, max_iter)
+        monkeypatch.setattr(fnmodel, name, spy)
+    fnmodel._divisor_cached.cache_clear()
+    argv = ["verify", "smt", "--fn", "exp_z", "--omega", "z^2+z", "--phi", "z^2",
+            "--targets", "1,-1", "--rmin", "5", "--rmax", "40", "--count", "25"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert set(degrees["_solve_rows"]) == {1, 2} and degrees["_aberth"] == []
 
 
 def _branch_sets(monkeypatch, r=16.0):

@@ -53,6 +53,9 @@ COMMANDS = [
     ["verify", "asym", "--fn", "exp_z", "--omega", "z^2+z"],
     # compositions of a rational
     ["verify", "lemma1", "--fn", "orbit_left_m6", "--count", "12"],
+    # a rational pulled back through degree 2 on both sides
+    ["verify", "lemma1", "--fn", "orbit_left_m6", "--omega", "z^2+z", "--phi", "z^2",
+     "--count", "12"],
     ["verify", "asym", "--fn", "orbit_left_m6", "--omega", "z+1", "--count", "12"],
     ["verify", "asym", "--fn", "orbit_left_m6", "--omega", "z^2+z", "--count", "12"],
     ["verify", "smt"],
