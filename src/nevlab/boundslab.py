@@ -328,7 +328,11 @@ def smt_check(expr: FunctionExpr, pair: PolyPair, targets, slack: float,
     rhs: 2 T(r, f(phi)) - N_corr + slack * T(r, f(phi)), where
     N_corr = 2 N(r, f(phi)) - N(r, D) + N(r, 1/D) and D = f(omega) - f(phi).
     Radii violating the inequality are flagged as exceptional candidates and
-    their grid cells' logarithmic measure is accumulated.
+    their grid cells' logarithmic measure is accumulated.  D's divisor is
+    solved once, on the disc of the largest radius used
+    (:meth:`FunctionExpr.solve_ahead`), and each radius restricts it; the
+    circle means of f(phi) and of the reciprocals do the same through
+    :func:`proximities`.
     """
     grid = np.asarray([float(r) for r in rgrid])
     if not (grid.size and np.isfinite(grid).all() and grid[0] > 0 and (np.diff(grid) > 0).all()):
@@ -356,6 +360,7 @@ def smt_check(expr: FunctionExpr, pair: PolyPair, targets, slack: float,
     widths = _cell_logwidths(grid)
     phi_samples = characteristic_sweep(comp_phi, grid, atol=atol, rtol=rtol)
     recip_means = [proximities(q, grid, atol=atol, rtol=rtol) for q in recips]
+    diff.solve_ahead(max(s.r_used for s in phi_samples))
     reports = []
     exc_measure = 0.0
     for k, (r, w, phi_sample) in enumerate(zip(grid, widths, phi_samples)):

@@ -52,7 +52,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import cached_property, lru_cache
+from collections import namedtuple
+from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
@@ -1022,11 +1023,21 @@ class FunctionExpr:
     def divisor_in_disc(self, r: float) -> Divisor:
         """Divisor restricted to |z| <= r.
 
-        Internally computed on a quantized radius, the smallest power of two
-        at least ``max(r, 1e-6)``, and restricted exactly, so the result is
-        monotone in ``r`` by construction.  Raises :class:`OverflowSignal`
-        when that radius, or a bound the divisor needs, leaves the double
-        range.
+        This decides which disc a divisor is solved on.  With rq the
+        smallest power of two at least ``max(r, 1e-6)``: where a disc R >=
+        rq was already solved for an equal expression (``_divisor_cached``),
+        its divisor is restricted to r; else the divisor is solved on rq,
+        which becomes the expression's largest disc.  So a grid that asks
+        for its largest disc first (:meth:`solve_ahead`) solves one disc,
+        and a query with no larger disc solved solves rq.  The result is
+        monotone in ``r``.  It equals a fresh solve on rq unless a group of
+        points that the merge (:meth:`Divisor.build`) joins straddles
+        |z| = rq, which the larger disc merges to one point at its centroid:
+        for ``Quotient(Const(1), RationalFromDivisor(1, Divisor([(8 - 1e-9,
+        1), (8 + 1e-9, 1)])))``, disc 8 read from disc 16 holds a pole of
+        order 2 at 8, a fresh solve on 8 one of order 1 at 8 - 1e-9.
+        Raises :class:`OverflowSignal` when rq, or a bound the divisor
+        needs, leaves the double range.
         """
         if not self.is_divisor_transparent:
             raise OpaqueExpr(f"{type(self).__name__} is divisor-opaque")
@@ -1041,6 +1052,18 @@ class FunctionExpr:
             raise OverflowSignal(
                 f"disc radius {r!r} rounds up past the floating range") from None
         return _divisor_cached(self, rq).restrict(r)
+
+    def solve_ahead(self, r: float) -> None:
+        """Solve the divisor on the disc that ``divisor_in_disc(r)`` reads,
+        so that the queries of a radius grid up to r restrict it instead of
+        solving each smaller disc they cross.  Best-effort: a failure to
+        solve it is dropped, and the grid's own queries raise as they would
+        have without it."""
+        if self.is_divisor_transparent:
+            try:
+                self.divisor_in_disc(r)
+            except (ToolkitError, ArithmeticError, ValueError):
+                pass
 
     def eval(self, z: complex) -> complex:
         """Plain value; raises PoleSignal near poles, OverflowSignal past range."""
@@ -1137,9 +1160,44 @@ def _im_level_angles(p: Polynomial, r: float, shifts) -> np.ndarray | None:
     return np.array(sorted(angles))
 
 
-@lru_cache(maxsize=4096)
-def _divisor_cached(expr: FunctionExpr, rq: float) -> Divisor:
-    return expr._divisor_impl(rq)
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _DivisorCache:
+    """Each expression's divisor on the largest disc solved for it.
+
+    A call ``(expr, rq)`` returns the divisor on the recorded disc R where
+    R >= rq (a hit), else solves it on rq, which becomes R (a miss: one
+    solve).  At most ``maxsize`` expressions are held, the least recently
+    read dropped first.  ``cache_info`` and ``cache_clear`` count and reset
+    it as those of an ``lru_cache`` do."""
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self.cache_clear()
+
+    def __call__(self, expr: FunctionExpr, rq: float) -> Divisor:
+        solved = self._solved.get(expr)
+        if solved is not None and solved[0] >= rq:
+            self._hits += 1
+        else:
+            self._misses += 1
+            solved = rq, expr._divisor_impl(rq)
+        self._solved.pop(expr, None)  # reinserted as the most recently read
+        self._solved[expr] = solved
+        if len(self._solved) > self.maxsize:
+            del self._solved[next(iter(self._solved))]
+        return solved[1]
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self._hits, self._misses, self.maxsize, len(self._solved))
+
+    def cache_clear(self) -> None:
+        self._solved: dict[FunctionExpr, tuple[float, Divisor]] = {}
+        self._hits = self._misses = 0
+
+
+_divisor_cached = _DivisorCache(maxsize=4096)
 
 
 @record

@@ -157,10 +157,15 @@ def proximities(expr: FunctionExpr, radii,
     integrand reads the expression itself: exp(p) - a, exp towers,
     quotients and products.
     The samples have ``N = 0``; :func:`characteristic_sweep` adds N.
+    A grid of two or more radii first asks for the largest disc that its
+    panel cuts read (:meth:`FunctionExpr.solve_ahead`), so each radius
+    restricts that one divisor instead of solving the discs it crosses.
     """
     if any(r <= 0 for r in radii):
         raise ValueError("radius must be positive")
     check_tolerances(atol, rtol)
+    if len(radii) > 1:
+        expr.solve_ahead(max(radii) * (1.0 + CIRCLE_BAND))  # the disc _split_angles reads
     used = [_nudged(expr, r) for r in radii]
     closed = [expr.closed_proximity(r_used) for r_used in used]
     rest = [(u, kinks, spent) for u, (mean, kinks, spent) in zip(used, closed) if mean is None]

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from functools import lru_cache
 from operator import itemgetter
 from typing import Callable
 
@@ -53,10 +52,22 @@ MAX_CALL_NODES = 4096  # nodes per integrand call: bounds the integrand's tempor
 MIN_WIDTH = 1e-15
 MERGE_GAP = 1e-12  # cuts closer than this share one edge
 
-
-@lru_cache(maxsize=None)
-def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)
+# The PANEL_ORDER Gauss-Legendre nodes and weights on [-1, 1], bit for bit
+# those of numpy.polynomial.legendre.leggauss(16), which are symmetric: the
+# positive nodes ascending and their weights, mirrored below.  A table, so
+# that no quadrature imports numpy.polynomial.
+_GL_HALF = (
+    (0.09501250983763744, 0.18945061045506864),
+    (0.2816035507792589, 0.18260341504492364),
+    (0.45801677765722737, 0.16915651939500265),
+    (0.6178762444026438, 0.1495959888165767),
+    (0.755404408355003, 0.12462897125553407),
+    (0.8656312023878318, 0.0951585116824926),
+    (0.9445750230732326, 0.062253523938647456),
+    (0.9894009349916499, 0.027152459411754176),
+)
+_GL_X = np.array([-x for x, _ in reversed(_GL_HALF)] + [x for x, _ in _GL_HALF])
+_GL_W = np.array([w for _, w in reversed(_GL_HALF)] + [w for _, w in _GL_HALF])
 
 
 @record
@@ -167,7 +178,7 @@ def adaptive_circles(f: Callable[[np.ndarray, np.ndarray], np.ndarray], cuts_per
     live, counts = list(range(n)), [s[0].size for s in seeds]  # unfinished circles, panels
     circle = np.repeat(live, counts)  # of each panel
     spent = list(evaluations) if evaluations else [0] * n
-    x, w = _gl_nodes(PANEL_ORDER)
+    x, w = _GL_X, _GL_W
 
     def panel_values(lo_b, hi_b, circle, retry=True):
         """Gauss-Legendre values of f over the panels [lo_b, hi_b], given

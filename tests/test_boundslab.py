@@ -13,6 +13,7 @@ from nevlab import (
     ExpPoly,
     Polynomial,
     PolyPair,
+    Quotient,
     RationalFromDivisor,
     asym_ratio,
     borel_closed_form,
@@ -32,7 +33,11 @@ from nevlab.fnmodel import (
     InsufficientGrowth,
     NonMonotone,
     QuadratureFailure,
+    TWO_PI,
+    compose_poly,
+    subtract,
 )
+from nevlab.nevanlinna import _circle_means, _logplus, log_radii, proximities
 
 Z = Polynomial((0j, 1.0))
 Z_PLUS_1 = Polynomial((1.0, 1.0))
@@ -253,6 +258,41 @@ def test_smt_passes_on_documented_configuration():
     for rep in result.reports:
         assert rep.passed
         assert rep.meta["N_corr"] >= 0.0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "a Quotient has no kinks, so the seeded quadrature never cuts where "
+    "|e^(z^2) - 1| = 1 (ROADMAP item 1)"))
+def test_smt_reciprocal_mean_meets_its_tolerance():
+    """m(r, 1/(e^{z^2} - 1)) as smt_check finds it on the c05 grid, at
+    r = 25.9368, against the quadrature at 1000x tighter tolerances cut
+    where |e^{z^2} - 1| = 1, at angles found by 2^16 samples and bisection.
+    It reads 5.6044e-4 against 6.3108e-4, about 7,000 tolerances off."""
+    atol, rtol = 1e-8, 1e-7  # smt_check's
+    grid = [float(r) for r in log_radii(5.0, 40.0, 25)]
+    k = 19
+    r = grid[k]
+    assert round(r, 4) == 25.9368
+    recip = Quotient(Const(1.0), subtract(compose_poly(ExpPoly(Z), Z2), Const(1.0)))
+    assert recip.rhs == ExpPoly(Z2, 1.0)
+    got = proximities(recip, grid, atol=atol, rtol=rtol)[k].m
+
+    def outside(theta):  # |f| > 1
+        return recip._log_mod(r * np.exp(1j * theta)) > 0.0
+
+    n = 1 << 16
+    theta = np.arange(n) * (TWO_PI / n)
+    up = outside(theta)
+    lo = theta[np.flatnonzero(up != np.roll(up, -1))]
+    hi, up_lo = lo + TWO_PI / n, outside(lo)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        same = outside(mid) == up_lo
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    kinks = np.sort(0.5 * (lo + hi) % TWO_PI)
+    assert kinks.size == 8
+    ref = _circle_means(recip, [(r, kinks, 0)], _logplus, atol / 1000, rtol / 1000)[0].value
+    assert abs(got - ref) <= atol + rtol * abs(ref)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import warnings
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from nevlab import fnmodel
 from nevlab.cli import EXIT_ERROR, EXIT_FAIL, EXIT_PASS, main
 
 
@@ -154,6 +155,25 @@ def test_verify_smt_c05_grid_passes_deterministically(capsys):
     assert code1 == code2 == EXIT_PASS
     assert json.loads(out1)["verdict"] == "pass"
     assert out1 == out2
+
+
+def test_verify_smt_c05_solves_each_divisor_on_one_disc(monkeypatch, capsys):
+    """Every expression of the c05 grid has its divisor solved once, on the
+    largest disc the grid reads; each smaller disc restricts it."""
+    solves = []
+    for cls in vars(fnmodel).values():
+        if isinstance(cls, type) and "_divisor_impl" in vars(cls):
+            def spy(self, r, solve=vars(cls)["_divisor_impl"]):
+                solves.append((self, r))
+                return solve(self, r)
+            monkeypatch.setattr(cls, "_divisor_impl", spy)
+    fnmodel._divisor_cached.cache_clear()
+    code, _, _ = run(capsys, *SMT_C05, "--count", "25")
+    assert code == EXIT_PASS
+    exprs = [expr for expr, _ in solves]
+    assert len(exprs) == len(set(exprs)) >= 6
+    assert {r for _, r in solves} == {64.0}
+    assert fnmodel._divisor_cached.cache_info().misses == len(solves)
 
 
 def test_verify_smt_empty_grid_is_an_error(capsys):

@@ -629,6 +629,27 @@ def test_c05_divisors_merge_without_the_greedy_loop(monkeypatch):
         assert len(row) == 2 and abs(row[0]) < 1e-7 and abs(row[1]) < 1e-7
 
 
+def test_a_disc_read_from_a_larger_one_equals_a_fresh_solve(members):
+    """Queried in random order, a disc that lies inside the largest disc
+    already solved restricts that divisor; it equals the divisor solved
+    afresh on the disc itself."""
+    rng = np.random.default_rng(24)
+    z2_z = Polynomial((0j, 1.0, 1.0))
+    exp_z = members["exp_z"].expr
+    exprs = [ExpPoly(Z2, 1.0), ExpPoly(Z2, -1.0), Quotient(Const(1.0), ExpPoly(Z2, 1.0)),
+             subtract(compose_poly(exp_z, z2_z), compose_poly(exp_z, Z2)),
+             compose_poly(members["orbit_left_m6"].expr, z2_z)]
+    radii = rng.permutation(np.concatenate((np.exp(rng.uniform(-1.0, math.log(60.0), 24)),
+                                            [0.5, 4.0, 8.0, 16.0, 32.0, 33.0])))
+    for f in exprs:
+        fnmodel._divisor_cached.cache_clear()
+        read = [f.divisor_in_disc(r) for r in radii]
+        assert fnmodel._divisor_cached.cache_info().hits > 0
+        for r, d in zip(radii, read):
+            fnmodel._divisor_cached.cache_clear()
+            assert d == f.divisor_in_disc(r)
+
+
 # ---------------------------------------------------------------------------
 # expression evaluation
 # ---------------------------------------------------------------------------
@@ -1808,6 +1829,28 @@ def test_divisor_cache_hits_on_a_rebuilt_equal_expression():
     assert g.divisor_in_disc(3.0) == f.divisor_in_disc(3.0)
     after = fnmodel._divisor_cached.cache_info()
     assert after.misses == before.misses and after.hits == before.hits + 2
+
+
+def test_divisor_cache_reads_the_largest_disc_and_drops_the_least_recent():
+    cache = fnmodel._DivisorCache(maxsize=2)
+    f, g, h = ExpPoly(Z, 1.0), ExpPoly(Z, -1.0), ExpPoly(Z2, 1.0)
+    big = cache(f, 16.0)
+    assert cache(f, 4.0) is big and big.moduli[-1] > 8.0  # disc 16, not 4
+    cache(g, 4.0)
+    cache(f, 4.0)
+    cache(h, 4.0)  # g, the least recently read, is dropped
+    assert cache.cache_info() == (2, 3, 2, 2)
+    assert cache(f, 8.0) is big and cache(g, 4.0) == g.divisor_in_disc(4.0)
+    assert cache.cache_info() == (3, 4, 2, 2)
+    cache.cache_clear()
+    assert cache.cache_info() == (0, 0, 2, 0)
+
+
+def test_solve_ahead_leaves_a_failure_to_the_queries():
+    f = ExpPoly(Z, 1.0)
+    f.solve_ahead(1e200)  # more log-branches than a disc may hold
+    with pytest.raises(OverflowSignal):
+        f.divisor_in_disc(1e200)
 
 
 def test_divisor_cached_properties_live_on_the_instance():

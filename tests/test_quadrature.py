@@ -17,6 +17,12 @@ OFF_CIRCLE_NEG_SQRT = 4.5202281879712915817    # integral of |2e^{it}-1|^{-1/2}
 ON_CIRCLE = [(0.0, 0.0), (math.pi, 0.0)]       # cuts at the singularities of e^{2it} - 1
 
 
+def test_gauss_legendre_table_is_leggauss_bit_for_bit():
+    x, w = np.polynomial.legendre.leggauss(PANEL_ORDER)
+    assert x.tobytes() == quadrature._GL_X.tobytes()
+    assert w.tobytes() == quadrature._GL_W.tobytes()
+
+
 def test_constant_integrand():
     res = adaptive_circle(lambda t: np.ones_like(t))
     assert res.value == pytest.approx(TWO_PI, rel=1e-13)

@@ -81,6 +81,8 @@ COMMANDS = [
     ["verify", "smt", "--fn", "exp_z", "--omega", "z^2+z", "--phi", "z^2",
      "--targets", "1,-1", "--radii", "40,10"],
     ["char", "--fn", "expz2_minus_1", "--rmin", "5", "--rmax", "40", "--count", "25"],
+    # an unsorted grid across three discs: the largest is solved first whatever the order
+    ["char", "--fn", "expz2_minus_1", "--radii", "40,5,20"],
     ["verify", "smt", "--slack", "nan"],
     ["verify", "smt", "--targets", "1,nan"],
     ["orbit", "--figure1", "left", "--seed", "4", "--k", "10"],

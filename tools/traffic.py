@@ -112,8 +112,8 @@ class _Tracer:
     def kind(self, name: str):
         for module in list(sys.modules.values()):
             if getattr(module, "__name__", "").startswith("nevlab"):
-                for value in vars(module).values():
-                    if callable(getattr(value, "cache_clear", None)):
+                for value in vars(module).values():  # cache objects, not their classes
+                    if not isinstance(value, type) and callable(getattr(value, "cache_clear", None)):
                         value.cache_clear()
         self.now = self.hits.setdefault(name, set())
         sys.settrace(self._global)
