@@ -60,7 +60,6 @@ from .constructor import (
 from .fnmodel import (
     BranchAmbiguity,
     Const,
-    Difference,
     Divisor,
     Exp,
     ExpPoly,

@@ -11,8 +11,9 @@ works through three channels defined on a small symbolic expression family:
 * ``_logderivs``    -- f'(z)/f(z) on arrays by structural recursion (chain/
   product rules, never by numeric differentiation), for contour counts.
 
-Each variant also knows its zero/pole divisor inside a disc, which is what
-the counting functions and the quadrature panel splitter consume.  A
+Every member of the family knows its zero/pole divisor inside a disc, which
+is what the counting functions and the quadrature panel splitter consume:
+no member lacks one, so no consumer asks whether a divisor exists.  A
 rational given by its divisor evaluates every channel with one broadcast
 kernel over (points, nodes) chunks, bit-identical to a loop over its points.
 
@@ -31,14 +32,15 @@ other expression is its own circle form.
 
 The family is deliberately closed: constants, rationals given by their
 divisor, exp of a polynomial minus a constant (``ExpPoly(p, a)``; ``a = 0``
-is plain exp(p)), exp of an entire child, products, quotients and
-differences.  Smart constructors rewrite combinations into it.
+is plain exp(p)), exp of an entire child, products and quotients.  Smart
+constructors rewrite combinations into it.
 `compose_poly` takes every member to its precomposition with a nonconstant
 polynomial, a rational to the rational of its pulled-back divisor, so f(p)
 evaluates, folds, cuts its kinks and solves its a-points as the family
-does.  `subtract` rewrites the differences that have a divisor-transparent
-normal form, e.g. ``e^P - e^Q  ->  e^Q * (e^(P-Q) - 1)``; the a-points of f
-are the zeros of ``subtract(f, Const(a))``.  A rational of any degree solves
+does.  `subtract` rewrites the differences that have a normal form in the
+family, e.g. ``e^P - e^Q  ->  e^Q * (e^(P-Q) - 1)``, and raises
+:class:`OpaqueExpr` on every other; the a-points of f are the zeros of
+``subtract(f, Const(a))``.  A rational of any degree solves
 f = a in product form, with no coefficient expanded, by an Ehrlich-Aberth
 iteration whose roots are certified complete by inclusion discs, or it
 raises.  Every a-point query reads a through ``target_value``, in which
@@ -118,7 +120,9 @@ class OverflowSignal(ToolkitError):
 
 
 class OpaqueExpr(ToolkitError):
-    """The expression does not expose its divisor in closed form."""
+    """No divisor can be given: a difference :func:`subtract` cannot rewrite
+    into the family, or exp(c) - a for a constant c with e^c = a, which
+    vanishes everywhere."""
 
 
 class RootFindFailure(ToolkitError):
@@ -853,7 +857,14 @@ class Divisor:
         return Divisor._of(self.points, -self.mults, self.moduli, -self.origin_order)
 
     def merge(self, other: "Divisor") -> "Divisor":
-        """Both sides' points, merged as :meth:`build` merges them."""
+        """Both sides' points, merged as :meth:`build` merges them.  Where
+        one side has no points, the other side's columns are kept as they
+        are, neither sorted nor screened again, with the two origin orders
+        added: so ``EMPTY_DIVISOR.merge(d)`` is ``d``, and a pair of points
+        that building ``d.entries`` again would merge stays apart."""
+        for a, b in ((self, other), (other, self)):
+            if not b.points.size:
+                return Divisor._of(a.points, a.mults, a.moduli, a.origin_order + b.origin_order)
         return Divisor._from_arrays(np.concatenate((self.points, other.points)),
                                     np.concatenate((self.mults, other.mults)),
                                     self.origin_order + other.origin_order, MERGE_TOL)
@@ -957,10 +968,6 @@ class FunctionExpr:
 
     # -- structural capabilities -------------------------------------------------
     @property
-    def is_divisor_transparent(self) -> bool:
-        raise NotImplementedError
-
-    @property
     def is_entire(self) -> bool:
         raise NotImplementedError
 
@@ -1017,7 +1024,7 @@ class FunctionExpr:
         return None, None, 0
 
     def _divisor_impl(self, r: float) -> Divisor:
-        raise OpaqueExpr(f"{type(self).__name__} does not expose a divisor")
+        raise NotImplementedError
 
     # -- public ops ----------------------------------------------------------------
     def divisor_in_disc(self, r: float) -> Divisor:
@@ -1033,14 +1040,12 @@ class FunctionExpr:
         monotone in ``r``.  It equals a fresh solve on rq unless a group of
         points that the merge (:meth:`Divisor.build`) joins straddles
         |z| = rq, which the larger disc merges to one point at its centroid:
-        for ``Quotient(Const(1), RationalFromDivisor(1, Divisor([(8 - 1e-9,
-        1), (8 + 1e-9, 1)])))``, disc 8 read from disc 16 holds a pole of
-        order 2 at 8, a fresh solve on 8 one of order 1 at 8 - 1e-9.
+        for the product of the rationals with one zero at 8 - 1e-9 and at
+        8 + 1e-9, disc 8 read from disc 16 holds a zero of order 2 at 8, a
+        fresh solve on 8 one of order 1 at 8 - 1e-9.
         Raises :class:`OverflowSignal` when rq, or a bound the divisor
         needs, leaves the double range.
         """
-        if not self.is_divisor_transparent:
-            raise OpaqueExpr(f"{type(self).__name__} is divisor-opaque")
         if r < 0:
             raise ValueError("disc radius must be nonnegative")
         if not math.isfinite(r):
@@ -1059,24 +1064,22 @@ class FunctionExpr:
         solving each smaller disc they cross.  Best-effort: a failure to
         solve it is dropped, and the grid's own queries raise as they would
         have without it."""
-        if self.is_divisor_transparent:
-            try:
-                self.divisor_in_disc(r)
-            except (ToolkitError, ArithmeticError, ValueError):
-                pass
+        try:
+            self.divisor_in_disc(r)
+        except (ToolkitError, ArithmeticError, ValueError):
+            pass
 
     def eval(self, z: complex) -> complex:
         """Plain value; raises PoleSignal near poles, OverflowSignal past range."""
         z = complex(z)
         tol = POLE_TOL * (1.0 + abs(z))
-        if self.is_divisor_transparent:
-            div = self.divisor_in_disc(abs(z) + 1.0)
-            poles = div.points[div.mults < 0]
-            near = poles[np.hypot((z - poles).real, (z - poles).imag) <= tol]
-            if near.size:
-                raise PoleSignal(f"z={z} is within {tol:.2e} of a pole at {near[0].item()}")
-            if div.origin_order < 0 and abs(z) <= tol:
-                raise PoleSignal(f"z={z} is within {tol:.2e} of the pole at 0")
+        div = self.divisor_in_disc(abs(z) + 1.0)
+        poles = div.points[div.mults < 0]
+        near = poles[np.hypot((z - poles).real, (z - poles).imag) <= tol]
+        if near.size:
+            raise PoleSignal(f"z={z} is within {tol:.2e} of a pole at {near[0].item()}")
+        if div.origin_order < 0 and abs(z) <= tol:
+            raise PoleSignal(f"z={z} is within {tol:.2e} of the pole at 0")
         v = self._values(_carray([z]))[0]
         if np.isnan(v) or (np.isinf(v.real) or np.isinf(v.imag)):
             lm, _ = self._log_parts(_carray([z]))
@@ -1208,10 +1211,6 @@ class Const(FunctionExpr):
         object.__setattr__(self, "value", complex(self.value))
 
     @property
-    def is_divisor_transparent(self) -> bool:
-        return True
-
-    @property
     def is_entire(self) -> bool:
         return True
 
@@ -1247,10 +1246,6 @@ class RationalFromDivisor(FunctionExpr):
         object.__setattr__(self, "scale", complex(self.scale))
         if self.scale == 0:
             raise ValueError("scale must be nonzero")
-
-    @property
-    def is_divisor_transparent(self) -> bool:
-        return True
 
     @property
     def is_entire(self) -> bool:
@@ -1658,10 +1653,6 @@ class ExpPoly(FunctionExpr):
         object.__setattr__(self, "a", complex(self.a))
 
     @property
-    def is_divisor_transparent(self) -> bool:
-        return True
-
-    @property
     def is_entire(self) -> bool:
         return True
 
@@ -1763,10 +1754,6 @@ class Exp(FunctionExpr):
             raise ValueError("Exp child must be entire")
 
     @property
-    def is_divisor_transparent(self) -> bool:
-        return True
-
-    @property
     def is_entire(self) -> bool:
         return True
 
@@ -1813,10 +1800,6 @@ class Product(FunctionExpr):
     rhs: FunctionExpr
 
     @property
-    def is_divisor_transparent(self) -> bool:
-        return self.lhs.is_divisor_transparent and self.rhs.is_divisor_transparent
-
-    @property
     def is_entire(self) -> bool:
         return self.lhs.is_entire and self.rhs.is_entire
 
@@ -1841,10 +1824,6 @@ class Quotient(FunctionExpr):
     rhs: FunctionExpr
 
     @property
-    def is_divisor_transparent(self) -> bool:
-        return self.lhs.is_divisor_transparent and self.rhs.is_divisor_transparent
-
-    @property
     def is_entire(self) -> bool:
         # quotients by zero-free entire denominators stay entire
         rhs = self.rhs
@@ -1866,42 +1845,6 @@ class Quotient(FunctionExpr):
         return self.lhs.divisor_in_disc(r).merge(self.rhs.divisor_in_disc(r).negate())
 
 
-@record
-class Difference(FunctionExpr):
-    """lhs - rhs with no structural normal form; divisor-opaque.
-
-    Prefer the :func:`subtract` smart constructor, which rewrites the cases
-    that do have a transparent form (exp-poly minus exp-poly, rational minus
-    constant, exp-poly minus constant).
-    """
-
-    lhs: FunctionExpr
-    rhs: FunctionExpr
-
-    @property
-    def is_divisor_transparent(self) -> bool:
-        return False
-
-    @property
-    def is_entire(self) -> bool:
-        return self.lhs.is_entire and self.rhs.is_entire
-
-    def _log_parts(self, z):
-        v = self.lhs._values(z) - self.rhs._values(z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log(np.abs(v)), np.angle(v)
-
-    def _values(self, z):
-        return self.lhs._values(z) - self.rhs._values(z)
-
-    def _logderivs(self, z):
-        va = self.lhs._values(z)
-        vb = self.rhs._values(z)
-        da = va * self.lhs._logderivs(z)
-        db = vb * self.rhs._logderivs(z)
-        return (da - db) / (va - vb)
-
-
 # ---------------------------------------------------------------------------
 # smart constructors
 # ---------------------------------------------------------------------------
@@ -1909,8 +1852,8 @@ class Difference(FunctionExpr):
 
 def compose_poly(expr: FunctionExpr, p: Polynomial) -> FunctionExpr:
     """expr(p(z)) for a nonconstant polynomial p, rewritten into the family:
-    exp(q) - a becomes exp(q(p)) - a, exp(u) becomes exp(u(p)), products,
-    quotients and differences compose each side, and a rational s w^o
+    exp(q) - a becomes exp(q(p)) - a, exp(u) becomes exp(u(p)), products
+    and quotients compose each side, and a rational s w^o
     prod (w - b)^m becomes the rational of the pulled-back points, since
     p(z) - b = lead prod_j (z - z_j(b)) gives it the scale s lead^(o + sum m).
     A constant p raises ValueError, and a scale that leaves the double range
@@ -1925,7 +1868,7 @@ def compose_poly(expr: FunctionExpr, p: Polynomial) -> FunctionExpr:
         return ExpPoly(expr.p.compose(p), expr.a)
     if isinstance(expr, Exp):
         return Exp(compose_poly(expr.child, p))
-    if isinstance(expr, (Product, Quotient, Difference)):
+    if isinstance(expr, (Product, Quotient)):
         return type(expr)(compose_poly(expr.lhs, p), compose_poly(expr.rhs, p))
     d = expr.divisor
     try:
@@ -1941,7 +1884,13 @@ def compose_poly(expr: FunctionExpr, p: Polynomial) -> FunctionExpr:
 
 
 def subtract(expr: FunctionExpr, other: FunctionExpr) -> FunctionExpr:
-    """expr - other, rewritten to a divisor-transparent form when possible."""
+    """expr - other rewritten into the family, whose every member has a
+    divisor: f - 0 is f, a - b of constants a constant, exp(p) - a an
+    ``ExpPoly``, a rational minus a constant the rational of its certified
+    a-points (or RootFindFailure), and e^P - e^Q the product e^Q (e^(P-Q) -
+    1), or c e^Q where P - Q is a constant (IdenticalComposition where P =
+    Q).  This is the one owner of "no rewrite": every other difference
+    raises :class:`OpaqueExpr`."""
     if isinstance(expr, Const) and isinstance(other, Const):
         return Const(expr.value - other.value)
     if isinstance(other, Const):
@@ -1970,7 +1919,8 @@ def subtract(expr: FunctionExpr, other: FunctionExpr) -> FunctionExpr:
             return Product(Const(c), other)
         # e^P - e^Q = e^Q (e^(P-Q) - 1)
         return Product(other, ExpPoly(diff, 1.0))
-    return Difference(expr, other)
+    raise OpaqueExpr(f"{type(expr).__name__} - {type(other).__name__} has no rewrite "
+                     "into the family")
 
 
 # ---------------------------------------------------------------------------
@@ -2002,7 +1952,8 @@ def preimages_in_disc(expr: FunctionExpr, a, r: float) -> Divisor:
     ``a`` is read by :func:`target_value`: the poles for None, ``"inf"``
     and the other spellings of infinity.  A finite nonzero ``a`` is solved
     as the zeros of ``subtract(f, Const(a))``, the same set that
-    N(r, 1/(f - a)) counts; a rational, composed or not, runs the
+    N(r, 1/(f - a)) counts, so an f - a that ``subtract`` cannot rewrite
+    raises its :class:`OpaqueExpr`; a rational, composed or not, runs the
     certified solver of ``subtract`` on this disc alone: all of its
     a-points in the disc, or RootFindFailure.
     """
@@ -2016,10 +1967,7 @@ def preimages_in_disc(expr: FunctionExpr, a, r: float) -> Divisor:
         return Divisor._from_arrays(points, np.ones(points.size, dtype=np.int64), 0, 0.0)
     if isinstance(expr, Const) and expr.value == a:
         raise ValueError("constant expression equals the target everywhere")
-    shifted = subtract(expr, Const(a))
-    if not shifted.is_divisor_transparent:
-        raise OpaqueExpr(f"cannot solve f = a for variant {type(expr).__name__}")
-    return shifted.divisor_in_disc(r).signed("zeros")
+    return subtract(expr, Const(a)).divisor_in_disc(r).signed("zeros")
 
 
 # The residual |f - a| / (1 + |a|) every certified a-point in the disc meets;

@@ -74,16 +74,12 @@ def _split_angles(expr: FunctionExpr, r: float) -> list[tuple[float, float]]:
     """Panel cuts at the divisor points b within ``CIRCLE_BAND`` of |z| = r:
     each angle of b with its distance |log(|b|/r)| off the real axis of
     angles, where log|z - b| is singular as a function of theta."""
-    if not expr.is_divisor_transparent:
-        return []
     b = expr.divisor_in_disc(r * (1.0 + CIRCLE_BAND)).band(r, CIRCLE_BAND)
     return list(zip((np.angle(b) % TWO_PI).tolist(), np.abs(np.log(np.abs(b) / r)).tolist()))
 
 
 def _nudged(expr: FunctionExpr, r: float) -> float:
     """r, or r moved out by ``NUDGE_FACTOR`` where a divisor point sits on |z| = r."""
-    if not expr.is_divisor_transparent:
-        return r
     div = expr.divisor_in_disc(r * (1.0 + 2.0 * ON_CIRCLE_REL))
     return r * NUDGE_FACTOR if div.band(r, ON_CIRCLE_REL).size else r
 
@@ -209,12 +205,8 @@ def n_count(divisor: Divisor, r: float, kind: str = "poles") -> int:
 def _with_poles(expr: FunctionExpr, sample: CharacteristicSample) -> CharacteristicSample:
     """The sample with N(r) of the expression's poles, and T = m + N: no
     divisor is read for an entire expression, which has no poles."""
-    if expr.is_entire:
-        N = 0.0
-    elif expr.is_divisor_transparent:
-        N = counting(expr.divisor_in_disc(sample.r_used), sample.r_used, "poles")
-    else:
-        raise ValueError("characteristic of a divisor-opaque non-entire expression")
+    N = 0.0 if expr.is_entire else counting(
+        expr.divisor_in_disc(sample.r_used), sample.r_used, "poles")
     return sample.replace(N=N, T=sample.m + N)
 
 

@@ -176,6 +176,15 @@ def test_verify_smt_c05_solves_each_divisor_on_one_disc(monkeypatch, capsys):
     assert fnmodel._divisor_cached.cache_info().misses == len(solves)
 
 
+@pytest.mark.parametrize("key", ["expz_minus_1", "orbit_left_m6"])
+def test_verify_smt_without_a_rewrite_of_the_correction_is_an_error(capsys, key):
+    code, out, err = run(capsys, "verify", "smt", "--fn", key)
+    assert code == EXIT_ERROR and out == ""
+    assert json.loads(err) == {"error": "OpaqueExpr", "detail": (
+        "f(omega) - f(phi) has no divisor-transparent rewrite; "
+        "the correction term cannot be assembled exactly")}
+
+
 def test_verify_smt_empty_grid_is_an_error(capsys):
     code, out, err = run(capsys, *SMT_C05, "--count", "0")
     assert code == EXIT_ERROR

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import nevlab
 from nevlab import (
     Const,
-    Difference,
     Divisor,
     Exp,
     ExpPoly,
@@ -409,15 +409,32 @@ def _merge_state(d):
     Divisor((), -3),
 ], ids=["plain", "close pair", "near origin", "origin only"])
 def test_merge_with_an_empty_side_equals_build(other):
-    """With one side's entries empty, merge reads the other's columns; the
-    result is build's: entries, origin, moduli, and a close pair re-merged."""
+    """With one side's points empty, merge returns the other side's columns
+    as they are, with the two origin orders added.  Where build made those
+    columns that is build's result; a close pair that building the entries
+    again would merge stays two points, and a raw entry below ORIGIN_SNAP
+    stays a point."""
     for empty in (Divisor(), Divisor((), 1)):
         for a, b in ((empty, other), (other, empty), (empty, other.negate())):
-            want = Divisor.build(list(a.entries) + list(b.entries),
-                                 a.origin_order + b.origin_order)
-            assert repr(_merge_state(a.merge(b))) == repr(_merge_state(want))
-    if len(other.entries) == 2 and abs(other.entries[0][0] - 1.0) < 1e-8:
-        assert len(Divisor().merge(other).entries) == 1  # the pair merges again
+            side = b if b.points.size else a
+            merged = a.merge(b)
+            assert repr(_merge_state(merged)) == repr(
+                (side.entries, a.origin_order + b.origin_order, side.moduli.tolist()))
+            assert merged.points is side.points  # neither sorted nor screened again
+    rebuilt = Divisor.build(other.entries, other.origin_order)
+    if other.points.size == 2:  # the close pair merges, the raw entry snaps
+        assert rebuilt.points.size == 1
+    else:
+        assert rebuilt == other
+
+
+def test_a_reciprocal_keeps_the_negated_divisor():
+    """1/g carries g's divisor negated, even where building its entries
+    again would merge a close pair (the Divisor docstring's)."""
+    x = Divisor.build([(1.0, 1), (1 + 1.98e-9, 1), (1 + 2.0200002e-9, 1)])
+    assert x.points.size == 2
+    got = Quotient(Const(1.0), RationalFromDivisor(1.0, x)).divisor_in_disc(4.0)
+    assert got == x.negate()
 
 
 def _greedy_build(pairs, origin_order=0, merge_tol=fnmodel.MERGE_TOL):
@@ -531,7 +548,10 @@ def test_divisor_columns_equal_the_pair_reference(pairs, origin, others, r):
     assert (neg.entries, neg.origin_order) == (tuple((p, -m) for p, m in entries), -org)
     assert d.multiset() == [0j] * abs(org) + [p for p, m in entries for _ in range(abs(m))]
     other = Divisor.build(others)
-    want = _greedy_build(list(entries) + list(other.entries), org + other.origin_order)
+    if entries and other.entries:
+        want = _greedy_build(list(entries) + list(other.entries), org + other.origin_order)
+    else:  # a side with no points leaves the other's columns as they are
+        want = (entries or other.entries, org + other.origin_order)
     merged = d.merge(other)
     assert repr((merged.entries, merged.origin_order)) == repr(want)
 
@@ -648,6 +668,18 @@ def test_a_disc_read_from_a_larger_one_equals_a_fresh_solve(members):
         for r, d in zip(radii, read):
             fnmodel._divisor_cached.cache_clear()
             assert d == f.divisor_in_disc(r)
+
+
+def test_a_group_across_the_disc_edge_merges_on_the_larger_disc_only():
+    """The exception of divisor_in_disc's docstring: a merged group that
+    straddles |z| = 8 is one point read from disc 16, not from disc 8."""
+    f = Product(RationalFromDivisor(1.0, Divisor([(8 - 1e-9, 1)])),
+                RationalFromDivisor(1.0, Divisor([(8 + 1e-9, 1)])))
+    fnmodel._divisor_cached.cache_clear()
+    f.divisor_in_disc(16.0)
+    assert f.divisor_in_disc(8.0).entries == ((8 + 0j, 2),)
+    fnmodel._divisor_cached.cache_clear()
+    assert f.divisor_in_disc(8.0).entries == ((8 - 1e-9 + 0j, 1),)
 
 
 # ---------------------------------------------------------------------------
@@ -1069,9 +1101,12 @@ def test_subtract_keeps_a_signed_zero_in_a():
 
 
 def test_subtract_exp_exp_rewrite_needs_plain_exponentials():
-    assert isinstance(subtract(ExpPoly(Z2, 1.0), ExpPoly(Z)), Difference)
-    assert isinstance(subtract(ExpPoly(Z2), ExpPoly(Z, 1.0)), Difference)
-    assert subtract(ExpPoly(Z2), ExpPoly(Z)).is_divisor_transparent
+    for f, g in ((ExpPoly(Z2, 1.0), ExpPoly(Z)), (ExpPoly(Z2), ExpPoly(Z, 1.0))):
+        with pytest.raises(OpaqueExpr):
+            subtract(f, g)
+    # e^{z^2} - e^z = e^z (e^{z^2 - z} - 1): the zeros of z^2 - z = 2 pi i k
+    d = subtract(ExpPoly(Z2), ExpPoly(Z)).divisor_in_disc(1.5)
+    assert d.origin_order == 1 and d.entries == ((1.0 + 0j, 1),)
 
 
 def test_compose_poly_keeps_the_constant():
@@ -1099,17 +1134,30 @@ def test_subtract_exp_exp_rewrite_evaluates_correctly():
     a = ExpPoly(Polynomial((0j, 0j, 1.0)))  # e^{z^2}
     b = ExpPoly(Z)                          # e^z
     g = subtract(a, b)
-    assert g.is_divisor_transparent
     for z in (0.7, 0.2 + 0.3j, -1.1j):
         want = a.eval(z) - b.eval(z)
         assert abs(g.eval(z) - want) <= 1e-10 * (1.0 + abs(want))
 
 
 def test_generic_difference_stays_opaque():
-    g = subtract(ExpPoly(Z), rational([1.0], []))
-    assert isinstance(g, Difference)
-    with pytest.raises(OpaqueExpr):
-        g.divisor_in_disc(2.0)
+    with pytest.raises(OpaqueExpr, match="ExpPoly - RationalFromDivisor has no rewrite"):
+        subtract(ExpPoly(Z), rational([1.0], []))
+
+
+def test_the_family_stays_closed():
+    """subtract raises where no rewrite exists, and every member of the
+    family that the package exports solves its own divisor."""
+    for f, g in ((Exp(ExpPoly(Z)), Const(1.0)),
+                 (rational([1.0], [2.0]), rational([3.0], [])),
+                 (ExpPoly(Z2, 2.0), ExpPoly(Z))):
+        with pytest.raises(OpaqueExpr, match="has no rewrite into the family"):
+            subtract(f, g)
+    members = [v for v in vars(nevlab).values() if isinstance(v, type)
+               and issubclass(v, fnmodel.FunctionExpr) and v is not fnmodel.FunctionExpr]
+    assert {cls.__name__ for cls in members} == {
+        "Const", "RationalFromDivisor", "ExpPoly", "Exp", "Product", "Quotient"}
+    for cls in members:
+        assert "_divisor_impl" in vars(cls), cls
 
 
 def test_compose_poly_evaluates_as_composition():
@@ -1118,7 +1166,7 @@ def test_compose_poly_evaluates_as_composition():
     p = Polynomial((1.0, 0.5, 3.0 - 1.0j))
     cases = [(rational([1.0], [-1.0]), w),
              (RationalFromDivisor(2.0, Divisor.build([(3.0, 1)], -2)), p),
-             (Exp(ExpPoly(Z, 0.5)), p), (Difference(ExpPoly(Z), rational([1.0], [])), p)]
+             (Exp(ExpPoly(Z, 0.5)), p), (Product(ExpPoly(Z), rational([1.0], [])), p)]
     for f, q in cases:
         g = compose_poly(f, q)
         assert type(g) is type(f)
@@ -1389,27 +1437,24 @@ def test_constant_exp_argument_equal_to_log_a_is_opaque():
 
 def test_preimages_are_the_zeros_of_f_minus_a(members):
     """The census and N(r, 1/(f - a)) read the same a-points."""
-    refused = set()
+    refused, opaque = set(), set()
     for key, member in members.items():
         f = member.expr
         for a in (1.0, -1.0, 0.3 + 0.2j, 2.5j):
             try:
                 shifted = subtract(f, Const(a))
-            except RootFindFailure:
-                refused.add(key)
+            except (RootFindFailure, OpaqueExpr) as exc:
+                (refused if isinstance(exc, RootFindFailure) else opaque).add(key)
                 for r in (0.7, 3.0, 9.5):
-                    with pytest.raises(RootFindFailure):
+                    with pytest.raises(type(exc)):
                         preimages_in_disc(f, a, r)
                 continue
             for r in (0.7, 3.0, 9.5):
-                if not shifted.is_divisor_transparent:
-                    with pytest.raises(OpaqueExpr):
-                        preimages_in_disc(f, a, r)
-                    continue
                 want = shifted.divisor_in_disc(r).signed("zeros")
                 assert preimages_in_disc(f, a, r) == want, (key, a, r)
     # its a-points lie closer to its zeros than double precision can tell
     assert refused == {"orbit_right_m6"}
+    assert opaque == {"exp_exp_z"}  # exp(e^z) - a has no rewrite
 
 
 @pytest.mark.parametrize("a", [0.5, 2j])
@@ -1751,7 +1796,7 @@ def test_record_hash_is_cached_and_left_out_of_a_pickle(members):
 
 def test_records_of_different_classes_with_equal_fields_differ():
     a, b = Const(2.0), Const(-1j)
-    pairs = [(Product(a, b), Quotient(a, b)), (Quotient(a, b), Difference(a, b)),
+    pairs = [(Product(a, b), Quotient(a, b)),
              (AsymSample(1.0, 2.0, 3.0, 4.0), BalanceSample(1.0, 2.0, 3.0, 4.0))]
     for x, y in pairs:
         assert hash(x) == hash(y)  # the same field tuple

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from nevlab import (
     Const,
-    Difference,
     Divisor,
     ExpPoly,
     Polynomial,
@@ -428,10 +427,18 @@ def test_fmt_balance_of_a_large_rational_meets_jensen(members):
         assert got == pytest.approx(want, abs=1e-8), r
 
 
-def test_characteristic_of_an_opaque_meromorphic_expression_raises():
-    f = Difference(EXP_Z, RationalFromDivisor(1.0, Divisor(((2.0, -1),))))
-    with pytest.raises(ValueError, match="divisor-opaque non-entire"):
-        characteristic(f, 3.0)
+def test_fmt_balance_without_a_rewrite_raises_before_any_circle_mean(members, monkeypatch):
+    # exp(e^z) - 1 has no rewrite into the family: no circle mean is run
+    calls, real = [], nevanlinna.proximities
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nevanlinna, "proximities", spy)
+    with pytest.raises(fnmodel.OpaqueExpr, match="Exp - Const has no rewrite"):
+        fmt_delta(members["exp_exp_z"].expr, 1.0, 2.0)
+    assert calls == []
 
 
 def test_characteristic_of_an_entire_expression_reads_no_divisor(members, monkeypatch):
@@ -566,7 +573,6 @@ def test_argument_principle_through_compound_expressions():
         assert argument_principle_count(em1, r) == count
         assert argument_principle_count(Quotient(one, em1), r) == -count  # 1/(e^z - 1)
         assert argument_principle_count(Product(EXP_Z2, em1), r) == count  # e^{z^2} (e^z - 1)
-        assert argument_principle_count(Difference(EXP_Z, one), r) == count  # no normal form
 
 
 # the contour-count radii of the benchmark's sweep on seed 3

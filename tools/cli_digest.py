@@ -83,6 +83,9 @@ COMMANDS = [
     ["char", "--fn", "expz2_minus_1", "--rmin", "5", "--rmax", "40", "--count", "25"],
     # an unsorted grid across three discs: the largest is solved first whatever the order
     ["char", "--fn", "expz2_minus_1", "--radii", "40,5,20"],
+    # f(omega) - f(phi) with no rewrite into the family
+    ["verify", "smt", "--fn", "expz_minus_1"],
+    ["verify", "smt", "--fn", "orbit_left_m6"],
     ["verify", "smt", "--slack", "nan"],
     ["verify", "smt", "--targets", "1,nan"],
     ["orbit", "--figure1", "left", "--seed", "4", "--k", "10"],
