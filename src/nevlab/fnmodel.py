@@ -104,6 +104,12 @@ _SEARCH_TOL = 1e-10
 # _CERTIFY_ROUNDS times, on at most _CERTIFY_NODES new angles in all.
 _CERTIFY_ROUNDS = 16
 _CERTIFY_NODES = 1024
+# The |f| = level search of exp(p) - a scans each arc of its band at this
+# many equispaced angles, ends included.  Where |a| = level the band has no
+# lower end; it stops at e^{Re p} = _BAND_DEPTH |a|, and kinks below that
+# are not searched.
+_BAND_SCAN = 24
+_BAND_DEPTH = 2.0**-40
 _EPS = 2.0**-52
 
 
@@ -870,13 +876,16 @@ class Divisor:
                                     self.origin_order + other.origin_order, MERGE_TOL)
 
     def signed(self, kind: str) -> "Divisor":
-        """Restrict to zeros (``kind='zeros'``) or poles, multiplicities made positive."""
+        """Restrict to zeros (``kind='zeros'``) or poles, multiplicities made
+        positive: the divisor itself where that drops and flips nothing."""
         if kind == "zeros":
             keep, org = self.mults > 0, max(self.origin_order, 0)
         elif kind == "poles":
             keep, org = self.mults < 0, max(-self.origin_order, 0)
         else:
             raise ValueError(f"kind must be 'zeros' or 'poles', got {kind!r}")
+        if (kind == "zeros" or not keep.size) and org == self.origin_order and keep.all():
+            return self
         return Divisor._of(self.points[keep], np.abs(self.mults[keep]), self.moduli[keep], org)
 
     def multiset(self) -> list[complex]:
@@ -1001,27 +1010,44 @@ class FunctionExpr:
         exists."""
         return self
 
-    def closed_proximity(self, r: float) -> tuple[tuple[float, float] | None,
-                                                   np.ndarray | None, int]:
-        """(mean, kinks, spent): the one question a circle mean on |z| = r
-        asks of the expression.
+    def closed_proximity(self, radii) -> list[tuple[tuple[float, float] | None,
+                                                    np.ndarray | None, int]]:
+        """(mean, cuts, spent) for each circle |z| = r of ``radii``: the one
+        question a grid of circle means asks of the expression.
 
         ``mean`` is (m(r, f), its rounding bound) in closed form, or None
         where the quadrature must find it: Jensen's formula for a rational
         given by its divisor where the divisor bound keeps log|f| off 0,
         else the dilogarithm arcs between its certified kinks, and the
-        trigonometric arcs of exp(p).  ``kinks`` are the sorted angles in
-        [0, 2pi) where |f| = 1, at which the quadrature cuts its panels,
-        found at no evaluation for constants (none), exp(p) and exp(exp(p))
-        (:func:`_im_level_angles`), and for a rational by a certified search
-        through ``near_circle(r)`` (:func:`_level_search`), whose
-        evaluations ``spent`` counts.  They are None where not known: for
-        every other expression (exp(p) - a with a != 0, quotients,
-        products, ...), where the coefficients over- or underflow at ``r``
-        or the angles would exceed ``MAX_PANELS``, where the divisor bound
-        keeps a rational's log|f| off 0, and where its search finds no
-        crossing."""
-        return None, None, 0
+        trigonometric arcs of exp(p).  ``cuts`` are the sorted angles in
+        [0, 2pi) at which the quadrature cuts its panels: the kinks where
+        |f| = 1, with the band edges of :meth:`level_angles` for
+        exp(p) - a and its reciprocals.  The kinks are found at no
+        evaluation for constants (none), exp(p) and exp(exp(p))
+        (:func:`_im_level_angles`), by a certified search through
+        ``near_circle(r)`` for a rational (:func:`_level_search`), and by
+        one band search over the whole grid for exp(p) - a with a != 0 and
+        for c / (exp(p) - a) (:func:`_band_search`); ``spent`` counts the
+        searches' evaluations.  ``cuts`` is None where the kinks are not
+        known: for every other expression (products, other quotients, ...),
+        where the coefficients over- or underflow at ``r`` or the angles
+        would exceed ``MAX_PANELS``, where the divisor bound keeps a
+        rational's log|f| off 0, and where its search finds no crossing."""
+        return [(None, kinks if kinks is None or not edges.size
+                 else np.sort(np.concatenate((kinks, edges))), spent)
+                for kinks, edges, spent in self.level_angles(radii)]
+
+    def level_angles(self, radii, level: float = 1.0) -> list[tuple[np.ndarray | None,
+                                                                    np.ndarray, int]]:
+        """(kinks, edges, spent) for each circle |z| = r of ``radii``: the
+        sorted angles in [0, 2pi) where |f| = ``level``, or None where they
+        are not known; more sorted angles where a quadrature of log+|f| /
+        level should cut its panels (:func:`_band_search`'s band edges),
+        else none; and the evaluations spent finding them.  Known for
+        constants (none), for exp(p) - a, for exp(exp(p)) at level 1 and
+        for c / g with a constant c != 0, which are g's angles at the level
+        |c| / level; unknown for every other expression."""
+        return [(None, _NO_ANGLES, 0)] * len(radii)
 
     def _divisor_impl(self, r: float) -> Divisor:
         raise NotImplementedError
@@ -1163,6 +1189,108 @@ def _im_level_angles(p: Polynomial, r: float, shifts) -> np.ndarray | None:
     return np.array(sorted(angles))
 
 
+def _band_search(p: Polynomial, a: complex, level: float, radii) -> list:
+    """(kinks, edges, spent) of exp(p) - a, a != 0, at ``level`` on each
+    circle |z| = r of ``radii`` (see :meth:`FunctionExpr.level_angles`),
+    found in lockstep over the whole grid.
+
+    |e^p - a| = level puts e^{Re p} in the band [||a| - level|, |a| + level]:
+    above it |f| >= e^{Re p} - |a| > level, and below it either |f| >=
+    |a| - e^{Re p} > level (|a| > level) or |f| <= e^{Re p} + |a| < level.
+    Where |a| = level the band has no lower end, so it stops at e^{Re p} =
+    2^-40 |a| (``_BAND_DEPTH``), and so where |a| is within that of level:
+    below it |f| / |a| is within about 2^-40 of 1, and its kinks are not
+    searched.  The edges, where Re p = Im(ip) meets the logs of the band's
+    ends, come in closed form (:func:`_im_level_angles`) at no evaluation;
+    they are returned as ``edges``, and a circle whose coefficients over-
+    or underflow gets (None, no edges, 0).  An arc between neighbouring
+    edges lies in the band or out of it whole, which Re p at its midpoint
+    tells.  Each band arc is scanned at ``_BAND_SCAN`` equispaced angles,
+    ends included.  The sign read is that
+    of G = (|f|^2 - level^2) e^{-x} = e^x + (|a|^2 - level^2) e^{-x}
+    - 2|a| cos(y - arg a), with p = x + iy: that of log|f| - log(level),
+    without its cancellation deep in the band.  Its theta-derivative
+    takes dp/dtheta = iz p'(z).  Each sign change between neighbouring
+    angles is a bracket.  Where G heads for 0 between two angles of one
+    sign and turns back (the end slopes differ in sign), at most
+    ``_SEARCH_STEPS`` bisections toward the turn look for an angle of the
+    other sign, which splits the interval into two brackets.
+    :func:`_polish` polishes every bracket.  Each step, the midpoints
+    included, evaluates the angles of every circle in one call, and
+    ``spent`` counts them per circle.
+    """
+    ra, phase = abs(a), math.atan2(a.imag, a.real)
+    gap = ra * ra - level * level
+    shifts = [math.log(max(abs(ra - level), _BAND_DEPTH * ra)), math.log(ra + level)]
+    q, dp = p.scale(1j), p.deriv()
+
+    def g_slope(theta, r):
+        z = r * np.exp(1j * theta)
+        w, dw = p(z), 1j * z * dp(z)
+        y = w.imag - phase
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # off the band
+            ex = np.exp(w.real)
+            return (ex + gap / ex - 2.0 * ra * np.cos(y),
+                    (ex - gap / ex) * dw.real + 2.0 * ra * np.sin(y) * dw.imag)
+
+    out, arcs = [(None, _NO_ANGLES, 0)] * len(radii), []  # arcs: (circle, start, end)
+    for k, r in enumerate(radii):
+        edges = _im_level_angles(q, r, shifts)
+        if edges is None:
+            continue
+        out[k] = (_NO_ANGLES, edges, 0)
+        if edges.size:
+            arcs += zip([k] * edges.size, edges.tolist(), edges[1:].tolist() + [edges[0] + TWO_PI])
+        else:  # the whole circle lies on one side of both edges
+            arcs.append((k, 0.0, TWO_PI))
+    if not arcs:
+        return out
+    circle, start, end = map(np.array, zip(*arcs))
+    r_of = np.asarray(radii, dtype=float)
+    spent = np.bincount(circle, minlength=len(radii))
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum past the double range
+        middle = p(r_of[circle] * np.exp(0.5j * (start + end))).real
+    inside = (shifts[0] <= middle) & (middle <= shifts[1])
+    circle, start, end = circle[inside], start[inside], end[inside]
+    arc = np.repeat(np.arange(circle.size), _BAND_SCAN)
+    theta = (start[:, None] + (end - start)[:, None] * np.linspace(0.0, 1.0, _BAND_SCAN)).ravel()
+    g, dg = g_slope(theta, r_of[circle[arc]])
+    spent += _BAND_SCAN * np.bincount(circle, minlength=len(radii))
+    up, rising = g > 0.0, dg > 0.0
+    same = arc[1:] == arc[:-1]
+    i = np.flatnonzero(same & (up[1:] != up[:-1]))  # a crossing between i and i + 1
+    brackets = [(i, theta[i], theta[i + 1], g[i], g[i + 1])]
+    # where G heads for 0 and turns back between two angles of one sign, a
+    # pair of crossings may lie in between: bisect toward the turn, on the
+    # sign of the slope, until an angle of the other sign splits the pair
+    t = np.flatnonzero(same & (up[1:] == up[:-1]) & (rising[:-1] != up[:-1])
+                       & (rising[1:] != rising[:-1]))
+    lo, hi = theta[t], theta[t + 1]
+    for _ in range(_SEARCH_STEPS if t.size else 0):
+        mid = 0.5 * (lo + hi)
+        gm, dm = g_slope(mid, r_of[circle[arc[t]]])
+        spent += np.bincount(circle[arc[t]], minlength=len(radii))
+        split = (gm > 0.0) != up[t]
+        brackets += [(t[split], theta[t[split]], mid[split], g[t[split]], gm[split]),
+                     (t[split], mid[split], theta[t[split] + 1], gm[split], g[t[split] + 1])]
+        toward = (dm > 0.0) == rising[t]  # the turn lies between mid and hi
+        lo, hi = np.where(toward, mid, lo), np.where(toward, hi, mid)
+        t, lo, hi = t[~split], lo[~split], hi[~split]
+    i, lo, hi, glo, ghi = map(np.concatenate, zip(*brackets))
+    on = circle[arc[i]]
+
+    def step(theta, live):
+        nonlocal spent
+        spent += np.bincount(on[live], minlength=len(radii))
+        return g_slope(theta, r_of[on[live]])
+
+    roots, _ = _polish(step, lo, hi, glo, ghi)
+    for k, (kinks, edges, _) in enumerate(out):
+        if kinks is not None:
+            out[k] = (_angles(roots[on == k]), edges, int(spent[k]))
+    return out
+
+
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
@@ -1222,14 +1350,11 @@ class Const(FunctionExpr):
         v = self.value
         return np.full(shape, math.log(abs(v))), np.full(shape, math.atan2(v.imag, v.real))
 
-    def _values(self, z):
-        return np.full(z.shape, self.value, dtype=np.complex128)
-
     def _logderivs(self, z):
         return np.zeros(z.shape, dtype=np.complex128)
 
-    def closed_proximity(self, r):
-        return None, _NO_ANGLES, 0  # |f| is constant: log+|f| has no kinks
+    def level_angles(self, radii, level=1.0):
+        return [(_NO_ANGLES, _NO_ANGLES, 0)] * len(radii)  # |f| is constant: no kinks
 
     def _divisor_impl(self, r):
         return EMPTY_DIVISOR
@@ -1267,7 +1392,10 @@ class RationalFromDivisor(FunctionExpr):
         fold = _CircleFold(self, r)
         return fold if fold.folded else self
 
-    def closed_proximity(self, r):
+    def closed_proximity(self, radii):
+        return [self._closed_proximity_at(r) for r in radii]
+
+    def _closed_proximity_at(self, r):
         kinks = None if self.divisor.points.size else _NO_ANGLES  # |scale z^k| is constant
         sign = 1 if kinks is _NO_ANGLES else _divisor_sign(self, r)
         if sign < 0:
@@ -1415,13 +1543,27 @@ def _level_search(f: RationalFromDivisor, g, r: float) -> tuple[np.ndarray, int,
     change = (flo > 0.0) != (fhi > 0.0)
     if not change.any():
         return _NO_ANGLES, spent, certified
-    lo, hi, flo, fhi = lo[change], hi[change], flo[change], fhi[change]
+    out, used = _polish(lambda x, _: _log_slope(form, r, x),
+                        lo[change], hi[change], flo[change], fhi[change])
+    return _angles(out), spent + used, certified
+
+
+def _polish(f, lo, hi, flo, fhi) -> tuple[np.ndarray, int]:
+    """The roots of a function of the angle bracketed by [lo, hi], where its
+    values ``flo`` and ``fhi`` differ in sign, and the evaluations spent.
+    ``f(x, live)`` returns the values and the derivatives at the angles
+    ``x`` of the brackets ``live`` (indices into ``lo``).
+
+    From the regula falsi point, every bracket takes at most
+    ``_SEARCH_STEPS`` safeguarded Newton steps in lockstep, one call of
+    ``f`` a step: a step that leaves its bracket bisects it, and a bracket
+    is frozen once its step is below ``_SEARCH_TOL``."""
     with np.errstate(invalid="ignore", divide="ignore"):
         x = _inside(hi - fhi * (hi - lo) / (fhi - flo), lo, hi)  # regula falsi
-    out, live = x.copy(), np.arange(x.size)
-    for _ in range(_SEARCH_STEPS):
-        fx, dx = _log_slope(form, r, x)
-        spent += x.size
+    out, live, used = x.copy(), np.arange(x.size), 0
+    for _ in range(_SEARCH_STEPS if x.size else 0):
+        fx, dx = f(x, live)
+        used += x.size
         below = (fx > 0.0) == (fhi > 0.0)  # the crossing lies between lo and x
         lo, hi, fhi = np.where(below, lo, x), np.where(below, x, hi), np.where(below, fx, fhi)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -1433,8 +1575,13 @@ def _level_search(f: RationalFromDivisor, g, r: float) -> tuple[np.ndarray, int,
             live, x, lo, hi, fhi = live[going], x[going], lo[going], hi[going], fhi[going]
             if not live.size:
                 break
-    out %= TWO_PI
-    return np.sort(np.where(out < TWO_PI, out, 0.0)), spent, certified  # % can round up to 2pi
+    return out, used
+
+
+def _angles(theta: np.ndarray) -> np.ndarray:
+    """The angles taken to [0, 2pi) and sorted."""
+    theta = theta % TWO_PI
+    return np.sort(np.where(theta < TWO_PI, theta, 0.0))  # % can round up to 2pi
 
 
 def _log_antiderivative(form, r: float, theta: np.ndarray):
@@ -1712,19 +1859,30 @@ class ExpPoly(FunctionExpr):
             out[mid] = dp[mid] * ew / (ew - self.a)
         return out
 
-    def closed_proximity(self, r):
-        # |e^p| = 1 where Re p = 0 (Re p = Im(ip)); exp(p) - a has no closed form for it
-        angles = None if self.a != 0 else _im_level_angles(self.p.scale(1j), r, [0.0])
-        if angles is None:
-            return None, None, 0
-        # log|e^p| = Re p = Re c_0 + Re sum c_j e^{ij theta}, c_j = p_j r^j,
-        # integrated exactly between its zeros: Im(c_j e^{ij theta}) / j
-        c = np.array([p_k * float(r)**k for k, p_k in enumerate(self.p.coeffs)])
-        a = c[1:] / np.arange(1, c.size)
-        g = (_unit_powers(angles, a.size) @ a).imag
-        mean = float(c[0].real)
-        err = 2.0 * _EPS * (abs(mean) + float(np.sum(np.abs(a))))
-        return _arc_mean(angles, mean, g, err), angles, 0
+    def level_angles(self, radii, level=1.0):
+        if self.a != 0:
+            return _band_search(self.p, self.a, level, radii)
+        # |e^p| = level where Re p = log(level), and Re p = Im(ip)
+        q, shift = self.p.scale(1j), [math.log(level)]
+        return [(_im_level_angles(q, r, shift), _NO_ANGLES, 0) for r in radii]
+
+    def closed_proximity(self, radii):
+        if self.a != 0:  # exp(p) - a has no closed form
+            return super().closed_proximity(radii)
+        out = []
+        for r, (angles, _, _) in zip(radii, self.level_angles(radii)):
+            if angles is None:
+                out.append((None, None, 0))
+                continue
+            # log|e^p| = Re p = Re c_0 + Re sum c_j e^{ij theta}, c_j = p_j r^j,
+            # integrated exactly between its zeros: Im(c_j e^{ij theta}) / j
+            c = np.array([p_k * float(r)**k for k, p_k in enumerate(self.p.coeffs)])
+            a = c[1:] / np.arange(1, c.size)
+            g = (_unit_powers(angles, a.size) @ a).imag
+            mean = float(c[0].real)
+            err = 2.0 * _EPS * (abs(mean) + float(np.sum(np.abs(a))))
+            out.append((_arc_mean(angles, mean, g, err), angles, 0))
+        return out
 
     def _divisor_impl(self, r):
         if self.a == 0:
@@ -1780,18 +1938,22 @@ class Exp(FunctionExpr):
     def _divisor_impl(self, r):
         return EMPTY_DIVISOR
 
-    def closed_proximity(self, r):
+    def level_angles(self, radii, level=1.0):
         # for a child e^p, |f| = 1 where Re e^p = 0: Im p = pi/2 + k pi, |Im p| <= bound
         child = self.child
-        if not (isinstance(child, ExpPoly) and child.a == 0):
-            return None, None, 0
-        bound = child.p.coeff_bound(r)
-        k_lo = math.ceil(-bound / math.pi - 0.5)
-        k_hi = math.floor(bound / math.pi - 0.5)
-        if 2 * child.p.degree * (k_hi - k_lo + 1) > MAX_PANELS:
-            return None, None, 0
-        shifts = [math.pi * (k + 0.5) for k in range(k_lo, k_hi + 1)]
-        return None, _im_level_angles(child.p, r, shifts), 0
+        if level != 1.0 or not (isinstance(child, ExpPoly) and child.a == 0):
+            return super().level_angles(radii, level)
+        out = []
+        for r in radii:
+            bound = child.p.coeff_bound(r)
+            k_lo = math.ceil(-bound / math.pi - 0.5)
+            k_hi = math.floor(bound / math.pi - 0.5)
+            if 2 * child.p.degree * (k_hi - k_lo + 1) > MAX_PANELS:
+                out.append((None, _NO_ANGLES, 0))
+                continue
+            shifts = [math.pi * (k + 0.5) for k in range(k_lo, k_hi + 1)]
+            out.append((_im_level_angles(child.p, r, shifts), _NO_ANGLES, 0))
+        return out
 
 
 @record
@@ -1840,6 +2002,13 @@ class Quotient(FunctionExpr):
 
     def _logderivs(self, z):
         return self.lhs._logderivs(z) - self.rhs._logderivs(z)
+
+    def level_angles(self, radii, level=1.0):
+        # |c / g| = level where |g| = |c| / level
+        c = self.lhs.value if isinstance(self.lhs, Const) else 0
+        if not c:
+            return super().level_angles(radii, level)
+        return self.rhs.level_angles(radii, abs(c) / level)
 
     def _divisor_impl(self, r):
         return self.lhs.divisor_in_disc(r).merge(self.rhs.divisor_in_disc(r).negate())

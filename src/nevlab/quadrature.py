@@ -2,7 +2,9 @@
 
 It computes every circle mean that has no closed form: the proximity of
 exp towers, of exp(p) - a with a != 0, of products and quotients, of a
-rational whose kinks could not be certified, and every contour count.  For
+rational whose kinks could not be certified, and every contour count.
+Where the kinks are known (exp towers, exp(p) - a and its reciprocals
+c / (exp(p) - a), rationals), the caller cuts at them.  For
 a rational given by its divisor and for exp(p), ``nevanlinna.proximity``
 takes the closed form instead (``FunctionExpr.closed_proximity``), so
 Jensen's formula is part of that computation; its independent checks are

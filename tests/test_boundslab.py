@@ -25,7 +25,7 @@ from nevlab import (
     pestimate_check,
     smt_check,
 )
-from nevlab import boundslab
+from nevlab import boundslab, fnmodel
 from nevlab.boundslab import BoundReport
 from nevlab.fnmodel import (
     GrowthConditionError,
@@ -260,14 +260,12 @@ def test_smt_passes_on_documented_configuration():
         assert rep.meta["N_corr"] >= 0.0
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "a Quotient has no kinks, so the seeded quadrature never cuts where "
-    "|e^(z^2) - 1| = 1 (ROADMAP item 1)"))
 def test_smt_reciprocal_mean_meets_its_tolerance():
     """m(r, 1/(e^{z^2} - 1)) as smt_check finds it on the c05 grid, at
     r = 25.9368, against the quadrature at 1000x tighter tolerances cut
     where |e^{z^2} - 1| = 1, at angles found by 2^16 samples and bisection.
-    It reads 5.6044e-4 against 6.3108e-4, about 7,000 tolerances off."""
+    Uncut at its kinks it read 5.6044e-4 against 6.3108e-4, about 7,000
+    tolerances off."""
     atol, rtol = 1e-8, 1e-7  # smt_check's
     grid = [float(r) for r in log_radii(5.0, 40.0, 25)]
     k = 19
@@ -293,6 +291,61 @@ def test_smt_reciprocal_mean_meets_its_tolerance():
     assert kinks.size == 8
     ref = _circle_means(recip, [(r, kinks, 0)], _logplus, atol / 1000, rtol / 1000)[0].value
     assert abs(got - ref) <= atol + rtol * abs(ref)
+
+
+def test_smt_searches_the_kinks_of_each_reciprocal_once_per_grid(monkeypatch):
+    # one lockstep band search per target over the whole c05 grid, at the
+    # level 1 of 1/(e^{z^2} -+ 1)
+    calls, search = [], fnmodel._band_search
+    monkeypatch.setattr(fnmodel, "_band_search",
+                        lambda *args: calls.append(args) or search(*args))
+    grid = [float(r) for r in log_radii(5.0, 40.0, 25)]
+    result = smt_check(ExpPoly(Z), PolyPair.build(Z2_PLUS_Z, Z2), [1.0, -1.0], 0.05, grid)
+    assert all(rep.passed for rep in result.reports)
+    assert [(p, a, level, len(radii)) for p, a, level, radii in calls] == [
+        (Z2, 1.0, 1.0, 25), (Z2, -1.0, 1.0, 25)]
+
+
+def _m_recip_exp_z2_reference(a, r):
+    """m(r, 1/(e^{z^2} - a)) for |a| = 1 by mpmath at 30 digits, with no
+    nevlab quadrature.  log+|1/f| > 0 needs |e^{z^2} - a| < 1, so
+    x = Re z^2 < log 2; where x < -45 it is below -log(1 - e^x) < 3e-20 and
+    is left out.  On each of the four arcs where -45 <= r^2 cos 2theta <=
+    log 2, the kinks are the sign changes of log|1/f| on 400 samples,
+    polished by ``findroot``, and ``mp.quad`` integrates between them."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    with mpmath.workdps(30):
+        r = mpmath.mpf(r)
+
+        def h(t):  # log|1/f| at r e^{it}
+            return -mpmath.log(abs(mpmath.exp((r * mpmath.expj(t)) ** 2) - a))
+
+        hi, lo = (mpmath.acos(x / r**2) / 2 for x in (mpmath.log(2), -45))
+        total = mpmath.mpf(0)
+        for shift in (0, mp.pi):
+            for s, e in ((hi, lo), (mp.pi - lo, mp.pi - hi)):
+                t = [s + (e - s) * k / 399 for k in range(400)]
+                v = [h(x) for x in t]
+                ends = [s] + [mpmath.findroot(h, (t[k], t[k + 1]), solver="illinois")
+                              for k in range(399) if (v[k] > 0) != (v[k + 1] > 0)] + [e]
+                for u, w in zip(ends, ends[1:]):
+                    if h((u + w) / 2) > 0:
+                        total += mpmath.quad(h, [u + shift, w + shift])
+        return float(total / (2 * mp.pi))
+
+
+@pytest.mark.parametrize("a, k, want", [(1.0, 19, 6.31083e-4), (-1.0, 21, 3.57414e-4)])
+def test_smt_reciprocal_means_meet_mpmath(a, k, want):
+    # the two circles of the c05 grid where the uncut quadrature missed by
+    # about 7,020 and 3,255 tolerances
+    atol, rtol = 1e-8, 1e-7  # smt_check's
+    grid = [float(r) for r in log_radii(5.0, 40.0, 25)]
+    recip = Quotient(Const(1.0), subtract(compose_poly(ExpPoly(Z), Z2), Const(a)))
+    s = proximities(recip, grid, atol=atol, rtol=rtol)[k]
+    ref = _m_recip_exp_z2_reference(a, s.r_used)
+    assert ref == pytest.approx(want, rel=1e-5)
+    assert abs(s.m - ref) <= atol + rtol * ref
 
 
 # ---------------------------------------------------------------------------

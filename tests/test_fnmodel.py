@@ -48,7 +48,7 @@ from nevlab.fnmodel import (
 from nevlab.algmap import InvarianceReport
 from nevlab.boundslab import AsymSample, BoundConfig, BoundReport
 from nevlab.nevanlinna import (ON_CIRCLE_REL, BalanceSample, CharacteristicSample,
-                               _circle_means, _logplus, counting, proximity)
+                               _circle_means, _logplus, counting, log_radii, proximity)
 from nevlab.quadrature import QuadratureResult, adaptive_circle
 
 Z = Polynomial((0j, 1.0))
@@ -320,6 +320,26 @@ def test_divisor_signed_split():
     poles = d.signed("poles")
     assert zeros.total("zeros") == 2
     assert poles.origin_order == 1 and poles.entries[0][1] == 3
+
+
+def test_divisor_signed_returns_itself_where_it_drops_nothing():
+    zeros = Divisor.build([(1.0, 2), (2.0 + 1j, 1)], origin_order=1)
+    empty = fnmodel.EMPTY_DIVISOR
+    assert zeros.signed("zeros") is zeros and empty.signed("poles") is empty
+    # a pole's multiplicity is made positive: a new divisor, never the input
+    poles = Divisor.build([(1.0, -2)])
+    assert poles.signed("poles") is not poles
+    assert poles.signed("poles") == Divisor.build([(1.0, 2)])
+    # mixed divisors, and ones whose origin alone is dropped, against the columns
+    for d in (Divisor.build([(1.0, 2), (2.0, -3), (-0.5j, 1)], origin_order=-1),
+              Divisor.build([(1.0, 2), (2.0, -3)], origin_order=2),
+              Divisor.build([(3.0, 1)], origin_order=-1), Divisor((), -2)):
+        for kind, sign in (("zeros", 1), ("poles", -1)):
+            keep = sign * np.array([m for _, m in d.entries]) > 0
+            want = Divisor.build([(b, abs(m)) for (b, m), k in zip(d.entries, keep) if k],
+                                 origin_order=max(sign * d.origin_order, 0))
+            got = d.signed(kind)
+            assert got == want and got is not d
 
 
 def test_divisor_multiset_repeats_by_multiplicity():
@@ -1228,7 +1248,7 @@ def _sign_changes(f, r, n=400_000):
 def _closed_form_angles(f, r):
     """The kinks of ``f.closed_proximity`` on |z| = r, which a closed form
     finds at no evaluation."""
-    _, angles, spent = f.closed_proximity(r)
+    _, angles, spent = f.closed_proximity([r])[0]
     assert spent == 0
     return angles
 
@@ -1297,8 +1317,12 @@ def test_level_angles_of_a_composed_exp_exp_are_exact_to_rounding(r):
 
 
 @pytest.mark.parametrize("f", [
-    ExpPoly(Z, 1.0), Exp(ExpPoly(Z, 1.0)), Exp(Exp(ExpPoly(Z))), ExpPoly(Z2, 1.0),
-    Quotient(Const(1.0), ExpPoly(Z, 0.5)), Product(ExpPoly(Z), ExpPoly(Z)),
+    # exp(p) - a and c / (exp(p) - a) have searched kinks
+    # (test_band_search_finds_every_dense_kink): a product and quotients
+    # that hold them have none
+    Product(ExpPoly(Z, 1.0), ExpPoly(Z)), Exp(ExpPoly(Z, 1.0)), Exp(Exp(ExpPoly(Z))),
+    Quotient(ExpPoly(Z2), ExpPoly(Z2, 1.0)), Quotient(Const(1.0), Exp(ExpPoly(Z, 0.5))),
+    Product(ExpPoly(Z), ExpPoly(Z)),
 ])
 def test_level_angles_are_unknown_without_a_closed_form(f):
     assert _closed_form_angles(f, 3.0) is None
@@ -1318,9 +1342,79 @@ def test_level_angles_are_empty_where_log_plus_has_no_kink(f):
     (ExpPoly(Polynomial((0j, 0j, 1.0))), 1e-200),  # r^2 underflows to 0
     (ExpPoly(Polynomial((0j, 0j, 0j, 1.0))), 1e-110),
     (ExpPoly(GENERIC_P), 1e-160),  # a subnormal lead: the companion matrix overflows
+    (ExpPoly(Polynomial((0j, 0j, 1.0)), 1.0), 1e-200),  # the band search's edges too
 ])
 def test_level_angles_are_unknown_where_the_coefficients_underflow(f, r):
     assert _closed_form_angles(f, r) is None
+
+
+def _above_level(p, a, level, r, theta):
+    """log|e^p - a| > log(level) at z = r e^{i theta}, read as log|a| +
+    log|1 - t|, t = e^p / a, with log|1 - t| = log1p(|t|^2 - 2 Re t) / 2,
+    which keeps its bits where |t| is small."""
+    w = p(r * np.exp(1j * theta))
+    t = np.exp(np.minimum(w.real, 50.0) + 1j * w.imag) / a  # Re p > 50 is far above
+    return math.log(abs(a)) + 0.5 * np.log1p((t * t.conj()).real - 2.0 * t.real) > math.log(level)
+
+
+def _dense_kinks(p, a, level, r, n=1 << 16):
+    """The sign changes of log|e^p - a| - log(level) on n equispaced angles,
+    each bisected to the last bit."""
+    theta = np.arange(n) * (TWO_PI / n)
+    up = _above_level(p, a, level, r, theta)
+    lo = theta[np.flatnonzero(up != np.roll(up, -1))]
+    hi, up_lo = lo + TWO_PI / n, _above_level(p, a, level, r, lo)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        same = _above_level(p, a, level, r, mid) == up_lo
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    return np.sort(0.5 * (lo + hi) % TWO_PI)
+
+
+@pytest.mark.parametrize("a", [1.0, -1.0, 2.0, 0.5])
+@pytest.mark.parametrize("p", [Z, Polynomial((0j, 1.0, 1.0)), Polynomial((0j, 0j, 0j, 1.0))],
+                         ids=["z", "z2+z", "z3"])
+def test_band_search_finds_every_dense_kink(p, a):
+    # one search over the grid; every kink of 2^16 samples and bisection
+    # above the band's depth has a returned kink within 1e-10 rad, and
+    # log|f| changes sign within 1e-10 rad of every returned kink
+    radii = [float(r) for r in log_radii(5.0, 40.0, 25)]
+    found = ExpPoly(p, a).level_angles(radii)
+    assert len(found) == len(radii)
+    for r, (kinks, edges, spent) in zip(radii, found):
+        assert np.all(np.diff(kinks) > 0) and np.all((kinks >= 0) & (kinks < TWO_PI))
+        assert edges.size and spent > 0
+        dense = _dense_kinks(p, a, 1.0, r)
+        deep = np.exp(p(r * np.exp(1j * dense)).real) < fnmodel._BAND_DEPTH * abs(a)
+        dense = dense[~deep]
+        if dense.size:
+            assert kinks.size, r
+            gap = np.abs((dense[:, None] - kinks + math.pi) % TWO_PI - math.pi)
+            assert gap.min(axis=1).max() <= 1e-10, r
+        h = 1e-10
+        assert np.all(_above_level(p, a, 1.0, r, kinks - h)
+                      != _above_level(p, a, 1.0, r, kinks + h)), r
+
+
+def test_reciprocals_of_exp_minus_a_are_cut_at_their_kinks():
+    # c / g asks g for its angles at the level |c|; the cuts of the circle
+    # mean are the kinks and the band edges (Re z^2 >= -25 > log 2^-40 here:
+    # no kink lies below the band's depth)
+    radii = [1.5, 3.0, 5.0]
+    for f, g, level in ((ExpPoly(Z, 1.0), ExpPoly(Z, 1.0), 1.0),
+                        (ExpPoly(Z2, 1.0), ExpPoly(Z2, 1.0), 1.0),
+                        (Quotient(Const(1.0), ExpPoly(Z, 0.5)), ExpPoly(Z, 0.5), 1.0),
+                        (Quotient(Const(-2.0j), ExpPoly(Z2, 1.0)), ExpPoly(Z2, 1.0), 2.0)):
+        answers = f.closed_proximity(radii)
+        for r, (kinks, edges, spent), (mean, cuts, cost) in zip(
+                radii, g.level_angles(radii, level), answers):
+            assert mean is None and cost == spent > 0
+            assert np.array_equal(cuts, np.sort(np.concatenate((kinks, edges))))
+            assert np.abs(f._log_mod(r * np.exp(1j * kinks))).max() <= 1e-10, r
+            changes = _sign_changes(f, r)
+            assert changes.size == kinks.size > 0, r
+            gap = np.abs((changes[:, None] - kinks + math.pi) % TWO_PI - math.pi)
+            assert gap.min(axis=1).max() <= 2.0 * TWO_PI / 400_000, r
 
 
 def test_level_set_solve_is_bounded_by_the_panel_limit(monkeypatch):
@@ -1365,7 +1459,7 @@ def test_level_search_finds_one_angle_per_sign_change(reference_rationals, key, 
     f = reference_rationals[key]
     for r in radii:
         g = f.near_circle(r)
-        _, angles, spent = f.closed_proximity(r)
+        _, angles, spent = f.closed_proximity([r])[0]
         assert np.all(np.diff(angles) > 0) and np.all((angles >= 0) & (angles < TWO_PI))
         assert np.abs(f._log_mod(r * np.exp(1j * angles))).max() <= 1e-10, (key, r)
         changes = _sign_changes(f, r)
@@ -1403,10 +1497,10 @@ def test_level_search_certifies_a_shallow_pair_between_its_samples(reference_rat
 def test_level_search_gives_up_where_log_f_keeps_one_sign(reference_rationals):
     # the divisor bound alone keeps log|f| of orbit_right_60 above 0 at r = 1e4
     f = reference_rationals["orbit_right_60"]
-    assert f.closed_proximity(1e4)[1:] == (None, 0)
+    assert f.closed_proximity([1e4])[0][1:] == (None, 0)
     # inside the m6 orbit's cloud the bound allows a crossing, the scan finds none
     f = reference_rationals["orbit_left_m6"]
-    _, angles, spent = f.closed_proximity(0.7)
+    _, angles, spent = f.closed_proximity([0.7])[0]
     assert angles is None and spent >= fnmodel._SCAN_POINTS
     assert _sign_changes(f, 0.7).size == 0
 

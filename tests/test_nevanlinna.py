@@ -178,7 +178,7 @@ def test_level_cuts_are_only_hints(members, key, r):
     # a missing kink costs refinement rounds, a spurious one a panel: with
     # any one level angle dropped, or one added, the mean meets its tolerance
     expr = members[key].expr
-    _, angles, _ = expr.closed_proximity(r)
+    _, angles, _ = expr.closed_proximity([r])[0]
     ref = _ORACLES[key](r)
     for edited in [np.delete(angles, i) for i in range(angles.size)] + [
             np.sort(np.append(angles, 1.234))]:
@@ -197,7 +197,7 @@ def test_proximity_counts_the_search_and_keeps_seeded_ends_without_a_crossing(me
         return _circle_means(expr, [(r, kinks, spent)], _logplus, 1e-9, 1e-8)[0]
 
     for expr, r, found in ((f, 3.78921641565047, True), (g, 0.7, False)):
-        _, angles, spent = expr.closed_proximity(r)
+        _, angles, spent = expr.closed_proximity([r])[0]
         assert (angles is not None) == found and spent > 0
         searched = quad(expr, r, angles, spent)
         given = quad(expr, r, angles, 0)
@@ -205,7 +205,7 @@ def test_proximity_counts_the_search_and_keeps_seeded_ends_without_a_crossing(me
         assert searched.evaluations == given.evaluations + spent
     # plain cuts at the two kinks and no seeded ends: with the angle 0 they
     # make three panels, each accepted in the first round (48 nodes each)
-    _, angles, spent = f.closed_proximity(3.78921641565047)
+    _, angles, spent = f.closed_proximity([3.78921641565047])[0]
     res = quad(f, 3.78921641565047, angles, spent)
     assert res.panels == 3 and res.evaluations == 3 * 48 + spent
 
@@ -222,7 +222,7 @@ def test_an_uncertified_circle_searches_once(members, monkeypatch):
     s = proximity(f, r)
     assert len(calls) == 1
     assert (s.panels, s.evaluations) == (54, 2792)
-    mean, angles, spent = f.closed_proximity(r)
+    mean, angles, spent = f.closed_proximity([r])[0]
     assert mean is None and angles.size
     res = _circle_means(f, [(r, angles, spent)], _logplus, 1e-9, 1e-8)[0]
     assert (s.m, s.quad_err, s.evaluations) == (res.value, res.err_estimate, res.evaluations)
@@ -466,8 +466,9 @@ def test_characteristic_of_an_entire_expression_reads_no_divisor(members, monkey
 @pytest.mark.parametrize("r", [1.0834513468817937, 2.026186474430008,
                                2.102189026760176, 2.181042445994056])
 def test_unknown_kinks_keep_the_ends_seeded(members, monkeypatch, r):
-    # |e^{z^2} - 1| = 1 has no closed form, so the ends are cut as a
-    # singularity on the circle, and the mean meets its tolerance
+    # e^{z^2} - 1 times the constant 1 has the same log|f|, and no kink
+    # search: its ends are cut as a singularity on the circle, and the mean
+    # meets its tolerance; e^{z^2} - 1 itself is cut at its searched kinks
     f = members["expz2_minus_1"].expr
     orig, seen = nevanlinna.adaptive_circle, []
 
@@ -476,10 +477,48 @@ def test_unknown_kinks_keep_the_ends_seeded(members, monkeypatch, r):
         return orig(g, cuts, **kw)
 
     monkeypatch.setattr(nevanlinna, "adaptive_circle", spy)
-    s = proximity(f, r)
+    s = proximity(Product(Const(1.0), f), r)
     assert (0.0, 0.0) in seen[0]
     t = proximity(f, r, atol=1e-12, rtol=1e-11)
     assert abs(s.m - t.m) <= max(1e-9, 1e-8 * t.m)
+    kinks = f.level_angles([r])[0][0]
+    cut = proximity(f, r)
+    assert kinks.size and (0.0, 0.0) not in seen[-1]
+    assert {(a, math.inf) for a in kinks.tolist()} <= set(seen[-1])
+    assert abs(cut.m - t.m) <= max(1e-9, 1e-8 * t.m)
+
+
+def _dense_kinks(f, r, n=1 << 16):
+    """The sign changes of log|f| on |z| = r at n equispaced angles, each
+    bisected to the last bit."""
+    def up(theta):
+        return f._log_mod(r * np.exp(1j * theta)) > 0.0
+
+    theta = np.arange(n) * (fnmodel.TWO_PI / n)
+    lo = theta[np.flatnonzero(up(theta) != np.roll(up(theta), -1))]
+    hi, up_lo = lo + fnmodel.TWO_PI / n, up(lo)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        same = up(mid) == up_lo
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    return np.sort(0.5 * (lo + hi) % fnmodel.TWO_PI)
+
+
+# the four largest radii of log_radii(5, 40, 25), where plain cuts at the
+# kinks and band edges of e^{z^2} - 1 missed by 11.9-21.9 tolerances
+@pytest.mark.parametrize("r", [30.84421650815882, 33.63585661014858, 36.68016172818685, 40.0])
+def test_kinks_near_zeros_are_graded_cuts(members, r):
+    # the dense-cut reference: 1000x tighter tolerances, cut at the kinks of
+    # 2^16 samples and bisection
+    f = members["expz2_minus_1"].expr
+    ref = _circle_means(f, [(r, _dense_kinks(f, r), 0)], _logplus, 1e-12, 1e-11)[0].value
+    assert abs(proximity(f, r).m - ref) <= 1e-9 + 1e-8 * ref
+    cuts = f.closed_proximity([r])[0][1]
+    graded = nevanlinna._kink_cuts(f, r, cuts)
+    assert [a for a, _ in graded] == cuts.tolist()
+    assert min(d for _, d in graded) < 0.01  # a zero of e^{z^2} - 1 lies near the circle
+    # a reciprocal's near points are poles: its kinks stay plain cuts
+    assert all(d == math.inf for _, d in nevanlinna._kink_cuts(Quotient(Const(1.0), f), r, cuts))
 
 
 def test_divisor_cuts_carry_their_distance_off_the_circle():

@@ -2,7 +2,9 @@
 
 Runs three kinds of traffic in one interpreter, under ``sys.settrace``:
 
-* tests: the tier-1 suite, ``tests/``, through ``pytest.main``;
+* tests: the tier-1 suite, ``tests/``, through ``pytest.main``, with
+  hypothesis seeded (``--hypothesis-seed=0``) so that two runs draw the
+  same examples;
 * bench: the ops of every workload of ``bench/workloads.py`` for seeds 3
   and 7, as ``bench/run.py`` generates them, run once each, untimed and
   unchecked (no file under ``bench/`` is written);
@@ -128,10 +130,11 @@ def _tests(tracer: _Tracer) -> str:
 
     with tracer.kind("tests"), contextlib.redirect_stdout(io.StringIO()) as out:
         code = pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors",
-                            str(ROOT / "tests")])
+                            "--hypothesis-seed=0", str(ROOT / "tests")])
     lines = out.getvalue().strip().splitlines()
     failed = [line for line in lines if line.startswith(("FAILED", "ERROR"))]
-    return "\n".join([f"tests: exit {int(code)}; {lines[-1] if lines else 'no output'}"] + failed)
+    summary = lines[-1].rsplit(" in ", 1)[0] if lines else "no output"  # not its wall time
+    return "\n".join([f"tests: exit {int(code)}; {summary}"] + failed)
 
 
 def _bench(tracer: _Tracer) -> str:
