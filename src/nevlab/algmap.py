@@ -289,8 +289,7 @@ def _match_images(images, pts, R: float, tol: float):
 
 
 def invariance_census(expr: FunctionExpr, m: AlgebraicMap, values, R: float,
-                      tol: float = 1e-9,
-                      value_tol: float = PREIMAGE_RESIDUAL_TOL) -> list[InvarianceReport]:
+                      tol: float = 1e-9) -> list[InvarianceReport]:
     """Check tau(f^{-1}(a)) stays inside f^{-1}(a) for each requested value.
 
     For each value: collect the solution multiset in |z| <= R, push every
@@ -307,22 +306,21 @@ def invariance_census(expr: FunctionExpr, m: AlgebraicMap, values, R: float,
     solution in the disc or raises), but tau can carry a computed point
     further than ``tol`` from the solution it maps to, so an unmatched
     in-disc image q is re-tried by value: it counts as matched when f(q) = a
-    holds to ``value_tol``.  A value check consumes no point, so the
-    unmatched images of a value are checked after its matching, in one
-    :func:`_image_hits_value` call.  Only value-refuted images are
+    holds to ``PREIMAGE_RESIDUAL_TOL``.  A value check consumes no point,
+    so the unmatched images of a value are checked after its matching, in
+    one :func:`_image_hits_value` call.  Only value-refuted images are
     violations, and the verdict is true when no in-disc image ends up
     refuted.
 
     Each value is read by :func:`target_value` (None or +inf census the
     poles).  ``R`` must be finite and positive (a census of an empty disc
-    proves nothing), and ``tol`` and ``value_tol`` finite and nonnegative;
-    anything else raises ValueError before any solve.
+    proves nothing), and ``tol`` finite and nonnegative; anything else
+    raises ValueError before any solve.
     """
     if not (math.isfinite(R) and R > 0):
         raise ValueError(f"census radius {R!r} must be finite and positive")
-    for name, t in (("tol", tol), ("value_tol", value_tol)):
-        if not (math.isfinite(t) and t >= 0):
-            raise ValueError(f"census {name} {t!r} must be finite and nonnegative")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"census tol {tol!r} must be finite and nonnegative")
     reports = []
     for aval in [target_value(a) for a in values]:
         div = preimages_in_disc(expr, aval, R)
@@ -335,7 +333,8 @@ def invariance_census(expr: FunctionExpr, m: AlgebraicMap, values, R: float,
         matched, unmatched, leaks, ambiguous = _match_images(images, pts, R, tol)
         violations = []
         if unmatched:
-            hits = _image_hits_value(expr, [q for _, q in unmatched], aval, value_tol)
+            hits = _image_hits_value(expr, [q for _, q in unmatched], aval,
+                                     PREIMAGE_RESIDUAL_TOL)
             violations = [pq for pq, hit in zip(unmatched, hits.tolist()) if not hit]
         verdict = not violations
         reports.append(InvarianceReport(

@@ -505,24 +505,30 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config_file(argv: list[str]) -> list[str]:
     """Fold --config file values in as defaults (explicit flags still win).
 
-    The flag is stripped here and may sit anywhere in the command line; the
-    derived flags are appended, which argparse scopes to the subcommand.
+    The flag (``--config PATH`` or ``--config=PATH``) is stripped here and
+    may sit anywhere in the command line; the derived flags are appended,
+    which argparse scopes to the subcommand, unless given in either form.
     """
-    if "--config" not in argv:
+    for i, arg in enumerate(argv):
+        name, eq, path = arg.partition("=")
+        if name == "--config":
+            if not eq:
+                path = argv[i + 1] if i + 1 < len(argv) else ""
+            if not path:
+                raise ToolkitError("--config needs a JSON file path")
+            argv = argv[:i] + argv[i + (1 if eq else 2):]
+            break
+    else:
         return argv
-    i = argv.index("--config")
-    if i + 1 == len(argv):
-        raise ToolkitError("--config needs a JSON file path")
-    path = argv[i + 1]
-    argv = argv[:i] + argv[i + 2:]
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ToolkitError("--config needs a JSON object of flag values")
+    given = {arg.split("=", 1)[0] for arg in argv}
     extra: list[str] = []
     for key, val in sorted(data.items()):
         flag = "--" + str(key).replace("_", "-")
-        if flag not in argv:
+        if flag not in given:
             extra.extend([flag, str(val)])
     return argv + extra
 

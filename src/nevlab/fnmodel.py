@@ -21,14 +21,14 @@ The proximity mean of a rational given by its divisor and of exp(p) has a
 closed form (``FunctionExpr.closed_proximity``): Jensen's formula where the
 divisor alone decides the sign of log|f|, else the exact integrals between
 the certified |f| = 1 angles, by the dilogarithm (``_dilog``) for a rational
-and by a trigonometric antiderivative for exp(p).  The quadrature's circle
-means read ``_log_mod`` (proximity, Jensen) and ``_logderivs``
-(argument-principle counts) of ``expr.near_circle(r)``, a form valid on
-|z| = r only.  For a rational given by its divisor it folds the points with
-|b| <= r/2 or |b| >= 2r into Laurent series in z/r, each cut where its tail
-is at most 2^-54, whenever a group has more points than its series has
-terms; the points in between still go through the broadcast kernel.  Every
-other expression is its own circle form.
+and by a trigonometric antiderivative for exp(p).  The quadrature reads
+``_log_mod`` of the expression itself.  ``expr.near_circle(r)``, a form
+valid on |z| = r only, serves a rational's closed form (its log form
+``_log``) and the argument-principle counts (its ``_logderivs``).  For a
+rational given by its divisor it folds the points with |b| <= r/2 or
+|b| >= 2r into Laurent series in z/r, each cut where its tail is at most
+2^-54, whenever a group has more points than its series has terms; the
+rest go through the broadcast kernel.  Every other expression is its own.
 
 The family is deliberately closed: constants, rationals given by their
 divisor, exp of a polynomial minus a constant (``ExpPoly(p, a)``; ``a = 0``
@@ -79,6 +79,10 @@ MAX_PANELS = 20000
 CIRCLE_BAND = 0.1
 
 _LOG_HUGE = 709.0  # log of the largest finite double, rounded down
+# A root z of a polynomial p of degree n has |p(z)| <= _ROOT_TOL (1 + |z|)^n
+# |leading|, after at most _ABERTH_ITER Aberth steps.
+_ROOT_TOL = 1e-10
+_ABERTH_ITER = 200
 # Rows per batched Aberth solve are capped so that its (rows, n, n) array of
 # pairwise root differences stays near 1 MB whatever the branch count.
 _ABERTH_CELLS = 1 << 16
@@ -488,14 +492,14 @@ def _horner(cs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return v
 
 
-def _aberth(cs: np.ndarray, max_iter: int) -> np.ndarray:
+def _aberth(cs: np.ndarray) -> np.ndarray:
     """Simultaneous (Aberth/Ehrlich) iterates for every row of ``cs``.
 
     ``cs`` is ``(K, n + 1)``, lowest degree first, with nonzero constant and
     leading terms; :func:`_solve_rows` sends it the rows of degree 3 and up.
     Each row starts on its own perturbed Cauchy circle and is frozen once its
-    largest relative step drops below 1e-14, so a row comes out exactly as it
-    would if it were solved alone.  Returns ``(K, n)``.
+    largest relative step drops below 1e-14 (or after ``_ABERTH_ITER``
+    steps), so a row comes out as it would alone.  Returns ``(K, n)``.
     """
     n = cs.shape[1] - 1
     mon = cs / cs[:, -1:]
@@ -508,7 +512,7 @@ def _aberth(cs: np.ndarray, max_iter: int) -> np.ndarray:
 
     out = np.empty_like(z)
     live = np.arange(len(cs))
-    for _ in range(max_iter):
+    for _ in range(_ABERTH_ITER):
         dv = _horner(dmon, z)
         dv = np.where(np.abs(dv) < 1e-300, 1e-300, dv)
         w = _horner(mon, z) / dv
@@ -552,7 +556,7 @@ def _quadratic(cs: np.ndarray) -> np.ndarray:
     return np.stack((z1, z2), axis=1)
 
 
-def _solve_rows(cs: np.ndarray, max_iter: int) -> np.ndarray:
+def _solve_rows(cs: np.ndarray) -> np.ndarray:
     """Roots of every row of ``cs`` (``(K, n + 1)``, lowest degree first,
     nonzero constant and leading terms), unsorted: degree 1 as -c0 / c1,
     degree 2 by :func:`_quadratic`, higher degrees by :func:`_aberth`."""
@@ -561,16 +565,16 @@ def _solve_rows(cs: np.ndarray, max_iter: int) -> np.ndarray:
         return -cs[:, :1] / cs[:, 1:]
     if n == 2:
         return _quadratic(cs)
-    return _aberth(cs, max_iter)
+    return _aberth(cs)
 
 
-def _sorted_checked(roots: np.ndarray, cs: np.ndarray, tol: float) -> np.ndarray:
+def _sorted_checked(roots: np.ndarray, cs: np.ndarray) -> np.ndarray:
     """Sort each row of ``roots`` by (modulus, re, im) and enforce the residual
     contract of its polynomial, row ``cs`` (lowest degree first).
 
-    The contract |p(z)| <= tol (1 + |z|)^n |leading| is tested divided by
-    (1 + |z|)^n, so that it holds for every finite root, however large; a
-    non-finite root or residual fails it.
+    The contract |p(z)| <= _ROOT_TOL (1 + |z|)^n |leading| is tested
+    divided by (1 + |z|)^n, so that it holds for every finite root, however
+    large; a non-finite root or residual fails it.
     """
     roots = np.take_along_axis(
         roots, np.lexsort((roots.imag, roots.real, np.abs(roots)), axis=-1), axis=-1)
@@ -582,7 +586,7 @@ def _sorted_checked(roots: np.ndarray, cs: np.ndarray, tol: float) -> np.ndarray
         v = v * zeta + cs[:, j:j + 1] * power
         power = power * rho
     resid = np.abs(v)
-    limit = np.maximum(tol * np.abs(cs[:, -1:]), 1e-300)
+    limit = np.maximum(_ROOT_TOL * np.abs(cs[:, -1:]), 1e-300)
     if not np.all(resid <= limit):
         worst = float(np.max(np.nan_to_num(resid / limit, nan=np.inf)))
         raise RootFindFailure(
@@ -591,16 +595,16 @@ def _sorted_checked(roots: np.ndarray, cs: np.ndarray, tol: float) -> np.ndarray
     return roots
 
 
-def poly_roots(p: Polynomial, tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:
+def poly_roots(p: Polynomial) -> np.ndarray:
     """All roots of ``p``: in closed form up to degree 2, by simultaneous
     (Aberth/Ehrlich) iteration above.
 
     Roots at the origin are peeled off exactly first, and the rest solved by
     :func:`_solve_rows`: degree 1 as -c0 / c1, degree 2 by a scaled,
     cancellation-free quadratic formula, higher degrees by :func:`_aberth`.
-    Residuals are checked against ``tol * (1 + |root|)^degree * |leading|``;
-    a violation, or a root or residual that is not finite, raises
-    :class:`RootFindFailure`.
+    Residuals are checked against ``_ROOT_TOL * (1 + |root|)^degree *
+    |leading|``; a violation, or a root or residual that is not finite,
+    raises :class:`RootFindFailure`.
     """
     cs = np.asarray(p.coeffs, dtype=np.complex128)
     if p.is_zero:
@@ -616,12 +620,11 @@ def poly_roots(p: Polynomial, tol: float = 1e-10, max_iter: int = 200) -> np.nda
         k0 += 1
     roots = np.zeros((1, n), dtype=np.complex128)
     if k0 < n:
-        roots[:, :n - k0] = _solve_rows(cs[None, k0:], max_iter)
-    return _sorted_checked(roots, cs[None, :], tol)[0]
+        roots[:, :n - k0] = _solve_rows(cs[None, k0:])
+    return _sorted_checked(roots, cs[None, :])[0]
 
 
-def roots_of_shifts(p: Polynomial, ws, tol: float = 1e-10,
-                    max_iter: int = 200) -> np.ndarray:
+def roots_of_shifts(p: Polynomial, ws) -> np.ndarray:
     """Roots of ``p(z) = w`` for every ``w`` in ``ws``, one row per target.
 
     Row ``j`` equals ``poly_roots(p - Polynomial((ws[j],)))`` bit for bit:
@@ -639,13 +642,13 @@ def roots_of_shifts(p: Polynomial, ws, tol: float = 1e-10,
     roots = np.empty((len(ws), p.degree), dtype=np.complex128)
     at_origin = cs[:, 0] == 0
     for j in np.flatnonzero(at_origin):
-        roots[j] = poly_roots(p - Polynomial((ws[j],)), tol, max_iter)
+        roots[j] = poly_roots(p - Polynomial((ws[j],)))
     rest = np.flatnonzero(~at_origin)
     if p.degree:
         chunk = max(1, _ABERTH_CELLS // p.degree**2)
         for i in range(0, rest.size, chunk):
             rows = rest[i:i + chunk]
-            roots[rows] = _sorted_checked(_solve_rows(cs[rows], max_iter), cs[rows], tol)
+            roots[rows] = _sorted_checked(_solve_rows(cs[rows]), cs[rows])
     return roots
 
 
@@ -721,10 +724,10 @@ def _screen(z: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray, np.n
     return order, mod, ~close.any(axis=-1)
 
 
-def cluster_roots(roots: Iterable[complex], rel_tol: float = ROOT_CLUSTER_TOL) -> list[tuple[complex, int]]:
+def cluster_roots(roots: Iterable[complex]) -> list[tuple[complex, int]]:
     """Group near-coincident roots into (centroid, multiplicity) pairs by the
-    greedy loop of :func:`_greedy_cluster`."""
-    return [(c, n) for c, n, _ in _greedy_cluster(((w, 1) for w in roots), rel_tol)]
+    greedy loop of :func:`_greedy_cluster`, at ``ROOT_CLUSTER_TOL``."""
+    return [(c, n) for c, n, _ in _greedy_cluster(((w, 1) for w in roots), ROOT_CLUSTER_TOL)]
 
 
 # ---------------------------------------------------------------------------
@@ -1004,10 +1007,10 @@ class FunctionExpr:
         raise NotImplementedError
 
     def near_circle(self, r: float):
-        """A form whose ``_log_mod`` and ``_logderivs`` agree with this
-        expression's, to rounding, at every z with |z| = r: the circle means
-        evaluate through it.  The expression itself unless a cheaper form
-        exists."""
+        """A form whose ``_logderivs`` (and a rational's log form ``_log``)
+        agree with this expression's, to rounding, on |z| = r: the contour
+        counts and a rational's closed form read it.  The expression itself
+        unless a cheaper form exists."""
         return self
 
     def closed_proximity(self, radii) -> list[tuple[tuple[float, float] | None,
@@ -1700,8 +1703,9 @@ def _power_series(w: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 class _CircleFold:
-    """log|f| and f'/f of a rational on the circle |z| = r alone, with the
-    divisor points far from it folded into series in w = z/r.
+    """The log form of a rational (``_log``, read by :func:`_log_slope`) and
+    its f'/f, on the circle |z| = r alone, with the divisor points far from
+    it folded into series in w = z/r.
 
     With u = b/r for an inner point (|b| <= rho r) and u = r/b for an outer
     one (|b| >= r/rho), C_k = sum m u^k over a group and M = sum m over the
@@ -1718,7 +1722,7 @@ class _CircleFold:
     left unfolded, with M added to the origin order when the inner group
     folds, go through :func:`_divisor_sums` as before.  A channel is planned
     when it is first read, with powers formed up to its own K only: a
-    proximity mean reads log|f| alone, a contour count z f'/f alone.
+    closed-form mean reads log|f| alone, a contour count z f'/f alone.
     """
 
     def __init__(self, f: RationalFromDivisor, r: float):
@@ -1770,13 +1774,6 @@ class _CircleFold:
     @cached_property
     def _der(self):
         return self._plan(1, 0j)
-
-    def _log_mod(self, z):
-        div, start, coeffs = self._log
-        lm = _divisor_sums(z, div, ((start, _log_term),))[0]
-        if coeffs.size:
-            lm -= _power_series(_carray(z) / self.r, coeffs).real
-        return lm
 
     def _logderivs(self, z):
         div, _, series = self._der

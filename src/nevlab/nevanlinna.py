@@ -70,32 +70,36 @@ class CharacteristicSample:
     evaluations: int
 
 
-def _split_angles(expr: FunctionExpr, r: float) -> list[tuple[float, float]]:
-    """Panel cuts at the divisor points b within ``CIRCLE_BAND`` of |z| = r:
-    each angle of b with its distance |log(|b|/r)| off the real axis of
-    angles, where log|z - b| is singular as a function of theta."""
-    b = expr.divisor_in_disc(r * (1.0 + CIRCLE_BAND)).band(r, CIRCLE_BAND)
-    return list(zip((np.angle(b) % TWO_PI).tolist(), np.abs(np.log(np.abs(b) / r)).tolist()))
-
-
-def _kink_cuts(expr: FunctionExpr, r: float, kinks: np.ndarray) -> list[tuple[float, float]]:
-    """The kinks of log+|f| on |z| = r (and any band edges) as panel cuts,
-    each with the distance in the plane of complex angles to the nearest
-    zero of f within ``CIRCLE_BAND`` of the circle (none: inf).  Around
-    such a zero log+|f| = 0 between two kinks, and the panels beyond them,
-    where log+|f| = log|f|, see the zero as a singularity at that
-    distance: they are refined toward the kink as they would be toward the
-    zero.  A pole lies where log+|f| = log|f|, and its own cut
-    (:func:`_split_angles`) refines its panels.  As plain cuts, the kinks
+def _cuts(expr: FunctionExpr, r: float, kinks: np.ndarray | None) -> list[tuple[float, float]]:
+    """The panel cuts of the circle |z| = r, from one read of the divisor
+    points b within ``CIRCLE_BAND`` of it: each b at its angle, with its
+    distance |log(|b|/r)| off the real axis of angles, where log|z - b| is
+    singular as a function of theta; then each kink of log+|f| (band edges
+    included), with the distance in the plane of complex angles to the
+    nearest zero among the b (none: inf).  Around such a zero log+|f| = 0
+    between two kinks, and the panels beyond them, where log+|f| = log|f|,
+    see the zero as a singularity at that distance: they are refined toward
+    the kink as they would be toward the zero.  A pole lies where log+|f| =
+    log|f|, and its own cut refines its panels.  As plain cuts, the kinks
     and band edges of e^{z^2} - 1 missed by up to 21.9 tolerances on
-    ``log_radii(5, 40, 25)``; graded, by at most 0.18."""
-    if kinks.size:
-        b = expr.divisor_in_disc(r * (1.0 + CIRCLE_BAND)).signed("zeros").band(r, CIRCLE_BAND)
-        if b.size:
-            gap = (np.angle(b) - kinks[:, None] + math.pi) % TWO_PI - math.pi
-            dist = np.hypot(gap, np.log(np.abs(b) / r)).min(axis=1)
-            return list(zip(kinks.tolist(), dist.tolist()))
-    return [(a, math.inf) for a in kinks.tolist()]
+    ``log_radii(5, 40, 25)``; graded, by at most 0.18.  Unknown kinks
+    (None) cut the ends 0 and 2pi as a singularity on the circle, seeded
+    ``SEED_LEVELS`` deep, as uniform seeding did (six panels with no divisor
+    point near), so that the seed panels are narrow enough for the
+    split-and-compare test to see them."""
+    div = expr.divisor_in_disc(r * (1.0 + CIRCLE_BAND))
+    near = np.abs(div.moduli - r) <= CIRCLE_BAND * r
+    b = div.points[near]
+    angle, off = np.angle(b), np.log(np.abs(b) / r)
+    cuts = list(zip((angle % TWO_PI).tolist(), np.abs(off).tolist()))
+    if kinks is None:
+        return cuts + [(0.0, 0.0)]
+    zero = div.mults[near] > 0
+    if kinks.size and zero.any():
+        gap = (angle[zero] - kinks[:, None] + math.pi) % TWO_PI - math.pi
+        dist = np.hypot(gap, off[zero]).min(axis=1)
+        return cuts + list(zip(kinks.tolist(), dist.tolist()))
+    return cuts + [(a, math.inf) for a in kinks.tolist()]
 
 
 def _nudged(expr: FunctionExpr, r: float) -> float:
@@ -106,52 +110,34 @@ def _nudged(expr: FunctionExpr, r: float) -> float:
 
 def _circle_means(expr: FunctionExpr, circles, integrand, atol: float,
                   rtol: float) -> list[QuadratureResult]:
-    """Means of ``integrand(g, z)`` over circles |z| = r by quadrature.
+    """Means of ``integrand(z)`` over circles |z| = r by quadrature.
 
-    Each circle is ``(r, kinks, spent)``, the cuts and evaluations as
-    :meth:`FunctionExpr.closed_proximity` returns them; ``spent`` counts in
-    the result.  Divisor points near the circle become panel cuts graded by
-    their distance, and the kinks (band edges included) cuts graded by
-    their distance to the nearest zero among those points
-    (:func:`_kink_cuts`; ``_NO_ANGLES`` adds none).
-    Unknown kinks (None) cut the ends 0 and 2pi as a singularity on the
-    circle, seeded ``SEED_LEVELS`` deep, as uniform seeding did (six panels
-    with no divisor point near), so that the seed panels are narrow enough
-    for the split-and-compare test to see them.  ``g = expr.near_circle(r)``
-    is the form the integrand reads: for a rational given by its divisor,
-    the points far from the circle folded into series; the cuts still read
-    the full divisor.  The circles where ``g`` is ``expr`` run in lockstep
-    (:func:`adaptive_circles`), any other circle alone.  The values and
-    error estimates are means, the counts the quadrature's.
+    Each circle is ``(r, kinks, spent)``, the kinks and evaluations as
+    :meth:`FunctionExpr.closed_proximity` returns them; :func:`_cuts` cuts
+    its panels, and ``spent`` counts in the result.  A grid runs in
+    lockstep (:func:`adaptive_circles`), one circle through
+    :func:`adaptive_circle`, which bench/ wraps.  The values and error
+    estimates are means, the counts the quadrature's.
     """
     # a finite atol stays finite when scaled; inf and NaN reach the check as given
     scaled_atol = min(atol * TWO_PI, sys.float_info.max) if math.isfinite(atol) else atol
-    out, shared = {}, []  # shared: (index, radius, cuts, spent) of the lockstep circles
-    for k, (r, kinks, spent) in enumerate(circles):
-        g = expr.near_circle(r)
-        cuts = _split_angles(expr, r)
-        cuts += [(0.0, 0.0)] if kinks is None else _kink_cuts(expr, r, kinks)
-        if g is expr and len(circles) > 1:  # one circle: adaptive_circle, which bench/ wraps
-            shared.append((k, r, cuts, spent))
-        else:
-            out[k] = adaptive_circle(lambda theta: integrand(g, r * np.exp(1j * theta)),
-                                     cuts, atol=scaled_atol, rtol=rtol, evaluations=spent)
-    if shared:
-        index, radii, cuts, spent = zip(*shared)
+    radii, kinks, spent = zip(*circles)
+    cuts = [_cuts(expr, r, k) for r, k in zip(radii, kinks)]
+    if len(circles) == 1:
+        r = radii[0]
+        res = [adaptive_circle(lambda theta: integrand(r * np.exp(1j * theta)), cuts[0],
+                               atol=scaled_atol, rtol=rtol, evaluations=spent[0])]
+    else:
         r_of = np.array(radii)
-        out.update(zip(index, adaptive_circles(
-            lambda theta, c: integrand(expr, r_of[c] * np.exp(1j * theta)),
-            cuts, atol=scaled_atol, rtol=rtol, evaluations=spent)))
-    return [res.replace(value=res.value / TWO_PI, err_estimate=res.err_estimate / TWO_PI)
-            for res in map(out.get, range(len(circles)))]
+        res = adaptive_circles(lambda theta, c: integrand(r_of[c] * np.exp(1j * theta)),
+                               cuts, atol=scaled_atol, rtol=rtol, evaluations=spent)
+    return [q.replace(value=q.value / TWO_PI, err_estimate=q.err_estimate / TWO_PI)
+            for q in res]
 
 
-def _logplus(g, z: np.ndarray) -> np.ndarray:
-    """log+|f| at ``z`` through the circle form ``g``: the proximity integrand."""
-    lm = g._log_mod(z)
-    out = logplus(lm)
-    out[lm == -np.inf] = 0.0  # exact zeros contribute nothing to log+
-    return out
+def _logplus(f: FunctionExpr):
+    """The proximity integrand of f: log+|f| at z (an exact zero gives 0)."""
+    return lambda z: logplus(f._log_mod(z))
 
 
 def proximities(expr: FunctionExpr, radii,
@@ -170,12 +156,11 @@ def proximities(expr: FunctionExpr, radii,
     Jensen's formula is then part of the computation, not a check of it:
     the independent checks of these means are mpmath integrals and
     quadrature at tighter tolerances (``_circle_means``).  The other
-    circles, a rational's uncertified ones included, run the quadrature
-    with the cuts of that same answer, in lockstep where the integrand
-    reads the expression itself: exp(p) - a and c / (exp(p) - a), cut at
-    their kinks and band edges, which one band search over the grid finds
-    (:func:`fnmodel._band_search`), and exp towers, other quotients and
-    products.
+    circles run one quadrature of log+|f| on the expression itself, in
+    lockstep, cut where that same answer says: a rational's uncertified
+    circles; exp(p) - a and c / (exp(p) - a), whose kinks and band edges
+    one band search over the grid finds (:func:`fnmodel._band_search`);
+    exp towers, other quotients and products.
     The samples have ``N = 0``; :func:`characteristic_sweep` adds N.
     A grid of two or more radii first asks for the largest disc that its
     panel cuts read (:meth:`FunctionExpr.solve_ahead`), so each radius
@@ -185,11 +170,11 @@ def proximities(expr: FunctionExpr, radii,
         raise ValueError("radius must be positive")
     check_tolerances(atol, rtol)
     if len(radii) > 1:
-        expr.solve_ahead(max(radii) * (1.0 + CIRCLE_BAND))  # the disc _split_angles reads
+        expr.solve_ahead(max(radii) * (1.0 + CIRCLE_BAND))  # the disc _cuts reads
     used = [_nudged(expr, r) for r in radii]
     closed = expr.closed_proximity(used)
     rest = [(u, kinks, spent) for u, (mean, kinks, spent) in zip(used, closed) if mean is None]
-    means = iter(rest and _circle_means(expr, rest, _logplus, atol, rtol))
+    means = iter(rest and _circle_means(expr, rest, _logplus(expr), atol, rtol))
     samples = []
     for r, r_used, (mean, _, spent) in zip(radii, used, closed):
         res = next(means) if mean is None else None
@@ -360,8 +345,10 @@ def argument_principle_count(expr: FunctionExpr, r: float,
     signed count.  A residual further than ``COUNT_INTEGER_TOL`` from an integer
     raises :class:`NonIntegerResidual`.
     """
-    raw = _circle_means(expr, [(_nudged(expr, r), _NO_ANGLES, 0)],
-                        lambda g, z: (z * g._logderivs(z)).real, atol, rtol)[0].value
+    r = _nudged(expr, r)
+    g = expr.near_circle(r)
+    raw = _circle_means(expr, [(r, _NO_ANGLES, 0)],
+                        lambda z: (z * g._logderivs(z)).real, atol, rtol)[0].value
     nearest = round(raw)
     if abs(raw - nearest) > COUNT_INTEGER_TOL:
         raise NonIntegerResidual(
@@ -384,8 +371,7 @@ def jensen_lhs_rhs(expr: FunctionExpr, r: float,
     where c is the leading coefficient of f at the origin (the first nonzero
     Laurent coefficient) and origin order contributes ``order * log r``.
     """
-    lhs = _circle_means(expr, [(r, _NO_ANGLES, 0)], lambda g, z: g._log_mod(z),
-                        atol, rtol)[0].value
+    lhs = _circle_means(expr, [(r, _NO_ANGLES, 0)], expr._log_mod, atol, rtol)[0].value
 
     div = expr.divisor_in_disc(r)
     rhs = counting(div, r, "zeros") - counting(div, r, "poles")

@@ -2,13 +2,14 @@
 
 It computes every circle mean that has no closed form: the proximity of
 exp towers, of exp(p) - a with a != 0, of products and quotients, of a
-rational whose kinks could not be certified, and every contour count.
-Where the kinks are known (exp towers, exp(p) - a and its reciprocals
-c / (exp(p) - a), rationals), the caller cuts at them.  For
-a rational given by its divisor and for exp(p), ``nevanlinna.proximity``
-takes the closed form instead (``FunctionExpr.closed_proximity``), so
-Jensen's formula is part of that computation; its independent checks are
-mpmath integrals and this quadrature run at tighter tolerances.
+rational whose kinks could not be certified (read from the expression
+itself), and every contour count (read from ``near_circle(r)``).  Where
+the kinks are known (exp towers, exp(p) - a and its reciprocals
+c / (exp(p) - a), rationals), the caller cuts at them.  For a rational
+given by its divisor and for exp(p), ``nevanlinna.proximity`` takes the
+closed form instead (``FunctionExpr.closed_proximity``), so Jensen's
+formula is part of that computation; its independent checks are mpmath
+integrals and this quadrature run at tighter tolerances.
 
 Circle averages of log-type integrands have integrable singularities where
 a zero or pole sits on (or near) the contour, and kinks where log+|f| meets
@@ -52,6 +53,7 @@ PANEL_ORDER = 16
 SEED_LEVELS = 3
 MAX_CALL_NODES = 4096  # nodes per integrand call: bounds the integrand's temporaries
 MIN_WIDTH = 1e-15
+_MAX_ROUNDS = 60  # refinement rounds of one run
 MERGE_GAP = 1e-12  # cuts closer than this share one edge
 
 # The PANEL_ORDER Gauss-Legendre nodes and weights on [-1, 1], bit for bit
@@ -133,8 +135,6 @@ def adaptive_circle(f: Callable[[np.ndarray], np.ndarray],
                     cuts=(),
                     atol: float = 1e-10,
                     rtol: float = 1e-8,
-                    max_rounds: int = 60,
-                    max_panels: int = MAX_PANELS,
                     evaluations: int = 0) -> QuadratureResult:
     """Integrate ``f`` over [0, 2pi) with panels seeded from ``cuts``: the
     one-circle case of :func:`adaptive_circles`, for an ``f`` of the angles.
@@ -146,13 +146,12 @@ def adaptive_circle(f: Callable[[np.ndarray], np.ndarray],
     spent on the integrand's structure, such as a search for the cuts; the
     result's count starts from it.
     """
-    return adaptive_circles(lambda theta, _: f(theta), [cuts], atol, rtol, max_rounds,
-                            max_panels, [evaluations])[0]
+    return adaptive_circles(lambda theta, _: f(theta), [cuts], atol, rtol, [evaluations])[0]
 
 
 def adaptive_circles(f: Callable[[np.ndarray, np.ndarray], np.ndarray], cuts_per_circle,
-                     atol: float = 1e-10, rtol: float = 1e-8, max_rounds: int = 60,
-                     max_panels: int = MAX_PANELS, evaluations=()) -> list[QuadratureResult]:
+                     atol: float = 1e-10, rtol: float = 1e-8,
+                     evaluations=()) -> list[QuadratureResult]:
     """Integrate over [0, 2pi) on many circles in lockstep, circle c with
     panels seeded from ``cuts_per_circle[c]`` (see :func:`adaptive_circle`).
 
@@ -167,10 +166,10 @@ def adaptive_circles(f: Callable[[np.ndarray, np.ndarray], np.ndarray], cuts_per
     run: a panel is accepted when ``|coarse - fine| <= max(atol,
     rtol*|total|) * width / 2pi``; the circle ends once its summed error
     estimate is inside the global budget, which cancellation noise near
-    contour-touching zeros needs; ``max_panels``, ``max_rounds`` and the
-    evaluation count, from ``evaluations[c]`` (0 if not given).  A circle
-    keeps its panels in a lone run's order and sums its own slice, so a
-    lone circle runs bit for bit as before.  The tolerances go through
+    contour-touching zeros needs; ``MAX_PANELS``, ``_MAX_ROUNDS`` (both
+    read per call) and the evaluation count, from ``evaluations[c]`` (0 if
+    not given).  A circle keeps its panels in a lone run's order and sums
+    its own slice, so a lone circle runs bit for bit as before.  The tolerances go through
     :func:`check_tolerances` before any evaluation.
     """
     check_tolerances(atol, rtol)
@@ -221,7 +220,7 @@ def adaptive_circles(f: Callable[[np.ndarray, np.ndarray], np.ndarray], cuts_per
     accepted_val, accepted_err, accepted_cnt = [0.0] * n, [0.0] * n, [0] * n
     coarse = None
 
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         edges = np.array((lo, 0.5 * (lo + hi), hi))
         if coarse is None:  # the seed panels' own values ride in the first call
             coarse, left, right = blocks = panel_values(edges[[0, 0, 1]], edges[[2, 1, 2]], circle)
@@ -269,13 +268,13 @@ def adaptive_circles(f: Callable[[np.ndarray, np.ndarray], np.ndarray], cuts_per
             order = np.argsort(np.concatenate((circle[keep], circle[keep])), kind="stable")
             lo, hi, coarse = lo[order], hi[order], coarse[order]
         circle = np.repeat(live, counts)
-        if any(m + accepted_cnt[c] > max_panels for c, m in zip(live, counts)):
+        if any(m + accepted_cnt[c] > MAX_PANELS for c, m in zip(live, counts)):
             raise QuadratureFailure(
-                f"panel count exceeded {max_panels} before reaching tolerance"
+                f"panel count exceeded {MAX_PANELS} before reaching tolerance"
             )
     else:
         raise QuadratureFailure(
-            f"tolerance not reached after {max_rounds} refinement rounds "
+            f"tolerance not reached after {_MAX_ROUNDS} refinement rounds "
             f"({counts[0]} panels still active)"
         )
 

@@ -485,8 +485,7 @@ def test_batched_image_hits_value_equals_scalar_calls():
 
 @pytest.mark.parametrize("kwargs", [{"R": 0.0}, {"R": -1.0}, {"R": math.inf},
                                     {"R": math.nan}, {"tol": math.inf},
-                                    {"tol": math.nan}, {"tol": -1.0},
-                                    {"value_tol": math.inf}, {"value_tol": -1e-6}])
+                                    {"tol": math.nan}, {"tol": -1.0}])
 def test_census_rejects_bad_radius_and_tolerances(kwargs):
     f, shift = lattice_exp()
     args = {"R": 20.0} | kwargs

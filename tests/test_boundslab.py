@@ -289,7 +289,7 @@ def test_smt_reciprocal_mean_meets_its_tolerance():
         lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
     kinks = np.sort(0.5 * (lo + hi) % TWO_PI)
     assert kinks.size == 8
-    ref = _circle_means(recip, [(r, kinks, 0)], _logplus, atol / 1000, rtol / 1000)[0].value
+    ref = _circle_means(recip, [(r, kinks, 0)], _logplus(recip), atol / 1000, rtol / 1000)[0].value
     assert abs(got - ref) <= atol + rtol * abs(ref)
 
 

@@ -592,6 +592,23 @@ def test_explicit_flag_beats_config_file(capsys, tmp_path):
     assert json.loads(out.splitlines()[0][len("# config "):])["fn"] == "rat_pole0"
 
 
+def test_config_file_given_with_an_equals_sign_is_read(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"fn": "rat_pole0", "radii": "1,2"}))
+    code, out, _ = run(capsys, f"--config={cfg}", "char")
+    assert code == EXIT_PASS
+    assert json.loads(out.splitlines()[0][len("# config "):])["fn"] == "rat_pole0"
+
+
+def test_explicit_flag_with_an_equals_sign_beats_config_file(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"fn": "rat_pole0", "rmin": 1.0, "rmax": 4.0, "count": 3}))
+    code, out, _ = run(capsys, "char", "--config", str(cfg), "--fn=exp_z", "--rmin=2.5")
+    assert code == EXIT_PASS
+    config = json.loads(out.splitlines()[0][len("# config "):])
+    assert config["fn"] == "exp_z" and config["radii"][0] == 2.5
+
+
 def test_json_out_duplicates_stdout(capsys, tmp_path):
     dest = tmp_path / "verdict.json"
     code, out, _ = run(capsys, "counterexample", "--k", "1", "--probes", "5",

@@ -218,9 +218,9 @@ def test_smt_solves_its_pull_backs_without_aberth(monkeypatch, capsys):
     of degree 2 (or 1 at the origin rows): none reaches the iteration."""
     degrees = {"_solve_rows": [], "_aberth": []}
     for name, degree_list in degrees.items():
-        def spy(cs, max_iter, solve=getattr(fnmodel, name), seen=degree_list):
+        def spy(cs, solve=getattr(fnmodel, name), seen=degree_list):
             seen.append(cs.shape[1] - 1)
-            return solve(cs, max_iter)
+            return solve(cs)
         monkeypatch.setattr(fnmodel, name, spy)
     fnmodel._divisor_cached.cache_clear()
     argv = ["verify", "smt", "--fn", "exp_z", "--omega", "z^2+z", "--phi", "z^2",
@@ -270,8 +270,9 @@ def test_roots_of_shifts_zero_constant_row_keeps_exact_origin_root():
 
 def test_roots_of_shifts_enforces_residual_contract(monkeypatch):
     p, ws = _branch_sets(monkeypatch)[2]
+    monkeypatch.setattr(fnmodel, "_ABERTH_ITER", 1)
     with pytest.raises(RootFindFailure):
-        roots_of_shifts(p, ws, max_iter=1)
+        roots_of_shifts(p, ws)
 
 
 def test_divisor_radius_quantum_is_the_next_power_of_two(monkeypatch):
@@ -593,9 +594,10 @@ def test_divisor_merge_loops_only_over_the_runs_with_a_close_pair(monkeypatch):
 
 
 @pytest.mark.parametrize("tol", [fnmodel.MERGE_TOL, fnmodel.ROOT_CLUSTER_TOL, 1e-13, 0.0])
-def test_screened_clustering_equals_the_greedy_loop(tol):
+def test_screened_clustering_equals_the_greedy_loop(tol, monkeypatch):
     """Divisor.build and cluster_roots give what the greedy loop over every
     point gives, signed zeros, value types and origin order included."""
+    monkeypatch.setattr(fnmodel, "ROOT_CLUSTER_TOL", tol)  # the width cluster_roots reads
     rng = np.random.default_rng(13)
     paths = set()
     for _ in range(150):
@@ -608,7 +610,7 @@ def test_screened_clustering_equals_the_greedy_loop(tol):
         assert d.moduli.tolist() == [abs(p) for p, _ in d.entries]
         for roots in (pts, np.array(pts)):
             want = [(c, n) for c, n, _ in fnmodel._greedy_cluster(((w, 1) for w in roots), tol)]
-            assert repr(cluster_roots(roots, tol)) == repr(want)
+            assert repr(cluster_roots(roots)) == repr(want)
         paths.add(bool(fnmodel._screen(np.array(pts), tol)[2][0]))
     assert paths == {True, False}  # both the screen and the loop were taken
 
@@ -910,8 +912,18 @@ FOLD_RADII = {"orbit_left_30": (3.0, 20.0, 50.0, 300.0),
 SWEEP_RANGES = {"orbit_left_30": (1.0, 3e3), "orbit_right_60": (1.0, 1e12)}
 
 
+def _angles(n):
+    return np.linspace(0.0, 2 * math.pi, n, endpoint=False) + 0.3
+
+
 def _circle(r, n):
-    return r * np.exp(1j * (np.linspace(0.0, 2 * math.pi, n, endpoint=False) + 0.3))
+    return r * np.exp(1j * _angles(n))
+
+
+def _form_log(g, r, n):
+    """log|f| at ``_circle(r, n)`` through the log form of a circle form
+    ``g``, as the closed-form mean reads it."""
+    return fnmodel._log_slope(g._log, r, _angles(n))[0]
 
 
 def _exact_channels(f: RationalFromDivisor, z):
@@ -944,7 +956,7 @@ def test_circle_fold_matches_a_40_digit_sum(reference_rationals):
             assert g is not f, (key, r)
             z = _circle(r, 7)
             want_lm, want_zld = _exact_channels(f, z)
-            for got, want in ((g._log_mod(z), want_lm), (z * g._logderivs(z), want_zld)):
+            for got, want in ((_form_log(g, r, 7), want_lm), (z * g._logderivs(z), want_zld)):
                 assert np.all(np.abs(got - want) <= 1e-14 * (1 + np.abs(want))), (key, r)
 
 
@@ -954,7 +966,7 @@ def test_circle_fold_agrees_with_the_direct_sum(reference_rationals):
         for r in np.geomspace(lo, hi, 40):
             g = f.near_circle(r)
             z = _circle(r, 64)
-            for got, want in ((g._log_mod(z), f._log_mod(z)),
+            for got, want in ((_form_log(g, r, 64), f._log_mod(z)),
                               (z * g._logderivs(z), z * f._logderivs(z))):
                 assert np.all(np.abs(got - want) <= 1e-13 * (1 + np.abs(want))), (key, r)
 
@@ -1065,7 +1077,7 @@ def test_circle_fold_channels_planned_on_first_use_equal_the_eager_build(referen
                 continue
             (div, start, coeffs), der = _eager_fold_plans(f, r)
             z = _circle(r, 64)
-            lm = g._log_mod(z)
+            lm = _form_log(g, r, 64)
             assert "_der" not in vars(g), (key, r)  # log|f| alone plans one channel
             assert g._log[0] == div and g._log[1] == start, (key, r)
             assert np.array_equal(g._log[2], coeffs), (key, r)
@@ -1074,17 +1086,19 @@ def test_circle_fold_channels_planned_on_first_use_equal_the_eager_build(referen
                 assert inner == inner_e and np.array_equal(c, c_e), (key, r)
             eager = fnmodel._CircleFold(f, r)
             eager.__dict__.update(_log=(div, start, coeffs), _der=der)
-            assert np.array_equal(lm, eager._log_mod(z)), (key, r)
+            assert np.array_equal(lm, _form_log(eager, r, 64)), (key, r)
             assert np.array_equal(g._logderivs(z), eager._logderivs(z)), (key, r)
 
 
 def test_circle_fold_memory_stays_a_few_node_arrays(reference_rationals):
+    # the quadrature of a contour count reads f'/f of the fold on up to
+    # MAX_CALL_NODES nodes a call; its log form is read by _log_slope only,
+    # on the kink search's few hundred angles
     f = reference_rationals["orbit_right_60"]
     g = f.near_circle(1e4)
     z = _circle(1e4, 50_000)
     tracemalloc.start()
     try:
-        g._log_mod(z)
         g._logderivs(z)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -1489,7 +1503,7 @@ def test_level_search_certifies_a_shallow_pair_between_its_samples(reference_rat
     assert gap.max() <= 2.0 * TWO_PI / 400_000
     assert spent > fnmodel._SCAN_POINTS + len(f.divisor.band(r, CIRCLE_BAND)) + 6 * 10
     s = proximity(f, r)
-    tight = _circle_means(f, [(r, angles, spent)], _logplus, atol=1e-12, rtol=1e-11)[0]
+    tight = _circle_means(f, [(r, angles, spent)], _logplus(f), atol=1e-12, rtol=1e-11)[0]
     assert s.panels == 0 and s.evaluations == spent
     assert abs(s.m - tight.value) <= 0.01 * max(1e-9, 1e-8 * s.m)
 

@@ -29,7 +29,7 @@ from nevlab import (
     proximity,
     subtract,
 )
-from nevlab import fnmodel, nevanlinna
+from nevlab import fnmodel, nevanlinna, quadrature
 from nevlab.fnmodel import InsufficientGrowth, NonMonotone
 from nevlab.nevanlinna import _circle_means, _logplus
 
@@ -182,7 +182,7 @@ def test_level_cuts_are_only_hints(members, key, r):
     ref = _ORACLES[key](r)
     for edited in [np.delete(angles, i) for i in range(angles.size)] + [
             np.sort(np.append(angles, 1.234))]:
-        m = _circle_means(expr, [(r, edited, 0)], _logplus, 1e-9, 1e-8)[0].value
+        m = _circle_means(expr, [(r, edited, 0)], _logplus(expr), 1e-9, 1e-8)[0].value
         assert abs(m - ref) <= max(1e-9, 1e-8 * m)
 
 
@@ -194,7 +194,7 @@ def test_proximity_counts_the_search_and_keeps_seeded_ends_without_a_crossing(me
     f, g = members["rat_zero1_pole2"].expr, members["orbit_left_m6"].expr
 
     def quad(expr, r, kinks, spent):
-        return _circle_means(expr, [(r, kinks, spent)], _logplus, 1e-9, 1e-8)[0]
+        return _circle_means(expr, [(r, kinks, spent)], _logplus(expr), 1e-9, 1e-8)[0]
 
     for expr, r, found in ((f, 3.78921641565047, True), (g, 0.7, False)):
         _, angles, spent = expr.closed_proximity([r])[0]
@@ -224,10 +224,37 @@ def test_an_uncertified_circle_searches_once(members, monkeypatch):
     assert (s.panels, s.evaluations) == (54, 2792)
     mean, angles, spent = f.closed_proximity([r])[0]
     assert mean is None and angles.size
-    res = _circle_means(f, [(r, angles, spent)], _logplus, 1e-9, 1e-8)[0]
+    res = _circle_means(f, [(r, angles, spent)], _logplus(f), 1e-9, 1e-8)[0]
     assert (s.m, s.quad_err, s.evaluations) == (res.value, res.err_estimate, res.evaluations)
     monkeypatch.undo()
     assert abs(s.m - proximity(f, r).m) <= max(1e-9, 1e-8 * s.m)
+
+
+def test_an_uncertified_circle_builds_its_fold_once(members, monkeypatch):
+    # the kink search reads the fold's log form; the quadrature that follows
+    # reads the expression itself, so the fold is not built again for it
+    folds, fold = [], fnmodel._CircleFold.__init__
+    monkeypatch.setattr(fnmodel, "_CERTIFY_ROUNDS", 0)
+    monkeypatch.setattr(fnmodel._CircleFold, "__init__",
+                        lambda self, f, r: folds.append(r) or fold(self, f, r))
+    s = proximity(members["orbit_left_m6"].expr, 8.21086325832621)
+    assert s.panels > 0 and folds == [8.21086325832621]
+
+
+def test_a_grid_with_a_folded_circle_runs_in_one_lockstep_call(members, monkeypatch):
+    # neither circle of (z - 1)/(z - 2) is closed; at r = 1e200 its points
+    # fold into a series, and still both circles share one quadrature run
+    f, runs, quad = members["rat_zero1_pole2"].expr, [], quadrature.adaptive_circles
+    assert f.near_circle(1e200) is not f
+
+    def spy(g, cuts, *args, **kwargs):
+        runs.append(len(cuts))
+        return quad(g, cuts, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "adaptive_circles", spy)  # adaptive_circle's too
+    monkeypatch.setattr(nevanlinna, "adaptive_circles", spy)
+    samples = nevanlinna.proximities(f, [1e8, 1e200])
+    assert runs == [2] and all(s.panels > 0 for s in samples)
 
 
 def test_closed_form_samples_count_the_search_and_plan_no_fold_for_jensen(
@@ -511,14 +538,15 @@ def test_kinks_near_zeros_are_graded_cuts(members, r):
     # the dense-cut reference: 1000x tighter tolerances, cut at the kinks of
     # 2^16 samples and bisection
     f = members["expz2_minus_1"].expr
-    ref = _circle_means(f, [(r, _dense_kinks(f, r), 0)], _logplus, 1e-12, 1e-11)[0].value
+    ref = _circle_means(f, [(r, _dense_kinks(f, r), 0)], _logplus(f), 1e-12, 1e-11)[0].value
     assert abs(proximity(f, r).m - ref) <= 1e-9 + 1e-8 * ref
     cuts = f.closed_proximity([r])[0][1]
-    graded = nevanlinna._kink_cuts(f, r, cuts)
+    graded = nevanlinna._cuts(f, r, cuts)[-cuts.size:]  # the kink cuts follow the points'
     assert [a for a, _ in graded] == cuts.tolist()
     assert min(d for _, d in graded) < 0.01  # a zero of e^{z^2} - 1 lies near the circle
     # a reciprocal's near points are poles: its kinks stay plain cuts
-    assert all(d == math.inf for _, d in nevanlinna._kink_cuts(Quotient(Const(1.0), f), r, cuts))
+    recip = nevanlinna._cuts(Quotient(Const(1.0), f), r, cuts)[-cuts.size:]
+    assert [a for a, _ in recip] == cuts.tolist() and all(d == math.inf for _, d in recip)
 
 
 def test_divisor_cuts_carry_their_distance_off_the_circle():
@@ -526,7 +554,7 @@ def test_divisor_cuts_carry_their_distance_off_the_circle():
     # |log(|b|/r)|; the point at 1.2 r is left to the quadrature
     r = 4.0
     pts = [(0.95 * r * np.exp(1j), 1), (1.05 * r * np.exp(2j), -2), (1.2 * r * 1j, 1)]
-    cuts = nevanlinna._split_angles(RationalFromDivisor(1.0, Divisor.build(pts)), r)
+    cuts = nevanlinna._cuts(RationalFromDivisor(1.0, Divisor.build(pts)), r, fnmodel._NO_ANGLES)
     want = [[1.0, -math.log(0.95)], [2.0, math.log(1.05)]]
     assert np.array(sorted(cuts)) == pytest.approx(np.array(want), rel=1e-12)
 

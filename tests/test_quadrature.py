@@ -285,26 +285,37 @@ def _nan_inside(t):
     return out
 
 
+def _capped(monkeypatch, kwargs):
+    """``kwargs`` without the caps ``max_panels`` and ``max_rounds``, which
+    are set on the quadrature module instead, as it reads them per call."""
+    kwargs = dict(kwargs)
+    for key, name in (("max_panels", "MAX_PANELS"), ("max_rounds", "_MAX_ROUNDS")):
+        if key in kwargs:
+            monkeypatch.setattr(quadrature, name, kwargs.pop(key))
+    return kwargs
+
+
 @pytest.mark.parametrize("f, kwargs", [
     (_nan_inside, {}),
     (_log_abs_z2_minus_1, {"cuts": ON_CIRCLE, "atol": 1e-14, "rtol": 1e-14,
                            "max_panels": 60}),
     (lambda t: np.exp(np.sin(t)), {"atol": 1e-300, "rtol": 1e-300, "max_rounds": 2}),
 ], ids=["interior NaN", "max_panels", "max_rounds"])
-def test_failures_match_the_reference_loop(f, kwargs):
+def test_failures_match_the_reference_loop(f, kwargs, monkeypatch):
     with pytest.raises(QuadratureFailure):
         _reference_adaptive_circle(f, **kwargs)
     with pytest.raises(QuadratureFailure) as info:
-        adaptive_circle(f, **kwargs)
+        adaptive_circle(f, **_capped(monkeypatch, kwargs))
     assert ("panel count" in str(info.value)) == ("max_panels" in kwargs)
     assert ("refinement rounds" in str(info.value)) == ("max_rounds" in kwargs)
 
 
 @pytest.mark.parametrize("rounds", [1, 2, 5])
-def test_the_integrand_is_called_once_per_round(rounds):
+def test_the_integrand_is_called_once_per_round(rounds, monkeypatch):
     f, calls = _counted(lambda t: np.exp(np.sin(t)))
+    monkeypatch.setattr(quadrature, "_MAX_ROUNDS", rounds)
     with pytest.raises(QuadratureFailure, match=f"after {rounds} refinement rounds"):
-        adaptive_circle(f, atol=1e-300, rtol=1e-300, max_rounds=rounds)
+        adaptive_circle(f, atol=1e-300, rtol=1e-300)
     assert len(calls) == rounds
 
 
@@ -389,7 +400,8 @@ def test_no_call_exceeds_the_node_cap(monkeypatch, cap):
     (_log_abs_z2_minus_1, {"cuts": ON_CIRCLE, "atol": 1e-14, "rtol": 1e-14, "max_panels": 60}),
     (lambda t: np.exp(np.sin(t)), {"atol": 1e-300, "rtol": 1e-300, "max_rounds": 2}),
 ], ids=["interior NaN", "max_panels", "max_rounds"])
-def test_a_failing_circle_raises_its_own_failure(bad, kwargs):
+def test_a_failing_circle_raises_its_own_failure(bad, kwargs, monkeypatch):
+    kwargs = _capped(monkeypatch, kwargs)
     cuts = kwargs.pop("cuts", [])
     with pytest.raises(QuadratureFailure) as lone:
         adaptive_circle(bad, cuts, **kwargs)

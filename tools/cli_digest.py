@@ -12,7 +12,8 @@ is checked against its parent with
 
 The only argument is the checkout to run; it defaults to the one that holds
 this script.  Only stdout, stderr and the exit code are compared, so no
-listed command writes a file (``--out``, ``--json-out``).
+listed command writes a file: the one ``--out`` goes to ``/dev/stdout``,
+where smt's per-radius rows show its reciprocal means.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ COMMANDS = [
     ["verify", "smt"],
     ["verify", "smt", "--fn", "exp_z", "--omega", "z^2+z", "--phi", "z^2",
      "--targets", "1,-1", "--rmin", "5", "--rmax", "40", "--count", "25"],
+    ["verify", "smt", "--fn", "exp_z", "--omega", "z^2+z", "--phi", "z^2",
+     "--targets", "1,-1", "--rmin", "5", "--rmax", "40", "--count", "25",
+     "--out", "/dev/stdout"],
     ["verify", "borel", "--fn", "exp_z"],
     ["verify", "borel", "--fn", "exp_z", "--epsilon", "1e-12"],
     ["verify", "borel", "--fn", "all", "--rmax", "20", "--count", "20"],

@@ -9,7 +9,8 @@ Runs three kinds of traffic in one interpreter, under ``sys.settrace``:
   and 7, as ``bench/run.py`` generates them, run once each, untimed and
   unchecked (no file under ``bench/`` is written);
 * digest: the command list of ``tools/cli_digest.py``, through
-  ``nevlab.cli.main`` in process.
+  ``nevlab.cli.main`` in process (an ``--out /dev/stdout`` goes to
+  ``os.devnull``).
 
 Then it prints every function of ``src/nevlab`` with the first lines of
 its statements that nothing reached, and after them those that only the
@@ -168,9 +169,11 @@ def _digest(tracer: _Tracer) -> str:
     with tracer.kind("digest"):
         for argv in COMMANDS:
             sink = io.StringIO()
+            # a file opened on /dev/stdout would write past the sink, into this report
+            argv = [os.devnull if arg == "/dev/stdout" else arg for arg in argv]
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                 try:
-                    codes.append(nevlab.cli.main(list(argv)))
+                    codes.append(nevlab.cli.main(argv))
                 except SystemExit as exc:  # argparse's usage exits
                     codes.append(exc.code)
     return f"digest: {len(codes)} commands, exit codes {sorted(set(codes))}"
