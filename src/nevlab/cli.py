@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -416,15 +417,17 @@ def _add_out(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no prefix matching: an abbreviated flag would slip past --config folding
     ap = argparse.ArgumentParser(
-        prog="nevlab",
+        prog="nevlab", allow_abbrev=False,
         description="growth functionals, orbit constructions and inequality "
                     "verifiers for a closed meromorphic function family",
     )
     ap.add_argument("--config", type=str, default=None,
                     help="JSON file of flag defaults; explicit flags win "
                          "(accepted anywhere on the command line)")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True,
+                            parser_class=partial(argparse.ArgumentParser, allow_abbrev=False))
 
     p = sub.add_parser("char", help="characteristic sweep")
     p.add_argument("--fn", required=True)

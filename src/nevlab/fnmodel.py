@@ -22,13 +22,13 @@ closed form (``FunctionExpr.closed_proximity``): Jensen's formula where the
 divisor alone decides the sign of log|f|, else the exact integrals between
 the certified |f| = 1 angles, by the dilogarithm (``_dilog``) for a rational
 and by a trigonometric antiderivative for exp(p).  The quadrature reads
-``_log_mod`` of the expression itself.  ``expr.near_circle(r)``, a form
-valid on |z| = r only, serves a rational's closed form (its log form
-``_log``) and the argument-principle counts (its ``_logderivs``).  For a
-rational given by its divisor it folds the points with |b| <= r/2 or
-|b| >= 2r into Laurent series in z/r, each cut where its tail is at most
-2^-54, whenever a group has more points than its series has terms; the
-rest go through the broadcast kernel.  Every other expression is its own.
+``_log_mod`` of the expression itself.  ``_circle_form(f, r)``, a form of
+a rational given by its divisor valid on |z| = r only, serves its closed
+form and its argument-principle counts: it folds the points with
+|b| <= r/2 or |b| >= 2r into Laurent series in z/r, each cut where its
+log|f| tail is at most 2^-54, whenever a group has more points than its
+series has terms; the rest go through the broadcast kernel.  The counts
+of every other expression read its ``_logderivs``.
 
 The family is deliberately closed: constants, rationals given by their
 divisor, exp of a polynomial minus a constant (``ExpPoly(p, a)``; ``a = 0``
@@ -92,9 +92,9 @@ _MAX_BRANCHES = 1 << 19
 # Nodes per chunk of a divisor sum are capped so that its (points, nodes)
 # temporaries hold about this many cells (256 kB as complex) each.
 _DIVISOR_CELLS = 1 << 14
-# A circle mean of a rational folds its divisor points with |b| <= rho r or
-# |b| >= r / rho into truncated series, each cut where its tail is at most
-# _FOLD_TOL (absolute, in log|f| and in z f'/f).
+# The circle form of a rational folds its divisor points with |b| <= rho r
+# or |b| >= r / rho into truncated series, each cut where its tail in log|f|
+# is at most _FOLD_TOL (absolute).
 _FOLD_RATIO = 0.5
 _FOLD_TOL = 2.0**-54
 # The |f| = 1 search of a rational's circle mean samples log|f| on this
@@ -1006,13 +1006,6 @@ class FunctionExpr:
     def _logderivs(self, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def near_circle(self, r: float):
-        """A form whose ``_logderivs`` (and a rational's log form ``_log``)
-        agree with this expression's, to rounding, on |z| = r: the contour
-        counts and a rational's closed form read it.  The expression itself
-        unless a cheaper form exists."""
-        return self
-
     def closed_proximity(self, radii) -> list[tuple[tuple[float, float] | None,
                                                     np.ndarray | None, int]]:
         """(mean, cuts, spent) for each circle |z| = r of ``radii``: the one
@@ -1028,7 +1021,7 @@ class FunctionExpr:
         exp(p) - a and its reciprocals.  The kinks are found at no
         evaluation for constants (none), exp(p) and exp(exp(p))
         (:func:`_im_level_angles`), by a certified search through
-        ``near_circle(r)`` for a rational (:func:`_level_search`), and by
+        :func:`_circle_form` for a rational (:func:`_level_search`), and by
         one band search over the whole grid for exp(p) - a with a != 0 and
         for c / (exp(p) - a) (:func:`_band_search`); ``spent`` counts the
         searches' evaluations.  ``cuts`` is None where the kinks are not
@@ -1391,10 +1384,6 @@ class RationalFromDivisor(FunctionExpr):
     def _logderivs(self, z):
         return _divisor_sums(z, self.divisor, ((0j, _inv_term),))[0]
 
-    def near_circle(self, r):
-        fold = _CircleFold(self, r)
-        return fold if fold.folded else self
-
     def closed_proximity(self, radii):
         return [self._closed_proximity_at(r) for r in radii]
 
@@ -1403,18 +1392,14 @@ class RationalFromDivisor(FunctionExpr):
         sign = 1 if kinks is _NO_ANGLES else _divisor_sign(self, r)
         if sign < 0:
             return (0.0, 0.0), kinks, 0
-        g, angles, spent, certified = self, _NO_ANGLES, 0, True  # Jensen
+        form = self.divisor, math.log(abs(self.scale)), _NO_SERIES, _NO_SERIES  # Jensen
+        angles, spent, certified = _NO_ANGLES, 0, True
         if not sign:
-            g = self.near_circle(r)
-            angles, spent, certified = _level_search(self, g, r)
+            form = _circle_form(self, r)
+            angles, spent, certified = _level_search(self, form, r)
             kinks = angles if angles.size else None
-        mean = _arc_mean(angles, *_log_antiderivative(g._log, r, angles)) if certified else None
+        mean = _arc_mean(angles, *_log_antiderivative(form, r, angles)) if certified else None
         return mean, kinks, spent
-
-    @property
-    def _log(self):
-        """log|f| as a circle form reads it (:attr:`_CircleFold._log`): no series."""
-        return self.divisor, math.log(abs(self.scale)), _NO_SERIES
 
     def _divisor_impl(self, r):
         return self.divisor.restrict(r)
@@ -1445,7 +1430,7 @@ def _unit_powers(theta: np.ndarray, k: int) -> np.ndarray:
 
 def _log_slope(form, r: float, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log|f| and its theta-derivative -Im(z f'/f) at z = r e^{i theta}."""
-    div, start, a = form
+    div, start, a, _ = form
     z = r * np.exp(1j * theta)
     lm, ld = _divisor_sums(z, div, ((start, _log_term), (0j, _inv_term)))
     slope = -(z * ld).imag
@@ -1462,7 +1447,7 @@ def _slope_bounds(form, r: float):
     m log|z - b| contributes |m| r / dist and |m| r |b| / dist^2, dist the
     distance from b to the arc, and a series term a_k e^{ik theta}
     k |a_k| and k^2 |a_k|."""
-    div, _, a = form
+    div, _, a, _ = form
     k = np.arange(1, a.size + 1)
     ka = k * np.abs(a)
     l1, l2 = float(ka.sum()), float((k * ka).sum())
@@ -1482,12 +1467,12 @@ def _slope_bounds(form, r: float):
     return bounds
 
 
-def _level_search(f: RationalFromDivisor, g, r: float) -> tuple[np.ndarray, int, bool]:
+def _level_search(f: RationalFromDivisor, form, r: float) -> tuple[np.ndarray, int, bool]:
     """The angles where |f| = 1 on |z| = r, the evaluations spent finding
-    them, and whether they are certified to be all the crossings.  ``g``
-    is the circle form of ``f`` (:meth:`FunctionExpr.near_circle`); its
-    log|f| (``g._log``) is read through :func:`_log_slope`, the folded
-    series with one product per call.
+    them, and whether they are certified to be all the crossings.  ``form``
+    is the circle form of ``f`` (:func:`_circle_form`); its log|f| is read
+    through :func:`_log_slope`, the folded series with one product per
+    call.
 
     log|f| and its theta-derivative are sampled at ``_SCAN_POINTS``
     equispaced angles and at the angles of the divisor points within
@@ -1508,7 +1493,6 @@ def _level_search(f: RationalFromDivisor, g, r: float) -> tuple[np.ndarray, int,
     its bracket bisects it, and a bracket is frozen once its step is below
     ``_SEARCH_TOL``.
     """
-    form = g._log
     theta = np.sort(np.concatenate([_SCAN_GRID, np.angle(f.divisor.band(r, CIRCLE_BAND)) % TWO_PI]))
     lm, dl = _log_slope(form, r, theta)
     spent = theta.size
@@ -1598,7 +1582,7 @@ def _log_antiderivative(form, r: float, theta: np.ndarray):
     Associated Functions*, 1981), and the folded series
     -Im sum_k (a_k / k) e^{ik theta}.
     """
-    div, start, a = form
+    div, start, a, _ = form
     b, m = div._rows
     mod = np.abs(b)
     t = m * np.log(np.maximum(mod, r))
@@ -1667,19 +1651,6 @@ def _inside(x, lo, hi):
     return np.where((x - lo) * (x - hi) < 0.0, x, 0.5 * (lo + hi))
 
 
-def _series_terms(weight: float, q: float, log: bool) -> int:
-    """Fewest terms K of a folded series whose tail is at most _FOLD_TOL.
-
-    For points of total |multiplicity| ``weight`` with |u| <= q < 1, the
-    tail past the w^K term is at most weight q^(K+1) / (1 - q) in z f'/f,
-    and that over K + 1 in log|f|.
-    """
-    k = 0
-    while weight * q ** (k + 1) / ((k + 1 if log else 1) * (1.0 - q)) > _FOLD_TOL:
-        k += 1
-    return k
-
-
 def _power_sums(u: np.ndarray, m: np.ndarray, k: int) -> np.ndarray:
     """``C_j = sum m u^j`` for j = 1..k; u^j is formed by doubling."""
     powers = np.empty((k, u.size), dtype=np.complex128)
@@ -1702,87 +1673,76 @@ def _power_series(w: np.ndarray, c: np.ndarray) -> np.ndarray:
     return acc
 
 
-class _CircleFold:
-    """The log form of a rational (``_log``, read by :func:`_log_slope`) and
-    its f'/f, on the circle |z| = r alone, with the divisor points far from
-    it folded into series in w = z/r.
+def _circle_form(f: RationalFromDivisor, r: float):
+    """(div, start, a, b): log|f| and z f'/f of a rational on the circle
+    |z| = r alone, with the divisor points far from it folded into series
+    in w = z/r, for the closed-form mean and the contour counts.
 
     With u = b/r for an inner point (|b| <= rho r) and u = r/b for an outer
     one (|b| >= r/rho), C_k = sum m u^k over a group and M = sum m over the
     inner one, on |w| = 1 (where r/z = conj w):
 
         inner: sum m log|z - b| = M log|z| - Re sum_k (C_k / k) (r/z)^k
-               sum m / (z - b)  = (M + sum_k C_k (r/z)^k) / z
+               sum m z / (z - b) = M + sum_k C_k (r/z)^k
         outer: sum m log|z - b| = sum m log|b| - Re sum_k (C_k / k) (z/r)^k
-               sum m / (z - b)  = -(sum_k C_k (z/r)^k) / z
+               sum m z / (z - b) = -sum_k C_k (z/r)^k
 
-    Each channel cuts a group's series at the fewest terms K that
-    :func:`_series_terms` allows, and folds the group only if it has more
-    points than K.  The origin, the points near the circle and the groups
-    left unfolded, with M added to the origin order when the inner group
-    folds, go through :func:`_divisor_sums` as before.  A channel is planned
-    when it is first read, with powers formed up to its own K only: a
-    closed-form mean reads log|f| alone, a contour count z f'/f alone.
+    A group of total |multiplicity| W with |u| <= q has a log|f| tail past
+    the w^K term of at most W q^(K+1) / ((K + 1) (1 - q)), and a z f'/f tail
+    K + 1 times that.  Its series is cut at the fewest terms K that keep the
+    first within _FOLD_TOL, and it folds only if it has more points.  ``div``
+    holds the origin, the points near the circle and the groups left
+    unfolded, with M added to the origin order when the inner group folds,
+    and ``start`` is log|scale| plus the outer group's sum m log|b|.  Since
+    Re P(conj w) = Re P*(w), P* with conjugate coefficients, the folded
+    groups are two series in w:
+
+        a_k = conj(C_in,k / k) + C_out,k / k,   log|f| = ... - Re sum a_k w^k
+        b_k = conj(C_in,k / k) - C_out,k / k,   Re(z f'/f) = ... + Re sum k b_k w^k
     """
+    d, start = f.divisor, math.log(abs(f.scale))
+    pts, m = d.points, d.mults
+    mod = np.abs(pts)
+    keep, origin, series = np.ones(pts.size, dtype=bool), d.origin_order, []
+    for inner, mask in ((True, mod <= _FOLD_RATIO * r), (False, mod >= r / _FOLD_RATIO)):
+        n = int(np.count_nonzero(mask))
+        if not n:
+            continue
+        u = pts[mask] / r if inner else r / pts[mask]
+        q, weight = float(np.max(np.abs(u))), float(np.sum(np.abs(m[mask])))
+        k = 0
+        while weight * q ** (k + 1) / ((k + 1) * (1.0 - q)) > _FOLD_TOL:
+            k += 1
+        if n <= k:
+            continue
+        keep &= ~mask
+        if inner:
+            origin += int(np.sum(m[mask]))
+        else:  # summed exactly: these logs cancel
+            start += math.fsum(m[mask] * np.log(mod[mask]))
+        if k:
+            series.append((inner, _power_sums(u, m[mask], k) / np.arange(1, k + 1)))
+    div = d if keep.all() else Divisor._of(pts[keep], m[keep], d.moduli[keep], origin)
+    a = np.zeros(max((c.size for _, c in series), default=0), dtype=np.complex128)
+    b = a.copy()
+    for inner, c in series:
+        a[:c.size] += np.conj(c) if inner else c
+        b[:c.size] += np.conj(c) if inner else -c
+    return div, start, a, b
 
-    def __init__(self, f: RationalFromDivisor, r: float):
-        self.r, self._f = r, f
-        b, m = f.divisor.points, f.divisor.mults
-        mod = np.abs(b)
-        groups = []  # (inner?, mask, u, K per channel or None where unfolded)
-        for inner, mask in ((True, mod <= _FOLD_RATIO * r),
-                            (False, mod >= r / _FOLD_RATIO)):
-            n = int(np.count_nonzero(mask))
-            if not n:
-                continue
-            u = b[mask] / r if inner else r / b[mask]
-            q, weight = float(np.max(np.abs(u))), float(np.sum(np.abs(m[mask])))
-            ks = [_series_terms(weight, q, log) for log in (True, False)]
-            groups.append((inner, mask, u, [k if n > k else None for k in ks]))
-        self._groups, self._mod = groups, mod
-        self.folded = any(k is not None for *_, ks in groups for k in ks)
 
-    def _plan(self, channel: int, start):
-        """(direct divisor, start, series per folded group: (inner?, coeffs))
-        of one channel, its power sums formed up to that channel's K only."""
-        d, series = self._f.divisor, []
-        m, keep, origin = d.mults, np.ones(d.points.size, dtype=bool), d.origin_order
-        for inner, mask, u, ks in self._groups:
-            k = ks[channel]
-            if k is None:
-                continue
-            keep &= ~mask
-            if inner:
-                origin += int(np.sum(m[mask]))
-            elif channel == 0:  # summed exactly: these logs cancel
-                start += math.fsum(m[mask] * np.log(self._mod[mask]))
-            if k:
-                c = _power_sums(u, m[mask], k)
-                series.append((inner, c / np.arange(1, k + 1) if channel == 0 else c))
-        div = d if keep.all() else Divisor._of(d.points[keep], m[keep], d.moduli[keep], origin)
-        return div, start, series
-
-    @cached_property
-    def _log(self):
-        div, start, series = self._plan(0, math.log(abs(self._f.scale)))
-        # Re P(conj w) = Re P*(w), P* with conjugate coefficients: one series
-        coeffs = np.zeros(max((c.size for _, c in series), default=0), dtype=np.complex128)
-        for inner, c in series:
-            coeffs[:c.size] += np.conj(c) if inner else c
-        return div, start, coeffs
-
-    @cached_property
-    def _der(self):
-        return self._plan(1, 0j)
-
-    def _logderivs(self, z):
-        div, _, series = self._der
-        ld = _divisor_sums(z, div, ((0j, _inv_term),))[0]
-        z = _carray(z)
-        w = z / self.r
-        for inner, c in series:
-            ld += (_power_series(np.conj(w), c) if inner else -_power_series(w, c)) / z
-        return ld
+def _radial_slope(form, r: float, z: np.ndarray) -> np.ndarray:
+    """r d/dr log|f| = Re(z f'/f) at the points z of |z| = r, from a circle
+    form: the direct divisor's sum plus Re sum k b_k w^k, since the folded
+    groups add conj(P) - Q to z f'/f, P = sum conj(C_in,k) w^k and
+    Q = sum C_out,k w^k.  Its twin -Im(z f'/f) = Im sum k a_k w^k is the
+    theta-slope of :func:`_log_slope`."""
+    div, _, _, b = form
+    z = _carray(z)
+    out = (z * _divisor_sums(z, div, ((0j, _inv_term),))[0]).real
+    if b.size:
+        out += _power_series(z / r, b * np.arange(1, b.size + 1)).real
+    return out
 
 
 @record
@@ -1814,7 +1774,8 @@ class ExpPoly(FunctionExpr):
         return self._logs(z, False)[0]
 
     def _logs(self, z, with_arg: bool):
-        """(log|f|, arg f or None): log f = base + log t in each regime."""
+        """(log|f|, arg f or None): log f = base + log(1 - s) in the big and
+        small regimes, where |s| < e^-0.7, and log t in the mid one."""
         with np.errstate(over="ignore", invalid="ignore"):
             w = _carray(self.p(z))
         finite = np.isfinite(w)
@@ -1824,19 +1785,22 @@ class ExpPoly(FunctionExpr):
         if self.a == 0:
             return w.real.copy(), w.imag.copy() if with_arg else None
         big, small, mid = self._regimes(w)
-        parts = []  # (mask, t, base)
+        parts = []  # (mask, s or t, base)
         if np.any(big):  # |e^p| >> |a|:  log f = p + log(1 - a e^-p)
-            parts.append((big, 1.0 - self.a * np.exp(-w[big]), w[big]))
+            parts.append((big, self.a * np.exp(-w[big]), w[big]))
         if np.any(small):  # |e^p| << |a|:  log f = log(-a) + log(1 - e^p / a)
-            parts.append((small, 1.0 - np.exp(w[small]) / self.a, cmath.log(-self.a)))
+            parts.append((small, np.exp(w[small]) / self.a, cmath.log(-self.a)))
         if np.any(mid):
             parts.append((mid, np.exp(w[mid]) - self.a, None))
         lm, ag = np.empty(w.shape), np.empty(w.shape) if with_arg else None
         with np.errstate(divide="ignore", invalid="ignore"):
-            for mask, t, base in parts:
-                lm[mask] = np.log(np.abs(t)) if base is None else base.real + np.log(np.abs(t))
+            for mask, s, base in parts:
+                if base is None:
+                    lm[mask] = np.log(np.abs(s))
+                else:  # log|1 - s| = log1p(|1 - s|^2 - 1) / 2 keeps the bits of a small s
+                    lm[mask] = base.real + 0.5 * np.log1p((s.real - 2.0) * s.real + s.imag**2)
                 if with_arg:
-                    ag[mask] = np.angle(t) if base is None else base.imag + np.angle(t)
+                    ag[mask] = np.angle(s) if base is None else base.imag + np.angle(1.0 - s)
         return lm, ag
 
     def _logderivs(self, z):

@@ -31,8 +31,11 @@ from .fnmodel import (
     NonMonotone,
     Quotient,
     Const,
+    RationalFromDivisor,
     TWO_PI,
     _NO_ANGLES,
+    _circle_form,
+    _radial_slope,
     logplus,
     record,
     subtract,
@@ -44,8 +47,9 @@ NUDGE_FACTOR = 1.0 + 1e-7
 ON_CIRCLE_REL = 1e-9
 # share of a sweep's smallest radii that the hyper-order fit discards
 HYPERORDER_DROP = 0.2
-# farthest a contour count may land from an integer
+# farthest a contour count may land from an integer; its quadrature's tolerances
 COUNT_INTEGER_TOL = 0.1
+COUNT_ATOL = COUNT_RTOL = 1e-7
 
 
 @record
@@ -337,18 +341,20 @@ def hyperorder_estimate(radii, T_values) -> HyperOrderEstimate:
 # ---------------------------------------------------------------------------
 
 
-def argument_principle_count(expr: FunctionExpr, r: float,
-                             atol: float = 1e-7, rtol: float = 1e-7) -> int:
+def argument_principle_count(expr: FunctionExpr, r: float) -> int:
     """Zeros minus poles inside |z| < r via the contour integral of z f'/f.
 
     The real part of the mean of ``z f'(z)/f(z)`` over the circle equals the
-    signed count.  A residual further than ``COUNT_INTEGER_TOL`` from an integer
+    signed count; a rational given by its divisor reads it from its circle
+    form.  A residual further than ``COUNT_INTEGER_TOL`` from an integer
     raises :class:`NonIntegerResidual`.
     """
     r = _nudged(expr, r)
-    g = expr.near_circle(r)
+    form = _circle_form(expr, r) if isinstance(expr, RationalFromDivisor) else None
     raw = _circle_means(expr, [(r, _NO_ANGLES, 0)],
-                        lambda z: (z * g._logderivs(z)).real, atol, rtol)[0].value
+                        lambda z: ((z * expr._logderivs(z)).real if form is None
+                                   else _radial_slope(form, r, z)),
+                        COUNT_ATOL, COUNT_RTOL)[0].value
     nearest = round(raw)
     if abs(raw - nearest) > COUNT_INTEGER_TOL:
         raise NonIntegerResidual(

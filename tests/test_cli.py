@@ -609,6 +609,30 @@ def test_explicit_flag_with_an_equals_sign_beats_config_file(capsys, tmp_path):
     assert config["fn"] == "exp_z" and config["radii"][0] == 2.5
 
 
+def test_an_abbreviated_config_flag_is_rejected_not_ignored(capsys, tmp_path):
+    # with prefix matching, --conf was taken as --config, and the file,
+    # which _apply_config_file looks for by its full name only, was ignored
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"fn": "rat_pole0"}))
+    code, out, err = run_to_exit(capsys, "--conf", str(cfg), "char", "--fn", "exp_z",
+                                 "--radii", "2")
+    assert code == 2 and out == "" and "--conf" in err
+
+
+def test_an_abbreviated_flag_does_not_lose_to_the_config_file(capsys, tmp_path):
+    # with prefix matching, --rmi was taken as --rmin, and the file's rmin,
+    # appended after it, won
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"rmin": 1.0, "rmax": 4.0, "count": 3}))
+    code, out, err = run_to_exit(capsys, "char", "--config", str(cfg), "--fn", "exp_z",
+                                 "--rmi", "2.5")
+    assert code == 2 and out == "" and "--rmi" in err
+    code, out, _ = run_to_exit(capsys, "char", "--config", str(cfg), "--fn", "exp_z",
+                               "--rmin", "2.5")
+    assert code == EXIT_PASS
+    assert json.loads(out.splitlines()[0][len("# config "):])["radii"][0] == 2.5
+
+
 def test_json_out_duplicates_stdout(capsys, tmp_path):
     dest = tmp_path / "verdict.json"
     code, out, _ = run(capsys, "counterexample", "--k", "1", "--probes", "5",

@@ -34,7 +34,7 @@ from nevlab import (
     preimages_in_disc,
     subtract,
 )
-from nevlab import cli, fnmodel
+from nevlab import cli, fnmodel, nevanlinna
 from nevlab.fnmodel import (
     CIRCLE_BAND,
     OpaqueExpr,
@@ -716,6 +716,20 @@ def test_exppoly_eval_matches_cmath():
         assert abs(f.eval(z) - want) <= 1e-12 * abs(want)
 
 
+def test_exp_minus_a_keeps_its_bits_deep_below_a():
+    # on |z| = 7 near theta = 1.106, Re z^2 is about -29.3: e^{z^2} is about
+    # 2e-13, and log|e^{z^2} - 1| (about 1e-13, crossing 0) must keep the
+    # relative bits of log|1 - s|, not the absolute bits of 1 - s
+    mpmath = pytest.importorskip("mpmath")
+    f = ExpPoly(Polynomial((0j, 0j, 1.0)), 1.0)
+    z = 7.0 * np.exp(1j * np.linspace(1.1055, 1.1065, 41))
+    with mpmath.workdps(30):
+        want = np.array([float(mpmath.log(abs(mpmath.exp(mpmath.mpc(v.real, v.imag) ** 2) - 1)))
+                         for v in z])
+    assert np.all(np.abs(f._log_mod(z) - want) <= 1e-11 * np.abs(want))
+    assert np.array_equal(f._log_parts(z)[0], f._log_mod(z))
+
+
 def test_rational_eval_matches_direct_product():
     f = rational([1.0, -2.0j], [3.0], scale=2.0)
     z = 0.4 + 0.9j
@@ -920,10 +934,17 @@ def _circle(r, n):
     return r * np.exp(1j * _angles(n))
 
 
-def _form_log(g, r, n):
-    """log|f| at ``_circle(r, n)`` through the log form of a circle form
-    ``g``, as the closed-form mean reads it."""
-    return fnmodel._log_slope(g._log, r, _angles(n))[0]
+def _form_log(form, r, n):
+    """log|f| at ``_circle(r, n)`` through a circle form, as the closed-form
+    mean reads it."""
+    return fnmodel._log_slope(form, r, _angles(n))[0]
+
+
+def _form_zld(form, r, n):
+    """z f'/f at ``_circle(r, n)`` through a circle form: its real part as a
+    contour count reads it, its imaginary part as the kink search does."""
+    return (fnmodel._radial_slope(form, r, _circle(r, n))
+            - 1j * fnmodel._log_slope(form, r, _angles(n))[1])
 
 
 def _exact_channels(f: RationalFromDivisor, z):
@@ -952,11 +973,11 @@ def test_circle_fold_matches_a_40_digit_sum(reference_rationals):
     for key, radii in FOLD_RADII.items():
         f = reference_rationals[key]
         for r in radii:
-            g = f.near_circle(r)
-            assert g is not f, (key, r)
+            form = fnmodel._circle_form(f, r)
+            assert form[0] != f.divisor, (key, r)  # some group folds
             z = _circle(r, 7)
             want_lm, want_zld = _exact_channels(f, z)
-            for got, want in ((_form_log(g, r, 7), want_lm), (z * g._logderivs(z), want_zld)):
+            for got, want in ((_form_log(form, r, 7), want_lm), (_form_zld(form, r, 7), want_zld)):
                 assert np.all(np.abs(got - want) <= 1e-14 * (1 + np.abs(want))), (key, r)
 
 
@@ -964,14 +985,14 @@ def test_circle_fold_agrees_with_the_direct_sum(reference_rationals):
     for key, (lo, hi) in SWEEP_RANGES.items():
         f = reference_rationals[key]
         for r in np.geomspace(lo, hi, 40):
-            g = f.near_circle(r)
+            form = fnmodel._circle_form(f, r)
             z = _circle(r, 64)
-            for got, want in ((_form_log(g, r, 64), f._log_mod(z)),
-                              (z * g._logderivs(z), z * f._logderivs(z))):
+            for got, want in ((_form_log(form, r, 64), f._log_mod(z)),
+                              (_form_zld(form, r, 64), z * f._logderivs(z))):
                 assert np.all(np.abs(got - want) <= 1e-13 * (1 + np.abs(want))), (key, r)
 
 
-def _fold_terms(weight, q, log):
+def _fold_terms(weight, q, log=True):
     """Fewest series terms K with weight q^(K+1) / ((K+1 if log) (1-q)) <= 2^-54."""
     k = 0
     while weight * q ** (k + 1) / ((k + 1 if log else 1) * (1 - q)) > 2.0**-54:
@@ -980,36 +1001,31 @@ def _fold_terms(weight, q, log):
 
 
 def test_circle_fold_splits_at_half_and_twice_the_radius(reference_rationals):
+    # one plan: both series of the form are cut at the K of log|f|
     folded = 0
     for key, (lo, hi) in SWEEP_RANGES.items():
         f = reference_rationals[key]
         entries = f.divisor.entries
         for r in np.geomspace(lo, hi, 40):
-            g = f.near_circle(r)
+            div, _, a, b = fnmodel._circle_form(f, r)
             groups = {True: [e for e in entries if abs(e[0]) <= r / 2],
                       False: [e for e in entries if abs(e[0]) >= 2 * r]}
-            plans = (g._log, g._der) if g is not f else ((f.divisor, 0.0, ()),) * 2
-            for (div, _, series), log in zip(plans, (True, False)):
-                direct = {e for e in entries if r / 2 < abs(e[0]) < 2 * r}
-                origin, terms = f.divisor.origin_order, {}
-                for inner, group in groups.items():
-                    if not group:
-                        continue
-                    q = max(abs(p) / r if inner else r / abs(p) for p, _ in group)
-                    k = _fold_terms(sum(abs(m) for _, m in group), q, log)
-                    if len(group) > k:
-                        terms[inner] = k
-                        origin += inner * sum(m for _, m in group)
-                    else:
-                        direct |= set(group)
-                assert set(div.entries) == direct and div.origin_order == origin, (key, r)
-                if log:
-                    assert len(series) == max(terms.values(), default=0), (key, r)
+            direct = {e for e in entries if r / 2 < abs(e[0]) < 2 * r}
+            origin, terms = f.divisor.origin_order, {}
+            for inner, group in groups.items():
+                if not group:
+                    continue
+                q = max(abs(p) / r if inner else r / abs(p) for p, _ in group)
+                k = _fold_terms(sum(abs(m) for _, m in group), q)
+                if len(group) > k:
+                    terms[inner] = k
+                    origin += inner * sum(m for _, m in group)
                 else:
-                    assert [(i, c.size) for i, c in series] == [
-                        (i, k) for i, k in terms.items() if k], (key, r)
-                folded += bool(terms)
-    assert folded > 100
+                    direct |= set(group)
+            assert set(div.entries) == direct and div.origin_order == origin, (key, r)
+            assert a.size == b.size == max(terms.values(), default=0), (key, r)
+            folded += bool(terms)
+    assert folded > 70
 
 
 def test_fold_series_helpers_keep_every_term():
@@ -1025,9 +1041,10 @@ def test_fold_series_helpers_keep_every_term():
 
 
 def _eager_fold_plans(f, r):
-    """The fold's two channel plans as they were built before each channel
-    was planned on first use: every group's powers formed up to the longer
-    series of the two, and each channel's coefficients sliced from them."""
+    """The fold's two channel plans, log|f| and z f'/f, each cut at its own
+    K as they were before one circle form: every group's powers formed up
+    to the longer series of the two, and each channel's coefficients sliced
+    from them."""
     d = f.divisor
     b, m = d.points, d.mults
     mod = np.abs(b)
@@ -1038,7 +1055,7 @@ def _eager_fold_plans(f, r):
             continue
         u = b[mask] / r if inner else r / b[mask]
         q, weight = float(np.max(np.abs(u))), float(np.sum(np.abs(m[mask])))
-        ks = [fnmodel._series_terms(weight, q, log) for log in (True, False)]
+        ks = [_fold_terms(weight, q, log) for log in (True, False)]
         ks = [k if n > k else None for k in ks]
         top = max((k for k in ks if k is not None), default=0)
         groups.append((inner, mask, fnmodel._power_sums(u, m[mask], top), ks))
@@ -1066,51 +1083,70 @@ def _eager_fold_plans(f, r):
     return (div, start, coeffs), der
 
 
-def test_circle_fold_channels_planned_on_first_use_equal_the_eager_build(reference_rationals):
+def _eager_zlogderiv(der, r, z):
+    """z f'/f from the eager plan of that channel, each group's series cut
+    at its own K and summed by a Horner loop of its own."""
+    div, _, series = der
+    zld = z * RationalFromDivisor(1.0, div)._logderivs(z)
+    w = z / r
+    for inner, c in series:
+        s = np.zeros_like(w)
+        for ck in c[::-1]:
+            s = (s + ck) * (np.conj(w) if inner else w)
+        zld += s if inner else -s
+    return zld
+
+
+def test_circle_form_equals_the_eager_log_plan(reference_rationals):
     # the sweep's functions over its radius ranges, 32 and 64 radii as it runs them
     for key, count in (("orbit_left_30", 32), ("orbit_right_60", 64)):
         f = reference_rationals[key]
         lo, hi = SWEEP_RANGES[key]
         for r in np.geomspace(lo, hi, count):
-            g = f.near_circle(r)
-            if g is f:
-                continue
             (div, start, coeffs), der = _eager_fold_plans(f, r)
-            z = _circle(r, 64)
-            lm = _form_log(g, r, 64)
-            assert "_der" not in vars(g), (key, r)  # log|f| alone plans one channel
-            assert g._log[0] == div and g._log[1] == start, (key, r)
-            assert np.array_equal(g._log[2], coeffs), (key, r)
-            assert g._der[:2] == der[:2] and len(g._der[2]) == len(der[2]), (key, r)
-            for (inner, c), (inner_e, c_e) in zip(g._der[2], der[2]):
-                assert inner == inner_e and np.array_equal(c, c_e), (key, r)
-            eager = fnmodel._CircleFold(f, r)
-            eager.__dict__.update(_log=(div, start, coeffs), _der=der)
-            assert np.array_equal(lm, _form_log(eager, r, 64)), (key, r)
-            assert np.array_equal(g._logderivs(z), eager._logderivs(z)), (key, r)
+            form = fnmodel._circle_form(f, r)
+            assert form[0] == div and form[1] == start, (key, r)
+            assert np.array_equal(form[2], coeffs), (key, r)
+            if div == f.divisor:  # nothing folds: the divisor itself, no series
+                assert form[0] is f.divisor and not form[3].size, (key, r)
+            # z f'/f read from the one plan, against the eager channel's own
+            want = _eager_zlogderiv(der, r, _circle(r, 64))
+            got = _form_zld(form, r, 64)
+            assert np.all(np.abs(got - want) <= 1e-14 * (1 + np.abs(want))), (key, r)
 
 
 def test_circle_fold_memory_stays_a_few_node_arrays(reference_rationals):
-    # the quadrature of a contour count reads f'/f of the fold on up to
-    # MAX_CALL_NODES nodes a call; its log form is read by _log_slope only,
-    # on the kink search's few hundred angles
+    # the quadrature of a contour count reads Re(z f'/f) of the form on up
+    # to MAX_CALL_NODES nodes a call; its log|f| and theta-slope are read by
+    # _log_slope only, on the kink search's few hundred angles
     f = reference_rationals["orbit_right_60"]
-    g = f.near_circle(1e4)
+    form = fnmodel._circle_form(f, 1e4)
+    assert form[2].size
     z = _circle(1e4, 50_000)
     tracemalloc.start()
     try:
-        g._logderivs(z)
+        fnmodel._radial_slope(form, 1e4, z)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 8 * z.nbytes  # one (terms, nodes) array would be over 50 z.nbytes
 
 
-def test_near_circle_of_small_or_transcendental_functions_is_itself(members):
-    for key in ("rat_pole0", "rat_zero1_pole2", "exp_z", "exp_exp_z"):
-        expr = members[key].expr
+def test_circle_form_of_a_small_rational_is_its_divisor_and_others_build_none(
+        members, monkeypatch):
+    # a rational with too few points to fold is read unfolded; the counts of
+    # every other member read its own f'/f and build no circle form
+    for key in ("rat_pole0", "rat_zero1_pole2"):
+        f = members[key].expr
         for r in (0.5, 3.0, 1e3):
-            assert expr.near_circle(r) is expr, (key, r)
+            div, start, a, b = fnmodel._circle_form(f, r)
+            assert div is f.divisor and start == math.log(abs(f.scale)), (key, r)
+            assert not a.size and not b.size, (key, r)
+    monkeypatch.setattr(fnmodel, "_circle_form", None)
+    monkeypatch.setattr(nevanlinna, "_circle_form", None)
+    for key in ("exp_z", "exp_exp_z", "expz_minus_1"):
+        for r in (0.5, 3.0):
+            nevanlinna.argument_principle_count(members[key].expr, r)
 
 
 # ---------------------------------------------------------------------------
@@ -1472,7 +1508,6 @@ def test_dilog_meets_mpmath_on_the_closed_unit_disc():
 def test_level_search_finds_one_angle_per_sign_change(reference_rationals, key, radii):
     f = reference_rationals[key]
     for r in radii:
-        g = f.near_circle(r)
         _, angles, spent = f.closed_proximity([r])[0]
         assert np.all(np.diff(angles) > 0) and np.all((angles >= 0) & (angles < TWO_PI))
         assert np.abs(f._log_mod(r * np.exp(1j * angles))).max() <= 1e-10, (key, r)
@@ -1486,7 +1521,7 @@ def test_level_search_finds_one_angle_per_sign_change(reference_rationals, key, 
         assert fnmodel._SCAN_POINTS + band < spent
         assert spent <= (fnmodel._SCAN_POINTS + band + fnmodel._CERTIFY_NODES
                          + fnmodel._SEARCH_STEPS * angles.size)
-        assert fnmodel._level_search(f, g, r)[2], (key, r)
+        assert fnmodel._level_search(f, fnmodel._circle_form(f, r), r)[2], (key, r)
 
 
 def test_level_search_certifies_a_shallow_pair_between_its_samples(reference_rationals):
@@ -1496,7 +1531,7 @@ def test_level_search_certifies_a_shallow_pair_between_its_samples(reference_rat
     # bisections find it, so the closed-form mean integrates that arc too
     f = reference_rationals["orbit_left_m6"]
     r = 8.21086325832621
-    angles, spent, certified = fnmodel._level_search(f, f.near_circle(r), r)
+    angles, spent, certified = fnmodel._level_search(f, fnmodel._circle_form(f, r), r)
     changes = _sign_changes(f, r)
     assert certified and angles.size == changes.size == 10
     gap = np.abs((changes[:, None] - angles + math.pi) % TWO_PI - math.pi).min(axis=1)

@@ -233,10 +233,9 @@ def test_an_uncertified_circle_searches_once(members, monkeypatch):
 def test_an_uncertified_circle_builds_its_fold_once(members, monkeypatch):
     # the kink search reads the fold's log form; the quadrature that follows
     # reads the expression itself, so the fold is not built again for it
-    folds, fold = [], fnmodel._CircleFold.__init__
+    folds, fold = [], fnmodel._circle_form
     monkeypatch.setattr(fnmodel, "_CERTIFY_ROUNDS", 0)
-    monkeypatch.setattr(fnmodel._CircleFold, "__init__",
-                        lambda self, f, r: folds.append(r) or fold(self, f, r))
+    monkeypatch.setattr(fnmodel, "_circle_form", lambda f, r: folds.append(r) or fold(f, r))
     s = proximity(members["orbit_left_m6"].expr, 8.21086325832621)
     assert s.panels > 0 and folds == [8.21086325832621]
 
@@ -245,7 +244,7 @@ def test_a_grid_with_a_folded_circle_runs_in_one_lockstep_call(members, monkeypa
     # neither circle of (z - 1)/(z - 2) is closed; at r = 1e200 its points
     # fold into a series, and still both circles share one quadrature run
     f, runs, quad = members["rat_zero1_pole2"].expr, [], quadrature.adaptive_circles
-    assert f.near_circle(1e200) is not f
+    assert fnmodel._circle_form(f, 1e200)[0] != f.divisor
 
     def spy(g, cuts, *args, **kwargs):
         runs.append(len(cuts))
@@ -264,11 +263,10 @@ def test_closed_form_samples_count_the_search_and_plan_no_fold_for_jensen(
     # circle whose sign the divisor bound decides, or on which |f| is
     # constant, evaluates nothing and plans no fold
     nodes, folds = [], []
-    slope, fold = fnmodel._log_slope, fnmodel._CircleFold.__init__
+    slope, fold = fnmodel._log_slope, fnmodel._circle_form
     monkeypatch.setattr(fnmodel, "_log_slope",
                         lambda form, r, theta: nodes.append(theta.size) or slope(form, r, theta))
-    monkeypatch.setattr(fnmodel._CircleFold, "__init__",
-                        lambda self, f, r: folds.append(r) or fold(self, f, r))
+    monkeypatch.setattr(fnmodel, "_circle_form", lambda f, r: folds.append(r) or fold(f, r))
     cases = [("rat_zero1_pole2", 3.78921641565047, True), ("orbit_left_m6", 8.21086325832621, True),
              ("orbit_right_m6", 5.0, False), ("rat_pole0", 0.5, False),
              ("exp_z3", 7.0, False), ("exp_z2", 3.0, False)]
@@ -314,6 +312,56 @@ def test_proximity_of_exp_of_a_nonmonomial_against_mpmath(r):
     s = proximity(ExpPoly(P_EIGEN), r)
     assert s.panels == 0 and s.evaluations == 0
     assert abs(s.m - ref) <= 1e-3 * max(1e-9, 1e-8 * ref)
+
+
+def _mp_exp_minus_1_mean(mpmath, coeffs, r, zero_angles, depth=50.0, n=1 << 16):
+    """m(r, e^{p(z)} - 1) for p with these coefficients (lowest first) by
+    mpmath at 30 digits.  |e^w - 1| > 1 exactly where e^{Re w} > 2 cos(Im w),
+    so the kinks are bracketed by that sign on n + 1 angles, in double, and
+    polished by ``findroot``; the integral is cut there, at the given angles
+    of the zeros near the circle and where Re w = -depth, below which
+    log+|f| <= e^-depth is left out."""
+    theta = np.linspace(0.0, 2 * math.pi, n + 1)
+    w = np.polyval(coeffs[::-1], r * np.exp(1j * theta))
+    live = w.real > -depth
+    with np.errstate(invalid="ignore"):
+        pos = ~(np.cos(w.imag) > 0) | (w.real > np.log(2 * np.cos(w.imag)))
+    with mpmath.workdps(30):
+        c = [mpmath.mpf(x) for x in coeffs[::-1]]
+
+        def w_at(t):
+            return mpmath.polyval(c, r * mpmath.expj(t))
+
+        def h(t):  # of the sign of log|f|
+            v = w_at(t)
+            return mpmath.exp(v.real) - 2 * mpmath.cos(v.imag)
+
+        kinks = [mpmath.findroot(h, (theta[i], theta[i + 1]), solver="anderson")
+                 for i in np.flatnonzero(live[:-1] & live[1:] & (pos[:-1] != pos[1:]))]
+        edges = [mpmath.mpf(theta[i]) for i in np.flatnonzero(live[:-1] != live[1:])]
+        cuts = sorted(set(kinks + edges + [mpmath.mpf(t) for t in zero_angles]
+                          + [mpmath.mpf(0), 2 * mpmath.pi]))
+        total = mpmath.mpf(0)
+        for lo, hi in zip(cuts, cuts[1:]):
+            mid = (lo + hi) / 2
+            if w_at(mid).real > -depth and h(mid) > 0:
+                total += mpmath.quad(lambda t: mpmath.log(abs(mpmath.exp(w_at(t)) - 1)), [lo, hi])
+        return float(total / (2 * mpmath.pi)), len(kinks)
+
+
+@pytest.mark.parametrize("key, coeffs, r, zero_angles, kinks", [
+    # the radius where the uncut quadrature missed by 6.4 tolerances
+    ("expz_minus_1", (0.0, 1.0), 0.970, (), 2),
+    # four zeros of e^{z^2} - 1 lie 2.3e-4 off this circle in log-distance
+    ("expz2_minus_1", (0.0, 0.0, 1.0), 30.911, [k * math.pi / 4 for k in (1, 3, 5, 7)], 4),
+])
+def test_proximity_of_exp_minus_1_against_mpmath(members, key, coeffs, r, zero_angles, kinks):
+    mpmath = pytest.importorskip("mpmath")
+    ref, found = _mp_exp_minus_1_mean(mpmath, coeffs, r, zero_angles)
+    assert found == kinks
+    s = proximity(members[key].expr, r)
+    assert s.r_used == r and s.panels > 0
+    assert abs(s.m - ref) <= max(1e-9, 1e-8 * ref)
 
 
 def test_proximity_of_a_sign_decided_orbit_circle_against_mpmath(members):
@@ -642,14 +690,26 @@ def test_argument_principle_through_compound_expressions():
         assert argument_principle_count(Product(EXP_Z2, em1), r) == count  # e^{z^2} (e^z - 1)
 
 
-# the contour-count radii of the benchmark's sweep on seed 3
+# the contour-count radii of the benchmark's sweep on seeds 3, 7 and 4242
 SWEEP_COUNT_RADII = {
     ("left", 30): (2.4637809487369093, 7.105909920517207, 10.078659295099346,
                    38.9656314178639, 64.20141667812175, 176.26106157566622,
-                   524.6512578025684, 2941.357634676381),
+                   524.6512578025684, 2941.357634676381,
+                   1.0843954356733176, 3.1107786987856114, 10.594008325054357,
+                   45.09804782186688, 128.12800406899436, 304.6506289359066,
+                   1053.177035731571, 2564.046795687486,
+                   2.335534017737827, 5.076920160116082, 16.15432381582416,
+                   20.78241701794241, 123.00857694868593, 267.3501747232362,
+                   566.2859182512241, 1529.3407565891252),
     ("right", 60): (6.403868601299425, 646.8603902201833, 5396.727593856682,
                     272639.4065702617, 13596473.972298713, 273665737.1212176,
-                    6015715801.214959, 361600593566.87164),
+                    6015715801.214959, 361600593566.87164,
+                    2.562750137824812, 190.95471856786222, 8006.473152375364,
+                    44608.46153462189, 2874469.096267894, 626473986.7965541,
+                    10981613792.967705, 363891471296.7554,
+                    5.346580427574314, 301.3207764471879, 1597.0424542781516,
+                    96217.47107454807, 3353553.2429184774, 113312643.34718749,
+                    1556908757.8754451, 81888856514.00418),
 }
 
 
@@ -657,7 +717,7 @@ SWEEP_COUNT_RADII = {
 def test_argument_principle_through_the_fold_matches_divisor(family):
     expr = build_orbit_function(figure_family(*family))
     for r in SWEEP_COUNT_RADII[family]:
-        assert expr.near_circle(r) is not expr
+        assert fnmodel._circle_form(expr, r)[0] != expr.divisor
         d = expr.divisor_in_disc(r)
         assert argument_principle_count(expr, r) == d.total("zeros") - d.total("poles"), r
 
