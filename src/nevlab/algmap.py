@@ -154,12 +154,11 @@ def orbit(m: AlgebraicMap, seed: complex, K: int, mode: str = "fixed") -> Orbit:
             dists = [abs(w_c - prev_w) for w_c in cands]
             order = sorted(range(m.n), key=dists.__getitem__)
             best = order[0]
-            if m.n > 1:
-                gap = dists[order[1]] - dists[best]
-                if gap <= 1e-12 * (1.0 + abs(cands[best])):
-                    raise BranchAmbiguity(
-                        f"two root branches equidistant from the tracked root at z={z}"
-                    )
+            gap = dists[order[1]] - dists[best]
+            if gap <= 1e-12 * (1.0 + abs(cands[best])):
+                raise BranchAmbiguity(
+                    f"two root branches equidistant from the tracked root at z={z}"
+                )
             w = cands[best]
             crossed = best != m.branch
         prev_w = w

@@ -333,7 +333,7 @@ def smt_check(expr: FunctionExpr, pair: PolyPair, targets, slack: float,
     solved once, on the disc of the largest radius used
     (:meth:`FunctionExpr.solve_ahead`), and each radius restricts it; the
     circle means of f(phi) and of the reciprocals do the same through
-    :func:`proximities`.
+    :func:`proximities`, and N(r, f(phi)) is the one its sweep counted.
     """
     grid = np.asarray([float(r) for r in rgrid])
     if not (grid.size and np.isfinite(grid).all() and grid[0] > 0 and (np.diff(grid) > 0).all()):
@@ -368,8 +368,7 @@ def smt_check(expr: FunctionExpr, pair: PolyPair, targets, slack: float,
             m_sum += means[k].m
         r_used = phi_sample.r_used
         div_diff = diff.divisor_in_disc(r_used)
-        N_corr = (2.0 * counting(comp_phi.divisor_in_disc(r_used), r_used, "poles")
-                  - counting(div_diff, r_used, "poles")
+        N_corr = (2.0 * phi_sample.N - counting(div_diff, r_used, "poles")
                   + counting(div_diff, r_used, "zeros"))
         rhs = 2.0 * phi_sample.T - N_corr + slack * phi_sample.T
         margin = rhs - m_sum
@@ -418,6 +417,8 @@ def growth_lemma_probe(radii, T_values, step_K: float, step_mu: float,
     """
     r = np.asarray(radii, dtype=float)
     T = np.asarray(T_values, dtype=float)
+    if not (np.isfinite(r).all() and np.isfinite(T).all()):
+        raise ValueError("radii and growth samples must be finite")
     if r.ndim != 1 or r.shape != T.shape or r.size < 10:
         raise ValueError("need matching 1-D arrays with at least 10 samples")
     if np.any(np.diff(r) <= 0):

@@ -139,6 +139,8 @@ def cmd_hyperorder(args) -> int:
 
 
 def _verify_pest(args, config: dict) -> tuple[int, dict, list]:
+    if args.trials < 1:
+        raise ValueError(f"verify pest needs at least 1 trial, got --trials {args.trials}")
     rng = np.random.default_rng(args.seed)
     reports = []
     for _ in range(args.trials):

@@ -1883,15 +1883,6 @@ class Exp(FunctionExpr):
                                  "log|f| leaves the floating range")
         return w.real.copy(), w.imag.copy()
 
-    def _values(self, z):
-        w = self.child._values(z)
-        out = np.empty(w.shape, dtype=np.complex128)
-        big = ~np.isfinite(w.real) | (w.real >= _LOG_HUGE)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out[~big] = np.exp(w[~big])
-        out[big] = np.inf
-        return out
-
     def _logderivs(self, z):
         # (e^u)'/e^u = u' = (u'/u) * u
         return self.child._logderivs(z) * self.child._values(z)
@@ -1917,34 +1908,43 @@ class Exp(FunctionExpr):
         return out
 
 
-@record
-class Product(FunctionExpr):
-    lhs: FunctionExpr
-    rhs: FunctionExpr
-
-    @property
-    def is_entire(self) -> bool:
-        return self.lhs.is_entire and self.rhs.is_entire
+class _Pair(FunctionExpr):
+    """lhs * rhs or lhs / rhs: each channel is the sides' channels combined
+    by ``_op``, ``np.add`` or ``np.subtract`` (the ufuncs of ``+`` and ``-``)."""
 
     def _log_parts(self, z):
         la, aa = self.lhs._log_parts(z)
         lb, ab = self.rhs._log_parts(z)
-        return la + lb, aa + ab
+        return self._op(la, lb), self._op(aa, ab)
 
     def _log_mod(self, z):
-        return self.lhs._log_mod(z) + self.rhs._log_mod(z)
+        return self._op(self.lhs._log_mod(z), self.rhs._log_mod(z))
 
     def _logderivs(self, z):
-        return self.lhs._logderivs(z) + self.rhs._logderivs(z)
+        return self._op(self.lhs._logderivs(z), self.rhs._logderivs(z))
+
+
+@record
+class Product(_Pair):
+    lhs: FunctionExpr
+    rhs: FunctionExpr
+
+    _op = np.add
+
+    @property
+    def is_entire(self) -> bool:
+        return self.lhs.is_entire and self.rhs.is_entire
 
     def _divisor_impl(self, r):
         return self.lhs.divisor_in_disc(r).merge(self.rhs.divisor_in_disc(r))
 
 
 @record
-class Quotient(FunctionExpr):
+class Quotient(_Pair):
     lhs: FunctionExpr
     rhs: FunctionExpr
+
+    _op = np.subtract
 
     @property
     def is_entire(self) -> bool:
@@ -1952,17 +1952,6 @@ class Quotient(FunctionExpr):
         rhs = self.rhs
         return self.lhs.is_entire and (
             isinstance(rhs, Exp) or (isinstance(rhs, ExpPoly) and rhs.a == 0))
-
-    def _log_parts(self, z):
-        la, aa = self.lhs._log_parts(z)
-        lb, ab = self.rhs._log_parts(z)
-        return la - lb, aa - ab
-
-    def _log_mod(self, z):
-        return self.lhs._log_mod(z) - self.rhs._log_mod(z)
-
-    def _logderivs(self, z):
-        return self.lhs._logderivs(z) - self.rhs._logderivs(z)
 
     def level_angles(self, radii, level=1.0):
         # |c / g| = level where |g| = |c| / level

@@ -262,15 +262,11 @@ def fmt_delta(expr: FunctionExpr, a: complex, r: float,
               atol: float = 1e-9, rtol: float = 1e-8) -> BalanceSample:
     """|T(r, 1/(f-a)) - T(r, f)|, which stays bounded in r.
 
-    T of the reciprocal is assembled directly: proximity of 1/(f-a) plus the
-    counting function of the a-points of f.
+    The poles of 1/(f-a) are the a-points of f, so its N(r) counts them.
     """
-    shifted = subtract(expr, Const(complex(a)))
-    recip = Quotient(Const(1.0), shifted)
+    recip = Quotient(Const(1.0), subtract(expr, Const(complex(a))))
     base = characteristic(expr, r, atol=atol, rtol=rtol)
-    prox = proximity(recip, r, atol=atol, rtol=rtol)
-    N_a = counting(shifted.divisor_in_disc(prox.r_used), prox.r_used, "zeros")
-    T_shift = prox.m + N_a
+    T_shift = characteristic(recip, r, atol=atol, rtol=rtol).T
     return BalanceSample(r=r, T_f=base.T, T_shifted=T_shift,
                          delta=abs(T_shift - base.T))
 
@@ -303,6 +299,8 @@ def hyperorder_estimate(radii, T_values) -> HyperOrderEstimate:
     """
     r = np.asarray(radii, dtype=float)
     T = np.asarray(T_values, dtype=float)
+    if not (np.isfinite(r).all() and np.isfinite(T).all()):
+        raise ValueError("radii and characteristic samples must be finite")
     if r.ndim != 1 or r.shape != T.shape or r.size < 6:
         raise ValueError("need matching 1-D arrays with at least 6 samples")
     if np.any(np.diff(r) <= 0):

@@ -404,6 +404,17 @@ def test_growth_probe_validation():
         growth_lemma_probe(r, falling, 1.0, 0.25, 0.9)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["radius", "sample"])
+def test_growth_probe_rejects_a_non_finite_radius_or_sample(bad, where):
+    # NaN compares False, so neither the monotone tests nor the T >= e mask saw it
+    r = grid(1.0, 12.0, 12)
+    T = np.exp(r)
+    (r if where == "radius" else T)[5] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        growth_lemma_probe(r, T, 1.0, 0.25, 0.9)
+
+
 # ---------------------------------------------------------------------------
 # doubling-set probe
 # ---------------------------------------------------------------------------

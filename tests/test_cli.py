@@ -313,6 +313,9 @@ def test_verify_grid_commands_reject_an_empty_grid(capsys, which):
     (("growth", "--profile", "exp_r", "--step-k", "nan"), "K must"),
     (("growth", "--profile", "exp_r", "--step-k", "-5"), "K must"),
     (("smt", "--slack", "nan"), "slack"), (("smt", "--targets", "1,nan"), "finite targets"),
+    (("growth", "--profile", "exp_r", "--radii", "1,2,3,4,5,nan,7,8,9,10,11,12"),
+     "must be finite"),
+    (("pest", "--trials", "-5"), "at least 1 trial"), (("pest", "--trials", "0"), "at least 1 trial"),
 ])
 def test_verify_malformed_harness_inputs_are_errors(capsys, argv, named):
     code, out, err = run(capsys, "verify", *argv)

@@ -900,6 +900,59 @@ def test_log_mod_is_the_modulus_of_log_parts_through_the_tree(reference_rational
         assert np.array_equal(f._log_mod(z), f._log_parts(z)[0], equal_nan=True)
 
 
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    for part in (np.real, np.imag):  # signed zeros too
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_products_and_quotients_combine_their_sides_bit_for_bit():
+    """Each channel of f g is the sides' sum, and of f / g their
+    difference, exactly: on the compound counts of the contour tests and on
+    smt's reciprocal 1/(e^{z^2} - 1), through the zeros of e^z - 1."""
+    one, em1 = Const(1.0), ExpPoly(Z, 1.0)
+    cases = [(Quotient(one, em1), np.subtract), (Product(ExpPoly(Z2), em1), np.add),
+             (Quotient(one, ExpPoly(Z2, 1.0)), np.subtract)]
+    z = np.concatenate([r * np.exp(1j * np.linspace(0.05, 6.3, 97)) for r in (0.5, 3.0, 7.0, 20.0)]
+                       + [2j * math.pi * np.arange(-3, 4)])
+    for f, op in cases:
+        (la, aa), (lb, ab) = f.lhs._log_parts(z), f.rhs._log_parts(z)
+        lm, ag = f._log_parts(z)
+        _assert_same_bits(lm, op(la, lb))
+        _assert_same_bits(ag, op(aa, ab))
+        _assert_same_bits(f._log_mod(z), op(f.lhs._log_mod(z), f.rhs._log_mod(z)))
+        with np.errstate(all="ignore"):
+            _assert_same_bits(f._logderivs(z), op(f.lhs._logderivs(z), f.rhs._logderivs(z)))
+
+
+def test_exp_values_are_exp_of_the_exponent_below_the_overflow():
+    """exp(u) takes its values through its log channel: exp(u(z)) where
+    Re u < 709 and inf above, on a grid that has both."""
+    for f, x_max in ((Exp(ExpPoly(Z)), 7.5), (Exp(Exp(ExpPoly(Z))), 2.6)):
+        x, y = np.meshgrid(np.linspace(-2.0, x_max, 24), np.linspace(-3.2, 3.2, 25))
+        z = (x + 1j * y).ravel()
+        w = f.child._values(z)
+        assert np.isfinite(w).all()
+        small = w.real < 709.0
+        assert small.any() and not small.all()
+        got = f._values(z)
+        assert np.array_equal(got[small], np.exp(w[small]))
+        assert np.all(got[~small] == np.inf)
+
+
+def test_eval_where_the_exponent_overflows():
+    exp_z, tower = Exp(ExpPoly(Z)), Exp(Exp(ExpPoly(Z)))
+    for f, z in ((exp_z, 800.0), (tower, 7.0)):  # e^800 and e^{e^7} leave the range
+        with pytest.raises(OverflowSignal, match=r"^the exponent of exp\(child\) is not finite here"):
+            f.eval(z)
+    for f, z in ((exp_z, 10.0), (tower, 3.0)):  # a finite exponent above 709
+        with pytest.raises(OverflowSignal, match="exceeds the floating range"):
+            f.eval(z)
+    with pytest.raises(ValueError):
+        exp_z.eval(complex(math.nan, 0.0))
+
+
 def test_divisor_sums_stay_chunked():
     f = build_orbit_function(figure_family("right", 6))
     n_points = len(f.divisor.entries) + bool(f.divisor.origin_order)

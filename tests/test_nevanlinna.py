@@ -660,6 +660,16 @@ def test_hyperorder_input_validation():
         hyperorder_estimate(r[:4], np.exp(r[:4]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["radius", "sample"])
+def test_hyperorder_rejects_a_non_finite_radius_or_sample(bad, where):
+    r = np.linspace(1.0, 10.0, 20)
+    T = np.exp(r)
+    (r if where == "radius" else T)[7] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        hyperorder_estimate(r, T)
+
+
 # ---------------------------------------------------------------------------
 # argument principle
 # ---------------------------------------------------------------------------

@@ -79,6 +79,8 @@ COMMANDS = [
     ["verify", "borel", "--epsilon", "inf"],
     ["verify", "growth", "--profile", "exp_r", "--step-k", "nan"],
     ["verify", "growth", "--profile", "exp_r", "--step-k", "-5"],
+    ["verify", "growth", "--profile", "exp_r", "--radii", "1,2,3,4,5,nan,7,8,9,10,11,12"],
+    ["verify", "pest", "--trials", "-5"],
     # one-radius and decreasing grids, and a lockstep sweep of exp(z^2) - 1
     ["verify", "smt", "--fn", "exp_z", "--omega", "z^2+z", "--phi", "z^2",
      "--targets", "1,-1", "--radii", "10"],
