@@ -55,7 +55,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
@@ -108,6 +108,9 @@ _SEARCH_TOL = 1e-10
 # _CERTIFY_ROUNDS times, on at most _CERTIFY_NODES new angles in all.
 _CERTIFY_ROUNDS = 16
 _CERTIFY_NODES = 1024
+# It first tests the scan intervals with the slope bounds of groups of this
+# many neighbours, and computes an interval's own bounds only where that fails.
+_BOUND_GROUP = 8
 # The |f| = level search of exp(p) - a scans each arc of its band at this
 # many equispaced angles, ends included.  Where |a| = level the band has no
 # lower end; it stops at e^{Re p} = _BAND_DEPTH |a|, and kinks below that
@@ -1424,8 +1427,28 @@ _NO_SERIES = np.empty(0, dtype=np.complex128)
 
 def _unit_powers(theta: np.ndarray, k: int) -> np.ndarray:
     """e^{ij theta} for j = 1..k, a row per angle: a folded series at few
-    angles is one product with this matrix, not a Horner loop."""
-    return np.exp(1j * np.multiply.outer(theta, np.arange(1, k + 1)))
+    angles is one product with this matrix, not a Horner loop.  A call on
+    at least as many angles as the scan grid (the kink search's scan) reads
+    the rows at its angles from :func:`_scan_powers`: the same exps, so the
+    same bits.  Smaller calls seldom hold a grid angle and skip the lookup."""
+    if theta.size < _SCAN_POINTS:
+        return np.exp(1j * np.multiply.outer(theta, np.arange(1, k + 1)))
+    at = np.rint(theta * (_SCAN_POINTS / TWO_PI)).astype(np.intp) % _SCAN_POINTS
+    hit = _SCAN_GRID[at] == theta
+    out = np.empty((theta.size, k), dtype=np.complex128)
+    out[hit] = _scan_powers(1 << (k - 1).bit_length())[at[hit], :k]
+    miss = ~hit
+    out[miss] = np.exp(1j * np.multiply.outer(theta[miss], np.arange(1, k + 1)))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _scan_powers(width: int) -> np.ndarray:
+    """e^{ij theta} of the scan grid's angles for j = 1..width, made once a
+    process for each power of two that a series length rounds up to."""
+    table = np.exp(1j * np.multiply.outer(_SCAN_GRID, np.arange(1, width + 1)))
+    table.flags.writeable = False
+    return table
 
 
 def _log_slope(form, r: float, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1476,22 +1499,30 @@ def _level_search(f: RationalFromDivisor, form, r: float) -> tuple[np.ndarray, i
 
     log|f| and its theta-derivative are sampled at ``_SCAN_POINTS``
     equispaced angles and at the angles of the divisor points within
-    ``CIRCLE_BAND`` of the circle.  Each interval between neighbouring
-    samples is then certified by a Lipschitz argument (Moore, Kearfott and
-    Cloud, *Introduction to Interval Analysis*, 2009) with the bounds of
-    :func:`_slope_bounds`: it holds no crossing where its end values share
-    a sign and exceed the first bound times its width, and log|f| is
+    ``CIRCLE_BAND`` of the circle.  Each interval [lo, hi] of width h
+    between neighbouring samples is then certified (Moore, Kearfott and
+    Cloud, *Introduction to Interval Analysis*, 2009) with the bounds L1
+    on the slope and L2 on the second derivative of :func:`_slope_bounds`.
+    It holds no crossing where its end values share a sign and either
+    their sum exceeds L1 h (a Lipschitz bound) or the smaller exceeds
+    L2 h^2 / 8 (the error bound of the linear interpolant).  log|f| is
     monotone on it, so it holds exactly one crossing where its end values
     differ in sign and none where they agree, where its end slopes share a
-    sign and exceed the second bound times its width.  Both tests leave a
-    margin for the rounding of the sums.  An interval that passes neither
-    is bisected, at most ``_CERTIFY_ROUNDS`` times and on at most
-    ``_CERTIFY_NODES`` angles in all; past that the angles found are
-    returned uncertified.  Every interval whose ends differ in sign is a
-    bracket, polished together with the others by at most
-    ``_SEARCH_STEPS`` safeguarded Newton steps in theta: a step that leaves
-    its bracket bisects it, and a bracket is frozen once its step is below
-    ``_SEARCH_TOL``.
+    sign and their sum exceeds L2 h.  All three tests leave a margin for
+    the rounding of the sums.  An interval that passes none is bisected,
+    at most ``_CERTIFY_ROUNDS`` times and on at most ``_CERTIFY_NODES``
+    angles in all; past that the angles found are returned uncertified.
+
+    The bounds of an arc also bound every sub-arc, and every test only
+    gets harder as the bounds grow.  So a child of a bisection is tested
+    first with its parent's bounds, and a scan interval with those of its
+    group of ``_BOUND_GROUP`` neighbours; its own bounds are computed only
+    where that fails, and it passes exactly where they pass it.
+
+    Every interval whose ends differ in sign is a bracket, polished
+    together with the others by at most ``_SEARCH_STEPS`` safeguarded
+    Newton steps in theta: a step that leaves its bracket bisects it, and
+    a bracket is frozen once its step is below ``_SEARCH_TOL``.
     """
     theta = np.sort(np.concatenate([_SCAN_GRID, np.angle(f.divisor.band(r, CIRCLE_BAND)) % TWO_PI]))
     lm, dl = _log_slope(form, r, theta)
@@ -1500,31 +1531,44 @@ def _level_search(f: RationalFromDivisor, form, r: float) -> tuple[np.ndarray, i
     b, m = f.divisor._rows
     rel = (b.size + 2) * _EPS
     slack = rel * (abs(form[1]) + float(np.sum(np.abs(m) * (np.abs(np.log(np.abs(b) + r)) + 1.0))))
+    bounds = _slope_bounds(form, r)
+
+    def passes(flo, fhi, dlo, dhi, h, l1, l2):
+        alo, ahi = np.abs(flo), np.abs(fhi)
+        with np.errstate(invalid="ignore"):
+            value = (flo * fhi > 0.0) & ((alo + ahi > l1 * h + 2.0 * slack)
+                                         | (np.minimum(alo, ahi) > 0.125 * l2 * h * h + 2.0 * slack))
+            return value | ((dlo * dhi > 0.0) & (np.abs(dlo) + np.abs(dhi) > l2 * h + 2.0 * rel * l1))
+
     lo, hi = theta, np.append(theta[1:], theta[0] + TWO_PI)
     ends = [lm, np.roll(lm, -1), dl, np.roll(dl, -1)]
+    n = lo.size
+    last = np.minimum(np.arange(_BOUND_GROUP, n + _BOUND_GROUP, _BOUND_GROUP), n) - 1  # in each group
+    l1, l2 = (np.repeat(c, _BOUND_GROUP)[:n] for c in bounds(lo[::_BOUND_GROUP], hi[last]))
     brackets, certified, budget = [], False, _CERTIFY_NODES
-    bounds = _slope_bounds(form, r)
     for rounds_left in range(_CERTIFY_ROUNDS, -1, -1):
-        flo, fhi, dlo, dhi = ends
-        l1, l2 = bounds(lo, hi)
         h = hi - lo
-        with np.errstate(invalid="ignore"):
-            ok = (((flo * fhi > 0.0) & (np.abs(flo) + np.abs(fhi) > l1 * h + 2.0 * slack))
-                  | ((dlo * dhi > 0.0) & (np.abs(dlo) + np.abs(dhi) > l2 * h + 2.0 * rel * l1)))
+        ok = passes(*ends, h, l1, l2)
+        loose = np.flatnonzero(~ok)  # failed on borrowed bounds: try its own
+        if loose.size:
+            l1[loose], l2[loose] = bounds(lo[loose], hi[loose])
+            ok[loose] = passes(*(e[loose] for e in ends), h[loose], l1[loose], l2[loose])
         open_ = ~ok
         n_open = int(np.count_nonzero(open_))
         certified = not n_open
+        flo, fhi, dlo, dhi = ends
         if certified or not rounds_left or n_open > budget:
             brackets.append((lo, hi, flo, fhi))
             break
         brackets.append((lo[ok], hi[ok], flo[ok], fhi[ok]))
-        lo, hi = lo[open_], hi[open_]
+        lo, hi, l1, l2 = lo[open_], hi[open_], l1[open_], l2[open_]
         flo, fhi, dlo, dhi = (e[open_] for e in ends)
         mid = 0.5 * (lo + hi)
         fm, dm = _log_slope(form, r, mid)
         spent += n_open
         budget -= n_open
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        l1, l2 = np.concatenate([l1, l1]), np.concatenate([l2, l2])
         ends = [np.concatenate(p) for p in ((flo, fm), (fm, fhi), (dlo, dm), (dm, dhi))]
     lo, hi, flo, fhi = (np.concatenate(c) for c in zip(*brackets))
     change = (flo > 0.0) != (fhi > 0.0)

@@ -1589,7 +1589,11 @@ def test_level_search_certifies_a_shallow_pair_between_its_samples(reference_rat
     assert certified and angles.size == changes.size == 10
     gap = np.abs((changes[:, None] - angles + math.pi) % TWO_PI - math.pi).min(axis=1)
     assert gap.max() <= 2.0 * TWO_PI / 400_000
-    assert spent > fnmodel._SCAN_POINTS + len(f.divisor.band(r, CIRCLE_BAND)) + 6 * 10
+    # the scan's own samples show 8 of the 10 sign changes
+    scan = np.sort(np.concatenate([fnmodel._SCAN_GRID,
+                                   np.angle(f.divisor.band(r, CIRCLE_BAND)) % TWO_PI]))
+    lm = f._log_mod(r * np.exp(1j * scan))
+    assert np.count_nonzero(np.sign(lm) != np.sign(np.roll(lm, -1))) == 8
     s = proximity(f, r)
     tight = _circle_means(f, [(r, angles, spent)], _logplus(f), atol=1e-12, rtol=1e-11)[0]
     assert s.panels == 0 and s.evaluations == spent
@@ -1605,6 +1609,69 @@ def test_level_search_gives_up_where_log_f_keeps_one_sign(reference_rationals):
     _, angles, spent = f.closed_proximity([0.7])[0]
     assert angles is None and spent >= fnmodel._SCAN_POINTS
     assert _sign_changes(f, 0.7).size == 0
+
+
+def test_slope_bounds_hold_on_random_arcs(reference_rationals):
+    # on an arc of |z| = r, _slope_bounds' first bound dominates |d/dtheta
+    # log|f|| of the circle form and its second |d^2/dtheta^2 log|f||,
+    # here the central difference of the slope (by the mean value theorem
+    # a second derivative inside the arc), less the difference's rounding;
+    # the certificate's second-order value test rests on the second bound.
+    # Arcs are drawn anywhere, and at or beside a divisor point 1e-4 r off
+    # the circle, where both bounds are nearly attained
+    rng = np.random.default_rng(30)
+    for key, f in reference_rationals.items():
+        pts = f.divisor.points
+        if not pts.size:
+            continue
+        near = pts[rng.choice(pts.size, size=min(3, pts.size), replace=False)]
+        circles = ([(r, None) for r in (0.7, 2.6, 13.0, 80.0, 1e4)]
+                   + [(abs(b) * (1.0 + s * 1e-4), b) for b in near for s in (1.0, -1.0)])
+        eps = (f.divisor._rows[0].size + 2) * 2.0**-52
+        for r, b in circles:
+            form = fnmodel._circle_form(f, r)
+            width = 10.0 ** rng.uniform(-4.0, 0.0, 10)
+            if b is None:
+                lo = rng.uniform(0.0, TWO_PI, 10)
+            else:
+                lo = np.angle(b) % TWO_PI - rng.uniform(-0.5, 1.5, 10) * width
+            l1, l2 = fnmodel._slope_bounds(form, r)(lo, lo + width)
+            for a, h, b1, b2 in zip(lo, width, l1, l2):
+                slope = fnmodel._log_slope(form, r, np.linspace(a, a + h, 401))[1]
+                step = h / 400
+                second = np.abs(slope[2:] - slope[:-2]) / (2.0 * step)
+                assert np.abs(slope).max() <= b1 * (1.0 + 1e-12), (key, r, a, h)
+                assert second.max() <= b2 * (1.0 + 1e-12) + 4.0 * eps * b1 / step, (key, r, a, h)
+
+
+def test_level_search_certifies_the_crossings_near_a_divisor_point(members):
+    # 30 circles of orbit_left_m6, each with a divisor point 1e-6 r to
+    # 0.03 r off it: every search is certified and finds one angle per sign
+    # change of log|f| on a grid of 2^16 angles.  A circle whose angles lie
+    # closer than 4 grid steps is skipped, since the grid cannot resolve
+    # them (none of these 30 is); orbit_left_30 at r = 58.929028399265896,
+    # for one, has two crossings 2.5e-6 rad apart beside a zero 1.1e-6 r
+    # off the circle, which not even 10^6 angles resolve
+    f = members["orbit_left_m6"].expr
+    rng, n = np.random.default_rng(6), 2**16
+    grid = np.arange(n) * (TWO_PI / n)
+    skipped = 0
+    for _ in range(30):
+        b = f.divisor.points[rng.integers(f.divisor.points.size)]
+        d = 10.0 ** rng.uniform(-6.0, math.log10(0.03))
+        r = abs(b) / (1.0 + d) if rng.integers(2) else abs(b) / (1.0 - d)
+        angles, _, certified = fnmodel._level_search(f, fnmodel._circle_form(f, r), r)
+        assert certified, r
+        if angles.size > 1 and np.diff(np.append(angles, angles[0] + TWO_PI)).min() < 4 * TWO_PI / n:
+            skipped += 1
+            continue
+        lm = f._log_mod(r * np.exp(1j * grid))
+        changes = grid[np.sign(lm) != np.sign(np.roll(lm, -1))]
+        assert changes.size == angles.size, (r, d)
+        if changes.size:
+            gap = np.abs((changes[:, None] - angles + math.pi) % TWO_PI - math.pi).min(axis=1)
+            assert gap.max() <= 2.0 * TWO_PI / n, (r, d)
+    assert skipped == 0
 
 
 # ---------------------------------------------------------------------------

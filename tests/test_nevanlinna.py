@@ -241,9 +241,12 @@ def test_an_uncertified_circle_builds_its_fold_once(members, monkeypatch):
 
 
 def test_a_grid_with_a_folded_circle_runs_in_one_lockstep_call(members, monkeypatch):
-    # neither circle of (z - 1)/(z - 2) is closed; at r = 1e200 its points
-    # fold into a series, and still both circles share one quadrature run
+    # neither circle of (z - 1)/(z - 2) is closed: at r = 1.5 the line
+    # |f| = 1 touches the circle, and at r = 1e200 log|f| is below the
+    # rounding of its sums; there its points fold into a series, and still
+    # both circles share one quadrature run
     f, runs, quad = members["rat_zero1_pole2"].expr, [], quadrature.adaptive_circles
+    assert fnmodel._circle_form(f, 1.5)[0] == f.divisor
     assert fnmodel._circle_form(f, 1e200)[0] != f.divisor
 
     def spy(g, cuts, *args, **kwargs):
@@ -252,7 +255,7 @@ def test_a_grid_with_a_folded_circle_runs_in_one_lockstep_call(members, monkeypa
 
     monkeypatch.setattr(quadrature, "adaptive_circles", spy)  # adaptive_circle's too
     monkeypatch.setattr(nevanlinna, "adaptive_circles", spy)
-    samples = nevanlinna.proximities(f, [1e8, 1e200])
+    samples = nevanlinna.proximities(f, [1.5, 1e200])
     assert runs == [2] and all(s.panels > 0 for s in samples)
 
 
@@ -698,6 +701,14 @@ def test_argument_principle_through_compound_expressions():
         assert argument_principle_count(em1, r) == count
         assert argument_principle_count(Quotient(one, em1), r) == -count  # 1/(e^z - 1)
         assert argument_principle_count(Product(EXP_Z2, em1), r) == count  # e^{z^2} (e^z - 1)
+
+
+@pytest.mark.xfail(raises=fnmodel.QuadratureFailure, strict=True,
+                   reason="the integrand Re(z u') of e^{e^z} grows like r e^r, so the "
+                          "count's 1e-7 tolerances need more panels than MAX_PANELS")
+def test_argument_principle_counts_no_zeros_of_exp_exp_z(members):
+    # e^{e^z} has no zeros or poles; the count gives 0 at r = 1, 3, 6 and 10
+    assert argument_principle_count(members["exp_exp_z"].expr, 20.0) == 0
 
 
 # the contour-count radii of the benchmark's sweep on seeds 3, 7 and 4242
