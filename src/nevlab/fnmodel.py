@@ -8,8 +8,9 @@ works through three channels defined on a small symbolic expression family:
   towers like exp(exp(z)) never leave the floating range; its array form
   ``_log_parts`` has a modulus-only twin ``_log_mod`` for the circle means
   (proximity, Jensen), which never read arg f;
-* ``_logderivs``    -- f'(z)/f(z) on arrays by structural recursion (chain/
-  product rules, never by numeric differentiation), for contour counts.
+* ``_logderivs``    -- f'(z)/f(z) on arrays, in closed form (never by
+  numeric differentiation), for the contour counts of exp(p) - a; a
+  rational given by its divisor has one too, and counts through its form.
 
 Every member of the family knows its zero/pole divisor inside a disc, which
 is what the counting functions and the quadrature panel splitter consume:
@@ -17,18 +18,20 @@ no member lacks one, so no consumer asks whether a divisor exists.  A
 rational given by its divisor evaluates every channel with one broadcast
 kernel over (points, nodes) chunks, bit-identical to a loop over its points.
 
-The proximity mean of a rational given by its divisor and of exp(p) has a
-closed form (``FunctionExpr.closed_proximity``): Jensen's formula where the
-divisor alone decides the sign of log|f|, else the exact integrals between
-the certified |f| = 1 angles, by the dilogarithm (``_dilog``) for a rational
-and by a trigonometric antiderivative for exp(p).  The quadrature reads
+The proximity mean of a rational given by its divisor, of exp(p) and of
+exp(exp(p)) has a closed form (``FunctionExpr.closed_proximity``): Jensen's
+formula where the divisor alone decides the sign of log|f|, else the exact
+integrals between the certified |f| = 1 angles, by the dilogarithm
+(``_dilog``) for a rational and by a trigonometric antiderivative for
+exp(p) and for the series of e^p (``_exp_series``).  The quadrature reads
 ``_log_mod`` of the expression itself.  ``_circle_form(f, r)``, a form of
 a rational given by its divisor valid on |z| = r only, serves its closed
 form and its argument-principle counts: it folds the points with
 |b| <= r/2 or |b| >= 2r into Laurent series in z/r, each cut where its
 log|f| tail is at most 2^-54, whenever a group has more points than its
-series has terms; the rest go through the broadcast kernel.  The counts
-of every other expression read its ``_logderivs``.
+series has terms; the rest go through the broadcast kernel.  A product or
+quotient is counted by its leaves, of which only rationals and exp(p) - a
+with a != 0 can have zeros or poles.
 
 The family is deliberately closed: constants, rationals given by their
 divisor, exp of a polynomial minus a constant (``ExpPoly(p, a)``; ``a = 0``
@@ -118,6 +121,8 @@ _BOUND_GROUP = 8
 _BAND_SCAN = 24
 _BAND_DEPTH = 2.0**-40
 _EPS = 2.0**-52
+# powers e^{ij theta} of a trigonometric arc mean taken by exp; the rest are their products
+_EXP_POWERS = 8
 
 
 class ToolkitError(Exception):
@@ -1006,9 +1011,6 @@ class FunctionExpr:
         out[(lm == np.inf) | (finite & (lm >= _LOG_HUGE))] = np.inf
         return out
 
-    def _logderivs(self, z: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def closed_proximity(self, radii) -> list[tuple[tuple[float, float] | None,
                                                     np.ndarray | None, int]]:
         """(mean, cuts, spent) for each circle |z| = r of ``radii``: the one
@@ -1017,11 +1019,14 @@ class FunctionExpr:
         ``mean`` is (m(r, f), its rounding bound) in closed form, or None
         where the quadrature must find it: Jensen's formula for a rational
         given by its divisor where the divisor bound keeps log|f| off 0,
-        else the dilogarithm arcs between its certified kinks, and the
-        trigonometric arcs of exp(p).  ``cuts`` are the sorted angles in
-        [0, 2pi) at which the quadrature cuts its panels: the kinks where
-        |f| = 1, with the band edges of :meth:`level_angles` for
-        exp(p) - a and its reciprocals.  The kinks are found at no
+        else the dilogarithm arcs between its certified kinks; the
+        trigonometric arcs of exp(p); and for exp(exp(p)) the same arcs of
+        the series of e^p, where it stays in the double range and within
+        ``MAX_PANELS`` terms (:func:`_exp_series`).  ``cuts`` are the
+        sorted angles in [0, 2pi) at which the quadrature cuts its panels:
+        the kinks where |f| = 1, with the band edges of
+        :meth:`level_angles` for exp(p) - a and its reciprocals.  The kinks
+        are found at no
         evaluation for constants (none), exp(p) and exp(exp(p))
         (:func:`_im_level_angles`), by a certified search through
         :func:`_circle_form` for a rational (:func:`_level_search`), and by
@@ -1043,9 +1048,10 @@ class FunctionExpr:
         are not known; more sorted angles where a quadrature of log+|f| /
         level should cut its panels (:func:`_band_search`'s band edges),
         else none; and the evaluations spent finding them.  Known for
-        constants (none), for exp(p) - a, for exp(exp(p)) at level 1 and
-        for c / g with a constant c != 0, which are g's angles at the level
-        |c| / level; unknown for every other expression."""
+        constants (none), for exp(p) - a, for exp(exp(p)) at level 1, where
+        they end the arcs of its closed mean, and for c / g with a constant
+        c != 0, which are g's angles at the level |c| / level; unknown for
+        every other expression."""
         return [(None, _NO_ANGLES, 0)] * len(radii)
 
     def _divisor_impl(self, r: float) -> Divisor:
@@ -1349,9 +1355,6 @@ class Const(FunctionExpr):
         v = self.value
         return np.full(shape, math.log(abs(v))), np.full(shape, math.atan2(v.imag, v.real))
 
-    def _logderivs(self, z):
-        return np.zeros(z.shape, dtype=np.complex128)
-
     def level_angles(self, radii, level=1.0):
         return [(_NO_ANGLES, _NO_ANGLES, 0)] * len(radii)  # |f| is constant: no kinks
 
@@ -1654,8 +1657,51 @@ def _arc_mean(theta: np.ndarray, mean: float, g: np.ndarray, err: float) -> tupl
     wrapping round to the first, or max(mean, 0) without angles."""
     if not theta.size:
         return max(mean, 0.0), err * (mean > -err)
-    arcs = mean * np.diff(theta, append=theta[0] + TWO_PI) + np.diff(g, append=g[0])
+    arcs = np.empty(theta.size)
+    arcs[:-1] = mean * (theta[1:] - theta[:-1]) + (g[1:] - g[:-1])
+    arcs[-1] = mean * (theta[0] + TWO_PI - theta[-1]) + (g[0] - g[-1])
     return math.fsum(arcs[arcs > 0.0].tolist()) / TWO_PI, err * (1 + theta.size)
+
+
+def _trig_arc_means(f: FunctionExpr, radii, series) -> list:
+    """:meth:`FunctionExpr.closed_proximity` of f = exp(p) or exp(exp(p)),
+    where log|f| = Re sum_j c_j e^{ij theta} on |z| = r, whose sign changes
+    at f's level angles alone.  ``series(r)`` gives (c, err, slack): the
+    c_j, a bound err on what their rounding and truncation move the mean,
+    and a further rounding bound slack on each G, or None.  With
+    h = Re c_0 + G', G = Im sum_{j >= 1} (c_j / j) e^{ij theta}, the mean
+    is integrated exactly between the angles (:func:`_arc_mean`), and each
+    G is charged 2 eps (|Re c_0| + sum |c_j| / j) + slack.  A block of
+    (angles, terms) holds about ``_DIVISOR_CELLS`` cells; its first
+    ``_EXP_POWERS`` powers e^{ij theta} are :func:`_unit_powers`, and each
+    later e^{i(j + h) theta} is e^{ij theta} e^{ih theta}, a product where
+    an exp costs more.  Each row is summed by numpy, not by a BLAS
+    matrix-vector product: with its threads free, OpenBLAS stalled such
+    products on two cores for up to half a second.  A circle without angles
+    or series gets None."""
+    out = []
+    for r, (theta, _, _) in zip(radii, f.level_angles(radii)):
+        found = None if theta is None else series(r)
+        if found is None:
+            out.append((None, theta, 0))
+            continue
+        c, err, slack = found
+        a = c[1:] / np.arange(1, c.size)
+        g = np.empty(theta.size)
+        for rows in _node_chunks(theta.size, a.size):
+            u = np.empty((theta[rows].size, a.size), dtype=np.complex128)
+            h = min(a.size, _EXP_POWERS)
+            u[:, :h] = _unit_powers(theta[rows], h)
+            while h < a.size:
+                n = min(h, a.size - h)
+                np.multiply(u[:, :n], u[:, h - 1:h], out=u[:, h:h + n])
+                h += n
+            g[rows] = (u * a).sum(axis=1).imag
+        mean = float(c[0].real)
+        m, g_err = _arc_mean(theta, mean, g, 2.0 * _EPS * (abs(mean) + float(np.sum(np.abs(a))))
+                             + slack)
+        out.append(((m, g_err + err), theta, 0))
+    return out
 
 
 # B_2n / (2n + 1)! for n = 1..10, the series of Li2 in w = -log(1 - x)
@@ -1847,10 +1893,8 @@ class ExpPoly(FunctionExpr):
                     ag[mask] = np.angle(s) if base is None else base.imag + np.angle(1.0 - s)
         return lm, ag
 
-    def _logderivs(self, z):
+    def _logderivs(self, z):  # a != 0: zero-free exp(p) counts 0 with no contour
         dp = _carray(self.p.deriv()(z))
-        if self.a == 0:
-            return dp
         w = _carray(self.p(z))
         big, small, mid = self._regimes(w)
         out = np.empty(w.shape, dtype=np.complex128)
@@ -1874,20 +1918,9 @@ class ExpPoly(FunctionExpr):
     def closed_proximity(self, radii):
         if self.a != 0:  # exp(p) - a has no closed form
             return super().closed_proximity(radii)
-        out = []
-        for r, (angles, _, _) in zip(radii, self.level_angles(radii)):
-            if angles is None:
-                out.append((None, None, 0))
-                continue
-            # log|e^p| = Re p = Re c_0 + Re sum c_j e^{ij theta}, c_j = p_j r^j,
-            # integrated exactly between its zeros: Im(c_j e^{ij theta}) / j
-            c = np.array([p_k * float(r)**k for k, p_k in enumerate(self.p.coeffs)])
-            a = c[1:] / np.arange(1, c.size)
-            g = (_unit_powers(angles, a.size) @ a).imag
-            mean = float(c[0].real)
-            err = 2.0 * _EPS * (abs(mean) + float(np.sum(np.abs(a))))
-            out.append((_arc_mean(angles, mean, g, err), angles, 0))
-        return out
+        # log|e^p| = Re p = Re sum c_j e^{ij theta}, c_j = p_j r^j, exactly
+        return _trig_arc_means(self, radii, lambda r: (
+            np.array([p_k * float(r)**k for k, p_k in enumerate(self.p.coeffs)]), 0.0, 0.0))
 
     def _divisor_impl(self, r):
         if self.a == 0:
@@ -1904,6 +1937,61 @@ class ExpPoly(FunctionExpr):
         if self.p.degree == 0 and any(w == self.p.coeffs[0] for w, _ in branches):
             raise OpaqueExpr("exp argument is constant and equals log(a)")
         return _pull_back(self.p, branches, r)
+
+
+# (x, log x) for the ratios x > 1 at which the majorant e^{s(x)} may bound
+# the tail of a series of exp(p)
+_TAIL_RATIOS = tuple((x, math.log(x)) for x in (1.0625, 1.125, 1.25, 1.5, 2.0, 3.0, 4.0, 6.0,
+                                               8.0, 16.0, 32.0, 64.0))
+
+
+def _exp_series(p: Polynomial, r: float) -> tuple[np.ndarray, float, float] | None:
+    """(E, err, slack): e^{p(r e^{i theta})} = sum_n E_n e^{in theta} cut at n = N,
+    with E_n = [z^n] e^p r^n, and err a bound on sum_n |E_n - true E_n|,
+    the dropped terms included; None where the majorant leaves the double
+    range or N would exceed ``MAX_PANELS``.  It is asked only on circles
+    whose level angles are known, where the P_k = p_k r^k are finite.
+
+    E is e^{P_0} times the series of each e^{P_k u^k}, whose terms
+    P_k^j / j! are one ``np.cumprod``, joined by ``np.convolve``.  |E_n| is
+    at most the coefficient M_n of the majorant e^{s(x)}, s(x) = Re P_0 +
+    sum |P_k| x^k, so for any x > 1 the tail sum_{n > N} M_n is at most
+    x^-N e^{s(x)}: N is the fewest terms that bound puts below
+    eps e^{s(1)} over ``_TAIL_RATIOS`` (for a constant p, N = 0 and no tail).
+    Each of the K factors rounds its terms by at most 4N eps, and each
+    convolution by (N + 3) eps, of the majorant, whose sum is e^{s(1)}:
+    (K + 3)(N + 3) eps e^{s(1)} bounds them all.  Each G of
+    :func:`_trig_arc_means` also rounds e^{in theta} by 7n eps, its
+    products included, and its sum of N terms: the slack."""
+    c = [p_k * float(r)**k for k, p_k in enumerate(p.coeffs)]
+    mods = [abs(c_k) for c_k in c[:0:-1]]  # |P_d|, ..., |P_1|
+    s1 = c[0].real + sum(mods)
+    if not abs(s1) < _LOG_HUGE:
+        return None
+    floor = s1 + math.log(_EPS)  # log of the tail wanted, eps e^{s(1)}
+    N, tail = (MAX_PANELS + 1, 0.0) if p.degree else (0, 0.0)
+    for x, log_x in _TAIL_RATIOS if p.degree else ():
+        sx = 0.0
+        for m in mods:  # by Horner's rule
+            sx = (sx + m) * x
+        sx += c[0].real
+        n = math.ceil((sx - floor) / log_x)
+        if sx < _LOG_HUGE and n < N:
+            N, tail = n, math.exp(sx - n * log_x)
+    if N > MAX_PANELS:
+        return None
+    E, factors = np.ones(1, dtype=np.complex128), 0
+    for k, c_k in enumerate(c[1:], 1):
+        if c_k:
+            f = np.zeros(N + 1, dtype=np.complex128)
+            f[0] = 1.0
+            f[k::k] = np.cumprod(c_k / np.arange(1, N // k + 1))
+            E = np.convolve(E, f)[:N + 1]
+            factors += 1
+    E *= cmath.exp(c[0])
+    n = np.arange(1, N + 1)
+    return (E, tail + (factors + 3) * (N + 3) * _EPS * math.exp(s1),
+            _EPS * float(np.sum(np.abs(E[1:]) * (7.0 + (2 * N + 4) / n))))
 
 
 @record
@@ -1927,12 +2015,15 @@ class Exp(FunctionExpr):
                                  "log|f| leaves the floating range")
         return w.real.copy(), w.imag.copy()
 
-    def _logderivs(self, z):
-        # (e^u)'/e^u = u' = (u'/u) * u
-        return self.child._logderivs(z) * self.child._values(z)
-
     def _divisor_impl(self, r):
         return EMPTY_DIVISOR
+
+    def closed_proximity(self, radii):
+        child = self.child
+        if not (isinstance(child, ExpPoly) and child.a == 0):
+            return super().closed_proximity(radii)
+        # log|e^{e^p}| = Re e^p = Re sum E_n e^{in theta}
+        return _trig_arc_means(self, radii, lambda r: _exp_series(child.p, r))
 
     def level_angles(self, radii, level=1.0):
         # for a child e^p, |f| = 1 where Re e^p = 0: Im p = pi/2 + k pi, |Im p| <= bound
@@ -1947,7 +2038,8 @@ class Exp(FunctionExpr):
             if 2 * child.p.degree * (k_hi - k_lo + 1) > MAX_PANELS:
                 out.append((None, _NO_ANGLES, 0))
                 continue
-            shifts = [math.pi * (k + 0.5) for k in range(k_lo, k_hi + 1)]
+            # a constant p has no angles, however many levels its bound spans
+            shifts = [math.pi * (k + 0.5) for k in range(k_lo, k_hi + 1)] if child.p.degree else []
             out.append((_im_level_angles(child.p, r, shifts), _NO_ANGLES, 0))
         return out
 
@@ -1963,9 +2055,6 @@ class _Pair(FunctionExpr):
 
     def _log_mod(self, z):
         return self._op(self.lhs._log_mod(z), self.rhs._log_mod(z))
-
-    def _logderivs(self, z):
-        return self._op(self.lhs._logderivs(z), self.rhs._logderivs(z))
 
 
 @record

@@ -29,8 +29,11 @@ from .fnmodel import (
     InsufficientGrowth,
     NonIntegerResidual,
     NonMonotone,
+    Product,
     Quotient,
     Const,
+    Exp,
+    ExpPoly,
     RationalFromDivisor,
     TWO_PI,
     _NO_ANGLES,
@@ -155,8 +158,11 @@ def proximities(expr: FunctionExpr, radii,
     can: for a rational given by its divisor, Jensen's formula where the
     divisor alone decides the sign of log|f|, else the dilogarithm arcs
     between its certified kinks; for exp(p), the trigonometric arcs between
-    its zeros of Re p.  Such a sample has ``panels == 0``, the search's and
-    the certificate's evaluations, and the rounding bound as ``quad_err``.
+    its zeros of Re p; for exp(exp(p)), the same arcs of the series of e^p
+    between its zeros of Re e^p.  A closed mean whose rounding bound
+    exceeds max(atol, rtol |m|) counts as unanswered, whatever its form.
+    Such a sample has ``panels == 0``, the search's and the certificate's
+    evaluations, and the rounding bound as ``quad_err``.
     Jensen's formula is then part of the computation, not a check of it:
     the independent checks of these means are mpmath integrals and
     quadrature at tighter tolerances (``_circle_means``).  The other
@@ -164,7 +170,9 @@ def proximities(expr: FunctionExpr, radii,
     lockstep, cut where that same answer says: a rational's uncertified
     circles; exp(p) - a and c / (exp(p) - a), whose kinks and band edges
     one band search over the grid finds (:func:`fnmodel._band_search`);
-    exp towers, other quotients and products.
+    exp(exp(p)) where its series leaves the double range or its term cap,
+    other exp towers, quotients and products, and every closed mean
+    that missed its tolerance.
     The samples have ``N = 0``; :func:`characteristic_sweep` adds N.
     A grid of two or more radii first asks for the largest disc that its
     panel cuts read (:meth:`FunctionExpr.solve_ahead`), so each radius
@@ -176,7 +184,8 @@ def proximities(expr: FunctionExpr, radii,
     if len(radii) > 1:
         expr.solve_ahead(max(radii) * (1.0 + CIRCLE_BAND))  # the disc _cuts reads
     used = [_nudged(expr, r) for r in radii]
-    closed = expr.closed_proximity(used)
+    closed = [(mean if mean and mean[1] <= max(atol, rtol * abs(mean[0])) else None,
+               kinks, spent) for mean, kinks, spent in expr.closed_proximity(used)]
     rest = [(u, kinks, spent) for u, (mean, kinks, spent) in zip(used, closed) if mean is None]
     means = iter(rest and _circle_means(expr, rest, _logplus(expr), atol, rtol))
     samples = []
@@ -339,26 +348,48 @@ def hyperorder_estimate(radii, T_values) -> HyperOrderEstimate:
 # ---------------------------------------------------------------------------
 
 
+def _signed_leaves(expr: FunctionExpr, sign: int = 1):
+    """(leaf, sign) for each leaf of the product and quotient tree that may
+    have zeros or poles: a quotient's right side counts with the opposite
+    sign.  A constant, exp(p) and exp(u) are zero-free and yield nothing."""
+    if isinstance(expr, (Product, Quotient)):
+        yield from _signed_leaves(expr.lhs, sign)
+        yield from _signed_leaves(expr.rhs, sign if isinstance(expr, Product) else -sign)
+    elif not isinstance(expr, (Const, Exp)) and not (isinstance(expr, ExpPoly) and expr.a == 0):
+        yield expr, sign
+
+
 def argument_principle_count(expr: FunctionExpr, r: float) -> int:
     """Zeros minus poles inside |z| < r via the contour integral of z f'/f.
 
-    The real part of the mean of ``z f'(z)/f(z)`` over the circle equals the
-    signed count; a rational given by its divisor reads it from its circle
-    form.  A residual further than ``COUNT_INTEGER_TOL`` from an integer
-    raises :class:`NonIntegerResidual`.
+    The count is additive: that of f g is the sum of the sides' counts, and
+    that of f / g their difference.  So the count of a tree is the signed
+    sum over its leaves (:func:`_signed_leaves`), all on one circle: the
+    radius is nudged once where a point of any leaf lies on it, even one
+    that the tree's divisor cancels.  A constant, exp(p) and exp(u) count
+    0 by construction, not by measurement: they have no zeros or poles, and
+    no contour is integrated for them.  For each other leaf the real part
+    of the mean of ``z f'(z)/f(z)`` over the circle equals its signed
+    count; a rational given by its divisor reads it from its circle form,
+    exp(p) - a from its ``_logderivs``.  A leaf's residual further than
+    ``COUNT_INTEGER_TOL`` from an integer raises :class:`NonIntegerResidual`.
     """
-    r = _nudged(expr, r)
-    form = _circle_form(expr, r) if isinstance(expr, RationalFromDivisor) else None
-    raw = _circle_means(expr, [(r, _NO_ANGLES, 0)],
-                        lambda z: ((z * expr._logderivs(z)).real if form is None
-                                   else _radial_slope(form, r, z)),
-                        COUNT_ATOL, COUNT_RTOL)[0].value
-    nearest = round(raw)
-    if abs(raw - nearest) > COUNT_INTEGER_TOL:
-        raise NonIntegerResidual(
-            f"contour count {raw:.6f} is not within {COUNT_INTEGER_TOL} of an integer"
-        )
-    return int(nearest)
+    leaves = list(_signed_leaves(expr))
+    r = max([_nudged(leaf, r) for leaf, _ in leaves], default=r)
+    total = 0
+    for leaf, sign in leaves:
+        form = _circle_form(leaf, r) if isinstance(leaf, RationalFromDivisor) else None
+        raw = _circle_means(leaf, [(r, _NO_ANGLES, 0)],
+                            lambda z: ((z * leaf._logderivs(z)).real if form is None
+                                       else _radial_slope(form, r, z)),
+                            COUNT_ATOL, COUNT_RTOL)[0].value
+        nearest = round(raw)
+        if abs(raw - nearest) > COUNT_INTEGER_TOL:
+            raise NonIntegerResidual(
+                f"contour count {raw:.6f} is not within {COUNT_INTEGER_TOL} of an integer"
+            )
+        total += sign * int(nearest)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -908,9 +908,11 @@ def _assert_same_bits(got, want):
 
 
 def test_products_and_quotients_combine_their_sides_bit_for_bit():
-    """Each channel of f g is the sides' sum, and of f / g their
+    """Each log channel of f g is the sides' sum, and of f / g their
     difference, exactly: on the compound counts of the contour tests and on
-    smt's reciprocal 1/(e^{z^2} - 1), through the zeros of e^z - 1."""
+    smt's reciprocal 1/(e^{z^2} - 1), through the zeros of e^z - 1.  Their
+    contour counts read the one side with zeros, signed as the channels
+    combine."""
     one, em1 = Const(1.0), ExpPoly(Z, 1.0)
     cases = [(Quotient(one, em1), np.subtract), (Product(ExpPoly(Z2), em1), np.add),
              (Quotient(one, ExpPoly(Z2, 1.0)), np.subtract)]
@@ -922,8 +924,7 @@ def test_products_and_quotients_combine_their_sides_bit_for_bit():
         _assert_same_bits(lm, op(la, lb))
         _assert_same_bits(ag, op(aa, ab))
         _assert_same_bits(f._log_mod(z), op(f.lhs._log_mod(z), f.rhs._log_mod(z)))
-        with np.errstate(all="ignore"):
-            _assert_same_bits(f._logderivs(z), op(f.lhs._logderivs(z), f.rhs._logderivs(z)))
+        assert list(nevanlinna._signed_leaves(f)) == [(f.rhs, 1 if op is np.add else -1)]
 
 
 def test_exp_values_are_exp_of_the_exponent_below_the_overflow():
@@ -1417,6 +1418,25 @@ def test_level_angles_of_a_composed_exp_exp_are_exact_to_rounding(r):
     assert changes.size == angles.size > 0, r
     gap = np.abs((changes[:, None] - angles + math.pi) % TWO_PI - math.pi)
     assert gap.min(axis=1).max() <= 2.0 * TWO_PI / 400_000, r
+
+
+@pytest.mark.parametrize("coeffs, r", [
+    ((0j, 1.0), 0.5), ((0j, 1.0), 28.0), ((0j, 1.0), 200.0),
+    ((3.0, 1 - 2j, 1.0), 4.0), ((0.5j, 0.0, 0.0, 1.0), 2.5), ((-40.0, 2.0), 30.0)])
+def test_exp_series_bounds_its_rounding_and_dropped_terms(coeffs, r):
+    """The series of e^p on |z| = r against the recurrence
+    n E_n = sum_k k P_k E_{n-k} at 40 digits: the reported bound covers the
+    rounding of every kept term and the terms past the cut."""
+    mpmath = pytest.importorskip("mpmath")
+    E, err, _ = fnmodel._exp_series(Polynomial(coeffs), r)
+    with mpmath.workdps(40):
+        P = [mpmath.mpc(c) * mpmath.mpf(r)**k for k, c in enumerate(coeffs)]
+        ref = [mpmath.exp(P[0])]
+        for n in range(1, E.size + 400):
+            ref.append(mpmath.fsum(k * P[k] * ref[n - k] for k in range(1, min(n, len(P) - 1) + 1)) / n)
+        miss = mpmath.fsum(abs(mpmath.mpc(e) - x) for e, x in zip(E.tolist(), ref))
+        miss += mpmath.fsum(abs(x) for x in ref[E.size:])
+        assert 0 < miss <= err, (miss, err)
 
 
 @pytest.mark.parametrize("f", [

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from nevlab import (
     Const,
     Divisor,
+    Exp,
     ExpPoly,
     Polynomial,
     Product,
@@ -101,11 +102,100 @@ def _m_exp_exp_reference(r: float):
 
 # the last two are the sweep radii (Sweep.generate, seeds 3 and 7) where
 # uniform seeding without level cuts missed by 132x and 596x the tolerance
-@pytest.mark.parametrize("r", [2.0, 3.0, 5.0, 7.0, 8.0, 10.0, 15.0, 20.0, 25.0, 28.0,
-                               24.169538390665046, 24.123900982041413])
+@pytest.mark.parametrize("r", [0.5, 2.0, 3.0, 5.0, 7.0, 8.0, 10.0, 15.0, 20.0, 25.0, 28.0,
+                               60.0, 24.169538390665046, 24.123900982041413])
 def test_proximity_of_exp_exp_z_against_mpmath(members, r):
+    # in closed form, whose rounding bound covers the true error
     s = proximity(members["exp_exp_z"].expr, r)
-    assert abs(s.m - _m_exp_exp_reference(r)) <= max(1e-9, 1e-8 * s.m)
+    err = abs(s.m - _m_exp_exp_reference(r))
+    assert err <= max(1e-9, 1e-8 * s.m)
+    assert (s.panels, s.evaluations) == (0, 0) and err <= s.quad_err
+
+
+def _m_exp_exp_p_reference(p: Polynomial, r: float):
+    """m(r, e^{e^p}) at 30 digits: the mean of max(Re e^{p(r e^{it})}, 0),
+    integrated by mpmath over the arcs between its kinks where it is
+    positive; the kinks, where cos Im p changes sign, are bracketed on
+    4,096 angles and polished by mpmath's root finder."""
+    mpmath = pytest.importorskip("mpmath")
+    t = np.linspace(0.0, 2 * math.pi, 4097)
+    cos_im = np.cos(p(r * np.exp(1j * t)).imag)
+    with mpmath.workdps(30):
+        r, two_pi = mpmath.mpf(r), 2 * mpmath.pi
+        cs = [mpmath.mpc(c.real, c.imag) for c in p.coeffs]
+
+        def p_at(t):
+            z, w = r * mpmath.expj(t), 0
+            for c in reversed(cs):
+                w = w * z + c
+            return w
+
+        def re_exp_p(t):
+            return mpmath.re(mpmath.exp(p_at(t)))
+
+        cuts = [mpmath.mpf(0), two_pi] + [
+            mpmath.findroot(lambda x: mpmath.cos(mpmath.im(p_at(x))), (t[i], t[i + 1]),
+                            solver="anderson")
+            for i in np.flatnonzero(np.sign(cos_im[1:]) != np.sign(cos_im[:-1]))]
+        cuts.sort()
+        integral = mpmath.fsum(mpmath.quad(re_exp_p, [a, b], method="gauss-legendre")
+                               for a, b in zip(cuts, cuts[1:]) if re_exp_p((a + b) / 2) > 0)
+        return float(integral / two_pi)
+
+
+@pytest.mark.parametrize("p", [Polynomial((3.0, 1 - 2j, 1.0)), Polynomial((0.5j, 0.0, 0.0, 1.0))],
+                         ids=["z^2+(1-2i)z+3", "z^3+0.5i"])
+@pytest.mark.parametrize("r", [0.7, 1.5, 2.5, 4.0])
+def test_proximity_of_an_exp_tower_against_mpmath(p, r):
+    s = proximity(Exp(ExpPoly(p)), r)
+    err = abs(s.m - _m_exp_exp_p_reference(p, r))
+    assert err <= max(1e-9, 1e-8 * s.m)
+    assert (s.panels, s.evaluations) == (0, 0) and err <= s.quad_err
+
+
+@pytest.mark.parametrize("c, m", [(2.0, math.exp(2.0)), (2 + 2j, 0.0),
+                                  (1e6j, max(math.cos(1e6), 0.0))])
+def test_proximity_of_an_exp_tower_over_a_constant(c, m, monkeypatch):
+    # log|e^{e^c}| = Re e^c on every circle: the series [e^c], with no
+    # angles, and no level of Im c = pi/2 + k pi is listed to find them
+    shifts, angles = [], fnmodel._im_level_angles
+    monkeypatch.setattr(fnmodel, "_im_level_angles",
+                        lambda p, r, s: shifts.extend(s) or angles(p, r, s))
+    f = Exp(ExpPoly(Polynomial((c,))))
+    for r in (0.5, 3.0, 100.0):
+        s = proximity(f, r)
+        assert abs(s.m - m) <= s.quad_err <= 1e-13 and s.panels == 0
+    assert not shifts
+
+
+def test_sweep_grid_of_exp_exp_z_leaves_the_quadrature(members, monkeypatch):
+    # the sweep's grid runs no quadrature; past the term cap, and past the
+    # double range at r = 700, the quadrature answers, and at r = 800 it
+    # raises as the CLI's char does
+    f = members["exp_exp_z"].expr
+    calls, lockstep = [], nevanlinna.adaptive_circles
+    monkeypatch.setattr(nevanlinna, "adaptive_circles",
+                        lambda *a, **k: calls.append(a) or lockstep(*a, **k))
+    sweep = characteristic_sweep(f, log_radii(0.5, 28.0, 60))
+    assert not calls and all((s.panels, s.evaluations) == (0, 0) for s in sweep)
+    assert f.closed_proximity([700.0])[0][0] is None
+    assert proximity(f, 700.0).panels > 0
+    with pytest.raises(fnmodel.OverflowSignal):
+        proximity(f, 800.0)
+    monkeypatch.setattr(fnmodel, "MAX_PANELS", 50)  # 84 terms at r = 28, 36 angles
+    s = proximity(f, 28.0)
+    assert s.panels > 0 and abs(s.m - sweep[-1].m) <= 1e-8 * s.m
+
+
+def test_a_closed_mean_that_misses_its_tolerance_goes_to_the_quadrature(members):
+    # at r = 28 the tower's closed mean is bounded by about 0.27, and a
+    # 1e-12 tolerance of m = 3.5e10 is 0.035
+    f = members["exp_exp_z"].expr
+    (m, bound), _, _ = f.closed_proximity([28.0])[0]
+    assert 1e-12 * m < bound <= 1e-8 * m
+    s = proximity(f, 28.0, atol=1e-12, rtol=1e-12)
+    assert s.panels > 0 and s.quad_err <= 1e-12 * s.m
+    assert abs(s.m - _m_exp_exp_reference(28.0)) <= 1e-11 * s.m
 
 
 def _m_rat_zero1_pole2_reference(r: float):
@@ -701,14 +791,21 @@ def test_argument_principle_through_compound_expressions():
         assert argument_principle_count(em1, r) == count
         assert argument_principle_count(Quotient(one, em1), r) == -count  # 1/(e^z - 1)
         assert argument_principle_count(Product(EXP_Z2, em1), r) == count  # e^{z^2} (e^z - 1)
+    # (z - 2)(z - 1/2) / (z - 2): the leaves' points at 2 cancel in the tree's
+    # divisor, and on |z| = 2 the count still nudges off them
+    f = Product(RationalFromDivisor(1.0, Divisor.build([(2.0, 1), (0.5, 1)])),
+                RationalFromDivisor(1.0, Divisor.build([(2.0, -1)])))
+    assert [argument_principle_count(f, r) for r in (1.0, 2.0, 3.0)] == [1, 1, 1]
 
 
-@pytest.mark.xfail(raises=fnmodel.QuadratureFailure, strict=True,
-                   reason="the integrand Re(z u') of e^{e^z} grows like r e^r, so the "
-                          "count's 1e-7 tolerances need more panels than MAX_PANELS")
-def test_argument_principle_counts_no_zeros_of_exp_exp_z(members):
-    # e^{e^z} has no zeros or poles; the count gives 0 at r = 1, 3, 6 and 10
-    assert argument_principle_count(members["exp_exp_z"].expr, 20.0) == 0
+def test_argument_principle_counts_no_zeros_of_exp_exp_z(members, monkeypatch):
+    # e^{e^z} has no zeros or poles, so it counts 0 by construction: its
+    # integrand Re(z u'), u = e^z, grows like r e^r, and at r = 20 a
+    # quadrature of it needed more panels than MAX_PANELS
+    monkeypatch.setattr(nevanlinna, "_circle_means", None)  # no contour is integrated
+    tower = members["exp_exp_z"].expr
+    for f in (tower, Exp(tower), Product(tower, Quotient(Const(2.0), tower))):
+        assert argument_principle_count(f, 20.0) == 0
 
 
 # the contour-count radii of the benchmark's sweep on seeds 3, 7 and 4242

@@ -43,6 +43,8 @@ COMMANDS = [
     ["char", "--fn", "orbit_right_m6", "--radii", "1,56.25968530461196,15122.494343117332"],
     ["char", "--fn", "orbit_left_m6", "--radii", "4,6.272714415569453"],
     ["census", "--figure1", "left", "--generations", "6", "--radius", "4"],
+    # the tower's closed mean to the edge of its range, then the quadrature
+    ["char", "--fn", "exp_exp_z", "--radii", "28,60,200,400"],
     ["char", "--fn", "const_5", "--radii", "1,2"],
     ["char", "--fn", "nope", "--radii", "1"],
     ["hyperorder", "--fn", "exp_z"],
