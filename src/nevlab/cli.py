@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import sys
-from functools import partial
 
 import numpy as np
 
@@ -418,34 +417,23 @@ def _add_out(p):
     p.add_argument("--json-out", dest="json_out", type=str, default=None)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # no prefix matching: an abbreviated flag would slip past --config folding
-    ap = argparse.ArgumentParser(
-        prog="nevlab", allow_abbrev=False,
-        description="growth functionals, orbit constructions and inequality "
-                    "verifiers for a closed meromorphic function family",
-    )
-    ap.add_argument("--config", type=str, default=None,
-                    help="JSON file of flag defaults; explicit flags win "
-                         "(accepted anywhere on the command line)")
-    sub = ap.add_subparsers(dest="command", required=True,
-                            parser_class=partial(argparse.ArgumentParser, allow_abbrev=False))
-
-    p = sub.add_parser("char", help="characteristic sweep")
+def _char_args(p):
     p.add_argument("--fn", required=True)
     _add_grid(p)
     _add_tols(p)
     _add_out(p)
     p.set_defaults(func=cmd_char)
 
-    p = sub.add_parser("hyperorder", help="hyper-order estimate from a sweep")
+
+def _hyperorder_args(p):
     p.add_argument("--fn", required=True)
     _add_grid(p, rmin=5.0, rmax=30.0)
     _add_tols(p, atol=1e-8, rtol=1e-7)
     _add_out(p)
     p.set_defaults(func=cmd_hyperorder)
 
-    p = sub.add_parser("verify", help="run a named inequality harness")
+
+def _verify_args(p):
     p.add_argument("which", choices=["pest", "lemma1", "asym", "smt", "borel",
                                      "growth"])
     p.add_argument("--fn", default="exp_z")
@@ -472,7 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("orbit", help="iterate a map from one seed")
+
+def _orbit_args(p):
     p.add_argument("--figure1", choices=["left", "right"], default=None)
     p.add_argument("--map-json", dest="map_json", default=None)
     p.add_argument("--seed", required=True)
@@ -481,13 +470,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.set_defaults(func=cmd_orbit)
 
-    p = sub.add_parser("construct", help="emit an orbit family's divisor cloud")
+
+def _construct_args(p):
     p.add_argument("--figure1", choices=["left", "right"], required=True)
     p.add_argument("--generations", type=int, default=None)
     _add_out(p)
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("census", help="forward-invariance census")
+
+def _census_args(p):
     p.add_argument("--figure1", choices=["left", "right"], required=True)
     p.add_argument("--generations", type=int, default=None)
     p.add_argument("--values", default="0,inf")
@@ -496,7 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.set_defaults(func=cmd_census)
 
-    p = sub.add_parser("counterexample", help="tower identity and pre-image checks")
+
+def _counterexample_args(p):
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--probes", type=int, default=100)
     p.add_argument("--preimages", type=int, default=5)
@@ -504,6 +496,43 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.set_defaults(func=cmd_counterexample)
 
+
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser that adds its arguments, by ``populate``, on
+    its first parse: a command line builds only the subparser it runs."""
+
+    def __init__(self, populate, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+        self._populate = populate
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._populate is not None:
+            populate, self._populate = self._populate, None
+            populate(self)
+        return super().parse_known_args(args, namespace)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    # no prefix matching: an abbreviated flag would slip past --config folding
+    ap = argparse.ArgumentParser(
+        prog="nevlab", allow_abbrev=False,
+        description="growth functionals, orbit constructions and inequality "
+                    "verifiers for a closed meromorphic function family",
+    )
+    ap.add_argument("--config", type=str, default=None,
+                    help="JSON file of flag defaults; explicit flags win "
+                         "(accepted anywhere on the command line)")
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    sub.add_parser("char", help="characteristic sweep", populate=_char_args)
+    sub.add_parser("hyperorder", help="hyper-order estimate from a sweep",
+                   populate=_hyperorder_args)
+    sub.add_parser("verify", help="run a named inequality harness", populate=_verify_args)
+    sub.add_parser("orbit", help="iterate a map from one seed", populate=_orbit_args)
+    sub.add_parser("construct", help="emit an orbit family's divisor cloud",
+                   populate=_construct_args)
+    sub.add_parser("census", help="forward-invariance census", populate=_census_args)
+    sub.add_parser("counterexample", help="tower identity and pre-image checks",
+                   populate=_counterexample_args)
     return ap
 
 

@@ -121,6 +121,7 @@ _BOUND_GROUP = 8
 _BAND_SCAN = 24
 _BAND_DEPTH = 2.0**-40
 _EPS = 2.0**-52
+_TINY, _HUGE = np.finfo(np.float64).tiny, np.finfo(np.float64).max
 # powers e^{ij theta} of a trigonometric arc mean taken by exp; the rest are their products
 _EXP_POWERS = 8
 
@@ -915,25 +916,34 @@ def _divisor_sums(z: np.ndarray, d: Divisor, channels) -> tuple[np.ndarray, ...]
     """``start + sum_b term(m_b, z - b)`` at every node, per ``(start, term)``.
 
     b runs over the divisor points with multiplicity m_b, the origin first and
-    then the points in order (``Divisor._rows``).  Each chunk of nodes forms
-    its ``(points, nodes)`` differences once and sums every channel's terms
-    along the point axis, in that order from ``start``, so each value equals
-    that of a loop over the points bit for bit.
+    then the points in order (``Divisor._rows``).  Each block of
+    :func:`_differences` sums every channel's terms along the point axis, in
+    that order from ``start``, so each value equals that of a loop over the
+    points bit for bit.
     """
     b, m = (col[:, None] for col in d._rows)
     flat = _carray(z).reshape(-1)
     outs = [np.empty(flat.size, dtype=np.result_type(start)) for start, _ in channels]
     with np.errstate(divide="ignore", invalid="ignore"):
-        for c in _node_chunks(flat.size, len(b)):
-            zc = flat[c]
-            # numpy sums a single column pairwise, so a lone node is doubled;
-            # z - b is taken in place, as numpy is slow when both operands
-            # are broadcast
-            diff = np.tile(np.resize(zc, max(zc.size, 2)), (len(b), 1))
-            diff -= b
+        for c, k, diff in _differences(flat, b):
             for out, (start, term) in zip(outs, channels):
-                out[c] = np.add.reduce(term(m, diff), axis=0, initial=start)[:zc.size]
+                out[c] = np.add.reduce(term(m, diff), axis=0, initial=start)[:k]
     return tuple(out.reshape(z.shape) for out in outs)
+
+
+def _differences(flat: np.ndarray, b: np.ndarray):
+    """Per chunk ``c`` of the nodes ``flat``: ``(c, k, flat[c] - b)``, the
+    (points, nodes) block of the chunk's k nodes against the column ``b``.
+
+    numpy sums a single column pairwise, so a lone node is doubled and the
+    sums keep their first k columns; z - b is taken in place, as numpy is
+    slow when both operands are broadcast.
+    """
+    for c in _node_chunks(flat.size, len(b)):
+        zc = flat[c]
+        diff = np.tile(np.resize(zc, max(zc.size, 2)), (len(b), 1))
+        diff -= b
+        yield c, zc.size, diff
 
 
 def _node_chunks(n: int, points: int) -> list[slice]:
@@ -2258,6 +2268,61 @@ def _dropped_lead(zeros: Divisor, poles: Divisor, a: complex) -> tuple[complex, 
     raise ValueError("f is identically equal to a")
 
 
+def _is_normal(x: np.ndarray) -> np.ndarray:
+    """Where |x| is a normal, finite, nonzero double."""
+    mag = np.abs(x)
+    return (mag >= _TINY) & (mag <= _HUGE)
+
+
+def _aberth_sums(z: np.ndarray, d: Divisor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """f/scale, f'/f and Q'/Q at the nodes z, for the rational f of divisor
+    ``d`` and Q its monic pole polynomial, in one pass: each block of
+    :func:`_differences` takes its reciprocals once.  f'/f sums m/(z - b) and
+    Q'/Q the same reciprocals, times |m|, over the pole rows, both in row
+    order; f/scale is the row-order product of the differences at zero rows
+    and of the reciprocals at pole rows, each raised to |m|.  The product may
+    leave the double range: the caller tests it.
+    """
+    b, m = (col[:, None] for col in d._rows)
+    pole = m[:, 0] < 0
+    multi = np.flatnonzero(np.abs(m[:, 0]) > 1)
+    flat = _carray(z).reshape(-1)
+    prod, dl, dq = (np.empty(flat.size, dtype=np.complex128) for _ in range(3))
+    with np.errstate(all="ignore"):
+        for c, k, diff in _differences(flat, b):
+            inv = 1.0 / diff
+            w = m * inv
+            dl[c] = np.add.reduce(w, axis=0)[:k]
+            dq[c] = -np.add.reduce(w[pole], axis=0)[:k]
+            np.copyto(diff, inv, where=pole[:, None])
+            if multi.size:
+                diff[multi] **= np.abs(m[multi])
+            prod[c] = np.multiply.reduce(diff, axis=0)[:k]
+    return prod, dl, dq
+
+
+def _log_sums(z: np.ndarray, d: Divisor, scale: complex) -> tuple[np.ndarray, ...]:
+    """log|f|, arg f, the rounding spread |log|scale|| + 7 + sum |m| (|log|z -
+    b|| + 7) and log|Q| at the nodes z, for the rational f = scale prod (z -
+    b)^m of divisor ``d`` and Q its monic pole polynomial: the sums of
+    :func:`_divisor_sums`' log and arg channels, bit for bit, with each block's
+    log|z - b| taken once for the three log sums."""
+    b, m = (col[:, None] for col in d._rows)
+    pole = m[:, 0] < 0
+    flat = _carray(z).reshape(-1)
+    outs = [np.empty(flat.size) for _ in range(4)]
+    starts = (math.log(abs(scale)), math.atan2(scale.imag, scale.real),
+              abs(math.log(abs(scale))) + 7.0, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for c, k, diff in _differences(flat, b):
+            logs = np.log(np.abs(diff))
+            terms = (m * logs, m * np.angle(diff), np.abs(m) * (np.abs(logs) + 7.0),
+                     -m[pole] * logs[pole])
+            for out, start, term in zip(outs, starts, terms):
+                out[c] = np.add.reduce(term, axis=0, initial=start)[:k]
+    return tuple(outs)
+
+
 def _rational_preimages(expr: RationalFromDivisor, a: complex,
                         r: float) -> tuple[complex, np.ndarray]:
     """Lead coefficient of N = Q (f - a), Q the monic pole polynomial, and
@@ -2268,9 +2333,14 @@ def _rational_preimages(expr: RationalFromDivisor, a: complex,
     with as many of each lead ``scale - a``, unless a = ``scale``, where the
     degree drops (:func:`_dropped_lead`).  An Ehrlich-Aberth iteration (Bini
     and Fiorentino, 2000) starts next to the first ``deg`` zeros of f, or
-    next to its poles when those set the degree, and takes N'/N = f'/(f - a)
-    + Q'/Q from the divisor channels; each root freezes at a relative step
-    below 1e-14.  Root z_i gets the disc of radius deg |W_i|, W_i = N(z_i) /
+    next to its poles when those set the degree.  Each round takes N'/N =
+    f'/(f - a) + Q'/Q from one pass of reciprocals (:func:`_aberth_sums`),
+    with a/f from its product form and no log or angle, except at a node
+    whose product or f is not a normal, finite, nonzero double: that node
+    alone takes f from the log and arg channels (:func:`_log_sums`), as a
+    product that leaves the range in row order needs.  Each root freezes at
+    a relative step below 1e-14.  The certificate reads the log channels
+    once: root z_i gets the disc of radius deg |W_i|, W_i = N(z_i) /
     (lead prod_{j != i} (z_i - z_j)), |N| bounded with its rounding; disjoint
     such discs hold one root each (Braess and Hadeler, 1973).  The roots in
     |z| <= r are returned if no two discs meet, none crosses |z| = r and
@@ -2292,13 +2362,17 @@ def _rational_preimages(expr: RationalFromDivisor, a: complex,
     live = k = np.arange(deg)
     z = zs + 1e-3 * (1.0 + np.abs(zs)) * np.exp(1j * (2.7 * k + 0.4))
     s = expr.scale
-    log_f = ((math.log(abs(s)), _log_term), (math.atan2(s.imag, s.real), _arg_term))
     with np.errstate(all="ignore"):
         for _ in range(200):
             zl = z[live]
-            lm, ag, dl = _divisor_sums(zl, expr.divisor, log_f + ((0j, _inv_term),))
-            dq, = _divisor_sums(zl, poles, ((0j, _inv_term),))
-            corr = dl / (1.0 - a * np.exp(-(lm + 1j * ag))) + dq
+            prod, dl, dq = _aberth_sums(zl, expr.divisor)
+            f = s * prod
+            t = a / f
+            far = ~(_is_normal(prod) & _is_normal(f))
+            if far.any():  # f from the log channels where the product left the range
+                lm, ag = _log_sums(zl[far], expr.divisor, s)[:2]
+                t[far] = a * np.exp(-(lm + 1j * ag))
+            corr = dl / (1.0 - t) + dq
             step = 1.0 / (corr - _pair_reduce(z, live, np.inf,
                                               lambda d: np.sum(1.0 / d, axis=1)))
             step[~np.isfinite(step)] = 0.0  # left to the certificate
@@ -2308,10 +2382,7 @@ def _rational_preimages(expr: RationalFromDivisor, a: complex,
                 break
         # log f sums k rounded terms: f is off by a relative err <= (k + 2) eps
         # sum(|term| + 7), and 1 - a/f by (1 + |a/f|) (err + 4 eps)
-        lm, ag, spread = _divisor_sums(z, expr.divisor, log_f + ((
-            abs(math.log(abs(expr.scale))) + 7.0,
-            lambda m, d: np.abs(m) * (np.abs(np.log(np.abs(d))) + 7.0)),))
-        log_q, = _divisor_sums(z, poles, ((0.0, _log_term),))
+        lm, ag, spread, log_q = _log_sums(z, expr.divisor, s)
         err = (len(expr.divisor._rows[0]) + 2) * 2.0**-52 * spread
         t = a * np.exp(-(lm + 1j * ag))
         log_n = log_q + lm + err + np.log(np.abs(1.0 - t) + (1.0 + np.abs(t)) * (err + 2.0**-50))

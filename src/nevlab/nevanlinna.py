@@ -208,12 +208,21 @@ def proximity(expr: FunctionExpr, r: float,
 def counting(divisor: Divisor, r: float, kind: str = "poles") -> float:
     """Integrated counting function N(r) for the requested divisor sign: the
     origin's term, then m log(r/|b|) in column order, summed left to right,
-    with ``math.log`` (``np.log`` can differ from it in the last bit)."""
+    with ``math.log`` (``np.log`` can differ from it in the last bit).  It
+    reads the columns' prefix in |b| <= r, masked by sign, as
+    ``divisor.restrict(r).signed(kind)`` would give them."""
     if not r > 0:  # NaN included
         raise ValueError("radius must be positive")
-    d = divisor.restrict(r).signed(kind)
-    start = d.origin_order * math.log(r) if d.origin_order else 0.0
-    terms = map(operator.mul, d.mults.tolist(), map(math.log, (r / d.moduli).tolist()))
+    if kind not in ("zeros", "poles"):
+        raise ValueError(f"kind must be 'zeros' or 'poles', got {kind!r}")
+    sign = 1 if kind == "zeros" else -1
+    k = int(divisor.moduli.searchsorted(r, "right"))
+    m = sign * divisor.mults[:k]
+    keep = m > 0
+    origin = max(sign * divisor.origin_order, 0)
+    start = origin * math.log(r) if origin else 0.0
+    terms = map(operator.mul, m[keep].tolist(),
+                map(math.log, (r / divisor.moduli[:k][keep]).tolist()))
     return reduce(operator.add, terms, start)
 
 

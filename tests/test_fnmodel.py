@@ -1905,6 +1905,74 @@ def test_large_rational_preimages_enforce_the_residual_bound(monkeypatch):
         preimages_in_disc(f, 1.5, 9.0)
 
 
+def _rel_close(got, want, rel):
+    return np.all(np.abs(got - want) <= rel * np.abs(want))
+
+
+@pytest.mark.parametrize("name", ["left_30", "power_13", "inverse_power_13"])
+def test_aberth_pass_agrees_with_the_channels(name):
+    if name == "left_30":
+        f = build_orbit_function(figure_family("left", 30))
+    else:  # (z^2 - 1)^13, and z^2 over it: multiple rows and an origin row
+        sign, origin = (1, 0) if name == "power_13" else (-1, 2)
+        f = RationalFromDivisor(1.0, Divisor.build([(1.0, 13 * sign), (-1.0, 13 * sign)], origin))
+    d, s = f.divisor, f.scale
+    rng = np.random.default_rng(11)
+    z = 1.5 * (rng.normal(size=200) + 1j * rng.normal(size=200))
+    prod, dl, dq = fnmodel._aberth_sums(z, d)
+    lm, ag, _, log_q = fnmodel._log_sums(z, d, s)
+    assert np.array_equal(np.array((lm, ag)), np.array(f._log_parts(z)))
+    assert fnmodel._is_normal(prod).all()
+    assert _rel_close(s * prod, np.exp(lm + 1j * ag), 1e-12)
+    inv, = fnmodel._divisor_sums(z, d, ((0j, fnmodel._inv_term),))
+    assert _rel_close(dl, inv, 1e-12)
+    poles = d.signed("poles")
+    q_inv, q_log = fnmodel._divisor_sums(z, poles, ((0j, fnmodel._inv_term),
+                                                    (0.0, fnmodel._log_term)))
+    assert _rel_close(dq, q_inv, 1e-12)
+    assert np.array_equal(log_q, q_log)
+    assert (name == "power_13") == (not dq.any())
+
+
+def _log_sums_spy(monkeypatch):
+    """Node counts of every call to the log channels of the a-point solver."""
+    calls, log_sums = [], fnmodel._log_sums
+    monkeypatch.setattr(fnmodel, "_log_sums", lambda z, *args: (
+        calls.append(np.size(z)), log_sums(z, *args))[1])
+    return calls
+
+
+def test_a_product_that_leaves_the_range_solves_through_the_guard(monkeypatch):
+    # in row order the three zeros near 1e120 come first, so the product of
+    # the differences overflows before the poles near 2e120 bring it back
+    unit = np.exp(2j * np.pi * np.array([0.1, 0.45, 0.8]))
+
+    def rational(size):
+        return RationalFromDivisor(1.0, Divisor.build(
+            [(complex(w), 1) for w in size * unit] + [(complex(w), -1) for w in 2 * size * unit]))
+    calls = _log_sums_spy(monkeypatch)
+    a = 0.3 - 0.2j
+    small = fnmodel._rational_preimages(rational(1.0), a, math.inf)[1]
+    assert calls == [3]  # the certificate alone
+    del calls[:]
+    large = fnmodel._rational_preimages(rational(1e120), a, math.inf)[1]
+    assert len(calls) > 1 and calls[-1] == 3  # the guard ran, then the certificate
+    assert large.size == small.size == 3
+    assert _rel_close(np.sort_complex(large), 1e120 * np.sort_complex(small), 1e-12)
+
+
+def test_the_left_census_takes_logs_only_in_the_certificate(monkeypatch):
+    from nevlab.algmap import invariance_census
+
+    fam = figure_family("left", 30)
+    f = build_orbit_function(fam)
+    calls = _log_sums_spy(monkeypatch)
+    rep, = invariance_census(f, fam.map, ["-0.5751455743105502-0.8005678919708082i"],
+                             fam.census_radius())
+    assert not rep.verdict and rep.n_points == 152
+    assert calls == [f.divisor.total("zeros")]
+
+
 def _assert_is_f_minus_a(g, f, a):
     """g = f - a at points off the divisor, which checks lead and a-points."""
     for z in (0.37 + 1.91j, -2.3 - 0.4j, 4.1 + 3.3j, 11.0 - 7.0j):

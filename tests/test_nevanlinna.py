@@ -1,6 +1,8 @@
 """Circle means, counting functions and the growth gauges built from them."""
 
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -544,6 +546,33 @@ def test_counting_dominates_scaled_count(pairs):
     lhs = n_count(d, r, "zeros") * math.log(R / r)
     rhs = counting(d, R, "zeros") - counting(d, r, "zeros")
     assert lhs <= rhs + 1e-9
+
+
+def _counting_of_a_restricted_divisor(d, r, kind):
+    """N(r) as ``counting`` formed it from a restricted, signed divisor."""
+    d = d.restrict(r).signed(kind)
+    start = d.origin_order * math.log(r) if d.origin_order else 0.0
+    terms = map(operator.mul, d.mults.tolist(), map(math.log, (r / d.moduli).tolist()))
+    return functools.reduce(operator.add, terms, start)
+
+
+def test_counting_reads_the_columns_bit_for_bit(members):
+    left = build_orbit_function(figure_family("left", 30))
+    right = build_orbit_function(figure_family("right", 60))
+    # the sweep workload's functions on its radius ranges
+    grids = [(left, log_radii(1.0, 3e3, 16)), (right, log_radii(1.0, 1e12, 16)),
+             *((members[key].expr, log_radii(0.5, 1e3, 8))
+               for key in ("exp_exp_z", "exp_z3", "rat_pole0"))]
+    cases = [(f.divisor_in_disc(r), float(r)) for f, radii in grids for r in radii]
+    d = left.divisor_in_disc(30.0)
+    cases += [(fnmodel.EMPTY_DIVISOR, 2.0), (Divisor((), 3), 0.5), (Divisor((), -2), 7.0),
+              *((d, float(mod)) for mod in d.moduli[[0, 17, -1]])]  # radii on a point
+    for d, r in cases:
+        for kind in ("zeros", "poles"):
+            got, want = counting(d, r, kind), _counting_of_a_restricted_divisor(d, r, kind)
+            assert got.hex() == want.hex(), (r, kind)
+    with pytest.raises(ValueError, match="kind must be"):
+        counting(d, 1.0, "both")
 
 
 def test_counting_additive_over_merge():

@@ -114,6 +114,13 @@ COMMANDS = [
     ["census", "--figure1", "left", "--generations", "6", "--values", "0, inf"],
     ["counterexample"],
     ["counterexample", "--k", "3", "--probes", "20"],
+    # help and usage errors, which build one subparser or none
+    ["--help"],
+    *([cmd, "--help"] for cmd in ("char", "hyperorder", "verify", "orbit", "construct",
+                                  "census", "counterexample")),
+    ["census"],
+    ["bogus"],
+    [],
 ]
 
 
