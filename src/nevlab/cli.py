@@ -497,7 +497,16 @@ def _counterexample_args(p):
     p.set_defaults(func=cmd_counterexample)
 
 
-class _Subcommand(argparse.ArgumentParser):
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise :class:`ToolkitError`, so that
+    :func:`main` prints them as its JSON error line and returns
+    ``EXIT_ERROR``: argparse would exit with 2, the code of a failed check."""
+
+    def error(self, message):
+        raise ToolkitError(f"{self.prog}: {message}")
+
+
+class _Subcommand(_Parser):
     """A subcommand's parser that adds its arguments, by ``populate``, on
     its first parse: a command line builds only the subparser it runs."""
 
@@ -514,7 +523,7 @@ class _Subcommand(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     # no prefix matching: an abbreviated flag would slip past --config folding
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="nevlab", allow_abbrev=False,
         description="growth functionals, orbit constructions and inequality "
                     "verifiers for a closed meromorphic function family",

@@ -10,7 +10,8 @@ works through three channels defined on a small symbolic expression family:
   (proximity, Jensen), which never read arg f;
 * ``_logderivs``    -- f'(z)/f(z) on arrays, in closed form (never by
   numeric differentiation), for the contour counts of exp(p) - a; a
-  rational given by its divisor has one too, and counts through its form.
+  rational given by its divisor has one too, for a count whose winding
+  number its circle form does not certify.
 
 Every member of the family knows its zero/pole divisor inside a disc, which
 is what the counting functions and the quadrature panel splitter consume:
@@ -26,7 +27,8 @@ integrals between the certified |f| = 1 angles, by the dilogarithm
 exp(p) and for the series of e^p (``_exp_series``).  The quadrature reads
 ``_log_mod`` of the expression itself.  ``_circle_form(f, r)``, a form of
 a rational given by its divisor valid on |z| = r only, serves its closed
-form and its argument-principle counts: it folds the points with
+form and its argument-principle counts, certified winding numbers of its
+arg f (``_winding_count``): it folds the points with
 |b| <= r/2 or |b| >= 2r into Laurent series in z/r, each cut where its
 log|f| tail is at most 2^-54, whenever a group has more points than its
 series has terms; the rest go through the broadcast kernel.  A product or
@@ -1477,13 +1479,14 @@ def _log_slope(form, r: float, theta: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return lm, slope
 
 
-def _slope_bounds(form, r: float):
-    """The bounds on |d/dtheta log|f|| and |d^2/dtheta^2 log|f|| over the
-    arcs [lo, hi] of |z| = r, as a function of (lo, hi): a term
-    m log|z - b| contributes |m| r / dist and |m| r |b| / dist^2, dist the
-    distance from b to the arc, and a series term a_k e^{ik theta}
-    k |a_k| and k^2 |a_k|."""
-    div, _, a, _ = form
+def _slope_bounds(div: Divisor, a: np.ndarray, r: float, second: bool = True):
+    """The bounds on the first and, if ``second``, the second
+    theta-derivative of log|f| (or of arg f) over the arcs [lo, hi] of
+    |z| = r, as a function of (lo, hi), for the direct divisor ``div`` of a
+    circle form and its series ``a`` (``a`` of log|f|, ``b`` of arg f): a
+    term m log|z - b| or m arg(z - b) contributes |m| r / dist and
+    |m| r |b| / dist^2, dist the distance from b to the arc, and a series
+    term a_k e^{ik theta} k |a_k| and k^2 |a_k|."""
     k = np.arange(1, a.size + 1)
     ka = k * np.abs(a)
     l1, l2 = float(ka.sum()), float((k * ka).sum())
@@ -1492,13 +1495,15 @@ def _slope_bounds(form, r: float):
     phi, gap2, cross, w2 = np.angle(b) % TWO_PI, (mod - r) ** 2, 4.0 * r * mod, w * mod
 
     def bounds(lo, hi):
-        out = np.empty((2, lo.size))
+        out = np.empty((1 + second, lo.size))
         for c in _node_chunks(lo.size, b.size):
             t = (phi - lo[c]) % TWO_PI  # from lo to b, counterclockwise
             gap = np.maximum(np.minimum(t - (hi[c] - lo[c]), TWO_PI - t), 0.0)  # b to the arc
             d2 = gap2 + cross * np.sin(0.5 * gap) ** 2  # dist^2
-            out[0, c], out[1, c] = np.sum(w / np.sqrt(d2), axis=0), np.sum(w2 / d2, axis=0)
-        return l1 + out[0], l2 + out[1]
+            out[0, c] = np.sum(w / np.sqrt(d2), axis=0)
+            if second:
+                out[1, c] = np.sum(w2 / d2, axis=0)
+        return (l1 + out[0], l2 + out[1]) if second else (l1 + out[0],)
 
     return bounds
 
@@ -1522,15 +1527,10 @@ def _level_search(f: RationalFromDivisor, form, r: float) -> tuple[np.ndarray, i
     monotone on it, so it holds exactly one crossing where its end values
     differ in sign and none where they agree, where its end slopes share a
     sign and their sum exceeds L2 h.  All three tests leave a margin for
-    the rounding of the sums.  An interval that passes none is bisected,
-    at most ``_CERTIFY_ROUNDS`` times and on at most ``_CERTIFY_NODES``
-    angles in all; past that the angles found are returned uncertified.
-
-    The bounds of an arc also bound every sub-arc, and every test only
-    gets harder as the bounds grow.  So a child of a bisection is tested
-    first with its parent's bounds, and a scan interval with those of its
-    group of ``_BOUND_GROUP`` neighbours; its own bounds are computed only
-    where that fails, and it passes exactly where they pass it.
+    the rounding of the sums.  An interval that passes none is bisected
+    (:func:`_certify`, with bounds borrowed from the scan group or the
+    parent arc); past its limits the angles found are returned
+    uncertified.
 
     Every interval whose ends differ in sign is a bracket, polished
     together with the others by at most ``_SEARCH_STEPS`` safeguarded
@@ -1538,13 +1538,10 @@ def _level_search(f: RationalFromDivisor, form, r: float) -> tuple[np.ndarray, i
     a bracket is frozen once its step is below ``_SEARCH_TOL``.
     """
     theta = np.sort(np.concatenate([_SCAN_GRID, np.angle(f.divisor.band(r, CIRCLE_BAND)) % TWO_PI]))
-    lm, dl = _log_slope(form, r, theta)
-    spent = theta.size
     # the rounding of a value's and a slope's sums, a share of their terms
     b, m = f.divisor._rows
     rel = (b.size + 2) * _EPS
     slack = rel * (abs(form[1]) + float(np.sum(np.abs(m) * (np.abs(np.log(np.abs(b) + r)) + 1.0))))
-    bounds = _slope_bounds(form, r)
 
     def passes(flo, fhi, dlo, dhi, h, l1, l2):
         alo, ahi = np.abs(flo), np.abs(fhi)
@@ -1553,43 +1550,151 @@ def _level_search(f: RationalFromDivisor, form, r: float) -> tuple[np.ndarray, i
                                          | (np.minimum(alo, ahi) > 0.125 * l2 * h * h + 2.0 * slack))
             return value | ((dlo * dhi > 0.0) & (np.abs(dlo) + np.abs(dhi) > l2 * h + 2.0 * rel * l1))
 
-    lo, hi = theta, np.append(theta[1:], theta[0] + TWO_PI)
-    ends = [lm, np.roll(lm, -1), dl, np.roll(dl, -1)]
-    n = lo.size
-    last = np.minimum(np.arange(_BOUND_GROUP, n + _BOUND_GROUP, _BOUND_GROUP), n) - 1  # in each group
-    l1, l2 = (np.repeat(c, _BOUND_GROUP)[:n] for c in bounds(lo[::_BOUND_GROUP], hi[last]))
-    brackets, certified, budget = [], False, _CERTIFY_NODES
-    for rounds_left in range(_CERTIFY_ROUNDS, -1, -1):
-        h = hi - lo
-        ok = passes(*ends, h, l1, l2)
-        loose = np.flatnonzero(~ok)  # failed on borrowed bounds: try its own
-        if loose.size:
-            l1[loose], l2[loose] = bounds(lo[loose], hi[loose])
-            ok[loose] = passes(*(e[loose] for e in ends), h[loose], l1[loose], l2[loose])
-        open_ = ~ok
-        n_open = int(np.count_nonzero(open_))
-        certified = not n_open
-        flo, fhi, dlo, dhi = ends
-        if certified or not rounds_left or n_open > budget:
-            brackets.append((lo, hi, flo, fhi))
-            break
-        brackets.append((lo[ok], hi[ok], flo[ok], fhi[ok]))
-        lo, hi, l1, l2 = lo[open_], hi[open_], l1[open_], l2[open_]
-        flo, fhi, dlo, dhi = (e[open_] for e in ends)
-        mid = 0.5 * (lo + hi)
-        fm, dm = _log_slope(form, r, mid)
-        spent += n_open
-        budget -= n_open
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        l1, l2 = np.concatenate([l1, l1]), np.concatenate([l2, l2])
-        ends = [np.concatenate(p) for p in ((flo, fm), (fm, fhi), (dlo, dm), (dm, dhi))]
-    lo, hi, flo, fhi = (np.concatenate(c) for c in zip(*brackets))
+    (lo, hi, flo, fhi, _, _), spent, certified = _certify(
+        theta, _log_slope(form, r, theta), _slope_bounds(form[0], form[2], r), passes,
+        lambda x: _log_slope(form, r, x))
+    spent += theta.size
     change = (flo > 0.0) != (fhi > 0.0)
     if not change.any():
         return _NO_ANGLES, spent, certified
     out, used = _polish(lambda x, _: _log_slope(form, r, x),
                         lo[change], hi[change], flo[change], fhi[change])
     return _angles(out), spent + used, certified
+
+
+def _arg_sum(form, r: float, theta: np.ndarray) -> np.ndarray:
+    """arg f at z = r e^{i theta} from the circle form ``form`` of f, less
+    a constant and origin_order * theta: sum m arg(z - b) over the direct
+    points and Im sum b_k w^k.  On |w| = 1 an inner group adds
+    M theta + Im sum conj(C_k / k) w^k to arg f and an outer one
+    sum m arg(-b) - Im sum (C_k / k) w^k (see :func:`_circle_form`)."""
+    div, _, _, b = form
+    out = np.zeros(theta.size)
+    if div.points.size:
+        points = Divisor._of(div.points, div.mults, div.moduli, 0)
+        out += _divisor_sums(r * np.exp(1j * theta), points, ((0.0, _arg_term),))[0]
+    if b.size:
+        out += (_unit_powers(theta, b.size) @ b).imag
+    return out
+
+
+def _winding_count(f: RationalFromDivisor, form, r: float) -> tuple[int | None, int]:
+    """Zeros minus poles of f inside |z| < r as a certified winding number
+    of f round the circle (Ying and Katz, *Numer. Math.* 53, 1988; Johnson
+    and Tucker, *J. Comput. Appl. Math.* 228, 2009), or None where it is
+    not certified, and the evaluations spent.  ``form`` is the circle form
+    of f (:func:`_circle_form`); a point on the circle leaves it
+    uncertified.
+
+    The folded inner group and the origin add exactly origin_order
+    windings, as z^M does: that holds by construction, as a zero-free leaf
+    counts 0, and the folded series are single-valued on the circle.  The
+    rest of arg f, :func:`_arg_sum`, is sampled on the kink search's scan
+    (``_SCAN_POINTS`` equispaced angles and the angles of the divisor
+    points within ``CIRCLE_BAND`` of the circle), graded toward each such
+    point as the quadrature grades its seed panels toward a cut: at s / 2,
+    s / 4, ... from its angle, s the scan's step, until the last is within
+    the point's distance |log(|b| / r)| off the real axis of angles, so
+    that a close point does not use up the bisection rounds.  An interval
+    of width h whose sampled arg changes by Delta, wrapped to [-pi, pi),
+    passes where L1 h < 2pi - |Delta| - slack, L1 the first bound of
+    :func:`_slope_bounds` with the series term sum k |b_k|: its true change
+    is Delta plus a multiple of 2pi, and at most L1 h in size, so that
+    multiple is 0.  An interval that fails is bisected (:func:`_certify`).
+    The count is origin_order plus the sum of Delta over the passed
+    intervals divided by 2pi, where that is an integer to within its
+    rounding.
+    """
+    div, _, _, b = form
+    d, step = f.divisor, TWO_PI / _SCAN_POINTS
+    near = np.abs(d.moduli - r) <= CIRCLE_BAND * r
+    phi = np.angle(d.points[near])
+    pts, mod, m = div.points, div.moduli, np.abs(div.mults)
+    # |arg sum| <= weight; a sample's rounding, of each arg, of the sums and
+    # of z - b, which moves arg(z - b) by up to its size over |z - b|
+    weight = math.pi * float(np.sum(m)) + float(np.sum(np.abs(b)))
+    rel = (pts.size + b.size + 4) * _EPS
+    with np.errstate(divide="ignore"):
+        levels = np.minimum(np.ceil(np.log2(step / np.abs(np.log(d.moduli[near] / r)))), 52.0)
+        slack = 2.0 * rel * (weight + float(np.sum(m * (r + mod) / np.abs(mod - r)))
+                             + 8.0 * float(np.arange(1, b.size + 1) @ np.abs(b)))
+    grade = step * 0.5 ** np.arange(1, int(levels.max(initial=0.0)) + 1)
+    within = np.arange(grade.size) < levels[:, None]
+    theta = _angles(np.concatenate([_SCAN_GRID, phi, (phi[:, None] - grade)[within],
+                                    (phi[:, None] + grade)[within]]))
+
+    def turn(slo, shi):  # the change of the sampled arg, wrapped to [-pi, pi)
+        return (shi - slo + math.pi) % TWO_PI - math.pi
+
+    def passes(slo, shi, h, l1):
+        with np.errstate(invalid="ignore"):
+            return l1 * h * (1.0 + rel) + slack < TWO_PI - np.abs(turn(slo, shi))
+
+    (_, _, slo, shi), spent, certified = _certify(
+        theta, (_arg_sum(form, r, theta),), _slope_bounds(div, b, r, second=False), passes,
+        lambda x: (_arg_sum(form, r, x),))
+    spent += theta.size
+    if not certified:
+        return None, spent
+    windings = math.fsum(turn(slo, shi).tolist()) / TWO_PI
+    count = round(windings)
+    # each wrapped change rounds by at most 2 eps (weight + 2pi)
+    if abs(windings - count) > slo.size * _EPS * (weight + TWO_PI) / math.pi:
+        return None, spent
+    return div.origin_order + count, spent
+
+
+def _certify(theta: np.ndarray, values, bounds, passes, sample) -> tuple[list, int, bool]:
+    """The certificate rounds of the circle's intervals between the sorted
+    angles ``theta``, the last wrapping round to the first: the final
+    intervals as arrays ``[lo, hi, *ends]``, the evaluations spent on
+    bisection, and whether every interval passed.
+
+    ``values`` holds each sampled channel at ``theta``, and ``ends`` its
+    values at the intervals' ends, a pair (at lo, at hi) per channel.  An
+    interval of width h passes where ``passes(*ends, h, *bounds)`` holds,
+    with bounds that ``bounds(lo, hi)`` gives for arcs; ``sample(x)``
+    gives every channel at new angles.  A scan interval is tested first
+    with the bounds of its group of ``_BOUND_GROUP`` neighbours and a child
+    of a bisection with its parent's; an interval's own bounds are computed
+    only where that fails, and since the bounds of an arc also bound every
+    sub-arc and every test only gets harder as they grow, it passes exactly
+    where they pass it.  An interval that fails is bisected, at most
+    ``_CERTIFY_ROUNDS`` times and on at most ``_CERTIFY_NODES`` angles in
+    all; past that the last round's intervals are returned uncertified.
+    """
+    lo, hi = theta, np.concatenate((theta[1:], [theta[0] + TWO_PI]))
+    ends = [e for v in values for e in (v, np.concatenate((v[1:], v[:1])))]
+    n = lo.size
+    last = np.minimum(np.arange(_BOUND_GROUP, n + _BOUND_GROUP, _BOUND_GROUP), n) - 1  # in each group
+    held = [np.repeat(c, _BOUND_GROUP)[:n] for c in bounds(lo[::_BOUND_GROUP], hi[last])]
+    done, certified, budget, spent = [], False, _CERTIFY_NODES, 0
+    for rounds_left in range(_CERTIFY_ROUNDS, -1, -1):
+        h = hi - lo
+        ok = passes(*ends, h, *held)
+        loose = np.flatnonzero(~ok)  # failed on borrowed bounds: try its own
+        if loose.size:
+            for c, own in zip(held, bounds(lo[loose], hi[loose])):
+                c[loose] = own
+            ok[loose] = passes(*(e[loose] for e in ends), h[loose], *(c[loose] for c in held))
+        open_ = ~ok
+        n_open = int(np.count_nonzero(open_))
+        certified = not n_open
+        if certified or not rounds_left or n_open > budget:
+            done.append([lo, hi, *ends])
+            break
+        done.append([lo[ok], hi[ok], *(e[ok] for e in ends)])
+        lo, hi = lo[open_], hi[open_]
+        held, ends = [c[open_] for c in held], [e[open_] for e in ends]
+        mid = 0.5 * (lo + hi)
+        at_mid = sample(mid)
+        spent += n_open
+        budget -= n_open
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        held = [np.concatenate([c, c]) for c in held]
+        ends = [np.concatenate(p) for elo, ehi, em in zip(ends[::2], ends[1::2], at_mid)
+                for p in ((elo, em), (em, ehi))]
+    return [np.concatenate(c) for c in zip(*done)], spent, certified
 
 
 def _polish(f, lo, hi, flo, fhi) -> tuple[np.ndarray, int]:
@@ -1763,18 +1868,8 @@ def _power_sums(u: np.ndarray, m: np.ndarray, k: int) -> np.ndarray:
     return np.add.reduce(powers, axis=1)
 
 
-def _power_series(w: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """``sum_k c[k - 1] w^k`` at every w, by Horner's rule in place."""
-    acc = np.full(w.shape, c[-1], dtype=np.complex128)
-    for ck in c[-2::-1]:
-        acc *= w
-        acc += ck
-    acc *= w
-    return acc
-
-
 def _circle_form(f: RationalFromDivisor, r: float):
-    """(div, start, a, b): log|f| and z f'/f of a rational on the circle
+    """(div, start, a, b): log|f| and arg f of a rational on the circle
     |z| = r alone, with the divisor points far from it folded into series
     in w = z/r, for the closed-form mean and the contour counts.
 
@@ -1798,7 +1893,9 @@ def _circle_form(f: RationalFromDivisor, r: float):
     groups are two series in w:
 
         a_k = conj(C_in,k / k) + C_out,k / k,   log|f| = ... - Re sum a_k w^k
-        b_k = conj(C_in,k / k) - C_out,k / k,   Re(z f'/f) = ... + Re sum k b_k w^k
+        b_k = conj(C_in,k / k) - C_out,k / k,   arg f = ... + Im sum b_k w^k
+
+    and Re(z f'/f) = ... + Re sum k b_k w^k, the theta-slope of arg f.
     """
     d, start = f.divisor, math.log(abs(f.scale))
     pts, m = d.points, d.mults
@@ -1829,20 +1926,6 @@ def _circle_form(f: RationalFromDivisor, r: float):
         a[:c.size] += np.conj(c) if inner else c
         b[:c.size] += np.conj(c) if inner else -c
     return div, start, a, b
-
-
-def _radial_slope(form, r: float, z: np.ndarray) -> np.ndarray:
-    """r d/dr log|f| = Re(z f'/f) at the points z of |z| = r, from a circle
-    form: the direct divisor's sum plus Re sum k b_k w^k, since the folded
-    groups add conj(P) - Q to z f'/f, P = sum conj(C_in,k) w^k and
-    Q = sum C_out,k w^k.  Its twin -Im(z f'/f) = Im sum k a_k w^k is the
-    theta-slope of :func:`_log_slope`."""
-    div, _, _, b = form
-    z = _carray(z)
-    out = (z * _divisor_sums(z, div, ((0j, _inv_term),))[0]).real
-    if b.size:
-        out += _power_series(z / r, b * np.arange(1, b.size + 1)).real
-    return out
 
 
 @record

@@ -38,7 +38,7 @@ from .fnmodel import (
     TWO_PI,
     _NO_ANGLES,
     _circle_form,
-    _radial_slope,
+    _winding_count,
     logplus,
     record,
     subtract,
@@ -50,7 +50,7 @@ NUDGE_FACTOR = 1.0 + 1e-7
 ON_CIRCLE_REL = 1e-9
 # share of a sweep's smallest radii that the hyper-order fit discards
 HYPERORDER_DROP = 0.2
-# farthest a contour count may land from an integer; its quadrature's tolerances
+# farthest a contour count by quadrature may land from an integer; its tolerances
 COUNT_INTEGER_TOL = 0.1
 COUNT_ATOL = COUNT_RTOL = 1e-7
 
@@ -369,7 +369,7 @@ def _signed_leaves(expr: FunctionExpr, sign: int = 1):
 
 
 def argument_principle_count(expr: FunctionExpr, r: float) -> int:
-    """Zeros minus poles inside |z| < r via the contour integral of z f'/f.
+    """Zeros minus poles inside |z| < r, by the argument principle.
 
     The count is additive: that of f g is the sum of the sides' counts, and
     that of f / g their difference.  So the count of a tree is the signed
@@ -377,27 +377,30 @@ def argument_principle_count(expr: FunctionExpr, r: float) -> int:
     radius is nudged once where a point of any leaf lies on it, even one
     that the tree's divisor cancels.  A constant, exp(p) and exp(u) count
     0 by construction, not by measurement: they have no zeros or poles, and
-    no contour is integrated for them.  For each other leaf the real part
-    of the mean of ``z f'(z)/f(z)`` over the circle equals its signed
-    count; a rational given by its divisor reads it from its circle form,
-    exp(p) - a from its ``_logderivs``.  A leaf's residual further than
-    ``COUNT_INTEGER_TOL`` from an integer raises :class:`NonIntegerResidual`.
+    no contour is integrated for them.  A rational given by its divisor
+    counts the winding of its arg f round the circle, certified from its
+    circle form (:func:`fnmodel._winding_count`).  exp(p) - a, and a
+    rational whose winding is not certified, count by the real part of the
+    mean of ``z f'(z)/f(z)`` over the circle, read from its ``_logderivs``
+    by quadrature; a residual further than ``COUNT_INTEGER_TOL`` from an
+    integer raises :class:`NonIntegerResidual`.
     """
     leaves = list(_signed_leaves(expr))
     r = max([_nudged(leaf, r) for leaf, _ in leaves], default=r)
     total = 0
     for leaf, sign in leaves:
-        form = _circle_form(leaf, r) if isinstance(leaf, RationalFromDivisor) else None
-        raw = _circle_means(leaf, [(r, _NO_ANGLES, 0)],
-                            lambda z: ((z * leaf._logderivs(z)).real if form is None
-                                       else _radial_slope(form, r, z)),
-                            COUNT_ATOL, COUNT_RTOL)[0].value
-        nearest = round(raw)
-        if abs(raw - nearest) > COUNT_INTEGER_TOL:
-            raise NonIntegerResidual(
-                f"contour count {raw:.6f} is not within {COUNT_INTEGER_TOL} of an integer"
-            )
-        total += sign * int(nearest)
+        count = None
+        if isinstance(leaf, RationalFromDivisor):
+            count, _ = _winding_count(leaf, _circle_form(leaf, r), r)
+        if count is None:
+            raw = _circle_means(leaf, [(r, _NO_ANGLES, 0)], lambda z: (z * leaf._logderivs(z)).real,
+                                COUNT_ATOL, COUNT_RTOL)[0].value
+            count = round(raw)
+            if abs(raw - count) > COUNT_INTEGER_TOL:
+                raise NonIntegerResidual(
+                    f"contour count {raw:.6f} is not within {COUNT_INTEGER_TOL} of an integer"
+                )
+        total += sign * int(count)
     return total
 
 

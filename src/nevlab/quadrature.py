@@ -3,8 +3,9 @@
 It computes every circle mean that has no closed form: the proximity of
 exp towers, of exp(p) - a with a != 0, of products and quotients, of a
 rational whose kinks could not be certified (read from the expression
-itself), and every contour count (a rational's read from its circle
-form, ``fnmodel._circle_form``, every other one from its f'/f).  Where
+itself), and the contour counts of exp(p) - a and of a rational whose
+winding number was not certified (``fnmodel._winding_count``), each read
+from its f'/f.  Where
 the kinks are known (exp towers, exp(p) - a and its reciprocals
 c / (exp(p) - a), rationals), the caller cuts at them.  For a rational
 given by its divisor and for exp(p), ``nevanlinna.proximity`` takes the

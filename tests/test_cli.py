@@ -63,6 +63,19 @@ def test_unknown_function_is_a_usage_error(capsys):
     assert "nope" in err
 
 
+@pytest.mark.parametrize("argv, said", [
+    (["bogus"], "invalid choice: 'bogus'"),
+    (["census"], "nevlab census: the following arguments are required: --figure1"),
+    ([], "nevlab: the following arguments are required: command"),
+    (["char", "--fn", "exp_z", "--count", "two"], "argument --count: invalid int value"),
+])
+def test_a_usage_error_returns_the_error_code(capsys, argv, said):
+    # main returns, with argparse's message as its JSON error line
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_ERROR and out == ""
+    assert json.loads(err)["error"] == "ToolkitError" and said in json.loads(err)["detail"]
+
+
 def _count_builds(monkeypatch):
     """Count the builds of every corpus member and the calls of corpus()."""
     from nevlab import constructor
@@ -536,14 +549,13 @@ def run_to_exit(capsys, *argv):
 
 
 def assert_clean_exit(code, out, err, header):
-    assert code in (EXIT_PASS, EXIT_ERROR, 2)
+    # a usage error is an error too: argparse's exit 2 would read as a failed check
+    assert code in (EXIT_PASS, EXIT_ERROR)
     if code == EXIT_PASS:
         lines = out.splitlines()
         assert lines[0].startswith("# config ") and lines[1] == header
-    elif code == EXIT_ERROR:
-        assert out == "" and set(json.loads(err)) == {"error", "detail"}
     else:
-        assert out == "" and "error:" in err  # argparse's usage message
+        assert out == "" and set(json.loads(err)) == {"error", "detail"}
 
 
 @settings(max_examples=30, deadline=None,
@@ -619,7 +631,9 @@ def test_an_abbreviated_config_flag_is_rejected_not_ignored(capsys, tmp_path):
     cfg.write_text(json.dumps({"fn": "rat_pole0"}))
     code, out, err = run_to_exit(capsys, "--conf", str(cfg), "char", "--fn", "exp_z",
                                  "--radii", "2")
-    assert code == 2 and out == "" and "--conf" in err
+    # --conf is no option, so the file's path is read as the command
+    assert code == EXIT_ERROR and out == ""
+    assert f"invalid choice: '{cfg}'" in json.loads(err)["detail"]
 
 
 def test_an_abbreviated_flag_does_not_lose_to_the_config_file(capsys, tmp_path):
@@ -629,7 +643,7 @@ def test_an_abbreviated_flag_does_not_lose_to_the_config_file(capsys, tmp_path):
     cfg.write_text(json.dumps({"rmin": 1.0, "rmax": 4.0, "count": 3}))
     code, out, err = run_to_exit(capsys, "char", "--config", str(cfg), "--fn", "exp_z",
                                  "--rmi", "2.5")
-    assert code == 2 and out == "" and "--rmi" in err
+    assert code == EXIT_ERROR and out == "" and "--rmi" in json.loads(err)["detail"]
     code, out, _ = run_to_exit(capsys, "char", "--config", str(cfg), "--fn", "exp_z",
                                "--rmin", "2.5")
     assert code == EXIT_PASS

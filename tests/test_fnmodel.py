@@ -994,17 +994,39 @@ def _form_log(form, r, n):
     return fnmodel._log_slope(form, r, _angles(n))[0]
 
 
-def _form_zld(form, r, n):
-    """z f'/f at ``_circle(r, n)`` through a circle form: its real part as a
-    contour count reads it, its imaginary part as the kink search does."""
-    return (fnmodel._radial_slope(form, r, _circle(r, n))
-            - 1j * fnmodel._log_slope(form, r, _angles(n))[1])
+def _form_slope(form, r, n):
+    """The theta-slope -Im(z f'/f) of log|f| at ``_circle(r, n)`` through a
+    circle form, as the kink search reads it."""
+    return fnmodel._log_slope(form, r, _angles(n))[1]
+
+
+def _wrap(x):
+    return (x + math.pi) % TWO_PI - math.pi
+
+
+def _arg_offsets(form, r, n, want_arg):
+    """The arg channel of a circle form plus origin_order * theta, less
+    arg f, at ``_circle(r, n)``, taken to [-pi, pi) about its first value:
+    0 where the channel is arg f up to a constant, modulo 2pi."""
+    d = fnmodel._arg_sum(form, r, _angles(n)) + form[0].origin_order * _angles(n) - want_arg
+    return np.abs(_wrap(d - d[0]))
+
+
+def _arg_channel_slope(form, r, n, h=1e-5):
+    """The theta-slope of the arg channel of a circle form at
+    ``_circle(r, n)``, by the four-point central difference of its wrapped
+    changes; for f it is Re(z f'/f) - origin_order."""
+    t = _angles(n)
+    s = [fnmodel._arg_sum(form, r, t + k * h) for k in (-2, -1, 1, 2)]
+    return (8.0 * _wrap(s[2] - s[1]) - _wrap(s[3] - s[0])) / (12.0 * h)
 
 
 def _exact_channels(f: RationalFromDivisor, z):
-    """log|f| and z f'/f at each z, from the divisor in 40-digit decimals."""
+    """log|f|, z f'/f and arg f at each z, from the divisor in 40-digit
+    decimals: arg f is read from the direction of f |den|^2, the product of
+    scale, z^origin_order and each (z - b)^m, conjugated where m < 0."""
     D = decimal.Decimal
-    lms, zlds = [], []
+    lms, zlds, args = [], [], []
     with decimal.localcontext(decimal.Context(prec=40)):
         for zz in z:
             x, y = D(zz.real), D(zz.imag)
@@ -1012,27 +1034,41 @@ def _exact_channels(f: RationalFromDivisor, z):
             mod2 = ((D(f.scale.real) ** 2 + D(f.scale.imag) ** 2)
                     * (x * x + y * y) ** f.divisor.origin_order)
             zld_re, zld_im = D(f.divisor.origin_order), D(0)
-            for p, m in f.divisor.entries:
+            qr, qi = D(f.scale.real), D(f.scale.imag)
+            for p, m in ((0j, f.divisor.origin_order),) + f.divisor.entries:
                 dx, dy = x - D(p.real), y - D(p.imag)
-                s = dx * dx + dy * dy
-                mod2 *= s ** m
-                zld_re += m * (x * dx + y * dy) / s  # m z conj(z - b) / |z - b|^2
-                zld_im += m * (y * dx - x * dy) / s
+                if p:
+                    s = dx * dx + dy * dy
+                    mod2 *= s ** m
+                    zld_re += m * (x * dx + y * dy) / s  # m z conj(z - b) / |z - b|^2
+                    zld_im += m * (y * dx - x * dy) / s
+                dy = dy if m > 0 else -dy
+                for _ in range(abs(m)):
+                    qr, qi = qr * dx - qi * dy, qr * dy + qi * dx
+            big = max(abs(qr), abs(qi))
             lms.append(float(mod2.ln() / 2))
             zlds.append(complex(float(zld_re), float(zld_im)))
-    return np.array(lms), np.array(zlds)
+            args.append(math.atan2(float(qi / big), float(qr / big)))
+    return np.array(lms), np.array(zlds), np.array(args)
 
 
 def test_circle_fold_matches_a_40_digit_sum(reference_rationals):
+    # log|f| and its theta-slope -Im(z f'/f), and the arg channel of the
+    # contour counts: arg f modulo 2pi, its slope Re(z f'/f) less the origin
     for key, radii in FOLD_RADII.items():
         f = reference_rationals[key]
         for r in radii:
             form = fnmodel._circle_form(f, r)
             assert form[0] != f.divisor, (key, r)  # some group folds
             z = _circle(r, 7)
-            want_lm, want_zld = _exact_channels(f, z)
-            for got, want in ((_form_log(form, r, 7), want_lm), (_form_zld(form, r, 7), want_zld)):
+            want_lm, want_zld, want_arg = _exact_channels(f, z)
+            for got, want in ((_form_log(form, r, 7), want_lm),
+                              (_form_slope(form, r, 7), -want_zld.imag)):
                 assert np.all(np.abs(got - want) <= 1e-14 * (1 + np.abs(want))), (key, r)
+            assert _arg_offsets(form, r, 7, want_arg).max() <= 1e-12, (key, r)
+            want = want_zld.real - form[0].origin_order
+            got = _arg_channel_slope(form, r, 7)
+            assert np.all(np.abs(got - want) <= 1e-7 * (1 + np.abs(want))), (key, r)
 
 
 def test_circle_fold_agrees_with_the_direct_sum(reference_rationals):
@@ -1041,9 +1077,11 @@ def test_circle_fold_agrees_with_the_direct_sum(reference_rationals):
         for r in np.geomspace(lo, hi, 40):
             form = fnmodel._circle_form(f, r)
             z = _circle(r, 64)
+            zld = z * f._logderivs(z)
             for got, want in ((_form_log(form, r, 64), f._log_mod(z)),
-                              (_form_zld(form, r, 64), z * f._logderivs(z))):
+                              (_form_slope(form, r, 64), -zld.imag)):
                 assert np.all(np.abs(got - want) <= 1e-13 * (1 + np.abs(want))), (key, r)
+            assert _arg_offsets(form, r, 64, f._log_parts(z)[1]).max() <= 1e-11, (key, r)
 
 
 def _fold_terms(weight, q, log=True):
@@ -1084,10 +1122,6 @@ def test_circle_fold_splits_at_half_and_twice_the_radius(reference_rationals):
 
 def test_fold_series_helpers_keep_every_term():
     rng = np.random.default_rng(5)
-    c = rng.normal(size=9) + 1j * rng.normal(size=9)
-    w = np.exp(1j * rng.uniform(0.0, 2 * math.pi, 50))
-    want = sum(ck * w ** (k + 1) for k, ck in enumerate(c))
-    assert np.max(np.abs(fnmodel._power_series(w, c) - want)) < 1e-13
     u = 0.5 * rng.uniform(size=30) * np.exp(1j * rng.uniform(0.0, 2 * math.pi, 30))
     m = rng.integers(-3, 4, 30).astype(float)
     want = [np.sum(m * u**j) for j in range(1, 12)]
@@ -1163,27 +1197,36 @@ def test_circle_form_equals_the_eager_log_plan(reference_rationals):
             assert np.array_equal(form[2], coeffs), (key, r)
             if div == f.divisor:  # nothing folds: the divisor itself, no series
                 assert form[0] is f.divisor and not form[3].size, (key, r)
-            # z f'/f read from the one plan, against the eager channel's own
+            # z f'/f read from the one plan, against the eager channel's own:
+            # -Im as the slope of log|f|, Re as the slope of the arg channel
             want = _eager_zlogderiv(der, r, _circle(r, 64))
-            got = _form_zld(form, r, 64)
-            assert np.all(np.abs(got - want) <= 1e-14 * (1 + np.abs(want))), (key, r)
+            got = _form_slope(form, r, 64)
+            assert np.all(np.abs(got + want.imag) <= 1e-14 * (1 + np.abs(want))), (key, r)
+            got = _arg_channel_slope(form, r, 64)
+            want = want.real - form[0].origin_order
+            assert np.all(np.abs(got - want) <= 1e-7 * (1 + np.abs(want))), (key, r)
 
 
 def test_circle_fold_memory_stays_a_few_node_arrays(reference_rationals):
-    # the quadrature of a contour count reads Re(z f'/f) of the form on up
-    # to MAX_CALL_NODES nodes a call; its log|f| and theta-slope are read by
-    # _log_slope only, on the kink search's few hundred angles
+    # a contour count samples the form's arg channel on the certificate's
+    # few hundred angles only, and a count that falls back to the
+    # quadrature reads z f'/f of the expression through the chunked divisor
+    # kernel, on up to MAX_CALL_NODES nodes a call
     f = reference_rationals["orbit_right_60"]
     form = fnmodel._circle_form(f, 1e4)
-    assert form[2].size
+    assert form[3].size
     z = _circle(1e4, 50_000)
-    tracemalloc.start()
-    try:
-        fnmodel._radial_slope(form, 1e4, z)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * z.nbytes  # one (terms, nodes) array would be over 50 z.nbytes
+    peaks = []
+    for run in (lambda: fnmodel._winding_count(f, form, 1e4), lambda: f._logderivs(z)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    cell = 16 * fnmodel._DIVISOR_CELLS  # one chunk's (points, nodes) block
+    assert peaks[0] < 4 * cell
+    assert peaks[1] < 8 * z.nbytes  # one (points, nodes) array would be over 200 z.nbytes
 
 
 def test_circle_form_of_a_small_rational_is_its_divisor_and_others_build_none(
@@ -1633,7 +1676,8 @@ def test_level_search_gives_up_where_log_f_keeps_one_sign(reference_rationals):
 
 def test_slope_bounds_hold_on_random_arcs(reference_rationals):
     # on an arc of |z| = r, _slope_bounds' first bound dominates |d/dtheta
-    # log|f|| of the circle form and its second |d^2/dtheta^2 log|f||,
+    # log|f|| of the circle form (and, read from the series b, the slope of
+    # its arg channel) and its second |d^2/dtheta^2 log|f||,
     # here the central difference of the slope (by the mean value theorem
     # a second derivative inside the arc), less the difference's rounding;
     # the certificate's second-order value test rests on the second bound.
@@ -1655,13 +1699,19 @@ def test_slope_bounds_hold_on_random_arcs(reference_rationals):
                 lo = rng.uniform(0.0, TWO_PI, 10)
             else:
                 lo = np.angle(b) % TWO_PI - rng.uniform(-0.5, 1.5, 10) * width
-            l1, l2 = fnmodel._slope_bounds(form, r)(lo, lo + width)
-            for a, h, b1, b2 in zip(lo, width, l1, l2):
-                slope = fnmodel._log_slope(form, r, np.linspace(a, a + h, 401))[1]
+            l1, l2 = fnmodel._slope_bounds(form[0], form[2], r)(lo, lo + width)
+            (arg_l1,) = fnmodel._slope_bounds(form[0], form[3], r, second=False)(lo, lo + width)
+            for a, h, b1, b2, b3 in zip(lo, width, l1, l2, arg_l1):
+                theta = np.linspace(a, a + h, 401)
+                slope = fnmodel._log_slope(form, r, theta)[1]
                 step = h / 400
                 second = np.abs(slope[2:] - slope[:-2]) / (2.0 * step)
                 assert np.abs(slope).max() <= b1 * (1.0 + 1e-12), (key, r, a, h)
                 assert second.max() <= b2 * (1.0 + 1e-12) + 4.0 * eps * b1 / step, (key, r, a, h)
+                # the arg channel's slope, Re(z f'/f) less the form's origin order
+                z = r * np.exp(1j * theta)
+                arg_slope = (z * f._logderivs(z)).real - form[0].origin_order
+                assert np.abs(arg_slope).max() <= b3 * (1.0 + 1e-12), (key, r, a, h)
 
 
 def test_level_search_certifies_the_crossings_near_a_divisor_point(members):

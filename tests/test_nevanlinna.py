@@ -861,12 +861,65 @@ SWEEP_COUNT_RADII = {
 
 
 @pytest.mark.parametrize("family", sorted(SWEEP_COUNT_RADII))
-def test_argument_principle_through_the_fold_matches_divisor(family):
+def test_argument_principle_through_the_fold_matches_divisor(family, monkeypatch):
+    # every count is a certified winding number: no quadrature runs
     expr = build_orbit_function(figure_family(*family))
+    monkeypatch.setattr(nevanlinna, "_circle_means", None)
     for r in SWEEP_COUNT_RADII[family]:
         assert fnmodel._circle_form(expr, r)[0] != expr.divisor
         d = expr.divisor_in_disc(r)
         assert argument_principle_count(expr, r) == d.total("zeros") - d.total("poles"), r
+
+
+def test_the_corpus_rationals_count_by_certified_winding(members, monkeypatch):
+    # acceptance criterion 11's radii: every rational count is certified
+    monkeypatch.setattr(nevanlinna, "_circle_means", None)
+    for key, member in members.items():
+        f = member.expr
+        if not isinstance(f, RationalFromDivisor):
+            continue
+        top = 5.0 if key.startswith("rat_") else 1.2 * float(f.divisor.moduli.max())
+        for r in log_radii(0.37, top, 20):
+            d = f.divisor_in_disc(r)
+            assert argument_principle_count(f, r) == d.total("zeros") - d.total("poles"), (key, r)
+
+
+def _stress_rational(rng):
+    """A radius r and a rational of 3-39 points with multiplicities +-1 or
+    +-2, each point 1e-7 r to 0.3 r off |z| = r, log-uniformly, on either
+    side, at a uniform angle."""
+    r = math.exp(rng.uniform(math.log(1e-2), math.log(1e8)))
+    n = int(rng.integers(3, 40))
+    off = np.exp(rng.uniform(math.log(1e-7), math.log(0.3), n)) * rng.choice([-1.0, 1.0], n)
+    points = r * (1.0 + off) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
+    mults = rng.choice([-2, -1, 1, 2], n)
+    scale = complex(rng.normal(), rng.normal())
+    return r, RationalFromDivisor(scale, Divisor.build(zip(points.tolist(), mults.tolist())))
+
+
+def test_random_rationals_count_by_certified_winding(monkeypatch):
+    # close points would use up flat bisection rounds; the certificate's
+    # first intervals are graded toward them, and no count falls back
+    monkeypatch.setattr(nevanlinna, "_circle_means", None)
+    rng = np.random.default_rng(272)
+    for i in range(272):
+        r, f = _stress_rational(rng)
+        d = f.divisor_in_disc(r)
+        assert argument_principle_count(f, r) == d.total("zeros") - d.total("poles"), i
+
+
+def test_an_uncertified_winding_falls_back_to_the_quadrature(monkeypatch):
+    # with no bisection allowed this circle's winding is not certified, and
+    # the quadrature of Re(z f'/f) gives the same integer
+    expr, r = build_orbit_function(figure_family("left", 30)), 7.105909920517207
+    d = expr.divisor_in_disc(r)
+    want = d.total("zeros") - d.total("poles")
+    assert argument_principle_count(expr, r) == want
+    runs, means = [], nevanlinna._circle_means
+    monkeypatch.setattr(fnmodel, "_CERTIFY_ROUNDS", 0)
+    monkeypatch.setattr(nevanlinna, "_circle_means", lambda *a: runs.append(a) or means(*a))
+    assert fnmodel._winding_count(expr, fnmodel._circle_form(expr, r), r)[0] is None
+    assert argument_principle_count(expr, r) == want and len(runs) == 1
 
 
 def test_samples_keep_the_quadrature_counts(members, monkeypatch):

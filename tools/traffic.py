@@ -174,7 +174,7 @@ def _digest(tracer: _Tracer) -> str:
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                 try:
                     codes.append(nevlab.cli.main(argv))
-                except SystemExit as exc:  # argparse's usage exits
+                except SystemExit as exc:  # --help exits from inside the parser
                     codes.append(exc.code)
     return f"digest: {len(codes)} commands, exit codes {sorted(set(codes))}"
 
