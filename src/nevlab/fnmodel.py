@@ -967,9 +967,9 @@ def _inv_term(m, d):
     return m / d
 
 
-def _pull_back(p: Polynomial, targets: Sequence[tuple[complex, int]], r: float) -> Divisor:
+def _pull_back(p: Polynomial, ws: np.ndarray, ms: np.ndarray, r: float) -> Divisor:
     """Divisor in |z| <= r of the solutions of p(z) = w, each weighted by
-    its multiplicity times the target's m, over all targets (w, m).
+    its multiplicity times the target's m, over the targets (ws[k], ms[k]).
 
     The rows of :func:`roots_of_shifts` are screened in one pass
     (:func:`_screen`); only a row with a close pair, such as the double
@@ -977,8 +977,8 @@ def _pull_back(p: Polynomial, targets: Sequence[tuple[complex, int]], r: float) 
     is the loop's centroid ``w / 1``.  The merge of
     :meth:`Divisor._from_arrays` sorts the points: their order does not matter.
     """
-    rows = roots_of_shifts(p, [w for w, _ in targets])
-    m = np.array([m for _, m in targets], dtype=np.int64)
+    rows = roots_of_shifts(p, ws)
+    m = np.asarray(ms, dtype=np.int64)
     alone = _screen(rows, ROOT_CLUSTER_TOL)[2]
     parts = [(rows[alone].ravel() / 1, np.repeat(m[alone], rows.shape[1]))]
     for k in np.flatnonzero(~alone).tolist():
@@ -2025,11 +2025,11 @@ class ExpPoly(FunctionExpr):
             raise OverflowSignal(
                 f"exp(p) = a has up to {2 * kmax + 1} log-branches in |z| <= {r!r}, "
                 f"more than {_MAX_BRANCHES}")
-        branches = [(w, 1) for w in (la + TWO_PI * 1j * k for k in range(-kmax, kmax + 1))
-                    if abs(w) <= bound + 1e-9]
-        if self.p.degree == 0 and any(w == self.p.coeffs[0] for w, _ in branches):
+        w = la + (TWO_PI * 1j) * np.arange(-kmax, kmax + 1)
+        w = w[np.abs(w) <= bound + 1e-9]  # the log-branches that p can reach
+        if self.p.degree == 0 and (w == self.p.coeffs[0]).any():
             raise OpaqueExpr("exp argument is constant and equals log(a)")
-        return _pull_back(self.p, branches, r)
+        return _pull_back(self.p, w, np.ones(w.size, dtype=np.int64), r)
 
 
 # (x, log x) for the ratios x > 1 at which the majorant e^{s(x)} may bound
@@ -2223,9 +2223,10 @@ def compose_poly(expr: FunctionExpr, p: Polynomial) -> FunctionExpr:
     if scale == 0 or not cmath.isfinite(scale):
         raise OverflowSignal(f"the scale of a composed rational, {scale!r}, "
                              "leaves the floating range")
-    targets = list(zip(d.points.tolist(), d.mults.tolist()))
-    targets += [(0j, d.origin_order)] * bool(d.origin_order)
-    return RationalFromDivisor(scale, _pull_back(p, targets, math.inf))
+    ws, ms = d.points, d.mults
+    if d.origin_order:  # the origin is a target after the points
+        ws, ms = np.append(ws, 0j), np.append(ms, d.origin_order)
+    return RationalFromDivisor(scale, _pull_back(p, ws, ms, math.inf))
 
 
 def subtract(expr: FunctionExpr, other: FunctionExpr) -> FunctionExpr:

@@ -77,36 +77,56 @@ class CharacteristicSample:
     evaluations: int
 
 
-def _cuts(expr: FunctionExpr, r: float, kinks: np.ndarray | None) -> list[tuple[float, float]]:
-    """The panel cuts of the circle |z| = r, from one read of the divisor
-    points b within ``CIRCLE_BAND`` of it: each b at its angle, with its
-    distance |log(|b|/r)| off the real axis of angles, where log|z - b| is
-    singular as a function of theta; then each kink of log+|f| (band edges
-    included), with the distance in the plane of complex angles to the
-    nearest zero among the b (none: inf).  Around such a zero log+|f| = 0
-    between two kinks, and the panels beyond them, where log+|f| = log|f|,
-    see the zero as a singularity at that distance: they are refined toward
-    the kink as they would be toward the zero.  A pole lies where log+|f| =
-    log|f|, and its own cut refines its panels.  As plain cuts, the kinks
-    and band edges of e^{z^2} - 1 missed by up to 21.9 tolerances on
-    ``log_radii(5, 40, 25)``; graded, by at most 0.18.  Unknown kinks
-    (None) cut the ends 0 and 2pi as a singularity on the circle, seeded
-    ``SEED_LEVELS`` deep, as uniform seeding did (six panels with no divisor
-    point near), so that the seed panels are narrow enough for the
-    split-and-compare test to see them."""
-    div = expr.divisor_in_disc(r * (1.0 + CIRCLE_BAND))
-    near = np.abs(div.moduli - r) <= CIRCLE_BAND * r
-    b = div.points[near]
-    angle, off = np.angle(b), np.log(np.abs(b) / r)
-    cuts = list(zip((angle % TWO_PI).tolist(), np.abs(off).tolist()))
-    if kinks is None:
-        return cuts + [(0.0, 0.0)]
-    zero = div.mults[near] > 0
-    if kinks.size and zero.any():
-        gap = (angle[zero] - kinks[:, None] + math.pi) % TWO_PI - math.pi
-        dist = np.hypot(gap, off[zero]).min(axis=1)
-        return cuts + list(zip(kinks.tolist(), dist.tolist()))
-    return cuts + [(a, math.inf) for a in kinks.tolist()]
+def _ragged(start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The indices start[k], ..., start[k] + size[k] - 1 of every k, in order."""
+    return np.arange(size.sum()) + np.repeat(start - (np.cumsum(size) - size), size)
+
+
+def _grid_cuts(expr: FunctionExpr, radii, kinks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The panel cuts of the circles |z| = radii[c], as the flat arrays
+    ``(angle, distance, circle)`` that :func:`adaptive_circles` takes, from
+    one read of the divisor on the largest radius's band.
+
+    Each circle's band points b, those within ``CIRCLE_BAND`` of it (a
+    slice of the modulus-sorted columns, then the band's test), are cut at
+    their angle, with the distance |log(|b|/r)| off the real axis of
+    angles, where log|z - b| is singular as a function of theta; then each
+    kink of log+|f| in ``kinks[c]`` (band edges included), with the
+    distance in the plane of complex angles to the nearest zero among its
+    b (none: inf).  Around such a zero log+|f| = 0 between two kinks, and
+    the panels beyond them, where log+|f| = log|f|, see the zero as a
+    singularity at that distance: they are refined toward the kink as they
+    would be toward the zero.  A pole lies where log+|f| = log|f|, and its
+    own cut refines its panels.  As plain cuts, the kinks and band edges of
+    e^{z^2} - 1 missed by up to 21.9 tolerances on ``log_radii(5, 40,
+    25)``; graded, by at most 0.18.  Unknown kinks (None) cut the ends 0
+    and 2pi as a singularity on the circle, seeded ``SEED_LEVELS`` deep,
+    as uniform seeding did (six panels with no divisor point near), so
+    that the seed panels are narrow enough for the split-and-compare test
+    to see them."""
+    r = np.array(radii, dtype=float)
+    div = expr.divisor_in_disc(max(radii) * (1.0 + CIRCLE_BAND))
+    # each radius's slice runs from well inside its band to the disc it reads
+    lo = div.moduli.searchsorted((1.0 - 2.0 * CIRCLE_BAND) * r)
+    size = div.moduli.searchsorted(r * (1.0 + CIRCLE_BAND), "right") - lo
+    j, of = _ragged(lo, size), np.repeat(np.arange(r.size), size)
+    near = np.abs(div.moduli[j] - r[of]) <= CIRCLE_BAND * r[of]
+    j, of = j[near], of[near]
+    b, zero = div.points[j], div.mults[j] > 0
+    angle, off = np.angle(b), np.log(np.abs(b) / r[of])
+    # each kink's distance to the nearest zero among its circle's points;
+    # unknown kinks are the one cut (0, 0)
+    size = [1 if k is None else k.size for k in kinks]
+    kink = np.concatenate([np.zeros(1) if k is None else k for k in kinks])
+    kink_of = np.repeat(np.arange(r.size), size)
+    per = np.bincount(of[zero], minlength=r.size)[kink_of]  # the zeros each kink meets
+    z = _ragged(np.searchsorted(of[zero], kink_of), per)
+    gap = (angle[zero][z] - np.repeat(kink, per) + math.pi) % TWO_PI - math.pi
+    dist = np.full(kink.size, math.inf)
+    np.minimum.at(dist, np.repeat(np.arange(kink.size), per), np.hypot(gap, off[zero][z]))
+    dist[np.repeat([k is None for k in kinks], size)] = 0.0
+    return (np.concatenate((angle % TWO_PI, kink)), np.concatenate((np.abs(off), dist)),
+            np.concatenate((of, kink_of)))
 
 
 def _nudged(expr: FunctionExpr, r: float) -> float:
@@ -120,24 +140,29 @@ def _circle_means(expr: FunctionExpr, circles, integrand, atol: float,
     """Means of ``integrand(z)`` over circles |z| = r by quadrature.
 
     Each circle is ``(r, kinks, spent)``, the kinks and evaluations as
-    :meth:`FunctionExpr.closed_proximity` returns them; :func:`_cuts` cuts
-    its panels, and ``spent`` counts in the result.  A grid runs in
-    lockstep (:func:`adaptive_circles`), one circle through
-    :func:`adaptive_circle`, which bench/ wraps.  The values and error
-    estimates are means, the counts the quadrature's.
+    :meth:`FunctionExpr.closed_proximity` returns them; ``spent`` counts
+    in the result.  :func:`_grid_cuts` cuts the panels of every circle
+    from one divisor read, the disc of the largest radius's band, which
+    :func:`proximities` has solved ahead; each circle's cuts are those of
+    that disc restricted to its own band.  A grid runs in lockstep
+    (:func:`adaptive_circles`), its panels seeded in one pass; one circle
+    runs through :func:`adaptive_circle`, which bench/ wraps.  The values
+    and error estimates are means, the counts the quadrature's.
     """
     # a finite atol stays finite when scaled; inf and NaN reach the check as given
     scaled_atol = min(atol * TWO_PI, sys.float_info.max) if math.isfinite(atol) else atol
     radii, kinks, spent = zip(*circles)
-    cuts = [_cuts(expr, r, k) for r, k in zip(radii, kinks)]
+    cuts = _grid_cuts(expr, radii, kinks)
     if len(circles) == 1:
         r = radii[0]
-        res = [adaptive_circle(lambda theta: integrand(r * np.exp(1j * theta)), cuts[0],
-                               atol=scaled_atol, rtol=rtol, evaluations=spent[0])]
+        res = [adaptive_circle(lambda theta: integrand(r * np.exp(1j * theta)),
+                               np.column_stack(cuts[:2]), atol=scaled_atol, rtol=rtol,
+                               evaluations=spent[0])]
     else:
         r_of = np.array(radii)
         res = adaptive_circles(lambda theta, c: integrand(r_of[c] * np.exp(1j * theta)),
-                               cuts, atol=scaled_atol, rtol=rtol, evaluations=spent)
+                               cuts, len(circles), atol=scaled_atol, rtol=rtol,
+                               evaluations=spent)
     return [q.replace(value=q.value / TWO_PI, err_estimate=q.err_estimate / TWO_PI)
             for q in res]
 
@@ -182,7 +207,7 @@ def proximities(expr: FunctionExpr, radii,
         raise ValueError("radius must be positive")
     check_tolerances(atol, rtol)
     if len(radii) > 1:
-        expr.solve_ahead(max(radii) * (1.0 + CIRCLE_BAND))  # the disc _cuts reads
+        expr.solve_ahead(max(radii) * (1.0 + CIRCLE_BAND))  # the disc _grid_cuts reads
     used = [_nudged(expr, r) for r in radii]
     closed = [(mean if mean and mean[1] <= max(atol, rtol * abs(mean[0])) else None,
                kinks, spent) for mean, kinks, spent in expr.closed_proximity(used)]

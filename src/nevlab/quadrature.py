@@ -24,10 +24,14 @@ the nearest singularity lies off the panel relative to its width
 (Trefethen, SIAM Review 50, 2008), so a base panel of width w is cut toward
 an edge at distance d until its end panel is no wider than 2d, at most
 ``SEED_LEVELS`` times.  The ends 0 and 2pi are plain edges unless a cut
-at angle 0 gives them a distance.  Cuts are hints: a missing one costs
-refinement rounds, and at a kink it can cost accuracy, since the
-split-and-compare estimate sees a kink only in a narrow enough panel; a
-spurious cut costs a panel.
+at angle 0 gives them a distance.  A batch of circles hands its cuts over
+as three flat arrays, (angle, distance, circle), and one pass seeds the
+panels of every circle (``_seed_panels``); the angles are merged within
+``MERGE_GAP`` as a walk along each circle would merge them.  A cut with a
+non-finite angle, or a NaN or negative distance, raises ValueError before
+any evaluation.  Cuts are hints: a missing one costs refinement rounds,
+and at a kink it can cost accuracy, since the split-and-compare estimate
+sees a kink only in a narrow enough panel; a spurious cut costs a panel.
 
 A plain split-and-compare loop then drives the refinement: a panel is
 accepted when the difference between its one-panel value and the sum over
@@ -43,8 +47,6 @@ one gemv over the stacked blocks would move last bits.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -85,44 +87,70 @@ class QuadratureResult:
 
 
 # clip(ceil(log2(w / (2d))), 0, SEED_LEVELS) counts the ratios below w / d
-_LEVEL_RATIOS = tuple(2.0 ** (k + 1) for k in range(SEED_LEVELS))
-# the dyadic knots of L levels, as fractions of the width off the edge
-_KNOT_STEPS = tuple(tuple(0.5**k for k in range(1, L + 1)) for L in range(SEED_LEVELS + 1))
-_first = itemgetter(0)  # cuts sort by angle alone: tuples compare slower
+_LEVEL_RATIOS = np.array([2.0 ** (k + 1) for k in range(SEED_LEVELS)])
+# the dyadic knots of the levels, deepest first, as fractions of the width off the edge
+_KNOT_STEPS = np.array([0.5**k for k in range(SEED_LEVELS, 0, -1)])
 
 
-def _seed_panels(cuts) -> tuple[np.ndarray, np.ndarray]:
-    """Seed panel edges from (angle, distance) cuts: the angles, taken mod
-    2pi and merged within ``MERGE_GAP`` (keeping the smaller distance), cut
-    [0, 2pi] into base panels, each refined toward an edge at distance d by
+def _seed_panels(angle: np.ndarray, dist: np.ndarray, of: np.ndarray,
+                 count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Seed panels ``(lo, hi, circle)`` of ``count`` circles, by circle and
+    then angle, from the cuts ``(angle[i], dist[i])`` of circle ``of[i]``.
+
+    On each circle the edge 0 and the angles, taken mod 2pi, cut [0, 2pi]
+    into base panels: an angle more than ``MERGE_GAP`` past the last edge
+    kept starts an edge, else it merges into that edge, which keeps the
+    smaller distance; a last edge within ``MERGE_GAP`` of 2pi is the edge 0.
+    Each base panel of width w is refined toward an edge at distance d by
     clip(ceil(log2(w / (2d))), 0, SEED_LEVELS) levels, the levels that make
-    the end panel no wider than twice the distance."""
-    cuts = sorted(cuts, key=_first)
-    if cuts and not 0.0 <= cuts[0][0] <= cuts[-1][0] < TWO_PI:
-        cuts = sorted(((a % TWO_PI, d) for a, d in cuts), key=_first)
-    angle, dist = [0.0], [math.inf]
-    for a, d in cuts:
-        if a - angle[-1] > MERGE_GAP:
-            angle.append(a)
-            dist.append(d)
-        elif d < dist[-1]:
-            dist[-1] = d
-    if TWO_PI - angle[-1] <= MERGE_GAP:  # 2pi is the angle 0
-        angle.pop()
-        dist[0] = min(dist[0], dist.pop())
-    angle.append(TWO_PI)
-    dist.append(dist[0])
+    the end panel no wider than twice the distance; equal knots are one.
+    """
+    # each circle's edge 0, a plain edge, ahead of its cuts; mod 2pi keeps
+    # an angle in [0, 2pi) as it is
+    out = ((angle < 0.0) | (angle >= TWO_PI)).any()
+    angle = np.append(np.zeros(count), angle % TWO_PI if out else angle)
+    dist = np.append(np.full(count, math.inf), dist)
+    of = np.append(np.arange(count), of)
+    order = np.lexsort((angle, of))
+    angle, dist, of = angle[order], dist[order], of[order]
+    # a cut more than MERGE_GAP past the cut before it starts an edge; in a
+    # chain of close cuts, so does one that far past the last edge kept:
+    # each pass adds the first such after each edge
+    edge = np.append(True, (np.diff(of) != 0) | (np.diff(angle) > MERGE_GAP))
+    while True:
+        last = np.maximum.accumulate(np.where(edge, np.arange(edge.size), 0))
+        late = np.flatnonzero(~edge & (angle - angle[last] > MERGE_GAP))
+        if not late.size:
+            break
+        edge[late[np.append(True, np.diff(last[late]) != 0)]] = True
+    edge = np.flatnonzero(edge)
+    angle, dist, of = angle[edge], np.minimum.reduceat(dist, edge), of[edge]
+    fold = TWO_PI - angle <= MERGE_GAP  # at most a circle's last edge: 2pi is the angle 0
+    head = np.searchsorted(of, of[fold])
+    dist[head] = np.minimum(dist[head], dist[fold])
+    angle, dist, of = angle[~fold], dist[~fold], of[~fold]
 
-    knots = [TWO_PI]
-    for a, b, da, db in zip(angle, angle[1:], dist, dist[1:]):
-        w = b - a
-        la = bisect_left(_LEVEL_RATIOS, w / da) if da else SEED_LEVELS
-        lb = bisect_left(_LEVEL_RATIOS, w / db) if db else SEED_LEVELS
-        knots.append(a)
-        knots += [a + w * h for h in _KNOT_STEPS[la]]
-        knots += [b - w * h for h in _KNOT_STEPS[lb]]
-    knots = sorted(set(knots))
-    return np.array(knots[:-1]), np.array(knots[1:])
+    # base panel [a, b] from each edge to the next, the last to 2pi
+    last = np.append(np.diff(of) != 0, True)
+    a, b = angle, np.where(last, TWO_PI, np.roll(angle, -1))
+    db = np.where(last, dist[np.searchsorted(of, of)], np.roll(dist, -1))
+    w = b - a
+    with np.errstate(divide="ignore"):
+        la, lb = (np.where(d > 0.0, np.searchsorted(_LEVEL_RATIOS, w / d), SEED_LEVELS)
+                  for d in (dist, db))
+    # each panel's knots in ascending order, and 2pi after a circle's last:
+    # a, a + w/8, a + w/4, a + w/2, b - w/2, b - w/4, b - w/8, b; only the
+    # midpoints can round out of order, or to one knot
+    step, levels = w[:, None] * _KNOT_STEPS, np.arange(SEED_LEVELS, 0, -1)
+    knots = np.column_stack((a, a[:, None] + step, b[:, None] - step[:, ::-1], b))
+    keep = np.column_stack((np.full(a.size, True), la[:, None] >= levels,
+                            lb[:, None] >= levels[::-1], last))
+    mid, both = knots[:, SEED_LEVELS:-SEED_LEVELS], keep[:, SEED_LEVELS:-SEED_LEVELS].all(1)
+    mid[both] = np.sort(mid[both], axis=1)
+    keep[both, SEED_LEVELS + 1] = mid[both, 0] != mid[both, 1]
+    knots, on = knots[keep], np.repeat(of, keep.sum(1))
+    pair = on[1:] == on[:-1]  # consecutive knots of one circle
+    return knots[:-1][pair], knots[1:][pair], on[:-1][pair]
 
 
 def check_tolerances(atol: float, rtol: float) -> None:
@@ -141,21 +169,32 @@ def adaptive_circle(f: Callable[[np.ndarray], np.ndarray],
     """Integrate ``f`` over [0, 2pi) with panels seeded from ``cuts``: the
     one-circle case of :func:`adaptive_circles`, for an ``f`` of the angles.
 
-    ``cuts`` holds (angle, distance) pairs: each angle becomes a panel edge,
-    refined toward by the number of dyadic levels its distance calls for
-    (see the module docstring); distance 0 marks a singularity on the
-    circle, ``math.inf`` a plain edge.  ``evaluations`` counts those already
-    spent on the integrand's structure, such as a search for the cuts; the
-    result's count starts from it.
+    ``cuts`` holds (angle, distance) pairs, or a two-column array of them:
+    each angle becomes a panel edge, refined toward by the number of dyadic
+    levels its distance calls for (see the module docstring); distance 0
+    marks a singularity on the circle, ``math.inf`` a plain edge.
+    ``evaluations`` counts those already spent on the integrand's
+    structure, such as a search for the cuts; the result's count starts
+    from it.
     """
-    return adaptive_circles(lambda theta, _: f(theta), [cuts], atol, rtol, [evaluations])[0]
+    cuts = np.asarray(cuts, dtype=float).reshape(len(cuts), 2)
+    return adaptive_circles(lambda theta, _: f(theta),
+                            (cuts[:, 0], cuts[:, 1], np.zeros(len(cuts), dtype=np.intp)), 1,
+                            atol, rtol, [evaluations])[0]
 
 
-def adaptive_circles(f: Callable[[np.ndarray, np.ndarray], np.ndarray], cuts_per_circle,
+def adaptive_circles(f: Callable[[np.ndarray, np.ndarray], np.ndarray], cuts, count: int,
                      atol: float = 1e-10, rtol: float = 1e-8,
                      evaluations=()) -> list[QuadratureResult]:
-    """Integrate over [0, 2pi) on many circles in lockstep, circle c with
-    panels seeded from ``cuts_per_circle[c]`` (see :func:`adaptive_circle`).
+    """Integrate over [0, 2pi) on ``count`` circles in lockstep, circle c
+    with panels seeded from its cuts (see :func:`adaptive_circle`).
+
+    ``cuts`` is three flat arrays, ``(angle, distance, circle)``: cut i at
+    angle[i] with distance[i] on circle circle[i], in any order.  One pass
+    (:func:`_seed_panels`) seeds the panels of every circle; a circle with
+    no cut gets the one panel [0, 2pi].  A cut with a non-finite angle, or
+    a distance that is NaN or negative, raises ValueError, checked with
+    the tolerances (:func:`check_tolerances`) before any evaluation.
 
     ``f(theta, circle)`` takes angles and the circle index of each, one
     index where a call's angles all lie on one circle, and returns real
@@ -171,16 +210,17 @@ def adaptive_circles(f: Callable[[np.ndarray, np.ndarray], np.ndarray], cuts_per
     contour-touching zeros needs; ``MAX_PANELS``, ``_MAX_ROUNDS`` (both
     read per call) and the evaluation count, from ``evaluations[c]`` (0 if
     not given).  A circle keeps its panels in a lone run's order and sums
-    its own slice, so a lone circle runs bit for bit as before.  The tolerances go through
-    :func:`check_tolerances` before any evaluation.
+    its own slice, so a lone circle runs bit for bit as before.
     """
     check_tolerances(atol, rtol)
-    seeds = [_seed_panels(cuts) for cuts in cuts_per_circle]
-    n = len(seeds)
-    lo, hi = (np.concatenate(ends) for ends in zip(*seeds))
-    live, counts = list(range(n)), [s[0].size for s in seeds]  # unfinished circles, panels
-    circle = np.repeat(live, counts)  # of each panel
-    spent = list(evaluations) if evaluations else [0] * n
+    angle, dist, of = cuts
+    angle, dist = np.asarray(angle, dtype=float), np.asarray(dist, dtype=float)
+    if not (np.isfinite(angle).all() and (dist >= 0.0).all()):
+        raise ValueError("cuts need finite angles and nonnegative distances")
+    lo, hi, circle = _seed_panels(angle, dist, np.asarray(of, dtype=np.intp), count)
+    live = list(range(count))  # the unfinished circles, and their panels
+    counts = np.bincount(circle, minlength=count).tolist()
+    spent = list(evaluations) if evaluations else [0] * count
     x, w = _GL_X, _GL_W
 
     def panel_values(lo_b, hi_b, circle, retry=True):
@@ -219,7 +259,7 @@ def adaptive_circles(f: Callable[[np.ndarray, np.ndarray], np.ndarray], cuts_per
                                            circle[bad], False)[0]
         return out
 
-    accepted_val, accepted_err, accepted_cnt = [0.0] * n, [0.0] * n, [0] * n
+    accepted_val, accepted_err, accepted_cnt = [0.0] * count, [0.0] * count, [0] * count
     coarse = None
 
     for _ in range(_MAX_ROUNDS):

@@ -643,7 +643,7 @@ def test_pull_back_equals_clustering_every_row(coeffs, double_roots):
                                                            fnmodel.ROOT_CLUSTER_TOL)
                  if abs(root) <= r]
         entries, origin = _greedy_build(pairs)
-        d = fnmodel._pull_back(p, targets, r)
+        d = fnmodel._pull_back(p, np.array(ws), np.array([m for _, m in targets]), r)
         assert repr(d.entries) == repr(entries) and repr(d.origin_order) == repr(origin)
 
 
@@ -1752,14 +1752,59 @@ def test_level_search_certifies_the_crossings_near_a_divisor_point(members):
 def test_exp_branch_count_is_capped(monkeypatch):
     solved = []
     monkeypatch.setattr(fnmodel, "_pull_back",
-                        lambda p, targets, r: solved.append(len(targets)) or Divisor())
+                        lambda p, ws, ms, r: solved.append((ws.size, ms.size)) or Divisor())
     f = ExpPoly(Z, 1.0)
     f._divisor_impl(2.0**20)  # r = 1e6 rounds up to 2^20
-    assert solved == [2 * math.floor(2.0**20 / (2 * math.pi)) + 1]
+    assert solved == [(2 * math.floor(2.0**20 / (2 * math.pi)) + 1,) * 2]
     assert fnmodel._MAX_BRANCHES >= 100 * 1304  # far above the largest smt batch
     with pytest.raises(fnmodel.OverflowSignal, match="log-branches"):
         f._divisor_impl(2.0**21)
     assert len(solved) == 1
+
+
+def _reference_exp_branches(f, r):
+    """The log-branches of exp(p) = a in |z| <= r, built one complex at a
+    time as the comprehension over k did."""
+    la = cmath.log(f.a)
+    bound = f.p.coeff_bound(r)
+    kmax = int(math.ceil((bound + abs(la)) / TWO_PI)) + 1
+    if 2 * kmax + 1 > fnmodel._MAX_BRANCHES:
+        return None
+    return [w for w in (la + TWO_PI * 1j * k for k in range(-kmax, kmax + 1))
+            if abs(w) <= bound + 1e-9]
+
+
+@pytest.mark.parametrize("p", [Z, Z2, Polynomial((0.5j, 0j, 0j, 1.0))], ids=["z", "z^2", "z^3+i/2"])
+@pytest.mark.parametrize("a", [1.0, -1.0, 0.3 + 0.2j])
+def test_exp_divisor_branches_equal_the_comprehension(monkeypatch, p, a):
+    """The log-branches, built as one array, are the comprehension's bit for
+    bit, and so is the divisor pulled back from them.  The pull-back is a
+    function of the branches, so past 2000 of them only the branches are
+    compared (z^2 on disc 1024 has 333,772-333,773 of them)."""
+    f, pull_back, seen = ExpPoly(p, a), fnmodel._pull_back, []
+
+    def spy(p, ws, ms, r):
+        seen.append((ws, ms))
+        return pull_back(p, ws, ms, r) if ws.size < 2000 else fnmodel.EMPTY_DIVISOR
+
+    monkeypatch.setattr(fnmodel, "_pull_back", spy)
+    for r in (8.0, 64.0, 1024.0):
+        want = _reference_exp_branches(f, r)
+        if want is None:
+            with pytest.raises(OverflowSignal, match="log-branches"):
+                f._divisor_impl(r)
+            continue
+        d = f._divisor_impl(r)
+        ws, ms = seen.pop()
+        assert ws.tobytes() == np.array(want, dtype=np.complex128).tobytes()
+        assert ms.tobytes() == np.ones(len(want), dtype=np.int64).tobytes()
+        if len(want) < 2000:
+            ref = pull_back(p, np.array(want), np.ones(len(want), dtype=np.int64), r)
+            assert d.points.tobytes() == ref.points.tobytes()
+            assert d.mults.tobytes() == ref.mults.tobytes()
+            assert d.origin_order == ref.origin_order
+    with pytest.raises(OpaqueExpr):  # a degree-0 p equal to a branch
+        ExpPoly(Polynomial((cmath.log(a),)), a)._divisor_impl(8.0)
 
 
 def test_constant_exp_argument_equal_to_log_a_is_opaque():
@@ -1799,8 +1844,9 @@ def test_preimages_of_a_composed_rational_are_the_pulled_back_a_points(members, 
         g = compose_poly(f, p)
         for r in (0.8, 2.5, 6.0):
             base = preimages_in_disc(f, a, p.coeff_bound(r))  # rat_zero1_pole2 = 0.5 at 0
-            targets = list(base.entries) + [(0j, base.origin_order)] * bool(base.origin_order)
-            want = fnmodel._pull_back(p, targets, r).multiset()
+            origin = [base.origin_order] * bool(base.origin_order)
+            want = fnmodel._pull_back(p, np.append(base.points, [0j] * len(origin)),
+                                      np.append(base.mults, origin), r).multiset()
             got = preimages_in_disc(g, a, r).multiset()
             assert len(got) == len(want), (key, a, r)
             if got:

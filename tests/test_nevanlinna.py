@@ -341,9 +341,9 @@ def test_a_grid_with_a_folded_circle_runs_in_one_lockstep_call(members, monkeypa
     assert fnmodel._circle_form(f, 1.5)[0] == f.divisor
     assert fnmodel._circle_form(f, 1e200)[0] != f.divisor
 
-    def spy(g, cuts, *args, **kwargs):
-        runs.append(len(cuts))
-        return quad(g, cuts, *args, **kwargs)
+    def spy(g, cuts, count, *args, **kwargs):
+        runs.append(count)
+        return quad(g, cuts, count, *args, **kwargs)
 
     monkeypatch.setattr(quadrature, "adaptive_circles", spy)  # adaptive_circle's too
     monkeypatch.setattr(nevanlinna, "adaptive_circles", spy)
@@ -670,7 +670,7 @@ def test_unknown_kinks_keep_the_ends_seeded(members, monkeypatch, r):
     orig, seen = nevanlinna.adaptive_circle, []
 
     def spy(g, cuts, **kw):
-        seen.append(list(cuts))
+        seen.append([tuple(cut) for cut in np.asarray(cuts).tolist()])
         return orig(g, cuts, **kw)
 
     monkeypatch.setattr(nevanlinna, "adaptive_circle", spy)
@@ -711,12 +711,13 @@ def test_kinks_near_zeros_are_graded_cuts(members, r):
     ref = _circle_means(f, [(r, _dense_kinks(f, r), 0)], _logplus(f), 1e-12, 1e-11)[0].value
     assert abs(proximity(f, r).m - ref) <= 1e-9 + 1e-8 * ref
     cuts = f.closed_proximity([r])[0][1]
-    graded = nevanlinna._cuts(f, r, cuts)[-cuts.size:]  # the kink cuts follow the points'
-    assert [a for a, _ in graded] == cuts.tolist()
-    assert min(d for _, d in graded) < 0.01  # a zero of e^{z^2} - 1 lies near the circle
+    angle, dist, _ = nevanlinna._grid_cuts(f, [r], [cuts])
+    graded = angle[-cuts.size:], dist[-cuts.size:]  # the kink cuts follow the points'
+    assert graded[0].tolist() == cuts.tolist()
+    assert graded[1].min() < 0.01  # a zero of e^{z^2} - 1 lies near the circle
     # a reciprocal's near points are poles: its kinks stay plain cuts
-    recip = nevanlinna._cuts(Quotient(Const(1.0), f), r, cuts)[-cuts.size:]
-    assert [a for a, _ in recip] == cuts.tolist() and all(d == math.inf for _, d in recip)
+    angle, dist, _ = nevanlinna._grid_cuts(Quotient(Const(1.0), f), [r], [cuts])
+    assert angle[-cuts.size:].tolist() == cuts.tolist() and (dist[-cuts.size:] == math.inf).all()
 
 
 def test_divisor_cuts_carry_their_distance_off_the_circle():
@@ -724,9 +725,66 @@ def test_divisor_cuts_carry_their_distance_off_the_circle():
     # |log(|b|/r)|; the point at 1.2 r is left to the quadrature
     r = 4.0
     pts = [(0.95 * r * np.exp(1j), 1), (1.05 * r * np.exp(2j), -2), (1.2 * r * 1j, 1)]
-    cuts = nevanlinna._cuts(RationalFromDivisor(1.0, Divisor.build(pts)), r, fnmodel._NO_ANGLES)
+    angle, dist, of = nevanlinna._grid_cuts(RationalFromDivisor(1.0, Divisor.build(pts)), [r],
+                                            [fnmodel._NO_ANGLES])
     want = [[1.0, -math.log(0.95)], [2.0, math.log(1.05)]]
-    assert np.array(sorted(cuts)) == pytest.approx(np.array(want), rel=1e-12)
+    assert of.tolist() == [0, 0]
+    assert np.array(sorted(zip(angle, dist))) == pytest.approx(np.array(want), rel=1e-12)
+
+
+def _reference_cuts(expr, r, kinks):
+    """One circle's cuts, as the per-circle read built them: the band
+    points, then the kinks, or (0, 0) where the kinks are unknown."""
+    div = expr.divisor_in_disc(r * (1.0 + fnmodel.CIRCLE_BAND))
+    near = np.abs(div.moduli - r) <= fnmodel.CIRCLE_BAND * r
+    b = div.points[near]
+    angle, off = np.angle(b), np.log(np.abs(b) / r)
+    cuts = list(zip((angle % fnmodel.TWO_PI).tolist(), np.abs(off).tolist()))
+    if kinks is None:
+        return cuts + [(0.0, 0.0)]
+    zero = div.mults[near] > 0
+    if kinks.size and zero.any():
+        gap = (angle[zero] - kinks[:, None] + math.pi) % fnmodel.TWO_PI - math.pi
+        dist = np.hypot(gap, off[zero]).min(axis=1)
+        return cuts + list(zip(kinks.tolist(), dist.tolist()))
+    return cuts + [(a, math.inf) for a in kinks.tolist()]
+
+
+def _hex_cuts(cuts):
+    return [(float(a).hex(), float(d).hex()) for a, d in cuts]
+
+
+GRID_CUT_CASES = {
+    "smt 1": (lambda m: Quotient(Const(1.0), subtract(EXP_Z2, Const(1.0))),
+              [float(r) for r in log_radii(5.0, 40.0, 25)], "searched"),
+    "smt -1": (lambda m: Quotient(Const(1.0), subtract(EXP_Z2, Const(-1.0))),
+               [float(r) for r in log_radii(5.0, 40.0, 25)], "searched"),
+    "char grid": (lambda m: m["expz2_minus_1"].expr,
+                  [float(r) for r in log_radii(5.0, 40.0, 25)], "searched"),
+    "kinks given": (lambda m: m["expz2_minus_1"].expr, [30.911], "searched"),
+    "kinks None": (lambda m: m["expz2_minus_1"].expr, [30.911], None),
+    "mixed": (lambda m: m["expz2_minus_1"].expr, [30.911, 12.0, 5.0],
+              [None, np.array([0.1, 3.0]), fnmodel._NO_ANGLES]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRID_CUT_CASES))
+def test_grid_cuts_equal_the_per_circle_reads(members, case):
+    """One divisor read cuts every circle of a grid bit for bit as a read
+    per circle did, each circle's points in column order, then its kinks."""
+    make, radii, kinks = GRID_CUT_CASES[case]
+    expr = make(members)
+    expr.solve_ahead(max(radii) * (1.0 + fnmodel.CIRCLE_BAND))
+    radii = [nevanlinna._nudged(expr, r) for r in radii]
+    if kinks == "searched":
+        kinks = [k for _, k, _ in expr.closed_proximity(radii)]
+        assert all(k is not None and k.size for k in kinks)
+    elif kinks is None:
+        kinks = [None] * len(radii)
+    angle, dist, of = nevanlinna._grid_cuts(expr, radii, kinks)
+    for c, (r, k) in enumerate(zip(radii, kinks)):
+        got = zip(angle[of == c].tolist(), dist[of == c].tolist())
+        assert _hex_cuts(got) == _hex_cuts(_reference_cuts(expr, r, k)), r
 
 
 def test_on_circle_zero_is_nudged():
@@ -948,7 +1006,7 @@ def test_proximities_match_per_radius_runs(members, monkeypatch, case):
     expr, radii = make(members), [float(r) for r in log_radii(5.0, 40.0, 25)]
     runs, lockstep = [], nevanlinna.adaptive_circles
     monkeypatch.setattr(nevanlinna, "adaptive_circles",
-                        lambda *a, **k: runs.append(len(a[1])) or lockstep(*a, **k))
+                        lambda *a, **k: runs.append(a[2]) or lockstep(*a, **k))
     batch = nevanlinna.proximities(expr, radii, atol=atol, rtol=rtol)
     assert runs == [len(radii)]  # every circle in one lockstep run
     for r, s in zip(radii, batch):

@@ -1,5 +1,6 @@
 """Adaptive circle quadrature against independently computed integrals."""
 
+import bisect
 import math
 
 import numpy as np
@@ -334,6 +335,16 @@ LOCKSTEP_CIRCLES = [
 ]
 
 
+def _flat(cuts_per_circle):
+    """The ``cuts, count`` arguments of :func:`adaptive_circles` for lists of
+    (angle, distance) pairs, one list per circle."""
+    angle = [a for cuts in cuts_per_circle for a, _ in cuts]
+    dist = [d for cuts in cuts_per_circle for _, d in cuts]
+    of = [c for c, cuts in enumerate(cuts_per_circle) for _ in cuts]
+    return (np.array(angle, dtype=float), np.array(dist, dtype=float),
+            np.array(of, dtype=np.intp)), len(cuts_per_circle)
+
+
 def _by_circle(fs):
     """f(theta, circle) that evaluates circle c's nodes through fs[c], and the
     list of (nodes, circles) of every call."""
@@ -351,7 +362,8 @@ def _by_circle(fs):
 def test_lockstep_circles_match_lone_runs():
     fs, cuts = zip(*LOCKSTEP_CIRCLES)
     f, calls = _by_circle(fs)
-    got = adaptive_circles(f, cuts, atol=1e-11, rtol=1e-10, evaluations=[0, 5, 0, 7, 0])
+    got = adaptive_circles(f, *_flat(cuts), atol=1e-11, rtol=1e-10,
+                           evaluations=[0, 5, 0, 7, 0])
     for c, (g, cut) in enumerate(LOCKSTEP_CIRCLES):
         lone = adaptive_circle(g, cut, atol=1e-11, rtol=1e-10, evaluations=[0, 5, 0, 7, 0][c])
         assert abs(got[c].value - lone.value) <= 1e-3 * max(1e-11, 1e-10 * abs(lone.value))
@@ -371,7 +383,7 @@ def _counted_run(g, cut):
 def test_a_finished_circle_gets_no_more_nodes():
     fs, cuts = zip(*LOCKSTEP_CIRCLES)
     f, calls = _by_circle(fs)
-    got = adaptive_circles(f, cuts, atol=1e-11, rtol=1e-10)
+    got = adaptive_circles(f, *_flat(cuts), atol=1e-11, rtol=1e-10)
     for c in range(len(fs)):
         seen = [c in circles for _, circles in calls]
         assert seen == sorted(seen, reverse=True)  # a prefix of the calls
@@ -384,10 +396,10 @@ def test_no_call_exceeds_the_node_cap(monkeypatch, cap):
     """Rounds split into calls of at most MAX_CALL_NODES nodes, across block
     and circle boundaries, with the same panels and evaluations."""
     fs, cuts = zip(*LOCKSTEP_CIRCLES)
-    want = adaptive_circles(_by_circle(fs)[0], cuts, atol=1e-11, rtol=1e-10)
+    want = adaptive_circles(_by_circle(fs)[0], *_flat(cuts), atol=1e-11, rtol=1e-10)
     monkeypatch.setattr(quadrature, "MAX_CALL_NODES", cap)
     f, calls = _by_circle(fs)
-    got = adaptive_circles(f, cuts, atol=1e-11, rtol=1e-10)
+    got = adaptive_circles(f, *_flat(cuts), atol=1e-11, rtol=1e-10)
     assert max(n for n, _ in calls) <= cap
     assert sum(n for n, _ in calls) == sum(r.evaluations for r in got)
     for g, w in zip(got, want):
@@ -407,5 +419,123 @@ def test_a_failing_circle_raises_its_own_failure(bad, kwargs, monkeypatch):
         adaptive_circle(bad, cuts, **kwargs)
     f, _ = _by_circle([lambda t: np.ones_like(t), bad, lambda t: np.ones_like(t)])
     with pytest.raises(QuadratureFailure) as batch:
-        adaptive_circles(f, [[], cuts, []], **kwargs)
+        adaptive_circles(f, *_flat([[], cuts, []]), **kwargs)
     assert str(batch.value) == str(lone.value)
+
+
+# ---------------------------------------------------------------------------
+# the seed panels of a batch against the one-circle loop they replaced
+# ---------------------------------------------------------------------------
+
+
+_LEVEL_RATIOS = tuple(2.0 ** (k + 1) for k in range(SEED_LEVELS))
+_KNOT_STEPS = tuple(tuple(0.5**k for k in range(1, L + 1)) for L in range(SEED_LEVELS + 1))
+
+
+def _reference_seed_panels(cuts):
+    """One circle's seed panels, as the per-circle loop built them."""
+    cuts = sorted(cuts, key=lambda cut: cut[0])
+    if cuts and not 0.0 <= cuts[0][0] <= cuts[-1][0] < TWO_PI:
+        cuts = sorted(((a % TWO_PI, d) for a, d in cuts), key=lambda cut: cut[0])
+    angle, dist = [0.0], [math.inf]
+    for a, d in cuts:
+        if a - angle[-1] > MERGE_GAP:
+            angle.append(a)
+            dist.append(d)
+        elif d < dist[-1]:
+            dist[-1] = d
+    if TWO_PI - angle[-1] <= MERGE_GAP:  # 2pi is the angle 0
+        angle.pop()
+        dist[0] = min(dist[0], dist.pop())
+    angle.append(TWO_PI)
+    dist.append(dist[0])
+
+    knots = [TWO_PI]
+    for a, b, da, db in zip(angle, angle[1:], dist, dist[1:]):
+        w = b - a
+        la = bisect.bisect_left(_LEVEL_RATIOS, w / da) if da else SEED_LEVELS
+        lb = bisect.bisect_left(_LEVEL_RATIOS, w / db) if db else SEED_LEVELS
+        knots.append(a)
+        knots += [a + w * h for h in _KNOT_STEPS[la]]
+        knots += [b - w * h for h in _KNOT_STEPS[lb]]
+    knots = sorted(set(knots))
+    return np.array(knots[:-1]), np.array(knots[1:])
+
+
+def _random_cut(rng):
+    angle = [0.0, TWO_PI - 1e-13, TWO_PI, -0.0, math.pi, rng.uniform(0.0, 2e-12),
+             rng.uniform(-20.0, 20.0), rng.uniform(0.0, TWO_PI)][rng.integers(8)]
+    dist = [0.0, math.inf, 10.0 ** rng.uniform(-15.0, 1.0), rng.uniform(0.0, 3.0)][rng.integers(4)]
+    return angle, dist
+
+
+def _random_batch(rng):
+    """1-6 circles of 0-6 random cuts, some with a repeated cut, some with a
+    chain of 3-5 cuts 0.6 MERGE_GAP apart."""
+    batch = []
+    for _ in range(int(rng.integers(1, 7))):
+        cuts = [_random_cut(rng) for _ in range(int(rng.integers(0, 7)))]
+        if cuts and rng.random() < 0.3:
+            cuts.append(cuts[int(rng.integers(len(cuts)))])
+        if rng.random() < 0.3:
+            a = [0.0, TWO_PI - 2e-12, rng.uniform(0.0, TWO_PI)][rng.integers(3)]
+            cuts += [(a + k * 0.6 * MERGE_GAP, rng.uniform(0.0, 1.0))
+                     for k in range(int(rng.integers(3, 6)))]
+        batch.append(cuts)
+    return batch
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batch_seed_panels_equal_the_one_circle_loop(seed):
+    """Each circle's (lo, hi) of one batch pass equals the loop's bit for
+    bit, whatever the order of the batch's cuts."""
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        batch = _random_batch(rng)
+        (angle, dist, of), count = _flat(batch)
+        order = rng.permutation(angle.size)
+        lo, hi, circle = quadrature._seed_panels(angle[order], dist[order], of[order], count)
+        assert (np.diff(circle) >= 0).all()
+        for c, cuts in enumerate(batch):
+            want_lo, want_hi = _reference_seed_panels(cuts)
+            assert lo[circle == c].tobytes() == want_lo.tobytes(), cuts
+            assert hi[circle == c].tobytes() == want_hi.tobytes(), cuts
+
+
+def test_a_chain_of_close_cuts_merges_into_the_last_edge_kept():
+    # 0.6 gaps: the second cut merges into the first, the third starts an edge
+    a = 1.0
+    chain = [(a, math.inf), (a + 0.6 * MERGE_GAP, 0.0), (a + 1.2 * MERGE_GAP, math.inf)]
+    (angle, dist, of), count = _flat([chain, [], chain[::-1]])
+    lo, hi, circle = quadrature._seed_panels(angle, dist, of, count)
+    want_lo, want_hi = _reference_seed_panels(chain)
+    assert a + 1.2 * MERGE_GAP in want_lo.tolist()
+    assert (lo[circle == 1].tolist(), hi[circle == 1].tolist()) == ([0.0], [TWO_PI])
+    for c in (0, 2):
+        assert lo[circle == c].tobytes() == want_lo.tobytes()
+        assert hi[circle == c].tobytes() == want_hi.tobytes()
+
+
+MALFORMED_CUTS = {
+    "NaN angle": (math.nan, 0.0),
+    "inf angle": (math.inf, 0.0),
+    "-inf angle": (-math.inf, math.inf),
+    "NaN distance": (1.0, math.nan),
+    "negative distance": (1.0, -1e-300),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CUTS))
+def test_malformed_cuts_raise_before_any_evaluation(case):
+    calls = []
+
+    def f(t, *_):
+        calls.append(t.size)
+        return np.ones_like(t)
+
+    cut = MALFORMED_CUTS[case]
+    with pytest.raises(ValueError, match="cuts"):
+        adaptive_circle(f, [(math.pi, 0.0), cut])
+    with pytest.raises(ValueError, match="cuts"):
+        adaptive_circles(f, *_flat([[], [cut], [(0.5, 1.0)]]))
+    assert not calls

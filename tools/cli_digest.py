@@ -88,6 +88,9 @@ COMMANDS = [
      "--targets", "1,-1", "--radii", "10"],
     ["verify", "smt", "--fn", "exp_z", "--omega", "z^2+z", "--phi", "z^2",
      "--targets", "1,-1", "--radii", "40,10"],
+    # both radii on zeros of exp(z^2) - 1: nudged circles cut from the grid's one read
+    ["verify", "smt", "--fn", "exp_z", "--omega", "z^2+z", "--phi", "z^2",
+     "--targets", "1,-1", "--radii", "2.5066282746310002,5.0132565492620005"],
     ["char", "--fn", "expz2_minus_1", "--rmin", "5", "--rmax", "40", "--count", "25"],
     # an unsorted grid across three discs: the largest is solved first whatever the order
     ["char", "--fn", "expz2_minus_1", "--radii", "40,5,20"],
