@@ -82,11 +82,11 @@ class AlgebraicMap:
         return complex(z) + self._shift(self.root(z, branch))
 
 
-def binomial_shift_map(n: int, c: complex, branch: int = 0) -> AlgebraicMap:
-    """The map (z^{1/n} + c)^n, written out in powers of the root."""
+def binomial_shift_map(n: int, c: complex) -> AlgebraicMap:
+    """The map (z^{1/n} + c)^n on branch 0, written out in powers of the root."""
     c = complex(c)
     alphas = [math.comb(n, k) * c ** (n - k) for k in range(n)]
-    return AlgebraicMap(n=n, alphas=tuple(alphas), branch=branch)
+    return AlgebraicMap(n=n, alphas=tuple(alphas))
 
 
 def polynomialize(m: AlgebraicMap, n: int) -> Polynomial:
@@ -212,8 +212,8 @@ def format_complex(v: complex) -> str:
     return f"{v.real:g}{v.imag:+g}i"
 
 
-def _image_hits_value(expr: FunctionExpr, q, a: complex | None, vtol: float):
-    """Overflow-safe test of |f(q) - a| <= vtol * (1 + |a|), elementwise.
+def _image_hits_value(expr: FunctionExpr, q, a: complex | None):
+    """Overflow-safe test of |f(q) - a| <= PREIMAGE_RESIDUAL_TOL (1 + |a|), elementwise.
 
     ``q`` is one point or an array of them; the result is a bool or a bool
     array of its shape, from one ``_log_parts`` call.  Works through the log
@@ -222,13 +222,13 @@ def _image_hits_value(expr: FunctionExpr, q, a: complex | None, vtol: float):
     """
     qs = np.asarray(q, dtype=complex)
     lm, ag = expr._log_parts(qs.reshape(-1))
-    lv = math.log(vtol) if vtol > 0 else -math.inf
+    lv = math.log(PREIMAGE_RESIDUAL_TOL)
     if a is None:
         hit = lm >= -lv
     elif a == 0:
         hit = lm <= lv
     else:
-        la, bound = math.log(abs(a)), vtol * (1.0 + abs(a))
+        la, bound = math.log(abs(a)), PREIMAGE_RESIDUAL_TOL * (1.0 + abs(a))
         dwarfs = lm - la > 40.0  # |f(q)| dwarfs |a|: refuted without exponentiating
         tiny = la - lm > 40.0  # |f(q)| negligible next to |a|
         hit = tiny & (abs(a) <= bound)
@@ -332,8 +332,7 @@ def invariance_census(expr: FunctionExpr, m: AlgebraicMap, values, R: float,
         matched, unmatched, leaks, ambiguous = _match_images(images, pts, R, tol)
         violations = []
         if unmatched:
-            hits = _image_hits_value(expr, [q for _, q in unmatched], aval,
-                                     PREIMAGE_RESIDUAL_TOL)
+            hits = _image_hits_value(expr, [q for _, q in unmatched], aval)
             violations = [pq for pq, hit in zip(unmatched, hits.tolist()) if not hit]
         verdict = not violations
         reports.append(InvarianceReport(

@@ -63,12 +63,14 @@ from .quadrature import adaptive_circle
 
 # a bound check passes where its margin (rhs - lhs) is at least -PASS_TOL
 PASS_TOL = 1e-9
-# fixed settings of asym_ratio (margin below 1/n^2) and growth_lemma_probe
-# (hyper-slope tolerance, tail-Cauchy threshold, window count)
+# fixed settings of asym_ratio (margin below 1/n^2), growth_lemma_probe
+# (hyper-slope tolerance, tail-Cauchy threshold, window count) and
+# pestimate_check (absolute tolerance of its circle quadrature)
 ASYM_SLOPE_MARGIN = 0.0
 GROWTH_FIT_TOL = 0.1
 GROWTH_CAUCHY_TOL = 0.01
 GROWTH_WINDOWS = 10
+PEST_ATOL = 1e-10
 
 
 @record
@@ -143,7 +145,7 @@ def k_constant(cfg: BoundConfig, pair: PolyPair) -> float:
 
 
 def pestimate_check(p: Polynomial, gamma: float, r: float,
-                    atol: float = 1e-10, rtol: float = 1e-8) -> BoundReport:
+                    rtol: float = 1e-8) -> BoundReport:
     """Check the closed-form bound on the circle integral of a negative
     fractional power of |p|.
 
@@ -169,7 +171,7 @@ def pestimate_check(p: Polynomial, gamma: float, r: float,
         with np.errstate(divide="ignore"):
             return np.exp(-expo * np.log(np.abs(p(z))))
 
-    res = adaptive_circle(integrand, cuts, atol=atol, rtol=rtol)
+    res = adaptive_circle(integrand, cuts, atol=PEST_ATOL, rtol=rtol)
     rhs = TWO_PI / ((1.0 - gamma) * abs(p.leading) ** expo * r**gamma)
     margin = rhs - res.value
     return BoundReport(r=r, lhs=res.value, rhs=rhs, margin=margin,

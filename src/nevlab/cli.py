@@ -41,9 +41,9 @@ def _lookup_fn(key: str):
 
 
 def _radii_from(args) -> list[float]:
-    if getattr(args, "radii", None):
-        return [float(tok) for tok in args.radii.split(",")]
-    return [float(r) for r in log_radii(args.rmin, args.rmax, args.count)]
+    if args.radii is None:
+        return [float(r) for r in log_radii(args.rmin, args.rmax, args.count)]
+    return [float(tok) for tok in args.radii.split(",")]  # '' is no radius: ValueError
 
 
 def _fmt(x) -> str:
@@ -210,7 +210,7 @@ def _verify_smt(args, config: dict) -> tuple[int, dict, list]:
 
 
 def _verify_borel(args, config: dict) -> tuple[int, dict, list]:
-    if args.radii:
+    if args.radii is not None:
         raise ToolkitError("verify borel builds its grid from --rmin, --rmax and "
                            "--count; --radii is not accepted")
     if args.fn == "all":  # one corpus build serves every member
@@ -366,6 +366,9 @@ def cmd_census(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    for flag, n in (("--probes", args.probes), ("--preimages", args.preimages)):
+        if n < 1:
+            raise ValueError(f"counterexample needs {flag} of at least 1, got {flag} {n}")
     kit = constructor.counterexample_kit(args.k)
     probes = constructor.identity_probe_points(args.probes, seed=args.seed)
     residuals = constructor.identity_residuals(kit, probes)

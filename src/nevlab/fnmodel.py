@@ -37,8 +37,8 @@ with a != 0 can have zeros or poles.
 
 The family is deliberately closed: constants, rationals given by their
 divisor, exp of a polynomial minus a constant (``ExpPoly(p, a)``; ``a = 0``
-is plain exp(p)), exp of an entire child, products and quotients.  Smart
-constructors rewrite combinations into it.
+is plain exp(p)), the tower exp(exp(p)) (``Exp(p)``), products and
+quotients.  Smart constructors rewrite combinations into it.
 `compose_poly` takes every member to its precomposition with a nonconstant
 polynomial, a rational to the rational of its pulled-back divisor, so f(p)
 evaluates, folds, cuts its kinks and solves its a-points as the family
@@ -1012,17 +1012,6 @@ class FunctionExpr:
         """log|f| alone, equal to ``_log_parts(z)[0]``, for callers that never read arg f."""
         return self._log_parts(z)[0]
 
-    def _values(self, z: np.ndarray) -> np.ndarray:
-        lm, ag = self._log_parts(z)
-        out = np.full(lm.shape, np.nan, dtype=np.complex128)  # lm = NaN stays NaN
-        finite = np.isfinite(lm)
-        safe = finite & (lm < _LOG_HUGE)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out[safe] = np.exp(lm[safe] + 1j * ag[safe])
-        out[lm == -np.inf] = 0.0
-        out[(lm == np.inf) | (finite & (lm >= _LOG_HUGE))] = np.inf
-        return out
-
     def closed_proximity(self, radii) -> list[tuple[tuple[float, float] | None,
                                                     np.ndarray | None, int]]:
         """(mean, cuts, spent) for each circle |z| = r of ``radii``: the one
@@ -1123,13 +1112,16 @@ class FunctionExpr:
             raise PoleSignal(f"z={z} is within {tol:.2e} of a pole at {near[0].item()}")
         if div.origin_order < 0 and abs(z) <= tol:
             raise PoleSignal(f"z={z} is within {tol:.2e} of the pole at 0")
-        v = self._values(_carray([z]))[0]
-        if np.isnan(v) or (np.isinf(v.real) or np.isinf(v.imag)):
-            lm, _ = self._log_parts(_carray([z]))
-            if lm[0] == np.inf:
-                raise PoleSignal(f"f has a pole at z={z}")
+        lm, ag = self._log_parts(_carray([z]))
+        if lm[0] == np.inf:
+            raise PoleSignal(f"f has a pole at z={z}")
+        if lm[0] == -np.inf:
+            return 0j
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = complex(np.exp(lm + 1j * ag)[0])
+        if not (lm[0] < _LOG_HUGE and cmath.isfinite(v)):  # a NaN log|f| or arg f too
             raise OverflowSignal(f"|f(z)| exceeds the floating range at z={z}")
-        return complex(v)
+        return v
 
     def logmod_eval(self, z: complex) -> tuple[float, float]:
         """(log|f(z)|, arg f(z) mod 2pi); -inf at exact zeros, PoleSignal at poles."""
@@ -2089,51 +2081,54 @@ def _exp_series(p: Polynomial, r: float) -> tuple[np.ndarray, float, float] | No
 
 @record
 class Exp(FunctionExpr):
-    """exp(child(z)); the child must be entire, checked at construction."""
+    """exp(exp(p(z))) for a :class:`Polynomial` p, else ``TypeError``; the
+    tower of the sharpness example, e^{e^z}, is ``Exp(Polynomial((0j, 1.0)))``."""
 
-    child: FunctionExpr
+    p: Polynomial
 
     def __post_init__(self):
-        if not self.child.is_entire:
-            raise ValueError("Exp child must be entire")
+        if not isinstance(self.p, Polynomial):
+            raise TypeError(f"Exp(p) is exp(exp(p)) for a Polynomial p, not {self.p!r}")
 
     @property
     def is_entire(self) -> bool:
         return True
 
     def _log_parts(self, z):
-        w = self.child._values(z)
-        if not np.all(np.isfinite(w)):
-            raise OverflowSignal("the exponent of exp(child) is not finite here: "
+        # log f = e^p, made from Re p and Im p as eval makes f (np.exp(p) can flip the sign
+        # of a zero arg); Re p = -inf at an infinite z gives e^p = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = _carray(self.p(z))
+            e = np.exp(w.real + 1j * w.imag)
+        zero = (w.real == -np.inf) & ~np.isfinite(z)
+        if not ((np.isfinite(w) & (w.real < _LOG_HUGE)) | zero).all():
+            raise OverflowSignal("the exponent of exp(exp(p)) is not finite here: "
                                  "log|f| leaves the floating range")
-        return w.real.copy(), w.imag.copy()
+        e[zero] = 0.0
+        return e.real.copy(), e.imag.copy()
 
     def _divisor_impl(self, r):
         return EMPTY_DIVISOR
 
     def closed_proximity(self, radii):
-        child = self.child
-        if not (isinstance(child, ExpPoly) and child.a == 0):
-            return super().closed_proximity(radii)
         # log|e^{e^p}| = Re e^p = Re sum E_n e^{in theta}
-        return _trig_arc_means(self, radii, lambda r: _exp_series(child.p, r))
+        return _trig_arc_means(self, radii, lambda r: _exp_series(self.p, r))
 
     def level_angles(self, radii, level=1.0):
-        # for a child e^p, |f| = 1 where Re e^p = 0: Im p = pi/2 + k pi, |Im p| <= bound
-        child = self.child
-        if level != 1.0 or not (isinstance(child, ExpPoly) and child.a == 0):
+        # |f| = 1 where Re e^p = 0: Im p = pi/2 + k pi, |Im p| <= bound
+        if level != 1.0:
             return super().level_angles(radii, level)
         out = []
         for r in radii:
-            bound = child.p.coeff_bound(r)
+            bound = self.p.coeff_bound(r)
             k_lo = math.ceil(-bound / math.pi - 0.5)
             k_hi = math.floor(bound / math.pi - 0.5)
-            if 2 * child.p.degree * (k_hi - k_lo + 1) > MAX_PANELS:
+            if 2 * self.p.degree * (k_hi - k_lo + 1) > MAX_PANELS:
                 out.append((None, _NO_ANGLES, 0))
                 continue
             # a constant p has no angles, however many levels its bound spans
-            shifts = [math.pi * (k + 0.5) for k in range(k_lo, k_hi + 1)] if child.p.degree else []
-            out.append((_im_level_angles(child.p, r, shifts), _NO_ANGLES, 0))
+            shifts = [math.pi * (k + 0.5) for k in range(k_lo, k_hi + 1)] if self.p.degree else []
+            out.append((_im_level_angles(self.p, r, shifts), _NO_ANGLES, 0))
         return out
 
 
@@ -2197,8 +2192,8 @@ class Quotient(_Pair):
 
 def compose_poly(expr: FunctionExpr, p: Polynomial) -> FunctionExpr:
     """expr(p(z)) for a nonconstant polynomial p, rewritten into the family:
-    exp(q) - a becomes exp(q(p)) - a, exp(u) becomes exp(u(p)), products
-    and quotients compose each side, and a rational s w^o
+    exp(q) - a becomes exp(q(p)) - a, exp(exp(q)) becomes exp(exp(q(p))),
+    products and quotients compose each side, and a rational s w^o
     prod (w - b)^m becomes the rational of the pulled-back points, since
     p(z) - b = lead prod_j (z - z_j(b)) gives it the scale s lead^(o + sum m).
     A constant p raises ValueError, and a scale that leaves the double range
@@ -2209,10 +2204,8 @@ def compose_poly(expr: FunctionExpr, p: Polynomial) -> FunctionExpr:
         return expr
     if isinstance(expr, Const):
         return expr
-    if isinstance(expr, ExpPoly):
-        return ExpPoly(expr.p.compose(p), expr.a)
-    if isinstance(expr, Exp):
-        return Exp(compose_poly(expr.child, p))
+    if isinstance(expr, (ExpPoly, Exp)):
+        return expr.replace(p=expr.p.compose(p))
     if isinstance(expr, (Product, Quotient)):
         return type(expr)(compose_poly(expr.lhs, p), compose_poly(expr.rhs, p))
     d = expr.divisor

@@ -385,7 +385,7 @@ def hyperorder_estimate(radii, T_values) -> HyperOrderEstimate:
 def _signed_leaves(expr: FunctionExpr, sign: int = 1):
     """(leaf, sign) for each leaf of the product and quotient tree that may
     have zeros or poles: a quotient's right side counts with the opposite
-    sign.  A constant, exp(p) and exp(u) are zero-free and yield nothing."""
+    sign.  A constant, exp(p) and exp(exp(p)) are zero-free and yield nothing."""
     if isinstance(expr, (Product, Quotient)):
         yield from _signed_leaves(expr.lhs, sign)
         yield from _signed_leaves(expr.rhs, sign if isinstance(expr, Product) else -sign)
@@ -400,9 +400,9 @@ def argument_principle_count(expr: FunctionExpr, r: float) -> int:
     that of f / g their difference.  So the count of a tree is the signed
     sum over its leaves (:func:`_signed_leaves`), all on one circle: the
     radius is nudged once where a point of any leaf lies on it, even one
-    that the tree's divisor cancels.  A constant, exp(p) and exp(u) count
-    0 by construction, not by measurement: they have no zeros or poles, and
-    no contour is integrated for them.  A rational given by its divisor
+    that the tree's divisor cancels.  A constant, exp(p) and exp(exp(p))
+    count 0 by construction, not by measurement: they have no zeros or
+    poles, and no contour is integrated for them.  A rational given by its divisor
     counts the winding of its arg f round the circle, certified from its
     circle form (:func:`fnmodel._winding_count`).  exp(p) - a, and a
     rational whose winding is not certified, count by the real part of the

@@ -212,7 +212,7 @@ def test_asym_exp_with_quadratic():
 
 def test_asym_rejects_fast_growth():
     from nevlab import Exp
-    tower = Exp(ExpPoly(Z))
+    tower = Exp(Z)
     with pytest.raises(GrowthConditionError):
         asym_ratio(tower, Z2_PLUS_Z, list(np.linspace(2.0, 4.0, 12)))
 

@@ -305,11 +305,22 @@ def test_verify_growth_runs_on_the_given_radii(capsys):
 
 
 def test_verify_borel_rejects_explicit_radii(capsys):
-    code, out, err = run(capsys, "verify", "borel", "--fn", "exp_z",
-                         "--radii", "2,3")
-    assert code == EXIT_ERROR
-    assert out == ""
-    assert json.loads(err)["error"] == "ToolkitError"
+    for radii in ("2,3", ""):  # an empty list too, which is not the default grid
+        code, out, err = run(capsys, "verify", "borel", "--fn", "exp_z", "--radii", radii)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert json.loads(err)["error"] == "ToolkitError"
+
+
+@pytest.mark.parametrize("argv", [("--radii", ""), ("--radii=",), ("--config", "{cfg}")])
+def test_an_empty_radii_list_is_an_error_not_the_default_grid(capsys, tmp_path, argv):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"radii": ""}))
+    for cmd in (("char", "--fn", "exp_z"), ("hyperorder", "--fn", "exp_z")):
+        code, out, err = run(capsys, *cmd, *(a.format(cfg=cfg) for a in argv))
+        assert (code, out) == (EXIT_ERROR, "")
+        assert json.loads(err) == {"error": "ValueError",
+                                   "detail": "could not convert string to float: ''"}
 
 
 @pytest.mark.parametrize("which", ["growth", "borel"])
@@ -584,6 +595,15 @@ def test_counterexample_verdict(capsys):
     assert code == EXIT_PASS
     payload = json.loads(out)
     assert payload["summary"]["max_identity_relative_error"] <= 1e-12
+
+
+@pytest.mark.parametrize("flag", ["--probes", "--preimages"])
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_counterexample_needs_one_probe_and_one_preimage(capsys, flag, n):
+    code, out, err = run(capsys, "counterexample", "--k", "2", flag, n)
+    assert (code, out) == (EXIT_ERROR, "")
+    assert json.loads(err) == {"error": "ValueError",
+                               "detail": f"counterexample needs {flag} of at least 1, got {flag} {n}"}
 
 
 # ---------------------------------------------------------------------------

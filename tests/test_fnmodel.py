@@ -768,10 +768,17 @@ def test_quotient_and_product_agree_with_parts():
 
 
 def test_tower_eval_is_double_exponential():
-    g = Exp(ExpPoly(Z))
+    g = Exp(Z)
     z = 0.1 + 0.2j
     want = cmath.exp(cmath.exp(z))
     assert abs(g.eval(z) - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("p", [ExpPoly(Z), Z.coeffs, 1.0])
+def test_the_tower_takes_only_a_polynomial(p):
+    # Exp(p) is exp(exp(p)): the old spelling Exp(ExpPoly(p)) is not accepted
+    with pytest.raises(TypeError, match="for a Polynomial p"):
+        Exp(p)
 
 
 def test_logplus_scalar_and_array():
@@ -785,18 +792,10 @@ def test_logplus_scalar_and_array():
 def test_log_parts_consistent_with_values(w):
     f = ExpPoly(Z, 1.0)  # e^z - 1
     lm, ag = f._log_parts(np.asarray([w]))
-    v = f._values(np.asarray([w]))[0]
+    v = f.eval(w)
     if math.isfinite(lm[0]):
         assert abs(abs(v) - math.exp(lm[0])) <= 1e-9 * (1.0 + abs(v))
         assert abs(cmath.exp(1j * (ag[0] - cmath.phase(v))) - 1.0) <= 1e-7
-
-
-def test_values_are_nan_where_log_modulus_is_nan():
-    z = np.full(4096, complex(math.nan, math.nan))
-    for f in (ExpPoly(Z2), ExpPoly(Z2, 1.0)):
-        junk = np.full(4096, 7 + 3j)
-        del junk  # a freed block of the size _values allocates
-        assert np.all(np.isnan(f._values(z)))
 
 
 def _loop_reference(f: RationalFromDivisor, z):
@@ -928,30 +927,134 @@ def test_products_and_quotients_combine_their_sides_bit_for_bit():
 
 
 def test_exp_values_are_exp_of_the_exponent_below_the_overflow():
-    """exp(u) takes its values through its log channel: exp(u(z)) where
-    Re u < 709 and inf above, on a grid that has both."""
-    for f, x_max in ((Exp(ExpPoly(Z)), 7.5), (Exp(Exp(ExpPoly(Z))), 2.6)):
-        x, y = np.meshgrid(np.linspace(-2.0, x_max, 24), np.linspace(-3.2, 3.2, 25))
-        z = (x + 1j * y).ravel()
-        w = f.child._values(z)
-        assert np.isfinite(w).all()
-        small = w.real < 709.0
-        assert small.any() and not small.all()
-        got = f._values(z)
-        assert np.array_equal(got[small], np.exp(w[small]))
-        assert np.all(got[~small] == np.inf)
+    """exp(exp(z)) takes its values through its log channel, e^z:
+    exp(e^z) where Re e^z < 709, and OverflowSignal above, on a grid that
+    has both."""
+    f = Exp(Z)
+    x, y = np.meshgrid(np.linspace(-2.0, 7.5, 24), np.linspace(-3.2, 3.2, 25))
+    z = (x + 1j * y).ravel()
+    lm, ag = f._log_parts(z)
+    w = np.exp(z)
+    assert np.array_equal(lm + 1j * ag, w)
+    small = w.real < 709.0
+    assert small.any() and not small.all()
+    assert np.array_equal([f.eval(v) for v in z[small]], np.exp(w[small]))
+    for v in z[~small]:
+        with pytest.raises(OverflowSignal, match="exceeds the floating range"):
+            f.eval(v)
 
 
 def test_eval_where_the_exponent_overflows():
-    exp_z, tower = Exp(ExpPoly(Z)), Exp(Exp(ExpPoly(Z)))
-    for f, z in ((exp_z, 800.0), (tower, 7.0)):  # e^800 and e^{e^7} leave the range
-        with pytest.raises(OverflowSignal, match=r"^the exponent of exp\(child\) is not finite here"):
+    tower = Exp(Z)
+    # e^{e^800} and e^{e^(1e400)}: the exponent e^p, or p itself, leaves the range
+    for f, z in ((tower, 800.0), (Exp(Z2), 1e200)):
+        with pytest.raises(OverflowSignal,
+                           match=r"^the exponent of exp\(exp\(p\)\) is not finite here"):
             f.eval(z)
-    for f, z in ((exp_z, 10.0), (tower, 3.0)):  # a finite exponent above 709
-        with pytest.raises(OverflowSignal, match="exceeds the floating range"):
-            f.eval(z)
+    with pytest.raises(OverflowSignal, match="exceeds the floating range"):
+        tower.eval(10.0)  # a finite exponent above 709
     with pytest.raises(ValueError):
-        exp_z.eval(complex(math.nan, 0.0))
+        tower.eval(complex(math.nan, 0.0))
+
+
+def _reference_values(f, z):
+    """``FunctionExpr._values`` as it stood before ``eval`` read
+    ``_log_parts`` itself: the reference for eval's value bits and errors."""
+    lm, ag = f._log_parts(z)
+    out = np.full(lm.shape, np.nan, dtype=np.complex128)  # lm = NaN stays NaN
+    finite = np.isfinite(lm)
+    safe = finite & (lm < 709.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[safe] = np.exp(lm[safe] + 1j * ag[safe])
+    out[lm == -np.inf] = 0.0
+    out[(lm == np.inf) | (finite & (lm >= 709.0))] = np.inf
+    return out
+
+
+def _reference_eval(f, z):
+    """``FunctionExpr.eval`` as it stood, through :func:`_reference_values`."""
+    z = complex(z)
+    tol = fnmodel.POLE_TOL * (1.0 + abs(z))
+    div = f.divisor_in_disc(abs(z) + 1.0)
+    poles = div.points[div.mults < 0]
+    near = poles[np.hypot((z - poles).real, (z - poles).imag) <= tol]
+    if near.size or (div.origin_order < 0 and abs(z) <= tol):
+        raise PoleSignal(f"z={z} is near a pole")
+    v = _reference_values(f, np.asarray([z]))[0]
+    if np.isnan(v) or (np.isinf(v.real) or np.isinf(v.imag)):
+        lm, _ = f._log_parts(np.asarray([z]))
+        if lm[0] == np.inf:
+            raise PoleSignal(f"f has a pole at z={z}")
+        raise OverflowSignal(f"|f(z)| exceeds the floating range at z={z}")
+    return complex(v)
+
+
+class _ReferenceTower(Exp):
+    """Exp(p) with the log channel it had as Exp(ExpPoly(p)): e^p read from
+    the values of ExpPoly(p), and OverflowSignal where one is not finite."""
+
+    def _log_parts(self, z):
+        w = _reference_values(ExpPoly(self.p), z)
+        if not np.all(np.isfinite(w)):
+            raise OverflowSignal("the exponent of exp(child) is not finite here")
+        return w.real.copy(), w.imag.copy()
+
+
+@fnmodel.record
+class _FixedParts(fnmodel.FunctionExpr):
+    """log|f| = lm and arg f = ag everywhere, with no zero or pole."""
+
+    lm: float
+    ag: float
+
+    def _log_parts(self, z):
+        return np.full(z.shape, self.lm), np.full(z.shape, self.ag)
+
+    def _divisor_impl(self, r):
+        return fnmodel.EMPTY_DIVISOR
+
+
+def _outcome(fn, arg):
+    """The ``float.hex`` of every part fn returns, or the type it raises."""
+    try:
+        out = fn(arg)
+    except fnmodel.ToolkitError as exc:
+        return type(exc)
+    parts = [out.real, out.imag] if isinstance(out, complex) else [*out]
+    return [float.hex(float(x)) for part in parts for x in np.ravel(part)]
+
+
+def test_eval_keeps_the_bits_and_errors_of_the_values_path():
+    """eval reads _log_parts once and gives the value bits and error types
+    of the array path through _values it replaced, on a grid that crosses
+    the overflow (signed zeros and a NaN or infinite log|f| or arg f
+    included); the tower's log channel keeps the bits, and the error types,
+    that it had as Exp(ExpPoly(p)), at infinite and NaN points too."""
+    xs = np.concatenate((np.linspace(-800.0, 800.0, 33), np.linspace(-3.0, 8.0, 23), [-0.0]))
+    ys = np.concatenate((np.linspace(-4.0, 4.0, 9), [-0.0]))
+    grid = [complex(x, y) for x in xs for y in ys]
+    grid += [1.0, -1.0, 0.5, 2j * math.pi, 1e200, -1e200j]  # a zero, the poles, lattice points
+    cases = [(f, f) for f in (rational([1.0, 2j], [-1.0, 0.5], 3.0 - 1.0j), ExpPoly(Z),
+                              ExpPoly(GENERIC_P), ExpPoly(Z, 1.0), ExpPoly(Z2, -2.5j))]
+    # a constant term with a negative zero imaginary part gives Im p = -0.0 at some z < 0
+    towers = (Z, Z2, GENERIC_P, Polynomial((complex(0.5, -0.0), 1.0)))
+    cases += [(Exp(p), _ReferenceTower(p)) for p in towers]
+    nan, inf = math.nan, math.inf
+    cases += [(_FixedParts(lm, ag),) * 2 for lm, ag in (
+        (nan, 0.0), (0.0, nan), (0.0, inf), (-inf, nan), (inf, 0.0), (-inf, 2.0),
+        (709.5, 0.0), (708.9, -0.0), (-1000.0, 2.0), (1.5, -0.0))]
+    raised = set()
+    for f, ref in cases:
+        got = [_outcome(f.eval, z) for z in grid]
+        assert got == [_outcome(lambda z: _reference_eval(ref, z), z) for z in grid], f
+        raised.update(o for o in got if isinstance(o, type))
+    assert raised == {OverflowSignal, PoleSignal}
+    odd = [complex(inf, 0.0), complex(-inf, 0.0), complex(0.0, inf), complex(nan, 0.0),
+           complex(-inf, 1.0), complex(-inf, -inf)]
+    for p in towers:
+        for z in grid + odd:
+            assert (_outcome(Exp(p)._log_parts, np.array([z]))
+                    == _outcome(_ReferenceTower(p)._log_parts, np.array([z]))), (p, z)
 
 
 def test_divisor_sums_stay_chunked():
@@ -1282,7 +1385,7 @@ def test_compose_poly_keeps_the_constant():
 
 def test_quotient_is_entire_only_over_zero_free_denominators():
     assert Quotient(Const(1.0), ExpPoly(Z)).is_entire
-    assert Quotient(Const(1.0), Exp(ExpPoly(Z))).is_entire
+    assert Quotient(Const(1.0), Exp(Z)).is_entire
     assert not Quotient(Const(1.0), ExpPoly(Z, 1.0)).is_entire
 
 
@@ -1314,7 +1417,7 @@ def test_generic_difference_stays_opaque():
 def test_the_family_stays_closed():
     """subtract raises where no rewrite exists, and every member of the
     family that the package exports solves its own divisor."""
-    for f, g in ((Exp(ExpPoly(Z)), Const(1.0)),
+    for f, g in ((Exp(Z), Const(1.0)),
                  (rational([1.0], [2.0]), rational([3.0], [])),
                  (ExpPoly(Z2, 2.0), ExpPoly(Z))):
         with pytest.raises(OpaqueExpr, match="has no rewrite into the family"):
@@ -1333,7 +1436,7 @@ def test_compose_poly_evaluates_as_composition():
     p = Polynomial((1.0, 0.5, 3.0 - 1.0j))
     cases = [(rational([1.0], [-1.0]), w),
              (RationalFromDivisor(2.0, Divisor.build([(3.0, 1)], -2)), p),
-             (Exp(ExpPoly(Z, 0.5)), p), (Product(ExpPoly(Z), rational([1.0], [])), p)]
+             (Exp(Z), p), (Product(ExpPoly(Z), rational([1.0], [])), p)]
     for f, q in cases:
         g = compose_poly(f, q)
         assert type(g) is type(f)
@@ -1405,11 +1508,11 @@ def _closed_form_angles(f, r):
     (ExpPoly(Polynomial((0j, 0j, 1.0))), (0.7, 3.0, 7.0, 13.0, 30.0)),
     (ExpPoly(Polynomial((0j, 0j, 0j, 1.0))), (0.7, 3.0, 7.0, 13.0, 30.0)),
     (ExpPoly(GENERIC_P), (0.7, 3.0, 7.0, 13.0)),
-    (Exp(ExpPoly(Z)), (2.0, 3.0, 7.0, 10.0)),
-    (Exp(ExpPoly(GENERIC_P)), (0.7, 1.5, 3.0)),
+    (Exp(Z), (2.0, 3.0, 7.0, 10.0)),
+    (Exp(GENERIC_P), (0.7, 1.5, 3.0)),
     # c_0 + c_d z^d: solved by arcsin, not by eigenvalues
     (ExpPoly(Polynomial((0.3 - 0.2j, 0j, 0j, 1.0 - 2.0j))), (0.7, 3.0, 7.0)),
-    (Exp(ExpPoly(Polynomial((0.5 + 0.4j, 0j, 2.0j)))), (1.2, 2.0)),
+    (Exp(Polynomial((0.5 + 0.4j, 0j, 2.0j))), (1.2, 2.0)),
 ], ids=["exp_z", "exp_z2", "exp_z3", "exp_p", "exp_exp_z", "exp_exp_p",
         "exp_binomial", "exp_exp_binomial"])
 def test_level_angles_are_the_kinks_of_log_plus(f, radii):
@@ -1430,7 +1533,7 @@ def test_level_angles_are_the_kinks_of_log_plus(f, radii):
 
 def test_level_angles_stay_below_two_pi():
     # Im p = pi/2 at theta = -1e-300, which mod 2pi rounds up to 2pi: it comes back as 0
-    f = Exp(ExpPoly(Polynomial((0.5j * math.pi, complex(1.0, 1e-300)))))
+    f = Exp(Polynomial((0.5j * math.pi, complex(1.0, 1e-300))))
     angles = _closed_form_angles(f, 3.0)
     assert angles[0] == 0.0 and angles.max() < TWO_PI and np.all(np.diff(angles) > 0)
 
@@ -1439,7 +1542,7 @@ def test_level_angles_stay_below_two_pi():
 def test_level_angles_of_exp_exp_z_are_exact_to_rounding(r):
     # log|f| = |e^z| cos(r sin theta): rounding theta alone moves it by about
     # |e^z| r 2^-53, so the level set is met relative to |e^z|
-    f = Exp(ExpPoly(Z))
+    f = Exp(Z)
     angles = _closed_form_angles(f, r)
     z = r * np.exp(1j * angles)
     assert np.all(np.abs(f._log_mod(z)) <= 1e-10 * np.exp(z.real))
@@ -1453,7 +1556,7 @@ def test_level_angles_of_a_composed_exp_exp_are_exact_to_rounding(r):
     # closed form; log|f| = e^Re p cos(Im p), so rounding theta moves it by
     # about e^Re p |p'| r 2^-53
     p = Polynomial((1.0, 1.0, 1.0))
-    f = compose_poly(Exp(ExpPoly(Z)), p)
+    f = compose_poly(Exp(Z), p)
     angles = _closed_form_angles(f, r)
     z = r * np.exp(1j * angles)
     assert np.all(np.abs(f._log_mod(z)) <= 1e-14 * np.exp(p(z).real) * np.abs(p.deriv()(z)) * r)
@@ -1484,18 +1587,18 @@ def test_exp_series_bounds_its_rounding_and_dropped_terms(coeffs, r):
 
 @pytest.mark.parametrize("f", [
     # exp(p) - a and c / (exp(p) - a) have searched kinks
-    # (test_band_search_finds_every_dense_kink): a product and quotients
-    # that hold them have none
-    Product(ExpPoly(Z, 1.0), ExpPoly(Z)), Exp(ExpPoly(Z, 1.0)), Exp(Exp(ExpPoly(Z))),
-    Quotient(ExpPoly(Z2), ExpPoly(Z2, 1.0)), Quotient(Const(1.0), Exp(ExpPoly(Z, 0.5))),
-    Product(ExpPoly(Z), ExpPoly(Z)),
+    # (test_band_search_finds_every_dense_kink), and exp(exp(p)) has them at
+    # level 1 only: a product and quotients that hold them have none
+    Product(ExpPoly(Z, 1.0), ExpPoly(Z)), Product(Exp(Z), ExpPoly(Z)),
+    Quotient(ExpPoly(Z), Exp(Z)), Quotient(ExpPoly(Z2), ExpPoly(Z2, 1.0)),
+    Quotient(Const(2.0), Exp(Z)), Product(ExpPoly(Z), ExpPoly(Z)),
 ])
 def test_level_angles_are_unknown_without_a_closed_form(f):
     assert _closed_form_angles(f, 3.0) is None
 
 
-@pytest.mark.parametrize("f", [ExpPoly(Polynomial((2.0,))), Exp(ExpPoly(Polynomial((2.0,)))),
-                               Exp(ExpPoly(Z)), Exp(ExpPoly(Polynomial((0j, 0j, 1.0)))),
+@pytest.mark.parametrize("f", [ExpPoly(Polynomial((2.0,))), Exp(Polynomial((2.0,))),
+                               Exp(Z), Exp(Polynomial((0j, 0j, 1.0))),
                                Const(3.0), RationalFromDivisor(2.0, Divisor((), -1)),
                                RationalFromDivisor(1.0, Divisor((), 2))])
 def test_level_angles_are_empty_where_log_plus_has_no_kink(f):
@@ -1585,16 +1688,16 @@ def test_reciprocals_of_exp_minus_a_are_cut_at_their_kinks():
 
 def test_level_set_solve_is_bounded_by_the_panel_limit(monkeypatch):
     # exp(e^z): 2 deg p angles for each shift pi/2 + k pi with |pi/2 + k pi| <= r
-    f = Exp(ExpPoly(Z))
+    f = Exp(Z)
     assert _closed_form_angles(f, 5000 * math.pi).size == 2 * 10_000 == fnmodel.MAX_PANELS
     solves = []
     monkeypatch.setattr(fnmodel, "_im_level_angles",
                         lambda *args: solves.append(args) or np.empty(0))
     for g, r in ((f, 5001 * math.pi),  # 10,002 shifts
-                 (Exp(ExpPoly(Polynomial((0j, 0j, 1.0)))), math.sqrt(2501 * math.pi))):
+                 (Exp(Polynomial((0j, 0j, 1.0))), math.sqrt(2501 * math.pi))):
         assert _closed_form_angles(g, r) is None
     assert not solves
-    _closed_form_angles(Exp(ExpPoly(Polynomial((0j, 0j, 1.0)))), math.sqrt(2500 * math.pi))
+    _closed_form_angles(Exp(Polynomial((0j, 0j, 1.0))), math.sqrt(2500 * math.pi))
     assert len(solves) == 1  # 5,000 shifts of degree 4: exactly the limit
 
 

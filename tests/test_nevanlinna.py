@@ -149,7 +149,7 @@ def _m_exp_exp_p_reference(p: Polynomial, r: float):
                          ids=["z^2+(1-2i)z+3", "z^3+0.5i"])
 @pytest.mark.parametrize("r", [0.7, 1.5, 2.5, 4.0])
 def test_proximity_of_an_exp_tower_against_mpmath(p, r):
-    s = proximity(Exp(ExpPoly(p)), r)
+    s = proximity(Exp(p), r)
     err = abs(s.m - _m_exp_exp_p_reference(p, r))
     assert err <= max(1e-9, 1e-8 * s.m)
     assert (s.panels, s.evaluations) == (0, 0) and err <= s.quad_err
@@ -163,7 +163,7 @@ def test_proximity_of_an_exp_tower_over_a_constant(c, m, monkeypatch):
     shifts, angles = [], fnmodel._im_level_angles
     monkeypatch.setattr(fnmodel, "_im_level_angles",
                         lambda p, r, s: shifts.extend(s) or angles(p, r, s))
-    f = Exp(ExpPoly(Polynomial((c,))))
+    f = Exp(Polynomial((c,)))
     for r in (0.5, 3.0, 100.0):
         s = proximity(f, r)
         assert abs(s.m - m) <= s.quad_err <= 1e-13 and s.panels == 0
@@ -891,7 +891,7 @@ def test_argument_principle_counts_no_zeros_of_exp_exp_z(members, monkeypatch):
     # quadrature of it needed more panels than MAX_PANELS
     monkeypatch.setattr(nevanlinna, "_circle_means", None)  # no contour is integrated
     tower = members["exp_exp_z"].expr
-    for f in (tower, Exp(tower), Product(tower, Quotient(Const(2.0), tower))):
+    for f in (tower, Exp(Polynomial((0j, 0j, 1.0))), Product(tower, Quotient(Const(2.0), tower))):
         assert argument_principle_count(f, 20.0) == 0
 
 

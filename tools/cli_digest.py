@@ -117,6 +117,10 @@ COMMANDS = [
     ["census", "--figure1", "left", "--generations", "6", "--values", "0, inf"],
     ["counterexample"],
     ["counterexample", "--k", "3", "--probes", "20"],
+    # no probe, no pre-image and an empty radius list are errors
+    ["counterexample", "--probes", "0"],
+    ["counterexample", "--preimages", "0"],
+    ["char", "--fn", "exp_z", "--radii", ""],
     # help and usage errors, which build one subparser or none
     ["--help"],
     *([cmd, "--help"] for cmd in ("char", "hyperorder", "verify", "orbit", "construct",
