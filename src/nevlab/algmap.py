@@ -78,8 +78,8 @@ class AlgebraicMap:
             acc = acc * w + a
         return acc
 
-    def __call__(self, z: complex, branch: int | None = None) -> complex:
-        return complex(z) + self._shift(self.root(z, branch))
+    def __call__(self, z: complex) -> complex:
+        return complex(z) + self._shift(self.root(z))
 
 
 def binomial_shift_map(n: int, c: complex) -> AlgebraicMap:

@@ -402,10 +402,10 @@ def cmd_counterexample(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_grid(p, rmin=1.0, rmax=30.0, count=50):
+def _add_grid(p, rmin=1.0, rmax=30.0):
     p.add_argument("--rmin", type=float, default=rmin)
     p.add_argument("--rmax", type=float, default=rmax)
-    p.add_argument("--count", type=int, default=count)
+    p.add_argument("--count", type=int, default=50)
     p.add_argument("--radii", type=str, default=None,
                    help="explicit comma-separated radii (overrides rmin/rmax/count)")
 

@@ -998,11 +998,6 @@ class FunctionExpr:
     """Base class; every variant is a frozen :func:`record`, hence hashable
     (``_divisor_cached`` keys on it)."""
 
-    # -- structural capabilities -------------------------------------------------
-    @property
-    def is_entire(self) -> bool:
-        raise NotImplementedError
-
     # -- vectorized channels (numpy arrays in/out) --------------------------------
     def _log_parts(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(log|f|, arg f) with +/-inf sentinels at poles/zeros."""
@@ -1194,8 +1189,8 @@ def _im_level_angles(p: Polynomial, r: float, shifts) -> np.ndarray | None:
                 v, dv = v * w + c[j], dv * w + j * c[j]
             g = v.imag - s  # Im p(r e^{i theta}) - s; its theta-derivative is Re dv
             if abs(g) <= tol + 1e-9 * abs(s):
-                angles.append((theta - g / dv.real if dv.real else theta) % TWO_PI)
-    return np.array(sorted(angles))
+                angles.append(theta - g / dv.real if dv.real else theta)
+    return _angles(np.array(angles))
 
 
 def _band_search(p: Polynomial, a: complex, level: float, radii) -> list:
@@ -1347,10 +1342,6 @@ class Const(FunctionExpr):
     def __post_init__(self):
         object.__setattr__(self, "value", complex(self.value))
 
-    @property
-    def is_entire(self) -> bool:
-        return True
-
     def _log_parts(self, z):
         shape = z.shape
         if self.value == 0:
@@ -1377,10 +1368,6 @@ class RationalFromDivisor(FunctionExpr):
         object.__setattr__(self, "scale", complex(self.scale))
         if self.scale == 0:
             raise ValueError("scale must be nonzero")
-
-    @property
-    def is_entire(self) -> bool:
-        return self.divisor.origin_order >= 0 and bool((self.divisor.mults > 0).all())
 
     # A pole (negative mult) hit exactly gives +inf through -m * (-inf).
     def _log_parts(self, z):
@@ -1931,10 +1918,6 @@ class ExpPoly(FunctionExpr):
     def __post_init__(self):
         object.__setattr__(self, "a", complex(self.a))
 
-    @property
-    def is_entire(self) -> bool:
-        return True
-
     def _regimes(self, w):
         """Masks big, small, mid for the regimes of |e^w| against |a| != 0."""
         la = math.log(abs(self.a))
@@ -2090,10 +2073,6 @@ class Exp(FunctionExpr):
         if not isinstance(self.p, Polynomial):
             raise TypeError(f"Exp(p) is exp(exp(p)) for a Polynomial p, not {self.p!r}")
 
-    @property
-    def is_entire(self) -> bool:
-        return True
-
     def _log_parts(self, z):
         # log f = e^p, made from Re p and Im p as eval makes f (np.exp(p) can flip the sign
         # of a zero arg); Re p = -inf at an infinite z gives e^p = 0
@@ -2101,7 +2080,8 @@ class Exp(FunctionExpr):
             w = _carray(self.p(z))
             e = np.exp(w.real + 1j * w.imag)
         zero = (w.real == -np.inf) & ~np.isfinite(z)
-        if not ((np.isfinite(w) & (w.real < _LOG_HUGE)) | zero).all():
+        # a NaN z gives NaN
+        if not ((np.isfinite(w) & (w.real < _LOG_HUGE)) | zero | np.isnan(z)).all():
             raise OverflowSignal("the exponent of exp(exp(p)) is not finite here: "
                                  "log|f| leaves the floating range")
         e[zero] = 0.0
@@ -2152,10 +2132,6 @@ class Product(_Pair):
 
     _op = np.add
 
-    @property
-    def is_entire(self) -> bool:
-        return self.lhs.is_entire and self.rhs.is_entire
-
     def _divisor_impl(self, r):
         return self.lhs.divisor_in_disc(r).merge(self.rhs.divisor_in_disc(r))
 
@@ -2166,13 +2142,6 @@ class Quotient(_Pair):
     rhs: FunctionExpr
 
     _op = np.subtract
-
-    @property
-    def is_entire(self) -> bool:
-        # quotients by zero-free entire denominators stay entire
-        rhs = self.rhs
-        return self.lhs.is_entire and (
-            isinstance(rhs, Exp) or (isinstance(rhs, ExpPoly) and rhs.a == 0))
 
     def level_angles(self, radii, level=1.0):
         # |c / g| = level where |g| = |c| / level

@@ -53,6 +53,8 @@ HYPERORDER_DROP = 0.2
 # farthest a contour count by quadrature may land from an integer; its tolerances
 COUNT_INTEGER_TOL = 0.1
 COUNT_ATOL = COUNT_RTOL = 1e-7
+# tolerances of the circle mean of log|f| in the Jensen oracle
+JENSEN_ATOL, JENSEN_RTOL = 1e-10, 1e-9
 
 
 @record
@@ -259,10 +261,14 @@ def n_count(divisor: Divisor, r: float, kind: str = "poles") -> int:
 
 
 def _with_poles(expr: FunctionExpr, sample: CharacteristicSample) -> CharacteristicSample:
-    """The sample with N(r) of the expression's poles, and T = m + N: no
-    divisor is read for an entire expression, which has no poles."""
-    N = 0.0 if expr.is_entire else counting(
-        expr.divisor_in_disc(sample.r_used), sample.r_used, "poles")
+    """The sample with N(r) of the expression's poles, and T = m + N.  A pole
+    can sit only at a leaf of :func:`_signed_leaves` that divides, or at a
+    pole of a rational leaf; where there is neither, N = 0 and no divisor is
+    read."""
+    poles = any(sign < 0 or isinstance(leaf, RationalFromDivisor)
+                and (leaf.divisor.origin_order < 0 or (leaf.divisor.mults < 0).any())
+                for leaf, sign in _signed_leaves(expr))
+    N = counting(expr.divisor_in_disc(sample.r_used), sample.r_used, "poles") if poles else 0.0
     return sample.replace(N=N, T=sample.m + N)
 
 
@@ -301,15 +307,14 @@ class BalanceSample:
     delta: float
 
 
-def fmt_delta(expr: FunctionExpr, a: complex, r: float,
-              atol: float = 1e-9, rtol: float = 1e-8) -> BalanceSample:
+def fmt_delta(expr: FunctionExpr, a: complex, r: float) -> BalanceSample:
     """|T(r, 1/(f-a)) - T(r, f)|, which stays bounded in r.
 
     The poles of 1/(f-a) are the a-points of f, so its N(r) counts them.
     """
     recip = Quotient(Const(1.0), subtract(expr, Const(complex(a))))
-    base = characteristic(expr, r, atol=atol, rtol=rtol)
-    T_shift = characteristic(recip, r, atol=atol, rtol=rtol).T
+    base = characteristic(expr, r)
+    T_shift = characteristic(recip, r).T
     return BalanceSample(r=r, T_f=base.T, T_shifted=T_shift,
                          delta=abs(T_shift - base.T))
 
@@ -385,7 +390,10 @@ def hyperorder_estimate(radii, T_values) -> HyperOrderEstimate:
 def _signed_leaves(expr: FunctionExpr, sign: int = 1):
     """(leaf, sign) for each leaf of the product and quotient tree that may
     have zeros or poles: a quotient's right side counts with the opposite
-    sign.  A constant, exp(p) and exp(exp(p)) are zero-free and yield nothing."""
+    sign.  A constant, exp(p) and exp(exp(p)) are zero-free and yield nothing.
+    This is the one rule of where an expression's zeros and poles can be:
+    :func:`argument_principle_count` counts the leaves, and
+    :func:`_with_poles` reads N only where a leaf can give a pole."""
     if isinstance(expr, (Product, Quotient)):
         yield from _signed_leaves(expr.lhs, sign)
         yield from _signed_leaves(expr.rhs, sign if isinstance(expr, Product) else -sign)
@@ -434,8 +442,7 @@ def argument_principle_count(expr: FunctionExpr, r: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def jensen_lhs_rhs(expr: FunctionExpr, r: float,
-                   atol: float = 1e-10, rtol: float = 1e-9) -> tuple[float, float]:
+def jensen_lhs_rhs(expr: FunctionExpr, r: float) -> tuple[float, float]:
     """Both sides of Jensen's identity at radius r, for validation.
 
     lhs: circle mean of log|f|.
@@ -443,7 +450,8 @@ def jensen_lhs_rhs(expr: FunctionExpr, r: float,
     where c is the leading coefficient of f at the origin (the first nonzero
     Laurent coefficient) and origin order contributes ``order * log r``.
     """
-    lhs = _circle_means(expr, [(r, _NO_ANGLES, 0)], expr._log_mod, atol, rtol)[0].value
+    lhs = _circle_means(expr, [(r, _NO_ANGLES, 0)], expr._log_mod,
+                        JENSEN_ATOL, JENSEN_RTOL)[0].value
 
     div = expr.divisor_in_disc(r)
     rhs = counting(div, r, "zeros") - counting(div, r, "poles")

@@ -36,6 +36,9 @@ sees a kink only in a narrow enough panel; a spurious cut costs a panel.
 A plain split-and-compare loop then drives the refinement: a panel is
 accepted when the difference between its one-panel value and the sum over
 its two halves is below the width-proportional share of the error budget.
+That is the one acceptance test: a circle whose summed error estimate is
+inside its budget is done, its budget becomes infinite, and the same test
+accepts all its panels.
 It runs many circles in lockstep, each with its own budget and exit
 (Shampine, J. Comput. Appl. Math. 211, 2008, as in quadgk): each round
 calls the integrand for all of them, on both halves of every active panel
@@ -204,10 +207,12 @@ def adaptive_circles(f: Callable[[np.ndarray, np.ndarray], np.ndarray], cuts, co
     gemv per block of panels -- coarse, left, right -- as separate calls
     would have.  A non-finite panel gets one nudge retry, then
     :class:`QuadratureFailure`.  The rest is each circle's own, as in a lone
-    run: a panel is accepted when ``|coarse - fine| <= max(atol,
-    rtol*|total|) * width / 2pi``; the circle ends once its summed error
-    estimate is inside the global budget, which cancellation noise near
-    contour-touching zeros needs; ``MAX_PANELS``, ``_MAX_ROUNDS`` (both
+    run: a panel is accepted when ``|coarse - fine| <= etol * width / 2pi``,
+    with ``etol = max(atol, rtol*|total|)``, or infinite once the circle's
+    summed error estimate is inside that global budget (which cancellation
+    noise near contour-touching zeros needs), so that the one test accepts
+    a finished circle's panels and the run ends when no panel is left;
+    ``MAX_PANELS``, ``_MAX_ROUNDS`` (both
     read per call) and the evaluation count, from ``evaluations[c]`` (0 if
     not given).  A circle keeps its panels in a lone run's order and sums
     its own slice, so a lone circle runs bit for bit as before.
@@ -270,28 +275,18 @@ def adaptive_circles(f: Callable[[np.ndarray, np.ndarray], np.ndarray], cuts, co
             left, right = blocks = panel_values(edges[:2], edges[1:], circle)
         fine = left + right
         err = np.abs(coarse - fine)
-        etol, ended, a = [], [], 0
+        etol, a = [], 0
         for c, m in zip(live, counts):
             spent[c] += len(blocks) * PANEL_ORDER * m
-            total_now = accepted_val[c] + float(fine[a:a + m].sum())
-            etol.append(max(atol, rtol * abs(total_now)))
-            residual = accepted_err[c] + float(err[a:a + m].sum())
-            ended.append(residual <= etol[-1])
-            if ended[-1]:  # inside its global budget: the circle is done
-                accepted_val[c], accepted_err[c] = total_now, residual
-                accepted_cnt[c] += m
+            tol = max(atol, rtol * abs(accepted_val[c] + float(fine[a:a + m].sum())))
+            # inside its global budget the circle is done: every panel passes
+            etol.append(math.inf if accepted_err[c] + float(err[a:a + m].sum()) <= tol else tol)
             a += m
-        if all(ended):
-            break
         width = hi - lo
         done = (err <= np.repeat(etol, counts) * width / TWO_PI) | (width <= MIN_WIDTH)
         kept, a = [], 0
-        for c, m, end in zip(live, counts, ended):
+        for c, m in zip(live, counts):
             s, a = slice(a, a + m), a + m
-            if end:
-                done[s] = True
-                kept.append(0)
-                continue
             took = done[s]
             n_done = int(np.count_nonzero(took))
             if n_done:

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from nevlab import (
     AlgebraicMap,
     Divisor,
+    Exp,
     ExpPoly,
     InvarianceReport,
     Polynomial,
@@ -470,6 +471,8 @@ def test_batched_image_hits_value_equals_scalar_calls():
         # e^z at a tiny a: |f| << |a| is then a hit and |f| ~ 1 dwarfs a
         (ExpPoly(Z), 1e-30, [-800.0, 0.0, -69.0, nan]),
         (ExpPoly(Z), 2j, [math.log(2) + 0.5j * math.pi, 1.0, 100.0, -100.0]),
+        # e^{e^z} at 1: a hit where e^z = 2 pi i, a refutation, a NaN
+        (Exp(Z), 1.0, [math.log(2.0 * math.pi) + 0.5j * math.pi, 0.3, nan]),
     ]
     for f, a, qs in cases:
         want = [_scalar_hits_value(f, q, a, 1e-6) for q in qs]

@@ -957,6 +957,14 @@ def test_eval_where_the_exponent_overflows():
         tower.eval(complex(math.nan, 0.0))
 
 
+def test_a_nan_point_gives_nan_in_the_tower_as_in_exp_poly():
+    for f in (ExpPoly(Z), Exp(Z), Exp(Z2)):
+        lm, ag = f.logmod_eval(math.nan)
+        assert math.isnan(lm) and ag == 0.0, f
+        lm, ag = f._log_parts(np.array([complex(math.nan, 1.0), complex(1.0, math.nan), 0.5]))
+        assert np.isnan(lm[:2]).all() and np.isnan(ag[:2]).all() and np.isfinite(lm[2]), f
+
+
 def _reference_values(f, z):
     """``FunctionExpr._values`` as it stood before ``eval`` read
     ``_log_parts`` itself: the reference for eval's value bits and errors."""
@@ -991,12 +999,15 @@ def _reference_eval(f, z):
 
 class _ReferenceTower(Exp):
     """Exp(p) with the log channel it had as Exp(ExpPoly(p)): e^p read from
-    the values of ExpPoly(p), and OverflowSignal where one is not finite."""
+    the values of ExpPoly(p), and OverflowSignal where one is not finite,
+    except at a NaN point, which gives NaN in both parts, as ExpPoly does."""
 
     def _log_parts(self, z):
         w = _reference_values(ExpPoly(self.p), z)
-        if not np.all(np.isfinite(w)):
+        nan = np.isnan(z)
+        if not np.all(np.isfinite(w) | nan):
             raise OverflowSignal("the exponent of exp(child) is not finite here")
+        w[nan] = complex(math.nan, math.nan)
         return w.real.copy(), w.imag.copy()
 
 
@@ -1383,12 +1394,6 @@ def test_compose_poly_keeps_the_constant():
     assert compose_poly(ExpPoly(Z, 2.0), Z2) == ExpPoly(Z2, 2.0)
 
 
-def test_quotient_is_entire_only_over_zero_free_denominators():
-    assert Quotient(Const(1.0), ExpPoly(Z)).is_entire
-    assert Quotient(Const(1.0), Exp(Z)).is_entire
-    assert not Quotient(Const(1.0), ExpPoly(Z, 1.0)).is_entire
-
-
 def test_subtract_rational_const_moves_zeros():
     # (z-1)/(z-2) - 3 has its only zero where z-1 = 3(z-2), i.e. z = 2.5
     f = rational([1.0], [2.0])
@@ -1536,6 +1541,13 @@ def test_level_angles_stay_below_two_pi():
     f = Exp(Polynomial((0.5j * math.pi, complex(1.0, 1e-300))))
     angles = _closed_form_angles(f, 3.0)
     assert angles[0] == 0.0 and angles.max() < TWO_PI and np.all(np.diff(angles) > 0)
+    # the eigenvalue path (a middle coefficient): Im p = pi/2 at theta = 0, and
+    # on 15 of these circles the Newton-polished root lands just below 0
+    for r in np.linspace(0.5, 3.0, 26):
+        f = Exp(Polynomial((complex(0.0, 0.5 * math.pi - r), 1j, 1.0)))
+        angles = _closed_form_angles(f, r)
+        assert 0.0 <= angles[0] < 1e-16 and angles.max() < TWO_PI, r
+        assert np.all(np.diff(angles) > 0), r
 
 
 @pytest.mark.parametrize("r", [13.0, 20.0, 24.123900982041413, 28.0])

@@ -83,6 +83,31 @@ def test_reciprocal_identity_splits_into_pure_counting():
         assert s.T == pytest.approx(math.log(r), abs=1e-12)
 
 
+def test_with_poles_reads_a_divisor_only_where_a_leaf_can_give_a_pole(monkeypatch):
+    """N is counted only where a leaf of the tree divides or is a rational
+    with a pole: 1/e^z and 1/e^{e^z} count nothing, and 1/(e^z - 1) counts
+    the zeros of e^z - 1 as its poles."""
+    read = []
+
+    def spy(divisor, r, kind="poles"):
+        read.append(kind)
+        return counting(divisor, r, kind)
+
+    monkeypatch.setattr(nevanlinna, "counting", spy)
+    no_poles = (Quotient(Const(1.0), EXP_Z), Quotient(Const(1.0), Exp(Z)),
+                Product(RationalFromDivisor(2.0, Divisor.build([(1.0, 1)])), ExpPoly(Z, 1.0)))
+    for f in no_poles:
+        for s in characteristic_sweep(f, [0.5, 2.0]):
+            assert s.N == 0.0 and s.T == s.m, f
+    assert read == []
+    # the poles 2 pi i k, k = -1, 0, 1, inside r = 7: N = log 7 + 2 log(7 / 2pi)
+    s = characteristic(Quotient(Const(1.0), ExpPoly(Z, 1.0)), 7.0)
+    assert read == ["poles"]
+    assert s.N == pytest.approx(math.log(7.0) + 2.0 * math.log(7.0 / (2.0 * math.pi)), rel=1e-12)
+    assert characteristic(Product(INV_Z, EXP_Z), 2.0).N == pytest.approx(math.log(2.0), abs=1e-12)
+    assert read == ["poles"] * 2
+
+
 def _m_exp_exp_reference(r: float):
     """m(r, e^{e^z}) at 30 digits: the mean of max(e^{r cos t} cos(r sin t), 0),
     integrated by mpmath between its kinks r sin t = pi/2 + k pi."""

@@ -2,13 +2,17 @@
 
 Runs every command of ``COMMANDS`` and every demo in a fresh interpreter on
 the ``src/`` tree of a checkout, and prints per command the exit code, the
-sha256 of stdout, the sha256 of stderr and the argv.  Two checkouts print the
-same lines exactly when every command gives them the same bytes, so a change
-is checked against its parent with
+sha256 of stdout, the sha256 of stderr and the argv, shell-quoted (an empty
+argument prints as ``''``).  Two checkouts print the same lines exactly when
+every command gives them the same bytes, so a change is checked against its
+parent with
 
     python3 tools/cli_digest.py > change.txt
     python3 tools/cli_digest.py /path/to/parent/checkout > parent.txt
     diff parent.txt change.txt
+
+Both runs must use the same copy of this script, since the command list is
+in it: the checkout argument says only which ``src/`` tree and demos run.
 
 The only argument is the checkout to run; it defaults to the one that holds
 this script.  Only stdout, stderr and the exit code are compared, so no
@@ -21,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -140,7 +145,7 @@ def main(argv: list[str]) -> int:
     for label, run in runs:
         done = subprocess.run(run, capture_output=True, env=env, cwd=root)
         print(done.returncode, hashlib.sha256(done.stdout).hexdigest(),
-              hashlib.sha256(done.stderr).hexdigest(), *label, flush=True)
+              hashlib.sha256(done.stderr).hexdigest(), shlex.join(label), flush=True)
     return 0
 
 
