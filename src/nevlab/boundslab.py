@@ -63,10 +63,9 @@ from .quadrature import adaptive_circle
 
 # a bound check passes where its margin (rhs - lhs) is at least -PASS_TOL
 PASS_TOL = 1e-9
-# fixed settings of asym_ratio (margin below 1/n^2), growth_lemma_probe
-# (hyper-slope tolerance, tail-Cauchy threshold, window count) and
-# pestimate_check (absolute tolerance of its circle quadrature)
-ASYM_SLOPE_MARGIN = 0.0
+# fixed settings of growth_lemma_probe (hyper-slope tolerance, tail-Cauchy
+# threshold, window count) and pestimate_check (absolute tolerance of its
+# circle quadrature)
 GROWTH_FIT_TOL = 0.1
 GROWTH_CAUCHY_TOL = 0.01
 GROWTH_WINDOWS = 10
@@ -259,7 +258,7 @@ def asym_ratio(expr: FunctionExpr, omega: Polynomial, rgrid,
 
     Precondition: f must grow slowly enough for the asymptotic to apply;
     the hyper-order estimated from the base samples must stay below
-    1/n^2 - ``ASYM_SLOPE_MARGIN``, else it raises :class:`GrowthConditionError`.
+    1/n^2, else it raises :class:`GrowthConditionError`.
     """
     n = omega.degree
     if n < 1:
@@ -269,7 +268,7 @@ def asym_ratio(expr: FunctionExpr, omega: Polynomial, rgrid,
     base_radii = [c * float(r) ** n for r in rgrid]
     T_base = [s.T for s in characteristic_sweep(expr, base_radii, atol=atol, rtol=rtol)]
     est = hyperorder_estimate(base_radii, T_base)
-    limit = 1.0 / n**2 - ASYM_SLOPE_MARGIN
+    limit = 1.0 / n**2
     if est.varsigma >= limit:
         raise GrowthConditionError(
             f"hyper-order estimate {est.varsigma:.3f} >= 1/n^2 = {limit:.3f}; "

@@ -137,7 +137,7 @@ def cmd_hyperorder(args) -> int:
     return EXIT_PASS
 
 
-def _verify_pest(args, config: dict) -> tuple[int, dict, list]:
+def _verify_pest(args) -> tuple[int, dict, list]:
     if args.trials < 1:
         raise ValueError(f"verify pest needs at least 1 trial, got --trials {args.trials}")
     rng = np.random.default_rng(args.seed)
@@ -163,7 +163,7 @@ def _poly_pair(args) -> PolyPair:
     return PolyPair.build(Polynomial.parse(args.omega), Polynomial.parse(args.phi))
 
 
-def _verify_lemma1(args, config: dict) -> tuple[int, dict, list]:
+def _verify_lemma1(args) -> tuple[int, dict, list]:
     expr = _lookup_fn(args.fn)
     pair = _poly_pair(args)
     cfg = BoundConfig(alpha=args.alpha, delta=args.delta)
@@ -176,7 +176,7 @@ def _verify_lemma1(args, config: dict) -> tuple[int, dict, list]:
     return (EXIT_PASS if r0 is not None else EXIT_FAIL), summary, reports
 
 
-def _verify_asym(args, config: dict) -> tuple[int, dict, list]:
+def _verify_asym(args) -> tuple[int, dict, list]:
     expr = _lookup_fn(args.fn)
     omega = Polynomial.parse(args.omega)
     radii = _radii_from(args)
@@ -193,7 +193,7 @@ def _verify_asym(args, config: dict) -> tuple[int, dict, list]:
     return (EXIT_PASS if ok else EXIT_FAIL), summary, reports
 
 
-def _verify_smt(args, config: dict) -> tuple[int, dict, list]:
+def _verify_smt(args) -> tuple[int, dict, list]:
     expr = _lookup_fn(args.fn)
     pair = _poly_pair(args)
     targets = [parse_complex(tok) for tok in args.targets.split(",")]
@@ -209,7 +209,7 @@ def _verify_smt(args, config: dict) -> tuple[int, dict, list]:
     return (EXIT_PASS if ok else EXIT_FAIL), summary, result.reports
 
 
-def _verify_borel(args, config: dict) -> tuple[int, dict, list]:
+def _verify_borel(args) -> tuple[int, dict, list]:
     if args.radii is not None:
         raise ToolkitError("verify borel builds its grid from --rmin, --rmax and "
                            "--count; --radii is not accepted")
@@ -250,7 +250,7 @@ def _growth_profile(name: str):
     return profiles[name]
 
 
-def _verify_growth(args, config: dict) -> tuple[int, dict, list]:
+def _verify_growth(args) -> tuple[int, dict, list]:
     radii = np.array(_radii_from(args))
     if args.profile:
         T = _growth_profile(args.profile)(radii)
@@ -280,7 +280,7 @@ def cmd_verify(args) -> int:
     }
     config = {k: v for k, v in sorted(vars(args).items())
               if k not in ("func", "out", "json_out") and v is not None}
-    code, summary, reports = handlers[args.which](args, config)
+    code, summary, reports = handlers[args.which](args)
     if args.out and reports:
         _write_csv(args.out, config, REPORT_HEADER, _report_rows(reports))
     _emit({"config": config, "summary": summary,
@@ -573,6 +573,9 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     given = {arg.split("=", 1)[0] for arg in argv}
     extra: list[str] = []
     for key, val in sorted(data.items()):
+        if type(val) not in (str, int, float):  # JSON null, true, false, lists, objects
+            raise ToolkitError(f"--config value of {key!r} must be a string or a number, "
+                               f"not {json.dumps(val)}")
         flag = "--" + str(key).replace("_", "-")
         if flag not in given:
             extra.extend([flag, str(val)])

@@ -23,7 +23,6 @@ import numpy as np
 
 from .algmap import AlgebraicMap, Orbit, binomial_shift_map, orbit
 from .fnmodel import (
-    MERGE_TOL,
     Divisor,
     Exp,
     ExpPoly,
@@ -31,8 +30,6 @@ from .fnmodel import (
     OrbitCollision,
     Polynomial,
     RationalFromDivisor,
-    _greedy_cluster,
-    _screen,
     record,
 )
 
@@ -111,11 +108,12 @@ def build_orbit_family(m: AlgebraicMap, seeds_zero, seeds_pole,
     pz, nz = truncate(seeds_zero)
     pp, npole = truncate(seeds_pole)
 
-    flat = [p for orb in pz + pp for p in orb]
-    if not _screen(np.array(flat), MERGE_TOL)[2][0]:
-        c = next(c for c, count, _ in _greedy_cluster(((p, 1) for p in flat), MERGE_TOL)
-                 if count > 1)
-        raise OrbitCollision(f"two orbit points coincide within tolerance at {c}")
+    # the divisor merge decides coincidence: a merged multiplicity above 1
+    # is a collision, at the merged point
+    d = Divisor.build((p, 1) for orb in pz + pp for p in orb)
+    hit = d.points[d.mults > 1].tolist() + [0j] * (d.origin_order > 1)
+    if hit:
+        raise OrbitCollision(f"two orbit points coincide within tolerance at {hit[0]}")
     return OrbitFamily(map=m, seeds_zero=seeds_zero, seeds_pole=seeds_pole,
                        generations=generations, points_zero=pz, points_pole=pp,
                        next_zero=nz, next_pole=npole)
@@ -123,10 +121,11 @@ def build_orbit_family(m: AlgebraicMap, seeds_zero, seeds_pole,
 
 def build_orbit_function(family: OrbitFamily) -> RationalFromDivisor:
     """Simple zeros on the zero family's orbit points, simple poles on the
-    pole family's."""
+    pole family's.  The family has no two points within the merge
+    tolerance, so the merge keeps every point as it is."""
     pairs = [(p, 1) for orb in family.points_zero for p in orb]
     pairs += [(p, -1) for orb in family.points_pole for p in orb]
-    return RationalFromDivisor(1.0, Divisor.build(pairs, merge_tol=1e-13))
+    return RationalFromDivisor(1.0, Divisor.build(pairs))
 
 
 def divisor_cloud(family: OrbitFamily) -> list[tuple[str, int, float, float]]:

@@ -85,9 +85,12 @@ CIRCLE_BAND = 0.1
 
 _LOG_HUGE = 709.0  # log of the largest finite double, rounded down
 # A root z of a polynomial p of degree n has |p(z)| <= _ROOT_TOL (1 + |z|)^n
-# |leading|, after at most _ABERTH_ITER Aberth steps.
+# |leading|, after at most _ABERTH_ITER Aberth steps; an Aberth iterate
+# freezes at a step below _ABERTH_STEP (1 + |z|), in poly_roots and in the
+# a-point solver of a rational.
 _ROOT_TOL = 1e-10
 _ABERTH_ITER = 200
+_ABERTH_STEP = 1e-14
 # Rows per batched Aberth solve are capped so that its (rows, n, n) array of
 # pairwise root differences stays near 1 MB whatever the branch count.
 _ABERTH_CELLS = 1 << 16
@@ -509,7 +512,7 @@ def _aberth(cs: np.ndarray) -> np.ndarray:
     ``cs`` is ``(K, n + 1)``, lowest degree first, with nonzero constant and
     leading terms; :func:`_solve_rows` sends it the rows of degree 3 and up.
     Each row starts on its own perturbed Cauchy circle and is frozen once its
-    largest relative step drops below 1e-14 (or after ``_ABERTH_ITER``
+    largest relative step drops below ``_ABERTH_STEP`` (or after ``_ABERTH_ITER``
     steps), so a row comes out as it would alone.  Returns ``(K, n)``.
     """
     n = cs.shape[1] - 1
@@ -534,7 +537,7 @@ def _aberth(cs: np.ndarray) -> np.ndarray:
         denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
         step = w / denom
         z = z - step
-        done = np.max(np.abs(step) / (1.0 + np.abs(z)), axis=1) < 1e-14
+        done = np.max(np.abs(step) / (1.0 + np.abs(z)), axis=1) < _ABERTH_STEP
         if done.any():
             out[live[done]] = z[done]
             keep = ~done
@@ -670,8 +673,8 @@ def _greedy_cluster(pairs: Iterable[tuple[complex, int]],
     Points are visited by (modulus, re, im).  A point joins the latest
     cluster whose first member lies within ``rel_tol * (1 + |rep|)``; the
     backward scan stops once the moduli differ by more than the cluster
-    width can bridge.  This loop is the reference; :func:`_screen` spares
-    it wherever it would leave every point a cluster of its own.
+    width can bridge.  This loop is the reference; :func:`_close_points`
+    spares it wherever it would leave every point a cluster of its own.
     """
     pts = sorted(pairs, key=lambda e: (abs(e[0]), e[0].real, e[0].imag))
     clusters: list[list] = []  # [first member, point sum, count, weight sum]
@@ -728,13 +731,6 @@ def _close_points(z: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray
     return order, mod, close
 
 
-def _screen(z: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_close_points` with, per row, whether the greedy loop would
-    leave every point of it a cluster of its own: no point flagged."""
-    order, mod, close = _close_points(z, rel_tol)
-    return order, mod, ~close.any(axis=-1)
-
-
 def cluster_roots(roots: Iterable[complex]) -> list[tuple[complex, int]]:
     """Group near-coincident roots into (centroid, multiplicity) pairs by the
     greedy loop of :func:`_greedy_cluster`, at ``ROOT_CLUSTER_TOL``."""
@@ -757,9 +753,10 @@ class Divisor:
     ``entries``, the (point, multiplicity) pairs, is derived on first read,
     and equal divisors hash as ``(entries, origin_order)``.
     ``Divisor(entries, origin_order)`` sorts the pairs but does not merge
-    them.  :meth:`build` merges points by the greedy rule of
-    :func:`_greedy_cluster`: visited in that order, a point joins the
-    latest group whose first member lies within ``merge_tol * (1 +
+    them.  :meth:`build` merges them, and so decides when two points
+    coincide, the orbit families' included: by the greedy rule of
+    :func:`_greedy_cluster`, visited in that order, a point joins the
+    latest group whose first member lies within ``MERGE_TOL * (1 +
     |first|)``, and each group becomes one point at its centroid.  So two
     points can sit closer than the tolerance (1 and 1 + 0.99 t merge at
     1 + 0.495 t, and 1 + 1.0100001 t, past t = 2e-9 from the first member,
@@ -783,19 +780,18 @@ class Divisor:
         return d
 
     @staticmethod
-    def build(pairs: Iterable[tuple[complex, int]], origin_order: int = 0,
-              merge_tol: float = MERGE_TOL) -> "Divisor":
+    def build(pairs: Iterable[tuple[complex, int]], origin_order: int = 0) -> "Divisor":
         """Divisor of the points ``p`` with multiplicities ``m``: pairs with
         m == 0 are dropped, points with |p| < ORIGIN_SNAP add m to the
         origin order, and the rest (m truncated to int) are merged by the
-        greedy rule and sorted."""
+        greedy rule at ``MERGE_TOL``, read per call, and sorted."""
         pairs = [(p, m) for p, m in pairs if m != 0]
         z = np.array([p for p, _ in pairs], dtype=np.complex128)
         snap = np.hypot(z.real, z.imag) < ORIGIN_SNAP
         for k in np.flatnonzero(snap).tolist():
             origin_order += pairs[k][1]  # as given, so a float or numpy m keeps its type
         m = np.array([int(m) for _, m in pairs], dtype=np.int64)
-        return Divisor._from_arrays(z[~snap], m[~snap], origin_order, merge_tol)
+        return Divisor._from_arrays(z[~snap], m[~snap], origin_order, MERGE_TOL)
 
     @staticmethod
     def _from_arrays(z: np.ndarray, m: np.ndarray, origin: int, merge_tol: float) -> "Divisor":
@@ -972,14 +968,14 @@ def _pull_back(p: Polynomial, ws: np.ndarray, ms: np.ndarray, r: float) -> Divis
     its multiplicity times the target's m, over the targets (ws[k], ms[k]).
 
     The rows of :func:`roots_of_shifts` are screened in one pass
-    (:func:`_screen`); only a row with a close pair, such as the double
+    (:func:`_close_points`); only a row with a close pair, such as the double
     root of z^2 = 0, goes through :func:`cluster_roots`, and a lone root
     is the loop's centroid ``w / 1``.  The merge of
     :meth:`Divisor._from_arrays` sorts the points: their order does not matter.
     """
     rows = roots_of_shifts(p, ws)
     m = np.asarray(ms, dtype=np.int64)
-    alone = _screen(rows, ROOT_CLUSTER_TOL)[2]
+    alone = ~_close_points(rows, ROOT_CLUSTER_TOL)[2].any(-1)
     parts = [(rows[alone].ravel() / 1, np.repeat(m[alone], rows.shape[1]))]
     for k in np.flatnonzero(~alone).tolist():
         c = cluster_roots(rows[k])
@@ -1097,16 +1093,21 @@ class FunctionExpr:
             pass
 
     def eval(self, z: complex) -> complex:
-        """Plain value; raises PoleSignal near poles, OverflowSignal past range."""
+        """Plain value; raises PoleSignal near poles, OverflowSignal past range.
+        The poles are read from the divisor only where one can sit
+        (:func:`_may_have_poles`)."""
         z = complex(z)
-        tol = POLE_TOL * (1.0 + abs(z))
-        div = self.divisor_in_disc(abs(z) + 1.0)
-        poles = div.points[div.mults < 0]
-        near = poles[np.hypot((z - poles).real, (z - poles).imag) <= tol]
-        if near.size:
-            raise PoleSignal(f"z={z} is within {tol:.2e} of a pole at {near[0].item()}")
-        if div.origin_order < 0 and abs(z) <= tol:
-            raise PoleSignal(f"z={z} is within {tol:.2e} of the pole at 0")
+        if not cmath.isfinite(z):
+            raise ValueError(f"z={z} is not a finite point")
+        if _may_have_poles(self):
+            tol = POLE_TOL * (1.0 + abs(z))
+            div = self.divisor_in_disc(abs(z) + 1.0)
+            poles = div.points[div.mults < 0]
+            near = poles[np.hypot((z - poles).real, (z - poles).imag) <= tol]
+            if near.size:
+                raise PoleSignal(f"z={z} is within {tol:.2e} of a pole at {near[0].item()}")
+            if div.origin_order < 0 and abs(z) <= tol:
+                raise PoleSignal(f"z={z} is within {tol:.2e} of the pole at 0")
         lm, ag = self._log_parts(_carray([z]))
         if lm[0] == np.inf:
             raise PoleSignal(f"f has a pole at z={z}")
@@ -2154,6 +2155,29 @@ class Quotient(_Pair):
         return self.lhs.divisor_in_disc(r).merge(self.rhs.divisor_in_disc(r).negate())
 
 
+def _signed_leaves(expr: FunctionExpr, sign: int = 1):
+    """(leaf, sign) for each leaf of the product and quotient tree that may
+    have zeros or poles: a quotient's right side counts with the opposite
+    sign.  A constant, exp(p) and exp(exp(p)) are zero-free and yield nothing.
+    This is the one rule of where an expression's zeros and poles can be:
+    ``nevanlinna.argument_principle_count`` counts the leaves, and
+    :func:`_may_have_poles` says where a leaf can give a pole."""
+    if isinstance(expr, (Product, Quotient)):
+        yield from _signed_leaves(expr.lhs, sign)
+        yield from _signed_leaves(expr.rhs, sign if isinstance(expr, Product) else -sign)
+    elif not isinstance(expr, (Const, Exp)) and not (isinstance(expr, ExpPoly) and expr.a == 0):
+        yield expr, sign
+
+
+def _may_have_poles(expr: FunctionExpr) -> bool:
+    """Whether a pole can sit anywhere: only at a leaf of
+    :func:`_signed_leaves` that divides, or at a pole of a rational leaf.
+    Where neither is, :meth:`FunctionExpr.eval` and N(r) read no divisor."""
+    return any(sign < 0 or isinstance(leaf, RationalFromDivisor)
+               and (leaf.divisor.origin_order < 0 or (leaf.divisor.mults < 0).any())
+               for leaf, sign in _signed_leaves(expr))
+
+
 # ---------------------------------------------------------------------------
 # smart constructors
 # ---------------------------------------------------------------------------
@@ -2385,7 +2409,8 @@ def _rational_preimages(expr: RationalFromDivisor, a: complex,
     whose product or f is not a normal, finite, nonzero double: that node
     alone takes f from the log and arg channels (:func:`_log_sums`), as a
     product that leaves the range in row order needs.  Each root freezes at
-    a relative step below 1e-14.  The certificate reads the log channels
+    a relative step below ``_ABERTH_STEP`` (at most ``_ABERTH_ITER``
+    rounds).  The certificate reads the log channels
     once: root z_i gets the disc of radius deg |W_i|, W_i = N(z_i) /
     (lead prod_{j != i} (z_i - z_j)), |N| bounded with its rounding; disjoint
     such discs hold one root each (Braess and Hadeler, 1973).  The roots in
@@ -2409,7 +2434,7 @@ def _rational_preimages(expr: RationalFromDivisor, a: complex,
     z = zs + 1e-3 * (1.0 + np.abs(zs)) * np.exp(1j * (2.7 * k + 0.4))
     s = expr.scale
     with np.errstate(all="ignore"):
-        for _ in range(200):
+        for _ in range(_ABERTH_ITER):
             zl = z[live]
             prod, dl, dq = _aberth_sums(zl, expr.divisor)
             f = s * prod
@@ -2423,7 +2448,7 @@ def _rational_preimages(expr: RationalFromDivisor, a: complex,
                                               lambda d: np.sum(1.0 / d, axis=1)))
             step[~np.isfinite(step)] = 0.0  # left to the certificate
             z[live] = zl - step
-            live = live[np.abs(step) >= 1e-14 * (1.0 + np.abs(z[live]))]
+            live = live[np.abs(step) >= _ABERTH_STEP * (1.0 + np.abs(z[live]))]
             if not live.size:
                 break
         # log f sums k rounded terms: f is off by a relative err <= (k + 2) eps

@@ -29,15 +29,14 @@ from .fnmodel import (
     InsufficientGrowth,
     NonIntegerResidual,
     NonMonotone,
-    Product,
     Quotient,
     Const,
-    Exp,
-    ExpPoly,
     RationalFromDivisor,
     TWO_PI,
     _NO_ANGLES,
     _circle_form,
+    _may_have_poles,
+    _signed_leaves,
     _winding_count,
     logplus,
     record,
@@ -261,14 +260,10 @@ def n_count(divisor: Divisor, r: float, kind: str = "poles") -> int:
 
 
 def _with_poles(expr: FunctionExpr, sample: CharacteristicSample) -> CharacteristicSample:
-    """The sample with N(r) of the expression's poles, and T = m + N.  A pole
-    can sit only at a leaf of :func:`_signed_leaves` that divides, or at a
-    pole of a rational leaf; where there is neither, N = 0 and no divisor is
-    read."""
-    poles = any(sign < 0 or isinstance(leaf, RationalFromDivisor)
-                and (leaf.divisor.origin_order < 0 or (leaf.divisor.mults < 0).any())
-                for leaf, sign in _signed_leaves(expr))
-    N = counting(expr.divisor_in_disc(sample.r_used), sample.r_used, "poles") if poles else 0.0
+    """The sample with N(r) of the expression's poles, and T = m + N: N = 0,
+    with no divisor read, where no pole can sit (:func:`_may_have_poles`)."""
+    N = (counting(expr.divisor_in_disc(sample.r_used), sample.r_used, "poles")
+         if _may_have_poles(expr) else 0.0)
     return sample.replace(N=N, T=sample.m + N)
 
 
@@ -385,20 +380,6 @@ def hyperorder_estimate(radii, T_values) -> HyperOrderEstimate:
 # ---------------------------------------------------------------------------
 # argument-principle cross-check
 # ---------------------------------------------------------------------------
-
-
-def _signed_leaves(expr: FunctionExpr, sign: int = 1):
-    """(leaf, sign) for each leaf of the product and quotient tree that may
-    have zeros or poles: a quotient's right side counts with the opposite
-    sign.  A constant, exp(p) and exp(exp(p)) are zero-free and yield nothing.
-    This is the one rule of where an expression's zeros and poles can be:
-    :func:`argument_principle_count` counts the leaves, and
-    :func:`_with_poles` reads N only where a leaf can give a pole."""
-    if isinstance(expr, (Product, Quotient)):
-        yield from _signed_leaves(expr.lhs, sign)
-        yield from _signed_leaves(expr.rhs, sign if isinstance(expr, Product) else -sign)
-    elif not isinstance(expr, (Const, Exp)) and not (isinstance(expr, ExpPoly) and expr.a == 0):
-        yield expr, sign
 
 
 def argument_principle_count(expr: FunctionExpr, r: float) -> int:

@@ -396,7 +396,7 @@ def _designed_census(seed, tol):
         else:
             table[p] = complex(rng.uniform(-R, R), rng.uniform(-R, R)) / 2
     pairs = [(p, 1) for p in zeros] + [(p, -1) for p in poles]
-    expr = RationalFromDivisor(1.0, Divisor.build(pairs, merge_tol=0.0))
+    expr = RationalFromDivisor(1.0, Divisor(pairs))  # exact points, duplicates kept
     return expr, table.__getitem__, R  # the map: a table lookup
 
 
@@ -437,15 +437,13 @@ def test_copies_of_a_multiple_point_are_not_an_ambiguous_assignment():
 def test_a_near_tie_between_two_points_is_ambiguous():
     # tau is the identity: the image of 1 - 1e-12 is the point itself, and
     # 1 + 1e-12 is 2e-12 further off, inside 10 * limit = 2e-8
-    f = RationalFromDivisor(1.0, Divisor.build([(1.0 + 1e-12, 1), (1.0 - 1e-12, 1)],
-                                               merge_tol=0.0))
+    f = RationalFromDivisor(1.0, Divisor([(1.0 + 1e-12, 1), (1.0 - 1e-12, 1)]))
     rep, = invariance_census(f, AlgebraicMap(n=1, alphas=(0.0,)), [0.0], R=2.5)
     assert (rep.n_matched, rep.assignment_ambiguous) == (2, True)
     # the bound itself: at tol 2^-30 the image 1 has limit 2^-29, and the
     # other point lies exactly 10 * limit off, then one ulp further
     for ulp, ambiguous in ((0.0, True), (2.0**-52, False)):
-        f = RationalFromDivisor(1.0, Divisor.build([(1.0, 1), (1.0 + 10 * 2.0**-29 + ulp, 1)],
-                                                   merge_tol=0.0))
+        f = RationalFromDivisor(1.0, Divisor([(1.0, 1), (1.0 + 10 * 2.0**-29 + ulp, 1)]))
         rep, = invariance_census(f, AlgebraicMap(n=1, alphas=(0.0,)), [0.0], R=2.5,
                                  tol=2.0**-30)
         assert (rep.n_matched, rep.assignment_ambiguous) == (2, ambiguous)

@@ -711,6 +711,21 @@ def test_config_file_that_is_not_an_object_is_an_error(capsys, tmp_path):
                                "detail": "--config needs a JSON object of flag values"}
 
 
+@pytest.mark.parametrize("key, value", [("out", None), ("json_out", True), ("out", ["a.csv"])])
+def test_config_value_that_is_not_a_string_or_number_is_an_error(capsys, tmp_path, monkeypatch,
+                                                                 key, value):
+    """null, true and a list were passed on as the text "None", "True" and
+    "['a.csv']": a path flag wrote a file of that name."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, out, err = run(capsys, "char", "--fn", "exp_z", "--radii", "2", "--config", str(cfg))
+    assert code == EXIT_ERROR and out == ""
+    assert json.loads(err) == {"error": "ToolkitError", "detail": (
+        f"--config value of {key!r} must be a string or a number, not {json.dumps(value)}")}
+    assert [f.name for f in tmp_path.iterdir()] == ["run.json"]
+
+
 def test_config_without_path_is_an_error(capsys):
     code, _, err = run(capsys, "char", "--fn", "exp_z", "--config")
     assert code == EXIT_ERROR

@@ -597,21 +597,23 @@ def test_divisor_merge_loops_only_over_the_runs_with_a_close_pair(monkeypatch):
 def test_screened_clustering_equals_the_greedy_loop(tol, monkeypatch):
     """Divisor.build and cluster_roots give what the greedy loop over every
     point gives, signed zeros, value types and origin order included."""
-    monkeypatch.setattr(fnmodel, "ROOT_CLUSTER_TOL", tol)  # the width cluster_roots reads
+    # the widths that Divisor.build and cluster_roots read per call
+    monkeypatch.setattr(fnmodel, "MERGE_TOL", tol)
+    monkeypatch.setattr(fnmodel, "ROOT_CLUSTER_TOL", tol)
     rng = np.random.default_rng(13)
     paths = set()
     for _ in range(150):
         pts = _edge_points(rng, tol)
         pairs = [(p, _MULTS[int(rng.integers(len(_MULTS)))]) for p in pts]
         entries, origin = _greedy_build(pairs, 2, tol)
-        d = Divisor.build(pairs, 2, merge_tol=tol)
+        d = Divisor.build(pairs, 2)
         assert repr(d.entries) == repr(entries)
         assert repr(d.origin_order) == repr(origin)
         assert d.moduli.tolist() == [abs(p) for p, _ in d.entries]
         for roots in (pts, np.array(pts)):
             want = [(c, n) for c, n, _ in fnmodel._greedy_cluster(((w, 1) for w in roots), tol)]
             assert repr(cluster_roots(roots)) == repr(want)
-        paths.add(bool(fnmodel._screen(np.array(pts), tol)[2][0]))
+        paths.add(not fnmodel._close_points(np.array(pts), tol)[2].any())
     assert paths == {True, False}  # both the screen and the loop were taken
 
 
@@ -619,8 +621,8 @@ def test_screen_pairs_points_within_a_row_only():
     """3j ends the first row and, after -3 on its shell, sits in the second:
     no close pair.  The last row has a double root."""
     rows = np.array([[2.0, 1.0, 3j], [3j, -3.0, 5.0], [7.0, 4.0 + 1e-7, 4.0]])
-    order, mod, alone = fnmodel._screen(rows, fnmodel.ROOT_CLUSTER_TOL)
-    assert alone.tolist() == [True, True, False]
+    order, mod, close = fnmodel._close_points(rows, fnmodel.ROOT_CLUSTER_TOL)
+    assert close.any(-1).tolist() == [False, False, True]
     assert order.tolist() == [[1, 0, 2], [1, 0, 2], [2, 1, 0]]
     assert mod.tolist() == [[1.0, 2.0, 3.0], [3.0, 3.0, 5.0], [4.0, 4.0 + 1e-7, 7.0]]
 
@@ -636,7 +638,8 @@ def test_pull_back_equals_clustering_every_row(coeffs, double_roots):
     ws = [0j, 2.0, -2.0] + list(3.0 * (rng.standard_normal(12) + 1j * rng.standard_normal(12)))
     targets = [(w, int(rng.choice([1, -1, 2, -3]))) for w in ws]
     rows = roots_of_shifts(p, ws)
-    assert np.sum(~fnmodel._screen(rows, fnmodel.ROOT_CLUSTER_TOL)[2]) == double_roots
+    close = fnmodel._close_points(rows, fnmodel.ROOT_CLUSTER_TOL)[2]
+    assert np.sum(close.any(-1)) == double_roots
     for r in (0.5, 1.0, 1.5, 2.0, 10.0):
         pairs = [(root, m * k) for (_, m), row in zip(targets, rows)
                  for root, k, _ in fnmodel._greedy_cluster(((w, 1) for w in row),
@@ -714,6 +717,18 @@ def test_exppoly_eval_matches_cmath():
     for z in (0.2 - 0.7j, 1.5, -2.0j):
         want = cmath.exp(0.5 + z * z)
         assert abs(f.eval(z) - want) <= 1e-12 * abs(want)
+
+
+def test_eval_of_an_entire_expression_solves_no_divisor():
+    """e^z - 1 has no pole, so eval reads no divisor: at 1e6 i it would
+    solve about 333k zeros, and at 4e6 i it would raise OverflowSignal for
+    its branch count, though the value is finite."""
+    f = ExpPoly(Z, 1.0)
+    misses = fnmodel._divisor_cached.cache_info().misses
+    f.eval(1e6j)
+    assert fnmodel._divisor_cached.cache_info().misses == misses
+    want = cmath.exp(4e6j) - 1
+    assert abs(f.eval(4e6j) - want) <= 1e-12 * abs(want)
 
 
 def test_exp_minus_a_keeps_its_bits_deep_below_a():
@@ -923,7 +938,7 @@ def test_products_and_quotients_combine_their_sides_bit_for_bit():
         _assert_same_bits(lm, op(la, lb))
         _assert_same_bits(ag, op(aa, ab))
         _assert_same_bits(f._log_mod(z), op(f.lhs._log_mod(z), f.rhs._log_mod(z)))
-        assert list(nevanlinna._signed_leaves(f)) == [(f.rhs, 1 if op is np.add else -1)]
+        assert list(fnmodel._signed_leaves(f)) == [(f.rhs, 1 if op is np.add else -1)]
 
 
 def test_exp_values_are_exp_of_the_exponent_below_the_overflow():
@@ -980,14 +995,16 @@ def _reference_values(f, z):
 
 
 def _reference_eval(f, z):
-    """``FunctionExpr.eval`` as it stood, through :func:`_reference_values`."""
+    """``FunctionExpr.eval`` as it stood, through :func:`_reference_values`,
+    with the divisor read only where a pole can sit."""
     z = complex(z)
-    tol = fnmodel.POLE_TOL * (1.0 + abs(z))
-    div = f.divisor_in_disc(abs(z) + 1.0)
-    poles = div.points[div.mults < 0]
-    near = poles[np.hypot((z - poles).real, (z - poles).imag) <= tol]
-    if near.size or (div.origin_order < 0 and abs(z) <= tol):
-        raise PoleSignal(f"z={z} is near a pole")
+    if fnmodel._may_have_poles(f):
+        tol = fnmodel.POLE_TOL * (1.0 + abs(z))
+        div = f.divisor_in_disc(abs(z) + 1.0)
+        poles = div.points[div.mults < 0]
+        near = poles[np.hypot((z - poles).real, (z - poles).imag) <= tol]
+        if near.size or (div.origin_order < 0 and abs(z) <= tol):
+            raise PoleSignal(f"z={z} is near a pole")
     v = _reference_values(f, np.asarray([z]))[0]
     if np.isnan(v) or (np.isinf(v.real) or np.isinf(v.imag)):
         lm, _ = f._log_parts(np.asarray([z]))

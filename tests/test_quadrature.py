@@ -287,12 +287,11 @@ def _nan_inside(t):
 
 
 def _capped(monkeypatch, kwargs):
-    """``kwargs`` without the caps ``max_panels`` and ``max_rounds``, which
-    are set on the quadrature module instead, as it reads them per call."""
+    """``kwargs`` without the cap ``max_panels``, which is set on the
+    quadrature module instead, as it reads it per call."""
     kwargs = dict(kwargs)
-    for key, name in (("max_panels", "MAX_PANELS"), ("max_rounds", "_MAX_ROUNDS")):
-        if key in kwargs:
-            monkeypatch.setattr(quadrature, name, kwargs.pop(key))
+    if "max_panels" in kwargs:
+        monkeypatch.setattr(quadrature, "MAX_PANELS", kwargs.pop("max_panels"))
     return kwargs
 
 
@@ -300,24 +299,37 @@ def _capped(monkeypatch, kwargs):
     (_nan_inside, {}),
     (_log_abs_z2_minus_1, {"cuts": ON_CIRCLE, "atol": 1e-14, "rtol": 1e-14,
                            "max_panels": 60}),
-    (lambda t: np.exp(np.sin(t)), {"atol": 1e-300, "rtol": 1e-300, "max_rounds": 2}),
-], ids=["interior NaN", "max_panels", "max_rounds"])
+], ids=["interior NaN", "max_panels"])
 def test_failures_match_the_reference_loop(f, kwargs, monkeypatch):
     with pytest.raises(QuadratureFailure):
         _reference_adaptive_circle(f, **kwargs)
     with pytest.raises(QuadratureFailure) as info:
         adaptive_circle(f, **_capped(monkeypatch, kwargs))
     assert ("panel count" in str(info.value)) == ("max_panels" in kwargs)
-    assert ("refinement rounds" in str(info.value)) == ("max_rounds" in kwargs)
 
 
 @pytest.mark.parametrize("rounds", [1, 2, 5])
 def test_the_integrand_is_called_once_per_round(rounds, monkeypatch):
-    f, calls = _counted(lambda t: np.exp(np.sin(t)))
-    monkeypatch.setattr(quadrature, "_MAX_ROUNDS", rounds)
-    with pytest.raises(QuadratureFailure, match=f"after {rounds} refinement rounds"):
+    """No panel of this integrand is accepted at these tolerances in the
+    first rounds, so round k ends with 2^k panels, and a cap of 2^rounds - 1
+    panels stops the run after ``rounds``."""
+    f, calls = _counted(lambda t: np.exp(np.sin(100.0 * t)))
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 2**rounds - 1)
+    with pytest.raises(QuadratureFailure, match="panel count exceeded"):
         adaptive_circle(f, atol=1e-300, rtol=1e-300)
     assert len(calls) == rounds
+
+
+def test_an_uncut_jump_ends_at_the_width_floor_without_a_round_cap():
+    """A jump at an angle no cut marks is never resolved: the panel that
+    holds it halves each round until MIN_WIDTH accepts it, within 56
+    rounds of one integrand call each, and the run returns its value.  At
+    these tolerances only a panel on which f is constant passes by its
+    error estimate."""
+    f, calls = _counted(lambda t: (t < 1.0).astype(float))
+    res = adaptive_circle(f, atol=1e-300, rtol=1e-300)
+    assert abs(res.value - 1.0) <= 1e-12
+    assert len(calls) <= 56
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +422,7 @@ def test_no_call_exceeds_the_node_cap(monkeypatch, cap):
 @pytest.mark.parametrize("bad, kwargs", [
     (_nan_inside, {}),
     (_log_abs_z2_minus_1, {"cuts": ON_CIRCLE, "atol": 1e-14, "rtol": 1e-14, "max_panels": 60}),
-    (lambda t: np.exp(np.sin(t)), {"atol": 1e-300, "rtol": 1e-300, "max_rounds": 2}),
-], ids=["interior NaN", "max_panels", "max_rounds"])
+], ids=["interior NaN", "max_panels"])
 def test_a_failing_circle_raises_its_own_failure(bad, kwargs, monkeypatch):
     kwargs = _capped(monkeypatch, kwargs)
     cuts = kwargs.pop("cuts", [])
