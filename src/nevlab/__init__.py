@@ -4,7 +4,10 @@ for meromorphic functions that stay within a closed evaluation family.
 Everything is organized around three layers:
 
 * ``fnmodel``: symbolic-ish function expressions with overflow-safe log
-  evaluation, divisors, and polynomial root finding;
+  evaluation, on ``core`` (errors, records, polynomials), ``roots``
+  (polynomial root finding), ``divisor`` (divisors and their sums),
+  ``circles`` and ``kinks`` (circle forms, closed means and the certified
+  level-set searches) and ``apoints`` (the a-points of a rational);
 * ``nevanlinna`` / ``boundslab``: circle averages, counting functions, the
   characteristic, and the explicit bound verifiers built on them;
 * ``algmap`` / ``constructor``: fractional-power maps, their orbits, and the
@@ -57,13 +60,8 @@ from .constructor import (
     right_figure_map,
     right_figure_seeds,
 )
-from .fnmodel import (
+from .core import (
     BranchAmbiguity,
-    Const,
-    Divisor,
-    Exp,
-    ExpPoly,
-    FunctionExpr,
     GrowthConditionError,
     IdenticalComposition,
     InsufficientGrowth,
@@ -75,17 +73,22 @@ from .fnmodel import (
     OverflowSignal,
     PoleSignal,
     Polynomial,
-    Product,
     QuadratureFailure,
-    Quotient,
-    RationalFromDivisor,
     RootFindFailure,
     ToolkitError,
-    cluster_roots,
-    compose_poly,
     logplus,
     parse_complex,
-    poly_roots,
+)
+from .divisor import Divisor, cluster_roots
+from .fnmodel import (
+    Const,
+    Exp,
+    ExpPoly,
+    FunctionExpr,
+    Product,
+    Quotient,
+    RationalFromDivisor,
+    compose_poly,
     preimages_in_disc,
     subtract,
 )
@@ -105,6 +108,7 @@ from .nevanlinna import (
     proximities,
     proximity,
 )
+from .roots import poly_roots
 
 __version__ = "0.1.0"
 

@@ -23,18 +23,9 @@ import math
 
 import numpy as np
 
-from .fnmodel import (
-    BranchAmbiguity,
-    FunctionExpr,
-    OrderMismatch,
-    PREIMAGE_RESIDUAL_TOL,
-    Polynomial,
-    TWO_PI,
-    field,
-    preimages_in_disc,
-    record,
-    target_value,
-)
+from .apoints import PREIMAGE_RESIDUAL_TOL
+from .core import BranchAmbiguity, OrderMismatch, Polynomial, TWO_PI, field, record
+from .fnmodel import FunctionExpr, preimages_in_disc, target_value
 
 
 @record

@@ -29,28 +29,30 @@ import math
 
 import numpy as np
 
-from .fnmodel import (
-    CIRCLE_BAND,
-    Const,
-    Divisor,
-    FunctionExpr,
+from .circles import CIRCLE_BAND
+from .core import (
     GrowthConditionError,
     IdenticalComposition,
     InsufficientGrowth,
     NonMonotone,
     OpaqueExpr,
     Polynomial,
+    TWO_PI,
+    field,
+    logplus,
+    record,
+)
+from .divisor import Divisor
+from .fnmodel import (
+    Const,
+    FunctionExpr,
     Product,
     Quotient,
     RationalFromDivisor,
-    TWO_PI,
     compose_poly,
-    field,
-    logplus,
-    poly_roots,
-    record,
     subtract,
 )
+from .roots import poly_roots
 from .nevanlinna import (
     _origin_leading_logmod,
     characteristic_sweep,

@@ -22,7 +22,8 @@ import numpy as np
 from . import boundslab, constructor, nevanlinna
 from .algmap import AlgebraicMap, invariance_census, orbit
 from .boundslab import BoundConfig, PolyPair
-from .fnmodel import Const, Polynomial, ToolkitError, parse_complex
+from .core import Polynomial, ToolkitError, parse_complex
+from .fnmodel import Const
 from .nevanlinna import characteristic_sweep, hyperorder_estimate, log_radii
 
 EXIT_PASS = 0

@@ -22,16 +22,9 @@ import math
 import numpy as np
 
 from .algmap import AlgebraicMap, Orbit, binomial_shift_map, orbit
-from .fnmodel import (
-    Divisor,
-    Exp,
-    ExpPoly,
-    FunctionExpr,
-    OrbitCollision,
-    Polynomial,
-    RationalFromDivisor,
-    record,
-)
+from .core import OrbitCollision, Polynomial, record
+from .divisor import Divisor
+from .fnmodel import Exp, ExpPoly, FunctionExpr, RationalFromDivisor
 
 _Z = Polynomial((0j, 1.0 + 0j))
 # identity_probe_points draws its probes uniformly from the disc of this radius

@@ -22,26 +22,19 @@ from functools import reduce
 
 import numpy as np
 
+from .circles import CIRCLE_BAND, _NO_ANGLES, _circle_form
+from .core import InsufficientGrowth, NonIntegerResidual, NonMonotone, TWO_PI, logplus, record
+from .divisor import Divisor
 from .fnmodel import (
-    CIRCLE_BAND,
-    Divisor,
-    FunctionExpr,
-    InsufficientGrowth,
-    NonIntegerResidual,
-    NonMonotone,
-    Quotient,
     Const,
+    FunctionExpr,
+    Quotient,
     RationalFromDivisor,
-    TWO_PI,
-    _NO_ANGLES,
-    _circle_form,
     _may_have_poles,
     _signed_leaves,
-    _winding_count,
-    logplus,
-    record,
     subtract,
 )
+from .kinks import _winding_count
 from .quadrature import QuadratureResult, adaptive_circle, adaptive_circles, check_tolerances
 
 # nudge applied when a divisor point sits essentially on the contour

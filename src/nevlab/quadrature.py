@@ -54,7 +54,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fnmodel import MAX_PANELS, TWO_PI, QuadratureFailure, record
+from .core import MAX_PANELS, QuadratureFailure, TWO_PI, record
 
 PANEL_ORDER = 16
 SEED_LEVELS = 3

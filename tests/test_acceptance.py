@@ -47,7 +47,7 @@ from nevlab import (
     subtract,
 )
 from nevlab.cli import main as cli_main
-from nevlab.fnmodel import TWO_PI
+from nevlab.core import TWO_PI
 
 POLY_Z = Polynomial((0j, 1.0))
 POLY_Z2 = Polynomial((0j, 0j, 1.0))

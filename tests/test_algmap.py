@@ -27,7 +27,8 @@ from nevlab import (
     polynomialize,
 )
 from nevlab.algmap import _image_hits_value
-from nevlab.fnmodel import BranchAmbiguity, OrderMismatch, preimages_in_disc
+from nevlab.core import BranchAmbiguity, OrderMismatch
+from nevlab.fnmodel import preimages_in_disc
 
 Z = Polynomial((0j, 1.0))
 

@@ -25,18 +25,17 @@ from nevlab import (
     pestimate_check,
     smt_check,
 )
-from nevlab import boundslab, fnmodel
+from nevlab import boundslab, fnmodel, kinks
 from nevlab.boundslab import BoundReport
-from nevlab.fnmodel import (
+from nevlab.core import (
     GrowthConditionError,
     IdenticalComposition,
     InsufficientGrowth,
     NonMonotone,
     QuadratureFailure,
     TWO_PI,
-    compose_poly,
-    subtract,
 )
+from nevlab.fnmodel import compose_poly, subtract
 from nevlab.nevanlinna import _circle_means, _logplus, log_radii, proximities
 
 Z = Polynomial((0j, 1.0))
@@ -300,7 +299,7 @@ def test_smt_reciprocal_mean_meets_its_tolerance():
 def test_smt_searches_the_kinks_of_each_reciprocal_once_per_grid(monkeypatch):
     # one lockstep band search per target over the whole c05 grid, at the
     # level 1 of 1/(e^{z^2} -+ 1)
-    calls, search = [], fnmodel._band_search
+    calls, search = [], kinks._band_search
     monkeypatch.setattr(fnmodel, "_band_search",
                         lambda *args: calls.append(args) or search(*args))
     grid = [float(r) for r in log_radii(5.0, 40.0, 25)]

@@ -768,7 +768,8 @@ def test_cli_run_leaves_dataclasses_and_hashlib_unimported():
     assert code == EXIT_PASS
     assert "dataclasses" not in modules
     assert "hashlib" not in modules
-    for name in ("fnmodel", "quadrature", "nevanlinna", "boundslab", "algmap", "constructor"):
+    for name in ("core", "roots", "divisor", "circles", "kinks", "apoints", "fnmodel",
+                 "quadrature", "nevanlinna", "boundslab", "algmap", "constructor"):
         assert "nevlab." + name in modules
 
 

@@ -21,7 +21,7 @@ from nevlab import (
     right_figure_map,
     right_figure_seeds,
 )
-from nevlab.fnmodel import OrbitCollision
+from nevlab.core import OrbitCollision
 
 
 # ---------------------------------------------------------------------------

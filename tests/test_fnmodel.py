@@ -34,17 +34,11 @@ from nevlab import (
     preimages_in_disc,
     subtract,
 )
-from nevlab import cli, fnmodel, nevanlinna
-from nevlab.fnmodel import (
-    CIRCLE_BAND,
-    OpaqueExpr,
-    OverflowSignal,
-    PoleSignal,
-    TWO_PI,
-    RootFindFailure,
-    compose_poly,
-    roots_of_shifts,
-)
+from nevlab import apoints, circles, cli, core, divisor, fnmodel, kinks, nevanlinna, roots
+from nevlab.circles import CIRCLE_BAND
+from nevlab.core import OpaqueExpr, OverflowSignal, PoleSignal, RootFindFailure, TWO_PI
+from nevlab.fnmodel import compose_poly
+from nevlab.roots import roots_of_shifts
 from nevlab.algmap import InvarianceReport
 from nevlab.boundslab import AsymSample, BoundConfig, BoundReport
 from nevlab.nevanlinna import (ON_CIRCLE_REL, BalanceSample, CharacteristicSample,
@@ -218,10 +212,10 @@ def test_smt_solves_its_pull_backs_without_aberth(monkeypatch, capsys):
     of degree 2 (or 1 at the origin rows): none reaches the iteration."""
     degrees = {"_solve_rows": [], "_aberth": []}
     for name, degree_list in degrees.items():
-        def spy(cs, solve=getattr(fnmodel, name), seen=degree_list):
+        def spy(cs, solve=getattr(roots, name), seen=degree_list):
             seen.append(cs.shape[1] - 1)
             return solve(cs)
-        monkeypatch.setattr(fnmodel, name, spy)
+        monkeypatch.setattr(roots, name, spy)
     fnmodel._divisor_cached.cache_clear()
     argv = ["verify", "smt", "--fn", "exp_z", "--omega", "z^2+z", "--phi", "z^2",
             "--targets", "1,-1", "--rmin", "5", "--rmax", "40", "--count", "25"]
@@ -238,8 +232,8 @@ def _branch_sets(monkeypatch, r=16.0):
         seen[p] = list(ws)
         return solve(p, ws)
 
-    solve = fnmodel.roots_of_shifts
-    monkeypatch.setattr(fnmodel, "roots_of_shifts", spy)
+    solve = roots.roots_of_shifts
+    monkeypatch.setattr(divisor, "roots_of_shifts", spy)
     for text in ("z^2", "z^2+z", "z^3-2z+1"):
         ExpPoly(Polynomial.parse(text), 1.0)._divisor_impl(r)
     monkeypatch.undo()
@@ -270,7 +264,7 @@ def test_roots_of_shifts_zero_constant_row_keeps_exact_origin_root():
 
 def test_roots_of_shifts_enforces_residual_contract(monkeypatch):
     p, ws = _branch_sets(monkeypatch)[2]
-    monkeypatch.setattr(fnmodel, "_ABERTH_ITER", 1)
+    monkeypatch.setattr(roots, "_ABERTH_ITER", 1)
     with pytest.raises(RootFindFailure):
         roots_of_shifts(p, ws)
 
@@ -280,7 +274,7 @@ def test_divisor_radius_quantum_is_the_next_power_of_two(monkeypatch):
 
     def spy(self, rq):
         computed.append(rq)
-        return fnmodel.EMPTY_DIVISOR
+        return divisor.EMPTY_DIVISOR
 
     monkeypatch.setattr(Const, "_divisor_impl", spy)
     radii = [32.0, math.nextafter(32.0, math.inf), 1e-7, 0.5, 0.7, 1.0, 3.0,
@@ -325,7 +319,7 @@ def test_divisor_signed_split():
 
 def test_divisor_signed_returns_itself_where_it_drops_nothing():
     zeros = Divisor.build([(1.0, 2), (2.0 + 1j, 1)], origin_order=1)
-    empty = fnmodel.EMPTY_DIVISOR
+    empty = divisor.EMPTY_DIVISOR
     assert zeros.signed("zeros") is zeros and empty.signed("poles") is empty
     # a pole's multiplicity is made positive: a new divisor, never the input
     poles = Divisor.build([(1.0, -2)])
@@ -458,7 +452,7 @@ def test_a_reciprocal_keeps_the_negated_divisor():
     assert got == x.negate()
 
 
-def _greedy_build(pairs, origin_order=0, merge_tol=fnmodel.MERGE_TOL):
+def _greedy_build(pairs, origin_order=0, merge_tol=divisor.MERGE_TOL):
     """(entries, origin order) of Divisor.build with the greedy loop run on
     every point: the reference the screen must reproduce."""
     origin, pts = origin_order, []
@@ -466,12 +460,12 @@ def _greedy_build(pairs, origin_order=0, merge_tol=fnmodel.MERGE_TOL):
         if m == 0:
             continue
         p = complex(p)
-        if abs(p) < fnmodel.ORIGIN_SNAP:
+        if abs(p) < divisor.ORIGIN_SNAP:
             origin += m
         else:
             pts.append((p, int(m)))
     entries = tuple(sorted(
-        ((p, m) for p, _, m in fnmodel._greedy_cluster(pts, merge_tol) if m != 0),
+        ((p, m) for p, _, m in divisor._greedy_cluster(pts, merge_tol) if m != 0),
         key=lambda e: (abs(e[0]), e[0].real, e[0].imag)))
     return entries, origin
 
@@ -584,8 +578,8 @@ def test_divisor_merge_loops_only_over_the_runs_with_a_close_pair(monkeypatch):
     whole set gives."""
     lattice, pole = ExpPoly(Z, 1).divisor_in_disc(2e4), Divisor.build([(10j * math.pi, -1)])
     want = _greedy_build(list(lattice.entries) + list(pole.entries), lattice.origin_order)
-    looped, greedy = [], fnmodel._greedy_cluster
-    monkeypatch.setattr(fnmodel, "_greedy_cluster",
+    looped, greedy = [], divisor._greedy_cluster
+    monkeypatch.setattr(divisor, "_greedy_cluster",
                         lambda pairs, tol: greedy(looped.append(list(pairs)) or looped[-1], tol))
     d = Product(ExpPoly(Z, 1), RationalFromDivisor(1, pole))._divisor_impl(2e4)
     assert repr((d.entries, d.origin_order)) == repr(want)
@@ -593,13 +587,13 @@ def test_divisor_merge_loops_only_over_the_runs_with_a_close_pair(monkeypatch):
     assert [len(run) for run in looped] == [3]
 
 
-@pytest.mark.parametrize("tol", [fnmodel.MERGE_TOL, fnmodel.ROOT_CLUSTER_TOL, 1e-13, 0.0])
+@pytest.mark.parametrize("tol", [divisor.MERGE_TOL, divisor.ROOT_CLUSTER_TOL, 1e-13, 0.0])
 def test_screened_clustering_equals_the_greedy_loop(tol, monkeypatch):
     """Divisor.build and cluster_roots give what the greedy loop over every
     point gives, signed zeros, value types and origin order included."""
     # the widths that Divisor.build and cluster_roots read per call
-    monkeypatch.setattr(fnmodel, "MERGE_TOL", tol)
-    monkeypatch.setattr(fnmodel, "ROOT_CLUSTER_TOL", tol)
+    monkeypatch.setattr(divisor, "MERGE_TOL", tol)
+    monkeypatch.setattr(divisor, "ROOT_CLUSTER_TOL", tol)
     rng = np.random.default_rng(13)
     paths = set()
     for _ in range(150):
@@ -611,9 +605,9 @@ def test_screened_clustering_equals_the_greedy_loop(tol, monkeypatch):
         assert repr(d.origin_order) == repr(origin)
         assert d.moduli.tolist() == [abs(p) for p, _ in d.entries]
         for roots in (pts, np.array(pts)):
-            want = [(c, n) for c, n, _ in fnmodel._greedy_cluster(((w, 1) for w in roots), tol)]
+            want = [(c, n) for c, n, _ in divisor._greedy_cluster(((w, 1) for w in roots), tol)]
             assert repr(cluster_roots(roots)) == repr(want)
-        paths.add(not fnmodel._close_points(np.array(pts), tol)[2].any())
+        paths.add(not divisor._close_points(np.array(pts), tol)[2].any())
     assert paths == {True, False}  # both the screen and the loop were taken
 
 
@@ -621,7 +615,7 @@ def test_screen_pairs_points_within_a_row_only():
     """3j ends the first row and, after -3 on its shell, sits in the second:
     no close pair.  The last row has a double root."""
     rows = np.array([[2.0, 1.0, 3j], [3j, -3.0, 5.0], [7.0, 4.0 + 1e-7, 4.0]])
-    order, mod, close = fnmodel._close_points(rows, fnmodel.ROOT_CLUSTER_TOL)
+    order, mod, close = divisor._close_points(rows, divisor.ROOT_CLUSTER_TOL)
     assert close.any(-1).tolist() == [False, False, True]
     assert order.tolist() == [[1, 0, 2], [1, 0, 2], [2, 1, 0]]
     assert mod.tolist() == [[1.0, 2.0, 3.0], [3.0, 3.0, 5.0], [4.0, 4.0 + 1e-7, 7.0]]
@@ -638,15 +632,15 @@ def test_pull_back_equals_clustering_every_row(coeffs, double_roots):
     ws = [0j, 2.0, -2.0] + list(3.0 * (rng.standard_normal(12) + 1j * rng.standard_normal(12)))
     targets = [(w, int(rng.choice([1, -1, 2, -3]))) for w in ws]
     rows = roots_of_shifts(p, ws)
-    close = fnmodel._close_points(rows, fnmodel.ROOT_CLUSTER_TOL)[2]
+    close = divisor._close_points(rows, divisor.ROOT_CLUSTER_TOL)[2]
     assert np.sum(close.any(-1)) == double_roots
     for r in (0.5, 1.0, 1.5, 2.0, 10.0):
         pairs = [(root, m * k) for (_, m), row in zip(targets, rows)
-                 for root, k, _ in fnmodel._greedy_cluster(((w, 1) for w in row),
-                                                           fnmodel.ROOT_CLUSTER_TOL)
+                 for root, k, _ in divisor._greedy_cluster(((w, 1) for w in row),
+                                                           divisor.ROOT_CLUSTER_TOL)
                  if abs(root) <= r]
         entries, origin = _greedy_build(pairs)
-        d = fnmodel._pull_back(p, np.array(ws), np.array([m for _, m in targets]), r)
+        d = divisor._pull_back(p, np.array(ws), np.array([m for _, m in targets]), r)
         assert repr(d.entries) == repr(entries) and repr(d.origin_order) == repr(origin)
 
 
@@ -654,14 +648,14 @@ def test_c05_divisors_merge_without_the_greedy_loop(monkeypatch):
     """On the divisors c05 reads at rq = 8 ... 64, the screen leaves the
     greedy loop only the w = 0 row of z^2 = w, which has a double root; no
     Divisor merge runs it."""
-    greedy, calls = fnmodel._greedy_cluster, []
+    greedy, calls = divisor._greedy_cluster, []
 
     def counted(pairs, rel_tol):
         pairs = list(pairs)
         calls.append((rel_tol, [w for w, _ in pairs]))
         return greedy(pairs, rel_tol)
 
-    monkeypatch.setattr(fnmodel, "_greedy_cluster", counted)
+    monkeypatch.setattr(divisor, "_greedy_cluster", counted)
     f, pair = ExpPoly(Z), PolyPair.build(Polynomial((0j, 1.0, 1.0)), Z2)
     phi = compose_poly(f, pair.phi)
     exprs = [subtract(compose_poly(f, pair.omega), phi)] + [
@@ -669,7 +663,7 @@ def test_c05_divisors_merge_without_the_greedy_loop(monkeypatch):
     fnmodel._divisor_cached.cache_clear()
     sizes = [len(e.divisor_in_disc(rq).entries) for rq in (8.0, 16.0, 32.0, 64.0) for e in exprs]
     assert min(sizes) > 0 and max(sizes) > 2000
-    assert [tol for tol, _ in calls] == [fnmodel.ROOT_CLUSTER_TOL] * 4
+    assert [tol for tol, _ in calls] == [divisor.ROOT_CLUSTER_TOL] * 4
     for _, row in calls:
         assert len(row) == 2 and abs(row[0]) < 1e-7 and abs(row[1]) < 1e-7
 
@@ -1028,7 +1022,7 @@ class _ReferenceTower(Exp):
         return w.real.copy(), w.imag.copy()
 
 
-@fnmodel.record
+@core.record
 class _FixedParts(fnmodel.FunctionExpr):
     """log|f| = lm and arg f = ag everywhere, with no zero or pole."""
 
@@ -1039,14 +1033,14 @@ class _FixedParts(fnmodel.FunctionExpr):
         return np.full(z.shape, self.lm), np.full(z.shape, self.ag)
 
     def _divisor_impl(self, r):
-        return fnmodel.EMPTY_DIVISOR
+        return divisor.EMPTY_DIVISOR
 
 
 def _outcome(fn, arg):
     """The ``float.hex`` of every part fn returns, or the type it raises."""
     try:
         out = fn(arg)
-    except fnmodel.ToolkitError as exc:
+    except core.ToolkitError as exc:
         return type(exc)
     parts = [out.real, out.imag] if isinstance(out, complex) else [*out]
     return [float.hex(float(x)) for part in parts for x in np.ravel(part)]
@@ -1122,13 +1116,13 @@ def _circle(r, n):
 def _form_log(form, r, n):
     """log|f| at ``_circle(r, n)`` through a circle form, as the closed-form
     mean reads it."""
-    return fnmodel._log_slope(form, r, _angles(n))[0]
+    return circles._log_slope(form, r, _angles(n))[0]
 
 
 def _form_slope(form, r, n):
     """The theta-slope -Im(z f'/f) of log|f| at ``_circle(r, n)`` through a
     circle form, as the kink search reads it."""
-    return fnmodel._log_slope(form, r, _angles(n))[1]
+    return circles._log_slope(form, r, _angles(n))[1]
 
 
 def _wrap(x):
@@ -1139,7 +1133,7 @@ def _arg_offsets(form, r, n, want_arg):
     """The arg channel of a circle form plus origin_order * theta, less
     arg f, at ``_circle(r, n)``, taken to [-pi, pi) about its first value:
     0 where the channel is arg f up to a constant, modulo 2pi."""
-    d = fnmodel._arg_sum(form, r, _angles(n)) + form[0].origin_order * _angles(n) - want_arg
+    d = circles._arg_sum(form, r, _angles(n)) + form[0].origin_order * _angles(n) - want_arg
     return np.abs(_wrap(d - d[0]))
 
 
@@ -1148,7 +1142,7 @@ def _arg_channel_slope(form, r, n, h=1e-5):
     ``_circle(r, n)``, by the four-point central difference of its wrapped
     changes; for f it is Re(z f'/f) - origin_order."""
     t = _angles(n)
-    s = [fnmodel._arg_sum(form, r, t + k * h) for k in (-2, -1, 1, 2)]
+    s = [circles._arg_sum(form, r, t + k * h) for k in (-2, -1, 1, 2)]
     return (8.0 * _wrap(s[2] - s[1]) - _wrap(s[3] - s[0])) / (12.0 * h)
 
 
@@ -1189,7 +1183,7 @@ def test_circle_fold_matches_a_40_digit_sum(reference_rationals):
     for key, radii in FOLD_RADII.items():
         f = reference_rationals[key]
         for r in radii:
-            form = fnmodel._circle_form(f, r)
+            form = circles._circle_form(f, r)
             assert form[0] != f.divisor, (key, r)  # some group folds
             z = _circle(r, 7)
             want_lm, want_zld, want_arg = _exact_channels(f, z)
@@ -1206,7 +1200,7 @@ def test_circle_fold_agrees_with_the_direct_sum(reference_rationals):
     for key, (lo, hi) in SWEEP_RANGES.items():
         f = reference_rationals[key]
         for r in np.geomspace(lo, hi, 40):
-            form = fnmodel._circle_form(f, r)
+            form = circles._circle_form(f, r)
             z = _circle(r, 64)
             zld = z * f._logderivs(z)
             for got, want in ((_form_log(form, r, 64), f._log_mod(z)),
@@ -1230,7 +1224,7 @@ def test_circle_fold_splits_at_half_and_twice_the_radius(reference_rationals):
         f = reference_rationals[key]
         entries = f.divisor.entries
         for r in np.geomspace(lo, hi, 40):
-            div, _, a, b = fnmodel._circle_form(f, r)
+            div, _, a, b = circles._circle_form(f, r)
             groups = {True: [e for e in entries if abs(e[0]) <= r / 2],
                       False: [e for e in entries if abs(e[0]) >= 2 * r]}
             direct = {e for e in entries if r / 2 < abs(e[0]) < 2 * r}
@@ -1256,7 +1250,7 @@ def test_fold_series_helpers_keep_every_term():
     u = 0.5 * rng.uniform(size=30) * np.exp(1j * rng.uniform(0.0, 2 * math.pi, 30))
     m = rng.integers(-3, 4, 30).astype(float)
     want = [np.sum(m * u**j) for j in range(1, 12)]
-    assert np.max(np.abs(fnmodel._power_sums(u, m, 11) - want)) < 1e-13
+    assert np.max(np.abs(circles._power_sums(u, m, 11) - want)) < 1e-13
 
 
 def _eager_fold_plans(f, r):
@@ -1277,7 +1271,7 @@ def _eager_fold_plans(f, r):
         ks = [_fold_terms(weight, q, log) for log in (True, False)]
         ks = [k if n > k else None for k in ks]
         top = max((k for k in ks if k is not None), default=0)
-        groups.append((inner, mask, fnmodel._power_sums(u, m[mask], top), ks))
+        groups.append((inner, mask, circles._power_sums(u, m[mask], top), ks))
     plans = []
     for channel, start in ((0, math.log(abs(f.scale))), (1, 0j)):
         keep, origin, series = np.ones(b.size, dtype=bool), d.origin_order, []
@@ -1323,7 +1317,7 @@ def test_circle_form_equals_the_eager_log_plan(reference_rationals):
         lo, hi = SWEEP_RANGES[key]
         for r in np.geomspace(lo, hi, count):
             (div, start, coeffs), der = _eager_fold_plans(f, r)
-            form = fnmodel._circle_form(f, r)
+            form = circles._circle_form(f, r)
             assert form[0] == div and form[1] == start, (key, r)
             assert np.array_equal(form[2], coeffs), (key, r)
             if div == f.divisor:  # nothing folds: the divisor itself, no series
@@ -1344,18 +1338,18 @@ def test_circle_fold_memory_stays_a_few_node_arrays(reference_rationals):
     # quadrature reads z f'/f of the expression through the chunked divisor
     # kernel, on up to MAX_CALL_NODES nodes a call
     f = reference_rationals["orbit_right_60"]
-    form = fnmodel._circle_form(f, 1e4)
+    form = circles._circle_form(f, 1e4)
     assert form[3].size
     z = _circle(1e4, 50_000)
     peaks = []
-    for run in (lambda: fnmodel._winding_count(f, form, 1e4), lambda: f._logderivs(z)):
+    for run in (lambda: kinks._winding_count(f, form, 1e4), lambda: f._logderivs(z)):
         tracemalloc.start()
         try:
             run()
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    cell = 16 * fnmodel._DIVISOR_CELLS  # one chunk's (points, nodes) block
+    cell = 16 * divisor._DIVISOR_CELLS  # one chunk's (points, nodes) block
     assert peaks[0] < 4 * cell
     assert peaks[1] < 8 * z.nbytes  # one (points, nodes) array would be over 200 z.nbytes
 
@@ -1367,7 +1361,7 @@ def test_circle_form_of_a_small_rational_is_its_divisor_and_others_build_none(
     for key in ("rat_pole0", "rat_zero1_pole2"):
         f = members[key].expr
         for r in (0.5, 3.0, 1e3):
-            div, start, a, b = fnmodel._circle_form(f, r)
+            div, start, a, b = circles._circle_form(f, r)
             assert div is f.divisor and start == math.log(abs(f.scale)), (key, r)
             assert not a.size and not b.size, (key, r)
     monkeypatch.setattr(fnmodel, "_circle_form", None)
@@ -1603,7 +1597,7 @@ def test_exp_series_bounds_its_rounding_and_dropped_terms(coeffs, r):
     n E_n = sum_k k P_k E_{n-k} at 40 digits: the reported bound covers the
     rounding of every kept term and the terms past the cut."""
     mpmath = pytest.importorskip("mpmath")
-    E, err, _ = fnmodel._exp_series(Polynomial(coeffs), r)
+    E, err, _ = circles._exp_series(Polynomial(coeffs), r)
     with mpmath.workdps(40):
         P = [mpmath.mpc(c) * mpmath.mpf(r)**k for k, c in enumerate(coeffs)]
         ref = [mpmath.exp(P[0])]
@@ -1679,19 +1673,19 @@ def test_band_search_finds_every_dense_kink(p, a):
     radii = [float(r) for r in log_radii(5.0, 40.0, 25)]
     found = ExpPoly(p, a).level_angles(radii)
     assert len(found) == len(radii)
-    for r, (kinks, edges, spent) in zip(radii, found):
-        assert np.all(np.diff(kinks) > 0) and np.all((kinks >= 0) & (kinks < TWO_PI))
+    for r, (angles, edges, spent) in zip(radii, found):
+        assert np.all(np.diff(angles) > 0) and np.all((angles >= 0) & (angles < TWO_PI))
         assert edges.size and spent > 0
         dense = _dense_kinks(p, a, 1.0, r)
-        deep = np.exp(p(r * np.exp(1j * dense)).real) < fnmodel._BAND_DEPTH * abs(a)
+        deep = np.exp(p(r * np.exp(1j * dense)).real) < kinks._BAND_DEPTH * abs(a)
         dense = dense[~deep]
         if dense.size:
-            assert kinks.size, r
-            gap = np.abs((dense[:, None] - kinks + math.pi) % TWO_PI - math.pi)
+            assert angles.size, r
+            gap = np.abs((dense[:, None] - angles + math.pi) % TWO_PI - math.pi)
             assert gap.min(axis=1).max() <= 1e-10, r
         h = 1e-10
-        assert np.all(_above_level(p, a, 1.0, r, kinks - h)
-                      != _above_level(p, a, 1.0, r, kinks + h)), r
+        assert np.all(_above_level(p, a, 1.0, r, angles - h)
+                      != _above_level(p, a, 1.0, r, angles + h)), r
 
 
 def test_reciprocals_of_exp_minus_a_are_cut_at_their_kinks():
@@ -1718,7 +1712,7 @@ def test_reciprocals_of_exp_minus_a_are_cut_at_their_kinks():
 def test_level_set_solve_is_bounded_by_the_panel_limit(monkeypatch):
     # exp(e^z): 2 deg p angles for each shift pi/2 + k pi with |pi/2 + k pi| <= r
     f = Exp(Z)
-    assert _closed_form_angles(f, 5000 * math.pi).size == 2 * 10_000 == fnmodel.MAX_PANELS
+    assert _closed_form_angles(f, 5000 * math.pi).size == 2 * 10_000 == core.MAX_PANELS
     solves = []
     monkeypatch.setattr(fnmodel, "_im_level_angles",
                         lambda *args: solves.append(args) or np.empty(0))
@@ -1743,7 +1737,7 @@ def test_dilog_meets_mpmath_on_the_closed_unit_disc():
                          0.5 + 0.5j, 0.5000000001 + 0.8660254j]])
     with mpmath.workdps(30):
         want = np.array([complex(mpmath.polylog(2, mpmath.mpc(v.real, v.imag))) for v in x])
-    assert np.abs(fnmodel._dilog(x) - want).max() <= 1e-15
+    assert np.abs(circles._dilog(x) - want).max() <= 1e-15
 
 
 # r = 22.64... holds the closest crossing pair of sweep seed 5 (0.0038 rad
@@ -1766,10 +1760,10 @@ def test_level_search_finds_one_angle_per_sign_change(reference_rationals, key, 
         # the scan's samples, the certificate's bisections, then at most
         # _SEARCH_STEPS steps per crossing
         band = len(f.divisor.band(r, CIRCLE_BAND))
-        assert fnmodel._SCAN_POINTS + band < spent
-        assert spent <= (fnmodel._SCAN_POINTS + band + fnmodel._CERTIFY_NODES
-                         + fnmodel._SEARCH_STEPS * angles.size)
-        assert fnmodel._level_search(f, fnmodel._circle_form(f, r), r)[2], (key, r)
+        assert circles._SCAN_POINTS + band < spent
+        assert spent <= (circles._SCAN_POINTS + band + kinks._CERTIFY_NODES
+                         + kinks._SEARCH_STEPS * angles.size)
+        assert kinks._level_search(f, circles._circle_form(f, r), r)[2], (key, r)
 
 
 def test_level_search_certifies_a_shallow_pair_between_its_samples(reference_rationals):
@@ -1779,13 +1773,13 @@ def test_level_search_certifies_a_shallow_pair_between_its_samples(reference_rat
     # bisections find it, so the closed-form mean integrates that arc too
     f = reference_rationals["orbit_left_m6"]
     r = 8.21086325832621
-    angles, spent, certified = fnmodel._level_search(f, fnmodel._circle_form(f, r), r)
+    angles, spent, certified = kinks._level_search(f, circles._circle_form(f, r), r)
     changes = _sign_changes(f, r)
     assert certified and angles.size == changes.size == 10
     gap = np.abs((changes[:, None] - angles + math.pi) % TWO_PI - math.pi).min(axis=1)
     assert gap.max() <= 2.0 * TWO_PI / 400_000
     # the scan's own samples show 8 of the 10 sign changes
-    scan = np.sort(np.concatenate([fnmodel._SCAN_GRID,
+    scan = np.sort(np.concatenate([circles._SCAN_GRID,
                                    np.angle(f.divisor.band(r, CIRCLE_BAND)) % TWO_PI]))
     lm = f._log_mod(r * np.exp(1j * scan))
     assert np.count_nonzero(np.sign(lm) != np.sign(np.roll(lm, -1))) == 8
@@ -1802,7 +1796,7 @@ def test_level_search_gives_up_where_log_f_keeps_one_sign(reference_rationals):
     # inside the m6 orbit's cloud the bound allows a crossing, the scan finds none
     f = reference_rationals["orbit_left_m6"]
     _, angles, spent = f.closed_proximity([0.7])[0]
-    assert angles is None and spent >= fnmodel._SCAN_POINTS
+    assert angles is None and spent >= circles._SCAN_POINTS
     assert _sign_changes(f, 0.7).size == 0
 
 
@@ -1821,21 +1815,21 @@ def test_slope_bounds_hold_on_random_arcs(reference_rationals):
         if not pts.size:
             continue
         near = pts[rng.choice(pts.size, size=min(3, pts.size), replace=False)]
-        circles = ([(r, None) for r in (0.7, 2.6, 13.0, 80.0, 1e4)]
+        radii = ([(r, None) for r in (0.7, 2.6, 13.0, 80.0, 1e4)]
                    + [(abs(b) * (1.0 + s * 1e-4), b) for b in near for s in (1.0, -1.0)])
         eps = (f.divisor._rows[0].size + 2) * 2.0**-52
-        for r, b in circles:
-            form = fnmodel._circle_form(f, r)
+        for r, b in radii:
+            form = circles._circle_form(f, r)
             width = 10.0 ** rng.uniform(-4.0, 0.0, 10)
             if b is None:
                 lo = rng.uniform(0.0, TWO_PI, 10)
             else:
                 lo = np.angle(b) % TWO_PI - rng.uniform(-0.5, 1.5, 10) * width
-            l1, l2 = fnmodel._slope_bounds(form[0], form[2], r)(lo, lo + width)
-            (arg_l1,) = fnmodel._slope_bounds(form[0], form[3], r, second=False)(lo, lo + width)
+            l1, l2 = kinks._slope_bounds(form[0], form[2], r)(lo, lo + width)
+            (arg_l1,) = kinks._slope_bounds(form[0], form[3], r, second=False)(lo, lo + width)
             for a, h, b1, b2, b3 in zip(lo, width, l1, l2, arg_l1):
                 theta = np.linspace(a, a + h, 401)
-                slope = fnmodel._log_slope(form, r, theta)[1]
+                slope = circles._log_slope(form, r, theta)[1]
                 step = h / 400
                 second = np.abs(slope[2:] - slope[:-2]) / (2.0 * step)
                 assert np.abs(slope).max() <= b1 * (1.0 + 1e-12), (key, r, a, h)
@@ -1862,7 +1856,7 @@ def test_level_search_certifies_the_crossings_near_a_divisor_point(members):
         b = f.divisor.points[rng.integers(f.divisor.points.size)]
         d = 10.0 ** rng.uniform(-6.0, math.log10(0.03))
         r = abs(b) / (1.0 + d) if rng.integers(2) else abs(b) / (1.0 - d)
-        angles, _, certified = fnmodel._level_search(f, fnmodel._circle_form(f, r), r)
+        angles, _, certified = kinks._level_search(f, circles._circle_form(f, r), r)
         assert certified, r
         if angles.size > 1 and np.diff(np.append(angles, angles[0] + TWO_PI)).min() < 4 * TWO_PI / n:
             skipped += 1
@@ -1889,7 +1883,7 @@ def test_exp_branch_count_is_capped(monkeypatch):
     f._divisor_impl(2.0**20)  # r = 1e6 rounds up to 2^20
     assert solved == [(2 * math.floor(2.0**20 / (2 * math.pi)) + 1,) * 2]
     assert fnmodel._MAX_BRANCHES >= 100 * 1304  # far above the largest smt batch
-    with pytest.raises(fnmodel.OverflowSignal, match="log-branches"):
+    with pytest.raises(core.OverflowSignal, match="log-branches"):
         f._divisor_impl(2.0**21)
     assert len(solved) == 1
 
@@ -1913,11 +1907,11 @@ def test_exp_divisor_branches_equal_the_comprehension(monkeypatch, p, a):
     bit, and so is the divisor pulled back from them.  The pull-back is a
     function of the branches, so past 2000 of them only the branches are
     compared (z^2 on disc 1024 has 333,772-333,773 of them)."""
-    f, pull_back, seen = ExpPoly(p, a), fnmodel._pull_back, []
+    f, pull_back, seen = ExpPoly(p, a), divisor._pull_back, []
 
     def spy(p, ws, ms, r):
         seen.append((ws, ms))
-        return pull_back(p, ws, ms, r) if ws.size < 2000 else fnmodel.EMPTY_DIVISOR
+        return pull_back(p, ws, ms, r) if ws.size < 2000 else divisor.EMPTY_DIVISOR
 
     monkeypatch.setattr(fnmodel, "_pull_back", spy)
     for r in (8.0, 64.0, 1024.0):
@@ -1977,7 +1971,7 @@ def test_preimages_of_a_composed_rational_are_the_pulled_back_a_points(members, 
         for r in (0.8, 2.5, 6.0):
             base = preimages_in_disc(f, a, p.coeff_bound(r))  # rat_zero1_pole2 = 0.5 at 0
             origin = [base.origin_order] * bool(base.origin_order)
-            want = fnmodel._pull_back(p, np.append(base.points, [0j] * len(origin)),
+            want = divisor._pull_back(p, np.append(base.points, [0j] * len(origin)),
                                       np.append(base.mults, origin), r).multiset()
             got = preimages_in_disc(g, a, r).multiset()
             assert len(got) == len(want), (key, a, r)
@@ -2084,7 +2078,7 @@ def test_large_rational_preimages_are_distinct_solutions(left_a_points):
             assert np.all(np.abs(pts) <= r)
             lm, ag = f._log_parts(pts)
             resid = np.abs(np.exp(lm + 1j * ag) - a)
-            assert np.all(resid <= fnmodel.PREIMAGE_RESIDUAL_TOL * (1.0 + abs(a))), (gen, a)
+            assert np.all(resid <= apoints.PREIMAGE_RESIDUAL_TOL * (1.0 + abs(a))), (gen, a)
             gaps = np.abs(pts[:, None] - pts[None, :])
             np.fill_diagonal(gaps, np.inf)
             assert gaps.min() > 1e-8 * (1.0 + np.abs(pts).max()), (gen, a)
@@ -2128,7 +2122,7 @@ def test_large_rational_preimages_refuse_a_double_solution():
 
 def test_large_rational_preimages_enforce_the_residual_bound(monkeypatch):
     f = build_orbit_function(figure_family("left", 8))
-    monkeypatch.setattr(fnmodel, "PREIMAGE_RESIDUAL_TOL", 1e-20)
+    monkeypatch.setattr(apoints, "PREIMAGE_RESIDUAL_TOL", 1e-20)
     with pytest.raises(RootFindFailure):
         preimages_in_disc(f, 1.5, 9.0)
 
@@ -2147,16 +2141,17 @@ def test_aberth_pass_agrees_with_the_channels(name):
     d, s = f.divisor, f.scale
     rng = np.random.default_rng(11)
     z = 1.5 * (rng.normal(size=200) + 1j * rng.normal(size=200))
-    prod, dl, dq = fnmodel._aberth_sums(z, d)
-    lm, ag, _, log_q = fnmodel._log_sums(z, d, s)
+    ws = apoints._Workspace(d, z.size)
+    prod, dl, dq = apoints._aberth_sums(z, ws)
+    lm, ag, _, log_q = apoints._log_sums(z, ws, s)
     assert np.array_equal(np.array((lm, ag)), np.array(f._log_parts(z)))
-    assert fnmodel._is_normal(prod).all()
+    assert apoints._is_normal(prod).all()
     assert _rel_close(s * prod, np.exp(lm + 1j * ag), 1e-12)
-    inv, = fnmodel._divisor_sums(z, d, ((0j, fnmodel._inv_term),))
+    inv, = divisor._divisor_sums(z, d, ((0j, divisor._inv_term),))
     assert _rel_close(dl, inv, 1e-12)
     poles = d.signed("poles")
-    q_inv, q_log = fnmodel._divisor_sums(z, poles, ((0j, fnmodel._inv_term),
-                                                    (0.0, fnmodel._log_term)))
+    q_inv, q_log = divisor._divisor_sums(z, poles, ((0j, divisor._inv_term),
+                                                    (0.0, divisor._log_term)))
     assert _rel_close(dq, q_inv, 1e-12)
     assert np.array_equal(log_q, q_log)
     assert (name == "power_13") == (not dq.any())
@@ -2164,8 +2159,8 @@ def test_aberth_pass_agrees_with_the_channels(name):
 
 def _log_sums_spy(monkeypatch):
     """Node counts of every call to the log channels of the a-point solver."""
-    calls, log_sums = [], fnmodel._log_sums
-    monkeypatch.setattr(fnmodel, "_log_sums", lambda z, *args: (
+    calls, log_sums = [], apoints._log_sums
+    monkeypatch.setattr(apoints, "_log_sums", lambda z, *args: (
         calls.append(np.size(z)), log_sums(z, *args))[1])
     return calls
 
@@ -2180,10 +2175,10 @@ def test_a_product_that_leaves_the_range_solves_through_the_guard(monkeypatch):
             [(complex(w), 1) for w in size * unit] + [(complex(w), -1) for w in 2 * size * unit]))
     calls = _log_sums_spy(monkeypatch)
     a = 0.3 - 0.2j
-    small = fnmodel._rational_preimages(rational(1.0), a, math.inf)[1]
+    small = apoints._rational_preimages(rational(1.0), a, math.inf)[1]
     assert calls == [3]  # the certificate alone
     del calls[:]
-    large = fnmodel._rational_preimages(rational(1e120), a, math.inf)[1]
+    large = apoints._rational_preimages(rational(1e120), a, math.inf)[1]
     assert len(calls) > 1 and calls[-1] == 3  # the guard ran, then the certificate
     assert large.size == small.size == 3
     assert _rel_close(np.sort_complex(large), 1e120 * np.sort_complex(small), 1e-12)
@@ -2218,7 +2213,7 @@ def test_rational_a_points_where_the_degree_drops_by_one(left_a_points, gen, cou
     assert len(d.entries) == _a_point_count(f, 1.0, r) == count
     pts = np.array([p for p, _ in d.entries])
     lm, ag = f._log_parts(pts)
-    assert np.all(np.abs(np.exp(lm + 1j * ag) - 1.0) <= 2 * fnmodel.PREIMAGE_RESIDUAL_TOL)
+    assert np.all(np.abs(np.exp(lm + 1j * ag) - 1.0) <= 2 * apoints.PREIMAGE_RESIDUAL_TOL)
     g = subtract(f, Const(1.0))
     assert g.divisor.total("zeros") == f.divisor.total("zeros") - 1
     _assert_is_f_minus_a(g, f, 1.0)
@@ -2296,14 +2291,16 @@ def test_pair_reduce_chunks_rows_without_changing_them():
     rows = np.arange(3, 300, 2)
     sizes = []
 
-    def inverse_sums(d):
+    def inverse_sums(d, mod, out):
         sizes.append(d.size)
-        return np.sum(1.0 / d, axis=1)
+        assert d.flags.c_contiguous and mod.shape == d.shape
+        apoints._inverse_sums(d, mod, out)
 
-    got = fnmodel._pair_reduce(z, rows, np.inf, inverse_sums)
+    got = apoints._pair_reduce(z, rows, np.inf, inverse_sums, apoints._Workspace(Divisor(), z.size),
+                               np.complex128)
     full = z[rows, None] - z
     full[np.arange(rows.size), rows] = np.inf
-    assert len(sizes) > 1 and max(sizes) <= fnmodel._DIVISOR_CELLS
+    assert len(sizes) > 1 and max(sizes) <= divisor._DIVISOR_CELLS
     assert np.array_equal(got, np.sum(1.0 / full, axis=1))
 
 
@@ -2357,8 +2354,8 @@ def test_record_hash_is_cached_and_left_out_of_a_pickle(members):
     assert twin == f and twin is not f
     assert hash(f) == hash(twin) == hash((f.scale, f.divisor)) == hash(f)  # the last cached
     copy = pickle.loads(pickle.dumps(f))
-    assert fnmodel._HASH in vars(f) and fnmodel._HASH not in vars(copy)
-    assert fnmodel._HASH not in vars(copy.divisor) and copy == f and hash(copy) == hash(f)
+    assert core._HASH in vars(f) and core._HASH not in vars(copy)
+    assert core._HASH not in vars(copy.divisor) and copy == f and hash(copy) == hash(f)
     # strings hash differently in another process: a record with a string
     # field, hashed here, hashes there as its field tuple does there
     member = members["rat_zero1_pole2"]

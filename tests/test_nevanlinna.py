@@ -32,8 +32,8 @@ from nevlab import (
     proximity,
     subtract,
 )
-from nevlab import fnmodel, nevanlinna, quadrature
-from nevlab.fnmodel import InsufficientGrowth, NonMonotone
+from nevlab import circles, core, divisor, fnmodel, kinks, nevanlinna, quadrature
+from nevlab.core import InsufficientGrowth, NonMonotone
 from nevlab.nevanlinna import _circle_means, _logplus
 
 Z = Polynomial((0j, 1.0))
@@ -185,7 +185,7 @@ def test_proximity_of_an_exp_tower_against_mpmath(p, r):
 def test_proximity_of_an_exp_tower_over_a_constant(c, m, monkeypatch):
     # log|e^{e^c}| = Re e^c on every circle: the series [e^c], with no
     # angles, and no level of Im c = pi/2 + k pi is listed to find them
-    shifts, angles = [], fnmodel._im_level_angles
+    shifts, angles = [], kinks._im_level_angles
     monkeypatch.setattr(fnmodel, "_im_level_angles",
                         lambda p, r, s: shifts.extend(s) or angles(p, r, s))
     f = Exp(Polynomial((c,)))
@@ -207,9 +207,9 @@ def test_sweep_grid_of_exp_exp_z_leaves_the_quadrature(members, monkeypatch):
     assert not calls and all((s.panels, s.evaluations) == (0, 0) for s in sweep)
     assert f.closed_proximity([700.0])[0][0] is None
     assert proximity(f, 700.0).panels > 0
-    with pytest.raises(fnmodel.OverflowSignal):
+    with pytest.raises(core.OverflowSignal):
         proximity(f, 800.0)
-    monkeypatch.setattr(fnmodel, "MAX_PANELS", 50)  # 84 terms at r = 28, 36 angles
+    monkeypatch.setattr(circles, "MAX_PANELS", 50)  # 84 terms at r = 28, 36 angles
     s = proximity(f, 28.0)
     assert s.panels > 0 and abs(s.m - sweep[-1].m) <= 1e-8 * s.m
 
@@ -332,8 +332,8 @@ def test_an_uncertified_circle_searches_once(members, monkeypatch):
     # crossing pair between two scan samples), and the quadrature runs with
     # the one search's kinks as cuts and its evaluations counted
     f, r = members["orbit_left_m6"].expr, 8.21086325832621
-    calls, search = [], fnmodel._level_search
-    monkeypatch.setattr(fnmodel, "_CERTIFY_ROUNDS", 0)
+    calls, search = [], kinks._level_search
+    monkeypatch.setattr(kinks, "_CERTIFY_ROUNDS", 0)
     monkeypatch.setattr(fnmodel, "_level_search",
                         lambda *args: calls.append(args) or search(*args))
     s = proximity(f, r)
@@ -350,8 +350,8 @@ def test_an_uncertified_circle_searches_once(members, monkeypatch):
 def test_an_uncertified_circle_builds_its_fold_once(members, monkeypatch):
     # the kink search reads the fold's log form; the quadrature that follows
     # reads the expression itself, so the fold is not built again for it
-    folds, fold = [], fnmodel._circle_form
-    monkeypatch.setattr(fnmodel, "_CERTIFY_ROUNDS", 0)
+    folds, fold = [], circles._circle_form
+    monkeypatch.setattr(kinks, "_CERTIFY_ROUNDS", 0)
     monkeypatch.setattr(fnmodel, "_circle_form", lambda f, r: folds.append(r) or fold(f, r))
     s = proximity(members["orbit_left_m6"].expr, 8.21086325832621)
     assert s.panels > 0 and folds == [8.21086325832621]
@@ -363,8 +363,8 @@ def test_a_grid_with_a_folded_circle_runs_in_one_lockstep_call(members, monkeypa
     # rounding of its sums; there its points fold into a series, and still
     # both circles share one quadrature run
     f, runs, quad = members["rat_zero1_pole2"].expr, [], quadrature.adaptive_circles
-    assert fnmodel._circle_form(f, 1.5)[0] == f.divisor
-    assert fnmodel._circle_form(f, 1e200)[0] != f.divisor
+    assert circles._circle_form(f, 1.5)[0] == f.divisor
+    assert circles._circle_form(f, 1e200)[0] != f.divisor
 
     def spy(g, cuts, count, *args, **kwargs):
         runs.append(count)
@@ -383,8 +383,8 @@ def test_closed_form_samples_count_the_search_and_plan_no_fold_for_jensen(
     # circle whose sign the divisor bound decides, or on which |f| is
     # constant, evaluates nothing and plans no fold
     nodes, folds = [], []
-    slope, fold = fnmodel._log_slope, fnmodel._circle_form
-    monkeypatch.setattr(fnmodel, "_log_slope",
+    slope, fold = circles._log_slope, circles._circle_form
+    monkeypatch.setattr(kinks, "_log_slope",
                         lambda form, r, theta: nodes.append(theta.size) or slope(form, r, theta))
     monkeypatch.setattr(fnmodel, "_circle_form", lambda f, r: folds.append(r) or fold(f, r))
     cases = [("rat_zero1_pole2", 3.78921641565047, True), ("orbit_left_m6", 8.21086325832621, True),
@@ -489,7 +489,7 @@ def test_proximity_of_a_sign_decided_orbit_circle_against_mpmath(members):
     # the mean is Jensen's; mpmath integrates log|f| over the circle itself
     mpmath = pytest.importorskip("mpmath")
     f, r = members["orbit_right_m6"].expr, 5.0
-    assert fnmodel._divisor_sign(f, r) == 1
+    assert circles._divisor_sign(f, r) == 1
     with mpmath.workdps(20):
         pts = [(mpmath.mpc(p.real, p.imag), m) for p, m in f.divisor.entries]
         start = mpmath.log(abs(mpmath.mpc(f.scale.real, f.scale.imag)))
@@ -590,7 +590,7 @@ def test_counting_reads_the_columns_bit_for_bit(members):
                for key in ("exp_exp_z", "exp_z3", "rat_pole0"))]
     cases = [(f.divisor_in_disc(r), float(r)) for f, radii in grids for r in radii]
     d = left.divisor_in_disc(30.0)
-    cases += [(fnmodel.EMPTY_DIVISOR, 2.0), (Divisor((), 3), 0.5), (Divisor((), -2), 7.0),
+    cases += [(divisor.EMPTY_DIVISOR, 2.0), (Divisor((), 3), 0.5), (Divisor((), -2), 7.0),
               *((d, float(mod)) for mod in d.moduli[[0, 17, -1]])]  # radii on a point
     for d, r in cases:
         for kind in ("zeros", "poles"):
@@ -658,7 +658,7 @@ def test_fmt_balance_without_a_rewrite_raises_before_any_circle_mean(members, mo
         return real(*args, **kwargs)
 
     monkeypatch.setattr(nevanlinna, "proximities", spy)
-    with pytest.raises(fnmodel.OpaqueExpr, match="Exp - Const has no rewrite"):
+    with pytest.raises(core.OpaqueExpr, match="Exp - Const has no rewrite"):
         fmt_delta(members["exp_exp_z"].expr, 1.0, 2.0)
     assert calls == []
 
@@ -716,14 +716,14 @@ def _dense_kinks(f, r, n=1 << 16):
     def up(theta):
         return f._log_mod(r * np.exp(1j * theta)) > 0.0
 
-    theta = np.arange(n) * (fnmodel.TWO_PI / n)
+    theta = np.arange(n) * (core.TWO_PI / n)
     lo = theta[np.flatnonzero(up(theta) != np.roll(up(theta), -1))]
-    hi, up_lo = lo + fnmodel.TWO_PI / n, up(lo)
+    hi, up_lo = lo + core.TWO_PI / n, up(lo)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         same = up(mid) == up_lo
         lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
-    return np.sort(0.5 * (lo + hi) % fnmodel.TWO_PI)
+    return np.sort(0.5 * (lo + hi) % core.TWO_PI)
 
 
 # the four largest radii of log_radii(5, 40, 25), where plain cuts at the
@@ -751,7 +751,7 @@ def test_divisor_cuts_carry_their_distance_off_the_circle():
     r = 4.0
     pts = [(0.95 * r * np.exp(1j), 1), (1.05 * r * np.exp(2j), -2), (1.2 * r * 1j, 1)]
     angle, dist, of = nevanlinna._grid_cuts(RationalFromDivisor(1.0, Divisor.build(pts)), [r],
-                                            [fnmodel._NO_ANGLES])
+                                            [circles._NO_ANGLES])
     want = [[1.0, -math.log(0.95)], [2.0, math.log(1.05)]]
     assert of.tolist() == [0, 0]
     assert np.array(sorted(zip(angle, dist))) == pytest.approx(np.array(want), rel=1e-12)
@@ -760,16 +760,16 @@ def test_divisor_cuts_carry_their_distance_off_the_circle():
 def _reference_cuts(expr, r, kinks):
     """One circle's cuts, as the per-circle read built them: the band
     points, then the kinks, or (0, 0) where the kinks are unknown."""
-    div = expr.divisor_in_disc(r * (1.0 + fnmodel.CIRCLE_BAND))
-    near = np.abs(div.moduli - r) <= fnmodel.CIRCLE_BAND * r
+    div = expr.divisor_in_disc(r * (1.0 + circles.CIRCLE_BAND))
+    near = np.abs(div.moduli - r) <= circles.CIRCLE_BAND * r
     b = div.points[near]
     angle, off = np.angle(b), np.log(np.abs(b) / r)
-    cuts = list(zip((angle % fnmodel.TWO_PI).tolist(), np.abs(off).tolist()))
+    cuts = list(zip((angle % core.TWO_PI).tolist(), np.abs(off).tolist()))
     if kinks is None:
         return cuts + [(0.0, 0.0)]
     zero = div.mults[near] > 0
     if kinks.size and zero.any():
-        gap = (angle[zero] - kinks[:, None] + math.pi) % fnmodel.TWO_PI - math.pi
+        gap = (angle[zero] - kinks[:, None] + math.pi) % core.TWO_PI - math.pi
         dist = np.hypot(gap, off[zero]).min(axis=1)
         return cuts + list(zip(kinks.tolist(), dist.tolist()))
     return cuts + [(a, math.inf) for a in kinks.tolist()]
@@ -789,7 +789,7 @@ GRID_CUT_CASES = {
     "kinks given": (lambda m: m["expz2_minus_1"].expr, [30.911], "searched"),
     "kinks None": (lambda m: m["expz2_minus_1"].expr, [30.911], None),
     "mixed": (lambda m: m["expz2_minus_1"].expr, [30.911, 12.0, 5.0],
-              [None, np.array([0.1, 3.0]), fnmodel._NO_ANGLES]),
+              [None, np.array([0.1, 3.0]), circles._NO_ANGLES]),
 }
 
 
@@ -799,7 +799,7 @@ def test_grid_cuts_equal_the_per_circle_reads(members, case):
     per circle did, each circle's points in column order, then its kinks."""
     make, radii, kinks = GRID_CUT_CASES[case]
     expr = make(members)
-    expr.solve_ahead(max(radii) * (1.0 + fnmodel.CIRCLE_BAND))
+    expr.solve_ahead(max(radii) * (1.0 + circles.CIRCLE_BAND))
     radii = [nevanlinna._nudged(expr, r) for r in radii]
     if kinks == "searched":
         kinks = [k for _, k, _ in expr.closed_proximity(radii)]
@@ -949,7 +949,7 @@ def test_argument_principle_through_the_fold_matches_divisor(family, monkeypatch
     expr = build_orbit_function(figure_family(*family))
     monkeypatch.setattr(nevanlinna, "_circle_means", None)
     for r in SWEEP_COUNT_RADII[family]:
-        assert fnmodel._circle_form(expr, r)[0] != expr.divisor
+        assert circles._circle_form(expr, r)[0] != expr.divisor
         d = expr.divisor_in_disc(r)
         assert argument_principle_count(expr, r) == d.total("zeros") - d.total("poles"), r
 
@@ -999,9 +999,9 @@ def test_an_uncertified_winding_falls_back_to_the_quadrature(monkeypatch):
     want = d.total("zeros") - d.total("poles")
     assert argument_principle_count(expr, r) == want
     runs, means = [], nevanlinna._circle_means
-    monkeypatch.setattr(fnmodel, "_CERTIFY_ROUNDS", 0)
+    monkeypatch.setattr(kinks, "_CERTIFY_ROUNDS", 0)
     monkeypatch.setattr(nevanlinna, "_circle_means", lambda *a: runs.append(a) or means(*a))
-    assert fnmodel._winding_count(expr, fnmodel._circle_form(expr, r), r)[0] is None
+    assert kinks._winding_count(expr, circles._circle_form(expr, r), r)[0] is None
     assert argument_principle_count(expr, r) == want and len(runs) == 1
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nevlab import quadrature
-from nevlab.fnmodel import QuadratureFailure, TWO_PI
+from nevlab.core import TWO_PI, QuadratureFailure
 from nevlab.quadrature import (MERGE_GAP, MIN_WIDTH, PANEL_ORDER, SEED_LEVELS,
                                QuadratureResult, adaptive_circle, adaptive_circles)
 
