@@ -29,13 +29,15 @@ class _Workspace:
 
     It holds the rows ``b`` and ``m`` of the divisor ``d``
     (``Divisor._rows``) as columns, with its pole rows and the rows of
-    |m| > 1, and three contiguous complex blocks of ``points * step``
-    cells, ``step`` the nodes of a chunk (:func:`_node_step`):
-    :meth:`differences` writes z - b into ``diff``, and the sums write
-    their reciprocals, terms and logs into ``inv`` and ``w``.  For the
-    pair sums of ``n`` roots (:func:`_pair_reduce`) it holds a complex
-    block and a float one of ``rows * n`` cells, ``rows`` the most rows
-    within ``_DIVISOR_CELLS`` cells.
+    |m| > 1, and one complex arena.  Its first three blocks of ``points *
+    step`` cells, ``step`` the nodes of a chunk (:func:`_node_step`), are
+    ``diff``, into which :meth:`differences` writes z - b, and ``inv`` and
+    ``w``, into which the sums write their reciprocals, terms and logs.
+    The pair sums of ``n`` roots (:func:`_pair_reduce`) take a complex
+    block ``pair`` and a float one ``pair_mod`` of ``rows * n`` cells each,
+    ``rows`` the most rows within ``_DIVISOR_CELLS`` cells, from the start
+    of the same arena: no pair sum runs while a divisor sum holds its
+    blocks, so the pages a round touches once serve both.
     """
 
     def __init__(self, d: Divisor, n: int):
@@ -44,12 +46,12 @@ class _Workspace:
         self.is_pole, self.pole = (m < 0)[:, None], np.flatnonzero(m < 0)
         self.neg_pole_m, self.multi = -self.m[self.pole], np.flatnonzero(np.abs(m) > 1)
         self.step = _node_step(b.size)
-        self.diff, self.inv, self.w = (np.empty(b.size * self.step, dtype=np.complex128)
-                                       for _ in range(3))
-        self.acc = np.empty(self.step, dtype=np.complex128)  # one chunk's sums
         self.rows = max(1, _DIVISOR_CELLS // max(n, 1))
-        self.pair = np.empty(self.rows * n, dtype=np.complex128)
-        self.pair_mod = np.empty(self.rows * n)
+        cells, pair = b.size * self.step, self.rows * n
+        arena = np.empty(max(3 * cells, pair + (pair + 1) // 2), dtype=np.complex128)
+        self.diff, self.inv, self.w = (arena[k * cells:(k + 1) * cells] for k in range(3))
+        self.pair, self.pair_mod = arena[:pair], arena[pair:].view(np.float64)[:pair]
+        self.acc = np.empty(self.step, dtype=np.complex128)  # one chunk's sums
 
     def differences(self, flat: np.ndarray):
         """Per chunk ``c`` of the nodes ``flat``: ``(c, k, diff)``, with

@@ -57,7 +57,7 @@ import numpy as np
 from .apoints import _rational_preimages
 from .circles import (_NO_ANGLES, _NO_SERIES, _arc_mean, _circle_form, _divisor_sign,
                       _exp_series, _log_antiderivative, _trig_arc_means)
-from .core import (_LOG_HUGE, MAX_PANELS, TWO_PI, IdenticalComposition, OpaqueExpr,
+from .core import (_EPS, _LOG_HUGE, MAX_PANELS, TWO_PI, IdenticalComposition, OpaqueExpr,
                    OverflowSignal, PoleSignal, Polynomial, ToolkitError, _carray,
                    parse_complex, record)
 from .divisor import (EMPTY_DIVISOR, Divisor, _arg_term, _divisor_sums, _inv_term, _log_term,
@@ -177,13 +177,13 @@ class FunctionExpr:
     def eval(self, z: complex) -> complex:
         """Plain value; raises PoleSignal near poles, OverflowSignal past range.
         The poles are read from the divisor only where one can sit
-        (:func:`_may_have_poles`)."""
+        (:func:`_may_have_poles`), and only near z (:meth:`_divisor_near`)."""
         z = complex(z)
         if not cmath.isfinite(z):
             raise ValueError(f"z={z} is not a finite point")
         if _may_have_poles(self):
             tol = POLE_TOL * (1.0 + abs(z))
-            div = self.divisor_in_disc(abs(z) + 1.0)
+            div = self._divisor_near(z, tol)
             poles = div.points[div.mults < 0]
             near = poles[np.hypot((z - poles).real, (z - poles).imag) <= tol]
             if near.size:
@@ -200,6 +200,14 @@ class FunctionExpr:
         if not (lm[0] < _LOG_HUGE and cmath.isfinite(v)):  # a NaN log|f| or arg f too
             raise OverflowSignal(f"|f(z)| exceeds the floating range at z={z}")
         return v
+
+    def _divisor_near(self, z: complex, tol: float) -> Divisor:
+        """The divisor whose poles within ``tol`` of z :meth:`eval` tests:
+        that on the disc |w| <= |z| + 1, merged over the leaves of a product
+        or quotient as its divisor is, where a leaf with neither zeros nor
+        poles reads none and exp(p) - a solves only the log-branches near z
+        (:meth:`ExpPoly._divisor_near`)."""
+        return self.divisor_in_disc(abs(z) + 1.0)
 
     def logmod_eval(self, z: complex) -> tuple[float, float]:
         """(log|f(z)|, arg f(z) mod 2pi); -inf at exact zeros, PoleSignal at poles."""
@@ -269,6 +277,9 @@ class Const(FunctionExpr):
         return [(_NO_ANGLES, _NO_ANGLES, 0)] * len(radii)  # |f| is constant: no kinks
 
     def _divisor_impl(self, r):
+        return EMPTY_DIVISOR
+
+    def _divisor_near(self, z, tol):
         return EMPTY_DIVISOR
 
 
@@ -416,6 +427,29 @@ class ExpPoly(FunctionExpr):
             raise OpaqueExpr("exp argument is constant and equals log(a)")
         return _pull_back(self.p, w, np.ones(w.size, dtype=np.int64), r)
 
+    def _divisor_near(self, z, tol):
+        """The zeros of the log-branches p(w) = log a + 2 pi i k whose roots
+        can lie within ``tol`` of z: |p(w) - p(z)| <= B = tol sum_j j |p_j|
+        (|z| + tol)^(j - 1) there, so k is within B (and the rounding of
+        p(z)) of (p(z) - log a) / 2 pi i.  A constant p, and a p(z) or a
+        branch count past the range, read the whole disc instead."""
+        if self.a == 0:
+            return EMPTY_DIVISOR
+        la = cmath.log(self.a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = self.p(z) - la
+        if self.p.degree == 0 or not cmath.isfinite(c):
+            return super()._divisor_near(z, tol)
+        reach = (tol * self.p.deriv().coeff_bound(abs(z) + tol)
+                 + 4.0 * (self.p.degree + 1) * _EPS * (self.p.coeff_bound(abs(z)) + abs(la)))
+        lo, hi = math.ceil((c.imag - reach) / TWO_PI), math.floor((c.imag + reach) / TWO_PI)
+        if abs(c.real) > reach or hi < lo:
+            return EMPTY_DIVISOR
+        if hi - lo >= _MAX_BRANCHES:
+            return super()._divisor_near(z, tol)
+        w = la + (TWO_PI * 1j) * np.arange(lo, hi + 1)
+        return _pull_back(self.p, w, np.ones(w.size, dtype=np.int64), abs(z) + 1.0)
+
 
 @record
 class Exp(FunctionExpr):
@@ -443,6 +477,9 @@ class Exp(FunctionExpr):
         return e.real.copy(), e.imag.copy()
 
     def _divisor_impl(self, r):
+        return EMPTY_DIVISOR
+
+    def _divisor_near(self, z, tol):
         return EMPTY_DIVISOR
 
     def closed_proximity(self, radii):
@@ -490,6 +527,9 @@ class Product(_Pair):
     def _divisor_impl(self, r):
         return self.lhs.divisor_in_disc(r).merge(self.rhs.divisor_in_disc(r))
 
+    def _divisor_near(self, z, tol):
+        return self.lhs._divisor_near(z, tol).merge(self.rhs._divisor_near(z, tol))
+
 
 @record
 class Quotient(_Pair):
@@ -507,6 +547,9 @@ class Quotient(_Pair):
 
     def _divisor_impl(self, r):
         return self.lhs.divisor_in_disc(r).merge(self.rhs.divisor_in_disc(r).negate())
+
+    def _divisor_near(self, z, tol):
+        return self.lhs._divisor_near(z, tol).merge(self.rhs._divisor_near(z, tol).negate())
 
 
 def _signed_leaves(expr: FunctionExpr, sign: int = 1):

@@ -4,7 +4,7 @@ It computes every circle mean that has no closed form: the proximity of
 exp towers, of exp(p) - a with a != 0, of products and quotients, of a
 rational whose kinks could not be certified (read from the expression
 itself), and the contour counts of exp(p) - a and of a rational whose
-winding number was not certified (``fnmodel._winding_count``), each read
+winding number was not certified (``kinks._winding_count``), each read
 from its f'/f.  Where
 the kinks are known (exp towers, exp(p) - a and its reciprocals
 c / (exp(p) - a), rationals), the caller cuts at them.  For a rational
@@ -196,7 +196,8 @@ def adaptive_circles(f: Callable[[np.ndarray, np.ndarray], np.ndarray], cuts, co
     (:func:`_seed_panels`) seeds the panels of every circle; a circle with
     no cut gets the one panel [0, 2pi].  A cut with a non-finite angle, or
     a distance that is NaN or negative, raises ValueError, checked with
-    the tolerances (:func:`check_tolerances`) before any evaluation.
+    the tolerances (:func:`check_tolerances`) before any evaluation.  No
+    circle (``count = 0``) gives no result.
 
     ``f(theta, circle)`` takes angles and the circle index of each, one
     index where a call's angles all lie on one circle, and returns real
@@ -223,6 +224,8 @@ def adaptive_circles(f: Callable[[np.ndarray, np.ndarray], np.ndarray], cuts, co
     angle, dist = np.asarray(angle, dtype=float), np.asarray(dist, dtype=float)
     if not (np.isfinite(angle).all() and (dist >= 0.0).all()):
         raise ValueError("cuts need finite angles and nonnegative distances")
+    if not count:
+        return []
     lo, hi, circle = _seed_panels(angle, dist, np.asarray(of, dtype=np.intp), count)
     live = list(range(count))  # the unfinished circles, and their panels
     counts = np.bincount(circle, minlength=count).tolist()

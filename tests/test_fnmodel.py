@@ -725,6 +725,26 @@ def test_eval_of_an_entire_expression_solves_no_divisor():
     assert abs(f.eval(4e6j) - want) <= 1e-12 * abs(want)
 
 
+def test_eval_of_a_reciprocal_of_exp_minus_a_solves_only_the_branches_near_z():
+    """1/(e^z - 1) tests its poles near z alone: the whole disc of 4e6 i
+    would hold 1,335,093 log-branches (OverflowSignal), and no divisor is
+    read through the cache; a pole on the lattice 2 pi i k still raises."""
+    f = Quotient(Const(1.0), ExpPoly(Z, 1.0))
+    misses = fnmodel._divisor_cached.cache_info().misses
+    assert abs(f.eval(4e6j) - 1 / (cmath.exp(4e6j) - 1)) <= 1e-9
+    assert abs(f.eval(4e6j) - (-0.5 + 0.5757j)) <= 1e-4
+    assert fnmodel._divisor_cached.cache_info().misses == misses
+    with pytest.raises(PoleSignal):
+        f.eval(6j * math.pi)
+    g = Product(rational([], [1.0]), Quotient(Const(2.0), ExpPoly(Polynomial((0j, 0j, 1.0)), -1.0)))
+    pole = cmath.sqrt(3j * math.pi)  # e^{z^2} = -1 where z^2 = 3 pi i
+    with pytest.raises(PoleSignal):
+        g.eval(pole)
+    for z in (pole + 1e-3, 0.7 - 2.1j):
+        want = 2.0 / ((z - 1.0) * (cmath.exp(z * z) + 1.0))
+        assert abs(g.eval(z) - want) <= 1e-12 * abs(want)
+
+
 def test_exp_minus_a_keeps_its_bits_deep_below_a():
     # on |z| = 7 near theta = 1.106, Re z^2 is about -29.3: e^{z^2} is about
     # 2e-13, and log|e^{z^2} - 1| (about 1e-13, crossing 0) must keep the
@@ -1077,6 +1097,22 @@ def test_eval_keeps_the_bits_and_errors_of_the_values_path():
         for z in grid + odd:
             assert (_outcome(Exp(p)._log_parts, np.array([z]))
                     == _outcome(_ReferenceTower(p)._log_parts, np.array([z]))), (p, z)
+
+
+def test_every_module_compiles_within_its_memory_cap():
+    # every process compiles nevlab's sources where no bytecode is written,
+    # and the largest module's compile peak sets the process's peak RSS
+    peaks = {}
+    for path in sorted(pathlib.Path(nevlab.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        tracemalloc.start()
+        try:
+            compile(source, str(path), "exec")
+            peaks[path.name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert "fnmodel.py" in peaks and "apoints.py" in peaks
+    assert max(peaks.values()) <= 2.5e6, peaks
 
 
 def test_divisor_sums_stay_chunked():

@@ -386,6 +386,15 @@ def test_lockstep_circles_match_lone_runs():
     assert sum(n for n, _ in calls) == sum(r.evaluations for r in got) - 12
 
 
+def test_no_circles_give_no_results():
+    # three empty cut arrays and count 0: nothing is seeded or evaluated
+    calls = []
+    empty = (np.empty(0), np.empty(0), np.empty(0, dtype=np.intp))
+    assert adaptive_circles(lambda theta, circle: calls.append(theta) or np.ones_like(theta),
+                            empty, 0) == []
+    assert not calls
+
+
 def _counted_run(g, cut):
     h, calls = _counted(g)
     adaptive_circle(h, cut, atol=1e-11, rtol=1e-10)
