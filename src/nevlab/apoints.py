@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .core import RootFindFailure, _carray
-from .divisor import _DIVISOR_CELLS, Divisor, _node_chunks, _node_step
+from .divisor import _DIVISOR_CELLS, Divisor, _differences, _node_step
 from .roots import _ABERTH_ITER, _ABERTH_STEP
 
 _TINY, _HUGE = np.finfo(np.float64).tiny, np.finfo(np.float64).max
@@ -31,7 +31,7 @@ class _Workspace:
     (``Divisor._rows``) as columns, with its pole rows and the rows of
     |m| > 1, and one complex arena.  Its first three blocks of ``points *
     step`` cells, ``step`` the nodes of a chunk (:func:`_node_step`), are
-    ``diff``, into which :meth:`differences` writes z - b, and ``inv`` and
+    ``diff``, into which :func:`_differences` writes z - b, and ``inv`` and
     ``w``, into which the sums write their reciprocals, terms and logs.
     The pair sums of ``n`` roots (:func:`_pair_reduce`) take a complex
     block ``pair`` and a float one ``pair_mod`` of ``rows * n`` cells each,
@@ -52,19 +52,6 @@ class _Workspace:
         self.diff, self.inv, self.w = (arena[k * cells:(k + 1) * cells] for k in range(3))
         self.pair, self.pair_mod = arena[:pair], arena[pair:].view(np.float64)[:pair]
         self.acc = np.empty(self.step, dtype=np.complex128)  # one chunk's sums
-
-    def differences(self, flat: np.ndarray):
-        """Per chunk ``c`` of the nodes ``flat``: ``(c, k, diff)``, with
-        ``diff`` the (points, cols) block of its k nodes less the column
-        ``b``, a contiguous view of the ``diff`` block, as
-        :func:`_differences` gives it: a lone node is doubled (cols = 2),
-        since numpy sums a single column pairwise."""
-        for c in _node_chunks(flat.size, self.b.size):
-            zc = flat[c]
-            diff = self.diff[:self.b.size * max(zc.size, 2)].reshape(self.b.size, -1)
-            np.copyto(diff, zc)  # then z - b in place, as numpy is slow when both broadcast
-            diff -= self.b
-            yield c, zc.size, diff
 
 
 def _block(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -126,7 +113,7 @@ def _is_normal(x: np.ndarray) -> np.ndarray:
 def _aberth_sums(z: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """f/scale, f'/f and Q'/Q at the nodes z, for the rational f of the
     divisor of ``ws`` and Q its monic pole polynomial, in one pass: each
-    block of :meth:`_Workspace.differences` takes its reciprocals once.
+    block of :func:`_differences` takes its reciprocals once.
     f'/f sums m/(z - b) and Q'/Q the same reciprocals, times |m|, over the
     pole rows, both in row order; f/scale is the row-order product of the
     differences at zero rows and of the reciprocals at pole rows, each
@@ -136,7 +123,7 @@ def _aberth_sums(z: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarray,
     flat = _carray(z).reshape(-1)
     prod, dl, dq = (np.empty(flat.size, dtype=np.complex128) for _ in range(3))
     with np.errstate(all="ignore"):
-        for c, k, diff in ws.differences(flat):
+        for c, k, diff in _differences(flat, ws.b, ws.diff):
             cols, acc = diff.shape[1], ws.acc[:diff.shape[1]]
             inv, w = _block(ws.inv, *diff.shape), _block(ws.w, *diff.shape)
             np.divide(1.0, diff, out=inv)
@@ -164,7 +151,7 @@ def _log_sums(z: np.ndarray, ws: _Workspace, scale: complex) -> tuple[np.ndarray
     log_scale = math.log(abs(scale))
     inv, w, acc = ws.inv.view(np.float64), ws.w.view(np.float64), ws.acc.view(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for c, k, diff in ws.differences(flat):
+        for c, k, diff in _differences(flat, ws.b, ws.diff):
             rows, cols = diff.shape
             logs, term = _block(inv, rows, cols), _block(inv[diff.size:], rows, cols)
             poles, acc_c = _block(w, ws.pole.size, cols), acc[:cols]

@@ -286,9 +286,11 @@ def _divisor_sums(z: np.ndarray, d: Divisor, channels) -> tuple[np.ndarray, ...]
     return tuple(out.reshape(z.shape) for out in outs)
 
 
-def _differences(flat: np.ndarray, b: np.ndarray):
+def _differences(flat: np.ndarray, b: np.ndarray, block: np.ndarray | None = None):
     """Per chunk ``c`` of the nodes ``flat``: ``(c, k, flat[c] - b)``, the
-    (points, nodes) block of the chunk's k nodes against the column ``b``.
+    (points, nodes) block of the chunk's k nodes against the column ``b``,
+    fresh, or a contiguous view of the first cells of the flat complex
+    ``block`` where one is given.
 
     numpy sums a single column pairwise, so a lone node is doubled and the
     sums keep their first k columns; z - b is taken in place, as numpy is
@@ -296,7 +298,10 @@ def _differences(flat: np.ndarray, b: np.ndarray):
     """
     for c in _node_chunks(flat.size, len(b)):
         zc = flat[c]
-        diff = np.tile(np.resize(zc, max(zc.size, 2)), (len(b), 1))
+        shape = (len(b), max(zc.size, 2))
+        diff = (np.empty(shape, dtype=np.complex128) if block is None
+                else block[:shape[0] * shape[1]].reshape(shape))
+        np.copyto(diff, zc)
         diff -= b
         yield c, zc.size, diff
 

@@ -63,7 +63,7 @@ from .core import (_EPS, _LOG_HUGE, MAX_PANELS, TWO_PI, IdenticalComposition, Op
 from .divisor import (EMPTY_DIVISOR, Divisor, _arg_term, _divisor_sums, _inv_term, _log_term,
                       _pull_back)
 from .kinks import _band_search, _im_level_angles, _level_search
-from .roots import poly_roots  # noqa: F401  (bench/ reads fnmodel.poly_roots)
+from .roots import poly_roots  # noqa: F401  (the bench wraps fnmodel.poly_roots)
 
 # Proximity scale under which a point counts as sitting on a divisor point.
 POLE_TOL = 1e-12

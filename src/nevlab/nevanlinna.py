@@ -188,7 +188,7 @@ def proximities(expr: FunctionExpr, radii,
     circles run one quadrature of log+|f| on the expression itself, in
     lockstep, cut where that same answer says: a rational's uncertified
     circles; exp(p) - a and c / (exp(p) - a), whose kinks and band edges
-    one band search over the grid finds (:func:`fnmodel._band_search`);
+    one band search over the grid finds (:func:`kinks._band_search`);
     exp(exp(p)) where its series leaves the double range or its term cap,
     other exp towers, quotients and products, and every closed mean
     that missed its tolerance.
@@ -386,7 +386,7 @@ def argument_principle_count(expr: FunctionExpr, r: float) -> int:
     count 0 by construction, not by measurement: they have no zeros or
     poles, and no contour is integrated for them.  A rational given by its divisor
     counts the winding of its arg f round the circle, certified from its
-    circle form (:func:`fnmodel._winding_count`).  exp(p) - a, and a
+    circle form (:func:`kinks._winding_count`).  exp(p) - a, and a
     rational whose winding is not certified, count by the real part of the
     mean of ``z f'(z)/f(z)`` over the circle, read from its ``_logderivs``
     by quadrature; a residual further than ``COUNT_INTEGER_TOL`` from an
