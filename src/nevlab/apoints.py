@@ -7,12 +7,16 @@ discs, or RootFindFailure.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import RootFindFailure, _carray
 from .divisor import _DIVISOR_CELLS, Divisor, _differences, _node_step
 from .roots import _ABERTH_ITER, _ABERTH_STEP
+
+if TYPE_CHECKING:  # the expressions are built on this module
+    from .fnmodel import RationalFromDivisor
 
 _TINY, _HUGE = np.finfo(np.float64).tiny, np.finfo(np.float64).max
 

@@ -18,11 +18,15 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import _EPS, _LOG_HUGE, MAX_PANELS, TWO_PI, Polynomial
 from .divisor import Divisor, _arg_term, _divisor_sums, _inv_term, _log_term, _node_chunks
+
+if TYPE_CHECKING:  # the expressions are built on this module
+    from .fnmodel import FunctionExpr, RationalFromDivisor
 
 # Divisor points b with ||b| - r| <= CIRCLE_BAND r are near the circle |z| = r:
 # circle means cut their panels at them, and the |f| = 1 search samples there.

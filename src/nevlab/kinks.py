@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -17,6 +18,9 @@ from .circles import (_NO_ANGLES, _SCAN_GRID, _SCAN_POINTS, CIRCLE_BAND, _arg_su
                       _log_slope)
 from .core import _EPS, TWO_PI, Polynomial
 from .divisor import Divisor, _node_chunks
+
+if TYPE_CHECKING:  # the expressions are built on this module
+    from .fnmodel import RationalFromDivisor
 
 # The |f| = 1 search of a rational's circle mean polishes each crossing by
 # at most _SEARCH_STEPS steps, frozen once a step is below _SEARCH_TOL (in
