@@ -52,7 +52,6 @@ from .fnmodel import (
     compose_poly,
     subtract,
 )
-from .roots import poly_roots
 from .nevanlinna import (
     _origin_leading_logmod,
     characteristic_sweep,
@@ -62,6 +61,7 @@ from .nevanlinna import (
     proximities,
 )
 from .quadrature import adaptive_circle
+from .roots import poly_roots
 
 # a bound check passes where its margin (rhs - lhs) is at least -PASS_TOL
 PASS_TOL = 1e-9

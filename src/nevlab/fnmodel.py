@@ -204,9 +204,11 @@ class FunctionExpr:
     def _divisor_near(self, z: complex, tol: float) -> Divisor:
         """The divisor whose poles within ``tol`` of z :meth:`eval` tests:
         that on the disc |w| <= |z| + 1, merged over the leaves of a product
-        or quotient as its divisor is, where a leaf with neither zeros nor
-        poles reads none and exp(p) - a solves only the log-branches near z
-        (:meth:`ExpPoly._divisor_near`)."""
+        or quotient as its divisor is, where a zero-free leaf
+        (:func:`_signed_leaves`) reads none and exp(p) - a solves only the
+        log-branches near z (:meth:`ExpPoly._divisor_near`)."""
+        if next(_signed_leaves(self), None) is None:
+            return EMPTY_DIVISOR
         return self.divisor_in_disc(abs(z) + 1.0)
 
     def logmod_eval(self, z: complex) -> tuple[float, float]:
@@ -277,9 +279,6 @@ class Const(FunctionExpr):
         return [(_NO_ANGLES, _NO_ANGLES, 0)] * len(radii)  # |f| is constant: no kinks
 
     def _divisor_impl(self, r):
-        return EMPTY_DIVISOR
-
-    def _divisor_near(self, z, tol):
         return EMPTY_DIVISOR
 
 
@@ -477,9 +476,6 @@ class Exp(FunctionExpr):
         return e.real.copy(), e.imag.copy()
 
     def _divisor_impl(self, r):
-        return EMPTY_DIVISOR
-
-    def _divisor_near(self, z, tol):
         return EMPTY_DIVISOR
 
     def closed_proximity(self, radii):
