@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .apoints import PREIMAGE_RESIDUAL_TOL
+from .apoints import PREIMAGE_RESIDUAL_TOL, _value_hits
 from .core import BranchAmbiguity, OrderMismatch, Polynomial, TWO_PI, field, record
 from .fnmodel import FunctionExpr, preimages_in_disc, target_value
 
@@ -207,25 +207,13 @@ def _image_hits_value(expr: FunctionExpr, q, a: complex | None):
     """Overflow-safe test of |f(q) - a| <= PREIMAGE_RESIDUAL_TOL (1 + |a|), elementwise.
 
     ``q`` is one point or an array of them; the result is a bool or a bool
-    array of its shape, from one ``_log_parts`` call.  Works through the log
-    channel so poles and astronomically large values never overflow;
-    ``a=None`` stands for the pole set.  A NaN image never hits.
+    array of its shape, from one ``_log_parts`` call, tested as logs by
+    :func:`_value_hits`, so poles and astronomically large values never
+    overflow; ``a=None`` stands for the pole set.  A NaN image never hits.
     """
     qs = np.asarray(q, dtype=complex)
     lm, ag = expr._log_parts(qs.reshape(-1))
-    lv = math.log(PREIMAGE_RESIDUAL_TOL)
-    if a is None:
-        hit = lm >= -lv
-    elif a == 0:
-        hit = lm <= lv
-    else:
-        la, bound = math.log(abs(a)), PREIMAGE_RESIDUAL_TOL * (1.0 + abs(a))
-        dwarfs = lm - la > 40.0  # |f(q)| dwarfs |a|: refuted without exponentiating
-        tiny = la - lm > 40.0  # |f(q)| negligible next to |a|
-        hit = tiny & (abs(a) <= bound)
-        for k in np.flatnonzero(~(dwarfs | tiny)).tolist():
-            v = cmath.exp(complex(float(lm[k]), float(ag[k])))
-            hit[k] = abs(v - a) <= bound
+    hit = lm >= -math.log(PREIMAGE_RESIDUAL_TOL) if a is None else _value_hits(lm, ag, a)
     return hit.reshape(qs.shape)[()]
 
 

@@ -1,11 +1,13 @@
 """The a-points of a rational given by its divisor: every solution of
 f = a in a disc, by an Ehrlich-Aberth iteration in product form, with no
 coefficient expanded, whose roots are certified complete by inclusion
-discs, or RootFindFailure.
+discs, or RootFindFailure; and the one log channel of e^w - a, which
+exp(p) - a evaluates and every test of f = a reads.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import TYPE_CHECKING
 
@@ -24,6 +26,39 @@ _TINY, _HUGE = np.finfo(np.float64).tiny, np.finfo(np.float64).max
 # The residual |f - a| / (1 + |a|) every certified a-point in the disc meets;
 # the census re-tests unmatched images against the same bound.
 PREIMAGE_RESIDUAL_TOL = 1e-6
+
+
+def _log_minus(w: np.ndarray, a: complex, with_arg: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """(log|e^w - a|, arg(e^w - a) or None) at the complex array w, each
+    point in its regime of |e^w| against |a|: above e^0.7 |a|, log(e^w - a)
+    = w + log(1 - s) with s = a e^-w; below e^-0.7 |a|, log(-a) + log(1 -
+    s) with s = e^w / a; between, the plain log.  So |s| < e^-0.7 wherever
+    log|1 - s| is taken, by log1p.  a = 0 gives (Re w, Im w)."""
+    if a == 0:
+        return w.real.copy(), w.imag.copy() if with_arg else None
+    la = math.log(abs(a))
+    big, small = w.real > la + 0.7, w.real < la - 0.7
+    mid = ~(big | small)
+    lm, ag = np.empty(w.shape), np.empty(w.shape) if with_arg else None
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for mask, s, base in ((big, a * np.exp(-w[big]), w[big]),
+                              (small, np.exp(w[small]) / a, cmath.log(-a)),
+                              (mid, np.exp(w[mid]) - a, None)):
+            if base is None:
+                lm[mask] = np.log(np.abs(s))
+            else:  # log|1 - s| = log1p(|1 - s|^2 - 1) / 2 keeps the bits of a small s
+                lm[mask] = base.real + 0.5 * np.log1p((s.real - 2.0) * s.real + s.imag**2)
+            if with_arg:
+                ag[mask] = np.angle(s) if base is None else base.imag + np.angle(1.0 - s)
+    return lm, ag
+
+
+def _value_hits(lm: np.ndarray, ag: np.ndarray, a: complex) -> np.ndarray:
+    """Where |f - a| <= PREIMAGE_RESIDUAL_TOL (1 + |a|), f = e^(lm + i ag),
+    compared as logs through :func:`_log_minus`, so that no |f| overflows.
+    A NaN never hits."""
+    bound = math.log(PREIMAGE_RESIDUAL_TOL * (1.0 + abs(a)))
+    return _log_minus(lm + 1j * ag, a, False)[0] <= bound
 
 
 class _Workspace:
@@ -245,9 +280,9 @@ def _rational_preimages(expr: RationalFromDivisor, a: complex,
         gap = _pair_reduce(z, k, np.inf, gaps, ws)
         mod = np.abs(z)
         inside = mod <= r
-        resid = np.abs(np.exp(lm[inside] + 1j * ag[inside]) - a)
+        hits = _value_hits(lm[inside], ag[inside], a)
     for ok, why in (
-            (resid <= PREIMAGE_RESIDUAL_TOL * (1.0 + abs(a)), "in the disc misses the "
+            (hits, "in the disc misses the "
              "residual bound: double precision cannot separate it from the divisor"),
             (gap > rad, "has an inclusion disc that meets another"),
             ((mod + rad <= r) | (mod - rad > r), f"has an inclusion disc across |z| = {r!r}")):

@@ -594,9 +594,9 @@ def main(argv: list[str] | None = None) -> int:
         if empty:
             raise ToolkitError(f"--{empty[0].replace('_', '-')} needs a value")
         return args.func(args)
-    except (ToolkitError, OSError, ValueError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)},
-                         sort_keys=True), file=sys.stderr)
+    except (ToolkitError, OSError, ValueError, MemoryError) as exc:
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(json.dumps({"error": name, "detail": str(exc)}, sort_keys=True), file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -5,6 +5,7 @@ that makes every value type a frozen record, and dense polynomials.
 
 from __future__ import annotations
 
+import cmath
 import math
 from operator import attrgetter, itemgetter
 from typing import Sequence
@@ -332,7 +333,10 @@ class Polynomial:
 
     @classmethod
     def parse(cls, text: str) -> "Polynomial":
-        """Parse sums of monomials, e.g. ``z^2+z``, ``2z-1``, ``(0.5+0.2i)z``."""
+        """Parse sums of monomials, e.g. ``z^2+z``, ``2*z-1``, ``(0.5+0.2i)z``: a
+        coefficient, at most one ``*``, and ``z`` with an exponent of plain
+        digits; a term that is not of this form, or whose coefficient is not
+        finite, raises ``ValueError("cannot parse term ...")``."""
         s = text.replace(" ", "")
         if not s:
             raise ValueError("empty polynomial string")
@@ -343,7 +347,7 @@ class Polynomial:
                 depth += 1
             elif ch == ")":
                 depth -= 1
-            elif ch in "+-" and depth == 0 and i > 0 and s[i - 1] not in "eE(+-":
+            elif ch in "+-" and depth == 0 and i > 0 and s[i - 1] not in "eE(+-^":
                 terms.append(s[start:i])
                 start = i
         terms.append(s[start:])
@@ -352,22 +356,23 @@ class Polynomial:
             coeffs_part, power = term, 0
             if "z" in term:
                 head, _, tail = term.partition("z")
-                if "z" in tail:
+                digits = tail[1:] if tail.startswith("^") else None
+                if tail and not (digits and digits.isascii() and digits.isdigit()):
                     raise ValueError(f"cannot parse term {term!r}")
-                if tail == "":
-                    power = 1
-                elif tail.startswith("^"):
-                    power = int(tail[1:])
-                else:
-                    raise ValueError(f"cannot parse term {term!r}")
-                coeffs_part = head.rstrip("*")
+                power = int(digits) if tail else 1
+                coeffs_part = head[:-1] if head.endswith("*") else head
             if coeffs_part in ("", "+"):
                 c = 1.0 + 0j
             elif coeffs_part == "-":
                 c = -1.0 + 0j
             else:
-                c = parse_complex(coeffs_part)
+                try:
+                    c = parse_complex(coeffs_part)
+                except ValueError:
+                    raise ValueError(f"cannot parse term {term!r}") from None
             coeffs[power] = coeffs.get(power, 0j) + c
+            if not cmath.isfinite(coeffs[power]):
+                raise ValueError(f"cannot parse term {term!r}: its coefficient is not finite")
         n = max(coeffs) + 1
         return cls(tuple(coeffs.get(k, 0j) for k in range(n)))
 

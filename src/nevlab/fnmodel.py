@@ -54,7 +54,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .apoints import _rational_preimages
+from .apoints import _log_minus, _rational_preimages
 from .circles import (_NO_ANGLES, _NO_SERIES, _arc_mean, _circle_form, _divisor_sign,
                       _exp_series, _log_antiderivative, _trig_arc_means)
 from .core import (_EPS, _LOG_HUGE, MAX_PANELS, TWO_PI, IdenticalComposition, OpaqueExpr,
@@ -338,13 +338,6 @@ class ExpPoly(FunctionExpr):
     def __post_init__(self):
         object.__setattr__(self, "a", complex(self.a))
 
-    def _regimes(self, w):
-        """Masks big, small, mid for the regimes of |e^w| against |a| != 0."""
-        la = math.log(abs(self.a))
-        big = w.real > la + 0.7
-        small = w.real < la - 0.7
-        return big, small, ~(big | small)
-
     def _log_parts(self, z):
         return self._logs(z, True)
 
@@ -352,49 +345,19 @@ class ExpPoly(FunctionExpr):
         return self._logs(z, False)[0]
 
     def _logs(self, z, with_arg: bool):
-        """(log|f|, arg f or None): log f = base + log(1 - s) in the big and
-        small regimes, where |s| < e^-0.7, and log t in the mid one."""
+        """(log|f|, arg f or None) from the log channel of e^w - a at w = p(z)."""
         with np.errstate(over="ignore", invalid="ignore"):
             w = _carray(self.p(z))
         finite = np.isfinite(w)
         if not finite.all() and np.isfinite(z[~finite]).any():  # a NaN z gives NaN
             raise OverflowSignal("the exponent of exp(p) is not finite here: "
                                  "log|f| leaves the floating range")
-        if self.a == 0:
-            return w.real.copy(), w.imag.copy() if with_arg else None
-        big, small, mid = self._regimes(w)
-        parts = []  # (mask, s or t, base)
-        if np.any(big):  # |e^p| >> |a|:  log f = p + log(1 - a e^-p)
-            parts.append((big, self.a * np.exp(-w[big]), w[big]))
-        if np.any(small):  # |e^p| << |a|:  log f = log(-a) + log(1 - e^p / a)
-            parts.append((small, np.exp(w[small]) / self.a, cmath.log(-self.a)))
-        if np.any(mid):
-            parts.append((mid, np.exp(w[mid]) - self.a, None))
-        lm, ag = np.empty(w.shape), np.empty(w.shape) if with_arg else None
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for mask, s, base in parts:
-                if base is None:
-                    lm[mask] = np.log(np.abs(s))
-                else:  # log|1 - s| = log1p(|1 - s|^2 - 1) / 2 keeps the bits of a small s
-                    lm[mask] = base.real + 0.5 * np.log1p((s.real - 2.0) * s.real + s.imag**2)
-                if with_arg:
-                    ag[mask] = np.angle(s) if base is None else base.imag + np.angle(1.0 - s)
-        return lm, ag
+        return _log_minus(w, self.a, with_arg)
 
-    def _logderivs(self, z):  # a != 0: zero-free exp(p) counts 0 with no contour
-        dp = _carray(self.p.deriv()(z))
+    def _logderivs(self, z):  # f'/f = p' e^p / f = p' e^(p - log f)
         w = _carray(self.p(z))
-        big, small, mid = self._regimes(w)
-        out = np.empty(w.shape, dtype=np.complex128)
-        if np.any(big):
-            out[big] = dp[big] / (1.0 - self.a * np.exp(-w[big]))
-        if np.any(small):
-            t = np.exp(w[small]) / self.a
-            out[small] = dp[small] * t / (t - 1.0)
-        if np.any(mid):
-            ew = np.exp(w[mid])
-            out[mid] = dp[mid] * ew / (ew - self.a)
-        return out
+        lm, ag = _log_minus(w, self.a, True)
+        return _carray(self.p.deriv()(z)) * np.exp(w - (lm + 1j * ag))
 
     def level_angles(self, radii, level=1.0):
         if self.a != 0:

@@ -275,6 +275,8 @@ def characteristic_sweep(expr: FunctionExpr, radii,
 
 def log_radii(rmin: float, rmax: float, count: int = 50) -> np.ndarray:
     """Log-spaced radius grid, the default sweep layout."""
+    if not (math.isfinite(rmin) and math.isfinite(rmax)):
+        raise ValueError("need a finite rmin and rmax")
     if not (0 < rmin < rmax):
         raise ValueError("need 0 < rmin < rmax")
     if count < 1:

@@ -26,6 +26,7 @@ from nevlab import (
     orbit,
     polynomialize,
 )
+from nevlab import apoints
 from nevlab.algmap import _image_hits_value
 from nevlab.core import BranchAmbiguity, OrderMismatch
 from nevlab.fnmodel import preimages_in_disc
@@ -267,6 +268,49 @@ def test_image_hits_value_finite_target():
     assert not _image_hits_value(f, 0.1, 1.0)
     # huge |f| against a moderate target: decided in the log domain
     assert not _image_hits_value(f, 800.0, 1.0)
+    # |f| = e^720 leaves the double range, and so would e^720 - 1e308
+    assert not _image_hits_value(f, 720.0, 1e308)
+
+
+def test_value_hits_compare_logs_as_the_per_element_test_did():
+    """_value_hits agrees with the per-element test it replaced on a grid of
+    (log|f|, arg f, a) across its 40-log shortcuts, and both with a 50-digit
+    |f - a|, away from the bound.  The per-element test misses twice: its
+    shortcut refuted every |f| > e^40 |a| though |f| and |a| both sit below
+    the bound, and its exponential overflowed at a huge a.  A NaN never
+    hits."""
+    mpmath = pytest.importorskip("mpmath")
+    tol = apoints.PREIMAGE_RESIDUAL_TOL
+    got, want, old, shortcut = [], [], [], []
+    for a in (1.0, -2.5 + 0.5j, 2j, 1e-30, 1e-9, 3e5, 1e300):
+        la, phase = math.log(abs(a)), cmath.phase(a)
+        grid = [(la + d, phase + t) for d in np.linspace(-60.0, 60.0, 97)
+                for t in (0.0, 0.3, -2.0, math.pi)]
+        grid += [(la + e, phase + e2) for e in (0.0, 1e-9, -3e-7, 1e-5, 1e-3)
+                 for e2 in (0.0, 2e-7, -1e-4)]
+        kept = []
+        for lm, ag in grid:
+            with mpmath.workdps(50):
+                gap = abs(mpmath.exp(mpmath.mpc(lm, ag)) - a)
+                margin = float(mpmath.log(gap) - mpmath.log(tol * (1.0 + abs(a))))
+            if abs(margin) > 1e-6:  # away from the bound
+                kept.append((lm, ag))
+                want.append(margin < 0)
+                try:
+                    old.append(_logs_hit_value(lm, ag, a, tol))
+                except OverflowError:  # cmath.exp past the double range
+                    old.append(None)
+                shortcut.append(lm - la > 40.0 and margin < 0)
+        lms, ags = np.array(kept).T
+        got += apoints._value_hits(lms, ags, a).tolist()
+    want, shortcut = np.array(want), np.array(shortcut)
+    crashed = np.array([hit is None for hit in old])
+    assert want.any() and not want.all() and crashed.any()
+    assert np.array_equal(np.array(got), want)
+    assert shortcut.any() and np.array_equal((np.array(old) != want) & ~crashed, shortcut)
+    lm, ag = np.array([math.nan, 0.0, math.nan]), np.array([0.0, math.nan, math.nan])
+    for a in (0.0, 1.0, 1e-30):
+        assert not apoints._value_hits(lm, ag, a).any()
 
 
 # batched value check and windowed matching, against the scalar and quadratic
@@ -276,7 +320,12 @@ def test_image_hits_value_finite_target():
 def _scalar_hits_value(expr, q, a, vtol):
     """The one-image value check, as it was before batching."""
     lm, ag = expr._log_parts(np.asarray([complex(q)], dtype=complex))
-    lm = float(lm[0])
+    return _logs_hit_value(float(lm[0]), float(ag[0]), a, vtol)
+
+
+def _logs_hit_value(lm, ag, a, vtol):
+    """The value check of one (log|f|, arg f), as it was before it compared
+    logs: two 40-log shortcuts, else |e^(lm + i ag) - a| by cmath."""
     if a is None:
         return lm >= -math.log(vtol)
     if a == 0:
@@ -286,7 +335,7 @@ def _scalar_hits_value(expr, q, a, vtol):
         return False
     if la - lm > 40.0:
         return abs(a) <= vtol * (1.0 + abs(a))
-    v = cmath.exp(complex(lm, float(ag[0])))
+    v = cmath.exp(complex(lm, ag))
     return abs(v - a) <= vtol * (1.0 + abs(a))
 
 

@@ -235,6 +235,25 @@ def test_char_empty_grid_is_an_error(capsys):
     assert json.loads(err)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("rmin, rmax", [("1", "inf"), ("nan", "4"), ("inf", "inf")])
+def test_a_non_finite_grid_end_is_one_json_error_line(rmin, rmax):
+    # numpy never sees it: no RuntimeWarning ahead of the error line
+    r = subprocess.run([sys.executable, "-m", "nevlab.cli", "char", "--fn", "exp_z",
+                        "--rmin", rmin, "--rmax", rmax, "--count", "3"],
+                       capture_output=True, text=True)
+    assert r.returncode == EXIT_ERROR and r.stdout == ""
+    assert r.stderr.count("\n") == 1
+    assert json.loads(r.stderr) == {"error": "ValueError", "detail": "need a finite rmin and rmax"}
+
+
+def test_a_grid_past_the_address_space_is_a_memory_error(capsys):
+    # numpy refuses the 7.1 PiB radius array at once, touching no memory
+    code, out, err = run(capsys, "hyperorder", "--fn", "exp_z", "--count", "1000000000000000")
+    assert code == EXIT_ERROR and out == ""
+    error = json.loads(err)
+    assert error["error"] == "MemoryError" and "Unable to allocate" in error["detail"]
+
+
 @pytest.mark.parametrize("fn, radius", [("exp_z", "1e308"), ("rat_pole0", "1e308"),
                                         ("expz2_minus_1", "1e200"), ("exp_exp_z", "800")])
 def test_char_past_the_floating_range_is_an_error(capsys, fn, radius):
@@ -340,6 +359,10 @@ def test_verify_grid_commands_reject_an_empty_grid(capsys, which):
     (("growth", "--profile", "exp_r", "--radii", "1,2,3,4,5,nan,7,8,9,10,11,12"),
      "must be finite"),
     (("pest", "--trials", "-5"), "at least 1 trial"), (("pest", "--trials", "0"), "at least 1 trial"),
+    (("smt", "--omega", "2**z+z", "--phi", "2*z"), "cannot parse term '2**z'"),
+    (("asym", "--fn", "exp_z", "--omega", "z^2+1e400"), "cannot parse term '+1e400'"),
+    (("lemma1", "--omega", "z^-1"), "cannot parse term 'z^-1'"),
+    (("lemma1", "--omega", "z^+2"), "cannot parse term 'z^+2'"),
 ])
 def test_verify_malformed_harness_inputs_are_errors(capsys, argv, named):
     code, out, err = run(capsys, "verify", *argv)

@@ -6,6 +6,7 @@ import math
 import os
 import pathlib
 import pickle
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -103,6 +104,21 @@ def test_parse_complex_accepts_the_usual_spellings():
     assert parse_complex("(2-i)") == 2 - 1j
     assert parse_complex("2j") == 2j
     assert parse_complex("-j") == -1j
+
+
+def test_polynomial_parse_takes_one_star_and_plain_digit_exponents():
+    assert Polynomial.parse("2*z").coeffs == Polynomial.parse("2z").coeffs == (0j, 2.0)
+    assert Polynomial.parse("(1+2i)*z^2+z^10").coeffs[2:] == (1 + 2j,) + (0j,) * 7 + (1.0,)
+
+
+@pytest.mark.parametrize("text, term", [
+    ("2**z", "2**z"), ("2**z+z", "2**z"), ("z^2+1e400", "+1e400"), ("nanz", "nanz"),
+    ("1e308z+1e308z", "+1e308z"), ("z^-1", "z^-1"), ("z^+2", "z^+2"), ("z^", "z^"),
+    ("z^²", "z^²"), ("z*z", "z*z"), ("z^2+x", "+x"),
+])
+def test_polynomial_parse_rejects_malformed_terms(text, term):
+    with pytest.raises(ValueError, match=r"^cannot parse term " + re.escape(repr(term))):
+        Polynomial.parse(text)
 
 
 # ---------------------------------------------------------------------------
@@ -757,6 +773,41 @@ def test_exp_minus_a_keeps_its_bits_deep_below_a():
                          for v in z])
     assert np.all(np.abs(f._log_mod(z) - want) <= 1e-11 * np.abs(want))
     assert np.array_equal(f._log_parts(z)[0], f._log_mod(z))
+
+
+def _three_regime_logderivs(f: ExpPoly, z: np.ndarray) -> np.ndarray:
+    """f'/f of e^p - a by its own three regime formulas, as ExpPoly had them
+    before it read log f from the log channel of e^w - a."""
+    dp, w = f.p.deriv()(z), f.p(z)
+    la = math.log(abs(f.a))
+    big, small = w.real > la + 0.7, w.real < la - 0.7
+    mid = ~(big | small)
+    out = np.empty(w.shape, dtype=np.complex128)
+    out[big] = dp[big] / (1.0 - f.a * np.exp(-w[big]))
+    t = np.exp(w[small]) / f.a
+    out[small] = dp[small] * t / (t - 1.0)
+    ew = np.exp(w[mid])
+    out[mid] = dp[mid] * ew / (ew - f.a)
+    return out
+
+
+def test_exp_minus_a_logderivs_read_the_log_channel():
+    """f'/f = p' e^(p - log f) agrees with the three regime formulas to 1e-11
+    relative on a grid that crosses every regime, deep below |a| too."""
+    members = [ExpPoly(Z, 1.0), ExpPoly(Z2, -1.0), ExpPoly(Z, 1e5),
+               ExpPoly(Polynomial((1.0, -1.0, 0j, 0.5 + 0.2j)), 2.0 + 1.0j),
+               ExpPoly(Polynomial((0j, 1.0, 1.0)), 1e-3)]
+    theta = np.linspace(0.0, TWO_PI, 2001)
+    regimes = set()
+    for f in members:
+        for r in (0.3, 1.0, 3.0, 8.0, 20.0):
+            z = r * np.exp(1j * theta)
+            want, got = _three_regime_logderivs(f, z), f._logderivs(z)
+            assert np.all(np.abs(got - want) <= 1e-11 * np.abs(want)), (f, r)
+            gap = f.p(z).real - math.log(abs(f.a))
+            regimes |= {k for k, hit in ((-1, gap < -0.7), (0, abs(gap) <= 0.7),
+                                       (1, gap > 0.7), (-30, gap < -30.0)) if hit.any()}
+    assert regimes == {-30, -1, 0, 1}  # below, between, above and 30 below log|a|
 
 
 def test_rational_eval_matches_direct_product():

@@ -1059,3 +1059,6 @@ def test_log_radii_shape_and_bounds():
         log_radii(5.0, 2.0)
     with pytest.raises(ValueError):
         log_radii(2.0, 32.0, 0)
+    for ends in ((1.0, math.inf), (math.nan, 4.0), (-math.inf, 4.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="need a finite rmin and rmax"):
+            log_radii(*ends)

@@ -88,6 +88,13 @@ COMMANDS = [
     ["verify", "growth", "--profile", "exp_r", "--step-k", "-5"],
     ["verify", "growth", "--profile", "exp_r", "--radii", "1,2,3,4,5,nan,7,8,9,10,11,12"],
     ["verify", "pest", "--trials", "-5"],
+    # malformed polynomials, a non-finite grid end and a grid past the address space
+    ["verify", "smt", "--omega", "2**z+z", "--phi", "2*z"],
+    ["verify", "asym", "--fn", "exp_z", "--omega", "z^2+1e400"],
+    ["verify", "lemma1", "--omega", "z^-1"],
+    ["verify", "lemma1", "--omega", "z^+2"],
+    ["char", "--fn", "exp_z", "--rmin", "1", "--rmax", "inf", "--count", "3"],
+    ["hyperorder", "--fn", "exp_z", "--count", "1000000000000000"],
     # one-radius and decreasing grids, and a lockstep sweep of exp(z^2) - 1
     ["verify", "smt", "--fn", "exp_z", "--omega", "z^2+z", "--phi", "z^2",
      "--targets", "1,-1", "--radii", "10"],
